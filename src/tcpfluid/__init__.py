@@ -48,7 +48,6 @@ from .nhpl import (
     compute_T,
     generate_poi_loss,
     inter_loss_times,
-    inverse_transform_T,
     make_sim_state,
     pick_losing_flow,
     run_simulation,

@@ -70,6 +70,13 @@ class WindowFunction(ABC):
 
     Implementations must be monotone nondecreasing in ``s`` so that epoch
     projections and bandwidth-delay crossing searches stay well posed.
+
+    The event-driven simulator additionally needs the window to be a
+    polynomial of degree at most 3 in ``s`` within an epoch, exposed by
+    ``coefficients``: the aggregate loss rate is then a cubic in time and
+    its integral a quartic, both summed over flows and inverted exactly.
+    The fluid integrator only calls ``window``, so a window function that
+    does not override ``coefficients`` still integrates.
     """
 
     name: str = "abstract"
@@ -77,6 +84,18 @@ class WindowFunction(ABC):
     @abstractmethod
     def window(self, state: FlowState, params: SystemParams) -> float:
         """Instantaneous window, packets."""
+
+    def coefficients(
+        self, state: FlowState, params: SystemParams
+    ) -> tuple[float, float, float, float]:
+        """(a0, a1, a2, a3) with W(s + x) = a0 + a1 x + a2 x^2 + a3 x^3.
+
+        x is the time offset from ``state`` within the same epoch, and a0
+        must equal ``window(state, params)`` exactly.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not expose window coefficients"
+        )
 
     def reset(self, window_at_loss: float) -> FlowState:
         """State right after a loss indication: the epoch clock restarts.

@@ -9,6 +9,7 @@ byte-reproducible for a fixed config and seed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -119,7 +120,10 @@ class ExperimentConfig:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s.strip()!r}")
+    return v
 
 
 def _parse_int(s: str) -> int:
@@ -132,7 +136,7 @@ def _parse_str(s: str) -> str:
 
 
 def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in s.split(",") if part.strip() != "")
+    return tuple(_parse_float(part) for part in s.split(",") if part.strip() != "")
 
 
 KEY_PARSERS = {
@@ -235,8 +239,8 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(
                 f"step must divide delay_tau into at least 4 parts, got {config.step}"
             )
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if config.sample_dt is not None and config.sample_dt <= 0.0:
         raise ConfigError(f"sample_dt must be positive, got {config.sample_dt}")
     if not 0.0 < config.post_transient <= 1.0:

@@ -8,11 +8,13 @@ described by the start time of its current epoch and the window size it had
 right before the loss that started it (the W_loss array).
 
 The inter-loss sampler inverts the cumulative rate integral against an
-Exp(1) target (inverse transform method).  A candidate loss time computed
-from the current epoch functions is only valid while no pending indication
-fires before it; otherwise the earliest indication is applied, the affected
-flow starts a new epoch, and the candidate is regenerated from the
-indication time onward.  Regeneration is exact, not approximate: the
+Exp(1) target (inverse transform method).  Within an epoch every supported
+window is a polynomial of degree at most 3 in time, so the integrated rate
+is a quartic in closed form and is inverted by bracketed Newton iteration.
+A candidate loss time computed from the current epoch functions is only
+valid while no pending indication fires before it; otherwise the earliest
+indication is applied, the affected flow starts a new epoch, and the
+candidate is regenerated from the indication time onward.  Regeneration is exact, not approximate: the
 discarded draw certifies that no loss occurred before the indication, and
 the process restarts memorylessly from there with a fresh uniform.
 
@@ -33,7 +35,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,9 +108,6 @@ class SimState:
         age = t - self.schedule.llis[f]
         return self.window_fn.window(FlowState(self.w_loss[f], age), self.params)
 
-    def aggregate_window(self, t: float) -> float:
-        return sum(self.flow_window(f, t) for f in range(len(self.w_loss)))
-
 
 def make_sim_state(
     params: SystemParams,
@@ -124,6 +123,8 @@ def make_sim_state(
     is in flight at bootstrap and the anchor for the first candidate is t=0.
     """
     fn = window_function(algorithm) if isinstance(algorithm, str) else algorithm
+    if getattr(type(fn), "coefficients", None) in (None, WindowFunction.coefficients):
+        raise ValueError(f"{type(fn).__name__} does not expose window coefficients")
     if len(init) != params.flows:
         raise ValueError(f"init has {len(init)} flows, params.flows = {params.flows}")
     if not lookahead > 0.0:
@@ -149,158 +150,136 @@ def make_sim_state(
     return state
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Classic adaptive Simpson with Richardson correction, absolute tol."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, 50)
+# Backstop on solver iterations; Newton from the guesses below converges in
+# at most 6 on the 20-flow CUBIC comparison run, and 1 on a frozen window.
+_MAX_ITER = 100
+_EPS = 2.0**-52
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
+def _horner(p: Sequence[float], x: float) -> float:
+    """p[0] + p[1] x + p[2] x^2 + ..."""
+    acc = 0.0
+    for coeff in reversed(p):
+        acc = coeff + x * acc
+    return acc
 
 
-def inverse_transform_T(
-    integrated_rate: Callable[[float], float],
-    u: float,
-    *,
-    horizon: float,
-    initial_step: float = 1.0,
-) -> float | None:
-    """Smallest T with integrated_rate(T) = -ln(u), or None within horizon.
+def _excess_poly(state: SimState, ages: Sequence[float]) -> tuple[float, float, float, float]:
+    """Coefficients of sum_f W_f(age_f + x) - N C tau as a cubic in x."""
+    fn, params = state.window_fn, state.params
+    a0 = a1 = a2 = a3 = 0.0
+    for w_loss, age in zip(state.w_loss, ages):
+        c0, c1, c2, c3 = fn.coefficients(FlowState(w_loss, age), params)
+        a0 += c0
+        a1 += c1
+        a2 += c2
+        a3 += c3
+    return a0 - len(state.w_loss) * params.bdp, a1, a2, a3
 
-    integrated_rate must be continuous and nondecreasing with value 0 at 0.
-    The root is bracketed by doubling from initial_step and then bisected;
-    on a plateau of the integral the leftmost point is returned, so the
-    result is the smallest root up to bracketing precision.
+
+def _solve(
+    p: tuple[float, float, float, float, float], lo: float, hi: float, x: float
+) -> float:
+    """Root of p0 + p1 x + ... + p4 x^4, nondecreasing on [lo, hi], from x.
+
+    The caller guarantees p(lo) < 0 <= p(hi).  Newton steps that leave the
+    bracket are replaced by bisection, and the iteration stops once a Newton
+    step is below one ulp of the iterate.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    if not horizon > 0.0 or not initial_step > 0.0:
-        raise ValueError("horizon and initial_step must be positive")
-    target = -math.log(u)
-    lo = 0.0
-    hi = min(initial_step, horizon)
-    while integrated_rate(hi) < target:
-        if hi >= horizon:
-            return None
-        lo = hi
-        hi = min(2.0 * hi, horizon)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if integrated_rate(mid) >= target:
-            hi = mid
+    p0, p1, p2, p3, p4 = p
+    d1, d2, d3 = 2.0 * p2, 3.0 * p3, 4.0 * p4
+    for _ in range(_MAX_ITER):
+        g = p0 + x * (p1 + x * (p2 + x * (p3 + x * p4)))
+        dg = p1 + x * (d1 + x * (d2 + x * d3))
+        if g >= 0.0:
+            hi = x
         else:
-            lo = mid
+            lo = x
+        if dg > 0.0:
+            step = g / dg
+            nxt = x - step
+            if abs(step) <= _EPS * abs(x):
+                return nxt
+        else:
+            nxt = hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return hi
+        x = nxt
     return hi
 
 
-def compute_T(
-    state: SimState,
-    t0_per_flow: Sequence[float],
-    u: float,
-    *,
-    quad_tol: float = 1e-9,
-) -> float | None:
+def _cubic_root(e: tuple[float, float, float, float], horizon: float) -> float | None:
+    """First x in [0, horizon] where the nondecreasing cubic e reaches 0.
+
+    e(0) < 0 is assumed; None if e is still negative at the horizon.
+    """
+    if _horner(e, horizon) < 0.0:
+        return None
+    guess = -e[0] / e[1] if e[1] > 0.0 else 0.5 * horizon
+    return _solve((*e, 0.0), 0.0, horizon, min(guess, horizon))
+
+
+def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float | None:
     """Absolute time of the next candidate loss, or None within the lookahead.
 
     t0_per_flow[f] is the epoch age of flow f at the common integration start
-    (the same absolute instant for every flow).  The total rate
-    max(sum_f W_f - N C tau, 0)/tau is marched forward in growing panels of
-    adaptive Simpson quadrature until the accumulated integral reaches
-    -ln(u); the crossing panel is then bisected for the smallest root.  The
-    quadrature budget quad_tol is split across panels in proportion to width.
+    (the same absolute instant for every flow).  Every window is a cubic in
+    the offset x from that start, so the excess E(x) = sum_f W_f - N C tau
+    is a cubic, nondecreasing in x, whose coefficients are summed over the
+    flows once.  The candidate is the x where the integral of max(E, 0)/tau
+    reaches -ln(u): if E starts negative its root is found first, then the
+    quartic integral from that root is inverted by bracketed Newton.  The
+    integral is convex, so Newton approaches the root from above.  None
+    means the integral over the lookahead falls short of -ln(u).
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    params = state.params
-    fn = state.window_fn
-    ages0 = [float(t) for t in t0_per_flow]
-    if len(ages0) != len(state.w_loss):
+    if len(t0_per_flow) != len(state.w_loss):
         raise ValueError("t0_per_flow length does not match flow count")
-    t0_abs = state.schedule.llis[0] + ages0[0]
-    w_loss = state.w_loss
-    aggregate_bdp = len(w_loss) * params.bdp
-    tau = params.tau
-
-    def rate(offset: float) -> float:
-        total = 0.0
-        for f, age0 in enumerate(ages0):
-            total += fn.window(FlowState(w_loss[f], age0 + offset), params)
-        excess = total - aggregate_bdp
-        return excess / tau if excess > 0.0 else 0.0
-
-    target = -math.log(u)
+    t0_abs = state.schedule.llis[0] + t0_per_flow[0]
     horizon = state.lookahead
-    accumulated = 0.0
-    a = 0.0
-    width = tau
-    while a < horizon:
-        b = min(a + width, horizon)
-        panel_tol = quad_tol * (b - a) / horizon
-        panel = _adaptive_simpson(rate, a, b, panel_tol)
-        if accumulated + panel >= target:
-            lo, hi = a, b
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                if accumulated + _adaptive_simpson(rate, a, mid, panel_tol) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            return t0_abs + hi
-        accumulated += panel
-        a = b
-        width *= 1.6
-    return None
+    e0, e1, e2, e3 = _excess_poly(state, t0_per_flow)
+    start = 0.0
+    if e0 < 0.0:
+        start = _cubic_root((e0, e1, e2, e3), horizon)
+        if start is None:
+            return None
+        # Taylor shift of E to its root: the new constant term is ~0.
+        x = start
+        e0 = max(_horner((e0, e1, e2, e3), x), 0.0)
+        e1 = e1 + x * (2.0 * e2 + 3.0 * e3 * x)
+        e2 = e2 + 3.0 * e3 * x
+        horizon -= start
+    # tau * integral of E from the start minus tau * (-ln u), as a quartic.
+    target = -math.log(u) * state.params.tau
+    quartic = (-target, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3)
+    if _horner(quartic, horizon) < 0.0:
+        return None
+    # Each positive term alone would reach the target no later than the true
+    # root if the others were nonnegative; the earliest of them is the guess.
+    guess = horizon
+    for k, coeff in enumerate(quartic[1:], start=1):
+        if coeff > 0.0:
+            guess = min(guess, (target / coeff) ** (1.0 / k))
+    return t0_abs + start + _solve(quartic, 0.0, horizon, guess)
 
 
 def t_bdp(state: SimState, t_from: float) -> float:
     """Earliest t >= t_from where the aggregate window reaches N * C tau.
 
-    Windows are nondecreasing within an epoch for the supported algorithms,
-    so the aggregate is monotone and the crossing is found by doubling plus
-    bisection.  Returns t_from if already at or above the threshold and
-    math.inf if the threshold is not reached within the lookahead.
+    The aggregate window is the same nondecreasing cubic in time that
+    compute_T integrates, and the crossing is its root, found by the same
+    bracketed Newton solver.  Returns t_from if already at or above the
+    threshold and math.inf if the threshold is not reached within the
+    lookahead.
     """
-    threshold = len(state.w_loss) * state.params.bdp
-    if state.aggregate_window(t_from) >= threshold:
+    excess = _excess_poly(state, [t_from - lli for lli in state.schedule.llis])
+    if excess[0] >= 0.0:
         return t_from
-    horizon = t_from + state.lookahead
-    step = state.params.tau
-    lo = t_from
-    hi = min(t_from + step, horizon)
-    while state.aggregate_window(hi) < threshold:
-        if hi >= horizon:
-            return math.inf
-        lo = hi
-        step *= 2.0
-        hi = min(hi + step, horizon)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if state.aggregate_window(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    root = _cubic_root(excess, state.lookahead)
+    return math.inf if root is None else t_from + root
 
 
 def pick_losing_flow(windows_at_loss: Sequence[float], u: float) -> int:

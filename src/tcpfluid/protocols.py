@@ -24,6 +24,9 @@ class RenoWindow(WindowFunction):
     def window(self, state: FlowState, params: SystemParams) -> float:
         return 0.5 * state.w_max + state.s / params.tau
 
+    def coefficients(self, state: FlowState, params: SystemParams):
+        return (0.5 * state.w_max + state.s / params.tau, 1.0 / params.tau, 0.0, 0.0)
+
 
 class CubicWindow(WindowFunction):
     """Cubic window centred on the pre-loss plateau.
@@ -40,6 +43,12 @@ class CubicWindow(WindowFunction):
         d = state.s - k
         return params.c * d * d * d + state.w_max
 
+    def coefficients(self, state: FlowState, params: SystemParams):
+        # c (d + x)^3 + w_max expanded about d = s - K.
+        c = params.c
+        d = state.s - cbrt(state.w_max * params.b / c)
+        return (c * d * d * d + state.w_max, 3.0 * c * d * d, 3.0 * c * d, c)
+
 
 class FrozenWindow(WindowFunction):
     """Constant window equal to w_max; pins the loss rate for statistical
@@ -49,6 +58,9 @@ class FrozenWindow(WindowFunction):
 
     def window(self, state: FlowState, params: SystemParams) -> float:
         return state.w_max
+
+    def coefficients(self, state: FlowState, params: SystemParams):
+        return (state.w_max, 0.0, 0.0, 0.0)
 
 
 RENO = RenoWindow()

@@ -233,6 +233,30 @@ def test_cli_reports_numeric_failure(tmp_path, capsys):
     assert "numeric failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--t-end", "nan"),
+        ("--delay-tau", "nan"),
+        ("--lookahead", "nan"),
+        ("--seed", str(2**64)),
+        ("--capacity-pkts", "inf"),
+    ],
+)
+def test_cli_rejects_unusable_values(tmp_path, capsys, flag, value):
+    rc = main([
+        "nhpl",
+        "--capacity-pkts", "100",
+        "--delay-tau", "0.1",
+        flag, value,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nt_end=1\n")

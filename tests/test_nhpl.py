@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import optimize, stats
 
@@ -13,8 +14,8 @@ from tcpfluid import (
     SystemParams,
     compute_T,
     generate_poi_loss,
+    WindowFunction,
     inter_loss_times,
-    inverse_transform_T,
     make_sim_state,
     pick_losing_flow,
     run_simulation,
@@ -33,6 +34,11 @@ class FakeRng:
         assert self.values, "scripted rng exhausted"
         self.consumed += 1
         return self.values.pop(0)
+
+
+def aggregate_window(state, t):
+    # Window-function oracle for the sampler's summed coefficients.
+    return sum(state.flow_window(f, t) for f in range(len(state.w_loss)))
 
 
 def frozen_state(w0=15.0, capacity=100.0, tau=0.1, rng=None, lookahead=50.0):
@@ -57,32 +63,26 @@ def test_rng_stream_validates_and_repeats():
     assert all(0.0 < u < 1.0 for u in draws)
 
 
-def test_inverse_transform_constant_rate_is_exact():
-    # Rate 2 and u = e^-1 put the root at exactly T = 1/2.
-    t = inverse_transform_T(lambda t: 2.0 * t, math.exp(-1.0), horizon=100.0)
-    assert t == pytest.approx(0.5, rel=1e-9)
-
-
 def test_inverse_transform_mean_matches_exponential():
+    # Frozen window 15 against bdp 10 at tau 0.1: every candidate is an
+    # Exp(50) draw measured from t = 0.
+    _, state = frozen_state()
     rng = RngStream(123)
     n = 20000
     total = 0.0
     for _ in range(n):
-        total += inverse_transform_T(lambda t: 2.0 * t, rng.uniform(), horizon=1e6)
+        total += compute_T(state, [0.0], rng.uniform())
     mean = total / n
-    se = 0.5 / math.sqrt(n)
-    assert abs(mean - 0.5) < 3.0 * se
-
-
-def test_inverse_transform_zero_rate_returns_none():
-    assert inverse_transform_T(lambda t: 0.0, 0.5, horizon=100.0) is None
+    se = (1.0 / 50.0) / math.sqrt(n)
+    assert abs(mean - 1.0 / 50.0) < 3.0 * se
 
 
 def test_inverse_transform_validates_u():
+    _, state = frozen_state()
     with pytest.raises(ValueError):
-        inverse_transform_T(lambda t: t, 0.0, horizon=1.0)
+        compute_T(state, [0.0], 0.0)
     with pytest.raises(ValueError):
-        inverse_transform_T(lambda t: t, 1.0, horizon=1.0)
+        compute_T(state, [0.0], 1.0)
 
 
 def test_compute_t_constant_rate_reduction():
@@ -157,13 +157,97 @@ def test_t_bdp_staggered_flows_agrees_with_scan():
         100.0,
     )
     threshold = 3 * params.bdp
-    assert state.aggregate_window(0.0) < threshold
+    assert aggregate_window(state, 0.0) < threshold
     crossing = t_bdp(state, 0.0)
     step = params.tau / 1000.0
     n = 0
-    while state.aggregate_window(n * step) < threshold:
+    while aggregate_window(state, n * step) < threshold:
         n += 1
     assert (n - 1) * step <= crossing <= n * step
+
+
+def _integrated_rate(state, t_end):
+    # Independent oracle: scipy quadrature of max(sum W - N bdp, 0) / tau
+    # from 0 to t_end through the window functions themselves.  The
+    # integrand is zero before the aggregate reaches the bdp, so the
+    # quadrature starts at that crossing (brentq) and sees no kink.
+    params = state.params
+    threshold = len(state.w_loss) * params.bdp
+
+    def excess(t):
+        return aggregate_window(state, t) - threshold
+
+    lower = 0.0
+    if excess(0.0) < 0.0:
+        if excess(t_end) <= 0.0:
+            return 0.0
+        lower = optimize.brentq(excess, 0.0, t_end, xtol=1e-15, rtol=1e-15)
+    value, _ = sp_integrate.quad(
+        lambda t: max(excess(t), 0.0) / params.tau, lower, t_end,
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fn=st.sampled_from([FROZEN, RENO, CUBIC]),
+    init=st.lists(
+        st.tuples(st.floats(1.0, 30.0), st.floats(0.0, 3.0)), min_size=1, max_size=5
+    ),
+    # Above 1 - 1e-6 the target is so small that one ulp of the crossing
+    # time already moves the integral by more than the tolerance.
+    u=st.floats(min_value=1e-300, max_value=1.0 - 1e-6),
+)
+def test_compute_t_inverts_the_integrated_rate(fn, init, u):
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
+    state = make_sim_state(params, fn, init, RngStream(0), 50.0)
+    # Integration starts at t = 0, where flow f has epoch age s0_f.
+    t = compute_T(state, [s0 for _, s0 in init], u)
+    if t is None:
+        assert _integrated_rate(state, state.lookahead) < -math.log(u)
+    else:
+        assert 0.0 < t <= state.lookahead
+        assert _integrated_rate(state, t) == pytest.approx(-math.log(u), rel=1e-9)
+
+
+def test_compute_t_starts_at_the_bdp_crossing():
+    # Reno from (2, 0): W = 1 + t / tau crosses bdp = 3 at t = 0.2, then the
+    # integral (t - 0.2)^2 / (2 tau^2) reaches -ln(u) = 2 at t = 0.4.
+    params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
+    state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.5)
+    assert compute_T(state, [0.0], math.exp(-2.0)) == pytest.approx(0.4, rel=1e-12)
+
+
+def test_compute_t_none_when_lookahead_ends_first():
+    # Same Reno flow, but the integral over the lookahead is only
+    # (0.3 - 0.2)^2 / (2 tau^2) = 0.5 < 2.
+    params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
+    state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.3)
+    assert compute_T(state, [0.0], math.exp(-2.0)) is None
+
+
+def test_t_bdp_cubic_flows_match_brentq():
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=3)
+    state = make_sim_state(
+        params, CUBIC, [(6.0, 0.0), (8.0, 0.1), (7.0, 0.3)], RngStream(1), 100.0
+    )
+    threshold = 3 * params.bdp
+    oracle = optimize.brentq(
+        lambda t: aggregate_window(state, t) - threshold, 0.0, 100.0,
+        xtol=1e-15, rtol=1e-15,
+    )
+    assert t_bdp(state, 0.0) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_make_sim_state_rejects_window_without_coefficients():
+    class WindowOnly(WindowFunction):
+        def window(self, state, params):
+            return state.w_max
+
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    with pytest.raises(ValueError, match="coefficients"):
+        make_sim_state(params, WindowOnly(), [(15.0, 0.0)], RngStream(0), 50.0)
 
 
 def test_pick_losing_flow_examples():

@@ -62,6 +62,26 @@ def test_cubic_window_recovers_w_max_at_inflection(w_max, b, c):
     )
 
 
+@given(
+    st.sampled_from([RENO, CUBIC, FROZEN]),
+    st.floats(min_value=1e-2, max_value=1e4),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.floats(min_value=0.0, max_value=20.0),
+)
+def test_coefficients_expand_the_window(fn, w_max, s, x):
+    # The cubic in the offset x reproduces the window at s + x, and its
+    # constant term is the window at s itself, bit for bit.
+    params = SystemParams(capacity=10.0, tau=0.5, b=0.2, c=0.4)
+    a0, a1, a2, a3 = fn.coefficients(FlowState(w_max, s), params)
+    assert a0 == fn.window(FlowState(w_max, s), params)
+    direct = fn.window(FlowState(w_max, s + x), params)
+    expanded = a0 + x * (a1 + x * (a2 + x * a3))
+    # CUBIC expansions cancel near the plateau: compare on the scale of
+    # the largest term.
+    scale = max(abs(a0), abs(a1 * x), abs(a2 * x * x), abs(a3 * x**3))
+    assert abs(expanded - direct) <= 1e-12 * scale
+
+
 def test_loss_reset_examples(unit_params):
     state = loss_reset(100.0, "cubic")
     assert state == FlowState(100.0, 0.0)
