@@ -63,6 +63,14 @@ def test_rng_stream_validates_and_repeats():
     assert all(0.0 < u < 1.0 for u in draws)
 
 
+def test_inverse_transform_constant_rate_is_exact():
+    # Window 10.2 against bdp 10 at tau 0.1 is rate 2; u = e^-1 puts the
+    # root at exactly T = 1/2.
+    _, state = frozen_state(w0=10.2)
+    t = compute_T(state, [0.0], math.exp(-1.0))
+    assert t == pytest.approx(0.5, rel=1e-9)
+
+
 def test_inverse_transform_mean_matches_exponential():
     # Frozen window 15 against bdp 10 at tau 0.1: every candidate is an
     # Exp(50) draw measured from t = 0.
@@ -75,6 +83,12 @@ def test_inverse_transform_mean_matches_exponential():
     mean = total / n
     se = (1.0 / 50.0) / math.sqrt(n)
     assert abs(mean - 1.0 / 50.0) < 3.0 * se
+
+
+def test_inverse_transform_zero_rate_returns_none():
+    # A window sitting exactly on the bdp has rate 0 over the whole lookahead.
+    _, state = frozen_state(w0=10.0, lookahead=100.0)
+    assert compute_T(state, [0.0], 0.5) is None
 
 
 def test_inverse_transform_validates_u():
