@@ -33,10 +33,7 @@ from .experiment import (
 from .fixedpoint import (
     FixedPoint,
     SolverError,
-    bracket_sign_changes,
     cubic_fixed_point,
-    cubic_w_of_p,
-    reno_fixed_point,
     reno_steady_state,
     solve_window_equation,
 )
@@ -59,13 +56,12 @@ from .protocols import (
     RENO,
     ShiftedState,
     cubic_shifted_rhs,
-    from_shifted,
-    loss_reset,
     shifted_window,
     to_shifted,
     window_function,
 )
 from .stability import (
+    CertificateError,
     DiagnosticTrace,
     LyapunovParams,
     QtildeMatrix,
@@ -85,4 +81,6 @@ from .stability import (
     vdot_exact,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _Module))

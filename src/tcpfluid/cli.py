@@ -2,7 +2,7 @@
 
 Subcommands pick the experiment mode; every config key doubles as a flag
 that overrides the config file.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure (root finding or integration).
+error, 3 numeric failure (fixed point, integration or certificate).
 """
 
 from __future__ import annotations
@@ -12,23 +12,15 @@ import sys
 
 from .dde import IntegrationError
 from .experiment import (
-    ConfigError,
     KEY_PARSERS,
+    MODES,
+    ConfigError,
     build_config,
     read_config_file,
     run_experiment,
 )
 from .fixedpoint import SolverError
-
-# subcommand -> ExperimentConfig.mode
-COMMANDS = {
-    "fluid": "fluid",
-    "nhpl": "nhpl",
-    "compare": "both",
-    "stability": "stability",
-    "convergence": "convergence",
-    "fixed-point": "fixed-point",
-}
+from .stability import CertificateError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,16 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fluid-model and event-driven studies of loss-based congestion control.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    help_text = {
-        "fluid": "integrate the delay fluid model and write the trajectory CSV",
-        "nhpl": "run the event-driven loss simulation and write events + trace CSVs",
-        "compare": "run both models and report post-transient means",
-        "stability": "report the Lyapunov certificate (Qtilde, lambda_min, basin)",
-        "convergence": "write the norm/V/Vdot/bound diagnostics CSV",
-        "fixed-point": "solve and report the equilibrium",
-    }
-    for name, mode in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text[name])
+    for mode, (name, help_text) in MODES.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(mode=mode)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
@@ -77,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, IntegrationError) as exc:
+    except (SolverError, IntegrationError, CertificateError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     print(result.summary)

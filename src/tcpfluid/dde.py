@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FlowState, SystemParams, WindowFunction, loss_probability
+from .core import FlowState, SystemParams, WindowFunction, fluid_rhs, loss_probability
 
 
 class IntegrationError(RuntimeError):
@@ -56,8 +56,7 @@ class HistoryBuffer:
     interpolation.
 
     Covers [-tau, t_now]: negative times defer to the initial history, the
-    rest interpolates stored (state, derivative) pairs.  Queries outside the
-    covered span are a programming error and raise.
+    rest interpolates stored (state, derivative) pairs.
     """
 
     def __init__(self, h: float, phi: InitialHistory):
@@ -86,30 +85,6 @@ class HistoryBuffer:
         return FlowState(
             0.5 * (y0.w_max + y1.w_max) + g * (d0[0] - d1[0]),
             0.5 * (y0.s + y1.s) + g * (d0[1] - d1[1]),
-        )
-
-    def query(self, t: float) -> FlowState:
-        """State at arbitrary time in [-tau, newest sample]."""
-        if t <= 0.0:
-            return self.phi(t)
-        pos = t / self.h
-        idx = int(pos)
-        theta = pos - idx
-        if idx >= len(self.states) or (theta > 0.0 and idx + 1 >= len(self.states)):
-            raise LookupError(f"history query at t={t} beyond newest sample")
-        if theta == 0.0:
-            return self.states[idx]
-        y0, y1 = self.states[idx], self.states[idx + 1]
-        d0, d1 = self.derivs[idx], self.derivs[idx + 1]
-        t2 = theta * theta
-        t3 = t2 * theta
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + theta
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return FlowState(
-            h00 * y0.w_max + h10 * self.h * d0[0] + h01 * y1.w_max + h11 * self.h * d1[0],
-            h00 * y0.s + h10 * self.h * d0[1] + h01 * y1.s + h11 * self.h * d1[1],
         )
 
 
@@ -143,6 +118,19 @@ def write_row(fh, values) -> None:
     fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
+def steps_per_delay(tau: float, step: float) -> int:
+    """The integer k with ``step`` = tau/k to one part in 1e9, k >= 4.
+
+    Any other step, including a non-positive or non-finite one, raises
+    ``ValueError``.
+    """
+    ratio = tau / step if step > 0.0 else math.nan
+    k = round(ratio) if ratio < 2.0**53 else 0  # NaN and inf fail the test
+    if k < 4 or abs(k * step - tau) > 1e-9 * tau:
+        raise ValueError(f"step {step} must divide the delay {tau} into k >= 4 parts")
+    return k
+
+
 def integrate(
     params: SystemParams,
     window_fn: WindowFunction,
@@ -159,51 +147,41 @@ def integrate(
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if not step_h > 0.0:
-        raise ValueError(f"step must be positive, got {step_h}")
-    k = round(params.tau / step_h)
-    if k < 4 or abs(k * step_h - params.tau) > 1e-9 * params.tau:
-        raise ValueError(
-            f"step {step_h} must divide the delay {params.tau} into k >= 4 parts"
-        )
+    k = steps_per_delay(params.tau, step_h)
     h = params.tau / k
     n = math.ceil(t_end / h - 1e-12)
 
-    def rhs(state: FlowState, delayed: FlowState) -> tuple[float, float]:
+    def delayed_terms(delayed: FlowState, t: float) -> tuple[float, float]:
+        # Window and loss probability one delay back, shared by two stages.
         w_d = window_fn.window(delayed, params)
         if not w_d > 0.0:
             raise IntegrationError("delayed window left positive domain", t, delayed)
-        p_d = loss_probability(w_d, params)
-        w = window_fn.window(state, params)
-        rate = w_d * p_d / params.tau
-        return -(state.w_max - w) * rate, 1.0 - state.s * rate
+        return w_d, loss_probability(w_d, params)
 
     hist = HistoryBuffer(h, init)
     y = init(0.0)
-    t = 0.0
-    hist.append(y, rhs(y, hist.at_sample(-k)))
+    hist.append(y, fluid_rhs(y, *delayed_terms(hist.at_sample(-k), 0.0), params, window_fn))
 
     half = 0.5 * h
     sixth = h / 6.0
     for i in range(n):
         t = i * h
-        d_mid = hist.at_midpoint(i - k)
-        d_end = hist.at_sample(i - k + 1)
+        w_mid, p_mid = delayed_terms(hist.at_midpoint(i - k), t)
+        w_end, p_end = delayed_terms(hist.at_sample(i - k + 1), t)
         k1 = hist.derivs[i]
         y1 = FlowState(y.w_max + half * k1[0], y.s + half * k1[1])
-        k2 = rhs(y1, d_mid)
+        k2 = fluid_rhs(y1, w_mid, p_mid, params, window_fn)
         y2 = FlowState(y.w_max + half * k2[0], y.s + half * k2[1])
-        k3 = rhs(y2, d_mid)
+        k3 = fluid_rhs(y2, w_mid, p_mid, params, window_fn)
         y3 = FlowState(y.w_max + h * k3[0], y.s + h * k3[1])
-        k4 = rhs(y3, d_end)
+        k4 = fluid_rhs(y3, w_end, p_end, params, window_fn)
         y = FlowState(
             y.w_max + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
             y.s + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
         )
-        t = (i + 1) * h
         if not y.w_max > 0.0:
-            raise IntegrationError("w_max left positive domain", t, y)
-        hist.append(y, rhs(y, d_end))
+            raise IntegrationError("w_max left positive domain", (i + 1) * h, y)
+        hist.append(y, fluid_rhs(y, w_end, p_end, params, window_fn))
 
     times = np.arange(n + 1, dtype=np.float64) * h
     w_max = np.fromiter((st.w_max for st in hist.states), dtype=np.float64, count=n + 1)

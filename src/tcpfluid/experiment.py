@@ -10,15 +10,16 @@ byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import SystemParams
-from .dde import InitialHistory, Trajectory, integrate
+from .dde import InitialHistory, Trajectory, integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
-from .nhpl import SimResult, run_simulation
+from .nhpl import RngStream, SimResult, run_simulation
 from .protocols import window_function
 from .stability import (
     expansion_coeffs,
@@ -33,7 +34,20 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-MODES = ("fluid", "nhpl", "both", "stability", "convergence", "fixed-point")
+# Config mode -> (CLI subcommand, help).  Only "both" runs under another name.
+MODES = {
+    "fluid": ("fluid", "integrate the delay fluid model and write the trajectory CSV"),
+    "nhpl": ("nhpl", "run the event-driven loss simulation and write events + trace CSVs"),
+    "both": ("compare", "run both models and report post-transient means"),
+    "stability": ("stability", "report the Lyapunov certificate (Qtilde, lambda_min, basin)"),
+    "convergence": ("convergence", "write the norm/V/Vdot/bound diagnostics CSV"),
+    "fixed-point": ("fixed-point", "solve and report the equilibrium"),
+}
+FLUID_MODES = ("fluid", "both", "convergence")  # integrate flow 0 of the config
+TRACE_MODES = ("nhpl", "both")  # run the simulator and render its trace
+
+# Cap on one run's fluid steps and on its simulator trace rows.
+WORK_BUDGET = 10**7
 
 BITS_PER_BYTE = 8.0
 DEFAULT_PACKET_SIZE = 1000.0  # bytes, used only to convert bit rates
@@ -41,10 +55,6 @@ DEFAULT_PACKET_SIZE = 1000.0  # bytes, used only to convert bit rates
 
 def bits_to_packets(bits_per_s: float, packet_size_bytes: float = DEFAULT_PACKET_SIZE) -> float:
     return bits_per_s / (BITS_PER_BYTE * packet_size_bytes)
-
-
-def packets_to_bits(pkts_per_s: float, packet_size_bytes: float = DEFAULT_PACKET_SIZE) -> float:
-    return pkts_per_s * BITS_PER_BYTE * packet_size_bytes
 
 
 @dataclass(frozen=True)
@@ -80,19 +90,12 @@ class ExperimentConfig:
     lookahead: float | None = None
     tol: float = 1e-12
 
-    def capacity_packets(self) -> float:
-        if self.capacity_pkts is not None:
-            return self.capacity_pkts
-        return bits_to_packets(self.capacity_bps, self.packet_size_bytes)
-
     def system_params(self) -> SystemParams:
-        return SystemParams(
-            capacity=self.capacity_packets(),
-            tau=self.delay_tau,
-            b=self.b,
-            c=self.c,
-            flows=self.flows,
-        )
+        capacity = self.capacity_pkts
+        if capacity is None:
+            capacity = bits_to_packets(self.capacity_bps, self.packet_size_bytes)
+        return SystemParams(capacity=capacity, tau=self.delay_tau, b=self.b, c=self.c,
+                            flows=self.flows)
 
     def horizon(self) -> float:
         return self.t_end if self.t_end is not None else 100.0 * self.delay_tau
@@ -105,42 +108,44 @@ class ExperimentConfig:
             return reno_steady_state(params)
         return cubic_fixed_point(params, rel_tol=self.tol)
 
-    def initial_conditions(self, fp: FixedPoint) -> list[tuple[float, float]]:
+    def start_state(self, fp: FixedPoint) -> tuple[float, float]:
+        """(w_max, s) of flow 0 at t = 0, the flow the fluid modes integrate."""
+        if self.init == "explicit":
+            return self.init_w_max[0], self.init_s[0]
         if self.init == "fixed-point":
-            return [(fp.w_hat, fp.s_hat)] * self.flows
-        if self.init == "offset":
-            w0 = fp.w_hat + self.init_offset_w
-            s0 = fp.s_hat + self.init_offset_s
-            if not w0 > 0.0 or s0 < 0.0:
-                raise ConfigError(
-                    f"offset init leaves the domain: w_max0={w0}, s0={s0}"
-                )
-            return [(w0, s0)] * self.flows
-        return list(zip(self.init_w_max, self.init_s))
+            return fp.w_hat, fp.s_hat
+        w0 = fp.w_hat + self.init_offset_w
+        s0 = fp.s_hat + self.init_offset_s
+        if not w0 > 0.0 or s0 < 0.0:
+            raise ConfigError(f"offset init leaves the domain: w_max0={w0}, s0={s0}")
+        return w0, s0
+
+    def initial_conditions(self, fp: FixedPoint) -> list[tuple[float, float]]:
+        """(w_max, s) of every flow at t = 0."""
+        if self.init == "explicit":
+            return list(zip(self.init_w_max, self.init_s))
+        return [self.start_state(fp)] * self.flows
 
 
-def _parse_float(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError(f"must be finite, got {s.strip()!r}")
-    return v
+# Parsers take a value as a string or as a Python caller typed it.  Typed
+# numbers pass through and meet the finiteness check in build_config; ``str``
+# turns a mistyped enumeration into a string that _validate rejects.
+def _parse_float(v: object) -> float:
+    return float(v) if isinstance(v, str) else v
 
 
-def _parse_int(s: str) -> int:
-    v = int(s)
-    return v
+def _parse_int(v: object) -> int:
+    return int(v) if isinstance(v, str) else operator.index(v)
 
 
-def _parse_str(s: str) -> str:
-    return s
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in s.split(",") if part.strip() != "")
+def _parse_float_list(v: object) -> tuple[float, ...]:
+    if isinstance(v, str):
+        v = [part for part in v.split(",") if part.strip() != ""]
+    return tuple(_parse_float(part) for part in v)
 
 
 KEY_PARSERS = {
-    "algorithm": _parse_str,
+    "algorithm": str,
     "capacity_pkts": _parse_float,
     "capacity_bps": _parse_float,
     "packet_size_bytes": _parse_float,
@@ -148,7 +153,7 @@ KEY_PARSERS = {
     "b": _parse_float,
     "c": _parse_float,
     "flows": _parse_int,
-    "init": _parse_str,
+    "init": str,
     "init_offset_w": _parse_float,
     "init_offset_s": _parse_float,
     "init_w_max": _parse_float_list,
@@ -156,7 +161,7 @@ KEY_PARSERS = {
     "t_end": _parse_float,
     "step": _parse_float,
     "seed": _parse_int,
-    "mode": _parse_str,
+    "mode": str,
     "sample_dt": _parse_float,
     "post_transient": _parse_float,
     "lookahead": _parse_float,
@@ -179,44 +184,57 @@ def read_config_file(path: str) -> dict[str, str]:
     return raw
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def build_config(raw: dict[str, object]) -> ExperimentConfig:
-    """Parse raw key/value strings (or already-typed values) and validate."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse raw key/value strings (or already-typed values) and validate.
+
+    The one place a config is checked: every rejection is a ConfigError.
+    """
     parsed: dict[str, object] = {}
     for key, value in raw.items():
-        if key not in known:
+        if key not in KEY_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
+        if value is None and _DEFAULTS[key] is None:
+            continue  # the key's default
+        parse = KEY_PARSERS[key]
         try:
-            parsed[key] = KEY_PARSERS[key](value) if isinstance(value, str) else value
-        except ValueError as exc:
+            parsed[key] = value = parse(value)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+        values = value if parse is _parse_float_list else (value,)
+        if parse in (_parse_float, _parse_float_list) and not all(map(_finite, values)):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
     config = ExperimentConfig(**parsed)
     _validate(config)
     return config
+
+
+def _finite(x: object) -> bool:
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        return False
 
 
 def _validate(config: ExperimentConfig) -> None:
     if config.algorithm not in ("reno", "cubic"):
         raise ConfigError(f"algorithm must be reno or cubic, got {config.algorithm!r}")
     if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
+        raise ConfigError(f"mode must be one of {tuple(MODES)}, got {config.mode!r}")
+    if config.init not in ("fixed-point", "offset", "explicit"):
+        raise ConfigError(f"init must be fixed-point, offset, or explicit, got {config.init!r}")
     given = [k for k in ("capacity_pkts", "capacity_bps") if getattr(config, k) is not None]
     if len(given) != 1:
         raise ConfigError("exactly one of capacity_pkts or capacity_bps is required")
-    if config.capacity_packets() <= 0.0:
-        raise ConfigError("capacity must be positive")
-    if config.packet_size_bytes <= 0.0:
-        raise ConfigError("packet_size_bytes must be positive")
-    if config.delay_tau is None or config.delay_tau <= 0.0:
-        raise ConfigError("delay_tau is required and must be positive")
-    if not 0.0 < config.b < 1.0:
-        raise ConfigError(f"b must lie in (0, 1), got {config.b}")
-    if config.c <= 0.0:
-        raise ConfigError(f"c must be positive, got {config.c}")
-    if config.flows < 1:
-        raise ConfigError(f"flows must be >= 1, got {config.flows}")
-    if config.init not in ("fixed-point", "offset", "explicit"):
-        raise ConfigError(f"init must be fixed-point, offset, or explicit, got {config.init!r}")
+    if config.delay_tau is None:
+        raise ConfigError("delay_tau is required")
+    if config.mode in ("stability", "convergence") and config.algorithm != "cubic":
+        raise ConfigError(f"{config.mode} mode analyzes the cubic window function")
+    if config.mode == "convergence" and config.init == "fixed-point":
+        # The decay bound divides by V at t=0, which vanishes there.
+        raise ConfigError("convergence mode needs an offset or explicit init")
     if config.init == "explicit":
         if config.init_w_max is None or config.init_s is None:
             raise ConfigError("explicit init requires init_w_max and init_s")
@@ -225,32 +243,39 @@ def _validate(config: ExperimentConfig) -> None:
                 f"explicit init lists must have {config.flows} entries, got "
                 f"{len(config.init_w_max)} and {len(config.init_s)}"
             )
-        if any(w <= 0.0 for w in config.init_w_max):
-            raise ConfigError("init_w_max entries must be positive")
-        if any(s < 0.0 for s in config.init_s):
-            raise ConfigError("init_s entries must be >= 0")
+        if config.mode in FLUID_MODES and len(set(zip(config.init_w_max, config.init_s))) > 1:
+            # The fluid modes integrate flow 0 and would drop the others.
+            raise ConfigError(f"{config.mode} mode needs the same explicit init for every flow")
+    if config.packet_size_bytes <= 0.0:
+        raise ConfigError("packet_size_bytes must be positive")
     if config.t_end is not None and config.t_end <= 0.0:
         raise ConfigError(f"t_end must be positive, got {config.t_end}")
-    if config.step is not None:
-        if config.step <= 0.0:
-            raise ConfigError(f"step must be positive, got {config.step}")
-        k = round(config.delay_tau / config.step)
-        if k < 4 or abs(k * config.step - config.delay_tau) > 1e-9 * config.delay_tau:
-            raise ConfigError(
-                f"step must divide delay_tau into at least 4 parts, got {config.step}"
-            )
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if config.sample_dt is not None and config.sample_dt <= 0.0:
         raise ConfigError(f"sample_dt must be positive, got {config.sample_dt}")
     if not 0.0 < config.post_transient <= 1.0:
-        raise ConfigError(
-            f"post_transient must lie in (0, 1], got {config.post_transient}"
-        )
+        raise ConfigError(f"post_transient must lie in (0, 1], got {config.post_transient}")
     if config.lookahead is not None and config.lookahead <= 0.0:
         raise ConfigError(f"lookahead must be positive, got {config.lookahead}")
     if config.tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {config.tol}")
+    try:  # the model's constructors hold its range checks
+        params = config.system_params()
+        steps_per_delay(params.tau, config.step_h())
+        RngStream.checked_seed(config.seed)
+        if config.init == "explicit":
+            for w0, s0 in zip(config.init_w_max, config.init_s):
+                InitialHistory.constant(w0, s0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    horizon, step = config.horizon(), config.step_h()
+    if config.mode in FLUID_MODES and horizon / step > WORK_BUDGET:
+        raise ConfigError(f"{horizon} s at step {step} is over {WORK_BUDGET} fluid steps")
+    if config.mode in TRACE_MODES:
+        dt = config.sample_dt if config.sample_dt is not None else params.tau
+        samples = math.floor(min(horizon / dt, WORK_BUDGET) + 1e-9) + 1
+        if samples * (config.flows + 1) > WORK_BUDGET:
+            raise ConfigError(f"{horizon} s every {dt} s for {config.flows} flows is "
+                              f"over {WORK_BUDGET} trace rows")
 
 
 def post_transient_mean(t: np.ndarray, w: np.ndarray, t_end: float, fraction: float) -> float:
@@ -278,10 +303,15 @@ def _write_summary(out_dir: str, lines: list[str]) -> str:
 
 
 def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) -> Trajectory:
-    w0, s0 = config.initial_conditions(fp)[0]
-    init = InitialHistory.constant(w0, s0)
+    init = InitialHistory.constant(*config.start_state(fp))
     fn = window_function(config.algorithm)
     return integrate(params, fn, init, config.horizon(), config.step_h())
+
+
+def _certificate(fp: FixedPoint, params: SystemParams):
+    coeffs = expansion_coeffs(fp, params)
+    lp = lyapunov_params(fp, params)
+    return coeffs, lp, qtilde(coeffs, lp, fp)
 
 
 def _run_nhpl(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) -> SimResult:
@@ -329,7 +359,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"fluid_mean_w: {mean!r}")
         lines.append(f"fluid_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
 
-    if config.mode in ("nhpl", "both"):
+    if config.mode in TRACE_MODES:
         sim = _run_nhpl(config, params, fp)
         events_path = os.path.join(out_dir, "nhpl_events.csv")
         trace_path = os.path.join(out_dir, "nhpl_trace.csv")
@@ -352,11 +382,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"nhpl_vs_fluid: {gap!r}")
 
     if config.mode == "stability":
-        if config.algorithm != "cubic":
-            raise ConfigError("stability mode analyzes the cubic window function")
-        coeffs = expansion_coeffs(fp, params)
-        lp = lyapunov_params(fp, params)
-        qt = qtilde(coeffs, lp, fp)
+        coeffs, lp, qt = _certificate(fp, params)
         epsilon = 0.01 * fp.w_hat
         delta = basin_delta(epsilon, lp)
         metrics["lambda_min"] = qt.lambda_min
@@ -381,19 +407,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"basin_delta(eps=0.01*w_hat): {delta!r}")
 
     if config.mode == "convergence":
-        if config.algorithm != "cubic":
-            raise ConfigError("convergence mode analyzes the cubic window function")
-        if config.init == "fixed-point":
-            # The decay bound divides by V at t=0, which vanishes there.
-            raise ConfigError("convergence mode needs an offset or explicit init")
-        coeffs = expansion_coeffs(fp, params)
-        lp = lyapunov_params(fp, params)
-        qt = qtilde(coeffs, lp, fp)
-        w0, s0 = config.initial_conditions(fp)[0]
-        init = InitialHistory.constant(w0, s0)
-        fn = window_function(config.algorithm)
-        traj = integrate(params, fn, init, config.horizon(), config.step_h())
-        diag = stability_trace(traj, fp, params, lp, qt, init)
+        _, lp, qt = _certificate(fp, params)
+        traj = _run_fluid(config, params, fp)
+        diag = stability_trace(traj, fp, params, lp, qt)
         path = os.path.join(out_dir, "convergence.csv")
         diag.write_csv(path)
         artifacts["convergence"] = path

@@ -113,49 +113,20 @@ def cubic_fixed_point(
     At the fixed point the pre-loss window equals the instantaneous window,
     the epoch age is s = cbrt(w*b/c), and p = 1 - bdp/w is positive.
     """
-    rhs = params.tau**3 * params.c / params.b
+    try:
+        rhs = params.tau**3 * params.c / params.b
+    except OverflowError:
+        rhs = math.inf
+    if not 0.0 < rhs < math.inf:
+        raise SolverError(f"window equation right side tau^3*c/b is {rhs}", (params.bdp,) * 2)
     w, _, _ = solve_window_equation(params.bdp, rhs, rel_tol, max_iter)
     s = cbrt(w * params.b / params.c)
     p = 1.0 - params.bdp / w
     if not p > 0.0:
         raise SolverError("equilibrium loss probability is not positive", (w, w))
+    if s == math.inf:
+        raise SolverError(f"equilibrium epoch age cbrt(w*b/c) overflows at w={w}", (w, w))
     return FixedPoint(w_hat=w, s_hat=s, p_hat=p)
-
-
-def bracket_sign_changes(
-    params: SystemParams, resolution: int = 1024
-) -> tuple[int, tuple[float, float]]:
-    """Diagnostic: count sign changes of the window equation over the bracket.
-
-    Scans a grid spanning the search bracket for the given parameters.
-    A healthy configuration reports exactly one change; more would mean the
-    root right of the bandwidth-delay product is not unique at this
-    resolution.
-    """
-    rhs = params.tau**3 * params.c / params.b
-    root, _, _ = solve_window_equation(params.bdp, rhs)
-    lo = params.bdp
-    hi = max(root * (1.0 + 1e-3), params.bdp * (1.0 + 1e-3))
-
-    def g(w: float) -> float:
-        d = w - params.bdp
-        return w * d * d * d - rhs
-
-    changes = 0
-    prev = g(lo)
-    for i in range(1, resolution + 1):
-        cur = g(lo + (hi - lo) * i / resolution)
-        if (prev < 0.0) != (cur < 0.0):
-            changes += 1
-        prev = cur
-    return changes, (lo, hi)
-
-
-def reno_fixed_point(p_hat: float) -> float:
-    """Equilibrium Reno window for loss probability p: w = sqrt(2/p)."""
-    if not 0.0 < p_hat <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p_hat}")
-    return math.sqrt(2.0 / p_hat)
 
 
 def reno_steady_state(params: SystemParams) -> FixedPoint:
@@ -169,14 +140,3 @@ def reno_steady_state(params: SystemParams) -> FixedPoint:
     bdp = params.bdp
     w = 0.5 * (bdp + math.sqrt(bdp * bdp + 8.0))
     return FixedPoint(w_hat=w, s_hat=0.5 * params.tau * w, p_hat=2.0 / (w * w))
-
-
-def cubic_w_of_p(p_hat: float, params: SystemParams) -> float:
-    """Equilibrium CUBIC window for loss probability p.
-
-    Closed form w = (tau^3 * c / (p^3 * b)) ** (1/4), the response-function
-    counterpart of the implicit window equation.
-    """
-    if not 0.0 < p_hat <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p_hat}")
-    return (params.tau**3 * params.c / (p_hat**3 * params.b)) ** 0.25

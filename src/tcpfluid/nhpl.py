@@ -51,10 +51,15 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
+        self.seed = self.checked_seed(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @staticmethod
+    def checked_seed(seed: int) -> int:
+        """The seed as an int if it fits in 64 unsigned bits; needs no numpy.random."""
         if not 0 <= int(seed) < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return int(seed)
 
     def uniform(self) -> float:
         u = self._gen.random()

@@ -77,12 +77,6 @@ def window_function(name: str) -> WindowFunction:
         raise ValueError(f"unknown window function {name!r}") from None
 
 
-def loss_reset(window_at_loss: float, algorithm: str | WindowFunction) -> FlowState:
-    """Post-indication epoch state for the named congestion controller."""
-    fn = algorithm if isinstance(algorithm, WindowFunction) else window_function(algorithm)
-    return fn.reset(window_at_loss)
-
-
 class ShiftedState(NamedTuple):
     """Deviation from a fixed point: (w_max - w_hat, s - s_hat)."""
 
@@ -92,10 +86,6 @@ class ShiftedState(NamedTuple):
 
 def to_shifted(state: FlowState, fp: FixedPoint) -> ShiftedState:
     return ShiftedState(state.w_max - fp.w_hat, state.s - fp.s_hat)
-
-
-def from_shifted(x: ShiftedState, fp: FixedPoint) -> FlowState:
-    return FlowState(x.x1 + fp.w_hat, x.x2 + fp.s_hat)
 
 
 def shifted_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) -> float:

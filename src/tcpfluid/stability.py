@@ -27,6 +27,10 @@ from .fixedpoint import FixedPoint
 from .protocols import ShiftedState, cubic_shifted_rhs, to_shifted
 
 
+class CertificateError(ArithmeticError):
+    """The certificate's quantities leave the float range for this system."""
+
+
 @dataclass(frozen=True)
 class ExpansionCoeffs:
     """Cubic-truncation coefficients of dx1/dt about the fixed point:
@@ -44,12 +48,15 @@ def expansion_coeffs(fp: FixedPoint, params: SystemParams) -> ExpansionCoeffs:
     s = fp.s_hat
     b = params.b
     c = params.c
-    return ExpansionCoeffs(
-        alpha=b**3 / (27.0 * c**2 * s**7),
-        beta=b**2 / (3.0 * c * s**5),
-        gamma=b / s**3,
-        delta=c / s,
-    )
+    try:
+        return ExpansionCoeffs(
+            alpha=b**3 / (27.0 * c**2 * s**7),
+            beta=b**2 / (3.0 * c * s**5),
+            gamma=b / s**3,
+            delta=c / s,
+        )
+    except ArithmeticError as exc:  # a power overflows, or one underflows to 0
+        raise CertificateError(f"expansion coefficients at s_hat={s}: {exc}") from None
 
 
 def cubic_truncation_x1dot(x: ShiftedState, coeffs: ExpansionCoeffs) -> float:
@@ -162,8 +169,8 @@ def qtilde(coeffs: ExpansionCoeffs, lp: LyapunovParams, fp: FixedPoint) -> Qtild
 
     Route one checks the leading principal minors, which reduce to
     alpha*gamma > beta^2/4 together with a positive corner entry; route two
-    checks the closed-form eigenvalues.  The two must agree; a definiteness
-    failure means the fixed point inputs are invalid.
+    checks the closed-form eigenvalues.  The form is definite at every fixed
+    point, so a failure or disagreement means the entries left the float range.
     """
     a, off, d, corner = _block_entries(coeffs, lp.d1, lp.d4, fp.s_hat)
     minors_ok = (
@@ -174,11 +181,11 @@ def qtilde(coeffs: ExpansionCoeffs, lp: LyapunovParams, fp: FixedPoint) -> Qtild
     lam = _lambda_min(coeffs, lp.d1, lp.d4, fp.s_hat)
     eigs_ok = lam > 0.0
     if minors_ok != eigs_ok:
-        raise ValueError(
+        raise CertificateError(
             f"definiteness checks disagree: minors={minors_ok}, eigs={eigs_ok}"
         )
     if not minors_ok:
-        raise ValueError("quartic form is not positive definite; check inputs")
+        raise CertificateError("quartic form is not positive definite")
     m = np.array([[a, off, 0.0], [off, d, 0.0], [0.0, 0.0, corner]])
     return QtildeMatrix(matrix=m, lambda_min=lam)
 

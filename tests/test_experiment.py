@@ -1,11 +1,24 @@
+import contextlib
+import io
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tcpfluid import ConfigError, build_config, read_config_file, run_experiment
+from tcpfluid import (
+    ConfigError,
+    ExperimentConfig,
+    build_config,
+    read_config_file,
+    run_experiment,
+)
 from tcpfluid.cli import main
 from tcpfluid.experiment import (
+    KEY_PARSERS,
+    WORK_BUDGET,
     bits_to_packets,
-    packets_to_bits,
     post_transient_mean,
 )
 
@@ -21,8 +34,7 @@ def make_config(**over):
 def test_unit_conversions_round_trip():
     # 1 Gbit/s at 1000-byte packets is exactly 125000 packets/s.
     assert bits_to_packets(1e9) == 125000.0
-    assert packets_to_bits(125000.0) == 1e9
-    assert bits_to_packets(packets_to_bits(777.0, 500.0), 500.0) == 777.0
+    assert bits_to_packets(777.0 * 8.0 * 500.0, 500.0) == 777.0
 
 
 def test_read_config_file(tmp_path):
@@ -48,6 +60,7 @@ def test_build_config_parses_string_values():
         {
             "capacity_pkts": "100",
             "delay_tau": "0.1",
+            "mode": "nhpl",
             "flows": "2",
             "init": "explicit",
             "init_w_max": "10,12",
@@ -85,6 +98,14 @@ def test_build_config_parses_string_values():
         {**BASE, "sample_dt": 0.0},
         {**BASE, "lookahead": -1.0},
         {**BASE, "packet_size_bytes": 0.0},
+        {**BASE, "t_end": float("nan")},  # typed values pass the finiteness check too
+        {**BASE, "step": float("nan")},
+        {**BASE, "init_offset_w": float("inf")},
+        {**BASE, "init_offset_w": 10**400},
+        {**BASE, "flows": 2.0},  # typed values must have the key's type
+        {**BASE, "mode": 3},
+        {**BASE, "init_w_max": 5},
+        {**BASE, "b": None},  # None stands for a default only where that is None
     ],
 )
 def test_build_config_rejects(raw):
@@ -163,17 +184,42 @@ def test_convergence_mode(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["stability", "convergence"])
-def test_certificate_modes_are_cubic_only(tmp_path, mode):
-    config = make_config(mode=mode, algorithm="reno", init="offset",
-                         init_offset_s=0.01)
-    with pytest.raises(ConfigError):
-        run_experiment(config, tmp_path / "out")
+def test_certificate_modes_are_cubic_only(mode):
+    with pytest.raises(ConfigError, match="cubic"):
+        make_config(mode=mode, algorithm="reno", init="offset", init_offset_s=0.01)
 
 
-def test_convergence_mode_rejects_equilibrium_start(tmp_path):
-    config = make_config(mode="convergence")
-    with pytest.raises(ConfigError):
-        run_experiment(config, tmp_path / "out")
+def test_convergence_mode_rejects_equilibrium_start():
+    with pytest.raises(ConfigError, match="offset or explicit"):
+        make_config(mode="convergence")
+
+
+@pytest.mark.parametrize("mode", ["fluid", "both", "convergence"])
+def test_fluid_modes_need_identical_explicit_flows(mode):
+    # The fluid modes integrate flow 0 only, so flows that differ would be
+    # dropped without a word; identical flows still run.
+    explicit = dict(mode=mode, flows=2, init="explicit", init_s=(0.0, 0.0))
+    with pytest.raises(ConfigError, match="same explicit init"):
+        make_config(**explicit, init_w_max=(12.0, 30.0))
+    make_config(**explicit, init_w_max=(12.0, 12.0))
+    make_config(**{**explicit, "mode": "nhpl"}, init_w_max=(12.0, 30.0))
+
+
+def test_work_budget_bounds_steps_and_rows():
+    # Criterion 8 takes 480000 fluid steps and 630021 trace rows.
+    make_config(mode="both", flows=20, capacity_pkts=125000.0, delay_tau=0.001,
+                t_end=30.0)
+    tau = BASE["delay_tau"]
+    at_budget = WORK_BUDGET * tau / 16
+    make_config(mode="fluid", t_end=at_budget)
+    with pytest.raises(ConfigError, match="fluid steps"):
+        make_config(mode="fluid", t_end=at_budget * (1 + 1e-9))
+    # (floor(t_end / tau) + 1) * (flows + 1) rows
+    make_config(mode="nhpl", t_end=(WORK_BUDGET // 2 - 1) * tau)
+    with pytest.raises(ConfigError, match="trace rows"):
+        make_config(mode="nhpl", t_end=(WORK_BUDGET // 2) * tau)
+    # Modes without fluid steps or a trace do not count them.
+    make_config(mode="fixed-point", t_end=1e300)
 
 
 def test_cli_fixed_point_success(tmp_path, capsys):
@@ -257,6 +303,43 @@ def test_cli_rejects_unusable_values(tmp_path, capsys, flag, value):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tau^3 c / b overflows, then underflows to zero with the bdp.
+        ["fixed-point", "--capacity-pkts", "100", "--delay-tau", "1e200"],
+        ["nhpl", "--capacity-pkts", "1e-300", "--delay-tau", "1e-300"],
+        # s_hat = cbrt(w b / c) is 1.3e100, so s_hat**7 overflows.
+        ["stability", "--capacity-pkts", "100", "--delay-tau", "0.1", "--c", "1e-300"],
+    ],
+)
+def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fluid", "--t-end", "1e300"],
+        ["nhpl", "--t-end", "1e300"],
+        ["nhpl", "--flows", "100000000000"],
+    ],
+)
+def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):
+    rc = main(argv + [
+        "--capacity-pkts", "100", "--delay-tau", "0.1", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "over" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nt_end=1\n")
@@ -277,3 +360,65 @@ def test_nhpl_artifacts_are_byte_reproducible(tmp_path):
     run_experiment(config, tmp_path / "b")
     for name in ("nhpl_events.csv", "nhpl_trace.csv", "fluid_trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN, +-inf and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.0, -0.0]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64, max_value=2**1100),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    NUMBERS.map(repr),
+    st.text(max_size=8),
+    st.sampled_from(["cubic", "reno", "both", "nhpl", "convergence", "offset", "explicit"]),
+    st.lists(NUMBERS, max_size=3).map(tuple),
+    st.lists(NUMBERS, max_size=3).map(lambda xs: ",".join(map(repr, xs))),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([{}, BASE, {"capacity_bps": 1e9, "delay_tau": 0.01}]),
+    st.dictionaries(st.sampled_from(sorted(KEY_PARSERS)), VALUES, max_size=5),
+)
+def test_build_config_returns_or_raises_config_error(base, over):
+    try:
+        config = build_config({**base, **over})
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+JUNK = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e308", str(2**64), "1e999", "x", ""]
+
+
+def flag_value(rnd, lo: float, hi: float) -> str:
+    """10**x for x uniform in [lo, hi] as a decimal string, or now and then junk."""
+    if rnd.random() < 0.1:
+        return rnd.choice(JUNK)
+    x = rnd.uniform(lo, hi)
+    return f"{10 ** (x % 1.0):.4f}e{math.floor(x)}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["fixed-point", "stability"]), st.randoms(use_true_random=False))
+def test_cli_exit_codes_for_any_system_params(command, rnd):
+    # Only these two commands run here: their cost does not grow with the
+    # horizon.  Exponents reach a little past both ends of the float range;
+    # "--flag=value" keeps argparse from reading "-inf" as a flag.
+    flags = {
+        "--capacity-pkts": flag_value(rnd, -330.0, 310.0),
+        "--delay-tau": flag_value(rnd, -330.0, 310.0),
+        "--b": flag_value(rnd, -330.0, 0.0),
+        "--c": flag_value(rnd, -330.0, 310.0),
+    }
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, "--out", out] + [f"{f}={v}" for f, v in flags.items()])
+    assert rc in (0, 2, 3)
+    if rc != 0:
+        assert len(err.getvalue().splitlines()) == 1

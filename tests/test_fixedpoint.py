@@ -8,14 +8,12 @@ from tcpfluid import (
     FlowState,
     SolverError,
     SystemParams,
-    bracket_sign_changes,
     cubic_fixed_point,
-    cubic_w_of_p,
     fluid_rhs,
-    reno_fixed_point,
     reno_steady_state,
     solve_window_equation,
 )
+from oracles import bracket_sign_changes, cubic_w_of_p, reno_fixed_point
 
 # Frozen outputs, cross-checked against the plain-bisection oracle below
 # when first recorded.  Any solver regression shows up as a digit change.

@@ -15,13 +15,12 @@ from tcpfluid import (
     cubic_fixed_point,
     cubic_shifted_rhs,
     fluid_rhs,
-    from_shifted,
     loss_probability,
-    loss_reset,
     shifted_window,
     to_shifted,
     window_function,
 )
+from oracles import from_shifted
 
 
 def test_reno_window_examples():
@@ -83,11 +82,11 @@ def test_coefficients_expand_the_window(fn, w_max, s, x):
 
 
 def test_loss_reset_examples(unit_params):
-    state = loss_reset(100.0, "cubic")
+    state = CUBIC.reset(100.0)
     assert state == FlowState(100.0, 0.0)
     assert CUBIC.window(state, unit_params) == pytest.approx(80.0, rel=1e-12)
-    assert RENO.window(loss_reset(100.0, "reno"), unit_params) == 50.0
-    assert FROZEN.window(loss_reset(100.0, FROZEN), unit_params) == 100.0
+    assert RENO.window(RENO.reset(100.0), unit_params) == 50.0
+    assert FROZEN.window(FROZEN.reset(100.0), unit_params) == 100.0
 
 
 def test_window_function_lookup():

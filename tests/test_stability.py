@@ -143,7 +143,9 @@ def test_lyapunov_sandwich_on_unit_ball(x1, x2):
     if norm2 > 1.0:
         return
     v = lyapunov_V(ShiftedState(x1, x2), lp)
-    assert v <= lp.eps0 * norm2 * (1.0 + 1e-12)
+    # Below 1e-308 norm2 keeps up to ulp(0) of absolute rounding error: with
+    # x1 = 1.08e-162, x1*x1 rounds to 0 while V rounds to 5e-324.
+    assert v <= lp.eps0 * (norm2 + math.ulp(0.0)) * (1.0 + 1e-12)
     assert v >= lp.eps1 * norm2 * norm2 * (1.0 - 1e-12)
 
 
