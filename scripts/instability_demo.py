@@ -8,7 +8,8 @@ shrinking, printed here as |x| at t = 0, T/2, and T.
 """
 
 import argparse
-import math
+
+import numpy as np
 
 from tcpfluid import (
     InitialHistory,
@@ -33,7 +34,7 @@ def main() -> None:
     init = InitialHistory.constant(args.init_w_max, args.init_s)
     traj = integrate(params, window_function("cubic"), init, horizon, params.tau / 256)
 
-    norms = [math.hypot(x.x1, x.x2) for x in shifted_samples(traj, fp)]
+    norms = np.hypot(*shifted_samples(traj, fp))
     mid = len(norms) // 2
     print(f"fixed point: w_hat={fp.w_hat!r} s_hat={fp.s_hat!r}")
     print(f"|x(0)|   = {norms[0]:.3f}")

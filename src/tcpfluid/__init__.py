@@ -78,7 +78,6 @@ from .stability import (
     shifted_samples,
     stability_trace,
     vdot_along,
-    vdot_exact,
 )
 
 from types import ModuleType as _Module

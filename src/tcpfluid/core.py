@@ -48,8 +48,8 @@ class SystemParams:
     flows: int = 1
 
     def __post_init__(self):
-        if not self.capacity > 0.0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if not 0.0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 < self.b < 1.0:
@@ -58,6 +58,8 @@ class SystemParams:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.flows < 1:
             raise ValueError(f"flows must be >= 1, got {self.flows}")
+        if not self.bdp < math.inf:
+            raise ValueError(f"bandwidth-delay product {self.capacity} * {self.tau} overflows")
 
     @property
     def bdp(self) -> float:

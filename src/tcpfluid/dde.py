@@ -109,13 +109,22 @@ class Trajectory:
         """Round-trip decimal CSV with header t,w_max,s,w,p."""
         with open(path, "w", newline="") as fh:
             fh.write("t,w_max,s,w,p\n")
-            for i in range(0, len(self.t), stride):
-                write_row(fh, (self.t[i], self.w_max[i], self.s[i], self.w[i], self.p[i]))
+            columns = (self.t, self.w_max, self.s, self.w, self.p)
+            write_columns(fh, [col[::stride] for col in columns])
 
 
-def write_row(fh, values) -> None:
-    """One CSV row; repr of float round-trips the exact binary value."""
-    fh.write(",".join(repr(float(v)) for v in values) + "\n")
+_WRITE_CHUNK = 4096  # rows formatted per write
+
+
+def write_columns(fh, columns) -> None:
+    """CSV rows of equal-length numpy columns, every value by ``repr``.
+
+    ``.tolist()`` hands repr Python floats and ints, so a float round-trips
+    its exact binary value and an integer column prints as integers.
+    """
+    for lo in range(0, len(columns[0]), _WRITE_CHUNK):
+        cells = [map(repr, col[lo : lo + _WRITE_CHUNK].tolist()) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def steps_per_delay(tau: float, step: float) -> int:

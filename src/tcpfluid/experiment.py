@@ -16,14 +16,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import SystemParams
+from .core import FlowState, SystemParams
 from .dde import InitialHistory, Trajectory, integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, SimResult, run_simulation
-from .protocols import window_function
+from .protocols import to_shifted, window_function
 from .stability import (
     expansion_coeffs,
     basin_delta,
+    lyapunov_V,
     lyapunov_params,
     qtilde,
     stability_trace,
@@ -276,6 +277,11 @@ def _validate(config: ExperimentConfig) -> None:
         if samples * (config.flows + 1) > WORK_BUDGET:
             raise ConfigError(f"{horizon} s every {dt} s for {config.flows} flows is "
                               f"over {WORK_BUDGET} trace rows")
+        # The simulator's post-transient mean needs a trace sample at
+        # (samples - 1) * dt, the last one, inside the final share.
+        if not (samples - 1) * dt >= (1.0 - config.post_transient) * horizon:
+            raise ConfigError(f"no trace sample every {dt} s falls in the final "
+                              f"{config.post_transient} of {horizon} s")
 
 
 def post_transient_mean(t: np.ndarray, w: np.ndarray, t_end: float, fraction: float) -> float:
@@ -328,9 +334,16 @@ def _run_nhpl(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) ->
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one experiment mode and write its artifacts under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     params = config.system_params()
     fp = config.steady_state(params)
+    if config.mode == "convergence":
+        _, lp, qt = _certificate(fp, params)
+        # The decay bound divides by V at t = 0, which vanishes on the fixed point.
+        v0 = lyapunov_V(to_shifted(FlowState(*config.start_state(fp)), fp), lp)
+        if not v0 > 0.0:
+            raise ConfigError(f"convergence mode needs a start off the fixed point, "
+                              f"got V(0) = {v0!r}")
+    os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
     metrics: dict[str, float] = {"w_hat": fp.w_hat, "s_hat": fp.s_hat, "p_hat": fp.p_hat}
     lines = [
@@ -407,17 +420,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"basin_delta(eps=0.01*w_hat): {delta!r}")
 
     if config.mode == "convergence":
-        _, lp, qt = _certificate(fp, params)
         traj = _run_fluid(config, params, fp)
         diag = stability_trace(traj, fp, params, lp, qt)
         path = os.path.join(out_dir, "convergence.csv")
         diag.write_csv(path)
         artifacts["convergence"] = path
         bounded = float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12)))
+        razumikhin = float(np.mean(diag.razumikhin_ok))
         metrics["lambda_min"] = qt.lambda_min
         metrics["bound_fraction"] = bounded
+        metrics["razumikhin_fraction"] = razumikhin
         lines.append(f"lambda_min: {qt.lambda_min!r}")
         lines.append(f"bound_fraction: {bounded!r}")
+        lines.append(f"razumikhin_fraction: {razumikhin!r}")
 
     summary_path = _write_summary(out_dir, lines)
     artifacts["summary"] = summary_path

@@ -40,6 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import FlowState, SystemParams
+from .dde import write_columns
 from .protocols import WindowFunction, window_function
 
 
@@ -384,8 +385,7 @@ class SimResult:
     def write_trace_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,flow,w\n")
-            for t, f, w in zip(self.trace_t, self.trace_flow, self.trace_w):
-                fh.write(f"{float(t)!r},{int(f)},{float(w)!r}\n")
+            write_columns(fh, (self.trace_t, self.trace_flow, self.trace_w))
 
     def mean_trace(self) -> tuple[np.ndarray, np.ndarray]:
         """(t, w) of the aggregate rows (flow = -1, per-flow mean)."""

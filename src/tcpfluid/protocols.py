@@ -2,8 +2,8 @@
 
 ``cubic_shifted_rhs`` rewrites the CUBIC fluid model in coordinates centred
 on a fixed point, x1 = w_max - w_hat and x2 = s - s_hat.  It is an
-independent evaluation path used by the stability diagnostics, not a call
-into :func:`tcpfluid.core.fluid_rhs`.
+independent evaluation path, not a call into :func:`tcpfluid.core.fluid_rhs`;
+the stability diagnostics evaluate the same formulas over whole trajectories.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ def test_system_params_validation():
         SystemParams(capacity=10.0, tau=1.0, b=0.2, c=0.0)
     with pytest.raises(ValueError):
         SystemParams(capacity=10.0, tau=1.0, b=0.2, c=0.4, flows=0)
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(capacity=math.inf, tau=1.0, b=0.2, c=0.4)
+    with pytest.raises(ValueError, match="overflows"):
+        SystemParams(capacity=1e300, tau=1e10, b=0.2, c=0.4)
 
 
 def test_bdp_is_capacity_times_delay(canonical_params):

@@ -14,9 +14,15 @@ from tcpfluid import (
     SystemParams,
     WindowFunction,
     convergence_order_check,
+    expansion_coeffs,
     integrate,
+    lyapunov_params,
+    qtilde,
     reno_steady_state,
+    run_simulation,
+    stability_trace,
 )
+from oracles import per_row_csv
 from scalar_reno import integrate_scalar_reno
 
 
@@ -159,3 +165,28 @@ def test_trajectory_csv_round_trips(tmp_path, canonical_params, canonical_fp):
         assert (t, w_max, s, w, p) == (
             traj.t[j], traj.w_max[j], traj.s[j], traj.w[j], traj.p[j]
         )
+
+
+def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_fp):
+    # Every trace has more rows than one write chunk, so chunk seams are
+    # covered; the simulator trace holds the integer flow column.
+    params, fp = canonical_params, canonical_fp
+    lp = lyapunov_params(fp, params)
+    qt = qtilde(expansion_coeffs(fp, params), lp, fp)
+    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 1e-3)
+    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64)
+    diag = stability_trace(traj, fp, params, lp, qt, init)
+    sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), "cubic",
+                         [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
+    assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
+    path = tmp_path / "trace.csv"
+    for stride in (1, 3):
+        traj.write_csv(path, stride=stride)
+        columns = (traj.t, traj.w_max, traj.s, traj.w, traj.p)
+        assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns, stride)
+        diag.write_csv(path, stride=stride)
+        columns = (diag.t, diag.norm_x, diag.v, diag.vdot, diag.bound)
+        assert path.read_text() == per_row_csv("t,norm_x,V,Vdot,bound", columns, stride)
+    sim.write_trace_csv(path)
+    columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
+    assert path.read_text() == per_row_csv("t,flow,w", columns)

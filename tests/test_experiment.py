@@ -181,6 +181,11 @@ def test_convergence_mode(tmp_path):
     diag = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
     assert diag[0] == "t,norm_x,V,Vdot,bound"
     assert 0.0 <= result.metrics["bound_fraction"] <= 1.0
+    # The first sample always passes the Razumikhin comparison with itself.
+    share = result.metrics["razumikhin_fraction"]
+    assert 1.0 / (len(diag) - 1) <= share <= 1.0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert f"razumikhin_fraction: {share!r}\n" in summary
 
 
 @pytest.mark.parametrize("mode", ["stability", "convergence"])
@@ -220,6 +225,55 @@ def test_work_budget_bounds_steps_and_rows():
         make_config(mode="nhpl", t_end=(WORK_BUDGET // 2) * tau)
     # Modes without fluid steps or a trace do not count them.
     make_config(mode="fixed-point", t_end=1e300)
+
+
+@pytest.mark.parametrize(
+    "t_end, post_transient",
+    [(0.05, 0.5), (0.1, 0.5), (1.05, 0.01), (1.0, 0.01), (1.0, 1.0), (0.3, 0.4)],
+)
+def test_simulator_modes_need_a_post_transient_sample(tmp_path, t_end, post_transient):
+    # Samples every tau = 0.1 s: a config passes validation exactly when the
+    # final post_transient share of the horizon holds one, and then runs.
+    over = dict(mode="nhpl", t_end=t_end, post_transient=post_transient)
+    try:
+        config = make_config(**over)
+    except ConfigError as exc:
+        assert "no trace sample" in str(exc)
+        t = np.arange(math.floor(t_end / 0.1 + 1e-9) + 1) * 0.1
+        assert not np.any(t >= (1.0 - post_transient) * t_end)
+        return
+    assert run_experiment(config, tmp_path / "out").metrics["nhpl_mean_w"] > 0.0
+
+
+def _equilibrium_argv() -> list[str]:
+    config = make_config()
+    fp = config.steady_state(config.system_params())
+    return ["--init", "explicit", "--init-w-max", repr(fp.w_hat), "--init-s", repr(fp.s_hat)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nhpl", "--capacity-pkts", "100", "--t-end", "0.05"],
+        ["compare", "--capacity-pkts", "100", "--t-end", "0.05"],
+        # A start on the fixed point leaves V(0) = 0 for the decay bound;
+        # 1e-30 is below half an ulp of w_hat.
+        ["convergence", "--capacity-pkts", "100", "--init", "offset"],
+        ["convergence", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "1e-30"],
+        ["convergence", "--capacity-pkts", "100", "EQUILIBRIUM"],
+        # 1e308 bit/s over 1e-300-byte packets is an infinite packet rate.
+        ["nhpl", "--algorithm", "reno", "--capacity-bps", "1e308", "--packet-size-bytes", "1e-300"],
+    ],
+)
+def test_cli_rejects_runs_without_a_result(tmp_path, capsys, argv):
+    if "EQUILIBRIUM" in argv:
+        argv = argv[:-1] + _equilibrium_argv()
+    rc = main(argv + ["--delay-tau", "0.1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_fixed_point_success(tmp_path, capsys):

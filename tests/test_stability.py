@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    scalar_norms_and_v,
+    scalar_razumikhin_mask,
+    scalar_shifted_samples,
+    scalar_vdot,
+)
 from tcpfluid import (
     CUBIC,
     FixedPoint,
+    FlowState,
     InitialHistory,
     ShiftedState,
     SystemParams,
@@ -159,12 +166,13 @@ def in_basin_trace(params, fp):
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
     lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
-    vdot = vdot_along(traj, canonical_fp, canonical_params, lp, init=init)
-    mask = razumikhin_mask(traj, canonical_fp, canonical_params, lp)
+    xs = shifted_samples(traj, canonical_fp)
+    vdot = vdot_along(xs, traj.step, canonical_fp, canonical_params, lp, init=init)
+    k = round(canonical_params.tau / traj.step)
+    mask = razumikhin_mask(lyapunov_V(xs, lp), k, lp.razumikhin_p)
     assert mask[0]
     assert mask.any()
-    xs = shifted_samples(traj, canonical_fp)
-    norm4 = np.array([(x.x1**2 + x.x2**2) ** 2 for x in xs])
+    norm4 = (xs.x1**2 + xs.x2**2) ** 2
     decay = qt.lambda_min - lp.k_margin
     assert np.all(vdot[mask] <= -decay * norm4[mask] + 1e-30)
 
@@ -176,6 +184,43 @@ def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     dv = np.diff(tr.v)
     assert np.all(dv <= 1e-12 * np.maximum(tr.v[0], tr.v[:-1]))
     assert tr.v[-1] < tr.v[0]
+
+
+@pytest.mark.parametrize("history", ["none", "constant", "ramp"])
+def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, history):
+    # numpy's SIMD hypot, power, log1p and expm1 may differ from math in the
+    # last ulp, so |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the
+    # bound (from V[0]) and the Razumikhin maxima take no transcendental step.
+    # "constant" is the history the trace starts from; "ramp" differs from
+    # the first sample, so the delayed values inside the first delay matter.
+    params, fp = canonical_params, canonical_fp
+    lp, qt, init, traj = in_basin_trace(params, fp)
+    if history == "none":
+        init = None
+    elif history == "ramp":
+        w0, s0 = init(0.0)
+        init = InitialHistory(lambda theta: FlowState(w0, s0 + 1e-3 * theta / params.tau))
+    tr = stability_trace(traj, fp, params, lp, qt, init=init)
+    xs = scalar_shifted_samples(traj, fp)
+    norm, v = scalar_norms_and_v(xs, lp)
+    vdot = scalar_vdot(xs, traj.step, fp, params, lp, init)
+    k = round(params.tau / traj.step)
+    assert np.all(np.abs(tr.norm_x - norm) <= 4 * np.spacing(norm))
+    assert np.all(np.abs(tr.v - v) <= 4 * np.spacing(v))
+    assert np.all(np.abs(tr.vdot - vdot) <= 1e-12 * np.abs(vdot))
+    assert np.array_equal(tr.bound, convergence_bound(traj.t, float(v[0]), lp, qt.lambda_min))
+    assert np.array_equal(tr.razumikhin_ok, scalar_razumikhin_mask(v, k, lp.razumikhin_p))
+    assert not tr.razumikhin_ok.all()  # the mask is not trivially true
+
+
+@pytest.mark.parametrize("k", [1, 4, 64, 1000])
+def test_razumikhin_mask_matches_slice_max_oracle(k):
+    # A V that rises and falls, so both the history maximum and the front
+    # padding decide samples; k = 1000 exceeds the 500 samples.
+    v = np.random.default_rng(k).uniform(0.5, 1.5, 500)
+    mask = razumikhin_mask(v, k, 1.01)
+    assert np.array_equal(mask, scalar_razumikhin_mask(v, k, 1.01))
+    assert mask.any() and not mask.all()
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
