@@ -32,7 +32,7 @@ def main() -> None:
     fp = cubic_fixed_point(params)
     horizon = 200.0 * params.tau
     init = InitialHistory.constant(args.init_w_max, args.init_s)
-    traj = integrate(params, window_function("cubic"), init, horizon, params.tau / 256)
+    traj = integrate(params, window_function("cubic"), init, horizon, params.tau / 256, fp=fp)
 
     norms = np.hypot(*shifted_samples(traj, fp))
     mid = len(norms) // 2

@@ -13,13 +13,12 @@ from .core import (
     cbrt,
     fluid_rhs,
     loss_probability,
+    loss_rate,
 )
 from .dde import (
-    HistoryBuffer,
     InitialHistory,
     IntegrationError,
     Trajectory,
-    convergence_order_check,
     integrate,
 )
 from .experiment import (
@@ -44,7 +43,6 @@ from .nhpl import (
     SimState,
     compute_T,
     generate_poi_loss,
-    inter_loss_times,
     make_sim_state,
     pick_losing_flow,
     run_simulation,
@@ -55,8 +53,6 @@ from .protocols import (
     FROZEN,
     RENO,
     ShiftedState,
-    cubic_shifted_rhs,
-    shifted_window,
     to_shifted,
     window_function,
 )
@@ -67,10 +63,7 @@ from .stability import (
     QtildeMatrix,
     basin_delta,
     convergence_bound,
-    cubic_truncation_x1dot,
     expansion_coeffs,
-    linearized_x2dot,
-    loglog_slope,
     lyapunov_V,
     lyapunov_params,
     qtilde,

@@ -4,6 +4,11 @@ The model tracks, per flow, the congestion window immediately before the most
 recent loss (``w_max``, packets) and the time elapsed since that loss (``s``,
 seconds).  The instantaneous window W is always recomputed from this pair by a
 window function; it is never integrated as an independent state variable.
+
+``fluid_rhs`` is the model's only right-hand side.  It takes the state as a
+deviation from a reference point, so the integrator and the stability
+diagnostics can work about the fixed point, where small deviations keep
+their relative precision.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 def cbrt(x: float) -> float:
@@ -73,12 +80,15 @@ class WindowFunction(ABC):
     Implementations must be monotone nondecreasing in ``s`` so that epoch
     projections and bandwidth-delay crossing searches stay well posed.
 
-    The event-driven simulator additionally needs the window to be a
-    polynomial of degree at most 3 in ``s`` within an epoch, exposed by
+    Each track of the package has its own contract with a window function.
+    The fluid integrator evaluates the model through ``deficit``, the gap
+    w_max - W at a state given as a deviation from a reference point; the
+    default subtracts ``window``, and an override can evaluate the gap
+    without cancellation.  The event-driven simulator needs the window to be
+    a polynomial of degree at most 3 in ``s`` within an epoch, exposed by
     ``coefficients``: the aggregate loss rate is then a cubic in time and
-    its integral a quartic, both summed over flows and inverted exactly.
-    The fluid integrator only calls ``window``, so a window function that
-    does not override ``coefficients`` still integrates.
+    its integral a quartic, both summed over flows and inverted exactly.  A
+    window function that defines only ``window`` still integrates.
     """
 
     name: str = "abstract"
@@ -86,6 +96,11 @@ class WindowFunction(ABC):
     @abstractmethod
     def window(self, state: FlowState, params: SystemParams) -> float:
         """Instantaneous window, packets."""
+
+    def deficit(self, x1: float, x2: float, ref: FlowState, params: SystemParams) -> float:
+        """w_max - W, packets, at the state (ref.w_max + x1, ref.s + x2)."""
+        w_max = ref.w_max + x1
+        return w_max - self.window(FlowState(w_max, ref.s + x2), params)
 
     def coefficients(
         self, state: FlowState, params: SystemParams
@@ -113,36 +128,46 @@ class WindowFunction(ABC):
         return FlowState(w_max=window_at_loss, s=0.0)
 
 
-def loss_probability(window: float, params: SystemParams) -> float:
+def loss_probability(window, params: SystemParams):
     """Packet loss probability for a flow holding ``window`` packets.
 
     Heavy-traffic approximation of an M/M/1 bottleneck: zero while the window
-    sits below the bandwidth-delay product, then 1 - bdp/W.
+    sits below the bandwidth-delay product, then 1 - bdp/W.  ``window`` may
+    be a float or a numpy array of windows.
     """
-    if not window > 0.0:
+    if not np.all(np.greater(window, 0.0)):
         raise ValueError(f"window must be positive, got {window}")
-    p = 1.0 - params.bdp / window
-    return p if p > 0.0 else 0.0
+    return np.maximum(1.0 - params.bdp / window, 0.0)
+
+
+def loss_rate(window: float, params: SystemParams) -> float:
+    """Loss rate max(W - bdp, 0)/tau of a flow holding ``window`` packets.
+
+    Equal to W * loss_probability(W) / tau, but the difference form keeps
+    the rate accurate when the window barely clears the bandwidth-delay
+    product.
+    """
+    excess = window - params.bdp
+    return excess / params.tau if excess > 0.0 else 0.0
 
 
 def fluid_rhs(
-    current: FlowState,
-    delayed_window: float,
-    delayed_p: float,
+    x1: float,
+    x2: float,
+    delayed_rate: float,
+    ref: FlowState,
     params: SystemParams,
     window_fn: WindowFunction,
-) -> tuple[float, float]:
-    """Time derivatives (dw_max/dt, ds/dt) of the delayed fluid model.
+) -> tuple[float, float, float]:
+    """Derivatives (dx1/dt, dx2/dt) of the delayed fluid model, and the deficit.
 
-    ``delayed_window`` and ``delayed_p`` are the window and loss probability
-    one delay in the past; the caller owns the history bookkeeping.
+    The state is given as its deviation x = (w_max - ref.w_max, s - ref.s)
+    from a reference point.  ``delayed_rate`` is the ``loss_rate`` one delay
+    in the past; the caller owns the history bookkeeping.  The deficit
+    w_max - W comes back as the third value, so a caller that also needs the
+    window W = ref.w_max + x1 - deficit evaluates the window function once.
     """
-    if not delayed_window > 0.0:
-        raise ValueError(f"delayed window must be positive, got {delayed_window}")
-    if not 0.0 <= delayed_p <= 1.0:
-        raise ValueError(f"delayed p must lie in [0, 1], got {delayed_p}")
-    w = window_fn.window(current, params)
-    rate = delayed_window * delayed_p / params.tau
-    dw_max = -(current.w_max - w) * rate
-    ds = 1.0 - current.s * rate
-    return dw_max, ds
+    if not delayed_rate >= 0.0:
+        raise ValueError(f"delayed loss rate must be nonnegative, got {delayed_rate}")
+    deficit = window_fn.deficit(x1, x2, ref, params)
+    return -deficit * delayed_rate, 1.0 - (x2 + ref.s) * delayed_rate, deficit

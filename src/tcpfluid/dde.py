@@ -7,20 +7,36 @@ interpolation never extrapolates and whole-sample queries are exact.  Stored
 derivative values make the mid-sample cubic Hermite interpolant fourth-order
 accurate, matching the integrator order.
 
+The RK4 state is the deviation x = (w_max - w_ref, s - s_ref) from a
+reference point, the run's fixed point when the caller has one.  About the
+fixed point an increment of x keeps its relative precision however small it
+gets, where an increment added to w_max itself is lost once it falls below
+half an ulp of w_max.  Every evaluation goes through
+:func:`tcpfluid.core.fluid_rhs`, and each sample's window and derivative are
+stored when it is appended, so a sample is evaluated once.
+
 No event handling is attempted at the loss-probability kink; crossings of
-the bandwidth-delay product degrade the observed order locally, which the
-order check makes visible.
+the bandwidth-delay product degrade the observed order locally.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import FlowState, SystemParams, WindowFunction, fluid_rhs, loss_probability
+from .core import (
+    FlowState,
+    SystemParams,
+    WindowFunction,
+    fluid_rhs,
+    loss_probability,
+    loss_rate,
+)
+from .fixedpoint import FixedPoint
 
 
 class IntegrationError(RuntimeError):
@@ -51,59 +67,38 @@ class InitialHistory:
         return self.fn(theta)
 
 
-class HistoryBuffer:
-    """Solution samples on the step grid with derivative data for Hermite
-    interpolation.
+def hermite_midpoint(y, dy, j: int, h: float) -> float:
+    """Cubic Hermite value halfway between samples j and j + 1 of the column
+    ``y`` on a grid of step h, from the derivative column ``dy``.
 
-    Covers [-tau, t_now]: negative times defer to the initial history, the
-    rest interpolates stored (state, derivative) pairs.
+    Exact when the sampled function is a cubic polynomial.
     """
-
-    def __init__(self, h: float, phi: InitialHistory):
-        self.h = h
-        self.phi = phi
-        self.states: list[FlowState] = []
-        self.derivs: list[tuple[float, float]] = []
-
-    def append(self, state: FlowState, deriv: tuple[float, float]) -> None:
-        self.states.append(state)
-        self.derivs.append(deriv)
-
-    def at_sample(self, idx: int) -> FlowState:
-        """State at grid time idx*h; exact for stored samples."""
-        if idx < 0:
-            return self.phi(idx * self.h)
-        return self.states[idx]
-
-    def at_midpoint(self, idx: int) -> FlowState:
-        """State at grid time (idx + 1/2)*h via cubic Hermite."""
-        if idx < 0:
-            return self.phi((idx + 0.5) * self.h)
-        y0, y1 = self.states[idx], self.states[idx + 1]
-        d0, d1 = self.derivs[idx], self.derivs[idx + 1]
-        g = self.h / 8.0
-        return FlowState(
-            0.5 * (y0.w_max + y1.w_max) + g * (d0[0] - d1[0]),
-            0.5 * (y0.s + y1.s) + g * (d0[1] - d1[1]),
-        )
+    return 0.5 * (y[j] + y[j + 1]) + 0.125 * h * (dy[j] - dy[j + 1])
 
 
 @dataclass
 class Trajectory:
     """Uniformly sampled solution with the derived window and loss
-    probability columns."""
+    probability columns.
+
+    x1, x2 are the integrator's state, the deviation from ``ref``, and dx1,
+    dx2 its derivatives at each sample; w_max = ref.w_max + x1 and
+    s = ref.s + x2.
+    """
 
     t: np.ndarray
     w_max: np.ndarray
     s: np.ndarray
     w: np.ndarray
     p: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    dx1: np.ndarray
+    dx2: np.ndarray
+    ref: FlowState
     params: SystemParams
     algorithm: str
     step: float
-
-    def state_at(self, i: int) -> FlowState:
-        return FlowState(float(self.w_max[i]), float(self.s[i]))
 
     def write_csv(self, path, stride: int = 1) -> None:
         """Round-trip decimal CSV with header t,w_max,s,w,p."""
@@ -146,91 +141,84 @@ def integrate(
     init: InitialHistory,
     t_end: float,
     step_h: float,
+    *,
+    fp: FixedPoint | None = None,
 ) -> Trajectory:
     """Integrate the fluid model over [0, t_end] from the given history.
 
     ``step_h`` must equal tau/k for an integer k >= 4 (to one part in 1e9);
-    the exact grid step tau/k is used internally.  Output is bit-identical
-    across runs for identical inputs.  Raises :class:`IntegrationError` when
-    w_max or the instantaneous window leaves the positive domain.
+    the exact grid step tau/k is used internally.  The state is integrated
+    as its deviation from ``fp`` when given, else from the start state
+    init(0).  Output is bit-identical across runs for identical inputs.
+    Raises :class:`IntegrationError` when w_max or the instantaneous window
+    leaves the positive domain.
     """
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     k = steps_per_delay(params.tau, step_h)
     h = params.tau / k
     n = math.ceil(t_end / h - 1e-12)
+    ref = FlowState(*init(0.0)) if fp is None else FlowState(fp.w_hat, fp.s_hat)
+    w_ref, s_ref = ref
 
-    def delayed_terms(delayed: FlowState, t: float) -> tuple[float, float]:
-        # Window and loss probability one delay back, shared by two stages.
-        w_d = window_fn.window(delayed, params)
-        if not w_d > 0.0:
-            raise IntegrationError("delayed window left positive domain", t, delayed)
-        return w_d, loss_probability(w_d, params)
+    def history(j: float) -> tuple[float, float]:
+        # Deviation of the prescribed history at grid time j*h <= 0.
+        w_max, s = init(j * h)
+        return w_max - w_ref, s - s_ref
 
-    hist = HistoryBuffer(h, init)
-    y = init(0.0)
-    hist.append(y, fluid_rhs(y, *delayed_terms(hist.at_sample(-k), 0.0), params, window_fn))
+    def delayed_rate(x1: float, x2: float, t: float) -> float:
+        w = w_ref + x1 - window_fn.deficit(x1, x2, ref, params)
+        if not w > 0.0:
+            raise IntegrationError("delayed window left positive domain", t,
+                                   FlowState(w_ref + x1, s_ref + x2))
+        return loss_rate(w, params)
 
+    # Flat float64 columns, one entry per sample: the state, its
+    # derivative, and its own window, whose loss rate is the delayed rate
+    # of the sample k steps later.  numpy views them without a copy.
+    x1s, x2s, d1s, d2s, ws = (array("d") for _ in range(5))
+
+    def append(x1: float, x2: float, rate: float, t: float) -> None:
+        # Store a sample with its derivative (at delayed rate ``rate``) and
+        # its own window, from one deficit evaluation.
+        d1, d2, deficit = fluid_rhs(x1, x2, rate, ref, params, window_fn)
+        w_max = w_ref + x1
+        if not w_max > 0.0:
+            raise IntegrationError("w_max left positive domain", t, FlowState(w_max, s_ref + x2))
+        w = w_max - deficit
+        if not w > 0.0:
+            raise IntegrationError("window left positive domain", t, FlowState(w_max, s_ref + x2))
+        x1s.append(x1)
+        x2s.append(x2)
+        d1s.append(d1)
+        d2s.append(d2)
+        ws.append(w)
+
+    x1, x2 = history(0)
+    append(x1, x2, delayed_rate(*history(-k), 0.0), 0.0)
     half = 0.5 * h
     sixth = h / 6.0
     for i in range(n):
         t = i * h
-        w_mid, p_mid = delayed_terms(hist.at_midpoint(i - k), t)
-        w_end, p_end = delayed_terms(hist.at_sample(i - k + 1), t)
-        k1 = hist.derivs[i]
-        y1 = FlowState(y.w_max + half * k1[0], y.s + half * k1[1])
-        k2 = fluid_rhs(y1, w_mid, p_mid, params, window_fn)
-        y2 = FlowState(y.w_max + half * k2[0], y.s + half * k2[1])
-        k3 = fluid_rhs(y2, w_mid, p_mid, params, window_fn)
-        y3 = FlowState(y.w_max + h * k3[0], y.s + h * k3[1])
-        k4 = fluid_rhs(y3, w_end, p_end, params, window_fn)
-        y = FlowState(
-            y.w_max + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-            y.s + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-        )
-        if not y.w_max > 0.0:
-            raise IntegrationError("w_max left positive domain", (i + 1) * h, y)
-        hist.append(y, fluid_rhs(y, w_end, p_end, params, window_fn))
+        j = i - k  # the sample one delay back
+        if j >= 0:
+            mid = hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h)
+        else:
+            mid = history(j + 0.5)
+        r_mid = delayed_rate(*mid, t)
+        r_end = loss_rate(ws[j + 1], params) if j >= -1 else delayed_rate(*history(j + 1), t)
+        k1a, k1b = d1s[i], d2s[i]
+        k2a, k2b, _ = fluid_rhs(x1 + half * k1a, x2 + half * k1b, r_mid, ref, params, window_fn)
+        k3a, k3b, _ = fluid_rhs(x1 + half * k2a, x2 + half * k2b, r_mid, ref, params, window_fn)
+        k4a, k4b, _ = fluid_rhs(x1 + h * k3a, x2 + h * k3b, r_end, ref, params, window_fn)
+        x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+        append(x1, x2, r_end, (i + 1) * h)
 
-    times = np.arange(n + 1, dtype=np.float64) * h
-    w_max = np.fromiter((st.w_max for st in hist.states), dtype=np.float64, count=n + 1)
-    s = np.fromiter((st.s for st in hist.states), dtype=np.float64, count=n + 1)
-    w = np.empty(n + 1)
-    p = np.empty(n + 1)
-    for i, st in enumerate(hist.states):
-        wi = window_fn.window(st, params)
-        if not wi > 0.0:
-            raise IntegrationError("window left positive domain", float(times[i]), st)
-        w[i] = wi
-        p[i] = loss_probability(wi, params)
+    x1_col, x2_col, w = np.frombuffer(x1s), np.frombuffer(x2s), np.frombuffer(ws)
     return Trajectory(
-        t=times, w_max=w_max, s=s, w=w, p=p,
+        t=np.arange(n + 1, dtype=np.float64) * h,
+        w_max=w_ref + x1_col, s=s_ref + x2_col, w=w, p=loss_probability(w, params),
+        x1=x1_col, x2=x2_col, dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s), ref=ref,
         params=params, algorithm=window_fn.name, step=h,
     )
-
-
-def convergence_order_check(
-    params: SystemParams,
-    window_fn: WindowFunction,
-    init: InitialHistory,
-    t_end: float,
-    base_k: int = 8,
-) -> float:
-    """Observed Richardson order from runs at steps tau/k, tau/2k, tau/4k.
-
-    ``t_end`` is snapped to the coarse grid so all three runs share the
-    final time exactly.  Smooth problems report about 4; a trajectory that
-    crosses the loss-probability kink reports less.
-    """
-    h0 = params.tau / base_k
-    n0 = max(1, round(t_end / h0))
-    t_final = n0 * h0
-    ends = []
-    for k in (base_k, 2 * base_k, 4 * base_k):
-        traj = integrate(params, window_fn, init, t_final, params.tau / k)
-        ends.append(traj.state_at(len(traj.t) - 1))
-    e1 = math.hypot(ends[0].w_max - ends[1].w_max, ends[0].s - ends[1].s)
-    e2 = math.hypot(ends[1].w_max - ends[2].w_max, ends[1].s - ends[2].s)
-    if e2 == 0.0:
-        return math.inf if e1 == 0.0 else 0.0
-    return math.log2(e1 / e2)

@@ -311,7 +311,7 @@ def _write_summary(out_dir: str, lines: list[str]) -> str:
 def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) -> Trajectory:
     init = InitialHistory.constant(*config.start_state(fp))
     fn = window_function(config.algorithm)
-    return integrate(params, fn, init, config.horizon(), config.step_h())
+    return integrate(params, fn, init, config.horizon(), config.step_h(), fp=fp)
 
 
 def _certificate(fp: FixedPoint, params: SystemParams):

@@ -469,11 +469,3 @@ def run_simulation(
         trace_flow=trace_flow,
         trace_w=trace_w,
     )
-
-
-def inter_loss_times(events: Sequence[Event], *, from_time: float = 0.0) -> np.ndarray:
-    """Gaps between consecutive loss events, the first measured from from_time."""
-    times = [ev.time for ev in events if ev.event_type == "loss"]
-    if not times:
-        return np.empty(0)
-    return np.diff(np.asarray([from_time] + times))

@@ -1,9 +1,10 @@
-"""Concrete window functions and the fixed-point-centred form of the model.
+"""Concrete window functions and the coordinates centred on a fixed point.
 
-``cubic_shifted_rhs`` rewrites the CUBIC fluid model in coordinates centred
-on a fixed point, x1 = w_max - w_hat and x2 = s - s_hat.  It is an
-independent evaluation path, not a call into :func:`tcpfluid.core.fluid_rhs`;
-the stability diagnostics evaluate the same formulas over whole trajectories.
+The fluid model runs in deviations x1 = w_max - w_ref and x2 = s - s_ref
+from a reference point (see :func:`tcpfluid.core.fluid_rhs`).
+``CubicWindow.deficit`` is the one place the CUBIC window is written in
+those coordinates; about a fixed point it keeps full relative precision
+however small x gets.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ class CubicWindow(WindowFunction):
         k = cbrt(state.w_max * params.b / params.c)
         d = state.s - k
         return params.c * d * d * d + state.w_max
+
+    def deficit(self, x1: float, x2: float, ref: FlowState, params: SystemParams) -> float:
+        # w_max - W = -c*phi^3 with phi = s - K.  Against the reference,
+        # phi = x2 + (s_ref - K_ref) - (K - K_ref), where the cube-root
+        # growth K/K_ref - 1 = cbrt(1 + x1/w_ref) - 1 is taken through
+        # expm1/log1p, so nothing cancels when x is small.  s_ref - K_ref is
+        # exactly 0.0 at a CUBIC fixed point.
+        k_ref = cbrt(ref.w_max * params.b / params.c)
+        r = x1 / ref.w_max
+        growth = math.expm1(math.log1p(r) / 3.0) if r > -1.0 else cbrt(1.0 + r) - 1.0
+        phi = x2 + (ref.s - k_ref) - k_ref * growth
+        return -params.c * phi * phi * phi
 
     def coefficients(self, state: FlowState, params: SystemParams):
         # c (d + x)^3 + w_max expanded about d = s - K.
@@ -86,45 +99,3 @@ class ShiftedState(NamedTuple):
 
 def to_shifted(state: FlowState, fp: FixedPoint) -> ShiftedState:
     return ShiftedState(state.w_max - fp.w_hat, state.s - fp.s_hat)
-
-
-def shifted_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) -> float:
-    """Instantaneous CUBIC window of the shifted state.
-
-    Same function as ``CubicWindow.window`` under the change of variables;
-    the deviation of the cube-root term from s_hat is evaluated with
-    expm1/log1p so that windows stay accurate to machine precision when x
-    is many orders of magnitude smaller than the fixed point.
-    """
-    w_max = x.x1 + fp.w_hat
-    if not w_max > 0.0:
-        raise ValueError(f"shifted state leaves w_max positive domain: x1={x.x1}")
-    phi = x.x2 - fp.s_hat * math.expm1(math.log1p(x.x1 / fp.w_hat) / 3.0)
-    return params.c * phi * phi * phi + w_max
-
-
-def cubic_shifted_rhs(
-    x: ShiftedState,
-    x_delayed: ShiftedState,
-    fp: FixedPoint,
-    params: SystemParams,
-) -> tuple[float, float]:
-    """Derivatives (dx1/dt, dx2/dt) of the fixed-point-centred CUBIC model.
-
-    The delayed loss rate is evaluated as max(W_delayed - bdp, 0)/tau, the
-    product of the delayed window with its loss probability; the difference
-    form keeps the rate accurate when the window barely clears the
-    bandwidth-delay product.
-    """
-    w_max = x.x1 + fp.w_hat
-    if not w_max > 0.0:
-        raise ValueError(f"shifted state leaves w_max positive domain: x1={x.x1}")
-    phi = x.x2 - fp.s_hat * math.expm1(math.log1p(x.x1 / fp.w_hat) / 3.0)
-    w_delayed = shifted_window(x_delayed, fp, params)
-    if not w_delayed > 0.0:
-        raise ValueError(f"delayed shifted window must be positive, got {w_delayed}")
-    excess = w_delayed - params.bdp
-    rate = excess / params.tau if excess > 0.0 else 0.0
-    dx1 = params.c * phi * phi * phi * rate
-    dx2 = 1.0 - (x.x2 + fp.s_hat) * rate
-    return dx1, dx2

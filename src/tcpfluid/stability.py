@@ -1,7 +1,7 @@
 """Local stability diagnostics for the CUBIC fluid model.
 
-Everything here works in the fixed-point-centred coordinates of
-:func:`tcpfluid.protocols.cubic_shifted_rhs`.  The Lyapunov candidate is
+Everything here works in the fixed-point-centred coordinates
+x1 = w_max - w_hat, x2 = s - s_hat.  The Lyapunov candidate is
 
     V(x) = (d1/2) x1^2 + (d4/4) x2^4
 
@@ -15,13 +15,14 @@ estimate.
 
 The per-sample diagnostics of a trajectory (|x|, V, the exact dV/dt, the
 Razumikhin history test and the decay bound) are computed as whole numpy
-arrays: the trajectory is shifted once, dV/dt follows the formulas of
-``cubic_shifted_rhs`` with ``np.log1p``/``np.expm1``, and the history test
-takes a sliding maximum of V over the trailing delay.  numpy's vector
-``hypot``, ``power``, ``log1p`` and ``expm1`` may differ from ``math`` in
-the last ulp, so against the per-sample scalar route |x| and V agree to a
-few ulps and dV/dt to about 1e-13 relative; the bound and the Razumikhin
-mask are bit-identical.
+arrays from the integrator's own columns: x is the trajectory's state moved
+to the fixed point (a no-op when it was integrated about that fixed point),
+dV/dt = d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives the integrator
+stored at each sample, which used the true delayed history, and the history
+test takes a sliding maximum of V over the trailing delay.  numpy's vector
+``hypot`` and ``power`` may differ from ``math`` in the last ulp, so against
+a per-sample scalar route |x| and V agree to a few ulps and dV/dt to about
+1e-13 relative; the bound and the Razumikhin mask are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SystemParams
-from .dde import InitialHistory, Trajectory, write_columns
+from .dde import Trajectory, write_columns
 from .fixedpoint import FixedPoint
 from .protocols import ShiftedState
 
@@ -68,24 +69,6 @@ def expansion_coeffs(fp: FixedPoint, params: SystemParams) -> ExpansionCoeffs:
         )
     except ArithmeticError as exc:  # a power overflows, or one underflows to 0
         raise CertificateError(f"expansion coefficients at s_hat={s}: {exc}") from None
-
-
-def cubic_truncation_x1dot(x: ShiftedState, coeffs: ExpansionCoeffs) -> float:
-    """Third-order truncation of dx1/dt about the fixed point."""
-    x1, x2 = x
-    return (
-        -coeffs.alpha * x1**3
-        + coeffs.beta * x1**2 * x2
-        - coeffs.gamma * x1 * x2**2
-        + coeffs.delta * x2**3
-    )
-
-
-def linearized_x2dot(
-    x: ShiftedState, x1_delayed: float, fp: FixedPoint, params: SystemParams
-) -> float:
-    """Linear part of dx2/dt: -(1/s_hat) x2 - (s_hat/tau) x1_delayed."""
-    return -x.x2 / fp.s_hat - (fp.s_hat / params.tau) * x1_delayed
 
 
 @dataclass(frozen=True)
@@ -208,57 +191,16 @@ def lyapunov_V(x: ShiftedState, lp: LyapunovParams):
 
 def shifted_samples(traj: Trajectory, fp: FixedPoint) -> ShiftedState:
     """Every sample in fixed-point-centred coordinates, as one ShiftedState
-    of columns: x1 = w_max - w_hat and x2 = s - s_hat."""
-    return ShiftedState(traj.w_max - fp.w_hat, traj.s - fp.s_hat)
+    of columns: the trajectory's x columns moved from its reference point
+    to ``fp``.  About ``fp`` itself the move adds 0.0 and changes no bit."""
+    ref = traj.ref
+    return ShiftedState(traj.x1 + (ref.w_max - fp.w_hat), traj.x2 + (ref.s - fp.s_hat))
 
 
-def _cubic_and_window(
-    xs: ShiftedState, fp: FixedPoint, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """c*phi^3 and the CUBIC window per sample, by the formulas of
-    :func:`tcpfluid.protocols.shifted_window` (expm1/log1p cube-root term)."""
-    w_max = xs.x1 + fp.w_hat
-    if not np.all(w_max > 0.0):
-        raise ValueError("shifted samples leave the w_max positive domain")
-    phi = xs.x2 - fp.s_hat * np.expm1(np.log1p(xs.x1 / fp.w_hat) / 3.0)
-    cubic = params.c * phi * phi * phi
-    return cubic, cubic + w_max
-
-
-def vdot_along(
-    xs: ShiftedState,
-    step: float,
-    fp: FixedPoint,
-    params: SystemParams,
-    lp: LyapunovParams,
-    init: InitialHistory | None = None,
-) -> np.ndarray:
-    """dV/dt at every sample of ``xs`` (spaced ``step`` from t = 0) via the
-    exact right-hand side of :func:`tcpfluid.protocols.cubic_shifted_rhs`.
-
-    The delayed loss rate uses the difference form max(W_delayed - bdp, 0)/tau.
-    Delayed samples inside the first delay come from ``init`` when given and
-    otherwise from constant extension of the first sample, which matches
-    trajectories started from constant histories.
-    """
-    k = round(params.tau / step)
-    n = len(xs.x1)
-    head = min(k, n)
-    cubic, window = _cubic_and_window(xs, fp, params)
-    if init is None:
-        w_head = np.full(head, window[0])
-    else:
-        past = np.array([init(i * step - params.tau) for i in range(head)]).reshape(head, 2)
-        _, w_head = _cubic_and_window(
-            ShiftedState(past[:, 0] - fp.w_hat, past[:, 1] - fp.s_hat), fp, params
-        )
-    w_delayed = np.concatenate((w_head, window[: n - head]))
-    if not np.all(w_delayed > 0.0):
-        raise ValueError("delayed shifted window must be positive")
-    rate = np.maximum(w_delayed - params.bdp, 0.0) / params.tau
-    dx1 = cubic * rate
-    dx2 = 1.0 - (xs.x2 + fp.s_hat) * rate
-    return lp.d1 * xs.x1 * dx1 + lp.d4 * xs.x2**3 * dx2
+def vdot_along(xs: ShiftedState, traj: Trajectory, lp: LyapunovParams) -> np.ndarray:
+    """dV/dt at every sample of ``xs``, the shifted samples of ``traj``,
+    from the derivatives the integrator stored with each sample."""
+    return lp.d1 * xs.x1 * traj.dx1 + lp.d4 * xs.x2**3 * traj.dx2
 
 
 def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
@@ -324,7 +266,6 @@ def stability_trace(
     params: SystemParams,
     lp: LyapunovParams,
     qt: QtildeMatrix,
-    init: InitialHistory | None = None,
 ) -> DiagnosticTrace:
     """Assemble the diagnostics CSV columns for one trajectory."""
     xs = shifted_samples(traj, fp)
@@ -333,14 +274,7 @@ def stability_trace(
         t=traj.t,
         norm_x=np.hypot(xs.x1, xs.x2),
         v=v,
-        vdot=vdot_along(xs, traj.step, fp, params, lp, init),
+        vdot=vdot_along(xs, traj, lp),
         bound=convergence_bound(traj.t, float(v[0]), lp, qt.lambda_min),
         razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), lp.razumikhin_p),
     )
-
-
-def loglog_slope(x, y) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])

@@ -1,10 +1,13 @@
-"""Closed forms and diagnostics that tests compare the package against.
+"""Closed forms, diagnostics and reference routes that tests compare the
+package against.
 
 Each one is an independent route to a quantity the package computes another
 way: the Reno and CUBIC response functions against the fixed-point solvers,
 a sign-change scan against the window-equation solver's uniqueness claim,
-the inverse of the fixed-point shift against the shifted coordinates, and
-per-sample scalar loops against the array-valued stability diagnostics.
+the inverse of the fixed-point shift against the shifted coordinates,
+per-sample scalar loops against the array-valued stability diagnostics, the
+absolute-coordinate RK4 loop against the integrator, and the Taylor
+truncations of the model against its right-hand side.
 """
 
 import math
@@ -12,15 +15,20 @@ import math
 import numpy as np
 
 from tcpfluid import (
+    CUBIC,
     FlowState,
     ShiftedState,
     SystemParams,
-    cubic_shifted_rhs,
+    fluid_rhs,
+    integrate,
+    loss_rate,
     lyapunov_V,
     solve_window_equation,
     to_shifted,
 )
+from tcpfluid.dde import steps_per_delay
 from tcpfluid.fixedpoint import FixedPoint
+from tcpfluid.stability import ExpansionCoeffs
 
 
 def bracket_sign_changes(
@@ -75,8 +83,10 @@ def from_shifted(x: ShiftedState, fp: FixedPoint) -> FlowState:
 
 
 def scalar_shifted_samples(traj, fp: FixedPoint) -> list[ShiftedState]:
-    """One ShiftedState per trajectory sample, through ``to_shifted``."""
-    return [to_shifted(FlowState(float(w), float(s)), fp) for w, s in zip(traj.w_max, traj.s)]
+    """One ShiftedState per trajectory sample: its x columns moved from the
+    trajectory's reference point to ``fp`` in scalar arithmetic."""
+    d1, d2 = traj.ref.w_max - fp.w_hat, traj.ref.s - fp.s_hat
+    return [ShiftedState(float(a) + d1, float(b) + d2) for a, b in zip(traj.x1, traj.x2)]
 
 
 def scalar_norms_and_v(xs: list[ShiftedState], lp) -> tuple[np.ndarray, np.ndarray]:
@@ -85,23 +95,26 @@ def scalar_norms_and_v(xs: list[ShiftedState], lp) -> tuple[np.ndarray, np.ndarr
             np.array([lyapunov_V(x, lp) for x in xs]))
 
 
-def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: SystemParams,
-                lp, init=None) -> np.ndarray:
-    """dV/dt per sample from one ``cubic_shifted_rhs`` call each.
+def shifted_cubic_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) -> float:
+    """CUBIC window at the deviation x from the fixed point."""
+    ref = FlowState(fp.w_hat, fp.s_hat)
+    return fp.w_hat + x.x1 - CUBIC.deficit(x.x1, x.x2, ref, params)
 
-    The delayed sample one delay back comes from ``init`` inside the first
-    delay when given, and otherwise from the first sample.
+
+def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: SystemParams,
+                lp, init) -> np.ndarray:
+    """dV/dt per sample from one ``fluid_rhs`` call each, about ``fp``.
+
+    The delayed window one delay back comes from the sample k steps earlier,
+    and inside the first delay from the history ``init``.
     """
     k = round(params.tau / step)
+    ref = FlowState(fp.w_hat, fp.s_hat)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        if i >= k:
-            xd = xs[i - k]
-        elif init is not None:
-            xd = to_shifted(init(i * step - params.tau), fp)
-        else:
-            xd = xs[0]
-        dx1, dx2 = cubic_shifted_rhs(x, xd, fp, params)
+        xd = xs[i - k] if i >= k else to_shifted(init((i - k) * step), fp)
+        rate = loss_rate(shifted_cubic_window(xd, fp, params), params)
+        dx1, dx2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
         out[i] = lp.d1 * x.x1 * dx1 + lp.d4 * x.x2**3 * dx2
     return out
 
@@ -124,3 +137,116 @@ def per_row_csv(header: str, columns, stride: int = 1) -> str:
         lines.append(",".join(str(int(col[i])) if col.dtype.kind == "i" else repr(float(col[i]))
                               for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def absolute_integrate(params: SystemParams, window_fn, init, t_end: float, step_h: float):
+    """The fluid model integrated in absolute coordinates (w_max, s).
+
+    This is the package's integrator as it stood before the state became a
+    deviation from a reference point, kept as the reference that the
+    integrator's results are bounded against: the same grid, RK4 stages and
+    Hermite midpoints, but the state is (w_max, s) itself, the RHS forms
+    w_max - W from ``window``, and the delayed rate is W p / tau.  Returns the
+    columns (w_max, s, w, p).
+    """
+    k = steps_per_delay(params.tau, step_h)
+    h = params.tau / k
+    n = math.ceil(t_end / h - 1e-12)
+
+    def window(w_max, s):
+        return window_fn.window(FlowState(w_max, s), params)
+
+    def p_of(w):
+        p = 1.0 - params.bdp / w
+        return p if p > 0.0 else 0.0
+
+    def rate(w_max, s):
+        w = window(w_max, s)
+        return w * p_of(w) / params.tau
+
+    def rhs(w_max, s, r):
+        return -(w_max - window(w_max, s)) * r, 1.0 - s * r
+
+    wm, ss, dws, dss = [], [], [], []
+
+    def sample(i):
+        return tuple(init(i * h)) if i < 0 else (wm[i], ss[i])
+
+    def midpoint(i):
+        if i < 0:
+            return tuple(init((i + 0.5) * h))
+        g = h / 8.0
+        return (0.5 * (wm[i] + wm[i + 1]) + g * (dws[i] - dws[i + 1]),
+                0.5 * (ss[i] + ss[i + 1]) + g * (dss[i] - dss[i + 1]))
+
+    y = tuple(init(0.0))
+    d = rhs(*y, rate(*sample(-k)))
+    wm.append(y[0]), ss.append(y[1]), dws.append(d[0]), dss.append(d[1])
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(n):
+        r_mid = rate(*midpoint(i - k))
+        r_end = rate(*sample(i - k + 1))
+        k1 = dws[i], dss[i]
+        k2 = rhs(y[0] + half * k1[0], y[1] + half * k1[1], r_mid)
+        k3 = rhs(y[0] + half * k2[0], y[1] + half * k2[1], r_mid)
+        k4 = rhs(y[0] + h * k3[0], y[1] + h * k3[1], r_end)
+        y = (y[0] + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+             y[1] + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]))
+        d = rhs(*y, r_end)
+        wm.append(y[0]), ss.append(y[1]), dws.append(d[0]), dss.append(d[1])
+    w = [window(a, b) for a, b in zip(wm, ss)]
+    return np.array(wm), np.array(ss), np.array(w), np.array([p_of(v) for v in w])
+
+
+def convergence_order_check(params: SystemParams, window_fn, init, t_end: float,
+                            base_k: int = 8) -> float:
+    """Observed Richardson order from runs at steps tau/k, tau/2k, tau/4k.
+
+    ``t_end`` is snapped to the coarse grid so all three runs share the
+    final time exactly.  Smooth problems report about 4; a trajectory that
+    crosses the loss-probability kink reports less.
+    """
+    h0 = params.tau / base_k
+    t_final = max(1, round(t_end / h0)) * h0
+    ends = []
+    for k in (base_k, 2 * base_k, 4 * base_k):
+        traj = integrate(params, window_fn, init, t_final, params.tau / k)
+        ends.append((float(traj.w_max[-1]), float(traj.s[-1])))
+    e1 = math.hypot(ends[0][0] - ends[1][0], ends[0][1] - ends[1][1])
+    e2 = math.hypot(ends[1][0] - ends[2][0], ends[1][1] - ends[2][1])
+    if e2 == 0.0:
+        return math.inf if e1 == 0.0 else 0.0
+    return math.log2(e1 / e2)
+
+
+def cubic_truncation_x1dot(x: ShiftedState, coeffs: ExpansionCoeffs) -> float:
+    """Third-order truncation of dx1/dt about the fixed point."""
+    x1, x2 = x
+    return (
+        -coeffs.alpha * x1**3
+        + coeffs.beta * x1**2 * x2
+        - coeffs.gamma * x1 * x2**2
+        + coeffs.delta * x2**3
+    )
+
+
+def linearized_x2dot(
+    x: ShiftedState, x1_delayed: float, fp: FixedPoint, params: SystemParams
+) -> float:
+    """Linear part of dx2/dt: -(1/s_hat) x2 - (s_hat/tau) x1_delayed."""
+    return -x.x2 / fp.s_hat - (fp.s_hat / params.tau) * x1_delayed
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(np.asarray(x, dtype=float))
+    ly = np.log(np.asarray(y, dtype=float))
+    return float(np.polyfit(lx, ly, 1)[0])
+
+
+def inter_loss_times(events, *, from_time: float = 0.0) -> np.ndarray:
+    """Gaps between consecutive loss events, the first measured from from_time."""
+    times = [ev.time for ev in events if ev.event_type == "loss"]
+    if not times:
+        return np.empty(0)
+    return np.diff(np.asarray([from_time] + times))

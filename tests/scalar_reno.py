@@ -14,8 +14,6 @@ loudly.
 
 import math
 
-from tcpfluid import loss_probability
-
 
 def integrate_scalar_reno(params, w0, t_end, k):
     """Window samples of the scalar delayed equation on the grid i*tau/k.
@@ -29,7 +27,8 @@ def integrate_scalar_reno(params, w0, t_end, k):
     n = math.ceil(t_end / h - 1e-12)
 
     def delayed_factor(wd):
-        return wd * loss_probability(wd, params) / tau
+        p = 1.0 - params.bdp / wd  # loss probability, clipped at zero below
+        return wd * (p if p > 0.0 else 0.0) / tau
 
     w = [float(w0)]
     deriv = [1.0 / tau - 0.5 * w0 * delayed_factor(w0)]

@@ -23,15 +23,10 @@ from tcpfluid import (
     basin_delta,
     build_config,
     cubic_fixed_point,
-    cubic_shifted_rhs,
-    cubic_truncation_x1dot,
     expansion_coeffs,
     fluid_rhs,
     integrate,
-    inter_loss_times,
-    linearized_x2dot,
-    loglog_slope,
-    loss_probability,
+    loss_rate,
     lyapunov_params,
     pick_losing_flow,
     qtilde,
@@ -40,6 +35,13 @@ from tcpfluid import (
     run_simulation,
     shifted_samples,
     stability_trace,
+)
+from oracles import (
+    cubic_truncation_x1dot,
+    inter_loss_times,
+    linearized_x2dot,
+    loglog_slope,
+    shifted_cubic_window,
 )
 from scalar_reno import integrate_scalar_reno
 
@@ -90,7 +92,7 @@ def test_criterion_2_cubic_fixed_point_sweep():
             cons = abs(fp.s_hat * fp.w_hat * fp.p_hat / tau - 1.0)
             state = FlowState(fp.w_hat, fp.s_hat)
             w = CUBIC.window(state, params)
-            dw, ds = fluid_rhs(state, w, loss_probability(w, params), params, CUBIC)
+            dw, ds, _ = fluid_rhs(0.0, 0.0, loss_rate(w, params), state, params, CUBIC)
             worst_res = max(worst_res, res)
             worst_cons = max(worst_cons, cons)
             worst_rhs = max(worst_rhs, math.hypot(dw, ds))
@@ -109,6 +111,7 @@ def test_criterion_3_taylor_structure_slopes():
     params = SystemParams(capacity=10.0, tau=1.0, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
     co = expansion_coeffs(fp, params)
+    ref = FlowState(fp.w_hat, fp.s_hat)
     rng = np.random.default_rng(12345)
     radii = np.logspace(-4, -2, 9)
     err1, err2 = [], []
@@ -117,7 +120,8 @@ def test_criterion_3_taylor_structure_slopes():
         for _ in range(200):
             th = rng.uniform(0.0, 2.0 * math.pi)
             x = ShiftedState(r * math.cos(th), r * math.sin(th))
-            d1, d2 = cubic_shifted_rhs(x, x, fp, params)
+            rate = loss_rate(shifted_cubic_window(x, fp, params), params)
+            d1, d2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
             worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x.x1, fp, params)))
         err1.append(worst1)
@@ -168,8 +172,8 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     qt = qtilde(expansion_coeffs(fp, params), lp, fp)
     delta = basin_delta(0.01 * fp.w_hat, lp)
     init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
-    traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64)
-    diag = stability_trace(traj, fp, params, lp, qt, init)
+    traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
+    diag = stability_trace(traj, fp, params, lp, qt)
     in_basin = diag.norm_x[0] < delta
     bounded = bool(np.all(diag.norm_x**4 <= diag.bound))
     slack = 1e-12 * float(diag.v.max())
@@ -192,7 +196,7 @@ def test_criterion_6_long_delay_divergence_witness():
     fp = cubic_fixed_point(params)
     init = InitialHistory.constant(12371.9952, 13.6794)
     horizon = 200.0 * params.tau
-    traj = integrate(params, CUBIC, init, horizon, params.tau / 256)
+    traj = integrate(params, CUBIC, init, horizon, params.tau / 256, fp=fp)
     norms = np.hypot(*shifted_samples(traj, fp))
     mid = int(np.searchsorted(traj.t, 0.5 * horizon))
     grew = norms[-1] >= norms[mid]

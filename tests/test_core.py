@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from tcpfluid import (
     cubic_fixed_point,
     fluid_rhs,
     loss_probability,
+    loss_rate,
 )
 
 
@@ -79,30 +81,46 @@ def test_reset_restarts_epoch_clock():
 
 
 def test_fluid_rhs_hand_computed(unit_params):
-    # Reno window of (20, 5) is 15; delayed rate 15 * 0.5 / 1 = 7.5.
-    dw_max, ds = fluid_rhs(FlowState(20.0, 5.0), 15.0, 0.5, unit_params, RENO)
-    assert dw_max == -(20.0 - 15.0) * 7.5
-    assert ds == 1.0 - 5.0 * 7.5
+    # Reno window of (20, 5) is 15, a deficit of 5; delayed rate 7.5.  The
+    # state is the deviation (2, -1) from the reference (18, 6).
+    dx1, dx2, deficit = fluid_rhs(2.0, -1.0, 7.5, FlowState(18.0, 6.0), unit_params, RENO)
+    assert deficit == 5.0
+    assert dx1 == -(20.0 - 15.0) * 7.5
+    assert dx2 == 1.0 - 5.0 * 7.5
 
 
 def test_fluid_rhs_zero_rate_freezes_w_max(unit_params):
-    dw_max, ds = fluid_rhs(FlowState(20.0, 5.0), 8.0, 0.0, unit_params, RENO)
-    assert dw_max == 0.0
-    assert ds == 1.0
+    dx1, dx2, _ = fluid_rhs(0.0, 0.0, 0.0, FlowState(20.0, 5.0), unit_params, RENO)
+    assert dx1 == 0.0
+    assert dx2 == 1.0
 
 
 def test_fluid_rhs_validates_delayed_terms(unit_params):
-    with pytest.raises(ValueError):
-        fluid_rhs(FlowState(20.0, 5.0), 0.0, 0.5, unit_params, RENO)
-    with pytest.raises(ValueError):
-        fluid_rhs(FlowState(20.0, 5.0), 15.0, 1.5, unit_params, RENO)
-    with pytest.raises(ValueError):
-        fluid_rhs(FlowState(20.0, 5.0), 15.0, -0.1, unit_params, RENO)
+    for rate in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            fluid_rhs(0.0, 0.0, rate, FlowState(20.0, 5.0), unit_params, RENO)
 
 
 def test_fluid_rhs_vanishes_at_cubic_fixed_point(canonical_params, canonical_fp):
+    # About the fixed point the CUBIC deficit is exactly zero, so dx1 is too.
     fp = canonical_fp
-    state = FlowState(fp.w_hat, fp.s_hat)
-    dw_max, ds = fluid_rhs(state, fp.w_hat, fp.p_hat, canonical_params, CUBIC)
-    assert abs(dw_max) < 1e-9 * fp.w_hat
-    assert abs(ds) < 1e-9
+    rate = loss_rate(fp.w_hat, canonical_params)
+    ref = FlowState(fp.w_hat, fp.s_hat)
+    dx1, dx2, deficit = fluid_rhs(0.0, 0.0, rate, ref, canonical_params, CUBIC)
+    assert deficit == 0.0 and dx1 == 0.0
+    assert abs(dx2) < 1e-9
+
+
+def test_loss_rate_is_the_clipped_excess(unit_params):
+    bdp = unit_params.bdp
+    assert loss_rate(bdp, unit_params) == 0.0
+    assert loss_rate(0.5 * bdp, unit_params) == 0.0
+    assert loss_rate(3.0 * bdp, unit_params) == 2.0 * bdp / unit_params.tau
+
+
+def test_loss_probability_takes_arrays(unit_params):
+    w = np.array([0.5, 1.0, 2.0, 4.0]) * unit_params.bdp
+    assert np.array_equal(loss_probability(w, unit_params),
+                          [loss_probability(float(v), unit_params) for v in w])
+    with pytest.raises(ValueError):
+        loss_probability(np.array([1.0, 0.0]), unit_params)

@@ -8,21 +8,23 @@ from tcpfluid import (
     FROZEN,
     RENO,
     FlowState,
-    HistoryBuffer,
     InitialHistory,
     IntegrationError,
     SystemParams,
     WindowFunction,
-    convergence_order_check,
+    basin_delta,
     expansion_coeffs,
     integrate,
+    lyapunov_V,
     lyapunov_params,
     qtilde,
     reno_steady_state,
     run_simulation,
+    shifted_samples,
     stability_trace,
 )
-from oracles import per_row_csv
+from tcpfluid.dde import hermite_midpoint
+from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
 
@@ -36,23 +38,18 @@ def test_initial_history_constant_validation():
         InitialHistory.constant(2.0, -0.1)
 
 
-def test_history_buffer_is_exact_on_cubics():
+def test_hermite_midpoint_is_exact_on_cubics():
     # Cubic Hermite reproduces cubic polynomials exactly, so samples of
     # w_max = t^3 and s = t^2 with their true derivatives interpolate with
     # zero error at midpoints.
     h = 0.5
-    buf = HistoryBuffer(h, InitialHistory.constant(1.0, 0.0))
-    for i in range(6):
-        t = i * h
-        buf.append(FlowState(t**3, t**2), (3.0 * t**2, 2.0 * t))
-    for i in range(5):
-        t_mid = (i + 0.5) * h
-        mid = buf.at_midpoint(i)
-        assert mid.w_max == pytest.approx(t_mid**3, abs=1e-12)
-        assert mid.s == pytest.approx(t_mid**2, abs=1e-12)
-    assert buf.at_midpoint(-1) == FlowState(1.0, 0.0)
-    assert buf.at_sample(3) == FlowState(1.5**3, 1.5**2)
-    assert buf.at_sample(-2) == FlowState(1.0, 0.0)
+    t = [i * h for i in range(6)]
+    w, dw = [ti**3 for ti in t], [3.0 * ti**2 for ti in t]
+    s, ds = [ti**2 for ti in t], [2.0 * ti for ti in t]
+    for j in range(5):
+        t_mid = (j + 0.5) * h
+        assert hermite_midpoint(w, dw, j, h) == pytest.approx(t_mid**3, abs=1e-12)
+        assert hermite_midpoint(s, ds, j, h) == pytest.approx(t_mid**2, abs=1e-12)
 
 
 def test_integrate_validates_step(canonical_params):
@@ -115,6 +112,63 @@ def test_observed_order_is_inf_on_exact_solution(unit_params):
     assert math.isinf(order)
 
 
+def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp):
+    # Criterion-5 system over 2000 delays.  From about 1000 delays on, the
+    # per-step increment of w_max falls below half an ulp of w_hat: added
+    # to w_max itself it is lost, w_max freezes, and V rises (at 14693
+    # samples) although its exact dV/dt is negative.  Deviations from the
+    # fixed point keep the increments.
+    params, fp = canonical_params, canonical_fp
+    lp = lyapunov_params(fp, params)
+    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, lp))
+    traj = integrate(params, CUBIC, init, 2000 * params.tau, params.tau / 64, fp=fp)
+    v = lyapunov_V(shifted_samples(traj, fp), lp)
+    assert np.all(np.diff(v) <= 1e-12 * v.max())
+    assert v[-1] < 0.02 * v[0]
+
+
+def _column_gaps(traj, reference):
+    return [np.abs(a - b) for a, b in zip((traj.w_max, traj.s, traj.w, traj.p), reference)]
+
+
+def test_cubic_fixed_point_run_matches_absolute_reference(canonical_params, canonical_fp):
+    # From the fixed point w_max and the window hold exactly in both
+    # coordinates; s, which grows through a rounded 1 - s*rate, differs by
+    # 3.2e-14 at most (8.2e-15 relative).
+    params, fp = canonical_params, canonical_fp
+    init = InitialHistory.constant(fp.w_hat, fp.s_hat)
+    traj = integrate(params, CUBIC, init, 20 * params.tau, params.tau / 16, fp=fp)
+    reference = absolute_integrate(params, CUBIC, init, 20 * params.tau, params.tau / 16)
+    d_w_max, d_s, d_w, d_p = _column_gaps(traj, reference)
+    assert not d_w_max.any() and not d_w.any() and not d_p.any()
+    assert np.all(d_s <= 1e-13 * reference[1])
+
+
+def test_reno_offset_run_matches_absolute_reference():
+    # Measured: w_max, s and w within 2.5e-14 relative, p within 8.4e-15
+    # absolute (p crosses zero, so its relative gap is not bounded).
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    fp = reno_steady_state(params)
+    init = InitialHistory.constant(1.1 * fp.w_hat, fp.s_hat)
+    traj = integrate(params, RENO, init, 50 * params.tau, params.tau / 16, fp=fp)
+    reference = absolute_integrate(params, RENO, init, 50 * params.tau, params.tau / 16)
+    d_w_max, d_s, d_w, d_p = _column_gaps(traj, reference)
+    for gap, col in zip((d_w_max, d_s, d_w), reference):
+        assert np.all(gap <= 1e-13 * np.abs(col))
+    assert np.all(d_p <= 1e-13)
+
+
+def test_trajectory_columns_are_the_deviation_state(canonical_params, canonical_fp):
+    params, fp = canonical_params, canonical_fp
+    init = InitialHistory.constant(1.01 * fp.w_hat, fp.s_hat)
+    for ref_fp in (fp, None):
+        traj = integrate(params, CUBIC, init, 5 * params.tau, params.tau / 8, fp=ref_fp)
+        assert traj.ref == (init(0.0) if ref_fp is None else (fp.w_hat, fp.s_hat))
+        assert np.array_equal(traj.w_max, traj.ref.w_max + traj.x1)
+        assert np.array_equal(traj.s, traj.ref.s + traj.x2)
+        assert len(traj.dx1) == len(traj.dx2) == len(traj.t)
+
+
 def test_integration_is_deterministic(canonical_params, canonical_fp):
     init = InitialHistory.constant(1.01 * canonical_fp.w_hat, canonical_fp.s_hat)
     a = integrate(canonical_params, CUBIC, init, 20 * canonical_params.tau,
@@ -174,8 +228,8 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     lp = lyapunov_params(fp, params)
     qt = qtilde(expansion_coeffs(fp, params), lp, fp)
     init = InitialHistory.constant(fp.w_hat, fp.s_hat + 1e-3)
-    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64)
-    diag = stability_trace(traj, fp, params, lp, qt, init)
+    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64, fp=fp)
+    diag = stability_trace(traj, fp, params, lp, qt)
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), "cubic",
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow

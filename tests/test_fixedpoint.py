@@ -10,6 +10,7 @@ from tcpfluid import (
     SystemParams,
     cubic_fixed_point,
     fluid_rhs,
+    loss_rate,
     reno_steady_state,
     solve_window_equation,
 )
@@ -155,5 +156,6 @@ def test_fixed_point_well_conditioned_domain(log_tau, log_bdp, b, c):
     assert fp.w_hat > bdp
     assert abs(fp.w_hat * (fp.w_hat - bdp) ** 3 - rhs) / rhs < 1e-10
     assert abs(fp.s_hat * fp.w_hat * fp.p_hat / tau - 1.0) < 1e-9
-    d = fluid_rhs(FlowState(fp.w_hat, fp.s_hat), fp.w_hat, fp.p_hat, params, CUBIC)
-    assert math.hypot(*d) < 1e-9
+    rate = loss_rate(fp.w_hat, params)
+    dx1, dx2, _ = fluid_rhs(0.0, 0.0, rate, FlowState(fp.w_hat, fp.s_hat), params, CUBIC)
+    assert math.hypot(dx1, dx2) < 1e-9

@@ -15,12 +15,12 @@ from tcpfluid import (
     compute_T,
     generate_poi_loss,
     WindowFunction,
-    inter_loss_times,
     make_sim_state,
     pick_losing_flow,
     run_simulation,
     t_bdp,
 )
+from oracles import inter_loss_times
 
 
 class FakeRng:

@@ -12,15 +12,12 @@ from tcpfluid import (
     ShiftedState,
     SystemParams,
     cbrt,
-    cubic_fixed_point,
-    cubic_shifted_rhs,
     fluid_rhs,
-    loss_probability,
-    shifted_window,
+    loss_rate,
     to_shifted,
     window_function,
 )
-from oracles import from_shifted
+from oracles import from_shifted, shifted_cubic_window
 
 
 def test_reno_window_examples():
@@ -109,40 +106,45 @@ def test_shifted_window_matches_direct(unit_params, unit_fp, canonical_params, c
             x = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
             direct = CUBIC.window(from_shifted(x, fp), params)
             assert math.isclose(
-                shifted_window(x, fp, params), direct, rel_tol=1e-12
+                shifted_cubic_window(x, fp, params), direct, rel_tol=1e-12
             )
 
 
 def test_shifted_rhs_is_zero_at_origin(canonical_params, canonical_fp):
-    dx1, dx2 = cubic_shifted_rhs(
-        ShiftedState(0.0, 0.0), ShiftedState(0.0, 0.0), canonical_fp, canonical_params
-    )
+    fp = canonical_fp
+    ref = FlowState(fp.w_hat, fp.s_hat)
+    dx1, dx2, _ = fluid_rhs(0.0, 0.0, loss_rate(fp.w_hat, canonical_params), ref,
+                            canonical_params, CUBIC)
     assert dx1 == 0.0
     assert abs(dx2) < 1e-9
 
 
-def test_shifted_rhs_rejects_nonpositive_window(canonical_fp, canonical_params):
-    with pytest.raises(ValueError):
-        cubic_shifted_rhs(
-            ShiftedState(-2.0 * canonical_fp.w_hat, 0.0),
-            ShiftedState(0.0, 0.0),
-            canonical_fp,
-            canonical_params,
-        )
+def test_cubic_deficit_is_total(canonical_fp, canonical_params):
+    # Integrator stages can carry w_max <= 0 for a moment, where log1p is
+    # undefined; the deficit falls back to the plain cube root there.
+    ref = FlowState(canonical_fp.w_hat, canonical_fp.s_hat)
+    for x1 in (-canonical_fp.w_hat, -2.0 * canonical_fp.w_hat):
+        direct = CUBIC.window(FlowState(canonical_fp.w_hat + x1, canonical_fp.s_hat),
+                              canonical_params)
+        got = canonical_fp.w_hat + x1 - CUBIC.deficit(x1, 0.0, ref, canonical_params)
+        assert math.isclose(got, direct, rel_tol=1e-12, abs_tol=1e-9)
 
 
 def test_shifted_rhs_equals_fluid_rhs(unit_params, unit_fp):
-    # The shifted right-hand side is the plain fluid model under the change
-    # of variables x = state - fixed point; O(1) scales keep both evaluation
+    # The RHS is one function of the state, whatever point it is measured
+    # from: about the fixed point it matches the plain model, -(w_max - W)
+    # * rate and 1 - s * rate with W from ``window``.  O(1) scales keep both
     # routes conditioned, so agreement is demanded at near-machine level.
     params, fp = unit_params, unit_fp
+    ref = FlowState(fp.w_hat, fp.s_hat)
     rng = np.random.default_rng(20240817)
-    for _ in range(2000):
-        x = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-        xd = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-        dx1, dx2 = cubic_shifted_rhs(x, xd, fp, params)
-        w_d = CUBIC.window(from_shifted(xd, fp), params)
-        p_d = loss_probability(w_d, params)
-        dw_max, ds = fluid_rhs(from_shifted(x, fp), w_d, p_d, params, CUBIC)
-        assert math.isclose(dx1, dw_max, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(dx2, ds, rel_tol=1e-12, abs_tol=1e-12)
+    for fn in (RENO, CUBIC, FROZEN):
+        for _ in range(700):
+            x = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+            rate = rng.uniform(0.0, 2.0)
+            dx1, dx2, deficit = fluid_rhs(x.x1, x.x2, rate, ref, params, fn)
+            state = from_shifted(x, fp)
+            plain = state.w_max - fn.window(state, params)
+            assert math.isclose(deficit, plain, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(dx1, -plain * rate, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(dx2, 1.0 - state.s * rate, rel_tol=1e-12, abs_tol=1e-12)

@@ -1,0 +1,49 @@
+"""Every public name is used by the package or its scripts, not only by tests."""
+
+import ast
+from pathlib import Path
+
+import tcpfluid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class _References(ast.NodeVisitor):
+    """Names loaded or attributes read, outside the definition of the same name."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self._defining: list[str] = []
+
+    def _definition(self, node):
+        self._defining.append(node.name)
+        self.generic_visit(node)
+        self._defining.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _use(self, name: str):
+        if name not in self._defining:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def referenced_names() -> set[str]:
+    files = [p for p in (ROOT / "src" / "tcpfluid").glob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "scripts").glob("*.py"))
+    refs = _References()
+    for path in files:
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+    return refs.names
+
+
+def test_every_public_name_is_used_outside_tests():
+    unused = sorted(set(tcpfluid.__all__) - referenced_names())
+    assert unused == [], f"public names only tests use: {unused}"

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    cubic_truncation_x1dot,
+    linearized_x2dot,
+    loglog_slope,
     scalar_norms_and_v,
     scalar_razumikhin_mask,
     scalar_shifted_samples,
     scalar_vdot,
+    shifted_cubic_window,
 )
 from tcpfluid import (
     CUBIC,
@@ -19,12 +23,10 @@ from tcpfluid import (
     SystemParams,
     basin_delta,
     convergence_bound,
-    cubic_shifted_rhs,
-    cubic_truncation_x1dot,
     expansion_coeffs,
+    fluid_rhs,
     integrate,
-    linearized_x2dot,
-    loglog_slope,
+    loss_rate,
     lyapunov_V,
     lyapunov_params,
     qtilde,
@@ -70,6 +72,7 @@ def test_definiteness_minor_identity(b, c, s_hat):
 
 def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
     co = expansion_coeffs(unit_fp, unit_params)
+    ref = FlowState(unit_fp.w_hat, unit_fp.s_hat)
     rng = np.random.default_rng(12345)
     radii = np.logspace(-4, -2, 9)
     err1, err2 = [], []
@@ -78,7 +81,8 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
         for _ in range(100):
             th = rng.uniform(0.0, 2.0 * math.pi)
             x = ShiftedState(r * math.cos(th), r * math.sin(th))
-            d1, d2 = cubic_shifted_rhs(x, x, unit_fp, unit_params)
+            rate = loss_rate(shifted_cubic_window(x, unit_fp, unit_params), unit_params)
+            d1, d2, _ = fluid_rhs(x.x1, x.x2, rate, ref, unit_params, CUBIC)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
             worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x.x1, unit_fp, unit_params)))
         err1.append(worst1)
@@ -156,18 +160,23 @@ def test_lyapunov_sandwich_on_unit_ball(x1, x2):
     assert v >= lp.eps1 * norm2 * norm2 * (1.0 - 1e-12)
 
 
-def in_basin_trace(params, fp):
+def in_basin_trace(params, fp, init=None, reference=True):
     lp, qt = qt_setup(params, fp)
-    delta = basin_delta(0.01 * fp.w_hat, lp)
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
-    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64)
+    if init is None:
+        delta = basin_delta(0.01 * fp.w_hat, lp)
+        init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
+    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64,
+                     fp=fp if reference else None)
     return lp, qt, init, traj
 
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
     lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
     xs = shifted_samples(traj, canonical_fp)
-    vdot = vdot_along(xs, traj.step, canonical_fp, canonical_params, lp, init=init)
+    vdot = vdot_along(xs, traj, lp)
+    assert np.all(np.abs(vdot - scalar_vdot(scalar_shifted_samples(traj, canonical_fp),
+                                            traj.step, canonical_fp, canonical_params, lp,
+                                            init)) <= 1e-12 * np.abs(vdot))
     k = round(canonical_params.tau / traj.step)
     mask = razumikhin_mask(lyapunov_V(xs, lp), k, lp.razumikhin_p)
     assert mask[0]
@@ -179,7 +188,7 @@ def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
 
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt, init=init)
+    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt)
     assert np.all(tr.norm_x**4 <= tr.bound)
     dv = np.diff(tr.v)
     assert np.all(dv <= 1e-12 * np.maximum(tr.v[0], tr.v[:-1]))
@@ -188,19 +197,23 @@ def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
 
 @pytest.mark.parametrize("history", ["none", "constant", "ramp"])
 def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, history):
-    # numpy's SIMD hypot, power, log1p and expm1 may differ from math in the
-    # last ulp, so |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the
-    # bound (from V[0]) and the Razumikhin maxima take no transcendental step.
-    # "constant" is the history the trace starts from; "ramp" differs from
-    # the first sample, so the delayed values inside the first delay matter.
+    # numpy's SIMD hypot and power may differ from math in the last ulp, so
+    # |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the bound (from
+    # V[0]) and the Razumikhin maxima take no transcendental step.  The
+    # stored derivatives must match a fresh fluid_rhs call per sample whose
+    # delayed window comes from the sample one delay back or, inside the
+    # first delay, from the history.  "constant" integrates about the fixed
+    # point from the constant in-basin history; "none" integrates it about
+    # no fixed point, from its start state; "ramp" differs from the first
+    # sample, so the delayed values inside the first delay matter.
     params, fp = canonical_params, canonical_fp
-    lp, qt, init, traj = in_basin_trace(params, fp)
-    if history == "none":
-        init = None
-    elif history == "ramp":
-        w0, s0 = init(0.0)
+    init = None
+    if history == "ramp":
+        lp, _ = qt_setup(params, fp)
+        w0, s0 = fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, lp)
         init = InitialHistory(lambda theta: FlowState(w0, s0 + 1e-3 * theta / params.tau))
-    tr = stability_trace(traj, fp, params, lp, qt, init=init)
+    lp, qt, init, traj = in_basin_trace(params, fp, init, reference=history != "none")
+    tr = stability_trace(traj, fp, params, lp, qt)
     xs = scalar_shifted_samples(traj, fp)
     norm, v = scalar_norms_and_v(xs, lp)
     vdot = scalar_vdot(xs, traj.step, fp, params, lp, init)
@@ -225,7 +238,7 @@ def test_razumikhin_mask_matches_slice_max_oracle(k):
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt, init=init)
+    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
     lines = path.read_text().splitlines()
