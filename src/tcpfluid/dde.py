@@ -183,11 +183,10 @@ def integrate(
         # its own window, from one deficit evaluation.
         d1, d2, deficit = fluid_rhs(x1, x2, rate, ref, params, window_fn)
         w_max = w_ref + x1
-        if not w_max > 0.0:
-            raise IntegrationError("w_max left positive domain", t, FlowState(w_max, s_ref + x2))
         w = w_max - deficit
-        if not w > 0.0:
-            raise IntegrationError("window left positive domain", t, FlowState(w_max, s_ref + x2))
+        if not (w_max > 0.0 and w > 0.0):
+            raise IntegrationError("w_max or window left positive domain", t,
+                                   FlowState(w_max, s_ref + x2))
         x1s.append(x1)
         x2s.append(x2)
         d1s.append(d1)
