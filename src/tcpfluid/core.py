@@ -87,8 +87,11 @@ class WindowFunction(ABC):
     without cancellation.  The event-driven simulator needs the window to be
     a polynomial of degree at most 3 in ``s`` within an epoch, exposed by
     ``coefficients``: the aggregate loss rate is then a cubic in time and
-    its integral a quartic, both summed over flows and inverted exactly.  A
-    window function that defines only ``window`` still integrates.
+    its integral a quartic, both summed over flows and inverted exactly.  The
+    simulator's trace calls ``window`` once per epoch with a scalar ``w_max``
+    and a numpy array of ages ``s``; the result must be that array's windows
+    elementwise, bit for bit what scalar calls give, or one scalar for all.
+    A window function that defines only ``window`` still integrates.
     """
 
     name: str = "abstract"

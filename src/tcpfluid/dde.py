@@ -100,12 +100,11 @@ class Trajectory:
     algorithm: str
     step: float
 
-    def write_csv(self, path, stride: int = 1) -> None:
+    def write_csv(self, path) -> None:
         """Round-trip decimal CSV with header t,w_max,s,w,p."""
         with open(path, "w", newline="") as fh:
             fh.write("t,w_max,s,w,p\n")
-            columns = (self.t, self.w_max, self.s, self.w, self.p)
-            write_columns(fh, [col[::stride] for col in columns])
+            write_columns(fh, (self.t, self.w_max, self.s, self.w, self.p))
 
 
 _WRITE_CHUNK = 4096  # rows formatted per write

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -78,40 +77,30 @@ class Event(NamedTuple):
 
 
 @dataclass
-class LossSchedule:
-    """Pending indications plus the bookkeeping the generator loop needs.
+class SimState:
+    """The simulator's current epoch per flow, its queue and its event log.
 
-    pending holds (time, flow) pairs, heap-ordered by time; every entry was
-    scheduled exactly tau after the loss event that produced it.  llis[f] is
-    the last indication applied to flow f (the start of its current epoch),
-    glli the most recent indication overall, t_loss_last the most recent
-    loss event at the congestion point.
+    Flow f's current epoch started at llis[f] (its last indication) from the
+    pre-loss window w_loss[f].  pending holds (time, flow) indications,
+    heap-ordered by time; every entry was scheduled exactly tau after the
+    loss event that produced it.  t_loss_last is the most recent loss event
+    at the congestion point.  The event log is the only record of earlier
+    epochs: each indication starts one at its time from its window_before.
     """
 
-    pending: list[tuple[float, int]]
-    llis: list[float]
-    glli: float
-    t_loss_last: float
-
-    def next_indication(self) -> tuple[float, int] | None:
-        return self.pending[0] if self.pending else None
-
-
-@dataclass
-class SimState:
     params: SystemParams
     window_fn: WindowFunction
     w_loss: list[float]
-    schedule: LossSchedule
+    llis: list[float]
     rng: object  # anything with uniform() -> float in (0,1)
     lookahead: float
+    pending: list[tuple[float, int]] = field(default_factory=list)
+    t_loss_last: float = 0.0
     events: list[Event] = field(default_factory=list)
-    # per-flow epoch history [(start_time, w_loss_at_start), ...] for tracing
-    epochs: list[list[tuple[float, float]]] = field(default_factory=list)
 
     def flow_window(self, f: int, t: float) -> float:
         """Window of flow f at absolute time t under its current epoch."""
-        age = t - self.schedule.llis[f]
+        age = t - self.llis[f]
         return self.window_fn.window(FlowState(self.w_loss[f], age), self.params)
 
 
@@ -143,17 +132,14 @@ def make_sim_state(
             raise ValueError(f"flow {f}: initial epoch age must be >= 0, got {s0}")
         w_loss.append(float(w0))
         llis.append(-float(s0))
-    schedule = LossSchedule(pending=[], llis=llis, glli=max(llis), t_loss_last=0.0)
-    state = SimState(
+    return SimState(
         params=params,
         window_fn=fn,
         w_loss=w_loss,
-        schedule=schedule,
+        llis=llis,
         rng=rng,
         lookahead=lookahead,
     )
-    state.epochs = [[(llis[f], w_loss[f])] for f in range(len(w_loss))]
-    return state
 
 
 # Backstop on solver iterations; Newton from the guesses below converges in
@@ -244,7 +230,7 @@ def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float 
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
     if len(t0_per_flow) != len(state.w_loss):
         raise ValueError("t0_per_flow length does not match flow count")
-    t0_abs = state.schedule.llis[0] + t0_per_flow[0]
+    t0_abs = state.llis[0] + t0_per_flow[0]
     horizon = state.lookahead
     e0, e1, e2, e3 = _excess_poly(state, t0_per_flow)
     start = 0.0
@@ -281,7 +267,7 @@ def t_bdp(state: SimState, t_from: float) -> float:
     threshold and math.inf if the threshold is not reached within the
     lookahead.
     """
-    excess = _excess_poly(state, [t_from - lli for lli in state.schedule.llis])
+    excess = _excess_poly(state, [t_from - lli for lli in state.llis])
     if excess[0] >= 0.0:
         return t_from
     root = _cubic_root(excess, state.lookahead)
@@ -311,18 +297,20 @@ def pick_losing_flow(windows_at_loss: Sequence[float], u: float) -> int:
     return last
 
 
-def _apply_next_indication(state: SimState) -> None:
-    # The affected flow's window right before the indication becomes its new
-    # w_loss; the epoch restarts at the indication time with the reset state.
-    t_ind, f = heapq.heappop(state.schedule.pending)
+def _apply_next_indication(state: SimState) -> float:
+    """Apply the earliest pending indication and return its time.
+
+    The affected flow's window right before the indication becomes its new
+    w_loss; the epoch restarts at the indication time with the reset state.
+    """
+    t_ind, f = heapq.heappop(state.pending)
     w_before = state.flow_window(f, t_ind)
     reset = state.window_fn.reset(w_before)
     w_after = state.window_fn.window(reset, state.params)
     state.w_loss[f] = w_before
-    state.schedule.llis[f] = t_ind
-    state.schedule.glli = t_ind
-    state.epochs[f].append((t_ind, w_before))
+    state.llis[f] = t_ind
     state.events.append(Event("indication", t_ind, f, w_before, w_after))
+    return t_ind
 
 
 def generate_poi_loss(state: SimState) -> tuple[float | None, int | None]:
@@ -338,35 +326,29 @@ def generate_poi_loss(state: SimState) -> tuple[float | None, int | None]:
     indication is scheduled at loss time + tau for the flow drawn with
     probability proportional to its window at the loss time.
     """
-    sched = state.schedule
-    anchor = sched.t_loss_last
+    anchor = state.t_loss_last
     while True:
         reach = t_bdp(state, anchor)
         if math.isinf(reach):
             loss_time = None
         else:
             t0_abs = max(reach, anchor)
-            ages = [t0_abs - lli for lli in sched.llis]
+            ages = [t0_abs - lli for lli in state.llis]
             loss_time = compute_T(state, ages, state.rng.uniform())
-        nxt = sched.next_indication()
-        if nxt is not None and (loss_time is None or loss_time >= nxt[0]):
-            _apply_next_indication(state)
-            anchor = sched.glli
+        if state.pending and (loss_time is None or loss_time >= state.pending[0][0]):
+            anchor = _apply_next_indication(state)
             continue
         break
     if loss_time is None:
         return None, None
     weights = [state.flow_window(f, loss_time) for f in range(len(state.w_loss))]
     flow = pick_losing_flow(weights, state.rng.uniform())
-    heapq.heappush(sched.pending, (loss_time + state.params.tau, flow))
+    heapq.heappush(state.pending, (loss_time + state.params.tau, flow))
     return loss_time, flow
 
 
 @dataclass
 class SimResult:
-    params: SystemParams
-    algorithm: str
-    seed: int | None
     t_end: float
     events: list[Event]
     trace_t: np.ndarray
@@ -394,39 +376,49 @@ class SimResult:
 
 
 def _render_trace(
-    state: SimState, t_end: float, sample_dt: float
+    state: SimState, first: Sequence[tuple[float, float]], t_end: float, sample_dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    flows = len(state.w_loss)
+    """Every flow's window at t_i = i * sample_dt, one window call per epoch.
+
+    Flow f's epochs are first[f] = (start, w_loss) followed by its
+    indications (time, window_before) in the event log.  Sample i belongs to
+    the last epoch that starts at or before t_i, so an epoch holds the
+    samples from the first at or after its start up to the next epoch's
+    first; the window is evaluated once on the ages of those samples.  The
+    aggregate row is summed flow by flow, in flow order, as a per-sample
+    loop over the flows would.
+    """
+    flows = len(first)
     n = int(math.floor(t_end / sample_dt + 1e-9)) + 1
-    starts = [[e[0] for e in state.epochs[f]] for f in range(flows)]
-    ts, fs, ws = [], [], []
-    for i in range(n):
-        t = i * sample_dt
-        total = 0.0
-        for f in range(flows):
-            j = bisect_right(starts[f], t) - 1
-            start, w_loss = state.epochs[f][j]
-            w = state.window_fn.window(FlowState(w_loss, t - start), state.params)
-            ts.append(t)
-            fs.append(f)
-            ws.append(w)
-            total += w
-        ts.append(t)
-        fs.append(-1)
-        ws.append(total / flows)
-    return np.asarray(ts), np.asarray(fs, dtype=int), np.asarray(ws)
+    t = np.arange(n) * sample_dt
+    starts = [[start] for start, _ in first]
+    w_losses = [[w_loss] for _, w_loss in first]
+    for ev in state.events:
+        if ev.event_type == "indication":
+            starts[ev.flow].append(ev.time)
+            w_losses[ev.flow].append(ev.window_before)
+    rows = np.empty((n, flows + 1))
+    total = np.zeros(n)
+    for f in range(flows):
+        bounds = np.append(np.searchsorted(t, starts[f]), n)
+        for j in np.flatnonzero(bounds[:-1] < bounds[1:]):
+            lo, hi = bounds[j], bounds[j + 1]
+            ages = t[lo:hi] - starts[f][j]
+            rows[lo:hi, f] = state.window_fn.window(FlowState(w_losses[f][j], ages), state.params)
+        total += rows[:, f]
+    rows[:, flows] = total / flows
+    return np.repeat(t, flows + 1), np.tile(np.append(np.arange(flows), -1), n), rows.ravel()
 
 
 def run_simulation(
     params: SystemParams,
     algorithm: str | WindowFunction,
     init: Sequence[tuple[float, float]],
-    seed: int | None,
+    seed: int,
     t_end: float,
     *,
     sample_dt: float | None = None,
     lookahead: float | None = None,
-    rng: object | None = None,
 ) -> SimResult:
     """Run the loss process to t_end and sample every flow's window.
 
@@ -443,28 +435,21 @@ def run_simulation(
         raise ValueError(f"sample_dt must be positive, got {sample_dt}")
     if lookahead is None:
         lookahead = max(1e4 * params.tau, 2.0 * t_end)
-    if rng is None:
-        if seed is None:
-            raise ValueError("either seed or rng must be given")
-        rng = RngStream(seed)
-    state = make_sim_state(params, algorithm, init, rng, lookahead)
-    fn = state.window_fn
+    if seed is None:
+        raise ValueError("a seed is required")
+    state = make_sim_state(params, algorithm, init, RngStream(seed), lookahead)
+    first = list(zip(state.llis, state.w_loss))
     while True:
         loss_time, flow = generate_poi_loss(state)
         if loss_time is None or loss_time > t_end:
             break
         w_at = state.flow_window(flow, loss_time)
         state.events.append(Event("loss", loss_time, flow, w_at, w_at))
-        state.schedule.t_loss_last = loss_time
-    events = [ev for ev in state.events if ev.time <= t_end]
-    trace_t, trace_flow, trace_w = _render_trace(state, t_end, sample_dt)
-    name = algorithm if isinstance(algorithm, str) else type(fn).__name__
+        state.t_loss_last = loss_time
+    trace_t, trace_flow, trace_w = _render_trace(state, first, t_end, sample_dt)
     return SimResult(
-        params=params,
-        algorithm=name,
-        seed=seed,
         t_end=t_end,
-        events=events,
+        events=[ev for ev in state.events if ev.time <= t_end],
         trace_t=trace_t,
         trace_flow=trace_flow,
         trace_w=trace_w,

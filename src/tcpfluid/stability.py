@@ -90,30 +90,25 @@ class LyapunovParams:
     razumikhin_p: float
 
 
-def lyapunov_params(
-    fp: FixedPoint,
-    params: SystemParams,
-    *,
-    eps1_frac: float = 0.5,
-    k_frac: float = 0.5,
-    razumikhin_p: float = 1.01,
-) -> LyapunovParams:
-    """Standard weights d1 = s_hat/c, d4 = tau/s_hat with margin defaults.
+# Margin choices of the Lyapunov argument: eps1 and the higher-order
+# allowance are these fractions of their strict upper bounds, and the
+# Razumikhin history comparison uses constant RAZUMIKHIN_P > 1.
+EPS1_FRAC = 0.5
+K_FRAC = 0.5
+RAZUMIKHIN_P = 1.01
+
+
+def lyapunov_params(fp: FixedPoint, params: SystemParams) -> LyapunovParams:
+    """Standard weights d1 = s_hat/c, d4 = tau/s_hat with the margin constants.
 
     eps1 must sit strictly below min(s_hat/6c, tau/4 s_hat) and the
-    higher-order allowance strictly below lambda_min; both are taken as the
-    given fractions of their bounds.
+    higher-order allowance strictly below lambda_min; they are EPS1_FRAC and
+    K_FRAC of those bounds.
     """
-    if not 0.0 < eps1_frac < 1.0:
-        raise ValueError(f"eps1_frac must lie in (0, 1), got {eps1_frac}")
-    if not 0.0 < k_frac < 1.0:
-        raise ValueError(f"k_frac must lie in (0, 1), got {k_frac}")
-    if not razumikhin_p > 1.0:
-        raise ValueError(f"razumikhin_p must exceed 1, got {razumikhin_p}")
     d1 = fp.s_hat / params.c
     d4 = params.tau / fp.s_hat
     eps0 = max(0.5 * d1, 0.25 * d4)
-    eps1 = eps1_frac * min(d1 / 6.0, 0.25 * d4)
+    eps1 = EPS1_FRAC * min(d1 / 6.0, 0.25 * d4)
     coeffs = expansion_coeffs(fp, params)
     lam = _lambda_min(coeffs, d1, d4, fp.s_hat)
     return LyapunovParams(
@@ -121,8 +116,8 @@ def lyapunov_params(
         d4=d4,
         eps0=eps0,
         eps1=eps1,
-        k_margin=k_frac * lam,
-        razumikhin_p=razumikhin_p,
+        k_margin=K_FRAC * lam,
+        razumikhin_p=RAZUMIKHIN_P,
     )
 
 
@@ -253,11 +248,10 @@ class DiagnosticTrace:
     bound: np.ndarray
     razumikhin_ok: np.ndarray
 
-    def write_csv(self, path, stride: int = 1) -> None:
-        columns = (self.t, self.norm_x, self.v, self.vdot, self.bound)
+    def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("t,norm_x,V,Vdot,bound\n")
-            write_columns(fh, [col[::stride] for col in columns])
+            write_columns(fh, (self.t, self.norm_x, self.v, self.vdot, self.bound))
 
 
 def stability_trace(

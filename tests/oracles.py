@@ -5,12 +5,14 @@ Each one is an independent route to a quantity the package computes another
 way: the Reno and CUBIC response functions against the fixed-point solvers,
 a sign-change scan against the window-equation solver's uniqueness claim,
 the inverse of the fixed-point shift against the shifted coordinates,
-per-sample scalar loops against the array-valued stability diagnostics, the
-absolute-coordinate RK4 loop against the integrator, and the Taylor
+per-sample scalar loops against the array-valued stability diagnostics and
+the simulator's trace, the absolute-coordinate RK4 loop against the
+integrator, and the Taylor
 truncations of the model against its right-hand side.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -129,14 +131,43 @@ def scalar_razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
     return ok
 
 
-def per_row_csv(header: str, columns, stride: int = 1) -> str:
+def per_row_csv(header: str, columns) -> str:
     """A trace CSV written one row at a time: integer columns by ``int``,
     every other value by ``repr(float(v))``."""
     lines = [header]
-    for i in range(0, len(columns[0]), stride):
+    for i in range(len(columns[0])):
         lines.append(",".join(str(int(col[i])) if col.dtype.kind == "i" else repr(float(col[i]))
                               for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def scalar_render_trace(epochs, window_fn, params: SystemParams, t_end: float, sample_dt: float):
+    """The simulator's trace rendered one sample and one flow at a time.
+
+    ``epochs[f]`` lists flow f's epochs (start, w_loss) in time order.  This
+    is the simulator's renderer as it stood before it evaluated each epoch's
+    samples in one window call: one ``bisect_right`` and one scalar window
+    call per flow and sample.
+    """
+    flows = len(epochs)
+    n = int(math.floor(t_end / sample_dt + 1e-9)) + 1
+    starts = [[e[0] for e in epochs[f]] for f in range(flows)]
+    ts, fs, ws = [], [], []
+    for i in range(n):
+        t = i * sample_dt
+        total = 0.0
+        for f in range(flows):
+            j = bisect_right(starts[f], t) - 1
+            start, w_loss = epochs[f][j]
+            w = window_fn.window(FlowState(w_loss, t - start), params)
+            ts.append(t)
+            fs.append(f)
+            ws.append(w)
+            total += w
+        ts.append(t)
+        fs.append(-1)
+        ws.append(total / flows)
+    return np.asarray(ts), np.asarray(fs, dtype=int), np.asarray(ws)
 
 
 def absolute_integrate(params: SystemParams, window_fn, init, t_end: float, step_h: float):

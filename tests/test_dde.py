@@ -234,13 +234,12 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
     path = tmp_path / "trace.csv"
-    for stride in (1, 3):
-        traj.write_csv(path, stride=stride)
-        columns = (traj.t, traj.w_max, traj.s, traj.w, traj.p)
-        assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns, stride)
-        diag.write_csv(path, stride=stride)
-        columns = (diag.t, diag.norm_x, diag.v, diag.vdot, diag.bound)
-        assert path.read_text() == per_row_csv("t,norm_x,V,Vdot,bound", columns, stride)
+    traj.write_csv(path)
+    columns = (traj.t, traj.w_max, traj.s, traj.w, traj.p)
+    assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns)
+    diag.write_csv(path)
+    columns = (diag.t, diag.norm_x, diag.v, diag.vdot, diag.bound)
+    assert path.read_text() == per_row_csv("t,norm_x,V,Vdot,bound", columns)
     sim.write_trace_csv(path)
     columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
     assert path.read_text() == per_row_csv("t,flow,w", columns)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 from scipy import optimize, stats
 
+import tcpfluid.nhpl as nhpl
 from tcpfluid import (
     CUBIC,
     FROZEN,
@@ -20,7 +21,7 @@ from tcpfluid import (
     run_simulation,
     t_bdp,
 )
-from oracles import inter_loss_times
+from oracles import inter_loss_times, scalar_render_trace
 
 
 class FakeRng:
@@ -296,14 +297,14 @@ def test_generator_single_candidate_with_empty_queue():
     assert loss_time == pytest.approx(0.1, rel=1e-9)
     assert flow == 0
     assert state.rng.consumed == 2
-    assert state.schedule.pending == [(loss_time + 0.1, 0)]
+    assert state.pending == [(loss_time + 0.1, 0)]
     assert state.events == []
 
 
 def test_generator_keeps_candidate_before_pending_indication():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
     t1, _ = generate_poi_loss(state)
-    state.schedule.t_loss_last = t1
+    state.t_loss_last = t1
     state.rng.values = [math.exp(-1.0), 0.9]
     t2, flow = generate_poi_loss(state)
     # -ln(u)/50 = 0.02 after the last loss, still ahead of the indication.
@@ -311,16 +312,16 @@ def test_generator_keeps_candidate_before_pending_indication():
     assert flow == 0
     assert state.rng.consumed == 4
     assert state.events == []
-    assert len(state.schedule.pending) == 2
+    assert len(state.pending) == 2
 
 
 def test_generator_applies_indications_and_regenerates():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
     t1, _ = generate_poi_loss(state)
-    state.schedule.t_loss_last = t1
+    state.t_loss_last = t1
     state.rng.values = [math.exp(-1.0), 0.9]
     t2, _ = generate_poi_loss(state)
-    state.schedule.t_loss_last = t2
+    state.t_loss_last = t2
     # First candidate 0.12 + 0.2 lands past both pending indications (0.2,
     # 0.22): each is applied and consumes one fresh draw, then the queue is
     # empty and the third candidate 0.22 + 0.08 = 0.3 survives.
@@ -336,16 +337,15 @@ def test_generator_applies_indications_and_regenerates():
     ]
     # Frozen window: the reset keeps the pre-loss size, only the clock moves.
     assert state.w_loss == [15.0]
-    assert state.schedule.llis == [pytest.approx(0.22, rel=1e-9)]
-    assert state.schedule.glli == state.schedule.llis[0]
-    assert len(state.schedule.pending) == 1
+    assert state.llis == [pytest.approx(0.22, rel=1e-9)]
+    assert len(state.pending) == 1
 
 
 def test_reno_indication_halves_the_window():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(16.0, 0.25)], FakeRng([0.37, 0.5]), 50.0)
     t1, _ = generate_poi_loss(state)
-    state.schedule.t_loss_last = t1
+    state.t_loss_last = t1
     # Next candidate far enough out that the pending indication fires first;
     # regeneration and the flow pick then consume two more draws.
     state.rng.values = [1e-9, 0.5, 0.5]
@@ -356,7 +356,7 @@ def test_reno_indication_halves_the_window():
     assert ind.window_before == pytest.approx(w_before, rel=1e-12)
     assert ind.window_after == pytest.approx(0.5 * w_before, rel=1e-12)
     assert state.w_loss == [pytest.approx(w_before, rel=1e-12)]
-    assert state.schedule.llis == [ind.time]
+    assert state.llis == [ind.time]
 
 
 def test_run_simulation_sub_bdp_never_loses():
@@ -410,6 +410,72 @@ def test_run_simulation_trace_layout():
     assert sim.trace_w[2] == pytest.approx(0.5 * (w0 + w1), rel=1e-12)
 
 
+# Nine flows: numpy sums eight or more terms pairwise, so an aggregate that
+# is not added up flow by flow, in flow order, changes bits.
+RENDER_INIT = [(16.0, 0.25), (12.0, 0.0), (9.0, 0.7), (14.0, 0.1), (11.0, 0.4),
+               (13.0, 0.0), (10.5, 0.9), (15.0, 0.5), (8.0, 0.2)]
+
+
+def simulate_recording_epochs(monkeypatch, fn, init, t_end, sample_dt):
+    """run_simulation on seed 3, and each flow's epochs (start, w_loss) as
+    the sampler's own state holds them after every indication it applies,
+    past t_end too; nothing is read from the event log."""
+    epochs = [[(-s0, w0)] for w0, s0 in init]
+    apply = nhpl._apply_next_indication
+
+    def recording(state):
+        _, f = state.pending[0]
+        t_ind = apply(state)
+        epochs[f].append((state.llis[f], state.w_loss[f]))
+        return t_ind
+
+    monkeypatch.setattr(nhpl, "_apply_next_indication", recording)
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
+    sim = run_simulation(params, fn, init, 3, t_end, sample_dt=sample_dt)
+    return params, sim, epochs
+
+
+def assert_render_matches_oracle(sim, epochs, fn, params, sample_dt):
+    t, flow, w = scalar_render_trace(epochs, fn, params, sim.t_end, sample_dt)
+    assert np.array_equal(sim.trace_t, t)
+    assert np.array_equal(sim.trace_flow, flow) and sim.trace_flow.dtype == flow.dtype
+    assert np.array_equal(sim.trace_w, w)
+
+
+def epochs_without_samples(epochs, t):
+    bounds = [np.searchsorted(t, [start for start, _ in flow] + [math.inf]) for flow in epochs]
+    return sum(int(np.sum(b[:-1] == b[1:])) for b in bounds)
+
+
+@pytest.mark.parametrize("sample_dt", [0.01, 0.7])
+@pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
+def test_render_matches_per_sample_oracle(monkeypatch, fn, sample_dt):
+    params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, 10.0, sample_dt)
+    if sample_dt == 0.7:
+        # Coarse sampling: 91 of Reno's 198 epochs, 16 of CUBIC's 72 and
+        # 1651 of FROZEN's 1786 hold no sample.
+        assert epochs_without_samples(epochs, np.unique(sim.trace_t)) >= 16
+    assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
+
+
+@pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
+def test_render_applies_indications_past_t_end(monkeypatch, fn):
+    # The last sample floor(t_end / dt + 1e-9) * dt may lie just past t_end.
+    # Put it on an indication time T with t_end one ulp before T, so the
+    # last sample's epoch starts after t_end, outside the returned events.
+    _, _, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, 10.0, 0.05)
+    t_ind = min(start for flow in epochs for start, _ in flow[1:] if start > 2.0)
+    sample_dt = t_ind / 5
+    if 5 * sample_dt < t_ind:
+        sample_dt = math.nextafter(sample_dt, math.inf)
+    t_end = math.nextafter(t_ind, 0.0)
+    params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, t_end, sample_dt)
+    assert len(sim.trace_t) == 6 * 10 and sim.trace_t[-1] >= t_ind > t_end
+    assert all(ev.time <= t_end for ev in sim.events)
+    assert any(start == t_ind for flow in epochs for start, _ in flow)
+    assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
+
+
 def test_frozen_rate_gaps_are_exponential():
     params, _ = frozen_state()
     sim = run_simulation(params, FROZEN, [(15.0, 0.0)], 2025, 40.0)
@@ -431,7 +497,7 @@ def test_make_sim_state_validation():
         make_sim_state(params, FROZEN, [(15.0, 0.0), (1.0, 0.0)], RngStream(0), 0.0)
 
 
-def test_run_simulation_requires_seed_or_rng():
+def test_run_simulation_requires_seed():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     with pytest.raises(ValueError):
         run_simulation(params, FROZEN, [(15.0, 0.0)], None, 1.0)

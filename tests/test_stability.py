@@ -102,15 +102,6 @@ def test_lyapunov_params_weights_and_margins(canonical_params, canonical_fp):
     assert lp.k_margin == pytest.approx(0.5 * qt.lambda_min, rel=1e-12)
 
 
-def test_lyapunov_params_validation(canonical_params, canonical_fp):
-    with pytest.raises(ValueError):
-        lyapunov_params(canonical_fp, canonical_params, eps1_frac=1.0)
-    with pytest.raises(ValueError):
-        lyapunov_params(canonical_fp, canonical_params, k_frac=0.0)
-    with pytest.raises(ValueError):
-        lyapunov_params(canonical_fp, canonical_params, razumikhin_p=1.0)
-
-
 def qt_setup(params, fp):
     lp = lyapunov_params(fp, params)
     return lp, qtilde(expansion_coeffs(fp, params), lp, fp)
