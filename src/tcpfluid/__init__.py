@@ -57,16 +57,14 @@ from .protocols import (
     window_function,
 )
 from .stability import (
+    Certificate,
     CertificateError,
     DiagnosticTrace,
-    LyapunovParams,
-    QtildeMatrix,
     basin_delta,
+    certificate,
     convergence_bound,
     expansion_coeffs,
     lyapunov_V,
-    lyapunov_params,
-    qtilde,
     razumikhin_mask,
     shifted_samples,
     stability_trace,

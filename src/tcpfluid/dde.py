@@ -96,8 +96,6 @@ class Trajectory:
     dx1: np.ndarray
     dx2: np.ndarray
     ref: FlowState
-    params: SystemParams
-    algorithm: str
     step: float
 
     def write_csv(self, path) -> None:
@@ -215,8 +213,7 @@ def integrate(
 
     x1_col, x2_col, w = np.frombuffer(x1s), np.frombuffer(x2s), np.frombuffer(ws)
     return Trajectory(
-        t=np.arange(n + 1, dtype=np.float64) * h,
+        t=np.arange(n + 1, dtype=np.float64) * h, step=h,
         w_max=w_ref + x1_col, s=s_ref + x2_col, w=w, p=loss_probability(w, params),
         x1=x1_col, x2=x2_col, dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s), ref=ref,
-        params=params, algorithm=window_fn.name, step=h,
     )

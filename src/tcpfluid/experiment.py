@@ -19,16 +19,9 @@ import numpy as np
 from .core import FlowState, SystemParams
 from .dde import InitialHistory, Trajectory, integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
-from .nhpl import RngStream, SimResult, run_simulation
+from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import to_shifted, window_function
-from .stability import (
-    expansion_coeffs,
-    basin_delta,
-    lyapunov_V,
-    lyapunov_params,
-    qtilde,
-    stability_trace,
-)
+from .stability import RAZUMIKHIN_P, basin_delta, certificate, lyapunov_V, stability_trace
 
 
 class ConfigError(ValueError):
@@ -88,8 +81,6 @@ class ExperimentConfig:
     mode: str = "fluid"
     sample_dt: float | None = None
     post_transient: float = 0.5
-    lookahead: float | None = None
-    tol: float = 1e-12
 
     def system_params(self) -> SystemParams:
         capacity = self.capacity_pkts
@@ -107,25 +98,19 @@ class ExperimentConfig:
     def steady_state(self, params: SystemParams) -> FixedPoint:
         if self.algorithm == "reno":
             return reno_steady_state(params)
-        return cubic_fixed_point(params, rel_tol=self.tol)
-
-    def start_state(self, fp: FixedPoint) -> tuple[float, float]:
-        """(w_max, s) of flow 0 at t = 0, the flow the fluid modes integrate."""
-        if self.init == "explicit":
-            return self.init_w_max[0], self.init_s[0]
-        if self.init == "fixed-point":
-            return fp.w_hat, fp.s_hat
-        w0 = fp.w_hat + self.init_offset_w
-        s0 = fp.s_hat + self.init_offset_s
-        if not w0 > 0.0 or s0 < 0.0:
-            raise ConfigError(f"offset init leaves the domain: w_max0={w0}, s0={s0}")
-        return w0, s0
+        return cubic_fixed_point(params)
 
     def initial_conditions(self, fp: FixedPoint) -> list[tuple[float, float]]:
         """(w_max, s) of every flow at t = 0."""
         if self.init == "explicit":
             return list(zip(self.init_w_max, self.init_s))
-        return [self.start_state(fp)] * self.flows
+        if self.init == "fixed-point":
+            return [(fp.w_hat, fp.s_hat)] * self.flows
+        w0 = fp.w_hat + self.init_offset_w
+        s0 = fp.s_hat + self.init_offset_s
+        if not w0 > 0.0 or s0 < 0.0:
+            raise ConfigError(f"offset init leaves the domain: w_max0={w0}, s0={s0}")
+        return [(w0, s0)] * self.flows
 
 
 # Parsers take a value as a string or as a Python caller typed it.  Typed
@@ -165,8 +150,6 @@ KEY_PARSERS = {
     "mode": str,
     "sample_dt": _parse_float,
     "post_transient": _parse_float,
-    "lookahead": _parse_float,
-    "tol": _parse_float,
 }
 
 
@@ -255,10 +238,6 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"sample_dt must be positive, got {config.sample_dt}")
     if not 0.0 < config.post_transient <= 1.0:
         raise ConfigError(f"post_transient must lie in (0, 1], got {config.post_transient}")
-    if config.lookahead is not None and config.lookahead <= 0.0:
-        raise ConfigError(f"lookahead must be positive, got {config.lookahead}")
-    if config.tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {config.tol}")
     try:  # the model's constructors hold its range checks
         params = config.system_params()
         steps_per_delay(params.tau, config.step_h())
@@ -273,7 +252,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"{horizon} s at step {step} is over {WORK_BUDGET} fluid steps")
     if config.mode in TRACE_MODES:
         dt = config.sample_dt if config.sample_dt is not None else params.tau
-        samples = math.floor(min(horizon / dt, WORK_BUDGET) + 1e-9) + 1
+        # horizon / dt can overflow to inf; any count past the budget is rejected.
+        samples = sample_count(horizon, dt) if horizon / dt <= WORK_BUDGET else WORK_BUDGET + 1
         if samples * (config.flows + 1) > WORK_BUDGET:
             raise ConfigError(f"{horizon} s every {dt} s for {config.flows} flows is "
                               f"over {WORK_BUDGET} trace rows")
@@ -308,38 +288,28 @@ def _write_summary(out_dir: str, lines: list[str]) -> str:
     return path
 
 
-def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) -> Trajectory:
-    init = InitialHistory.constant(*config.start_state(fp))
+def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint,
+               start: tuple[float, float]) -> Trajectory:
+    init = InitialHistory.constant(*start)
     fn = window_function(config.algorithm)
     return integrate(params, fn, init, config.horizon(), config.step_h(), fp=fp)
 
 
-def _certificate(fp: FixedPoint, params: SystemParams):
-    coeffs = expansion_coeffs(fp, params)
-    lp = lyapunov_params(fp, params)
-    return coeffs, lp, qtilde(coeffs, lp, fp)
-
-
-def _run_nhpl(config: ExperimentConfig, params: SystemParams, fp: FixedPoint) -> SimResult:
-    return run_simulation(
-        params,
-        config.algorithm,
-        config.initial_conditions(fp),
-        config.seed,
-        config.horizon(),
-        sample_dt=config.sample_dt,
-        lookahead=config.lookahead,
-    )
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
-    """Run one experiment mode and write its artifacts under out_dir."""
+    """Run one experiment mode and write its artifacts under out_dir.
+
+    Every check of the start and of the certificate runs before out_dir is
+    made, so a rejected run leaves no directory behind.
+    """
     params = config.system_params()
     fp = config.steady_state(params)
+    if config.mode in FLUID_MODES + TRACE_MODES:
+        starts = config.initial_conditions(fp)  # the fluid modes integrate flow 0
+    if config.mode in ("stability", "convergence"):
+        cert = certificate(fp, params)
     if config.mode == "convergence":
-        _, lp, qt = _certificate(fp, params)
         # The decay bound divides by V at t = 0, which vanishes on the fixed point.
-        v0 = lyapunov_V(to_shifted(FlowState(*config.start_state(fp)), fp), lp)
+        v0 = lyapunov_V(to_shifted(FlowState(*starts[0]), fp), cert)
         if not v0 > 0.0:
             raise ConfigError(f"convergence mode needs a start off the fixed point, "
                               f"got V(0) = {v0!r}")
@@ -363,7 +333,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"consistency_residual: {residual!r}")
 
     if config.mode in ("fluid", "both"):
-        traj = _run_fluid(config, params, fp)
+        traj = _run_fluid(config, params, fp, starts[0])
         path = os.path.join(out_dir, "fluid_trace.csv")
         traj.write_csv(path)
         artifacts["fluid_trace"] = path
@@ -373,7 +343,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"fluid_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
 
     if config.mode in TRACE_MODES:
-        sim = _run_nhpl(config, params, fp)
+        sim = run_simulation(params, config.algorithm, starts, config.seed, config.horizon(),
+                             sample_dt=config.sample_dt)
         events_path = os.path.join(out_dir, "nhpl_events.csv")
         trace_path = os.path.join(out_dir, "nhpl_trace.csv")
         sim.write_events_csv(events_path)
@@ -395,42 +366,42 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"nhpl_vs_fluid: {gap!r}")
 
     if config.mode == "stability":
-        coeffs, lp, qt = _certificate(fp, params)
         epsilon = 0.01 * fp.w_hat
-        delta = basin_delta(epsilon, lp)
-        metrics["lambda_min"] = qt.lambda_min
+        delta = basin_delta(epsilon, cert)
+        metrics["lambda_min"] = cert.lambda_min
         metrics["basin_delta"] = delta
         path = os.path.join(out_dir, "stability_report.txt")
         with open(path, "w") as fh:
             fh.write(f"w_hat: {fp.w_hat!r}\ns_hat: {fp.s_hat!r}\np_hat: {fp.p_hat!r}\n")
+            co = cert.coeffs
             fh.write(
-                f"alpha: {coeffs.alpha!r}\nbeta: {coeffs.beta!r}\n"
-                f"gamma: {coeffs.gamma!r}\ndelta: {coeffs.delta!r}\n"
+                f"alpha: {co.alpha!r}\nbeta: {co.beta!r}\n"
+                f"gamma: {co.gamma!r}\ndelta: {co.delta!r}\n"
             )
             fh.write(
-                f"d1: {lp.d1!r}\nd4: {lp.d4!r}\neps0: {lp.eps0!r}\neps1: {lp.eps1!r}\n"
-                f"k_margin: {lp.k_margin!r}\nrazumikhin_p: {lp.razumikhin_p!r}\n"
+                f"d1: {cert.d1!r}\nd4: {cert.d4!r}\neps0: {cert.eps0!r}\neps1: {cert.eps1!r}\n"
+                f"k_margin: {cert.k_margin!r}\nrazumikhin_p: {RAZUMIKHIN_P!r}\n"
             )
-            for row in qt.matrix:
+            for row in cert.matrix:
                 fh.write("qtilde_row: " + ",".join(repr(float(v)) for v in row) + "\n")
-            fh.write(f"lambda_min: {qt.lambda_min!r}\n")
+            fh.write(f"lambda_min: {cert.lambda_min!r}\n")
             fh.write(f"epsilon: {epsilon!r}\nbasin_delta: {delta!r}\n")
         artifacts["stability_report"] = path
-        lines.append(f"lambda_min: {qt.lambda_min!r}")
+        lines.append(f"lambda_min: {cert.lambda_min!r}")
         lines.append(f"basin_delta(eps=0.01*w_hat): {delta!r}")
 
     if config.mode == "convergence":
-        traj = _run_fluid(config, params, fp)
-        diag = stability_trace(traj, fp, params, lp, qt)
+        traj = _run_fluid(config, params, fp, starts[0])
+        diag = stability_trace(traj, fp, params, cert)
         path = os.path.join(out_dir, "convergence.csv")
         diag.write_csv(path)
         artifacts["convergence"] = path
         bounded = float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12)))
         razumikhin = float(np.mean(diag.razumikhin_ok))
-        metrics["lambda_min"] = qt.lambda_min
+        metrics["lambda_min"] = cert.lambda_min
         metrics["bound_fraction"] = bounded
         metrics["razumikhin_fraction"] = razumikhin
-        lines.append(f"lambda_min: {qt.lambda_min!r}")
+        lines.append(f"lambda_min: {cert.lambda_min!r}")
         lines.append(f"bound_fraction: {bounded!r}")
         lines.append(f"razumikhin_fraction: {razumikhin!r}")
 

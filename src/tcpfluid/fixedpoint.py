@@ -105,9 +105,7 @@ def solve_window_equation(
     raise SolverError("window equation did not converge", (lo, hi))
 
 
-def cubic_fixed_point(
-    params: SystemParams, rel_tol: float = 1e-12, max_iter: int = 200
-) -> FixedPoint:
+def cubic_fixed_point(params: SystemParams) -> FixedPoint:
     """Equilibrium of the CUBIC fluid model.
 
     At the fixed point the pre-loss window equals the instantaneous window,
@@ -119,7 +117,7 @@ def cubic_fixed_point(
         rhs = math.inf
     if not 0.0 < rhs < math.inf:
         raise SolverError(f"window equation right side tau^3*c/b is {rhs}", (params.bdp,) * 2)
-    w, _, _ = solve_window_equation(params.bdp, rhs, rel_tol, max_iter)
+    w, _, _ = solve_window_equation(params.bdp, rhs)
     s = cbrt(w * params.b / params.c)
     p = 1.0 - params.bdp / w
     if not p > 0.0:

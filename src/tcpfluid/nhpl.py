@@ -375,6 +375,12 @@ class SimResult:
         return self.trace_t[mask], self.trace_w[mask]
 
 
+def sample_count(t_end: float, sample_dt: float) -> int:
+    """Trace samples t_i = i * sample_dt up to t_end; the 1e-9 keeps a sample
+    that rounding puts a hair past t_end."""
+    return math.floor(t_end / sample_dt + 1e-9) + 1
+
+
 def _render_trace(
     state: SimState, first: Sequence[tuple[float, float]], t_end: float, sample_dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,7 +395,7 @@ def _render_trace(
     loop over the flows would.
     """
     flows = len(first)
-    n = int(math.floor(t_end / sample_dt + 1e-9)) + 1
+    n = sample_count(t_end, sample_dt)
     t = np.arange(n) * sample_dt
     starts = [[start] for start, _ in first]
     w_losses = [[w_loss] for _, w_loss in first]
@@ -418,7 +424,6 @@ def run_simulation(
     t_end: float,
     *,
     sample_dt: float | None = None,
-    lookahead: float | None = None,
 ) -> SimResult:
     """Run the loss process to t_end and sample every flow's window.
 
@@ -433,10 +438,10 @@ def run_simulation(
         sample_dt = params.tau
     if not sample_dt > 0.0:
         raise ValueError(f"sample_dt must be positive, got {sample_dt}")
-    if lookahead is None:
-        lookahead = max(1e4 * params.tau, 2.0 * t_end)
     if seed is None:
         raise ValueError("a seed is required")
+    # The search horizon reaches past t_end from any anchor before it.
+    lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = make_sim_state(params, algorithm, init, RngStream(seed), lookahead)
     first = list(zip(state.llis, state.w_loss))
     while True:

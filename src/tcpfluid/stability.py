@@ -71,25 +71,6 @@ def expansion_coeffs(fp: FixedPoint, params: SystemParams) -> ExpansionCoeffs:
         raise CertificateError(f"expansion coefficients at s_hat={s}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class LyapunovParams:
-    """Weights and margins of the Lyapunov argument.
-
-    d1, d4        weights of the x1^2 and x2^4 terms of V
-    eps0          V <= eps0 * |x|^2 on the unit ball
-    eps1          V >= eps1 * |x|^4 on the unit ball (strict-margin choice)
-    k_margin      higher-order-term allowance subtracted from lambda_min
-    razumikhin_p  history comparison constant, > 1
-    """
-
-    d1: float
-    d4: float
-    eps0: float
-    eps1: float
-    k_margin: float
-    razumikhin_p: float
-
-
 # Margin choices of the Lyapunov argument: eps1 and the higher-order
 # allowance are these fractions of their strict upper bounds, and the
 # Razumikhin history comparison uses constant RAZUMIKHIN_P > 1.
@@ -98,76 +79,61 @@ K_FRAC = 0.5
 RAZUMIKHIN_P = 1.01
 
 
-def lyapunov_params(fp: FixedPoint, params: SystemParams) -> LyapunovParams:
-    """Standard weights d1 = s_hat/c, d4 = tau/s_hat with the margin constants.
-
-    eps1 must sit strictly below min(s_hat/6c, tau/4 s_hat) and the
-    higher-order allowance strictly below lambda_min; they are EPS1_FRAC and
-    K_FRAC of those bounds.
-    """
-    d1 = fp.s_hat / params.c
-    d4 = params.tau / fp.s_hat
-    eps0 = max(0.5 * d1, 0.25 * d4)
-    eps1 = EPS1_FRAC * min(d1 / 6.0, 0.25 * d4)
-    coeffs = expansion_coeffs(fp, params)
-    lam = _lambda_min(coeffs, d1, d4, fp.s_hat)
-    return LyapunovParams(
-        d1=d1,
-        d4=d4,
-        eps0=eps0,
-        eps1=eps1,
-        k_margin=K_FRAC * lam,
-        razumikhin_p=RAZUMIKHIN_P,
-    )
-
-
 @dataclass(frozen=True)
-class QtildeMatrix:
-    """Quartic-form matrix of -dV/dt in z = (x1^2, sqrt(2) x1 x2, x2^2)."""
+class Certificate:
+    """The local stability certificate of one CUBIC fixed point.
 
+    coeffs      cubic-truncation coefficients of dx1/dt
+    d1, d4      weights of the x1^2 and x2^4 terms of V
+    eps0        V <= eps0 * |x|^2 on the unit ball
+    eps1        V >= eps1 * |x|^4 on the unit ball (strict-margin choice)
+    matrix      quartic-form matrix of -dV/dt in z = (x1^2, sqrt(2) x1 x2, x2^2)
+    lambda_min  its smallest eigenvalue, positive
+    k_margin    higher-order-term allowance, K_FRAC * lambda_min
+    """
+
+    coeffs: ExpansionCoeffs
+    d1: float
+    d4: float
+    eps0: float
+    eps1: float
     matrix: np.ndarray
     lambda_min: float
+    k_margin: float
 
 
-def _block_entries(
-    coeffs: ExpansionCoeffs, d1: float, d4: float, s_hat: float
-) -> tuple[float, float, float, float]:
+def certificate(fp: FixedPoint, params: SystemParams) -> Certificate:
+    """Weights, margins and quartic-form matrix of the Lyapunov argument.
+
+    The weights are d1 = s_hat/c and d4 = tau/s_hat.  eps1 must sit strictly
+    below min(s_hat/6c, tau/4 s_hat) and the higher-order allowance strictly
+    below lambda_min; they are EPS1_FRAC and K_FRAC of those bounds.
+
+    Positive definiteness is checked twice.  Route one checks the leading
+    principal minors, which reduce to alpha*gamma > beta^2/4 together with a
+    positive corner entry; route two checks the closed-form eigenvalues.  The
+    form is definite at every fixed point, so a failure or disagreement means
+    the entries left the float range, and raises CertificateError.
+    """
+    coeffs = expansion_coeffs(fp, params)
+    d1 = fp.s_hat / params.c
+    d4 = params.tau / fp.s_hat
     a = d1 * coeffs.alpha
     off = -d1 * coeffs.beta / (2.0 * math.sqrt(2.0))
     d = 0.5 * d1 * coeffs.gamma
-    corner = d4 / s_hat
-    return a, off, d, corner
-
-
-def _lambda_min(
-    coeffs: ExpansionCoeffs, d1: float, d4: float, s_hat: float
-) -> float:
-    a, off, d, corner = _block_entries(coeffs, d1, d4, s_hat)
+    corner = d4 / fp.s_hat
     mean = 0.5 * (a + d)
     disc = math.hypot(0.5 * (a - d), off)
     lam_max = mean + disc
     det = a * d - off * off
     # lam_min = mean - disc cancels badly when the block is ill scaled;
     # det / lam_max is the same number without the cancellation.
-    lam_min_block = det / lam_max if lam_max > 0.0 else mean - disc
-    return min(lam_min_block, corner)
-
-
-def qtilde(coeffs: ExpansionCoeffs, lp: LyapunovParams, fp: FixedPoint) -> QtildeMatrix:
-    """Build the quartic-form matrix and check positive definiteness twice.
-
-    Route one checks the leading principal minors, which reduce to
-    alpha*gamma > beta^2/4 together with a positive corner entry; route two
-    checks the closed-form eigenvalues.  The form is definite at every fixed
-    point, so a failure or disagreement means the entries left the float range.
-    """
-    a, off, d, corner = _block_entries(coeffs, lp.d1, lp.d4, fp.s_hat)
+    lam = min(det / lam_max if lam_max > 0.0 else mean - disc, corner)
     minors_ok = (
         a > 0.0
         and coeffs.alpha * coeffs.gamma - 0.25 * coeffs.beta**2 > 0.0
         and corner > 0.0
     )
-    lam = _lambda_min(coeffs, lp.d1, lp.d4, fp.s_hat)
     eigs_ok = lam > 0.0
     if minors_ok != eigs_ok:
         raise CertificateError(
@@ -175,13 +141,21 @@ def qtilde(coeffs: ExpansionCoeffs, lp: LyapunovParams, fp: FixedPoint) -> Qtild
         )
     if not minors_ok:
         raise CertificateError("quartic form is not positive definite")
-    m = np.array([[a, off, 0.0], [off, d, 0.0], [0.0, 0.0, corner]])
-    return QtildeMatrix(matrix=m, lambda_min=lam)
+    return Certificate(
+        coeffs=coeffs,
+        d1=d1,
+        d4=d4,
+        eps0=max(0.5 * d1, 0.25 * d4),
+        eps1=EPS1_FRAC * min(d1 / 6.0, 0.25 * d4),
+        matrix=np.array([[a, off, 0.0], [off, d, 0.0], [0.0, 0.0, corner]]),
+        lambda_min=lam,
+        k_margin=K_FRAC * lam,
+    )
 
 
-def lyapunov_V(x: ShiftedState, lp: LyapunovParams):
+def lyapunov_V(x: ShiftedState, cert: Certificate):
     """V at one shifted state, or at every sample of a ShiftedState of arrays."""
-    return 0.5 * lp.d1 * x.x1 * x.x1 + 0.25 * lp.d4 * x.x2**4
+    return 0.5 * cert.d1 * x.x1 * x.x1 + 0.25 * cert.d4 * x.x2**4
 
 
 def shifted_samples(traj: Trajectory, fp: FixedPoint) -> ShiftedState:
@@ -192,10 +166,10 @@ def shifted_samples(traj: Trajectory, fp: FixedPoint) -> ShiftedState:
     return ShiftedState(traj.x1 + (ref.w_max - fp.w_hat), traj.x2 + (ref.s - fp.s_hat))
 
 
-def vdot_along(xs: ShiftedState, traj: Trajectory, lp: LyapunovParams) -> np.ndarray:
+def vdot_along(xs: ShiftedState, traj: Trajectory, cert: Certificate) -> np.ndarray:
     """dV/dt at every sample of ``xs``, the shifted samples of ``traj``,
     from the derivatives the integrator stored with each sample."""
-    return lp.d1 * xs.x1 * traj.dx1 + lp.d4 * xs.x2**3 * traj.dx2
+    return cert.d1 * xs.x1 * traj.dx1 + cert.d4 * xs.x2**3 * traj.dx2
 
 
 def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
@@ -209,32 +183,28 @@ def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
     return sliding_window_view(padded, k + 1).max(axis=1) <= p * v
 
 
-def convergence_bound(
-    t, v0: float, lp: LyapunovParams, lambda_min: float, t0: float = 0.0
-):
+def convergence_bound(t, v0: float, cert: Certificate, t0: float = 0.0):
     """Bound on |x(t)|^4 from the decay of V; accepts scalar or array t.
 
     1 / ( eps1*(lambda_min - k_margin)/eps0^2 * (t - t0) + eps1/V(t0) )
+
+    ``certificate`` makes lambda_min - k_margin positive.
     """
     if not v0 > 0.0:
         raise ValueError(f"V(t0) must be positive, got {v0}")
-    if not lambda_min > lp.k_margin:
-        raise ValueError(
-            f"need lambda_min > k_margin, got {lambda_min} <= {lp.k_margin}"
-        )
     t = np.asarray(t, dtype=float)
     if np.any(t < t0):
         raise ValueError("bound requested before t0")
-    slope = lp.eps1 * (lambda_min - lp.k_margin) / lp.eps0**2
-    out = 1.0 / (slope * (t - t0) + lp.eps1 / v0)
+    slope = cert.eps1 * (cert.lambda_min - cert.k_margin) / cert.eps0**2
+    out = 1.0 / (slope * (t - t0) + cert.eps1 / v0)
     return float(out) if out.ndim == 0 else out
 
 
-def basin_delta(epsilon: float, lp: LyapunovParams) -> float:
+def basin_delta(epsilon: float, cert: Certificate) -> float:
     """Initial-history radius guaranteeing |x(t)| stays below epsilon."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return epsilon * epsilon * math.sqrt(lp.eps1 / lp.eps0)
+    return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
 @dataclass
@@ -258,17 +228,16 @@ def stability_trace(
     traj: Trajectory,
     fp: FixedPoint,
     params: SystemParams,
-    lp: LyapunovParams,
-    qt: QtildeMatrix,
+    cert: Certificate,
 ) -> DiagnosticTrace:
     """Assemble the diagnostics CSV columns for one trajectory."""
     xs = shifted_samples(traj, fp)
-    v = lyapunov_V(xs, lp)
+    v = lyapunov_V(xs, cert)
     return DiagnosticTrace(
         t=traj.t,
         norm_x=np.hypot(xs.x1, xs.x2),
         v=v,
-        vdot=vdot_along(xs, traj, lp),
-        bound=convergence_bound(traj.t, float(v[0]), lp, qt.lambda_min),
-        razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), lp.razumikhin_p),
+        vdot=vdot_along(xs, traj, cert),
+        bound=convergence_bound(traj.t, float(v[0]), cert),
+        razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), RAZUMIKHIN_P),
     )

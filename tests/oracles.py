@@ -91,10 +91,10 @@ def scalar_shifted_samples(traj, fp: FixedPoint) -> list[ShiftedState]:
     return [ShiftedState(float(a) + d1, float(b) + d2) for a, b in zip(traj.x1, traj.x2)]
 
 
-def scalar_norms_and_v(xs: list[ShiftedState], lp) -> tuple[np.ndarray, np.ndarray]:
+def scalar_norms_and_v(xs: list[ShiftedState], cert) -> tuple[np.ndarray, np.ndarray]:
     """|x| by math.hypot and V by the scalar Lyapunov formula, per sample."""
     return (np.array([math.hypot(x.x1, x.x2) for x in xs]),
-            np.array([lyapunov_V(x, lp) for x in xs]))
+            np.array([lyapunov_V(x, cert) for x in xs]))
 
 
 def shifted_cubic_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) -> float:
@@ -104,7 +104,7 @@ def shifted_cubic_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) 
 
 
 def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: SystemParams,
-                lp, init) -> np.ndarray:
+                cert, init) -> np.ndarray:
     """dV/dt per sample from one ``fluid_rhs`` call each, about ``fp``.
 
     The delayed window one delay back comes from the sample k steps earlier,
@@ -117,7 +117,7 @@ def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: Sys
         xd = xs[i - k] if i >= k else to_shifted(init((i - k) * step), fp)
         rate = loss_rate(shifted_cubic_window(xd, fp, params), params)
         dx1, dx2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
-        out[i] = lp.d1 * x.x1 * dx1 + lp.d4 * x.x2**3 * dx2
+        out[i] = cert.d1 * x.x1 * dx1 + cert.d4 * x.x2**3 * dx2
     return out
 
 

@@ -22,14 +22,13 @@ from tcpfluid import (
     SystemParams,
     basin_delta,
     build_config,
+    certificate,
     cubic_fixed_point,
     expansion_coeffs,
     fluid_rhs,
     integrate,
     loss_rate,
-    lyapunov_params,
     pick_losing_flow,
-    qtilde,
     reno_steady_state,
     run_experiment,
     run_simulation,
@@ -148,10 +147,9 @@ def test_criterion_4_qtilde_positive_definite():
         c = rng.uniform(0.1, 4.0)
         params = SystemParams(capacity=bdp / tau, tau=tau, b=b, c=c)
         fp = cubic_fixed_point(params)
-        co = expansion_coeffs(fp, params)
-        lp = lyapunov_params(fp, params)
-        qt = qtilde(co, lp, fp)
-        lambda_min_ok &= qt.lambda_min > 0.0
+        cert = certificate(fp, params)
+        co = cert.coeffs
+        lambda_min_ok &= cert.lambda_min > 0.0
         minor = co.alpha * co.gamma - co.beta**2 / 4.0
         exact = (1.0 / 27.0 - 1.0 / 36.0) * b**4 / (c**2 * fp.s_hat**10)
         minor_ok &= minor > 0.0
@@ -168,12 +166,11 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     start = time.perf_counter()
     params = SystemParams(capacity=12500.0, tau=0.01, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
-    lp = lyapunov_params(fp, params)
-    qt = qtilde(expansion_coeffs(fp, params), lp, fp)
-    delta = basin_delta(0.01 * fp.w_hat, lp)
+    cert = certificate(fp, params)
+    delta = basin_delta(0.01 * fp.w_hat, cert)
     init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, params, lp, qt)
+    diag = stability_trace(traj, fp, params, cert)
     in_basin = diag.norm_x[0] < delta
     bounded = bool(np.all(diag.norm_x**4 <= diag.bound))
     slack = 1e-12 * float(diag.v.max())

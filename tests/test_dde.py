@@ -13,11 +13,9 @@ from tcpfluid import (
     SystemParams,
     WindowFunction,
     basin_delta,
-    expansion_coeffs,
+    certificate,
     integrate,
     lyapunov_V,
-    lyapunov_params,
-    qtilde,
     reno_steady_state,
     run_simulation,
     shifted_samples,
@@ -119,10 +117,10 @@ def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp)
     # samples) although its exact dV/dt is negative.  Deviations from the
     # fixed point keep the increments.
     params, fp = canonical_params, canonical_fp
-    lp = lyapunov_params(fp, params)
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, lp))
+    cert = certificate(fp, params)
+    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
     traj = integrate(params, CUBIC, init, 2000 * params.tau, params.tau / 64, fp=fp)
-    v = lyapunov_V(shifted_samples(traj, fp), lp)
+    v = lyapunov_V(shifted_samples(traj, fp), cert)
     assert np.all(np.diff(v) <= 1e-12 * v.max())
     assert v[-1] < 0.02 * v[0]
 
@@ -225,11 +223,9 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     # Every trace has more rows than one write chunk, so chunk seams are
     # covered; the simulator trace holds the integer flow column.
     params, fp = canonical_params, canonical_fp
-    lp = lyapunov_params(fp, params)
-    qt = qtilde(expansion_coeffs(fp, params), lp, fp)
     init = InitialHistory.constant(fp.w_hat, fp.s_hat + 1e-3)
     traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, params, lp, qt)
+    diag = stability_trace(traj, fp, params, certificate(fp, params))
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), "cubic",
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow

@@ -94,9 +94,7 @@ def test_build_config_parses_string_values():
         {**BASE, "step": 0.015},  # does not divide the delay
         {**BASE, "post_transient": 0.0},
         {**BASE, "post_transient": 1.5},
-        {**BASE, "tol": 0.0},
         {**BASE, "sample_dt": 0.0},
-        {**BASE, "lookahead": -1.0},
         {**BASE, "packet_size_bytes": 0.0},
         {**BASE, "t_end": float("nan")},  # typed values pass the finiteness check too
         {**BASE, "step": float("nan")},
@@ -263,6 +261,10 @@ def _equilibrium_argv() -> list[str]:
         ["convergence", "--capacity-pkts", "100", "EQUILIBRIUM"],
         # 1e308 bit/s over 1e-300-byte packets is an infinite packet rate.
         ["nhpl", "--algorithm", "reno", "--capacity-bps", "1e308", "--packet-size-bytes", "1e-300"],
+        # An offset start off the positive window domain.
+        ["fluid", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
+        ["nhpl", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
+        ["compare", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
     ],
 )
 def test_cli_rejects_runs_without_a_result(tmp_path, capsys, argv):
@@ -338,7 +340,6 @@ def test_cli_reports_numeric_failure(tmp_path, capsys):
     [
         ("--t-end", "nan"),
         ("--delay-tau", "nan"),
-        ("--lookahead", "nan"),
         ("--seed", str(2**64)),
         ("--capacity-pkts", "inf"),
     ],

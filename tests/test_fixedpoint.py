@@ -93,7 +93,8 @@ def test_degenerate_zero_bdp_window_equation():
 
 def test_solver_error_carries_bracket(canonical_params):
     with pytest.raises(SolverError) as err:
-        cubic_fixed_point(canonical_params, rel_tol=1e-30, max_iter=1)
+        rhs = canonical_params.tau**3 * canonical_params.c / canonical_params.b
+        solve_window_equation(canonical_params.bdp, rhs, rel_tol=1e-30, max_iter=1)
     assert len(err.value.bracket) == 2
 
 

@@ -20,3 +20,15 @@ def test_script_help_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_stability_report_script_runs_end_to_end(tmp_path):
+    # The in-basin trajectory the script starts obeys the decay bound at
+    # every sample.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stability_report.py"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "bound_fraction: 1.0\n" in proc.stdout

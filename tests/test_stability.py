@@ -16,25 +16,26 @@ from oracles import (
 )
 from tcpfluid import (
     CUBIC,
+    CertificateError,
     FixedPoint,
     FlowState,
     InitialHistory,
     ShiftedState,
     SystemParams,
     basin_delta,
+    certificate,
     convergence_bound,
     expansion_coeffs,
     fluid_rhs,
     integrate,
     loss_rate,
     lyapunov_V,
-    lyapunov_params,
-    qtilde,
     razumikhin_mask,
     shifted_samples,
     stability_trace,
     vdot_along,
 )
+from tcpfluid.stability import RAZUMIKHIN_P
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
@@ -92,46 +93,52 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
 
 
 def test_lyapunov_params_weights_and_margins(canonical_params, canonical_fp):
-    lp = lyapunov_params(canonical_fp, canonical_params)
-    assert lp.d1 == canonical_fp.s_hat / canonical_params.c
-    assert lp.d4 == canonical_params.tau / canonical_fp.s_hat
-    assert lp.eps0 == max(0.5 * lp.d1, 0.25 * lp.d4)
-    assert lp.eps1 == 0.5 * min(lp.d1 / 6.0, 0.25 * lp.d4)
-    assert lp.razumikhin_p == 1.01
-    qt = qtilde(expansion_coeffs(canonical_fp, canonical_params), lp, canonical_fp)
-    assert lp.k_margin == pytest.approx(0.5 * qt.lambda_min, rel=1e-12)
-
-
-def qt_setup(params, fp):
-    lp = lyapunov_params(fp, params)
-    return lp, qtilde(expansion_coeffs(fp, params), lp, fp)
+    cert = certificate(canonical_fp, canonical_params)
+    assert cert.coeffs == expansion_coeffs(canonical_fp, canonical_params)
+    assert cert.d1 == canonical_fp.s_hat / canonical_params.c
+    assert cert.d4 == canonical_params.tau / canonical_fp.s_hat
+    assert cert.eps0 == max(0.5 * cert.d1, 0.25 * cert.d4)
+    assert cert.eps1 == 0.5 * min(cert.d1 / 6.0, 0.25 * cert.d4)
+    assert RAZUMIKHIN_P == 1.01
+    assert cert.k_margin == 0.5 * cert.lambda_min
 
 
 def test_qtilde_matches_eigenvalue_oracle(canonical_params, canonical_fp,
                                           unit_params, unit_fp):
     for params, fp in ((canonical_params, canonical_fp), (unit_params, unit_fp)):
-        lp, qt = qt_setup(params, fp)
-        assert np.allclose(qt.matrix, qt.matrix.T)
-        eigs = np.linalg.eigvalsh(qt.matrix)
-        assert qt.lambda_min > 0.0
-        assert qt.lambda_min == pytest.approx(float(eigs[0]), rel=1e-9)
-        assert qt.matrix[2, 2] == lp.d4 / fp.s_hat
+        cert = certificate(fp, params)
+        assert np.allclose(cert.matrix, cert.matrix.T)
+        eigs = np.linalg.eigvalsh(cert.matrix)
+        assert cert.lambda_min > 0.0
+        assert cert.lambda_min == pytest.approx(float(eigs[0]), rel=1e-9)
+        assert cert.matrix[2, 2] == cert.d4 / fp.s_hat
+
+
+def test_certificate_rejects_entries_out_of_float_range():
+    # At s_hat = 1e40 alpha*gamma and beta^2/4 both underflow to 0, so the
+    # minors fail, and det underflows below 0, so the eigenvalues fail too.
+    params = SystemParams(capacity=10.0, tau=1.0, b=0.2, c=0.4)
+    with pytest.raises(CertificateError, match="not positive definite"):
+        certificate(FixedPoint(w_hat=20.0, s_hat=1e40, p_hat=0.5), params)
+    # At s_hat = 1e45 s_hat**7 overflows in the coefficients.
+    with pytest.raises(CertificateError, match="expansion coefficients"):
+        certificate(FixedPoint(w_hat=20.0, s_hat=1e45, p_hat=0.5), params)
 
 
 def test_quartic_form_identity(canonical_params, canonical_fp):
     # The cross terms of dV/dt cancel exactly (d1*delta = d4*s_hat/tau = 1),
     # leaving the quartic form -z' Qtilde z in z = (x1^2, sqrt2 x1 x2, x2^2).
-    lp, qt = qt_setup(canonical_params, canonical_fp)
-    co = expansion_coeffs(canonical_fp, canonical_params)
+    cert = certificate(canonical_fp, canonical_params)
+    co = cert.coeffs
     rng = np.random.default_rng(99)
     for _ in range(300):
         x = ShiftedState(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        term1 = lp.d1 * x.x1 * cubic_truncation_x1dot(x, co)
-        term2 = lp.d4 * x.x2**3 * linearized_x2dot(
+        term1 = cert.d1 * x.x1 * cubic_truncation_x1dot(x, co)
+        term2 = cert.d4 * x.x2**3 * linearized_x2dot(
             x, x.x1, canonical_fp, canonical_params
         )
         z = np.array([x.x1**2, math.sqrt(2.0) * x.x1 * x.x2, x.x2**2])
-        quadratic_form = float(z @ qt.matrix @ z)
+        quadratic_form = float(z @ cert.matrix @ z)
         scale = abs(term1) + abs(term2) + abs(quadratic_form) + 1e-300
         assert abs((term1 + term2) + quadratic_form) <= 1e-12 * scale
 
@@ -140,46 +147,46 @@ def test_quartic_form_identity(canonical_params, canonical_fp):
 def test_lyapunov_sandwich_on_unit_ball(x1, x2):
     params = SystemParams(capacity=12500.0, tau=0.01, b=0.2, c=0.4)
     fp = FixedPoint(*_CANONICAL_FP)
-    lp = lyapunov_params(fp, params)
+    cert = certificate(fp, params)
     norm2 = x1 * x1 + x2 * x2
     if norm2 > 1.0:
         return
-    v = lyapunov_V(ShiftedState(x1, x2), lp)
+    v = lyapunov_V(ShiftedState(x1, x2), cert)
     # Below 1e-308 norm2 keeps up to ulp(0) of absolute rounding error: with
     # x1 = 1.08e-162, x1*x1 rounds to 0 while V rounds to 5e-324.
-    assert v <= lp.eps0 * (norm2 + math.ulp(0.0)) * (1.0 + 1e-12)
-    assert v >= lp.eps1 * norm2 * norm2 * (1.0 - 1e-12)
+    assert v <= cert.eps0 * (norm2 + math.ulp(0.0)) * (1.0 + 1e-12)
+    assert v >= cert.eps1 * norm2 * norm2 * (1.0 - 1e-12)
 
 
 def in_basin_trace(params, fp, init=None, reference=True):
-    lp, qt = qt_setup(params, fp)
+    cert = certificate(fp, params)
     if init is None:
-        delta = basin_delta(0.01 * fp.w_hat, lp)
+        delta = basin_delta(0.01 * fp.w_hat, cert)
         init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64,
                      fp=fp if reference else None)
-    return lp, qt, init, traj
+    return cert, init, traj
 
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
-    lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
     xs = shifted_samples(traj, canonical_fp)
-    vdot = vdot_along(xs, traj, lp)
+    vdot = vdot_along(xs, traj, cert)
     assert np.all(np.abs(vdot - scalar_vdot(scalar_shifted_samples(traj, canonical_fp),
-                                            traj.step, canonical_fp, canonical_params, lp,
+                                            traj.step, canonical_fp, canonical_params, cert,
                                             init)) <= 1e-12 * np.abs(vdot))
     k = round(canonical_params.tau / traj.step)
-    mask = razumikhin_mask(lyapunov_V(xs, lp), k, lp.razumikhin_p)
+    mask = razumikhin_mask(lyapunov_V(xs, cert), k, RAZUMIKHIN_P)
     assert mask[0]
     assert mask.any()
     norm4 = (xs.x1**2 + xs.x2**2) ** 2
-    decay = qt.lambda_min - lp.k_margin
+    decay = cert.lambda_min - cert.k_margin
     assert np.all(vdot[mask] <= -decay * norm4[mask] + 1e-30)
 
 
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
-    lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt)
+    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    tr = stability_trace(traj, canonical_fp, canonical_params, cert)
     assert np.all(tr.norm_x**4 <= tr.bound)
     dv = np.diff(tr.v)
     assert np.all(dv <= 1e-12 * np.maximum(tr.v[0], tr.v[:-1]))
@@ -200,20 +207,19 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, 
     params, fp = canonical_params, canonical_fp
     init = None
     if history == "ramp":
-        lp, _ = qt_setup(params, fp)
-        w0, s0 = fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, lp)
+        w0, s0 = fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, certificate(fp, params))
         init = InitialHistory(lambda theta: FlowState(w0, s0 + 1e-3 * theta / params.tau))
-    lp, qt, init, traj = in_basin_trace(params, fp, init, reference=history != "none")
-    tr = stability_trace(traj, fp, params, lp, qt)
+    cert, init, traj = in_basin_trace(params, fp, init, reference=history != "none")
+    tr = stability_trace(traj, fp, params, cert)
     xs = scalar_shifted_samples(traj, fp)
-    norm, v = scalar_norms_and_v(xs, lp)
-    vdot = scalar_vdot(xs, traj.step, fp, params, lp, init)
+    norm, v = scalar_norms_and_v(xs, cert)
+    vdot = scalar_vdot(xs, traj.step, fp, params, cert, init)
     k = round(params.tau / traj.step)
     assert np.all(np.abs(tr.norm_x - norm) <= 4 * np.spacing(norm))
     assert np.all(np.abs(tr.v - v) <= 4 * np.spacing(v))
     assert np.all(np.abs(tr.vdot - vdot) <= 1e-12 * np.abs(vdot))
-    assert np.array_equal(tr.bound, convergence_bound(traj.t, float(v[0]), lp, qt.lambda_min))
-    assert np.array_equal(tr.razumikhin_ok, scalar_razumikhin_mask(v, k, lp.razumikhin_p))
+    assert np.array_equal(tr.bound, convergence_bound(traj.t, float(v[0]), cert))
+    assert np.array_equal(tr.razumikhin_ok, scalar_razumikhin_mask(v, k, RAZUMIKHIN_P))
     assert not tr.razumikhin_ok.all()  # the mask is not trivially true
 
 
@@ -228,8 +234,8 @@ def test_razumikhin_mask_matches_slice_max_oracle(k):
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
-    lp, qt, init, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, lp, qt)
+    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    tr = stability_trace(traj, canonical_fp, canonical_params, cert)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
     lines = path.read_text().splitlines()
@@ -240,30 +246,28 @@ def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
 
 
 def test_convergence_bound_shape(canonical_params, canonical_fp):
-    lp, qt = qt_setup(canonical_params, canonical_fp)
+    cert = certificate(canonical_fp, canonical_params)
     v0 = 1.0
-    at_start = convergence_bound(0.0, v0, lp, qt.lambda_min)
-    assert at_start == pytest.approx(v0 / lp.eps1, rel=1e-12)
+    at_start = convergence_bound(0.0, v0, cert)
+    assert at_start == pytest.approx(v0 / cert.eps1, rel=1e-12)
     t = np.linspace(0.0, 1e6, 101)
-    b = convergence_bound(t, v0, lp, qt.lambda_min)
+    b = convergence_bound(t, v0, cert)
     assert np.all(np.diff(b) < 0.0)
-    assert convergence_bound(1e22, v0, lp, qt.lambda_min) < 1e-12 * v0 / lp.eps1
+    assert convergence_bound(1e22, v0, cert) < 1e-12 * v0 / cert.eps1
     with pytest.raises(ValueError):
-        convergence_bound(-1.0, v0, lp, qt.lambda_min)
+        convergence_bound(-1.0, v0, cert)
     with pytest.raises(ValueError):
-        convergence_bound(0.0, 0.0, lp, qt.lambda_min)
-    with pytest.raises(ValueError):
-        convergence_bound(0.0, v0, lp, 0.5 * lp.k_margin)
+        convergence_bound(0.0, 0.0, cert)
 
 
 def test_basin_delta_frozen_and_monotone(canonical_params, canonical_fp):
-    lp, _ = qt_setup(canonical_params, canonical_fp)
+    cert = certificate(canonical_fp, canonical_params)
     eps = 0.01 * canonical_fp.w_hat
-    assert basin_delta(eps, lp) == pytest.approx(CANONICAL_BASIN_DELTA, rel=1e-12)
-    assert basin_delta(eps, lp) == eps * eps * math.sqrt(lp.eps1 / lp.eps0)
-    assert basin_delta(2.0 * eps, lp) > basin_delta(eps, lp)
+    assert basin_delta(eps, cert) == pytest.approx(CANONICAL_BASIN_DELTA, rel=1e-12)
+    assert basin_delta(eps, cert) == eps * eps * math.sqrt(cert.eps1 / cert.eps0)
+    assert basin_delta(2.0 * eps, cert) > basin_delta(eps, cert)
     with pytest.raises(ValueError):
-        basin_delta(0.0, lp)
+        basin_delta(0.0, cert)
 
 
 def test_loglog_slope_recovers_power_law():
