@@ -104,6 +104,8 @@ def test_build_config_parses_string_values():
         {**BASE, "mode": 3},
         {**BASE, "init_w_max": 5},
         {**BASE, "b": None},  # None stands for a default only where that is None
+        {**BASE, "algorithm": "reno", "mode": "stability"},  # the certificate is cubic's
+        {**BASE, "mode": "convergence"},  # V vanishes at the fixed-point init
     ],
 )
 def test_build_config_rejects(raw):
