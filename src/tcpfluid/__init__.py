@@ -34,7 +34,6 @@ from .fixedpoint import (
     SolverError,
     cubic_fixed_point,
     reno_steady_state,
-    solve_window_equation,
 )
 from .nhpl import (
     Event,

@@ -117,19 +117,6 @@ class WindowFunction(ABC):
             f"{type(self).__name__} does not expose window coefficients"
         )
 
-    def reset(self, window_at_loss: float) -> FlowState:
-        """State right after a loss indication: the epoch clock restarts.
-
-        The multiplicative decrease itself is encoded in the window function,
-        not here; evaluating the returned state at s=0 yields the post-loss
-        window.
-        """
-        if not window_at_loss > 0.0:
-            raise ValueError(
-                f"window at loss must be positive, got {window_at_loss}"
-            )
-        return FlowState(w_max=window_at_loss, s=0.0)
-
 
 def loss_probability(window, params: SystemParams):
     """Packet loss probability for a flow holding ``window`` packets.

@@ -21,7 +21,8 @@ from .dde import InitialHistory, Trajectory, integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import to_shifted, window_function
-from .stability import RAZUMIKHIN_P, basin_delta, certificate, lyapunov_V, stability_trace
+from .stability import (RAZUMIKHIN_P, Certificate, basin_delta, certificate, lyapunov_V,
+                        stability_trace)
 
 
 class ConfigError(ValueError):
@@ -156,15 +157,19 @@ KEY_PARSERS = {
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; later keys win."""
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -280,14 +285,6 @@ class ExperimentResult:
     summary: str
 
 
-def _write_summary(out_dir: str, lines: list[str]) -> str:
-    path = os.path.join(out_dir, "summary.txt")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
 def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint,
                start: tuple[float, float]) -> Trajectory:
     init = InitialHistory.constant(*start)
@@ -295,14 +292,40 @@ def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint,
     return integrate(params, fn, init, config.horizon(), config.step_h(), fp=fp)
 
 
+def _write_stability_report(path: str, fp: FixedPoint, cert: Certificate, epsilon: float,
+                            delta: float) -> None:
+    co = cert.coeffs
+    with open(path, "w") as fh:
+        fh.write(f"w_hat: {fp.w_hat!r}\ns_hat: {fp.s_hat!r}\np_hat: {fp.p_hat!r}\n")
+        fh.write(
+            f"alpha: {co.alpha!r}\nbeta: {co.beta!r}\n"
+            f"gamma: {co.gamma!r}\ndelta: {co.delta!r}\n"
+        )
+        fh.write(
+            f"d1: {cert.d1!r}\nd4: {cert.d4!r}\neps0: {cert.eps0!r}\neps1: {cert.eps1!r}\n"
+            f"k_margin: {cert.k_margin!r}\nrazumikhin_p: {RAZUMIKHIN_P!r}\n"
+        )
+        for row in cert.matrix:
+            fh.write("qtilde_row: " + ",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"lambda_min: {cert.lambda_min!r}\n")
+        fh.write(f"epsilon: {epsilon!r}\nbasin_delta: {delta!r}\n")
+
+
+def _write_summary(path: str, lines: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one experiment mode and write its artifacts under out_dir.
 
-    Every check of the start and of the certificate runs before out_dir is
-    made, so a rejected run leaves no directory behind.
+    Every check and every computation (integration, simulation, certificate
+    and diagnostics) runs before out_dir is made, so a run that is rejected
+    or fails leaves no directory behind.
     """
     params = config.system_params()
     fp = config.steady_state(params)
+    horizon = config.horizon()
     if config.mode in FLUID_MODES + TRACE_MODES:
         starts = config.initial_conditions(fp)  # the fluid modes integrate flow 0
     if config.mode in ("stability", "convergence"):
@@ -313,8 +336,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         if not v0 > 0.0:
             raise ConfigError(f"convergence mode needs a start off the fixed point, "
                               f"got V(0) = {v0!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts: dict[str, str] = {}
+    if config.mode in TRACE_MODES and not config.flows * horizon <= WORK_BUDGET * fp.s_hat:
+        # At equilibrium each flow loses once per s_hat: the simulator's cost.
+        raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
+                          f"s_hat = {fp.s_hat!r} s each is over {WORK_BUDGET} losses")
+    writers = []  # (artifact name, file name, writer taking the path)
     metrics: dict[str, float] = {"w_hat": fp.w_hat, "s_hat": fp.s_hat, "p_hat": fp.p_hat}
     lines = [
         f"mode: {config.mode}",
@@ -332,27 +358,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         metrics["consistency_residual"] = residual
         lines.append(f"consistency_residual: {residual!r}")
 
-    if config.mode in ("fluid", "both"):
+    if config.mode in FLUID_MODES:
         traj = _run_fluid(config, params, fp, starts[0])
-        path = os.path.join(out_dir, "fluid_trace.csv")
-        traj.write_csv(path)
-        artifacts["fluid_trace"] = path
-        mean = post_transient_mean(traj.t, traj.w, config.horizon(), config.post_transient)
+
+    if config.mode in ("fluid", "both"):
+        writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))
+        mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
         metrics["fluid_mean_w"] = mean
         lines.append(f"fluid_mean_w: {mean!r}")
         lines.append(f"fluid_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
 
     if config.mode in TRACE_MODES:
-        sim = run_simulation(params, config.algorithm, starts, config.seed, config.horizon(),
+        sim = run_simulation(params, config.algorithm, starts, config.seed, horizon,
                              sample_dt=config.sample_dt)
-        events_path = os.path.join(out_dir, "nhpl_events.csv")
-        trace_path = os.path.join(out_dir, "nhpl_trace.csv")
-        sim.write_events_csv(events_path)
-        sim.write_trace_csv(trace_path)
-        artifacts["nhpl_events"] = events_path
-        artifacts["nhpl_trace"] = trace_path
+        writers.append(("nhpl_events", "nhpl_events.csv", sim.write_events_csv))
+        writers.append(("nhpl_trace", "nhpl_trace.csv", sim.write_trace_csv))
         tm, wm = sim.mean_trace()
-        mean = post_transient_mean(tm, wm, config.horizon(), config.post_transient)
+        mean = post_transient_mean(tm, wm, horizon, config.post_transient)
         losses = sum(1 for ev in sim.events if ev.event_type == "loss")
         metrics["nhpl_mean_w"] = mean
         metrics["nhpl_losses"] = float(losses)
@@ -368,34 +390,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     if config.mode == "stability":
         epsilon = 0.01 * fp.w_hat
         delta = basin_delta(epsilon, cert)
+        writers.append(("stability_report", "stability_report.txt",
+                        lambda path: _write_stability_report(path, fp, cert, epsilon, delta)))
         metrics["lambda_min"] = cert.lambda_min
         metrics["basin_delta"] = delta
-        path = os.path.join(out_dir, "stability_report.txt")
-        with open(path, "w") as fh:
-            fh.write(f"w_hat: {fp.w_hat!r}\ns_hat: {fp.s_hat!r}\np_hat: {fp.p_hat!r}\n")
-            co = cert.coeffs
-            fh.write(
-                f"alpha: {co.alpha!r}\nbeta: {co.beta!r}\n"
-                f"gamma: {co.gamma!r}\ndelta: {co.delta!r}\n"
-            )
-            fh.write(
-                f"d1: {cert.d1!r}\nd4: {cert.d4!r}\neps0: {cert.eps0!r}\neps1: {cert.eps1!r}\n"
-                f"k_margin: {cert.k_margin!r}\nrazumikhin_p: {RAZUMIKHIN_P!r}\n"
-            )
-            for row in cert.matrix:
-                fh.write("qtilde_row: " + ",".join(repr(float(v)) for v in row) + "\n")
-            fh.write(f"lambda_min: {cert.lambda_min!r}\n")
-            fh.write(f"epsilon: {epsilon!r}\nbasin_delta: {delta!r}\n")
-        artifacts["stability_report"] = path
         lines.append(f"lambda_min: {cert.lambda_min!r}")
         lines.append(f"basin_delta(eps=0.01*w_hat): {delta!r}")
 
     if config.mode == "convergence":
-        traj = _run_fluid(config, params, fp, starts[0])
         diag = stability_trace(traj, fp, params, cert)
-        path = os.path.join(out_dir, "convergence.csv")
-        diag.write_csv(path)
-        artifacts["convergence"] = path
+        writers.append(("convergence", "convergence.csv", diag.write_csv))
         bounded = float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12)))
         razumikhin = float(np.mean(diag.razumikhin_ok))
         metrics["lambda_min"] = cert.lambda_min
@@ -405,8 +409,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"bound_fraction: {bounded!r}")
         lines.append(f"razumikhin_fraction: {razumikhin!r}")
 
-    summary_path = _write_summary(out_dir, lines)
-    artifacts["summary"] = summary_path
+    writers.append(("summary", "summary.txt", lambda path: _write_summary(path, lines)))
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts: dict[str, str] = {}
+    for name, filename, write in writers:
+        artifacts[name] = os.path.join(out_dir, filename)
+        write(artifacts[name])
     return ExperimentResult(
         mode=config.mode,
         artifacts=artifacts,

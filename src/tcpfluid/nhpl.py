@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import FlowState, SystemParams
 from .dde import write_columns
+from .fixedpoint import solve_increasing
 from .protocols import WindowFunction, window_function
 
 
@@ -142,12 +143,6 @@ def make_sim_state(
     )
 
 
-# Backstop on solver iterations; Newton from the guesses below converges in
-# at most 6 on the 20-flow CUBIC comparison run, and 1 on a frozen window.
-_MAX_ITER = 100
-_EPS = 2.0**-52
-
-
 def _horner(p: Sequence[float], x: float) -> float:
     """p[0] + p[1] x + p[2] x^2 + ..."""
     acc = 0.0
@@ -169,39 +164,6 @@ def _excess_poly(state: SimState, ages: Sequence[float]) -> tuple[float, float, 
     return a0 - len(state.w_loss) * params.bdp, a1, a2, a3
 
 
-def _solve(
-    p: tuple[float, float, float, float, float], lo: float, hi: float, x: float
-) -> float:
-    """Root of p0 + p1 x + ... + p4 x^4, nondecreasing on [lo, hi], from x.
-
-    The caller guarantees p(lo) < 0 <= p(hi).  Newton steps that leave the
-    bracket are replaced by bisection, and the iteration stops once a Newton
-    step is below one ulp of the iterate.
-    """
-    p0, p1, p2, p3, p4 = p
-    d1, d2, d3 = 2.0 * p2, 3.0 * p3, 4.0 * p4
-    for _ in range(_MAX_ITER):
-        g = p0 + x * (p1 + x * (p2 + x * (p3 + x * p4)))
-        dg = p1 + x * (d1 + x * (d2 + x * d3))
-        if g >= 0.0:
-            hi = x
-        else:
-            lo = x
-        if dg > 0.0:
-            step = g / dg
-            nxt = x - step
-            if abs(step) <= _EPS * abs(x):
-                return nxt
-        else:
-            nxt = hi
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                return hi
-        x = nxt
-    return hi
-
-
 def _cubic_root(e: tuple[float, float, float, float], horizon: float) -> float | None:
     """First x in [0, horizon] where the nondecreasing cubic e reaches 0.
 
@@ -210,7 +172,7 @@ def _cubic_root(e: tuple[float, float, float, float], horizon: float) -> float |
     if _horner(e, horizon) < 0.0:
         return None
     guess = -e[0] / e[1] if e[1] > 0.0 else 0.5 * horizon
-    return _solve((*e, 0.0), 0.0, horizon, min(guess, horizon))
+    return solve_increasing((*e, 0.0), 0.0, horizon, min(guess, horizon))
 
 
 def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float | None:
@@ -255,7 +217,7 @@ def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float 
     for k, coeff in enumerate(quartic[1:], start=1):
         if coeff > 0.0:
             guess = min(guess, (target / coeff) ** (1.0 / k))
-    return t0_abs + start + _solve(quartic, 0.0, horizon, guess)
+    return t0_abs + start + solve_increasing(quartic, 0.0, horizon, guess)
 
 
 def t_bdp(state: SimState, t_from: float) -> float:
@@ -301,12 +263,11 @@ def _apply_next_indication(state: SimState) -> float:
     """Apply the earliest pending indication and return its time.
 
     The affected flow's window right before the indication becomes its new
-    w_loss; the epoch restarts at the indication time with the reset state.
+    w_loss, and its epoch clock restarts at the indication time.
     """
     t_ind, f = heapq.heappop(state.pending)
     w_before = state.flow_window(f, t_ind)
-    reset = state.window_fn.reset(w_before)
-    w_after = state.window_fn.window(reset, state.params)
+    w_after = state.window_fn.window(FlowState(w_before, 0.0), state.params)
     state.w_loss[f] = w_before
     state.llis[f] = t_ind
     state.events.append(Event("indication", t_ind, f, w_before, w_after))

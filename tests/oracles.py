@@ -4,6 +4,7 @@ package against.
 Each one is an independent route to a quantity the package computes another
 way: the Reno and CUBIC response functions against the fixed-point solvers,
 a sign-change scan against the window-equation solver's uniqueness claim,
+exact rational arithmetic against the CUBIC fixed point,
 the inverse of the fixed-point shift against the shifted coordinates,
 per-sample scalar loops against the array-valued stability diagnostics and
 the simulator's trace, the absolute-coordinate RK4 loop against the
@@ -13,6 +14,7 @@ truncations of the model against its right-hand side.
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,11 +23,11 @@ from tcpfluid import (
     FlowState,
     ShiftedState,
     SystemParams,
+    cubic_fixed_point,
     fluid_rhs,
     integrate,
     loss_rate,
     lyapunov_V,
-    solve_window_equation,
     to_shifted,
 )
 from tcpfluid.dde import steps_per_delay
@@ -44,7 +46,7 @@ def bracket_sign_changes(
     resolution.
     """
     rhs = params.tau**3 * params.c / params.b
-    root, _, _ = solve_window_equation(params.bdp, rhs)
+    root = cubic_fixed_point(params).w_hat
     lo = params.bdp
     hi = max(root * (1.0 + 1e-3), params.bdp * (1.0 + 1e-3))
 
@@ -60,6 +62,24 @@ def bracket_sign_changes(
             changes += 1
         prev = cur
     return changes, (lo, hi)
+
+
+def root_within_ulps(w: float, params: SystemParams, ulps: int) -> bool:
+    """Whether the root of w (w - bdp)^3 = tau^3 c / b right of bdp lies within
+    ``ulps`` ulps of w, in exact rational arithmetic.
+
+    g(w) = w (w - C tau)^3 - tau^3 c / b is negative on (0, C tau] and
+    increases right of it, so the root lies in [w - span, w + span] exactly
+    when g(w - span) < 0 <= g(w + span), as long as w - span > 0.
+    """
+    bdp = Fraction(params.capacity) * Fraction(params.tau)
+    rhs = Fraction(params.tau) ** 3 * Fraction(params.c) / Fraction(params.b)
+
+    def g(x: float) -> Fraction:
+        return Fraction(x) * (Fraction(x) - bdp) ** 3 - rhs
+
+    span = ulps * math.ulp(w)
+    return w - span > 0.0 and g(w - span) < 0 <= g(w + span)
 
 
 def reno_fixed_point(p_hat: float) -> float:

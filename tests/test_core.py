@@ -73,13 +73,6 @@ def test_window_times_p_equals_clipped_excess(w):
     assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12 * w)
 
 
-def test_reset_restarts_epoch_clock():
-    assert RENO.reset(16.0) == FlowState(16.0, 0.0)
-    assert CUBIC.reset(100.0) == FlowState(100.0, 0.0)
-    with pytest.raises(ValueError):
-        RENO.reset(0.0)
-
-
 def test_fluid_rhs_hand_computed(unit_params):
     # Reno window of (20, 5) is 15, a deficit of 5; delayed rate 7.5.  The
     # state is the deviation (2, -1) from the reference (18, 6).

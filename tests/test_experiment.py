@@ -300,6 +300,17 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe capacity_pkts=100\n")
+    rc = main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nwarp_factor=9\n")
@@ -334,7 +345,10 @@ def test_cli_reports_numeric_failure(tmp_path, capsys):
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
-    assert "numeric failure:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -384,11 +398,15 @@ def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
         ["fluid", "--t-end", "1e300"],
         ["nhpl", "--t-end", "1e300"],
         ["nhpl", "--flows", "100000000000"],
+        # About 1.4e8 losses at one per s_hat = 7.07e-4 s.
+        ["nhpl", "--algorithm", "reno", "--capacity-pkts", "1", "--delay-tau", "1e-3",
+         "--sample-dt", "100", "--t-end", "1e5"],
     ],
 )
 def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):
-    rc = main(argv + [
-        "--capacity-pkts", "100", "--delay-tau", "0.1", "--out", str(tmp_path / "out"),
+    # The argv's own flags come last and override the defaults.
+    rc = main(argv[:1] + ["--capacity-pkts", "100", "--delay-tau", "0.1"] + argv[1:] + [
+        "--out", str(tmp_path / "out"),
     ])
     assert rc == 2
     err = capsys.readouterr().err

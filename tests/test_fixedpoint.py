@@ -12,9 +12,9 @@ from tcpfluid import (
     fluid_rhs,
     loss_rate,
     reno_steady_state,
-    solve_window_equation,
 )
-from oracles import bracket_sign_changes, cubic_w_of_p, reno_fixed_point
+from tcpfluid.cli import main
+from oracles import bracket_sign_changes, cubic_w_of_p, reno_fixed_point, root_within_ulps
 
 # Frozen outputs, cross-checked against the plain-bisection oracle below
 # when first recorded.  Any solver regression shows up as a digit change.
@@ -57,8 +57,8 @@ def bisect_oracle(params, iters=200):
 def test_cubic_fixed_point_frozen_values(capacity, tau, frozen):
     params = SystemParams(capacity=capacity, tau=tau, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
-    assert fp.w_hat == pytest.approx(frozen[0], rel=1e-12)
-    assert fp.s_hat == pytest.approx(frozen[1], rel=1e-12)
+    assert fp.w_hat == frozen[0]
+    assert fp.s_hat == frozen[1]
     assert fp.p_hat == pytest.approx(frozen[2], rel=1e-9)
 
 
@@ -83,19 +83,42 @@ def test_cubic_fixed_point_identities(canonical_params, canonical_fp):
     )
 
 
-def test_degenerate_zero_bdp_window_equation():
-    w, lo, hi = solve_window_equation(0.0, 2e-6)
-    assert w == pytest.approx((2e-6) ** 0.25, rel=1e-12)
-    assert lo <= w <= hi
-    with pytest.raises(ValueError):
-        solve_window_equation(1.0, 0.0)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-6.0, max_value=12.0),
+    st.floats(min_value=-6.0, max_value=3.0),
+    st.floats(min_value=-6.0, max_value=math.log10(0.999)),
+    st.floats(min_value=-9.0, max_value=49.0),
+)
+def test_fixed_point_within_4_ulps_of_exact_root(log_c_pkts, log_tau, log_b, log_c):
+    params = SystemParams(capacity=10**log_c_pkts, tau=10**log_tau, b=10**log_b, c=10**log_c)
+    try:
+        fp = cubic_fixed_point(params)
+    except SolverError:
+        # Only a root that rounds onto the bandwidth-delay product, where
+        # p_hat = 1 - bdp / w_hat is not positive, may fail in this range.
+        assert root_within_ulps(params.bdp, params, 4)
+        return
+    assert root_within_ulps(fp.w_hat, params, 4)
 
 
-def test_solver_error_carries_bracket(canonical_params):
-    with pytest.raises(SolverError) as err:
-        rhs = canonical_params.tau**3 * canonical_params.c / canonical_params.b
-        solve_window_equation(canonical_params.bdp, rhs, rel_tol=1e-30, max_iter=1)
-    assert len(err.value.bracket) == 2
+def test_cli_solves_a_root_far_right_of_the_bdp(tmp_path):
+    # w_hat is 2.7e12 against a bandwidth-delay product of 1.
+    rc = main(["fixed-point", "--capacity-pkts", "1", "--delay-tau", "1", "--c", "1e49",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    w_hat = float(summary.split("w_hat: ", 1)[1].split("\n", 1)[0])
+    assert root_within_ulps(w_hat, SystemParams(capacity=1.0, tau=1.0, b=0.2, c=1e49), 4)
+
+
+def test_fixed_point_with_zero_bdp():
+    # The bandwidth-delay product underflows to 0.0, leaving w^4 = tau^3 c / b.
+    params = SystemParams(capacity=5e-324, tau=0.5, b=0.2, c=0.4)
+    assert params.bdp == 0.0
+    fp = cubic_fixed_point(params)
+    assert root_within_ulps(fp.w_hat, params, 4)
+    assert fp.p_hat == 1.0
 
 
 def test_cubic_w_of_p_scaling(canonical_params):

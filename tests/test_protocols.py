@@ -79,11 +79,11 @@ def test_coefficients_expand_the_window(fn, w_max, s, x):
 
 
 def test_loss_reset_examples(unit_params):
-    state = CUBIC.reset(100.0)
-    assert state == FlowState(100.0, 0.0)
+    # Right after a loss indication the epoch clock restarts at s = 0.
+    state = FlowState(100.0, 0.0)
     assert CUBIC.window(state, unit_params) == pytest.approx(80.0, rel=1e-12)
-    assert RENO.window(RENO.reset(100.0), unit_params) == 50.0
-    assert FROZEN.window(FROZEN.reset(100.0), unit_params) == 100.0
+    assert RENO.window(state, unit_params) == 50.0
+    assert FROZEN.window(state, unit_params) == 100.0
 
 
 def test_window_function_lookup():
