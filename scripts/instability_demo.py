@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from tcpfluid import (
-    InitialHistory,
+    FlowState,
     SystemParams,
     cubic_fixed_point,
     integrate,
@@ -31,8 +31,8 @@ def main() -> None:
     params = SystemParams(capacity=125000.0, tau=0.1, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
     horizon = 200.0 * params.tau
-    init = InitialHistory.constant(args.init_w_max, args.init_s)
-    traj = integrate(params, window_function("cubic"), init, horizon, params.tau / 256, fp=fp)
+    start = FlowState(args.init_w_max, args.init_s)
+    traj = integrate(params, window_function("cubic"), start, horizon, params.tau / 256, fp=fp)
 
     norms = np.hypot(*shifted_samples(traj, fp))
     mid = len(norms) // 2

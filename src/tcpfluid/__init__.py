@@ -16,7 +16,6 @@ from .core import (
     loss_rate,
 )
 from .dde import (
-    InitialHistory,
     IntegrationError,
     Trajectory,
     integrate,

@@ -37,6 +37,14 @@ class FlowState(NamedTuple):
     s: float
 
 
+def check_start(w_max: float, s: float) -> None:
+    """Raise ``ValueError`` unless 0 < w_max < inf and 0 <= s < inf."""
+    if not 0.0 < w_max < math.inf:
+        raise ValueError(f"initial w_max must be positive and finite, got {w_max}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"initial s must be nonnegative and finite, got {s}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Link and controller parameters.
@@ -86,12 +94,15 @@ class WindowFunction(ABC):
     default subtracts ``window``, and an override can evaluate the gap
     without cancellation.  The event-driven simulator needs the window to be
     a polynomial of degree at most 3 in ``s`` within an epoch, exposed by
-    ``coefficients``: the aggregate loss rate is then a cubic in time and
-    its integral a quartic, both summed over flows and inverted exactly.  The
-    simulator's trace calls ``window`` once per epoch with a scalar ``w_max``
-    and a numpy array of ages ``s``; the result must be that array's windows
-    elementwise, bit for bit what scalar calls give, or one scalar for all.
-    A window function that defines only ``window`` still integrates.
+    ``coefficients(state, params)``, the tuple (a0, a1, a2, a3) with
+    W(s + x) = a0 + a1 x + a2 x^2 + a3 x^3 for the offset x within the epoch,
+    where a0 must equal ``window(state, params)`` exactly: the aggregate loss
+    rate is then a cubic in time and its integral a quartic, both summed over
+    flows and inverted exactly.  The simulator's trace calls ``window`` once
+    per epoch with a scalar ``w_max`` and a numpy array of ages ``s``; the
+    result must be that array's windows elementwise, bit for bit what scalar
+    calls give, or one scalar for all.  A window function that defines only
+    ``window`` still integrates.
     """
 
     name: str = "abstract"
@@ -104,18 +115,6 @@ class WindowFunction(ABC):
         """w_max - W, packets, at the state (ref.w_max + x1, ref.s + x2)."""
         w_max = ref.w_max + x1
         return w_max - self.window(FlowState(w_max, ref.s + x2), params)
-
-    def coefficients(
-        self, state: FlowState, params: SystemParams
-    ) -> tuple[float, float, float, float]:
-        """(a0, a1, a2, a3) with W(s + x) = a0 + a1 x + a2 x^2 + a3 x^3.
-
-        x is the time offset from ``state`` within the same epoch, and a0
-        must equal ``window(state, params)`` exactly.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose window coefficients"
-        )
 
 
 def loss_probability(window, params: SystemParams):

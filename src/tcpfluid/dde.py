@@ -5,7 +5,9 @@ k >= 4.  Stage lookups one delay in the past then land either exactly on a
 stored sample or exactly halfway between two stored samples, so the history
 interpolation never extrapolates and whole-sample queries are exact.  Stored
 derivative values make the mid-sample cubic Hermite interpolant fourth-order
-accurate, matching the integrator order.
+accurate, matching the integrator order.  The initial function on [-tau, 0]
+is the start state held constant, so a lookup before t = 0 is the delayed
+rate of the start, computed once.
 
 The RK4 state is the deviation x = (w_max - w_ref, s - s_ref) from a
 reference point, the run's fixed point when the caller has one.  About the
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .core import (
     FlowState,
     SystemParams,
     WindowFunction,
+    check_start,
     fluid_rhs,
     loss_probability,
     loss_rate,
@@ -46,25 +48,6 @@ class IntegrationError(RuntimeError):
         super().__init__(f"{message} at t={time}: w_max={state.w_max}, s={state.s}")
         self.time = time
         self.state = state
-
-
-@dataclass(frozen=True)
-class InitialHistory:
-    """Prescribed solution on [-tau, 0], evaluated exactly (no interpolation)."""
-
-    fn: Callable[[float], FlowState]
-
-    @staticmethod
-    def constant(w_max: float, s: float) -> "InitialHistory":
-        if not w_max > 0.0:
-            raise ValueError(f"initial w_max must be positive, got {w_max}")
-        if s < 0.0:
-            raise ValueError(f"initial s must be nonnegative, got {s}")
-        state = FlowState(w_max, s)
-        return InitialHistory(fn=lambda theta: state)
-
-    def __call__(self, theta: float) -> FlowState:
-        return self.fn(theta)
 
 
 def hermite_midpoint(y, dy, j: int, h: float) -> float:
@@ -135,33 +118,32 @@ def steps_per_delay(tau: float, step: float) -> int:
 def integrate(
     params: SystemParams,
     window_fn: WindowFunction,
-    init: InitialHistory,
+    start: FlowState,
     t_end: float,
     step_h: float,
     *,
     fp: FixedPoint | None = None,
 ) -> Trajectory:
-    """Integrate the fluid model over [0, t_end] from the given history.
+    """Integrate the fluid model over [0, t_end] from the state ``start``.
 
+    The solution is held at ``start`` on [-tau, 0], so every stage that
+    looks back before t = 0 sees the delayed rate of the start state.
     ``step_h`` must equal tau/k for an integer k >= 4 (to one part in 1e9);
     the exact grid step tau/k is used internally.  The state is integrated
-    as its deviation from ``fp`` when given, else from the start state
-    init(0).  Output is bit-identical across runs for identical inputs.
-    Raises :class:`IntegrationError` when w_max or the instantaneous window
+    as its deviation from ``fp`` when given, else from ``start``.  Output is
+    bit-identical across runs for identical inputs.  Raises ``ValueError``
+    for a start outside the domain (see :func:`tcpfluid.core.check_start`)
+    and :class:`IntegrationError` when w_max or the instantaneous window
     leaves the positive domain.
     """
+    check_start(*start)
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     k = steps_per_delay(params.tau, step_h)
     h = params.tau / k
     n = math.ceil(t_end / h - 1e-12)
-    ref = FlowState(*init(0.0)) if fp is None else FlowState(fp.w_hat, fp.s_hat)
+    ref = FlowState(*start) if fp is None else FlowState(fp.w_hat, fp.s_hat)
     w_ref, s_ref = ref
-
-    def history(j: float) -> tuple[float, float]:
-        # Deviation of the prescribed history at grid time j*h <= 0.
-        w_max, s = init(j * h)
-        return w_max - w_ref, s - s_ref
 
     def delayed_rate(x1: float, x2: float, t: float) -> float:
         w = w_ref + x1 - window_fn.deficit(x1, x2, ref, params)
@@ -190,19 +172,17 @@ def integrate(
         d2s.append(d2)
         ws.append(w)
 
-    x1, x2 = history(0)
-    append(x1, x2, delayed_rate(*history(-k), 0.0), 0.0)
+    x1, x2 = start.w_max - w_ref, start.s - s_ref
+    r_start = delayed_rate(x1, x2, 0.0)  # every delayed rate before t = 0
+    append(x1, x2, r_start, 0.0)
     half = 0.5 * h
     sixth = h / 6.0
     for i in range(n):
         t = i * h
         j = i - k  # the sample one delay back
-        if j >= 0:
-            mid = hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h)
-        else:
-            mid = history(j + 0.5)
-        r_mid = delayed_rate(*mid, t)
-        r_end = loss_rate(ws[j + 1], params) if j >= -1 else delayed_rate(*history(j + 1), t)
+        r_mid = r_start if j < 0 else delayed_rate(
+            hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), t)
+        r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
         k1a, k1b = d1s[i], d2s[i]
         k2a, k2b, _ = fluid_rhs(x1 + half * k1a, x2 + half * k1b, r_mid, ref, params, window_fn)
         k3a, k3b, _ = fluid_rhs(x1 + half * k2a, x2 + half * k2b, r_mid, ref, params, window_fn)

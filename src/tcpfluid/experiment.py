@@ -9,6 +9,7 @@ byte-reproducible for a fixed config and seed.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
@@ -16,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FlowState, SystemParams
-from .dde import InitialHistory, Trajectory, integrate, steps_per_delay
+from .core import FlowState, SystemParams, check_start
+from .dde import integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import to_shifted, window_function
@@ -41,8 +42,9 @@ MODES = {
 FLUID_MODES = ("fluid", "both", "convergence")  # integrate flow 0 of the config
 TRACE_MODES = ("nhpl", "both")  # run the simulator and render its trace
 
-# Cap on one run's fluid steps and on its simulator trace rows.
+# Cap on one run's fluid steps, its simulator trace rows and its losses.
 WORK_BUDGET = 10**7
+CONFIG_MAX_BYTES = 2**20  # fits explicit init lists for about 50,000 flows
 
 BITS_PER_BYTE = 8.0
 DEFAULT_PACKET_SIZE = 1000.0  # bytes, used only to convert bit rates
@@ -109,8 +111,10 @@ class ExperimentConfig:
             return [(fp.w_hat, fp.s_hat)] * self.flows
         w0 = fp.w_hat + self.init_offset_w
         s0 = fp.s_hat + self.init_offset_s
-        if not w0 > 0.0 or s0 < 0.0:
-            raise ConfigError(f"offset init leaves the domain: w_max0={w0}, s0={s0}")
+        try:
+            check_start(w0, s0)
+        except ValueError as exc:
+            raise ConfigError(f"offset init leaves the domain: {exc}") from None
         return [(w0, s0)] * self.flows
 
 
@@ -157,11 +161,14 @@ KEY_PARSERS = {
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; later keys win."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read(CONFIG_MAX_BYTES + 1)
+    if len(data) > CONFIG_MAX_BYTES:
+        raise ConfigError(f"{path}: config file is over {CONFIG_MAX_BYTES} bytes")
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -249,7 +256,7 @@ def _validate(config: ExperimentConfig) -> None:
         RngStream.checked_seed(config.seed)
         if config.init == "explicit":
             for w0, s0 in zip(config.init_w_max, config.init_s):
-                InitialHistory.constant(w0, s0)
+                check_start(w0, s0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     horizon, step = config.horizon(), config.step_h()
@@ -285,13 +292,6 @@ class ExperimentResult:
     summary: str
 
 
-def _run_fluid(config: ExperimentConfig, params: SystemParams, fp: FixedPoint,
-               start: tuple[float, float]) -> Trajectory:
-    init = InitialHistory.constant(*start)
-    fn = window_function(config.algorithm)
-    return integrate(params, fn, init, config.horizon(), config.step_h(), fp=fp)
-
-
 def _write_stability_report(path: str, fp: FixedPoint, cert: Certificate, epsilon: float,
                             delta: float) -> None:
     co = cert.coeffs
@@ -325,6 +325,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """
     params = config.system_params()
     fp = config.steady_state(params)
+    fn = window_function(config.algorithm)
     horizon = config.horizon()
     if config.mode in FLUID_MODES + TRACE_MODES:
         starts = config.initial_conditions(fp)  # the fluid modes integrate flow 0
@@ -336,10 +337,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         if not v0 > 0.0:
             raise ConfigError(f"convergence mode needs a start off the fixed point, "
                               f"got V(0) = {v0!r}")
-    if config.mode in TRACE_MODES and not config.flows * horizon <= WORK_BUDGET * fp.s_hat:
+    if config.mode in TRACE_MODES:
         # At equilibrium each flow loses once per s_hat: the simulator's cost.
-        raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
-                          f"s_hat = {fp.s_hat!r} s each is over {WORK_BUDGET} losses")
+        if not config.flows * horizon <= WORK_BUDGET * fp.s_hat:
+            raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
+                              f"s_hat = {fp.s_hat!r} s each is over {WORK_BUDGET} losses")
+        # No indication lands before tau, so no window falls on [0, tau]: the
+        # start's excess over N C tau, scaled by the share of tau the run
+        # covers, bounds the expected losses from below.
+        excess = sum(fn.window(FlowState(*st), params) for st in starts) - params.flows * params.bdp
+        if not excess * min(horizon, params.tau) <= WORK_BUDGET * params.tau:
+            raise ConfigError(f"the start's windows exceed the bandwidth-delay products by "
+                              f"{excess!r} packets: over {WORK_BUDGET} losses in the first delay")
     writers = []  # (artifact name, file name, writer taking the path)
     metrics: dict[str, float] = {"w_hat": fp.w_hat, "s_hat": fp.s_hat, "p_hat": fp.p_hat}
     lines = [
@@ -359,7 +368,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         lines.append(f"consistency_residual: {residual!r}")
 
     if config.mode in FLUID_MODES:
-        traj = _run_fluid(config, params, fp, starts[0])
+        traj = integrate(params, fn, FlowState(*starts[0]), horizon, config.step_h(), fp=fp)
 
     if config.mode in ("fluid", "both"):
         writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))

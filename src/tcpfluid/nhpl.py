@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FlowState, SystemParams
+from .core import FlowState, SystemParams, check_start
 from .dde import write_columns
 from .fixedpoint import solve_increasing
 from .protocols import WindowFunction, window_function
@@ -119,18 +119,15 @@ def make_sim_state(
     is in flight at bootstrap and the anchor for the first candidate is t=0.
     """
     fn = window_function(algorithm) if isinstance(algorithm, str) else algorithm
-    if getattr(type(fn), "coefficients", None) in (None, WindowFunction.coefficients):
+    if not hasattr(fn, "coefficients"):
         raise ValueError(f"{type(fn).__name__} does not expose window coefficients")
     if len(init) != params.flows:
         raise ValueError(f"init has {len(init)} flows, params.flows = {params.flows}")
     if not lookahead > 0.0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
     w_loss, llis = [], []
-    for f, (w0, s0) in enumerate(init):
-        if not w0 > 0.0:
-            raise ValueError(f"flow {f}: initial w_loss must be positive, got {w0}")
-        if s0 < 0.0:
-            raise ValueError(f"flow {f}: initial epoch age must be >= 0, got {s0}")
+    for w0, s0 in init:
+        check_start(w0, s0)
         w_loss.append(float(w0))
         llis.append(-float(s0))
     return SimState(

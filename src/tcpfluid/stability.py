@@ -176,27 +176,27 @@ def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
     """Per-sample truth of the history comparison max V(past) <= p * V(now).
 
     The comparison window is the trailing delay, the k + 1 samples ending at
-    the current one; times before the start use the first sample, matching
-    constant initial histories.
+    the current one; times before the start use the first sample, which is
+    the history the integrator holds on [-tau, 0].
     """
     padded = np.concatenate((np.full(k, v[0]), v))
     return sliding_window_view(padded, k + 1).max(axis=1) <= p * v
 
 
-def convergence_bound(t, v0: float, cert: Certificate, t0: float = 0.0):
-    """Bound on |x(t)|^4 from the decay of V; accepts scalar or array t.
+def convergence_bound(t, v0: float, cert: Certificate):
+    """Bound on |x(t)|^4 from the decay of V; accepts scalar or array t >= 0.
 
-    1 / ( eps1*(lambda_min - k_margin)/eps0^2 * (t - t0) + eps1/V(t0) )
+    1 / ( eps1*(lambda_min - k_margin)/eps0^2 * t + eps1/V(0) )
 
     ``certificate`` makes lambda_min - k_margin positive.
     """
     if not v0 > 0.0:
-        raise ValueError(f"V(t0) must be positive, got {v0}")
+        raise ValueError(f"V(0) must be positive, got {v0}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < t0):
-        raise ValueError("bound requested before t0")
+    if np.any(t < 0.0):
+        raise ValueError("bound requested before t = 0")
     slope = cert.eps1 * (cert.lambda_min - cert.k_margin) / cert.eps0**2
-    out = 1.0 / (slope * (t - t0) + cert.eps1 / v0)
+    out = 1.0 / (slope * t + cert.eps1 / v0)
     return float(out) if out.ndim == 0 else out
 
 

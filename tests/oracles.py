@@ -124,17 +124,17 @@ def shifted_cubic_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) 
 
 
 def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: SystemParams,
-                cert, init) -> np.ndarray:
+                cert, start: FlowState) -> np.ndarray:
     """dV/dt per sample from one ``fluid_rhs`` call each, about ``fp``.
 
     The delayed window one delay back comes from the sample k steps earlier,
-    and inside the first delay from the history ``init``.
+    and inside the first delay from the state ``start``, held on [-tau, 0].
     """
     k = round(params.tau / step)
     ref = FlowState(fp.w_hat, fp.s_hat)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        xd = xs[i - k] if i >= k else to_shifted(init((i - k) * step), fp)
+        xd = xs[i - k] if i >= k else to_shifted(start, fp)
         rate = loss_rate(shifted_cubic_window(xd, fp, params), params)
         dx1, dx2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
         out[i] = cert.d1 * x.x1 * dx1 + cert.d4 * x.x2**3 * dx2
@@ -190,8 +190,10 @@ def scalar_render_trace(epochs, window_fn, params: SystemParams, t_end: float, s
     return np.asarray(ts), np.asarray(fs, dtype=int), np.asarray(ws)
 
 
-def absolute_integrate(params: SystemParams, window_fn, init, t_end: float, step_h: float):
-    """The fluid model integrated in absolute coordinates (w_max, s).
+def absolute_integrate(params: SystemParams, window_fn, start: FlowState, t_end: float,
+                       step_h: float):
+    """The fluid model integrated in absolute coordinates (w_max, s) from
+    ``start``, held on [-tau, 0].
 
     This is the package's integrator as it stood before the state became a
     deviation from a reference point, kept as the reference that the
@@ -221,16 +223,16 @@ def absolute_integrate(params: SystemParams, window_fn, init, t_end: float, step
     wm, ss, dws, dss = [], [], [], []
 
     def sample(i):
-        return tuple(init(i * h)) if i < 0 else (wm[i], ss[i])
+        return tuple(start) if i < 0 else (wm[i], ss[i])
 
     def midpoint(i):
         if i < 0:
-            return tuple(init((i + 0.5) * h))
+            return tuple(start)
         g = h / 8.0
         return (0.5 * (wm[i] + wm[i + 1]) + g * (dws[i] - dws[i + 1]),
                 0.5 * (ss[i] + ss[i + 1]) + g * (dss[i] - dss[i + 1]))
 
-    y = tuple(init(0.0))
+    y = tuple(start)
     d = rhs(*y, rate(*sample(-k)))
     wm.append(y[0]), ss.append(y[1]), dws.append(d[0]), dss.append(d[1])
     half, sixth = 0.5 * h, h / 6.0
@@ -249,7 +251,7 @@ def absolute_integrate(params: SystemParams, window_fn, init, t_end: float, step
     return np.array(wm), np.array(ss), np.array(w), np.array([p_of(v) for v in w])
 
 
-def convergence_order_check(params: SystemParams, window_fn, init, t_end: float,
+def convergence_order_check(params: SystemParams, window_fn, start: FlowState, t_end: float,
                             base_k: int = 8) -> float:
     """Observed Richardson order from runs at steps tau/k, tau/2k, tau/4k.
 
@@ -261,7 +263,7 @@ def convergence_order_check(params: SystemParams, window_fn, init, t_end: float,
     t_final = max(1, round(t_end / h0)) * h0
     ends = []
     for k in (base_k, 2 * base_k, 4 * base_k):
-        traj = integrate(params, window_fn, init, t_final, params.tau / k)
+        traj = integrate(params, window_fn, start, t_final, params.tau / k)
         ends.append((float(traj.w_max[-1]), float(traj.s[-1])))
     e1 = math.hypot(ends[0][0] - ends[1][0], ends[0][1] - ends[1][1])
     e2 = math.hypot(ends[1][0] - ends[2][0], ends[1][1] - ends[2][1])

@@ -16,7 +16,6 @@ from tcpfluid import (
     FROZEN,
     RENO,
     FlowState,
-    InitialHistory,
     RngStream,
     ShiftedState,
     SystemParams,
@@ -57,10 +56,10 @@ def test_criterion_1_reno_pair_matches_scalar_model():
     start = time.perf_counter()
     params = SystemParams(capacity=12500.0, tau=0.01, b=0.2, c=0.4)
     ss = reno_steady_state(params)
-    init = InitialHistory.constant(1.05 * ss.w_hat, ss.s_hat)
+    init = FlowState(1.05 * ss.w_hat, ss.s_hat)
     k = 128
     traj = integrate(params, RENO, init, 50.0 * params.tau, params.tau / k)
-    w0 = RENO.window(init(0.0), params)
+    w0 = RENO.window(init, params)
     oracle = integrate_scalar_reno(params, w0, 50.0 * params.tau, k)
     worst = max(
         abs(a - b) / abs(b) for a, b in zip(traj.w, oracle)
@@ -168,7 +167,7 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     fp = cubic_fixed_point(params)
     cert = certificate(fp, params)
     delta = basin_delta(0.01 * fp.w_hat, cert)
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
+    init = FlowState(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
     diag = stability_trace(traj, fp, params, cert)
     in_basin = diag.norm_x[0] < delta
@@ -191,7 +190,7 @@ def test_criterion_6_long_delay_divergence_witness():
     start = time.perf_counter()
     params = SystemParams(capacity=125000.0, tau=0.1, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
-    init = InitialHistory.constant(12371.9952, 13.6794)
+    init = FlowState(12371.9952, 13.6794)
     horizon = 200.0 * params.tau
     traj = integrate(params, CUBIC, init, horizon, params.tau / 256, fp=fp)
     norms = np.hypot(*shifted_samples(traj, fp))

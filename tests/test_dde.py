@@ -8,7 +8,6 @@ from tcpfluid import (
     FROZEN,
     RENO,
     FlowState,
-    InitialHistory,
     IntegrationError,
     SystemParams,
     WindowFunction,
@@ -26,14 +25,11 @@ from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
 
-def test_initial_history_constant_validation():
-    hist = InitialHistory.constant(2.0, 0.5)
-    assert hist(0.0) == FlowState(2.0, 0.5)
-    assert hist(-0.7) == FlowState(2.0, 0.5)
-    with pytest.raises(ValueError):
-        InitialHistory.constant(0.0, 0.5)
-    with pytest.raises(ValueError):
-        InitialHistory.constant(2.0, -0.1)
+def test_integrate_rejects_start_outside_domain(canonical_params):
+    for w_max, s in [(0.0, 0.5), (2.0, -0.1), (2.0, math.nan), (math.inf, 0.5)]:
+        with pytest.raises(ValueError, match="initial"):
+            integrate(canonical_params, CUBIC, FlowState(w_max, s), 1.0,
+                      canonical_params.tau / 8)
 
 
 def test_hermite_midpoint_is_exact_on_cubics():
@@ -51,19 +47,19 @@ def test_hermite_midpoint_is_exact_on_cubics():
 
 
 def test_integrate_validates_step(canonical_params):
-    init = InitialHistory.constant(100.0, 1.0)
+    start = FlowState(100.0, 1.0)
     with pytest.raises(ValueError):
-        integrate(canonical_params, CUBIC, init, 1.0, canonical_params.tau / 3)
+        integrate(canonical_params, CUBIC, start, 1.0, canonical_params.tau / 3)
     with pytest.raises(ValueError):
-        integrate(canonical_params, CUBIC, init, 1.0, canonical_params.tau * 0.11)
+        integrate(canonical_params, CUBIC, start, 1.0, canonical_params.tau * 0.11)
     with pytest.raises(ValueError):
-        integrate(canonical_params, CUBIC, init, -1.0, canonical_params.tau / 8)
+        integrate(canonical_params, CUBIC, start, -1.0, canonical_params.tau / 8)
 
 
 def test_fixed_point_is_stationary(canonical_params, canonical_fp):
-    init = InitialHistory.constant(canonical_fp.w_hat, canonical_fp.s_hat)
+    start = FlowState(canonical_fp.w_hat, canonical_fp.s_hat)
     traj = integrate(
-        canonical_params, CUBIC, init, 100 * canonical_params.tau,
+        canonical_params, CUBIC, start, 100 * canonical_params.tau,
         canonical_params.tau / 16,
     )
     drift = np.max(np.abs(traj.w - canonical_fp.w_hat)) / canonical_fp.w_hat
@@ -73,8 +69,8 @@ def test_fixed_point_is_stationary(canonical_params, canonical_fp):
 def test_sub_bdp_frozen_flow_is_exact(canonical_params):
     # Below the bandwidth-delay product the loss rate is exactly zero, so
     # w_max must hold bit for bit and the epoch clock advances linearly.
-    init = InitialHistory.constant(5.0, 0.0)
-    traj = integrate(canonical_params, FROZEN, init, 50 * canonical_params.tau,
+    start = FlowState(5.0, 0.0)
+    traj = integrate(canonical_params, FROZEN, start, 50 * canonical_params.tau,
                      canonical_params.tau / 8)
     assert np.all(traj.w_max == 5.0)
     assert np.all(traj.p == 0.0)
@@ -86,7 +82,7 @@ def test_reno_pair_matches_scalar_oracle():
     fp = reno_steady_state(params)
     w_max0, s0 = 1.1 * fp.w_hat, fp.s_hat
     k = 16
-    traj = integrate(params, RENO, InitialHistory.constant(w_max0, s0),
+    traj = integrate(params, RENO, FlowState(w_max0, s0),
                      50 * params.tau, params.tau / k)
     oracle = integrate_scalar_reno(params, 0.5 * w_max0 + s0 / params.tau,
                                   50 * params.tau, k)
@@ -97,16 +93,16 @@ def test_reno_pair_matches_scalar_oracle():
 
 def test_observed_order_is_four_on_smooth_path(unit_params, unit_fp):
     # Window stays above the loss-probability kink for this initial offset.
-    init = InitialHistory.constant(1.05 * unit_fp.w_hat, unit_fp.s_hat)
-    order = convergence_order_check(unit_params, CUBIC, init, 4.0, base_k=8)
+    start = FlowState(1.05 * unit_fp.w_hat, unit_fp.s_hat)
+    order = convergence_order_check(unit_params, CUBIC, start, 4.0, base_k=8)
     assert 3.5 <= order <= 4.6
 
 
 def test_observed_order_is_inf_on_exact_solution(unit_params):
     # Sub-bdp frozen flow: w_max is constant and s grows at exactly rate 1,
     # which RK4 reproduces without error on the dyadic steps tau / k.
-    init = InitialHistory.constant(5.0, 0.0)
-    order = convergence_order_check(unit_params, FROZEN, init, 4.0, base_k=8)
+    start = FlowState(5.0, 0.0)
+    order = convergence_order_check(unit_params, FROZEN, start, 4.0, base_k=8)
     assert math.isinf(order)
 
 
@@ -118,8 +114,8 @@ def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp)
     # fixed point keep the increments.
     params, fp = canonical_params, canonical_fp
     cert = certificate(fp, params)
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
-    traj = integrate(params, CUBIC, init, 2000 * params.tau, params.tau / 64, fp=fp)
+    start = FlowState(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
+    traj = integrate(params, CUBIC, start, 2000 * params.tau, params.tau / 64, fp=fp)
     v = lyapunov_V(shifted_samples(traj, fp), cert)
     assert np.all(np.diff(v) <= 1e-12 * v.max())
     assert v[-1] < 0.02 * v[0]
@@ -134,9 +130,9 @@ def test_cubic_fixed_point_run_matches_absolute_reference(canonical_params, cano
     # coordinates; s, which grows through a rounded 1 - s*rate, differs by
     # 3.2e-14 at most (8.2e-15 relative).
     params, fp = canonical_params, canonical_fp
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat)
-    traj = integrate(params, CUBIC, init, 20 * params.tau, params.tau / 16, fp=fp)
-    reference = absolute_integrate(params, CUBIC, init, 20 * params.tau, params.tau / 16)
+    start = FlowState(fp.w_hat, fp.s_hat)
+    traj = integrate(params, CUBIC, start, 20 * params.tau, params.tau / 16, fp=fp)
+    reference = absolute_integrate(params, CUBIC, start, 20 * params.tau, params.tau / 16)
     d_w_max, d_s, d_w, d_p = _column_gaps(traj, reference)
     assert not d_w_max.any() and not d_w.any() and not d_p.any()
     assert np.all(d_s <= 1e-13 * reference[1])
@@ -147,9 +143,9 @@ def test_reno_offset_run_matches_absolute_reference():
     # absolute (p crosses zero, so its relative gap is not bounded).
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     fp = reno_steady_state(params)
-    init = InitialHistory.constant(1.1 * fp.w_hat, fp.s_hat)
-    traj = integrate(params, RENO, init, 50 * params.tau, params.tau / 16, fp=fp)
-    reference = absolute_integrate(params, RENO, init, 50 * params.tau, params.tau / 16)
+    start = FlowState(1.1 * fp.w_hat, fp.s_hat)
+    traj = integrate(params, RENO, start, 50 * params.tau, params.tau / 16, fp=fp)
+    reference = absolute_integrate(params, RENO, start, 50 * params.tau, params.tau / 16)
     d_w_max, d_s, d_w, d_p = _column_gaps(traj, reference)
     for gap, col in zip((d_w_max, d_s, d_w), reference):
         assert np.all(gap <= 1e-13 * np.abs(col))
@@ -158,20 +154,20 @@ def test_reno_offset_run_matches_absolute_reference():
 
 def test_trajectory_columns_are_the_deviation_state(canonical_params, canonical_fp):
     params, fp = canonical_params, canonical_fp
-    init = InitialHistory.constant(1.01 * fp.w_hat, fp.s_hat)
+    start = FlowState(1.01 * fp.w_hat, fp.s_hat)
     for ref_fp in (fp, None):
-        traj = integrate(params, CUBIC, init, 5 * params.tau, params.tau / 8, fp=ref_fp)
-        assert traj.ref == (init(0.0) if ref_fp is None else (fp.w_hat, fp.s_hat))
+        traj = integrate(params, CUBIC, start, 5 * params.tau, params.tau / 8, fp=ref_fp)
+        assert traj.ref == (start if ref_fp is None else (fp.w_hat, fp.s_hat))
         assert np.array_equal(traj.w_max, traj.ref.w_max + traj.x1)
         assert np.array_equal(traj.s, traj.ref.s + traj.x2)
         assert len(traj.dx1) == len(traj.dx2) == len(traj.t)
 
 
 def test_integration_is_deterministic(canonical_params, canonical_fp):
-    init = InitialHistory.constant(1.01 * canonical_fp.w_hat, canonical_fp.s_hat)
-    a = integrate(canonical_params, CUBIC, init, 20 * canonical_params.tau,
+    start = FlowState(1.01 * canonical_fp.w_hat, canonical_fp.s_hat)
+    a = integrate(canonical_params, CUBIC, start, 20 * canonical_params.tau,
                   canonical_params.tau / 8)
-    b = integrate(canonical_params, CUBIC, init, 20 * canonical_params.tau,
+    b = integrate(canonical_params, CUBIC, start, 20 * canonical_params.tau,
                   canonical_params.tau / 8)
     assert np.array_equal(a.w_max, b.w_max)
     assert np.array_equal(a.s, b.s)
@@ -182,9 +178,9 @@ def test_integration_is_deterministic(canonical_params, canonical_fp):
 def test_domain_exit_raises_integration_error(canonical_params):
     # An absurd initial epoch age forces the first step far past the stiff
     # transient; the integrator must report failure, not return garbage.
-    init = InitialHistory.constant(1.0, 1e6)
+    start = FlowState(1.0, 1e6)
     with pytest.raises(IntegrationError) as err:
-        integrate(canonical_params, CUBIC, init, 0.1, canonical_params.tau / 16)
+        integrate(canonical_params, CUBIC, start, 0.1, canonical_params.tau / 16)
     assert err.value.time > 0.0
     assert isinstance(err.value.state, FlowState)
 
@@ -196,15 +192,15 @@ def test_hostile_window_function_raises(canonical_params):
         def window(self, state, params):
             return state.w_max - 1e6 * state.s
 
-    init = InitialHistory.constant(10.0, 0.0)
+    start = FlowState(10.0, 0.0)
     with pytest.raises(IntegrationError):
-        integrate(canonical_params, Collapsing(), init, 1.0,
+        integrate(canonical_params, Collapsing(), start, 1.0,
                   canonical_params.tau / 8)
 
 
 def test_trajectory_csv_round_trips(tmp_path, canonical_params, canonical_fp):
-    init = InitialHistory.constant(1.01 * canonical_fp.w_hat, canonical_fp.s_hat)
-    traj = integrate(canonical_params, CUBIC, init, 5 * canonical_params.tau,
+    start = FlowState(1.01 * canonical_fp.w_hat, canonical_fp.s_hat)
+    traj = integrate(canonical_params, CUBIC, start, 5 * canonical_params.tau,
                      canonical_params.tau / 8)
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
@@ -223,8 +219,8 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     # Every trace has more rows than one write chunk, so chunk seams are
     # covered; the simulator trace holds the integer flow column.
     params, fp = canonical_params, canonical_fp
-    init = InitialHistory.constant(fp.w_hat, fp.s_hat + 1e-3)
-    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64, fp=fp)
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    traj = integrate(params, CUBIC, start, 100 * params.tau, params.tau / 64, fp=fp)
     diag = stability_trace(traj, fp, params, certificate(fp, params))
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), "cubic",
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)

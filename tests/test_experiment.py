@@ -16,6 +16,7 @@ from tcpfluid import (
 )
 from tcpfluid.cli import main
 from tcpfluid.experiment import (
+    CONFIG_MAX_BYTES,
     KEY_PARSERS,
     WORK_BUDGET,
     bits_to_packets,
@@ -311,6 +312,20 @@ def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_config_file_over_the_size_cap(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    text = "capacity_pkts=100\ndelay_tau=0.1\n"
+    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES + 1 - len(text)))
+    rc = main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES - len(text)))  # at the cap: accepted
+    assert main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nwarp_factor=9\n")
@@ -401,6 +416,9 @@ def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
         # About 1.4e8 losses at one per s_hat = 7.07e-4 s.
         ["nhpl", "--algorithm", "reno", "--capacity-pkts", "1", "--delay-tau", "1e-3",
          "--sample-dt", "100", "--t-end", "1e5"],
+        # About 5e8 losses in the first delay, before any indication lands.
+        ["nhpl", "--algorithm", "reno", "--init", "explicit", "--init-w-max", "1e9",
+         "--init-s", "0", "--t-end", "1"],
     ],
 )
 def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):

@@ -494,7 +494,22 @@ def test_make_sim_state_validation():
     with pytest.raises(ValueError):
         make_sim_state(params, FROZEN, [(15.0, -1.0), (1.0, 0.0)], RngStream(0), 50.0)
     with pytest.raises(ValueError):
+        make_sim_state(params, FROZEN, [(15.0, math.nan), (1.0, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError):
+        make_sim_state(params, FROZEN, [(15.0, 0.0), (math.inf, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError):
         make_sim_state(params, FROZEN, [(15.0, 0.0), (1.0, 0.0)], RngStream(0), 0.0)
+
+
+def test_run_simulation_rejects_non_finite_start():
+    # Both starts once reached a loss loop that never ended: a NaN age makes
+    # every loss time NaN, which never passes t_end, and an infinite window
+    # puts every candidate loss at about 1.6e-28 s.
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    with pytest.raises(ValueError, match="initial s"):
+        run_simulation(params, FROZEN, [(15.0, math.nan)], 1, 10.0)
+    with pytest.raises(ValueError, match="initial w_max"):
+        run_simulation(params, RENO, [(math.inf, 0.0)], 1, 10.0)
 
 
 def test_run_simulation_requires_seed():

@@ -19,7 +19,6 @@ from tcpfluid import (
     CertificateError,
     FixedPoint,
     FlowState,
-    InitialHistory,
     ShiftedState,
     SystemParams,
     basin_delta,
@@ -158,23 +157,21 @@ def test_lyapunov_sandwich_on_unit_ball(x1, x2):
     assert v >= cert.eps1 * norm2 * norm2 * (1.0 - 1e-12)
 
 
-def in_basin_trace(params, fp, init=None, reference=True):
+def in_basin_trace(params, fp, reference=True):
     cert = certificate(fp, params)
-    if init is None:
-        delta = basin_delta(0.01 * fp.w_hat, cert)
-        init = InitialHistory.constant(fp.w_hat, fp.s_hat + 0.8 * delta)
-    traj = integrate(params, CUBIC, init, 100 * params.tau, params.tau / 64,
+    start = FlowState(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
+    traj = integrate(params, CUBIC, start, 100 * params.tau, params.tau / 64,
                      fp=fp if reference else None)
-    return cert, init, traj
+    return cert, start, traj
 
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
-    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
     xs = shifted_samples(traj, canonical_fp)
     vdot = vdot_along(xs, traj, cert)
     assert np.all(np.abs(vdot - scalar_vdot(scalar_shifted_samples(traj, canonical_fp),
                                             traj.step, canonical_fp, canonical_params, cert,
-                                            init)) <= 1e-12 * np.abs(vdot))
+                                            start)) <= 1e-12 * np.abs(vdot))
     k = round(canonical_params.tau / traj.step)
     mask = razumikhin_mask(lyapunov_V(xs, cert), k, RAZUMIKHIN_P)
     assert mask[0]
@@ -185,7 +182,7 @@ def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
 
 
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
-    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
     tr = stability_trace(traj, canonical_fp, canonical_params, cert)
     assert np.all(tr.norm_x**4 <= tr.bound)
     dv = np.diff(tr.v)
@@ -193,27 +190,22 @@ def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     assert tr.v[-1] < tr.v[0]
 
 
-@pytest.mark.parametrize("history", ["none", "constant", "ramp"])
+@pytest.mark.parametrize("history", ["none", "constant"])
 def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, history):
     # numpy's SIMD hypot and power may differ from math in the last ulp, so
     # |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the bound (from
     # V[0]) and the Razumikhin maxima take no transcendental step.  The
     # stored derivatives must match a fresh fluid_rhs call per sample whose
     # delayed window comes from the sample one delay back or, inside the
-    # first delay, from the history.  "constant" integrates about the fixed
-    # point from the constant in-basin history; "none" integrates it about
-    # no fixed point, from its start state; "ramp" differs from the first
-    # sample, so the delayed values inside the first delay matter.
+    # first delay, from the start state.  "constant" integrates about the
+    # fixed point from the in-basin start; "none" integrates it about no
+    # fixed point, from its start state.
     params, fp = canonical_params, canonical_fp
-    init = None
-    if history == "ramp":
-        w0, s0 = fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, certificate(fp, params))
-        init = InitialHistory(lambda theta: FlowState(w0, s0 + 1e-3 * theta / params.tau))
-    cert, init, traj = in_basin_trace(params, fp, init, reference=history != "none")
+    cert, start, traj = in_basin_trace(params, fp, reference=history != "none")
     tr = stability_trace(traj, fp, params, cert)
     xs = scalar_shifted_samples(traj, fp)
     norm, v = scalar_norms_and_v(xs, cert)
-    vdot = scalar_vdot(xs, traj.step, fp, params, cert, init)
+    vdot = scalar_vdot(xs, traj.step, fp, params, cert, start)
     k = round(params.tau / traj.step)
     assert np.all(np.abs(tr.norm_x - norm) <= 4 * np.spacing(norm))
     assert np.all(np.abs(tr.v - v) <= 4 * np.spacing(v))
@@ -234,7 +226,7 @@ def test_razumikhin_mask_matches_slice_max_oracle(k):
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
-    cert, init, traj = in_basin_trace(canonical_params, canonical_fp)
+    cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
     tr = stability_trace(traj, canonical_fp, canonical_params, cert)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
@@ -254,7 +246,7 @@ def test_convergence_bound_shape(canonical_params, canonical_fp):
     b = convergence_bound(t, v0, cert)
     assert np.all(np.diff(b) < 0.0)
     assert convergence_bound(1e22, v0, cert) < 1e-12 * v0 / cert.eps1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="before t = 0"):
         convergence_bound(-1.0, v0, cert)
     with pytest.raises(ValueError):
         convergence_bound(0.0, 0.0, cert)
