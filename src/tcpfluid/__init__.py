@@ -50,8 +50,6 @@ from .protocols import (
     CUBIC,
     FROZEN,
     RENO,
-    ShiftedState,
-    to_shifted,
     window_function,
 )
 from .stability import (

@@ -134,7 +134,7 @@ def integrate(
     bit-identical across runs for identical inputs.  Raises ``ValueError``
     for a start outside the domain (see :func:`tcpfluid.core.check_start`)
     and :class:`IntegrationError` when w_max or the instantaneous window
-    leaves the positive domain.
+    leaves the positive domain, the start's w_max rounded about ``fp`` too.
     """
     check_start(*start)
     if not t_end > 0.0:
@@ -173,6 +173,10 @@ def integrate(
         ws.append(w)
 
     x1, x2 = start.w_max - w_ref, start.s - s_ref
+    if not w_ref + x1 > 0.0:  # the start is below half an ulp of w_ref
+        raise IntegrationError(f"start w_max={start.w_max!r} is lost to rounding against the "
+                               f"reference w_max={w_ref!r}", 0.0,
+                               FlowState(w_ref + x1, s_ref + x2))
     r_start = delayed_rate(x1, x2, 0.0)  # every delayed rate before t = 0
     append(x1, x2, r_start, 0.0)
     half = 0.5 * h

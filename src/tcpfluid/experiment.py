@@ -13,7 +13,8 @@ import io
 import math
 import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .core import FlowState, SystemParams, check_start
 from .dde import integrate, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
-from .protocols import to_shifted, window_function
+from .protocols import window_function
 from .stability import (RAZUMIKHIN_P, Certificate, basin_delta, certificate, lyapunov_V,
                         stability_trace)
 
@@ -56,7 +57,7 @@ def bits_to_packets(bits_per_s: float, packet_size_bytes: float = DEFAULT_PACKET
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All run parameters; see ``KEY_PARSERS`` for the config-file keys.
+    """All run parameters: each field is a config key and a CLI flag.
 
     Capacity is given either directly in packets/s (capacity_pkts) or in
     bits/s (capacity_bps) converted with packet_size_bytes.  Initial
@@ -135,27 +136,11 @@ def _parse_float_list(v: object) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in v)
 
 
-KEY_PARSERS = {
-    "algorithm": str,
-    "capacity_pkts": _parse_float,
-    "capacity_bps": _parse_float,
-    "packet_size_bytes": _parse_float,
-    "delay_tau": _parse_float,
-    "b": _parse_float,
-    "c": _parse_float,
-    "flows": _parse_int,
-    "init": str,
-    "init_offset_w": _parse_float,
-    "init_offset_s": _parse_float,
-    "init_w_max": _parse_float_list,
-    "init_s": _parse_float_list,
-    "t_end": _parse_float,
-    "step": _parse_float,
-    "seed": _parse_int,
-    "mode": str,
-    "sample_dt": _parse_float,
-    "post_transient": _parse_float,
-}
+_PARSERS = {"str": str, "int": _parse_int, "float": _parse_float,
+            "tuple[float, ...]": _parse_float_list}
+# A parser per field from its annotation, in field order, which is the order
+# of the CLI flags.  An annotation missing from _PARSERS fails at import.
+KEY_PARSERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -186,7 +171,8 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 def build_config(raw: dict[str, object]) -> ExperimentConfig:
     """Parse raw key/value strings (or already-typed values) and validate.
 
-    The one place a config is checked: every rejection is a ConfigError.
+    Rejects with ConfigError all that the config alone decides; what needs
+    the fixed point, run_experiment checks before it computes anything.
     """
     parsed: dict[str, object] = {}
     for key, value in raw.items():
@@ -292,26 +278,19 @@ class ExperimentResult:
     summary: str
 
 
-def _write_stability_report(path: str, fp: FixedPoint, cert: Certificate, epsilon: float,
-                            delta: float) -> None:
-    co = cert.coeffs
-    with open(path, "w") as fh:
-        fh.write(f"w_hat: {fp.w_hat!r}\ns_hat: {fp.s_hat!r}\np_hat: {fp.p_hat!r}\n")
-        fh.write(
-            f"alpha: {co.alpha!r}\nbeta: {co.beta!r}\n"
-            f"gamma: {co.gamma!r}\ndelta: {co.delta!r}\n"
-        )
-        fh.write(
-            f"d1: {cert.d1!r}\nd4: {cert.d4!r}\neps0: {cert.eps0!r}\neps1: {cert.eps1!r}\n"
-            f"k_margin: {cert.k_margin!r}\nrazumikhin_p: {RAZUMIKHIN_P!r}\n"
-        )
-        for row in cert.matrix:
-            fh.write("qtilde_row: " + ",".join(repr(float(v)) for v in row) + "\n")
-        fh.write(f"lambda_min: {cert.lambda_min!r}\n")
-        fh.write(f"epsilon: {epsilon!r}\nbasin_delta: {delta!r}\n")
+def _stability_report(fp: FixedPoint, cert: Certificate, epsilon: float,
+                      delta: float) -> list[str]:
+    values = {**asdict(fp), **asdict(cert.coeffs), "d1": cert.d1, "d4": cert.d4,
+              "eps0": cert.eps0, "eps1": cert.eps1, "k_margin": cert.k_margin,
+              "razumikhin_p": RAZUMIKHIN_P}
+    lines = [f"{key}: {value!r}" for key, value in values.items()]
+    lines += ["qtilde_row: " + ",".join(repr(float(v)) for v in row) for row in cert.matrix]
+    lines += [f"lambda_min: {cert.lambda_min!r}", f"epsilon: {epsilon!r}",
+              f"basin_delta: {delta!r}"]
+    return lines
 
 
-def _write_summary(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -319,9 +298,11 @@ def _write_summary(path: str, lines: list[str]) -> None:
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one experiment mode and write its artifacts under out_dir.
 
-    Every check and every computation (integration, simulation, certificate
-    and diagnostics) runs before out_dir is made, so a run that is rejected
-    or fails leaves no directory behind.
+    First a ConfigError rejects what needs the fixed point: an offset start
+    outside the domain, V(0) = 0 in convergence mode, and a simulation over
+    the loss budget at equilibrium or in the start's first delay.  Every
+    check and computation runs before out_dir is made, so a run that is
+    rejected or fails leaves no directory behind.
     """
     params = config.system_params()
     fp = config.steady_state(params)
@@ -333,7 +314,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         cert = certificate(fp, params)
     if config.mode == "convergence":
         # The decay bound divides by V at t = 0, which vanishes on the fixed point.
-        v0 = lyapunov_V(to_shifted(FlowState(*starts[0]), fp), cert)
+        v0 = lyapunov_V(starts[0][0] - fp.w_hat, starts[0][1] - fp.s_hat, cert)
         if not v0 > 0.0:
             raise ConfigError(f"convergence mode needs a start off the fixed point, "
                               f"got V(0) = {v0!r}")
@@ -350,22 +331,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             raise ConfigError(f"the start's windows exceed the bandwidth-delay products by "
                               f"{excess!r} packets: over {WORK_BUDGET} losses in the first delay")
     writers = []  # (artifact name, file name, writer taking the path)
-    metrics: dict[str, float] = {"w_hat": fp.w_hat, "s_hat": fp.s_hat, "p_hat": fp.p_hat}
-    lines = [
-        f"mode: {config.mode}",
-        f"algorithm: {config.algorithm}",
-        f"capacity_pkts: {params.capacity!r}",
-        f"delay_tau: {params.tau!r}",
-        f"flows: {params.flows}",
-        f"w_hat: {fp.w_hat!r}",
-        f"s_hat: {fp.s_hat!r}",
-        f"p_hat: {fp.p_hat!r}",
-    ]
+    metrics: dict[str, float] = {}
+    lines = [f"mode: {config.mode}", f"algorithm: {config.algorithm}",
+             f"capacity_pkts: {params.capacity!r}", f"delay_tau: {params.tau!r}",
+             f"flows: {params.flows}"]
+
+    def report(key: str, value: float, label: str | None = None) -> None:
+        metrics[key] = value
+        lines.append(f"{label or key}: {value!r}")
+
+    report("w_hat", fp.w_hat)
+    report("s_hat", fp.s_hat)
+    report("p_hat", fp.p_hat)
 
     if config.mode == "fixed-point":
-        residual = fp.s_hat * fp.w_hat * fp.p_hat / params.tau - 1.0
-        metrics["consistency_residual"] = residual
-        lines.append(f"consistency_residual: {residual!r}")
+        report("consistency_residual", fp.s_hat * fp.w_hat * fp.p_hat / params.tau - 1.0)
 
     if config.mode in FLUID_MODES:
         traj = integrate(params, fn, FlowState(*starts[0]), horizon, config.step_h(), fp=fp)
@@ -373,60 +353,43 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     if config.mode in ("fluid", "both"):
         writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))
         mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
-        metrics["fluid_mean_w"] = mean
-        lines.append(f"fluid_mean_w: {mean!r}")
+        report("fluid_mean_w", mean)
         lines.append(f"fluid_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
 
     if config.mode in TRACE_MODES:
-        sim = run_simulation(params, config.algorithm, starts, config.seed, horizon,
+        sim = run_simulation(params, fn, starts, config.seed, horizon,
                              sample_dt=config.sample_dt)
         writers.append(("nhpl_events", "nhpl_events.csv", sim.write_events_csv))
         writers.append(("nhpl_trace", "nhpl_trace.csv", sim.write_trace_csv))
         tm, wm = sim.mean_trace()
         mean = post_transient_mean(tm, wm, horizon, config.post_transient)
-        losses = sum(1 for ev in sim.events if ev.event_type == "loss")
-        metrics["nhpl_mean_w"] = mean
-        metrics["nhpl_losses"] = float(losses)
-        lines.append(f"nhpl_mean_w: {mean!r}")
+        report("nhpl_mean_w", mean)
         lines.append(f"nhpl_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
-        lines.append(f"nhpl_losses: {losses}")
+        report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
 
     if config.mode == "both":
-        gap = metrics["nhpl_mean_w"] / metrics["fluid_mean_w"] - 1.0
-        metrics["nhpl_vs_fluid"] = gap
-        lines.append(f"nhpl_vs_fluid: {gap!r}")
+        report("nhpl_vs_fluid", metrics["nhpl_mean_w"] / metrics["fluid_mean_w"] - 1.0)
+
+    if config.mode in ("stability", "convergence"):
+        report("lambda_min", cert.lambda_min)
 
     if config.mode == "stability":
         epsilon = 0.01 * fp.w_hat
         delta = basin_delta(epsilon, cert)
         writers.append(("stability_report", "stability_report.txt",
-                        lambda path: _write_stability_report(path, fp, cert, epsilon, delta)))
-        metrics["lambda_min"] = cert.lambda_min
-        metrics["basin_delta"] = delta
-        lines.append(f"lambda_min: {cert.lambda_min!r}")
-        lines.append(f"basin_delta(eps=0.01*w_hat): {delta!r}")
+                        partial(_write_lines, lines=_stability_report(fp, cert, epsilon, delta))))
+        report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
     if config.mode == "convergence":
         diag = stability_trace(traj, fp, params, cert)
         writers.append(("convergence", "convergence.csv", diag.write_csv))
-        bounded = float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12)))
-        razumikhin = float(np.mean(diag.razumikhin_ok))
-        metrics["lambda_min"] = cert.lambda_min
-        metrics["bound_fraction"] = bounded
-        metrics["razumikhin_fraction"] = razumikhin
-        lines.append(f"lambda_min: {cert.lambda_min!r}")
-        lines.append(f"bound_fraction: {bounded!r}")
-        lines.append(f"razumikhin_fraction: {razumikhin!r}")
+        report("bound_fraction", float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12))))
+        report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
 
-    writers.append(("summary", "summary.txt", lambda path: _write_summary(path, lines)))
+    writers.append(("summary", "summary.txt", partial(_write_lines, lines=lines)))
     os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
     for name, filename, write in writers:
         artifacts[name] = os.path.join(out_dir, filename)
         write(artifacts[name])
-    return ExperimentResult(
-        mode=config.mode,
-        artifacts=artifacts,
-        metrics=metrics,
-        summary="\n".join(lines),
-    )
+    return ExperimentResult(config.mode, artifacts, metrics, summary="\n".join(lines))

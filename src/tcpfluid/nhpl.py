@@ -38,10 +38,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FlowState, SystemParams, check_start
+from .core import FlowState, SystemParams, WindowFunction, check_start
 from .dde import write_columns
 from .fixedpoint import solve_increasing
-from .protocols import WindowFunction, window_function
 
 
 class RngStream:
@@ -107,7 +106,7 @@ class SimState:
 
 def make_sim_state(
     params: SystemParams,
-    algorithm: str | WindowFunction,
+    fn: WindowFunction,
     init: Sequence[tuple[float, float]],
     rng: object,
     lookahead: float,
@@ -118,7 +117,6 @@ def make_sim_state(
     so its window at t=0 is the one the pair (w_loss, s0) describes.  No loss
     is in flight at bootstrap and the anchor for the first candidate is t=0.
     """
-    fn = window_function(algorithm) if isinstance(algorithm, str) else algorithm
     if not hasattr(fn, "coefficients"):
         raise ValueError(f"{type(fn).__name__} does not expose window coefficients")
     if len(init) != params.flows:
@@ -376,7 +374,7 @@ def _render_trace(
 
 def run_simulation(
     params: SystemParams,
-    algorithm: str | WindowFunction,
+    window_fn: WindowFunction,
     init: Sequence[tuple[float, float]],
     seed: int,
     t_end: float,
@@ -400,7 +398,7 @@ def run_simulation(
         raise ValueError("a seed is required")
     # The search horizon reaches past t_end from any anchor before it.
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
-    state = make_sim_state(params, algorithm, init, RngStream(seed), lookahead)
+    state = make_sim_state(params, window_fn, init, RngStream(seed), lookahead)
     first = list(zip(state.llis, state.w_loss))
     while True:
         loss_time, flow = generate_poi_loss(state)

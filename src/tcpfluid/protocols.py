@@ -1,4 +1,4 @@
-"""Concrete window functions and the coordinates centred on a fixed point.
+"""Concrete window functions: Reno, CUBIC and a frozen window.
 
 The fluid model runs in deviations x1 = w_max - w_ref and x2 = s - s_ref
 from a reference point (see :func:`tcpfluid.core.fluid_rhs`).
@@ -10,10 +10,8 @@ however small x gets.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .core import FlowState, SystemParams, WindowFunction, cbrt
-from .fixedpoint import FixedPoint
 
 
 class RenoWindow(WindowFunction):
@@ -89,13 +87,3 @@ def window_function(name: str) -> WindowFunction:
     except KeyError:
         raise ValueError(f"unknown window function {name!r}") from None
 
-
-class ShiftedState(NamedTuple):
-    """Deviation from a fixed point: (w_max - w_hat, s - s_hat)."""
-
-    x1: float
-    x2: float
-
-
-def to_shifted(state: FlowState, fp: FixedPoint) -> ShiftedState:
-    return ShiftedState(state.w_max - fp.w_hat, state.s - fp.s_hat)

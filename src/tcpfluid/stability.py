@@ -36,7 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import SystemParams
 from .dde import Trajectory, write_columns
 from .fixedpoint import FixedPoint
-from .protocols import ShiftedState
 
 
 class CertificateError(ArithmeticError):
@@ -153,23 +152,23 @@ def certificate(fp: FixedPoint, params: SystemParams) -> Certificate:
     )
 
 
-def lyapunov_V(x: ShiftedState, cert: Certificate):
-    """V at one shifted state, or at every sample of a ShiftedState of arrays."""
-    return 0.5 * cert.d1 * x.x1 * x.x1 + 0.25 * cert.d4 * x.x2**4
+def lyapunov_V(x1, x2, cert: Certificate):
+    """V at the deviation (x1, x2), scalars or arrays of samples."""
+    return 0.5 * cert.d1 * x1 * x1 + 0.25 * cert.d4 * x2**4
 
 
-def shifted_samples(traj: Trajectory, fp: FixedPoint) -> ShiftedState:
-    """Every sample in fixed-point-centred coordinates, as one ShiftedState
-    of columns: the trajectory's x columns moved from its reference point
-    to ``fp``.  About ``fp`` itself the move adds 0.0 and changes no bit."""
+def shifted_samples(traj: Trajectory, fp: FixedPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample in fixed-point-centred coordinates, as the columns
+    (x1, x2): the trajectory's x columns moved from its reference point to
+    ``fp``.  About ``fp`` itself the move adds 0.0 and changes no bit."""
     ref = traj.ref
-    return ShiftedState(traj.x1 + (ref.w_max - fp.w_hat), traj.x2 + (ref.s - fp.s_hat))
+    return traj.x1 + (ref.w_max - fp.w_hat), traj.x2 + (ref.s - fp.s_hat)
 
 
-def vdot_along(xs: ShiftedState, traj: Trajectory, cert: Certificate) -> np.ndarray:
-    """dV/dt at every sample of ``xs``, the shifted samples of ``traj``,
+def vdot_along(x1, x2, traj: Trajectory, cert: Certificate) -> np.ndarray:
+    """dV/dt at every sample (x1, x2), the shifted samples of ``traj``,
     from the derivatives the integrator stored with each sample."""
-    return cert.d1 * xs.x1 * traj.dx1 + cert.d4 * xs.x2**3 * traj.dx2
+    return cert.d1 * x1 * traj.dx1 + cert.d4 * x2**3 * traj.dx2
 
 
 def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
@@ -231,13 +230,13 @@ def stability_trace(
     cert: Certificate,
 ) -> DiagnosticTrace:
     """Assemble the diagnostics CSV columns for one trajectory."""
-    xs = shifted_samples(traj, fp)
-    v = lyapunov_V(xs, cert)
+    x1, x2 = shifted_samples(traj, fp)
+    v = lyapunov_V(x1, x2, cert)
     return DiagnosticTrace(
         t=traj.t,
-        norm_x=np.hypot(xs.x1, xs.x2),
+        norm_x=np.hypot(x1, x2),
         v=v,
-        vdot=vdot_along(xs, traj, cert),
+        vdot=vdot_along(x1, x2, traj, cert),
         bound=convergence_bound(traj.t, float(v[0]), cert),
         razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), RAZUMIKHIN_P),
     )

@@ -21,14 +21,12 @@ import numpy as np
 from tcpfluid import (
     CUBIC,
     FlowState,
-    ShiftedState,
     SystemParams,
     cubic_fixed_point,
     fluid_rhs,
     integrate,
     loss_rate,
     lyapunov_V,
-    to_shifted,
 )
 from tcpfluid.dde import steps_per_delay
 from tcpfluid.fixedpoint import FixedPoint
@@ -100,30 +98,30 @@ def cubic_w_of_p(p_hat: float, params: SystemParams) -> float:
     return (params.tau**3 * params.c / (p_hat**3 * params.b)) ** 0.25
 
 
-def from_shifted(x: ShiftedState, fp: FixedPoint) -> FlowState:
-    return FlowState(x.x1 + fp.w_hat, x.x2 + fp.s_hat)
+def from_shifted(x: tuple[float, float], fp: FixedPoint) -> FlowState:
+    return FlowState(x[0] + fp.w_hat, x[1] + fp.s_hat)
 
 
-def scalar_shifted_samples(traj, fp: FixedPoint) -> list[ShiftedState]:
-    """One ShiftedState per trajectory sample: its x columns moved from the
+def scalar_shifted_samples(traj, fp: FixedPoint) -> list[tuple[float, float]]:
+    """One (x1, x2) pair per trajectory sample: its x columns moved from the
     trajectory's reference point to ``fp`` in scalar arithmetic."""
     d1, d2 = traj.ref.w_max - fp.w_hat, traj.ref.s - fp.s_hat
-    return [ShiftedState(float(a) + d1, float(b) + d2) for a, b in zip(traj.x1, traj.x2)]
+    return [(float(a) + d1, float(b) + d2) for a, b in zip(traj.x1, traj.x2)]
 
 
-def scalar_norms_and_v(xs: list[ShiftedState], cert) -> tuple[np.ndarray, np.ndarray]:
+def scalar_norms_and_v(xs: list[tuple[float, float]], cert) -> tuple[np.ndarray, np.ndarray]:
     """|x| by math.hypot and V by the scalar Lyapunov formula, per sample."""
-    return (np.array([math.hypot(x.x1, x.x2) for x in xs]),
-            np.array([lyapunov_V(x, cert) for x in xs]))
+    return (np.array([math.hypot(*x) for x in xs]),
+            np.array([lyapunov_V(*x, cert) for x in xs]))
 
 
-def shifted_cubic_window(x: ShiftedState, fp: FixedPoint, params: SystemParams) -> float:
+def shifted_cubic_window(x: tuple[float, float], fp: FixedPoint, params: SystemParams) -> float:
     """CUBIC window at the deviation x from the fixed point."""
     ref = FlowState(fp.w_hat, fp.s_hat)
-    return fp.w_hat + x.x1 - CUBIC.deficit(x.x1, x.x2, ref, params)
+    return fp.w_hat + x[0] - CUBIC.deficit(*x, ref, params)
 
 
-def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: SystemParams,
+def scalar_vdot(xs: list[tuple[float, float]], step: float, fp: FixedPoint, params: SystemParams,
                 cert, start: FlowState) -> np.ndarray:
     """dV/dt per sample from one ``fluid_rhs`` call each, about ``fp``.
 
@@ -134,10 +132,11 @@ def scalar_vdot(xs: list[ShiftedState], step: float, fp: FixedPoint, params: Sys
     ref = FlowState(fp.w_hat, fp.s_hat)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        xd = xs[i - k] if i >= k else to_shifted(start, fp)
+        xd = xs[i - k] if i >= k else (start.w_max - fp.w_hat, start.s - fp.s_hat)
         rate = loss_rate(shifted_cubic_window(xd, fp, params), params)
-        dx1, dx2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
-        out[i] = cert.d1 * x.x1 * dx1 + cert.d4 * x.x2**3 * dx2
+        x1, x2 = x
+        dx1, dx2, _ = fluid_rhs(x1, x2, rate, ref, params, CUBIC)
+        out[i] = cert.d1 * x1 * dx1 + cert.d4 * x2**3 * dx2
     return out
 
 
@@ -272,7 +271,7 @@ def convergence_order_check(params: SystemParams, window_fn, start: FlowState, t
     return math.log2(e1 / e2)
 
 
-def cubic_truncation_x1dot(x: ShiftedState, coeffs: ExpansionCoeffs) -> float:
+def cubic_truncation_x1dot(x: tuple[float, float], coeffs: ExpansionCoeffs) -> float:
     """Third-order truncation of dx1/dt about the fixed point."""
     x1, x2 = x
     return (
@@ -284,10 +283,10 @@ def cubic_truncation_x1dot(x: ShiftedState, coeffs: ExpansionCoeffs) -> float:
 
 
 def linearized_x2dot(
-    x: ShiftedState, x1_delayed: float, fp: FixedPoint, params: SystemParams
+    x: tuple[float, float], x1_delayed: float, fp: FixedPoint, params: SystemParams
 ) -> float:
     """Linear part of dx2/dt: -(1/s_hat) x2 - (s_hat/tau) x1_delayed."""
-    return -x.x2 / fp.s_hat - (fp.s_hat / params.tau) * x1_delayed
+    return -x[1] / fp.s_hat - (fp.s_hat / params.tau) * x1_delayed
 
 
 def loglog_slope(x, y) -> float:

@@ -17,7 +17,6 @@ from tcpfluid import (
     RENO,
     FlowState,
     RngStream,
-    ShiftedState,
     SystemParams,
     basin_delta,
     build_config,
@@ -117,11 +116,11 @@ def test_criterion_3_taylor_structure_slopes():
         worst1 = worst2 = 0.0
         for _ in range(200):
             th = rng.uniform(0.0, 2.0 * math.pi)
-            x = ShiftedState(r * math.cos(th), r * math.sin(th))
+            x = (r * math.cos(th), r * math.sin(th))
             rate = loss_rate(shifted_cubic_window(x, fp, params), params)
-            d1, d2, _ = fluid_rhs(x.x1, x.x2, rate, ref, params, CUBIC)
+            d1, d2, _ = fluid_rhs(*x, rate, ref, params, CUBIC)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
-            worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x.x1, fp, params)))
+            worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x[0], fp, params)))
         err1.append(worst1)
         err2.append(worst2)
     s1 = loglog_slope(radii, err1)

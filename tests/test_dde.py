@@ -116,7 +116,7 @@ def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp)
     cert = certificate(fp, params)
     start = FlowState(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
     traj = integrate(params, CUBIC, start, 2000 * params.tau, params.tau / 64, fp=fp)
-    v = lyapunov_V(shifted_samples(traj, fp), cert)
+    v = lyapunov_V(*shifted_samples(traj, fp), cert)
     assert np.all(np.diff(v) <= 1e-12 * v.max())
     assert v[-1] < 0.02 * v[0]
 
@@ -222,7 +222,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     traj = integrate(params, CUBIC, start, 100 * params.tau, params.tau / 64, fp=fp)
     diag = stability_trace(traj, fp, params, certificate(fp, params))
-    sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), "cubic",
+    sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), CUBIC,
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
     path = tmp_path / "trace.csv"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tcpfluid.cli import main
 from tcpfluid.experiment import (
     CONFIG_MAX_BYTES,
     KEY_PARSERS,
+    MODES,
     WORK_BUDGET,
     bits_to_packets,
     post_transient_mean,
@@ -174,6 +176,23 @@ def test_stability_mode(tmp_path):
     assert "lambda_min:" in report and "qtilde_row:" in report
 
 
+def test_stability_report_layout(tmp_path):
+    # Readers parse the report by key: the qtilde_row and lambda_min lines
+    # above all, so its keys keep this order.
+    result = run_experiment(make_config(mode="stability"), tmp_path / "out")
+    lines = (tmp_path / "out" / "stability_report.txt").read_text().splitlines()
+    pairs = [line.split(": ", 1) for line in lines]
+    assert [key for key, _ in pairs] == [
+        "w_hat", "s_hat", "p_hat", "alpha", "beta", "gamma", "delta", "d1", "d4",
+        "eps0", "eps1", "k_margin", "razumikhin_p", "qtilde_row", "qtilde_row", "qtilde_row",
+        "lambda_min", "epsilon", "basin_delta",
+    ]
+    assert all(len(value.split(",")) == 3 for key, value in pairs if key == "qtilde_row")
+    assert pairs[-3][1] == repr(result.metrics["lambda_min"])
+    assert pairs[-1][1] == repr(result.metrics["basin_delta"])
+    assert pairs[0][1] == repr(result.metrics["w_hat"])
+
+
 def test_convergence_mode(tmp_path):
     config = make_config(
         mode="convergence", init="offset", init_offset_s=0.01, t_end=1.0
@@ -187,6 +206,25 @@ def test_convergence_mode(tmp_path):
     assert 1.0 / (len(diag) - 1) <= share <= 1.0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert f"razumikhin_fraction: {share!r}\n" in summary
+
+
+@pytest.mark.parametrize("over", [
+    {"mode": "fluid", "init": "offset", "init_offset_w": 1.0},
+    {"mode": "nhpl", "seed": 3, "t_end": 5.0, "flows": 2},
+    {"mode": "both", "seed": 3, "t_end": 5.0},
+    {"mode": "stability"},
+    {"mode": "convergence", "init": "offset", "init_offset_s": 0.01, "t_end": 1.0},
+    {"mode": "fixed-point"},
+], ids=lambda over: over["mode"])
+def test_summary_reports_every_metric(tmp_path, over):
+    result = run_experiment(make_config(**over), tmp_path / "out")
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary == result.summary + "\n"
+    lines = summary.splitlines()
+    assert lines[0] == f"mode: {over['mode']}"
+    for key, value in result.metrics.items():
+        label = "basin_delta(eps=0.01*w_hat)" if key == "basin_delta" else key
+        assert f"{label}: {value!r}" in lines
 
 
 @pytest.mark.parametrize("mode", ["stability", "convergence"])
@@ -346,24 +384,39 @@ def test_cli_rejects_coarse_step(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
-def test_cli_reports_numeric_failure(tmp_path, capsys):
+@pytest.mark.parametrize("start, needle", [
     # A huge initial epoch age drives the integrator out of the positive
     # window domain within the first delay interval.
+    (["--init-w-max", "1", "--init-s", "1000000", "--t-end", "0.1"], "positive domain"),
+    # A w_max below half an ulp of w_hat is lost in the deviation about the
+    # fixed point; the message names the start, not a window at 0.
+    (["--init-w-max", "1e-300", "--init-s", "0", "--t-end", "1"], "1e-300"),
+], ids=["age-past-domain", "start-below-ulp"])
+def test_cli_reports_numeric_failure(tmp_path, capsys, start, needle):
     rc = main([
         "fluid",
         "--capacity-pkts", "100",
         "--delay-tau", "0.1",
         "--init", "explicit",
-        "--init-w-max", "1",
-        "--init-s", "1000000",
-        "--t-end", "0.1",
+        *start,
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert len(err.splitlines()) == 1
+    assert needle in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [name for name, _ in MODES.values()])
+def test_cli_flags_follow_config_fields(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  --")]
+    keys = [f.name.replace("_", "-") for f in fields(ExperimentConfig) if f.name != "mode"]
+    assert flags == ["--config", "--out"] + ["--" + key for key in keys]
 
 
 @pytest.mark.parametrize(

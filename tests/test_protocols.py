@@ -9,12 +9,10 @@ from tcpfluid import (
     FROZEN,
     RENO,
     FlowState,
-    ShiftedState,
     SystemParams,
     cbrt,
     fluid_rhs,
     loss_rate,
-    to_shifted,
     window_function,
 )
 from oracles import from_shifted, shifted_cubic_window
@@ -95,15 +93,16 @@ def test_window_function_lookup():
 
 
 def test_shifted_round_trip(canonical_fp):
-    x = ShiftedState(0.25, -0.125)
-    assert to_shifted(from_shifted(x, canonical_fp), canonical_fp) == x
+    x = (0.25, -0.125)
+    state = from_shifted(x, canonical_fp)
+    assert (state.w_max - canonical_fp.w_hat, state.s - canonical_fp.s_hat) == x
 
 
 def test_shifted_window_matches_direct(unit_params, unit_fp, canonical_params, canonical_fp):
     rng = np.random.default_rng(7)
     for params, fp in ((unit_params, unit_fp), (canonical_params, canonical_fp)):
         for _ in range(500):
-            x = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+            x = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
             direct = CUBIC.window(from_shifted(x, fp), params)
             assert math.isclose(
                 shifted_cubic_window(x, fp, params), direct, rel_tol=1e-12
@@ -140,9 +139,9 @@ def test_shifted_rhs_equals_fluid_rhs(unit_params, unit_fp):
     rng = np.random.default_rng(20240817)
     for fn in (RENO, CUBIC, FROZEN):
         for _ in range(700):
-            x = ShiftedState(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+            x = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
             rate = rng.uniform(0.0, 2.0)
-            dx1, dx2, deficit = fluid_rhs(x.x1, x.x2, rate, ref, params, fn)
+            dx1, dx2, deficit = fluid_rhs(*x, rate, ref, params, fn)
             state = from_shifted(x, fp)
             plain = state.w_max - fn.window(state, params)
             assert math.isclose(deficit, plain, rel_tol=1e-12, abs_tol=1e-12)

@@ -19,7 +19,6 @@ from tcpfluid import (
     CertificateError,
     FixedPoint,
     FlowState,
-    ShiftedState,
     SystemParams,
     basin_delta,
     certificate,
@@ -80,11 +79,11 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
         worst1 = worst2 = 0.0
         for _ in range(100):
             th = rng.uniform(0.0, 2.0 * math.pi)
-            x = ShiftedState(r * math.cos(th), r * math.sin(th))
+            x = (r * math.cos(th), r * math.sin(th))
             rate = loss_rate(shifted_cubic_window(x, unit_fp, unit_params), unit_params)
-            d1, d2, _ = fluid_rhs(x.x1, x.x2, rate, ref, unit_params, CUBIC)
+            d1, d2, _ = fluid_rhs(*x, rate, ref, unit_params, CUBIC)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
-            worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x.x1, unit_fp, unit_params)))
+            worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x[0], unit_fp, unit_params)))
         err1.append(worst1)
         err2.append(worst2)
     assert loglog_slope(radii, err1) >= 3.9
@@ -131,12 +130,12 @@ def test_quartic_form_identity(canonical_params, canonical_fp):
     co = cert.coeffs
     rng = np.random.default_rng(99)
     for _ in range(300):
-        x = ShiftedState(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        term1 = cert.d1 * x.x1 * cubic_truncation_x1dot(x, co)
-        term2 = cert.d4 * x.x2**3 * linearized_x2dot(
-            x, x.x1, canonical_fp, canonical_params
+        x1, x2 = x = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        term1 = cert.d1 * x1 * cubic_truncation_x1dot(x, co)
+        term2 = cert.d4 * x2**3 * linearized_x2dot(
+            x, x1, canonical_fp, canonical_params
         )
-        z = np.array([x.x1**2, math.sqrt(2.0) * x.x1 * x.x2, x.x2**2])
+        z = np.array([x1**2, math.sqrt(2.0) * x1 * x2, x2**2])
         quadratic_form = float(z @ cert.matrix @ z)
         scale = abs(term1) + abs(term2) + abs(quadratic_form) + 1e-300
         assert abs((term1 + term2) + quadratic_form) <= 1e-12 * scale
@@ -150,7 +149,7 @@ def test_lyapunov_sandwich_on_unit_ball(x1, x2):
     norm2 = x1 * x1 + x2 * x2
     if norm2 > 1.0:
         return
-    v = lyapunov_V(ShiftedState(x1, x2), cert)
+    v = lyapunov_V(x1, x2, cert)
     # Below 1e-308 norm2 keeps up to ulp(0) of absolute rounding error: with
     # x1 = 1.08e-162, x1*x1 rounds to 0 while V rounds to 5e-324.
     assert v <= cert.eps0 * (norm2 + math.ulp(0.0)) * (1.0 + 1e-12)
@@ -167,16 +166,16 @@ def in_basin_trace(params, fp, reference=True):
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    xs = shifted_samples(traj, canonical_fp)
-    vdot = vdot_along(xs, traj, cert)
+    x1, x2 = shifted_samples(traj, canonical_fp)
+    vdot = vdot_along(x1, x2, traj, cert)
     assert np.all(np.abs(vdot - scalar_vdot(scalar_shifted_samples(traj, canonical_fp),
                                             traj.step, canonical_fp, canonical_params, cert,
                                             start)) <= 1e-12 * np.abs(vdot))
     k = round(canonical_params.tau / traj.step)
-    mask = razumikhin_mask(lyapunov_V(xs, cert), k, RAZUMIKHIN_P)
+    mask = razumikhin_mask(lyapunov_V(x1, x2, cert), k, RAZUMIKHIN_P)
     assert mask[0]
     assert mask.any()
-    norm4 = (xs.x1**2 + xs.x2**2) ** 2
+    norm4 = (x1**2 + x2**2) ** 2
     decay = cert.lambda_min - cert.k_margin
     assert np.all(vdot[mask] <= -decay * norm4[mask] + 1e-30)
 
