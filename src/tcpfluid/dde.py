@@ -137,8 +137,8 @@ def integrate(
     leaves the positive domain, the start's w_max rounded about ``fp`` too.
     """
     check_start(*start)
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     k = steps_per_delay(params.tau, step_h)
     h = params.tau / k
     n = math.ceil(t_end / h - 1e-12)

@@ -22,17 +22,19 @@ The congestion point sees the flows in aggregate, so the capacity-clamp loss
 model applies to the total: p = max(1 - N C tau / sum_f W_f, 0), and flow f
 suffers losses at rate W_f p / tau.  The total rate then collapses to
 (sum_f W_f - N C tau)+ / tau, which is zero exactly until the aggregate
-window reaches the bandwidth-delay product; the integration start time
-max(T_BDP, last loss) skips that dead interval.  With a single flow this
-reduces to the per-flow model p = max(1 - C tau / W, 0) of the fluid
-equations, and for N identical flows each carries 1/N of the total rate, so
-both limits agree with the mean-field model.
+window reaches the bandwidth-delay product.  A candidate is one excess
+cubic sum_f W_f - N C tau from its anchor (the last loss or indication):
+its bdp crossing skips that dead interval, and the integral starts there.
+With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
+0) of the fluid equations, and for N identical flows each carries 1/N of the
+total rate, so both limits agree with the mean-field model.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -56,10 +58,15 @@ class RngStream:
 
     @staticmethod
     def checked_seed(seed: int) -> int:
-        """The seed as an int if it fits in 64 unsigned bits; needs no numpy.random."""
-        if not 0 <= int(seed) < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        return int(seed)
+        """The seed as an int if it is an integer that fits in 64 unsigned
+        bits; needs no numpy.random."""
+        try:
+            value = operator.index(seed)
+        except TypeError:
+            value = -1  # not an integer: rejected with the out-of-range ones
+        if not 0 <= value < 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        return value
 
     def uniform(self) -> float:
         u = self._gen.random()
@@ -146,12 +153,12 @@ def _horner(p: Sequence[float], x: float) -> float:
     return acc
 
 
-def _excess_poly(state: SimState, ages: Sequence[float]) -> tuple[float, float, float, float]:
-    """Coefficients of sum_f W_f(age_f + x) - N C tau as a cubic in x."""
+def excess_poly(state: SimState, t0: float) -> tuple[float, float, float, float]:
+    """Coefficients of sum_f W_f(t0 + x) - N C tau as a cubic in the offset x."""
     fn, params = state.window_fn, state.params
     a0 = a1 = a2 = a3 = 0.0
-    for w_loss, age in zip(state.w_loss, ages):
-        c0, c1, c2, c3 = fn.coefficients(FlowState(w_loss, age), params)
+    for w_loss, lli in zip(state.w_loss, state.llis):
+        c0, c1, c2, c3 = fn.coefficients(FlowState(w_loss, t0 - lli), params)
         a0 += c0
         a1 += c1
         a2 += c2
@@ -159,48 +166,49 @@ def _excess_poly(state: SimState, ages: Sequence[float]) -> tuple[float, float, 
     return a0 - len(state.w_loss) * params.bdp, a1, a2, a3
 
 
-def _cubic_root(e: tuple[float, float, float, float], horizon: float) -> float | None:
-    """First x in [0, horizon] where the nondecreasing cubic e reaches 0.
+def t_bdp(excess: tuple[float, float, float, float], horizon: float) -> float | None:
+    """First offset x in [0, horizon] where the nondecreasing cubic excess
+    reaches 0: the aggregate window's bdp crossing, found by bracketed Newton.
 
-    e(0) < 0 is assumed; None if e is still negative at the horizon.
+    0.0 when the excess is already nonnegative; None when it is still
+    negative at the horizon.
     """
-    if _horner(e, horizon) < 0.0:
+    if excess[0] >= 0.0:
+        return 0.0
+    if _horner(excess, horizon) < 0.0:
         return None
-    guess = -e[0] / e[1] if e[1] > 0.0 else 0.5 * horizon
-    return solve_increasing((*e, 0.0), 0.0, horizon, min(guess, horizon))
+    guess = -excess[0] / excess[1] if excess[1] > 0.0 else 0.5 * horizon
+    return solve_increasing((*excess, 0.0), 0.0, horizon, min(guess, horizon))
 
 
-def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float | None:
-    """Absolute time of the next candidate loss, or None within the lookahead.
+def compute_T(state: SimState, t0: float) -> float | None:
+    """Absolute time of the next candidate loss after t0, or None within the
+    lookahead.
 
-    t0_per_flow[f] is the epoch age of flow f at the common integration start
-    (the same absolute instant for every flow).  Every window is a cubic in
-    the offset x from that start, so the excess E(x) = sum_f W_f - N C tau
-    is a cubic, nondecreasing in x, whose coefficients are summed over the
-    flows once.  The candidate is the x where the integral of max(E, 0)/tau
-    reaches -ln(u): if E starts negative its root is found first, then the
-    quartic integral from that root is inverted by bracketed Newton.  The
-    integral is convex, so Newton approaches the root from above.  None
-    means the integral over the lookahead falls short of -ln(u).
+    Every window is a cubic in the offset x from t0, so the excess E(x) =
+    sum_f W_f - N C tau is a cubic, nondecreasing in x, whose coefficients
+    are summed over the flows once.  Without a bdp crossing in the lookahead
+    the rate stays zero and nothing is drawn.  Otherwise E is shifted to its
+    crossing, one uniform u is drawn from state.rng, and the candidate is
+    the x where the integral of E/tau from the crossing reaches -ln(u): the
+    quartic integral is inverted by bracketed Newton.  The integral is
+    convex, so Newton approaches the root from above.  None means the
+    integral over the lookahead falls short of -ln(u).
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    if len(t0_per_flow) != len(state.w_loss):
-        raise ValueError("t0_per_flow length does not match flow count")
-    t0_abs = state.llis[0] + t0_per_flow[0]
-    horizon = state.lookahead
-    e0, e1, e2, e3 = _excess_poly(state, t0_per_flow)
-    start = 0.0
-    if e0 < 0.0:
-        start = _cubic_root((e0, e1, e2, e3), horizon)
-        if start is None:
-            return None
+    e0, e1, e2, e3 = excess = excess_poly(state, t0)
+    start = t_bdp(excess, state.lookahead)
+    if start is None:
+        return None
+    horizon = state.lookahead - start
+    if start > 0.0:
         # Taylor shift of E to its root: the new constant term is ~0.
         x = start
-        e0 = max(_horner((e0, e1, e2, e3), x), 0.0)
+        e0 = max(_horner(excess, x), 0.0)
         e1 = e1 + x * (2.0 * e2 + 3.0 * e3 * x)
         e2 = e2 + 3.0 * e3 * x
-        horizon -= start
+    u = state.rng.uniform()
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
     # tau * integral of E from the start minus tau * (-ln u), as a quartic.
     target = -math.log(u) * state.params.tau
     quartic = (-target, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3)
@@ -212,23 +220,7 @@ def compute_T(state: SimState, t0_per_flow: Sequence[float], u: float) -> float 
     for k, coeff in enumerate(quartic[1:], start=1):
         if coeff > 0.0:
             guess = min(guess, (target / coeff) ** (1.0 / k))
-    return t0_abs + start + solve_increasing(quartic, 0.0, horizon, guess)
-
-
-def t_bdp(state: SimState, t_from: float) -> float:
-    """Earliest t >= t_from where the aggregate window reaches N * C tau.
-
-    The aggregate window is the same nondecreasing cubic in time that
-    compute_T integrates, and the crossing is its root, found by the same
-    bracketed Newton solver.  Returns t_from if already at or above the
-    threshold and math.inf if the threshold is not reached within the
-    lookahead.
-    """
-    excess = _excess_poly(state, [t_from - lli for lli in state.llis])
-    if excess[0] >= 0.0:
-        return t_from
-    root = _cubic_root(excess, state.lookahead)
-    return math.inf if root is None else t_from + root
+    return t0 + start + solve_increasing(quartic, 0.0, horizon, guess)
 
 
 def pick_losing_flow(windows_at_loss: Sequence[float], u: float) -> int:
@@ -269,38 +261,30 @@ def _apply_next_indication(state: SimState) -> float:
     return t_ind
 
 
-def generate_poi_loss(state: SimState) -> tuple[float | None, int | None]:
-    """Next loss event (time, flow), applying pending indications as needed.
+def generate_poi_loss(state: SimState) -> tuple[float | None, int | None, float | None]:
+    """Next loss event (time, flow, window), applying pending indications as
+    needed.
 
-    Candidates anchored at max(T_BDP, most recent loss event) are regenerated
-    whenever they land at or after the next pending indication: the
-    indication is applied first (one queue entry consumed per iteration, so
-    the loop terminates) and the anchor moves to the indication time.  A
-    candidate beyond the lookahead counts as "no loss in horizon" and, once
-    the queue is empty, ends the run.  On return every remaining pending
-    indication lies strictly after the returned loss time, whose own
-    indication is scheduled at loss time + tau for the flow drawn with
-    probability proportional to its window at the loss time.
+    A candidate is one excess cubic measured from its anchor, the most recent
+    loss event.  It is regenerated whenever it lands at or after the next
+    pending indication: the indication is applied first (one queue entry
+    consumed per iteration, so the loop terminates) and the anchor moves to
+    the indication time.  A candidate beyond the lookahead counts as "no loss
+    in horizon" and, once the queue is empty, ends the run.  On return every
+    remaining pending indication lies strictly after the returned loss time,
+    whose own indication is scheduled at loss time + tau for the flow drawn
+    with probability proportional to its window at the loss time; that
+    window is returned too.
     """
-    anchor = state.t_loss_last
-    while True:
-        reach = t_bdp(state, anchor)
-        if math.isinf(reach):
-            loss_time = None
-        else:
-            t0_abs = max(reach, anchor)
-            ages = [t0_abs - lli for lli in state.llis]
-            loss_time = compute_T(state, ages, state.rng.uniform())
-        if state.pending and (loss_time is None or loss_time >= state.pending[0][0]):
-            anchor = _apply_next_indication(state)
-            continue
-        break
+    loss_time = compute_T(state, state.t_loss_last)
+    while state.pending and (loss_time is None or loss_time >= state.pending[0][0]):
+        loss_time = compute_T(state, _apply_next_indication(state))
     if loss_time is None:
-        return None, None
+        return None, None, None
     weights = [state.flow_window(f, loss_time) for f in range(len(state.w_loss))]
     flow = pick_losing_flow(weights, state.rng.uniform())
     heapq.heappush(state.pending, (loss_time + state.params.tau, flow))
-    return loss_time, flow
+    return loss_time, flow, weights[flow]
 
 
 @dataclass
@@ -388,23 +372,20 @@ def run_simulation(
     tau) with one row per flow plus an aggregate row (flow -1) holding the
     per-flow mean.  Identical params, init, and seed give identical results.
     """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if sample_dt is None:
         sample_dt = params.tau
     if not sample_dt > 0.0:
         raise ValueError(f"sample_dt must be positive, got {sample_dt}")
-    if seed is None:
-        raise ValueError("a seed is required")
     # The search horizon reaches past t_end from any anchor before it.
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = make_sim_state(params, window_fn, init, RngStream(seed), lookahead)
     first = list(zip(state.llis, state.w_loss))
     while True:
-        loss_time, flow = generate_poi_loss(state)
+        loss_time, flow, w_at = generate_poi_loss(state)
         if loss_time is None or loss_time > t_end:
             break
-        w_at = state.flow_window(flow, loss_time)
         state.events.append(Event("loss", loss_time, flow, w_at, w_at))
         state.t_loss_last = loss_time
     trace_t, trace_flow, trace_w = _render_trace(state, first, t_end, sample_dt)

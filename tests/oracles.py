@@ -8,8 +8,9 @@ exact rational arithmetic against the CUBIC fixed point,
 the inverse of the fixed-point shift against the shifted coordinates,
 per-sample scalar loops against the array-valued stability diagnostics and
 the simulator's trace, the absolute-coordinate RK4 loop against the
-integrator, and the Taylor
-truncations of the model against its right-hand side.
+integrator, the Taylor
+truncations of the model against its right-hand side, and the two-pass
+route to a candidate loss against the sampler's single pass.
 """
 
 import math
@@ -27,9 +28,11 @@ from tcpfluid import (
     integrate,
     loss_rate,
     lyapunov_V,
+    t_bdp,
 )
 from tcpfluid.dde import steps_per_delay
-from tcpfluid.fixedpoint import FixedPoint
+from tcpfluid.fixedpoint import FixedPoint, solve_increasing
+from tcpfluid.nhpl import excess_poly
 from tcpfluid.stability import ExpansionCoeffs
 
 
@@ -302,3 +305,46 @@ def inter_loss_times(events, *, from_time: float = 0.0) -> np.ndarray:
     if not times:
         return np.empty(0)
     return np.diff(np.asarray([from_time] + times))
+
+
+def _horner(p, x: float) -> float:
+    acc = 0.0
+    for coeff in reversed(p):
+        acc = coeff + x * acc
+    return acc
+
+
+def two_pass_candidate(state, anchor: float, u: float) -> float | None:
+    """Candidate loss time by the two-pass route, the reference for compute_T.
+
+    It finds the bdp crossing of the excess cubic at the anchor, sums the
+    flows' coefficients again at that crossing (where rounding alone can
+    leave the excess negative and trigger a second crossing search), and
+    rebuilds the start time from flow 0's epoch age.  The lookahead is
+    measured from the crossing, not from the anchor.
+    """
+    reach = t_bdp(excess_poly(state, anchor), state.lookahead)
+    if reach is None:
+        return None
+    t0 = anchor + reach
+    t_start = state.llis[0] + (t0 - state.llis[0])
+    e0, e1, e2, e3 = excess = excess_poly(state, t0)
+    horizon = state.lookahead
+    start = 0.0
+    if e0 < 0.0:
+        start = t_bdp(excess, horizon)
+        if start is None:
+            return None
+        e0 = max(_horner(excess, start), 0.0)
+        e1 = e1 + start * (2.0 * e2 + 3.0 * e3 * start)
+        e2 = e2 + 3.0 * e3 * start
+        horizon -= start
+    target = -math.log(u) * state.params.tau
+    quartic = (-target, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3)
+    if _horner(quartic, horizon) < 0.0:
+        return None
+    guess = horizon
+    for k, coeff in enumerate(quartic[1:], start=1):
+        if coeff > 0.0:
+            guess = min(guess, (target / coeff) ** (1.0 / k))
+    return t_start + start + solve_increasing(quartic, 0.0, horizon, guess)

@@ -54,6 +54,8 @@ def test_integrate_validates_step(canonical_params):
         integrate(canonical_params, CUBIC, start, 1.0, canonical_params.tau * 0.11)
     with pytest.raises(ValueError):
         integrate(canonical_params, CUBIC, start, -1.0, canonical_params.tau / 8)
+    with pytest.raises(ValueError, match="t_end"):
+        integrate(canonical_params, CUBIC, start, math.inf, canonical_params.tau / 8)
 
 
 def test_fixed_point_is_stationary(canonical_params, canonical_fp):

