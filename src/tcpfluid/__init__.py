@@ -11,9 +11,9 @@ from .core import (
     SystemParams,
     WindowFunction,
     cbrt,
-    fluid_rhs,
     loss_probability,
     loss_rate,
+    rhs_about,
 )
 from .dde import (
     IntegrationError,

@@ -5,10 +5,13 @@ recent loss (``w_max``, packets) and the time elapsed since that loss (``s``,
 seconds).  The instantaneous window W is always recomputed from this pair by a
 window function; it is never integrated as an independent state variable.
 
-``fluid_rhs`` is the model's only right-hand side.  It takes the state as a
-deviation from a reference point, so the integrator and the stability
+``rhs_about(ref, params, window_fn)`` builds the model's only right-hand
+side once per reference point: it returns ``rhs(x1, x2, rate)``, which takes
+the state as a deviation from ``ref``, so the integrator and the stability
 diagnostics can work about the fixed point, where small deviations keep
-their relative precision.
+their relative precision.  What depends only on the reference point and
+the parameters is worked out once, when the closure is built, not on each
+evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,9 +80,10 @@ class SystemParams:
         if not self.bdp < math.inf:
             raise ValueError(f"bandwidth-delay product {self.capacity} * {self.tau} overflows")
 
-    @property
+    @cached_property
     def bdp(self) -> float:
-        """Per-flow bandwidth-delay product, packets."""
+        """Per-flow bandwidth-delay product, packets; computed once, as
+        ``loss_rate`` reads it on every evaluation."""
         return self.capacity * self.tau
 
 
@@ -89,10 +94,12 @@ class WindowFunction(ABC):
     projections and bandwidth-delay crossing searches stay well posed.
 
     Each track of the package has its own contract with a window function.
-    The fluid integrator evaluates the model through ``deficit``, the gap
-    w_max - W at a state given as a deviation from a reference point; the
-    default subtracts ``window``, and an override can evaluate the gap
-    without cancellation.  The event-driven simulator needs the window to be
+    The fluid integrator evaluates the model through ``deficit_about(ref,
+    params)``, built once per reference point, which returns a callable
+    ``(x1, x2) -> w_max - W`` at the state (ref.w_max + x1, ref.s + x2); the
+    default closes over ``window``, and an override can compute what depends
+    only on the reference once and evaluate the gap without cancellation.
+    The event-driven simulator needs the window to be
     a polynomial of degree at most 3 in ``s`` within an epoch, exposed by
     ``coefficients(state, params)``, the tuple (a0, a1, a2, a3) with
     W(s + x) = a0 + a1 x + a2 x^2 + a3 x^3 for the offset x within the epoch,
@@ -111,10 +118,18 @@ class WindowFunction(ABC):
     def window(self, state: FlowState, params: SystemParams) -> float:
         """Instantaneous window, packets."""
 
-    def deficit(self, x1: float, x2: float, ref: FlowState, params: SystemParams) -> float:
-        """w_max - W, packets, at the state (ref.w_max + x1, ref.s + x2)."""
-        w_max = ref.w_max + x1
-        return w_max - self.window(FlowState(w_max, ref.s + x2), params)
+    def deficit_about(self, ref: FlowState,
+                      params: SystemParams) -> Callable[[float, float], float]:
+        """The gap w_max - W, packets, as a function of the deviation
+        (x1, x2) from ``ref``: the state (ref.w_max + x1, ref.s + x2)."""
+        w_ref, s_ref = ref
+        window = self.window
+
+        def deficit(x1: float, x2: float) -> float:
+            w_max = w_ref + x1
+            return w_max - window(FlowState(w_max, s_ref + x2), params)
+
+        return deficit
 
 
 def loss_probability(window, params: SystemParams):
@@ -140,23 +155,25 @@ def loss_rate(window: float, params: SystemParams) -> float:
     return excess / params.tau if excess > 0.0 else 0.0
 
 
-def fluid_rhs(
-    x1: float,
-    x2: float,
-    delayed_rate: float,
+def rhs_about(
     ref: FlowState,
     params: SystemParams,
     window_fn: WindowFunction,
-) -> tuple[float, float, float]:
-    """Derivatives (dx1/dt, dx2/dt) of the delayed fluid model, and the deficit.
+) -> Callable[[float, float, float], tuple[float, float, float]]:
+    """The delayed fluid model's right-hand side about the reference ``ref``.
 
-    The state is given as its deviation x = (w_max - ref.w_max, s - ref.s)
-    from a reference point.  ``delayed_rate`` is the ``loss_rate`` one delay
-    in the past; the caller owns the history bookkeeping.  The deficit
-    w_max - W comes back as the third value, so a caller that also needs the
-    window W = ref.w_max + x1 - deficit evaluates the window function once.
+    Returns ``rhs(x1, x2, rate) -> (dx1/dt, dx2/dt, deficit)`` for the state
+    given as its deviation x = (w_max - ref.w_max, s - ref.s).  ``rate`` is
+    the ``loss_rate`` one delay in the past, nonnegative and never NaN; the
+    caller owns the history bookkeeping.  The deficit w_max - W comes back as
+    the third value, so a caller that also needs the window
+    W = ref.w_max + x1 - deficit evaluates the window function once.
     """
-    if not delayed_rate >= 0.0:
-        raise ValueError(f"delayed loss rate must be nonnegative, got {delayed_rate}")
-    deficit = window_fn.deficit(x1, x2, ref, params)
-    return -deficit * delayed_rate, 1.0 - (x2 + ref.s) * delayed_rate, deficit
+    deficit_of = window_fn.deficit_about(ref, params)
+    s_ref = ref.s
+
+    def rhs(x1: float, x2: float, rate: float) -> tuple[float, float, float]:
+        deficit = deficit_of(x1, x2)
+        return -deficit * rate, 1.0 - (x2 + s_ref) * rate, deficit
+
+    return rhs

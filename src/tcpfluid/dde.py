@@ -13,9 +13,16 @@ The RK4 state is the deviation x = (w_max - w_ref, s - s_ref) from a
 reference point, the run's fixed point when the caller has one.  About the
 fixed point an increment of x keeps its relative precision however small it
 gets, where an increment added to w_max itself is lost once it falls below
-half an ulp of w_max.  Every evaluation goes through
-:func:`tcpfluid.core.fluid_rhs`, and each sample's window and derivative are
-stored when it is appended, so a sample is evaluated once.
+half an ulp of w_max.  ``integrate`` builds the right-hand side once per run
+with :func:`tcpfluid.core.rhs_about`, so what depends only on the reference
+point (the CUBIC K_ref among it) is computed once, and every evaluation goes
+through that one closure; each sample's window and derivative are stored
+when it is appended, so a sample is evaluated once.
+
+``write_columns`` writes every value by ``repr``.  Within each chunk of
+rows, a float column that repeats most of its values (a trajectory resting
+on its fixed point, say) formats each distinct bit pattern once and indexes
+the strings; the bytes are the same either way.
 
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
@@ -34,9 +41,9 @@ from .core import (
     SystemParams,
     WindowFunction,
     check_start,
-    fluid_rhs,
     loss_probability,
     loss_rate,
+    rhs_about,
 )
 from .fixedpoint import FixedPoint
 
@@ -91,6 +98,22 @@ class Trajectory:
 _WRITE_CHUNK = 4096  # rows formatted per write
 
 
+def _chunk_cells(chunk: np.ndarray):
+    """The ``repr`` of every value of one column chunk, in row order.
+
+    A float64 chunk with fewer distinct bit patterns than half its rows
+    formats each pattern once and indexes the strings.  Patterns, not
+    values, are compared, so 0.0 and -0.0, and NaNs of different payloads,
+    stay apart, as their reprs are read back.
+    """
+    if chunk.dtype == np.float64:
+        bits, index = np.unique(chunk.view(np.int64), return_inverse=True)
+        if 2 * len(bits) < len(chunk):
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            return text[index].tolist()
+    return map(repr, chunk.tolist())
+
+
 def write_columns(fh, columns) -> None:
     """CSV rows of equal-length numpy columns, every value by ``repr``.
 
@@ -98,8 +121,9 @@ def write_columns(fh, columns) -> None:
     its exact binary value and an integer column prints as integers.
     """
     for lo in range(0, len(columns[0]), _WRITE_CHUNK):
-        cells = [map(repr, col[lo : lo + _WRITE_CHUNK].tolist()) for col in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        cells = [_chunk_cells(col[lo : lo + _WRITE_CHUNK]) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))))
+        fh.write("\n")  # not appended to the chunk, which would copy it
 
 
 def steps_per_delay(tau: float, step: float) -> int:
@@ -144,9 +168,11 @@ def integrate(
     n = math.ceil(t_end / h - 1e-12)
     ref = FlowState(*start) if fp is None else FlowState(fp.w_hat, fp.s_hat)
     w_ref, s_ref = ref
+    rhs = rhs_about(ref, params, window_fn)
+    deficit = window_fn.deficit_about(ref, params)
 
     def delayed_rate(x1: float, x2: float, t: float) -> float:
-        w = w_ref + x1 - window_fn.deficit(x1, x2, ref, params)
+        w = w_ref + x1 - deficit(x1, x2)
         if not w > 0.0:
             raise IntegrationError("delayed window left positive domain", t,
                                    FlowState(w_ref + x1, s_ref + x2))
@@ -160,9 +186,9 @@ def integrate(
     def append(x1: float, x2: float, rate: float, t: float) -> None:
         # Store a sample with its derivative (at delayed rate ``rate``) and
         # its own window, from one deficit evaluation.
-        d1, d2, deficit = fluid_rhs(x1, x2, rate, ref, params, window_fn)
+        d1, d2, gap = rhs(x1, x2, rate)
         w_max = w_ref + x1
-        w = w_max - deficit
+        w = w_max - gap
         if not (w_max > 0.0 and w > 0.0):
             raise IntegrationError("w_max or window left positive domain", t,
                                    FlowState(w_max, s_ref + x2))
@@ -188,9 +214,9 @@ def integrate(
             hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), t)
         r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
         k1a, k1b = d1s[i], d2s[i]
-        k2a, k2b, _ = fluid_rhs(x1 + half * k1a, x2 + half * k1b, r_mid, ref, params, window_fn)
-        k3a, k3b, _ = fluid_rhs(x1 + half * k2a, x2 + half * k2b, r_mid, ref, params, window_fn)
-        k4a, k4b, _ = fluid_rhs(x1 + h * k3a, x2 + h * k3b, r_end, ref, params, window_fn)
+        k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
+        k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
+        k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
         x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
         x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
         append(x1, x2, r_end, (i + 1) * h)

@@ -349,6 +349,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
 
     if config.mode in FLUID_MODES:
         traj = integrate(params, fn, FlowState(*starts[0]), horizon, config.step_h(), fp=fp)
+        report("fluid_steps", len(traj.t) - 1)
+        # Samples on the other side of the bdp from the one before: where the
+        # loss rate switches on or off.
+        above = traj.w > params.bdp
+        report("fluid_bdp_crossings", int(np.count_nonzero(above[1:] != above[:-1])))
 
     if config.mode in ("fluid", "both"):
         writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))

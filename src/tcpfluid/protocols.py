@@ -1,10 +1,12 @@
 """Concrete window functions: Reno, CUBIC and a frozen window.
 
 The fluid model runs in deviations x1 = w_max - w_ref and x2 = s - s_ref
-from a reference point (see :func:`tcpfluid.core.fluid_rhs`).
-``CubicWindow.deficit`` is the one place the CUBIC window is written in
-those coordinates; about a fixed point it keeps full relative precision
-however small x gets.
+from a reference point (see :func:`tcpfluid.core.rhs_about`).
+``CubicWindow.deficit_about`` is the one place the CUBIC window is written
+in those coordinates; about a fixed point it keeps full relative precision
+however small x gets.  Its closure works out the reference's cube root once,
+so an evaluation costs one ``log1p`` and one ``expm1``.  Reno and frozen use
+the default closure over ``window``.
 """
 
 from __future__ import annotations
@@ -42,17 +44,26 @@ class CubicWindow(WindowFunction):
         d = state.s - k
         return params.c * d * d * d + state.w_max
 
-    def deficit(self, x1: float, x2: float, ref: FlowState, params: SystemParams) -> float:
+    def deficit_about(self, ref: FlowState, params: SystemParams):
         # w_max - W = -c*phi^3 with phi = s - K.  Against the reference,
         # phi = x2 + (s_ref - K_ref) - (K - K_ref), where the cube-root
         # growth K/K_ref - 1 = cbrt(1 + x1/w_ref) - 1 is taken through
         # expm1/log1p, so nothing cancels when x is small.  s_ref - K_ref is
-        # exactly 0.0 at a CUBIC fixed point.
-        k_ref = cbrt(ref.w_max * params.b / params.c)
-        r = x1 / ref.w_max
-        growth = math.expm1(math.log1p(r) / 3.0) if r > -1.0 else cbrt(1.0 + r) - 1.0
-        phi = x2 + (ref.s - k_ref) - k_ref * growth
-        return -params.c * phi * phi * phi
+        # exactly 0.0 at a CUBIC fixed point.  K_ref, s_ref - K_ref and -c
+        # depend only on the reference, so they are computed here, once.
+        w_ref = ref.w_max
+        k_ref = cbrt(w_ref * params.b / params.c)
+        phi_ref = ref.s - k_ref
+        neg_c = -params.c
+        expm1, log1p = math.expm1, math.log1p
+
+        def deficit(x1: float, x2: float) -> float:
+            r = x1 / w_ref
+            growth = expm1(log1p(r) / 3.0) if r > -1.0 else cbrt(1.0 + r) - 1.0
+            phi = x2 + phi_ref - k_ref * growth
+            return neg_c * phi * phi * phi
+
+        return deficit
 
     def coefficients(self, state: FlowState, params: SystemParams):
         # c (d + x)^3 + w_max expanded about d = s - K.

@@ -8,9 +8,10 @@ exact rational arithmetic against the CUBIC fixed point,
 the inverse of the fixed-point shift against the shifted coordinates,
 per-sample scalar loops against the array-valued stability diagnostics and
 the simulator's trace, the absolute-coordinate RK4 loop against the
-integrator, the Taylor
-truncations of the model against its right-hand side, and the two-pass
-route to a candidate loss against the sampler's single pass.
+integrator, the per-call CUBIC deficit against the one prepared per
+reference point, the Taylor truncations of the model against its
+right-hand side, and the two-pass route to a candidate loss against the
+sampler's single pass.
 """
 
 import math
@@ -23,11 +24,12 @@ from tcpfluid import (
     CUBIC,
     FlowState,
     SystemParams,
+    cbrt,
     cubic_fixed_point,
-    fluid_rhs,
     integrate,
     loss_rate,
     lyapunov_V,
+    rhs_about,
     t_bdp,
 )
 from tcpfluid.dde import steps_per_delay
@@ -118,27 +120,41 @@ def scalar_norms_and_v(xs: list[tuple[float, float]], cert) -> tuple[np.ndarray,
             np.array([lyapunov_V(*x, cert) for x in xs]))
 
 
+def cubic_deficit(x1: float, x2: float, ref: FlowState, params: SystemParams) -> float:
+    """CUBIC w_max - W at the deviation (x1, x2) from ``ref``, every constant
+    recomputed per call.
+
+    This is the deficit as it stood before ``CubicWindow.deficit_about``
+    worked out K_ref once per reference point; the two must agree bit for bit.
+    """
+    k_ref = cbrt(ref.w_max * params.b / params.c)
+    r = x1 / ref.w_max
+    growth = math.expm1(math.log1p(r) / 3.0) if r > -1.0 else cbrt(1.0 + r) - 1.0
+    phi = x2 + (ref.s - k_ref) - k_ref * growth
+    return -params.c * phi * phi * phi
+
+
 def shifted_cubic_window(x: tuple[float, float], fp: FixedPoint, params: SystemParams) -> float:
     """CUBIC window at the deviation x from the fixed point."""
     ref = FlowState(fp.w_hat, fp.s_hat)
-    return fp.w_hat + x[0] - CUBIC.deficit(*x, ref, params)
+    return fp.w_hat + x[0] - CUBIC.deficit_about(ref, params)(*x)
 
 
 def scalar_vdot(xs: list[tuple[float, float]], step: float, fp: FixedPoint, params: SystemParams,
                 cert, start: FlowState) -> np.ndarray:
-    """dV/dt per sample from one ``fluid_rhs`` call each, about ``fp``.
+    """dV/dt per sample from one ``rhs_about`` evaluation each, about ``fp``.
 
     The delayed window one delay back comes from the sample k steps earlier,
     and inside the first delay from the state ``start``, held on [-tau, 0].
     """
     k = round(params.tau / step)
-    ref = FlowState(fp.w_hat, fp.s_hat)
+    rhs = rhs_about(FlowState(fp.w_hat, fp.s_hat), params, CUBIC)
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
         xd = xs[i - k] if i >= k else (start.w_max - fp.w_hat, start.s - fp.s_hat)
         rate = loss_rate(shifted_cubic_window(xd, fp, params), params)
         x1, x2 = x
-        dx1, dx2, _ = fluid_rhs(x1, x2, rate, ref, params, CUBIC)
+        dx1, dx2, _ = rhs(x1, x2, rate)
         out[i] = cert.d1 * x1 * dx1 + cert.d4 * x2**3 * dx2
     return out
 

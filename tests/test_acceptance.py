@@ -23,11 +23,11 @@ from tcpfluid import (
     certificate,
     cubic_fixed_point,
     expansion_coeffs,
-    fluid_rhs,
     integrate,
     loss_rate,
     pick_losing_flow,
     reno_steady_state,
+    rhs_about,
     run_experiment,
     run_simulation,
     shifted_samples,
@@ -89,7 +89,7 @@ def test_criterion_2_cubic_fixed_point_sweep():
             cons = abs(fp.s_hat * fp.w_hat * fp.p_hat / tau - 1.0)
             state = FlowState(fp.w_hat, fp.s_hat)
             w = CUBIC.window(state, params)
-            dw, ds, _ = fluid_rhs(0.0, 0.0, loss_rate(w, params), state, params, CUBIC)
+            dw, ds, _ = rhs_about(state, params, CUBIC)(0.0, 0.0, loss_rate(w, params))
             worst_res = max(worst_res, res)
             worst_cons = max(worst_cons, cons)
             worst_rhs = max(worst_rhs, math.hypot(dw, ds))
@@ -108,7 +108,7 @@ def test_criterion_3_taylor_structure_slopes():
     params = SystemParams(capacity=10.0, tau=1.0, b=0.2, c=0.4)
     fp = cubic_fixed_point(params)
     co = expansion_coeffs(fp, params)
-    ref = FlowState(fp.w_hat, fp.s_hat)
+    rhs = rhs_about(FlowState(fp.w_hat, fp.s_hat), params, CUBIC)
     rng = np.random.default_rng(12345)
     radii = np.logspace(-4, -2, 9)
     err1, err2 = [], []
@@ -118,7 +118,7 @@ def test_criterion_3_taylor_structure_slopes():
             th = rng.uniform(0.0, 2.0 * math.pi)
             x = (r * math.cos(th), r * math.sin(th))
             rate = loss_rate(shifted_cubic_window(x, fp, params), params)
-            d1, d2, _ = fluid_rhs(*x, rate, ref, params, CUBIC)
+            d1, d2, _ = rhs(*x, rate)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
             worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x[0], fp, params)))
         err1.append(worst1)

@@ -20,7 +20,8 @@ from tcpfluid import (
     shifted_samples,
     stability_trace,
 )
-from tcpfluid.dde import hermite_midpoint
+from tcpfluid import protocols
+from tcpfluid.dde import hermite_midpoint, write_columns
 from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
@@ -237,3 +238,40 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     sim.write_trace_csv(path)
     columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
     assert path.read_text() == per_row_csv("t,flow,w", columns)
+    # Columns that repeat most of their values take the formatted-once
+    # path, chunk by chunk; every other column is formatted value by value.
+    n = 3 * 4096 + 100
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+                    dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
+    columns = (
+        np.full(n, 1.0 / 3.0),                                  # constant
+        np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
+        np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side
+        np.resize([5e-324, -5e-324, 2.2250738585072014e-308 / 3.0], n),  # subnormals
+        np.resize(nans, n),
+        np.arange(n) / 7.0 + math.pi,                           # all distinct
+        np.resize(np.array([-1, 0, 1, 2]), n),                  # the integer flow column
+    )
+    with open(path, "w") as fh:
+        fh.write("a,b,c,d,e,f,flow\n")
+        write_columns(fh, columns)
+    assert path.read_text() == per_row_csv("a,b,c,d,e,f,flow", columns)
+    assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+
+
+def test_integrate_prepares_the_rhs_once(monkeypatch, canonical_params, canonical_fp):
+    # K_ref is a cube root of the reference alone: a CUBIC run about the
+    # fixed point takes it when the RHS is built, never per step.
+    params, fp = canonical_params, canonical_fp
+    calls = []
+    cbrt = protocols.cbrt
+    monkeypatch.setattr(protocols, "cbrt", lambda x: calls.append(x) or cbrt(x))
+    h = params.tau / 8
+    counts = []
+    for steps in (200, 400):
+        calls.clear()
+        traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-4), steps * h, h,
+                         fp=fp)
+        assert len(traj.t) == steps + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2

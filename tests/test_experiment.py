@@ -137,6 +137,19 @@ def test_fluid_mode_artifacts(tmp_path):
     assert "fluid_mean_w:" in result.summary
 
 
+def test_fluid_counters(tmp_path):
+    # A start below the bdp crosses it on the way up to the fixed point.
+    config = make_config(mode="fluid", init="offset", init_offset_w=-10.0, t_end=20.0)
+    result = run_experiment(config, tmp_path / "out")
+    rows = (tmp_path / "out" / "fluid_trace.csv").read_text().splitlines()[1:]
+    w = [float(row.split(",")[3]) for row in rows]
+    bdp = config.capacity_pkts * config.delay_tau
+    crossings = sum((a > bdp) != (b > bdp) for a, b in zip(w, w[1:]))
+    assert result.metrics["fluid_steps"] == len(rows) - 1
+    assert result.metrics["fluid_bdp_crossings"] == crossings > 0
+    assert f"fluid_bdp_crossings: {crossings}" in result.summary.splitlines()
+
+
 def test_nhpl_mode_artifacts(tmp_path):
     config = make_config(mode="nhpl", seed=3, t_end=5.0)
     result = run_experiment(config, tmp_path / "out")

@@ -9,9 +9,9 @@ from tcpfluid import (
     SolverError,
     SystemParams,
     cubic_fixed_point,
-    fluid_rhs,
     loss_rate,
     reno_steady_state,
+    rhs_about,
 )
 from tcpfluid.cli import main
 from oracles import bracket_sign_changes, cubic_w_of_p, reno_fixed_point, root_within_ulps
@@ -181,5 +181,5 @@ def test_fixed_point_well_conditioned_domain(log_tau, log_bdp, b, c):
     assert abs(fp.w_hat * (fp.w_hat - bdp) ** 3 - rhs) / rhs < 1e-10
     assert abs(fp.s_hat * fp.w_hat * fp.p_hat / tau - 1.0) < 1e-9
     rate = loss_rate(fp.w_hat, params)
-    dx1, dx2, _ = fluid_rhs(0.0, 0.0, rate, FlowState(fp.w_hat, fp.s_hat), params, CUBIC)
+    dx1, dx2, _ = rhs_about(FlowState(fp.w_hat, fp.s_hat), params, CUBIC)(0.0, 0.0, rate)
     assert math.hypot(dx1, dx2) < 1e-9

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tcpfluid import (
     CUBIC,
@@ -11,11 +11,11 @@ from tcpfluid import (
     FlowState,
     SystemParams,
     cbrt,
-    fluid_rhs,
     loss_rate,
+    rhs_about,
     window_function,
 )
-from oracles import from_shifted, shifted_cubic_window
+from oracles import cubic_deficit, from_shifted, shifted_cubic_window
 
 
 def test_reno_window_examples():
@@ -112,8 +112,8 @@ def test_shifted_window_matches_direct(unit_params, unit_fp, canonical_params, c
 def test_shifted_rhs_is_zero_at_origin(canonical_params, canonical_fp):
     fp = canonical_fp
     ref = FlowState(fp.w_hat, fp.s_hat)
-    dx1, dx2, _ = fluid_rhs(0.0, 0.0, loss_rate(fp.w_hat, canonical_params), ref,
-                            canonical_params, CUBIC)
+    dx1, dx2, _ = rhs_about(ref, canonical_params, CUBIC)(
+        0.0, 0.0, loss_rate(fp.w_hat, canonical_params))
     assert dx1 == 0.0
     assert abs(dx2) < 1e-9
 
@@ -125,8 +125,33 @@ def test_cubic_deficit_is_total(canonical_fp, canonical_params):
     for x1 in (-canonical_fp.w_hat, -2.0 * canonical_fp.w_hat):
         direct = CUBIC.window(FlowState(canonical_fp.w_hat + x1, canonical_fp.s_hat),
                               canonical_params)
-        got = canonical_fp.w_hat + x1 - CUBIC.deficit(x1, 0.0, ref, canonical_params)
+        got = canonical_fp.w_hat + x1 - CUBIC.deficit_about(ref, canonical_params)(x1, 0.0)
         assert math.isclose(got, direct, rel_tol=1e-12, abs_tol=1e-9)
+
+
+@given(
+    w_ref=st.floats(min_value=1e-3, max_value=1e6),
+    s_ref=st.floats(min_value=0.0, max_value=100.0),
+    r=st.floats(min_value=-3.0, max_value=3.0),
+    x2=st.floats(min_value=-10.0, max_value=10.0),
+    b=st.floats(min_value=0.01, max_value=0.99),
+    c=st.floats(min_value=0.01, max_value=10.0),
+)
+@example(w_ref=20.0, s_ref=5.0, r=-1.0, x2=0.0, b=0.2, c=0.4)  # the r <= -1 branch
+@example(w_ref=20.0, s_ref=5.0, r=-2.5, x2=0.3, b=0.2, c=0.4)
+def test_deficit_about_matches_per_call_formula(w_ref, s_ref, r, x2, b, c):
+    # The prepared closures are the per-call deficits, bit for bit: CUBIC's
+    # against the formula that recomputed K_ref on every call, Reno's and
+    # frozen's (the default closure) against w_max - window.
+    params = SystemParams(capacity=10.0, tau=1.0, b=b, c=c)
+    ref = FlowState(w_ref, s_ref)
+    x1 = r * w_ref
+    got = CUBIC.deficit_about(ref, params)(x1, x2)
+    assert got.hex() == cubic_deficit(x1, x2, ref, params).hex()
+    for fn in (RENO, FROZEN):
+        w_max = w_ref + x1
+        want = w_max - fn.window(FlowState(w_max, s_ref + x2), params)
+        assert fn.deficit_about(ref, params)(x1, x2).hex() == want.hex()
 
 
 def test_shifted_rhs_equals_fluid_rhs(unit_params, unit_fp):
@@ -141,7 +166,7 @@ def test_shifted_rhs_equals_fluid_rhs(unit_params, unit_fp):
         for _ in range(700):
             x = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
             rate = rng.uniform(0.0, 2.0)
-            dx1, dx2, deficit = fluid_rhs(*x, rate, ref, params, fn)
+            dx1, dx2, deficit = rhs_about(ref, params, fn)(*x, rate)
             state = from_shifted(x, fp)
             plain = state.w_max - fn.window(state, params)
             assert math.isclose(deficit, plain, rel_tol=1e-12, abs_tol=1e-12)

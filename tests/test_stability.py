@@ -24,11 +24,11 @@ from tcpfluid import (
     certificate,
     convergence_bound,
     expansion_coeffs,
-    fluid_rhs,
     integrate,
     loss_rate,
     lyapunov_V,
     razumikhin_mask,
+    rhs_about,
     shifted_samples,
     stability_trace,
     vdot_along,
@@ -71,7 +71,7 @@ def test_definiteness_minor_identity(b, c, s_hat):
 
 def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
     co = expansion_coeffs(unit_fp, unit_params)
-    ref = FlowState(unit_fp.w_hat, unit_fp.s_hat)
+    rhs = rhs_about(FlowState(unit_fp.w_hat, unit_fp.s_hat), unit_params, CUBIC)
     rng = np.random.default_rng(12345)
     radii = np.logspace(-4, -2, 9)
     err1, err2 = [], []
@@ -81,7 +81,7 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
             th = rng.uniform(0.0, 2.0 * math.pi)
             x = (r * math.cos(th), r * math.sin(th))
             rate = loss_rate(shifted_cubic_window(x, unit_fp, unit_params), unit_params)
-            d1, d2, _ = fluid_rhs(*x, rate, ref, unit_params, CUBIC)
+            d1, d2, _ = rhs(*x, rate)
             worst1 = max(worst1, abs(d1 - cubic_truncation_x1dot(x, co)))
             worst2 = max(worst2, abs(d2 - linearized_x2dot(x, x[0], unit_fp, unit_params)))
         err1.append(worst1)
@@ -194,7 +194,7 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, 
     # numpy's SIMD hypot and power may differ from math in the last ulp, so
     # |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the bound (from
     # V[0]) and the Razumikhin maxima take no transcendental step.  The
-    # stored derivatives must match a fresh fluid_rhs call per sample whose
+    # stored derivatives must match a fresh rhs_about call per sample whose
     # delayed window comes from the sample one delay back or, inside the
     # first delay, from the start state.  "constant" integrates about the
     # fixed point from the in-basin start; "none" integrates it about no
