@@ -2,7 +2,8 @@
 
 Subcommands pick the experiment mode; every config key doubles as a flag
 that overrides the config file.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure (fixed point, integration or certificate).
+error or a file that cannot be read or written, 3 numeric failure (fixed
+point, integration or certificate).
 """
 
 from __future__ import annotations

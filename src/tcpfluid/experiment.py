@@ -343,9 +343,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     report("w_hat", fp.w_hat)
     report("s_hat", fp.s_hat)
     report("p_hat", fp.p_hat)
-
-    if config.mode == "fixed-point":
-        report("consistency_residual", fp.s_hat * fp.w_hat * fp.p_hat / params.tau - 1.0)
+    report("consistency_residual", fp.s_hat * fp.w_hat * fp.p_hat / params.tau - 1.0)
 
     if config.mode in FLUID_MODES:
         traj = integrate(params, fn, FlowState(*starts[0]), horizon, config.step_h(), fp=fp)

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import FlowState, SystemParams, WindowFunction, check_start
-from .dde import write_columns
+from .dde import write_csv
 from .fixedpoint import solve_increasing
 
 
@@ -305,9 +305,7 @@ class SimResult:
                 )
 
     def write_trace_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,flow,w\n")
-            write_columns(fh, (self.trace_t, self.trace_flow, self.trace_w))
+        write_csv(path, "t,flow,w", (self.trace_t, self.trace_flow, self.trace_w))
 
     def mean_trace(self) -> tuple[np.ndarray, np.ndarray]:
         """(t, w) of the aggregate rows (flow = -1, per-flow mean)."""

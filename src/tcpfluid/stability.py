@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SystemParams
-from .dde import Trajectory, write_columns
+from .dde import Trajectory, write_csv
 from .fixedpoint import FixedPoint
 
 
@@ -218,9 +218,8 @@ class DiagnosticTrace:
     razumikhin_ok: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,norm_x,V,Vdot,bound\n")
-            write_columns(fh, (self.t, self.norm_x, self.v, self.vdot, self.bound))
+        write_csv(path, "t,norm_x,V,Vdot,bound",
+                  (self.t, self.norm_x, self.v, self.vdot, self.bound))
 
 
 def stability_trace(

@@ -1,6 +1,17 @@
+import os
+
 import pytest
 
 from tcpfluid import SystemParams, cubic_fixed_point
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # Every process a test starts, the CSV writer's forked children among
+    # them, must have been waited for when the test ends.
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

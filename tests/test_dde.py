@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from tcpfluid import (
     shifted_samples,
     stability_trace,
 )
-from tcpfluid import protocols
-from tcpfluid.dde import hermite_midpoint, write_columns
+from tcpfluid import dde, protocols
+from tcpfluid.cli import main
+from tcpfluid.dde import hermite_midpoint, write_columns, write_csv
 from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
@@ -240,10 +244,19 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     assert path.read_text() == per_row_csv("t,flow,w", columns)
     # Columns that repeat most of their values take the formatted-once
     # path, chunk by chunk; every other column is formatted value by value.
-    n = 3 * 4096 + 100
+    columns = awkward_columns(3 * 4096 + 100)
+    with open(path, "w") as fh:
+        fh.write("a,b,c,d,e,f,flow\n")
+        write_columns(fh, columns)
+    assert path.read_text() == per_row_csv("a,b,c,d,e,f,flow", columns)
+    assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+
+
+def awkward_columns(n: int):
+    """Seven columns of n rows that exercise every path of the writer."""
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
                     dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
-    columns = (
+    return (
         np.full(n, 1.0 / 3.0),                                  # constant
         np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
         np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side
@@ -252,11 +265,76 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
         np.arange(n) / 7.0 + math.pi,                           # all distinct
         np.resize(np.array([-1, 0, 1, 2]), n),                  # the integer flow column
     )
-    with open(path, "w") as fh:
-        fh.write("a,b,c,d,e,f,flow\n")
-        write_columns(fh, columns)
-    assert path.read_text() == per_row_csv("a,b,c,d,e,f,flow", columns)
-    assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made while the test runs, one entry each."""
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch, forks,
+                                                                cpus):
+    # Row counts one short of two parts, exactly two parts, and one row past
+    # three parts, whose last range ends one row into a chunk.  Patched CPU
+    # counts split the file on any host; the forks show the split taken.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    m = dde._MIN_PART_ROWS
+    sizes = (2 * m - 1, 2 * m, 3 * m + 1)
+    full = awkward_columns(max(sizes))
+    oracle = per_row_csv("a,b,c,d,e,f,flow", full).splitlines(keepends=True)
+    path = tmp_path / "parts.csv"
+    for n in sizes:
+        forks.clear()
+        write_csv(path, "a,b,c,d,e,f,flow", [col[:n] for col in full])
+        assert path.read_text() == "".join(oracle[: n + 1])
+        assert len(forks) == min(cpus, n // m) - 1
+
+
+def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    columns = [np.arange(2 * dde._MIN_PART_ROWS) / 7.0]
+    path = tmp_path / "one.csv"
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        write_csv(path, "t", columns)
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive() and forks == []
+    assert path.read_text() == per_row_csv("t", columns)
+
+
+def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
+    # A writer that fails only in a forked child: the parent's own range is
+    # written, and the file, through the CLI too, is reported as not written.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    write = dde.write_columns
+
+    def failing(fh, columns):
+        if os.getpid() != parent:
+            raise RuntimeError("child writer failed")
+        write(fh, columns)
+
+    monkeypatch.setattr(dde, "write_columns", failing)
+    path = tmp_path / "parts.csv"
+    n = 2 * dde._MIN_PART_ROWS
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        write_csv(path, "t", [np.arange(n) / 7.0])
+    out = tmp_path / "out"
+    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
+               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
+    assert len(err.splitlines()) == 1
 
 
 def test_integrate_prepares_the_rhs_once(monkeypatch, canonical_params, canonical_fp):

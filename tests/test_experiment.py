@@ -235,6 +235,9 @@ def test_summary_reports_every_metric(tmp_path, over):
     assert summary == result.summary + "\n"
     lines = summary.splitlines()
     assert lines[0] == f"mode: {over['mode']}"
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert keys[5:9] == ["w_hat", "s_hat", "p_hat", "consistency_residual"]
+    assert abs(result.metrics["consistency_residual"]) < 1e-9
     for key, value in result.metrics.items():
         label = "basin_delta(eps=0.01*w_hat)" if key == "basin_delta" else key
         assert f"{label}: {value!r}" in lines
