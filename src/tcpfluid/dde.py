@@ -17,12 +17,15 @@ half an ulp of w_max.  ``integrate`` builds the right-hand side once per run
 with :func:`tcpfluid.core.rhs_about`, so what depends only on the reference
 point (the CUBIC K_ref among it) is computed once, and every evaluation goes
 through that one closure; each sample's window and derivative are stored
-when it is appended, so a sample is evaluated once.
+when it is appended, so a sample is evaluated once.  A ``Trajectory`` holds
+only these integrated columns; its CSV forms the absolute w_max and s and
+the loss probability p from them as it is written.
 
-``write_columns`` writes every value by ``repr``.  Within each chunk of
+``write_columns`` writes every number by ``repr`` and a str cell of an
+object column (the event log's event type) as it is.  Within each chunk of
 rows, a float column whose values come in long runs (a trajectory resting on
 its fixed point, say) formats each run's value once and repeats the string;
-the bytes are the same either way.  ``write_csv``, which every trace writer
+the bytes are the same either way.  ``write_csv``, which every CSV writer
 calls, cuts a large file into contiguous ranges of whole chunks, one per CPU
 this process may run on: forked children format the later ranges into
 temporary files while the parent writes the first, and the parent then
@@ -76,48 +79,56 @@ def hermite_midpoint(y, dy, j: int, h: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled solution with the derived window and loss
-    probability columns.
+    """Uniformly sampled solution: what the integrator computes, once.
 
-    x1, x2 are the integrator's state, the deviation from ``ref``, and dx1,
-    dx2 its derivatives at each sample; w_max = ref.w_max + x1 and
-    s = ref.s + x2.
+    t is the grid of step ``step``; x1, x2 are the integrator's state, the
+    deviation from ``ref``, dx1, dx2 its derivatives and w its window at
+    each sample, for the system ``params``.  The absolute state is w_max =
+    ref.w_max + x1 and s = ref.s + x2, and the loss probability is
+    loss_probability(w, params); ``write_csv`` forms them for its columns.
     """
 
     t: np.ndarray
-    w_max: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     dx1: np.ndarray
     dx2: np.ndarray
+    w: np.ndarray
     ref: FlowState
     step: float
+    params: SystemParams
 
     def write_csv(self, path) -> None:
         """Round-trip decimal CSV with header t,w_max,s,w,p."""
-        write_csv(path, "t,w_max,s,w,p", (self.t, self.w_max, self.s, self.w, self.p))
+        # p first: its temporaries come and go before w_max and s are held.
+        p = loss_probability(self.w, self.params)
+        write_csv(path, "t,w_max,s,w,p", (self.t, self.ref.w_max + self.x1, self.ref.s + self.x2,
+                                          self.w, p))
 
 
-_WRITE_CHUNK = 4096  # rows formatted per write
+# Rows formatted per write.  A chunk of five columns holds about 250 bytes
+# per row while it is joined; on a 2-core host 1024 rows wrote 256k rows as
+# fast as 4096 did, with a quarter of that memory.
+_WRITE_CHUNK = 1024
 # Fewest rows a forked writer is given.  Measured on a 2-core host from a
 # 60 MB process writing five all-distinct float columns: a fork with its
 # temporary file, wait and copy costs about 10 ms and 8 ms of CPU, so two
 # parts of 4096 rows just break even, and two of 16384 rows take 0.6 of one
 # part's wall time for 1.03 of its CPU.
-_MIN_PART_ROWS = 4 * _WRITE_CHUNK
+_MIN_PART_ROWS = 16384
 
 
 def _chunk_cells(chunk: np.ndarray):
-    """The ``repr`` of every value of one column chunk, in row order.
+    """The cells of one column chunk, in row order: an object chunk's str
+    cells as they are, and the ``repr`` of every number.
 
     A float64 chunk with fewer runs of equal bit patterns than half its rows
     formats each run's value once and repeats the string.  Patterns, not
     values, are compared, so 0.0 and -0.0, and NaNs of different payloads,
     stay apart, as their reprs are read back.
     """
+    if chunk.dtype == object:
+        return chunk.tolist()
     if chunk.dtype == np.float64:
         bits = chunk.view(np.int64)
         starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
@@ -129,7 +140,8 @@ def _chunk_cells(chunk: np.ndarray):
 
 
 def write_columns(fh, columns) -> None:
-    """CSV rows of equal-length numpy columns, every value by ``repr``.
+    """CSV rows of equal-length numpy columns, every number by ``repr`` and
+    every str of an object column as it is.
 
     ``.tolist()`` hands repr Python floats and ints, so a float round-trips
     its exact binary value and an integer column prints as integers.
@@ -220,6 +232,16 @@ def steps_per_delay(tau: float, step: float) -> int:
     return k
 
 
+def step_grid(tau: float, step: float, t_end: float) -> tuple[int, float, int]:
+    """(k, h, n): the grid step h = tau/k for ``step`` (see
+    :func:`steps_per_delay`) and the n steps of h that :func:`integrate`
+    takes to reach ``t_end``, whose last sample n h may fall a hair short
+    of it."""
+    k = steps_per_delay(tau, step)
+    h = tau / k
+    return k, h, math.ceil(t_end / h - 1e-12)
+
+
 def integrate(
     params: SystemParams,
     window_fn: WindowFunction,
@@ -244,9 +266,7 @@ def integrate(
     check_start(*start)
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    k = steps_per_delay(params.tau, step_h)
-    h = params.tau / k
-    n = math.ceil(t_end / h - 1e-12)
+    k, h, n = step_grid(params.tau, step_h, t_end)
     ref = FlowState(*start) if fp is None else FlowState(fp.w_hat, fp.s_hat)
     w_ref, s_ref = ref
     rhs = rhs_about(ref, params, window_fn)
@@ -302,9 +322,8 @@ def integrate(
         x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
         append(x1, x2, r_end, (i + 1) * h)
 
-    x1_col, x2_col, w = np.frombuffer(x1s), np.frombuffer(x2s), np.frombuffer(ws)
     return Trajectory(
-        t=np.arange(n + 1, dtype=np.float64) * h, step=h,
-        w_max=w_ref + x1_col, s=s_ref + x2_col, w=w, p=loss_probability(w, params),
-        x1=x1_col, x2=x2_col, dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s), ref=ref,
+        t=np.arange(n + 1, dtype=np.float64) * h, x1=np.frombuffer(x1s), x2=np.frombuffer(x2s),
+        dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s), w=np.frombuffer(ws), ref=ref, step=h,
+        params=params,
     )

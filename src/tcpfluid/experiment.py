@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .core import FlowState, SystemParams, check_start
-from .dde import integrate, steps_per_delay
+from .dde import integrate, step_grid, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import window_function
@@ -248,6 +248,13 @@ def _validate(config: ExperimentConfig) -> None:
     horizon, step = config.horizon(), config.step_h()
     if config.mode in FLUID_MODES and horizon / step > WORK_BUDGET:
         raise ConfigError(f"{horizon} s at step {step} is over {WORK_BUDGET} fluid steps")
+    if config.mode in ("fluid", "both"):
+        # The fluid post-transient mean needs the last grid sample n h, which
+        # may fall a hair short of the horizon, inside the final share.
+        _, h, n = step_grid(params.tau, step, horizon)
+        if not n * h >= (1.0 - config.post_transient) * horizon:
+            raise ConfigError(f"no fluid sample every {h!r} s falls in the final "
+                              f"{config.post_transient} of {horizon} s")
     if config.mode in TRACE_MODES:
         dt = config.sample_dt if config.sample_dt is not None else params.tau
         # horizon / dt can overflow to inf; any count past the budget is rejected.
@@ -357,7 +364,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))
         mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
         report("fluid_mean_w", mean)
-        lines.append(f"fluid_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
+        report("fluid_mean_w_rel_fp", mean / fp.w_hat - 1.0)
 
     if config.mode in TRACE_MODES:
         sim = run_simulation(params, fn, starts, config.seed, horizon,
@@ -367,7 +374,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         tm, wm = sim.mean_trace()
         mean = post_transient_mean(tm, wm, horizon, config.post_transient)
         report("nhpl_mean_w", mean)
-        lines.append(f"nhpl_mean_w_rel_fp: {mean / fp.w_hat - 1.0!r}")
+        report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
         report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
 
     if config.mode == "both":

@@ -28,6 +28,10 @@ its bdp crossing skips that dead interval, and the integral starts there.
 With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
 0) of the fluid equations, and for N identical flows each carries 1/N of the
 total rate, so both limits agree with the mean-field model.
+
+A run's ``SimResult`` writes its event log, one column per ``Event`` field,
+and its trace through :func:`tcpfluid.dde.write_csv`, the package's one CSV
+writer.
 """
 
 from __future__ import annotations
@@ -296,13 +300,11 @@ class SimResult:
     trace_w: np.ndarray
 
     def write_events_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("event_type,time,flow,window_before,window_after\n")
-            for ev in self.events:
-                fh.write(
-                    f"{ev.event_type},{ev.time!r},{ev.flow},"
-                    f"{ev.window_before!r},{ev.window_after!r}\n"
-                )
+        """The event log as a CSV with one column per ``Event`` field; the
+        event types are an object column of str, written as they are."""
+        columns = [np.array([ev[i] for ev in self.events], dtype=object if i == 0 else None)
+                   for i in range(len(Event._fields))]
+        write_csv(path, ",".join(Event._fields), columns)
 
     def write_trace_csv(self, path) -> None:
         write_csv(path, "t,flow,w", (self.trace_t, self.trace_flow, self.trace_w))

@@ -171,10 +171,12 @@ def scalar_razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
 
 def per_row_csv(header: str, columns) -> str:
     """A trace CSV written one row at a time: integer columns by ``int``,
-    every other value by ``repr(float(v))``."""
+    object columns of text as they are, every other value by
+    ``repr(float(v))``."""
+    cell = {"i": lambda v: str(int(v)), "O": str}
     lines = [header]
     for i in range(len(columns[0])):
-        lines.append(",".join(str(int(col[i])) if col.dtype.kind == "i" else repr(float(col[i]))
+        lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
                               for col in columns))
     return "\n".join(lines) + "\n"
 
@@ -282,7 +284,7 @@ def convergence_order_check(params: SystemParams, window_fn, start: FlowState, t
     ends = []
     for k in (base_k, 2 * base_k, 4 * base_k):
         traj = integrate(params, window_fn, start, t_final, params.tau / k)
-        ends.append((float(traj.w_max[-1]), float(traj.s[-1])))
+        ends.append((float(traj.ref.w_max + traj.x1[-1]), float(traj.ref.s + traj.x2[-1])))
     e1 = math.hypot(ends[0][0] - ends[1][0], ends[0][1] - ends[1][1])
     e2 = math.hypot(ends[1][0] - ends[2][0], ends[1][1] - ends[2][1])
     if e2 == 0.0:

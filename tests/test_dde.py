@@ -17,6 +17,7 @@ from tcpfluid import (
     basin_delta,
     certificate,
     integrate,
+    loss_probability,
     lyapunov_V,
     reno_steady_state,
     run_simulation,
@@ -79,9 +80,10 @@ def test_sub_bdp_frozen_flow_is_exact(canonical_params):
     start = FlowState(5.0, 0.0)
     traj = integrate(canonical_params, FROZEN, start, 50 * canonical_params.tau,
                      canonical_params.tau / 8)
-    assert np.all(traj.w_max == 5.0)
-    assert np.all(traj.p == 0.0)
-    assert np.max(np.abs(traj.s - traj.t)) < 1e-12
+    w_max, s, _, p = absolute_columns(traj)
+    assert np.all(w_max == 5.0)
+    assert np.all(p == 0.0)
+    assert np.max(np.abs(s - traj.t)) < 1e-12
 
 
 def test_reno_pair_matches_scalar_oracle():
@@ -128,8 +130,15 @@ def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp)
     assert v[-1] < 0.02 * v[0]
 
 
+def absolute_columns(traj):
+    """(w_max, s, w, p) of every sample, formed as the trajectory CSV forms
+    them."""
+    return (traj.ref.w_max + traj.x1, traj.ref.s + traj.x2, traj.w,
+            loss_probability(traj.w, traj.params))
+
+
 def _column_gaps(traj, reference):
-    return [np.abs(a - b) for a, b in zip((traj.w_max, traj.s, traj.w, traj.p), reference)]
+    return [np.abs(a - b) for a, b in zip(absolute_columns(traj), reference)]
 
 
 def test_cubic_fixed_point_run_matches_absolute_reference(canonical_params, canonical_fp):
@@ -165,9 +174,9 @@ def test_trajectory_columns_are_the_deviation_state(canonical_params, canonical_
     for ref_fp in (fp, None):
         traj = integrate(params, CUBIC, start, 5 * params.tau, params.tau / 8, fp=ref_fp)
         assert traj.ref == (start if ref_fp is None else (fp.w_hat, fp.s_hat))
-        assert np.array_equal(traj.w_max, traj.ref.w_max + traj.x1)
-        assert np.array_equal(traj.s, traj.ref.s + traj.x2)
-        assert len(traj.dx1) == len(traj.dx2) == len(traj.t)
+        assert traj.params == params
+        columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
+        assert all(len(col) == len(traj.t) for col in columns)
 
 
 def test_integration_is_deterministic(canonical_params, canonical_fp):
@@ -176,10 +185,8 @@ def test_integration_is_deterministic(canonical_params, canonical_fp):
                   canonical_params.tau / 8)
     b = integrate(canonical_params, CUBIC, start, 20 * canonical_params.tau,
                   canonical_params.tau / 8)
-    assert np.array_equal(a.w_max, b.w_max)
-    assert np.array_equal(a.s, b.s)
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.p, b.p)
+    for col_a, col_b in zip(absolute_columns(a), absolute_columns(b)):
+        assert np.array_equal(col_a, col_b)
 
 
 def test_domain_exit_raises_integration_error(canonical_params):
@@ -199,10 +206,13 @@ def test_hostile_window_function_raises(canonical_params):
         def window(self, state, params):
             return state.w_max - 1e6 * state.s
 
-    start = FlowState(10.0, 0.0)
-    with pytest.raises(IntegrationError):
-        integrate(canonical_params, Collapsing(), start, 1.0,
-                  canonical_params.tau / 8)
+    # From s = 0 a stored sample's window turns negative; from s = 1 the
+    # start's own window already is, and every stage before t = tau reads
+    # its delayed rate.
+    for s, message in [(0.0, "w_max or window left"), (1.0, "delayed window left")]:
+        with pytest.raises(IntegrationError, match=message):
+            integrate(canonical_params, Collapsing(), FlowState(10.0, s), 1.0,
+                      canonical_params.tau / 8)
 
 
 def test_trajectory_csv_round_trips(tmp_path, canonical_params, canonical_fp):
@@ -214,12 +224,10 @@ def test_trajectory_csv_round_trips(tmp_path, canonical_params, canonical_fp):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,w_max,s,w,p"
     assert len(lines) == len(traj.t) + 1
+    columns = (traj.t, *absolute_columns(traj))
     for i in (1, len(lines) // 2, len(lines) - 1):
-        t, w_max, s, w, p = (float(v) for v in lines[i].split(","))
-        j = i - 1
-        assert (t, w_max, s, w, p) == (
-            traj.t[j], traj.w_max[j], traj.s[j], traj.w[j], traj.p[j]
-        )
+        row = tuple(float(v) for v in lines[i].split(","))
+        assert row == tuple(col[i - 1] for col in columns)
 
 
 def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_fp):
@@ -234,7 +242,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
-    columns = (traj.t, traj.w_max, traj.s, traj.w, traj.p)
+    columns = (traj.t, *absolute_columns(traj))
     assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns)
     diag.write_csv(path)
     columns = (diag.t, diag.norm_x, diag.v, diag.vdot, diag.bound)
@@ -242,21 +250,26 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     sim.write_trace_csv(path)
     columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
     assert path.read_text() == per_row_csv("t,flow,w", columns)
+    sim.write_events_csv(path)
+    rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
+            for ev in sim.events]
+    assert path.read_text() == "".join(["event_type,time,flow,window_before,window_after\n", *rows])
     # Columns that repeat most of their values take the formatted-once
     # path, chunk by chunk; every other column is formatted value by value.
     columns = awkward_columns(3 * 4096 + 100)
     with open(path, "w") as fh:
-        fh.write("a,b,c,d,e,f,flow\n")
+        fh.write("kind,a,b,c,d,e,f,flow\n")
         write_columns(fh, columns)
-    assert path.read_text() == per_row_csv("a,b,c,d,e,f,flow", columns)
+    assert path.read_text() == per_row_csv("kind,a,b,c,d,e,f,flow", columns)
     assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
 
 
 def awkward_columns(n: int):
-    """Seven columns of n rows that exercise every path of the writer."""
+    """Eight columns of n rows that exercise every path of the writer."""
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
                     dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
     return (
+        np.resize(np.array(["loss", "indication"], dtype=object), n),  # the event type column
         np.full(n, 1.0 / 3.0),                                  # constant
         np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
         np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side
@@ -286,11 +299,11 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeyp
     m = dde._MIN_PART_ROWS
     sizes = (2 * m - 1, 2 * m, 3 * m + 1)
     full = awkward_columns(max(sizes))
-    oracle = per_row_csv("a,b,c,d,e,f,flow", full).splitlines(keepends=True)
+    oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
     path = tmp_path / "parts.csv"
     for n in sizes:
         forks.clear()
-        write_csv(path, "a,b,c,d,e,f,flow", [col[:n] for col in full])
+        write_csv(path, "kind,a,b,c,d,e,f,flow", [col[:n] for col in full])
         assert path.read_text() == "".join(oracle[: n + 1])
         assert len(forks) == min(cpus, n // m) - 1
 

@@ -238,9 +238,11 @@ def test_summary_reports_every_metric(tmp_path, over):
     keys = [line.split(": ", 1)[0] for line in lines]
     assert keys[5:9] == ["w_hat", "s_hat", "p_hat", "consistency_residual"]
     assert abs(result.metrics["consistency_residual"]) < 1e-9
-    for key, value in result.metrics.items():
-        label = "basin_delta(eps=0.01*w_hat)" if key == "basin_delta" else key
-        assert f"{label}: {value!r}" in lines
+    # Each line after the five header lines is one report call, in order:
+    # every metric is in the summary and every summary number in the metrics.
+    labels = {"basin_delta": "basin_delta(eps=0.01*w_hat)"}
+    assert lines[5:] == [f"{labels.get(key, key)}: {value!r}"
+                         for key, value in result.metrics.items()]
 
 
 @pytest.mark.parametrize("mode", ["stability", "convergence"])
@@ -322,6 +324,12 @@ def _equilibrium_argv() -> list[str]:
         ["fluid", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
         ["nhpl", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
         ["compare", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "-1000"],
+        # The last fluid sample, 222 h = 3.6999999999999997, falls a hair
+        # short of t_end and so outside the final share.
+        ["fluid", "--capacity-pkts", "100", "--step", "0.016666666666666666", "--t-end", "3.7",
+         "--post-transient", "1e-300"],
+        ["compare", "--capacity-pkts", "100", "--step", "0.016666666666666666", "--t-end", "3.7",
+         "--post-transient", "1e-300"],
     ],
 )
 def test_cli_rejects_runs_without_a_result(tmp_path, capsys, argv):

@@ -593,6 +593,13 @@ def test_run_simulation_rejects_infinite_horizon():
         run_simulation(params, FROZEN, [(15.0, 0.0)], 1, math.inf)
 
 
+def test_run_simulation_rejects_non_positive_sample_dt():
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    for sample_dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sample_dt"):
+            run_simulation(params, FROZEN, [(15.0, 0.0)], 1, 10.0, sample_dt=sample_dt)
+
+
 def test_run_simulation_requires_seed():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     with pytest.raises(ValueError):
@@ -618,3 +625,8 @@ def test_event_csv_round_trips(tmp_path):
     tlines = trace_path.read_text().splitlines()
     assert tlines[0] == "t,flow,w"
     assert len(tlines) == len(sim.trace_t) + 1
+    # Below the bandwidth-delay product nothing is lost: the log is its header.
+    quiet = run_simulation(params, FROZEN, [(5.0, 0.0)], 99, 20.0)
+    quiet.write_events_csv(events_path)
+    assert quiet.events == []
+    assert events_path.read_text() == lines[0] + "\n"
