@@ -25,11 +25,26 @@ the loss probability p from them as it is written.
 object column (the event log's event type) as it is.  Within each chunk of
 rows, a float column whose values come in long runs (a trajectory resting on
 its fixed point, say) formats each run's value once and repeats the string;
-the bytes are the same either way.  ``write_csv``, which every CSV writer
-calls, cuts a large file into contiguous ranges of whole chunks, one per CPU
-this process may run on: forked children format the later ranges into
-temporary files while the parent writes the first, and the parent then
-appends the files in order, so the bytes are the same for any CPU count.
+the bytes are the same either way.  ``write_rows``, which every CSV writer
+calls, forms a file's columns one chunk of rows at a time and cuts a large
+file into contiguous ranges of whole chunks, one per CPU this process may
+run on: forked children format the later ranges into temporary files while
+the parent writes the first, and the parent then appends the files in
+order, so the bytes are the same for any CPU count.
+
+A trajectory's own CSV is formatted while ``integrate`` runs.  Its
+``on_block`` hook, ``CSVParts.take``, hands each backlog of at least
+``_MIN_PART_ROWS`` completed rows (whole chunks) to a forked child while
+fewer than CPUs - 1 of them run; the child sees the rows in the fork's
+copy-on-write snapshot of the integrator's columns, forms their artifact
+columns and formats them.  Once the run has been checked and its output
+directory made, the writer formats the rows no child took and appends every
+part in order.  The parts are anonymous temporary files in the nearest
+directory of the output file that exists, so nothing appears under the
+output directory before the run succeeds.  With one CPU, beside other
+threads, or below ``_MIN_PART_ROWS`` rows nothing is forked while the model
+integrates, and the file is written as any other.  ``CSVParts`` is the one
+place a writer is forked, waited for and its part appended.
 
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
@@ -42,8 +57,8 @@ import os
 import tempfile
 import threading
 from array import array
-from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,12 +113,22 @@ class Trajectory:
     step: float
     params: SystemParams
 
-    def write_csv(self, path) -> None:
-        """Round-trip decimal CSV with header t,w_max,s,w,p."""
-        # p first: its temporaries come and go before w_max and s are held.
-        p = loss_probability(self.w, self.params)
-        write_csv(path, "t,w_max,s,w,p", (self.t, self.ref.w_max + self.x1, self.ref.s + self.x2,
-                                          self.w, p))
+    def rows(self, lo: int, hi: int) -> Trajectory:
+        """Samples [lo, hi) as a trajectory of their own: views of the
+        columns, with the same reference point, step and system."""
+        return replace(self, t=self.t[lo:hi], x1=self.x1[lo:hi], x2=self.x2[lo:hi],
+                       dx1=self.dx1[lo:hi], dx2=self.dx2[lo:hi], w=self.w[lo:hi])
+
+    def columns(self, lo: int, hi: int):
+        """The CSV columns t, w_max, s, w, p of samples [lo, hi)."""
+        w = self.w[lo:hi]
+        return (self.t[lo:hi], self.ref.w_max + self.x1[lo:hi], self.ref.s + self.x2[lo:hi], w,
+                loss_probability(w, self.params))
+
+    def write_csv(self, path, head: CSVParts | None = None) -> None:
+        """Round-trip decimal CSV with header t,w_max,s,w,p; rows [0,
+        head.rows) are the parts of ``head`` (see :func:`write_rows`)."""
+        write_rows(path, "t,w_max,s,w,p", len(self.t), self.columns, head)
 
 
 # Rows formatted per write.  A chunk of five columns holds about 250 bytes
@@ -152,71 +177,190 @@ def write_columns(fh, columns) -> None:
         fh.write("\n")  # not appended to the chunk, which would copy it
 
 
-def _part_count(rows: int) -> int:
-    """Processes to format ``rows`` rows: one per CPU this process may run
-    on, at most one per ``_MIN_PART_ROWS`` rows; one where the platform
-    cannot fork, or where the process runs other threads."""
+def _write_rows(fh, columns, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`),
+    formed and written one write chunk at a time."""
+    for a in range(lo, hi, _WRITE_CHUNK):
+        write_columns(fh, columns(a, min(a + _WRITE_CHUNK, hi)))
+
+
+def _cpus() -> int:
+    """CPUs a file's writers may use: those this process may run on; one
+    where the platform cannot fork, or where the process runs other threads,
+    one of which may hold a lock a forked child needs."""
     if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sendfile")):
         return 1
-    if threading.active_count() > 1:  # another thread may hold a lock the child needs
+    if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_PART_ROWS))
+    return len(os.sched_getaffinity(0))
 
 
-def _write_part(tmp, columns, lo: int, hi: int):
-    """In a forked child: rows [lo, hi) into ``tmp``, then exit.  The
-    parent's buffers are never flushed, since ``os._exit`` skips every
+def _part_count(rows: int) -> int:
+    """Processes to format ``rows`` rows: one per CPU (see :func:`_cpus`),
+    at most one per ``_MIN_PART_ROWS`` rows."""
+    return max(1, min(_cpus(), rows // _MIN_PART_ROWS))
+
+
+def _existing_dir(path) -> str:
+    """The directory of ``path``, or its nearest ancestor that exists."""
+    folder = os.path.dirname(os.path.abspath(path))
+    while not os.path.isdir(folder):
+        folder = os.path.dirname(folder)
+    return folder
+
+
+def _write_text(tmp, write) -> None:
+    """Call ``write(out)`` with a text file ``out`` over the file ``tmp``."""
+    with open(tmp.fileno(), "w", newline="", closefd=False) as out:
+        write(out)
+
+
+def _run_child(tmp, write) -> None:
+    """In a forked child: ``write`` a text file over ``tmp``, then exit.
+    The parent's buffers are never flushed, since ``os._exit`` skips every
     finaliser; any failure shows as a nonzero exit status."""
     status = 1
     try:
-        with open(tmp.fileno(), "w", newline="", closefd=False) as out:
-            write_columns(out, [col[lo:hi] for col in columns])
+        _write_text(tmp, write)
         status = 0
     finally:
         os._exit(status)
 
 
-def write_csv(path, header: str, columns) -> None:
-    """``header`` and the rows of ``columns`` (see :func:`write_columns`)
-    as the CSV file ``path``.
+class CSVParts:
+    """Forked writers of row ranges of the CSV file ``path``: the one place
+    a writer is forked, waited for, and its output placed.
 
-    A large file is cut into contiguous ranges of whole write chunks, one
-    per CPU (see :func:`_part_count`).  The parent writes the first range
-    itself while a forked child formats each later one into an anonymous
-    temporary file; the parent then appends those files in order.  The
-    bytes are the same for any number of parts.  Raises ``OSError`` naming
-    ``path`` when a child fails; every child has been waited for by then.
+    ``fork`` starts a child that formats one range into its own anonymous
+    temporary file, in the nearest existing directory of ``path`` (the room
+    the file needs anyway; no name appears there, and the directory of
+    ``path`` need not exist yet).  ``append_to`` waits for every child and
+    appends their files to the open file in the order they were forked; it
+    raises ``OSError`` naming ``path`` if a child failed.  Leaving a
+    ``with`` block waits for every child still running and closes every
+    temporary file, whatever happened.
+
+    Built with ``columns_of``, a function from a :class:`Trajectory` to its
+    CSV table (see :func:`write_rows`), ``take`` is an ``on_block`` hook of
+    :func:`integrate` that formats the file while the integrator runs: rows
+    [0, ``rows``) are then this object's parts, and :func:`write_rows`
+    formats only the rest.
     """
-    rows = len(columns[0])
-    parts = _part_count(rows)
-    with open(path, "w", newline="") as fh, ExitStack() as stack:
-        fh.write(header + "\n")
-        if parts == 1:
-            write_columns(fh, columns)
-            return
-        fh.flush()  # no child inherits unwritten bytes
-        chunks = -(-rows // _WRITE_CHUNK)
-        bounds = [chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
-        tmp_dir = os.path.dirname(os.path.abspath(path))  # the room the file needs anyway
-        tmps = [stack.enter_context(tempfile.TemporaryFile(dir=tmp_dir)) for _ in range(parts - 1)]
-        pids = []
+
+    def __init__(self, path, columns_of=None):
+        self.path = path
+        self.rows = 0
+        self._columns_of = columns_of
+        self._dir = _existing_dir(path)
+        self._tmps = []
+        self._pids = []
+        self._codes = {}  # pid -> exit code, once reaped
+
+    def __enter__(self) -> CSVParts:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
         try:
-            for tmp, lo, hi in zip(tmps, bounds[1:], bounds[2:]):
-                pid = os.fork()
-                if pid == 0:
-                    _write_part(tmp, columns, lo, hi)
-                pids.append(pid)
-            write_columns(fh, [col[: bounds[1]] for col in columns])
+            self._wait()
         finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        failed = sum(code != 0 for code in codes)
+            for tmp in self._tmps:
+                tmp.close()
+
+    def _new_part(self):
+        tmp = tempfile.TemporaryFile(dir=self._dir)
+        self._tmps.append(tmp)
+        return tmp
+
+    def fork(self, write) -> None:
+        """Start a child that calls ``write(out)`` on a text file over a new
+        temporary file, then exits."""
+        tmp = self._new_part()
+        pid = os.fork()
+        if pid == 0:
+            _run_child(tmp, write)
+        self._pids.append(pid)
+
+    def write_here(self, write) -> None:
+        """Call ``write(out)`` in this process, on a text file over a new
+        temporary file: the next part, while the children run."""
+        _write_text(self._new_part(), write)
+
+    def running(self) -> int:
+        """Children still formatting; those that have finished are reaped."""
+        for pid in self._pids:
+            if pid not in self._codes:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    self._codes[pid] = os.waitstatus_to_exitcode(status)
+        return len(self._pids) - len(self._codes)
+
+    def take(self, rows: int, view) -> None:
+        """The ``on_block`` hook: ``rows`` samples are done.  Every whole
+        write chunk among them not yet taken goes to one new child, if they
+        hold at least ``_MIN_PART_ROWS`` rows and fewer than CPUs - 1 (see
+        :func:`_cpus`) children are running.  The child forms their columns
+        from ``view()``, a trajectory over the integrator's columns."""
+        lo, hi = self.rows, rows - rows % _WRITE_CHUNK
+        if hi - lo >= _MIN_PART_ROWS and self.running() < _cpus() - 1:
+            self.fork(lambda out: _write_rows(out, self._columns_of(view()), lo, hi))
+            self.rows = hi
+
+    def append_to(self, fh) -> None:
+        """Wait for every child, then append their files to ``fh`` in order."""
+        self._wait()
+        failed = sum(code != 0 for code in self._codes.values())
         if failed:
-            raise OSError(f"could not write {path}: {failed} of {len(codes)} writers failed")
+            raise OSError(f"could not write {self.path}: {failed} of {len(self._codes)} "
+                          f"writers failed")
         fh.flush()
-        for tmp in tmps:
+        for tmp in self._tmps:
             offset = 0
             while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
                 offset += sent
+
+    def _wait(self) -> None:
+        for pid in self._pids:
+            if pid not in self._codes:
+                self._codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def write_rows(path, header: str, rows: int, columns, head: CSVParts | None = None) -> None:
+    """``header`` and ``rows`` rows as the CSV file ``path``.
+
+    ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi) (see
+    :func:`write_columns`); they are formed one write chunk at a time, so
+    only a chunk of them is held.  Rows [0, head.rows) are the parts of
+    ``head``, formatted while the integrator ran (see :class:`CSVParts`).
+    The rest are cut into contiguous ranges of whole write chunks, one per
+    CPU (see :func:`_part_count`).  A forked child formats each range but
+    the first into a temporary file; the parent writes the first range, then
+    appends the children's files in order.  When ``head`` has parts, the
+    parent formats its range as one more of them while the last ones finish,
+    and appends them all first.  The bytes are the same for any number of
+    parts.  Raises ``OSError`` naming ``path`` when a child failed; every
+    child has been waited for by then.
+    """
+    done = head.rows if head is not None else 0
+    parts = _part_count(rows - done)
+    with open(path, "w", newline="") as fh, CSVParts(path) as tail:
+        fh.write(header + "\n")
+        fh.flush()  # no child inherits unwritten bytes
+        chunks = -(-(rows - done) // _WRITE_CHUNK)
+        bounds = [done + chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            tail.fork(partial(_write_rows, columns=columns, lo=lo, hi=hi))
+        if done:
+            head.write_here(partial(_write_rows, columns=columns, lo=done, hi=bounds[1]))
+            head.append_to(fh)
+        else:
+            _write_rows(fh, columns, 0, bounds[1])
+        tail.append_to(fh)
+
+
+def write_csv(path, header: str, columns) -> None:
+    """``header`` and the rows of the equal-length numpy ``columns`` as the
+    CSV file ``path`` (see :func:`write_rows`)."""
+    write_rows(path, header, len(columns[0]), lambda lo, hi: [col[lo:hi] for col in columns])
 
 
 def steps_per_delay(tau: float, step: float) -> int:
@@ -250,6 +394,7 @@ def integrate(
     step_h: float,
     *,
     fp: FixedPoint | None = None,
+    on_block=None,
 ) -> Trajectory:
     """Integrate the fluid model over [0, t_end] from the state ``start``.
 
@@ -262,6 +407,12 @@ def integrate(
     for a start outside the domain (see :func:`tcpfluid.core.check_start`)
     and :class:`IntegrationError` when w_max or the instantaneous window
     leaves the positive domain, the start's w_max rounded about ``fp`` too.
+
+    ``on_block``, when given, is called as ``on_block(rows, view)`` after
+    every block of ``_WRITE_CHUNK`` steps and after the last: ``rows``
+    samples are stored, and ``view()`` is a trajectory over them.  Only a
+    forked child may call ``view``: while a view of the columns lives, the
+    integrator's next append raises ``BufferError``.
     """
     check_start(*start)
     if not 0.0 < t_end < math.inf:
@@ -308,22 +459,30 @@ def integrate(
     append(x1, x2, r_start, 0.0)
     half = 0.5 * h
     sixth = h / 6.0
-    for i in range(n):
-        t = i * h
-        j = i - k  # the sample one delay back
-        r_mid = r_start if j < 0 else delayed_rate(
-            hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), t)
-        r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
-        k1a, k1b = d1s[i], d2s[i]
-        k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
-        k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
-        k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
-        x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-        append(x1, x2, r_end, (i + 1) * h)
 
-    return Trajectory(
-        t=np.arange(n + 1, dtype=np.float64) * h, x1=np.frombuffer(x1s), x2=np.frombuffer(x2s),
-        dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s), w=np.frombuffer(ws), ref=ref, step=h,
-        params=params,
-    )
+    def trajectory() -> Trajectory:
+        return Trajectory(
+            t=np.arange(len(x1s), dtype=np.float64) * h, x1=np.frombuffer(x1s),
+            x2=np.frombuffer(x2s), dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s),
+            w=np.frombuffer(ws), ref=ref, step=h, params=params,
+        )
+
+    # Blocks of steps between hook calls, so that no step checks for one.
+    block = n if on_block is None else _WRITE_CHUNK
+    for first in range(0, n, block):
+        for i in range(first, min(first + block, n)):
+            t = i * h
+            j = i - k  # the sample one delay back
+            r_mid = r_start if j < 0 else delayed_rate(
+                hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), t)
+            r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
+            k1a, k1b = d1s[i], d2s[i]
+            k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
+            k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
+            k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
+            x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+            x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+            append(x1, x2, r_end, (i + 1) * h)
+        if on_block is not None:
+            on_block(len(x1s), trajectory)
+    return trajectory()

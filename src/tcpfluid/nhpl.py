@@ -30,7 +30,7 @@ With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
 total rate, so both limits agree with the mean-field model.
 
 A run's ``SimResult`` writes its event log, one column per ``Event`` field,
-and its trace through :func:`tcpfluid.dde.write_csv`, the package's one CSV
+and its trace through :func:`tcpfluid.dde.write_rows`, the package's one CSV
 writer.
 """
 
@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import FlowState, SystemParams, WindowFunction, check_start
-from .dde import write_csv
+from .dde import write_csv, write_rows
 from .fixedpoint import solve_increasing
 
 
@@ -301,10 +301,13 @@ class SimResult:
 
     def write_events_csv(self, path) -> None:
         """The event log as a CSV with one column per ``Event`` field; the
-        event types are an object column of str, written as they are."""
-        columns = [np.array([ev[i] for ev in self.events], dtype=object if i == 0 else None)
-                   for i in range(len(Event._fields))]
-        write_csv(path, ",".join(Event._fields), columns)
+        event types are an object column of str, written as they are.  Only
+        the events of one write chunk are turned into columns at a time."""
+        def columns(lo: int, hi: int):
+            kinds, *numbers = zip(*self.events[lo:hi])
+            return [np.array(kinds, dtype=object), *map(np.array, numbers)]
+
+        write_rows(path, ",".join(Event._fields), len(self.events), columns)
 
     def write_trace_csv(self, path) -> None:
         write_csv(path, "t,flow,w", (self.trace_t, self.trace_flow, self.trace_w))

@@ -14,15 +14,18 @@ decay of V yields an explicit polynomial convergence bound and a basin
 estimate.
 
 The per-sample diagnostics of a trajectory (|x|, V, the exact dV/dt, the
-Razumikhin history test and the decay bound) are computed as whole numpy
-arrays from the integrator's own columns: x is the trajectory's state moved
-to the fixed point (a no-op when it was integrated about that fixed point),
-dV/dt = d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives the integrator
-stored at each sample, which used the true delayed history, and the history
-test takes a sliding maximum of V over the trailing delay.  numpy's vector
+Razumikhin history test and the decay bound) are computed as numpy arrays
+from the integrator's own columns: x is the trajectory's state moved to the
+fixed point (a no-op when it was integrated about that fixed point), dV/dt =
+d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives the integrator stored at
+each sample, which used the true delayed history, and the history test
+takes a sliding maximum of V over the trailing delay.  numpy's vector
 ``hypot`` and ``power`` may differ from ``math`` in the last ulp, so against
 a per-sample scalar route |x| and V agree to a few ulps and dV/dt to about
-1e-13 relative; the bound and the Razumikhin mask are bit-identical.
+1e-13 relative; the bound and the Razumikhin mask are bit-identical.  All
+but the history test are elementwise, so ``diagnostic_columns`` forms the
+CSV's columns for any range of samples, as forked writers do while the
+model integrates, and ``stability_trace`` forms them for all samples.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SystemParams
-from .dde import Trajectory, write_csv
+from .dde import CSVParts, Trajectory, write_rows
 from .fixedpoint import FixedPoint
 
 
@@ -206,6 +209,23 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
     return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
+def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
+    """The convergence CSV's table of ``traj`` (see
+    :func:`tcpfluid.dde.write_rows`): a function giving the columns t, |x|,
+    V, dV/dt and the decay bound of samples [lo, hi).  Each is elementwise
+    in the samples, the bound given V(0), so a range's columns are the same
+    bits as that range of the whole trajectory's."""
+    v0 = float(lyapunov_V(*shifted_samples(traj.rows(0, 1), fp), cert)[0])
+
+    def columns(lo: int, hi: int):
+        part = traj.rows(lo, hi)
+        x1, x2 = shifted_samples(part, fp)
+        return (part.t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert),
+                vdot_along(x1, x2, part, cert), convergence_bound(part.t, v0, cert))
+
+    return columns
+
+
 @dataclass
 class DiagnosticTrace:
     """Per-sample stability diagnostics of one trajectory."""
@@ -217,9 +237,15 @@ class DiagnosticTrace:
     bound: np.ndarray
     razumikhin_ok: np.ndarray
 
-    def write_csv(self, path) -> None:
-        write_csv(path, "t,norm_x,V,Vdot,bound",
-                  (self.t, self.norm_x, self.v, self.vdot, self.bound))
+    def columns(self, lo: int, hi: int):
+        """The CSV columns t, |x|, V, dV/dt and bound of samples [lo, hi)."""
+        return (self.t[lo:hi], self.norm_x[lo:hi], self.v[lo:hi], self.vdot[lo:hi],
+                self.bound[lo:hi])
+
+    def write_csv(self, path, head: CSVParts | None = None) -> None:
+        """The CSV with header t,norm_x,V,Vdot,bound; rows [0, head.rows)
+        are the parts of ``head`` (see :func:`tcpfluid.dde.write_rows`)."""
+        write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns, head)
 
 
 def stability_trace(
@@ -228,14 +254,9 @@ def stability_trace(
     params: SystemParams,
     cert: Certificate,
 ) -> DiagnosticTrace:
-    """Assemble the diagnostics CSV columns for one trajectory."""
-    x1, x2 = shifted_samples(traj, fp)
-    v = lyapunov_V(x1, x2, cert)
+    """Assemble the diagnostics of one trajectory, as whole columns."""
+    t, norm_x, v, vdot, bound = diagnostic_columns(traj, fp, cert)(0, len(traj.t))
     return DiagnosticTrace(
-        t=traj.t,
-        norm_x=np.hypot(x1, x2),
-        v=v,
-        vdot=vdot_along(x1, x2, traj, cert),
-        bound=convergence_bound(traj.t, float(v[0]), cert),
+        t=t, norm_x=norm_x, v=v, vdot=vdot, bound=bound,
         razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), RAZUMIKHIN_P),
     )

@@ -1,6 +1,8 @@
+import functools
 import math
 import os
 import re
+import tempfile
 import threading
 
 import numpy as np
@@ -24,9 +26,10 @@ from tcpfluid import (
     shifted_samples,
     stability_trace,
 )
-from tcpfluid import dde, protocols
+from tcpfluid import dde, experiment, protocols
 from tcpfluid.cli import main
 from tcpfluid.dde import hermite_midpoint, write_columns, write_csv
+from tcpfluid.stability import diagnostic_columns
 from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
@@ -348,6 +351,180 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
     err = capfd.readouterr().err
     assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
     assert len(err.splitlines()) == 1
+
+
+@functools.lru_cache
+def streamed_artifacts(params, fp, start, rows):
+    """(columns_of, writer, oracle) for each CSV a trajectory of ``rows``
+    samples streams: the trajectory's own and the diagnostics'.  Each oracle
+    is written row by row from the whole columns of a run made without a
+    hook."""
+    cert = certificate(fp, params)
+    h = params.tau / 64
+    traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
+    diag = stability_trace(traj, fp, params, cert)
+    return [
+        (lambda t: t.columns, lambda t, path, head: t.write_csv(path, head=head),
+         per_row_csv("t,w_max,s,w,p", (traj.t, *absolute_columns(traj)))),
+        (lambda t: diagnostic_columns(t, fp, cert),
+         lambda t, path, head: stability_trace(t, fp, params, cert).write_csv(path, head=head),
+         per_row_csv("t,norm_x,V,Vdot,bound", (diag.t, diag.norm_x, diag.v, diag.vdot,
+                                               diag.bound))),
+    ]
+
+
+def stream(tmp_path, params, fp, start, rows, columns_of, write):
+    """Integrate ``rows`` samples while forked writers format them, then
+    write the CSV; the file's text and the forks made while integrating."""
+    h = params.tau / 64
+    path = tmp_path / "streamed.csv"
+    with dde.CSVParts(path, columns_of) as head:
+        traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp, on_block=head.take)
+        streamed = head.rows
+        write(traj, path, head)
+    assert len(traj.t) == rows
+    return path.read_text(), streamed
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_streamed_csvs_match_per_row_repr(tmp_path, monkeypatch, forks, cpus, canonical_params,
+                                          canonical_fp):
+    # Rows one short of a streamed part, exactly one, one past it, and a run
+    # whose parts and tail meet at block seams that are not part seams.
+    # Streamed parts form their diagnostics range by range, the oracle over
+    # the whole trajectory, so the seams must not move a bit.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    params, fp = canonical_params, canonical_fp
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    m = dde._MIN_PART_ROWS
+    for rows in (m - 1, m, m + 1, 2 * m + 701):
+        for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
+            forks.clear()
+            text, streamed = stream(tmp_path, params, fp, start, rows, columns_of, write)
+            assert text == oracle
+            if cpus == 1 or rows < m:
+                assert streamed == 0 and forks == []
+            else:
+                assert streamed >= m and streamed % dde._WRITE_CHUNK == 0 and forks
+
+
+def test_streaming_forks_nothing_beside_other_threads(tmp_path, monkeypatch, forks,
+                                                      canonical_params, canonical_fp):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    params, fp = canonical_params, canonical_fp
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    rows = 2 * dde._MIN_PART_ROWS + 701
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
+            text, streamed = stream(tmp_path, params, fp, start, rows, columns_of, write)
+            assert text == oracle and streamed == 0
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive() and forks == []
+
+
+class FailingCubic(WindowFunction):
+    """CUBIC until its deficit has been evaluated ``calls`` times, then an
+    infinite deficit, which takes the window out of its domain."""
+
+    name = "failing"
+
+    def __init__(self, calls: int):
+        self.calls = calls
+
+    def window(self, state, params):
+        return CUBIC.window(state, params)
+
+    def deficit_about(self, ref, params):
+        deficit = CUBIC.deficit_about(ref, params)
+        left = [self.calls]
+
+        def failing(x1, x2):
+            left[0] -= 1
+            return deficit(x1, x2) if left[0] > 0 else math.inf
+
+        return failing
+
+
+@pytest.fixture
+def temp_files(monkeypatch):
+    """The temporary files the CSV writers open while the test runs."""
+    made = []
+    make = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
+    return made
+
+
+CONVERGENCE_ARGS = ["convergence", "--capacity-pkts", "12500", "--delay-tau", "0.01",
+                    "--init", "offset", "--init-offset-s", "1e-3", "--step", str(0.01 / 64)]
+
+
+def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeypatch, capfd,
+                                                                forks, temp_files):
+    # The window fails after about three streamed parts' worth of steps (a
+    # step evaluates the deficit five times): every streamed writer has been
+    # waited for, every temporary file closed, and no output made.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiment, "window_function",
+                        lambda name: FailingCubic(5 * 3 * dde._MIN_PART_ROWS))
+    out = tmp_path / "out"
+    rc = main([*CONVERGENCE_ARGS, "--t-end", "10.0", "--out", str(out)])
+    assert rc == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numeric failure: w_max or window left") and len(err.splitlines()) == 1
+    assert forks and len(temp_files) == len(forks)
+    assert all(tmp.closed for tmp in temp_files)
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, forks):
+    # One streamed part, and a tail too short for a part of its own: the
+    # only writer that fails is the one forked while the integrator ran.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    write = dde.write_columns
+
+    def failing(fh, columns):
+        if os.getpid() != parent:
+            raise RuntimeError("child writer failed")
+        write(fh, columns)
+
+    monkeypatch.setattr(dde, "write_columns", failing)
+    out = tmp_path / "out"
+    t_end = repr((dde._MIN_PART_ROWS + 100) * 0.01 / 64)
+    rc = main([*CONVERGENCE_ARGS, "--t-end", t_end, "--out", str(out)])
+    assert rc == 2 and len(forks) == 1
+    err = capfd.readouterr().err
+    assert err == f"error: could not write {out / 'convergence.csv'}: 1 of 1 writers failed\n"
+
+
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_streamed_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out_exists):
+    # While the integrator runs, nothing appears under --out, nor beside it
+    # when --out does not exist yet: the parts are files without a name.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "out"
+    if out_exists:
+        out.mkdir()
+    seen = []
+    take = dde.CSVParts.take
+
+    def watched(self, rows, view):
+        take(self, rows, view)
+        seen.append(sorted(os.listdir(tmp_path)) + (os.listdir(out) if out_exists else []))
+
+    monkeypatch.setattr(dde.CSVParts, "take", watched)
+    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
+               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
+    assert rc == 0 and forks and temp_files
+    assert seen and all(names == (["out"] if out_exists else []) for names in seen)
+    assert all(isinstance(tmp.name, int) and tmp.closed for tmp in temp_files)
+    assert sorted(os.listdir(out)) == ["fluid_trace.csv", "summary.txt"]
 
 
 def test_integrate_prepares_the_rhs_once(monkeypatch, canonical_params, canonical_fp):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -630,3 +631,22 @@ def test_event_csv_round_trips(tmp_path):
     quiet.write_events_csv(events_path)
     assert quiet.events == []
     assert events_path.read_text() == lines[0] + "\n"
+
+
+def test_event_log_is_written_a_chunk_at_a_time(tmp_path):
+    # Five whole columns of the log would take 8 bytes per event each; the
+    # writer turns one write chunk of events into columns at a time.
+    sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4), FROZEN,
+                         [(15.0, 0.0)], 1, 220.0)
+    assert len(sim.events) > 16 * 1024
+    path = tmp_path / "events.csv"
+    tracemalloc.start()
+    try:
+        sim.write_events_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 5 * len(sim.events) / 2
+    rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
+            for ev in sim.events]
+    assert path.read_text() == "".join(["event_type,time,flow,window_before,window_after\n", *rows])
