@@ -21,30 +21,22 @@ when it is appended, so a sample is evaluated once.  A ``Trajectory`` holds
 only these integrated columns; its CSV forms the absolute w_max and s and
 the loss probability p from them as it is written.
 
-``write_columns`` writes every number by ``repr`` and a str cell of an
-object column (the event log's event type) as it is.  Within each chunk of
-rows, a float column whose values come in long runs (a trajectory resting on
-its fixed point, say) formats each run's value once and repeats the string;
-the bytes are the same either way.  ``write_rows``, which every CSV writer
-calls, forms a file's columns one chunk of rows at a time and cuts a large
-file into contiguous ranges of whole chunks, one per CPU this process may
-run on: forked children format the later ranges into temporary files while
-the parent writes the first, and the parent then appends the files in
-order, so the bytes are the same for any CPU count.
-
-A trajectory's own CSV is formatted while ``integrate`` runs.  Its
-``on_block`` hook, ``CSVParts.take``, hands each backlog of at least
-``_MIN_PART_ROWS`` completed rows (whole chunks) to a forked child while
-fewer than CPUs - 1 of them run; the child sees the rows in the fork's
-copy-on-write snapshot of the integrator's columns, forms their artifact
-columns and formats them.  Once the run has been checked and its output
-directory made, the writer formats the rows no child took and appends every
-part in order.  The parts are anonymous temporary files in the nearest
-directory of the output file that exists, so nothing appears under the
-output directory before the run succeeds.  With one CPU, beside other
-threads, or below ``_MIN_PART_ROWS`` rows nothing is forked while the model
-integrates, and the file is written as any other.  ``CSVParts`` is the one
-place a writer is forked, waited for and its part appended.
+Every CSV goes through one ``CSVParts`` per file, which writes each number
+by ``repr`` and a str cell of an object column (the event log's event type)
+as it is, one chunk of rows at a time; a float column whose values come in
+long runs within a chunk (a trajectory resting on its fixed point, say)
+formats each run's value once.  The file is a sequence of parts in row
+order.  While ``integrate`` runs, its ``on_block`` hook ``CSVParts.take``
+hands each backlog of at least ``_MIN_PART_ROWS`` completed rows (whole
+chunks) to a forked child while fewer than CPUs - 1 of them run; the child
+sees the rows in the fork's copy-on-write snapshot of the integrator's
+columns.  ``CSVParts.write`` then cuts the rows left into one range per
+CPU, formats the first in the parent and forks a child for each other,
+waits for every child and appends every part in order, so the bytes are
+the same for any CPU count.  Parts are anonymous temporary files in the
+nearest existing directory of the output file, so nothing appears under the
+output directory before the run succeeds, and a file whose writing fails is
+removed.
 
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
@@ -164,24 +156,18 @@ def _chunk_cells(chunk: np.ndarray):
     return map(repr, chunk.tolist())
 
 
-def write_columns(fh, columns) -> None:
-    """CSV rows of equal-length numpy columns, every number by ``repr`` and
-    every str of an object column as it is.
+def _write_rows(fh, columns, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`),
+    formed and written one write chunk at a time, every number by ``repr``
+    and every str of an object column as it is.
 
     ``.tolist()`` hands repr Python floats and ints, so a float round-trips
     its exact binary value and an integer column prints as integers.
     """
-    for lo in range(0, len(columns[0]), _WRITE_CHUNK):
-        cells = [_chunk_cells(col[lo : lo + _WRITE_CHUNK]) for col in columns]
+    for a in range(lo, hi, _WRITE_CHUNK):
+        cells = [_chunk_cells(col) for col in columns(a, min(a + _WRITE_CHUNK, hi))]
         fh.write("\n".join(map(",".join, zip(*cells))))
         fh.write("\n")  # not appended to the chunk, which would copy it
-
-
-def _write_rows(fh, columns, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`),
-    formed and written one write chunk at a time."""
-    for a in range(lo, hi, _WRITE_CHUNK):
-        write_columns(fh, columns(a, min(a + _WRITE_CHUNK, hi)))
 
 
 def _cpus() -> int:
@@ -228,23 +214,17 @@ def _run_child(tmp, write) -> None:
 
 
 class CSVParts:
-    """Forked writers of row ranges of the CSV file ``path``: the one place
-    a writer is forked, waited for, and its output placed.
+    """The writer of the CSV file ``path``, and the one place a writer is
+    forked, waited for and its output placed.
 
-    ``fork`` starts a child that formats one range into its own anonymous
-    temporary file, in the nearest existing directory of ``path`` (the room
-    the file needs anyway; no name appears there, and the directory of
-    ``path`` need not exist yet).  ``append_to`` waits for every child and
-    appends their files to the open file in the order they were forked; it
-    raises ``OSError`` naming ``path`` if a child failed.  Leaving a
-    ``with`` block waits for every child still running and closes every
-    temporary file, whatever happened.
-
-    Built with ``columns_of``, a function from a :class:`Trajectory` to its
-    CSV table (see :func:`write_rows`), ``take`` is an ``on_block`` hook of
-    :func:`integrate` that formats the file while the integrator runs: rows
-    [0, ``rows``) are then this object's parts, and :func:`write_rows`
-    formats only the rest.
+    The file is a sequence of parts in row order: the ranges ``take`` hands
+    to forked children while the integrator runs (when built with
+    ``columns_of``, a function from a :class:`Trajectory` to its CSV table),
+    then those ``write`` cuts from the rows left.  A child formats its range
+    into an anonymous temporary file in the nearest existing directory of
+    ``path`` (the room the file needs anyway; the directory of ``path`` need
+    not exist yet).  Leaving a ``with`` block waits for every child and
+    closes every temporary file, whatever happened.
     """
 
     def __init__(self, path, columns_of=None):
@@ -271,21 +251,19 @@ class CSVParts:
         self._tmps.append(tmp)
         return tmp
 
-    def fork(self, write) -> None:
-        """Start a child that calls ``write(out)`` on a text file over a new
-        temporary file, then exits."""
+    def _fork(self, write) -> None:
+        """Start a child that calls ``write(out)`` on a text file over the
+        next part, then exits."""
         tmp = self._new_part()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            raise OSError(f"could not write {self.path}: {exc}") from exc
         if pid == 0:
             _run_child(tmp, write)
         self._pids.append(pid)
 
-    def write_here(self, write) -> None:
-        """Call ``write(out)`` in this process, on a text file over a new
-        temporary file: the next part, while the children run."""
-        _write_text(self._new_part(), write)
-
-    def running(self) -> int:
+    def _running(self) -> int:
         """Children still formatting; those that have finished are reaped."""
         for pid in self._pids:
             if pid not in self._codes:
@@ -301,12 +279,46 @@ class CSVParts:
         :func:`_cpus`) children are running.  The child forms their columns
         from ``view()``, a trajectory over the integrator's columns."""
         lo, hi = self.rows, rows - rows % _WRITE_CHUNK
-        if hi - lo >= _MIN_PART_ROWS and self.running() < _cpus() - 1:
-            self.fork(lambda out: _write_rows(out, self._columns_of(view()), lo, hi))
+        if hi - lo >= _MIN_PART_ROWS and self._running() < _cpus() - 1:
+            self._fork(lambda out: _write_rows(out, self._columns_of(view()), lo, hi))
             self.rows = hi
 
-    def append_to(self, fh) -> None:
-        """Wait for every child, then append their files to ``fh`` in order."""
+    def write(self, header: str, rows: int, columns) -> None:
+        """Write the file: ``header``, then ``rows`` rows of the table
+        ``columns`` (see :func:`write_rows`), of which ``take`` has handed
+        out [0, ``self.rows``).
+
+        The rest are cut into contiguous ranges of whole write chunks, one
+        per CPU (see :func:`_part_count`).  A child is forked for each range
+        but the first, which this process formats: straight into the file
+        when no part comes before it, else into a part of its own.  Then
+        every part is appended in order, so the bytes are the same for any
+        number of parts.  Raises ``OSError`` naming ``path`` when a child
+        failed or could not be forked; on any failure the file is removed.
+        """
+        with open(self.path, "w", newline="") as fh:
+            try:
+                fh.write(header + "\n")
+                fh.flush()  # no child inherits unwritten bytes
+                done = self.rows
+                parts = _part_count(rows - done)
+                chunks = -(-(rows - done) // _WRITE_CHUNK)
+                bounds = [done + chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
+                own = partial(_write_rows, columns=columns, lo=done, hi=bounds[1])
+                tmp = self._new_part() if done else None  # placed before the parts forked next
+                for lo, hi in zip(bounds[1:], bounds[2:]):
+                    self._fork(partial(_write_rows, columns=columns, lo=lo, hi=hi))
+                if tmp is None:
+                    own(fh)
+                else:
+                    _write_text(tmp, own)
+                self._append_to(fh)
+            except BaseException:
+                os.remove(self.path)
+                raise
+
+    def _append_to(self, fh) -> None:
+        """Wait for every child, then append every part to ``fh`` in order."""
         self._wait()
         failed = sum(code != 0 for code in self._codes.values())
         if failed:
@@ -325,36 +337,15 @@ class CSVParts:
 
 
 def write_rows(path, header: str, rows: int, columns, head: CSVParts | None = None) -> None:
-    """``header`` and ``rows`` rows as the CSV file ``path``.
+    """``header`` and ``rows`` rows as the CSV file ``path``, through
+    ``head`` when given, the file's :class:`CSVParts` whose ``take`` has
+    formatted its first rows while the integrator ran.
 
-    ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi) (see
-    :func:`write_columns`); they are formed one write chunk at a time, so
-    only a chunk of them is held.  Rows [0, head.rows) are the parts of
-    ``head``, formatted while the integrator ran (see :class:`CSVParts`).
-    The rest are cut into contiguous ranges of whole write chunks, one per
-    CPU (see :func:`_part_count`).  A forked child formats each range but
-    the first into a temporary file; the parent writes the first range, then
-    appends the children's files in order.  When ``head`` has parts, the
-    parent formats its range as one more of them while the last ones finish,
-    and appends them all first.  The bytes are the same for any number of
-    parts.  Raises ``OSError`` naming ``path`` when a child failed; every
-    child has been waited for by then.
+    ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi); they are
+    formed one write chunk at a time, so only a chunk of them is held.
     """
-    done = head.rows if head is not None else 0
-    parts = _part_count(rows - done)
-    with open(path, "w", newline="") as fh, CSVParts(path) as tail:
-        fh.write(header + "\n")
-        fh.flush()  # no child inherits unwritten bytes
-        chunks = -(-(rows - done) // _WRITE_CHUNK)
-        bounds = [done + chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            tail.fork(partial(_write_rows, columns=columns, lo=lo, hi=hi))
-        if done:
-            head.write_here(partial(_write_rows, columns=columns, lo=done, hi=bounds[1]))
-            head.append_to(fh)
-        else:
-            _write_rows(fh, columns, 0, bounds[1])
-        tail.append_to(fh)
+    with head or CSVParts(path) as parts:
+        parts.write(header, rows, columns)
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -394,7 +385,7 @@ def integrate(
     step_h: float,
     *,
     fp: FixedPoint | None = None,
-    on_block=None,
+    on_block=lambda rows, view: None,
 ) -> Trajectory:
     """Integrate the fluid model over [0, t_end] from the state ``start``.
 
@@ -408,7 +399,7 @@ def integrate(
     and :class:`IntegrationError` when w_max or the instantaneous window
     leaves the positive domain, the start's w_max rounded about ``fp`` too.
 
-    ``on_block``, when given, is called as ``on_block(rows, view)`` after
+    ``on_block`` is called as ``on_block(rows, view)`` after
     every block of ``_WRITE_CHUNK`` steps and after the last: ``rows``
     samples are stored, and ``view()`` is a trajectory over them.  Only a
     forked child may call ``view``: while a view of the columns lives, the
@@ -468,9 +459,8 @@ def integrate(
         )
 
     # Blocks of steps between hook calls, so that no step checks for one.
-    block = n if on_block is None else _WRITE_CHUNK
-    for first in range(0, n, block):
-        for i in range(first, min(first + block, n)):
+    for first in range(0, n, _WRITE_CHUNK):
+        for i in range(first, min(first + _WRITE_CHUNK, n)):
             t = i * h
             j = i - k  # the sample one delay back
             r_mid = r_start if j < 0 else delayed_rate(
@@ -483,6 +473,5 @@ def integrate(
             x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
             x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
             append(x1, x2, r_end, (i + 1) * h)
-        if on_block is not None:
-            on_block(len(x1s), trajectory)
+        on_block(len(x1s), trajectory)
     return trajectory()

@@ -1,3 +1,4 @@
+import errno
 import functools
 import math
 import os
@@ -28,7 +29,7 @@ from tcpfluid import (
 )
 from tcpfluid import dde, experiment, protocols
 from tcpfluid.cli import main
-from tcpfluid.dde import hermite_midpoint, write_columns, write_csv
+from tcpfluid.dde import hermite_midpoint, write_csv
 from tcpfluid.stability import diagnostic_columns
 from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
@@ -260,9 +261,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     # Columns that repeat most of their values take the formatted-once
     # path, chunk by chunk; every other column is formatted value by value.
     columns = awkward_columns(3 * 4096 + 100)
-    with open(path, "w") as fh:
-        fh.write("kind,a,b,c,d,e,f,flow\n")
-        write_columns(fh, columns)
+    write_csv(path, "kind,a,b,c,d,e,f,flow", columns)
     assert path.read_text() == per_row_csv("kind,a,b,c,d,e,f,flow", columns)
     assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
 
@@ -327,23 +326,30 @@ def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, for
     assert path.read_text() == per_row_csv("t", columns)
 
 
-def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
-    # A writer that fails only in a forked child: the parent's own range is
-    # written, and the file, through the CLI too, is reported as not written.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def fail_in_children(monkeypatch):
+    """Make every forked writer fail; this process still writes its rows."""
     parent = os.getpid()
-    write = dde.write_columns
+    write = dde._write_rows
 
-    def failing(fh, columns):
+    def failing(fh, columns, lo, hi):
         if os.getpid() != parent:
             raise RuntimeError("child writer failed")
-        write(fh, columns)
+        write(fh, columns, lo, hi)
 
-    monkeypatch.setattr(dde, "write_columns", failing)
+    monkeypatch.setattr(dde, "_write_rows", failing)
+
+
+def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
+    # A writer that fails only in a forked child: although the parent's own
+    # range is written, the file, through the CLI too, is reported as not
+    # written and removed, so no truncated file looks complete.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fail_in_children(monkeypatch)
     path = tmp_path / "parts.csv"
     n = 2 * dde._MIN_PART_ROWS
     with pytest.raises(OSError, match=re.escape(str(path))):
         write_csv(path, "t", [np.arange(n) / 7.0])
+    assert not path.exists()
     out = tmp_path / "out"
     rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
                "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
@@ -351,6 +357,7 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
     err = capfd.readouterr().err
     assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
     assert len(err.splitlines()) == 1
+    assert not (out / "fluid_trace.csv").exists()
 
 
 @functools.lru_cache
@@ -406,6 +413,28 @@ def test_streamed_csvs_match_per_row_repr(tmp_path, monkeypatch, forks, cpus, ca
                 assert streamed == 0 and forks == []
             else:
                 assert streamed >= m and streamed % dde._WRITE_CHUNK == 0 and forks
+
+
+def test_streamed_own_and_forked_parts_meet_in_order(tmp_path, monkeypatch, forks,
+                                                      canonical_params, canonical_fp):
+    # One part taken by hand, then a tail long enough for three ranges: the
+    # taken part, the parent's own range and two forked ranges, in order.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    params, fp = canonical_params, canonical_fp
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    m = dde._MIN_PART_ROWS
+    rows = m + 3 * m + 1
+    h = params.tau / 64
+    traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
+    path = tmp_path / "streamed.csv"
+    for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
+        forks.clear()
+        with dde.CSVParts(path, columns_of) as head:
+            head.take(m, lambda: traj)
+            assert head.rows == m and len(forks) == 1
+            write(traj, path, head)
+        assert path.read_text() == oracle
+        assert len(forks) == 1 + dde._part_count(rows - m) - 1 == 3
 
 
 def test_streaming_forks_nothing_beside_other_threads(tmp_path, monkeypatch, forks,
@@ -486,21 +515,38 @@ def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, fork
     # One streamed part, and a tail too short for a part of its own: the
     # only writer that fails is the one forked while the integrator ran.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    parent = os.getpid()
-    write = dde.write_columns
-
-    def failing(fh, columns):
-        if os.getpid() != parent:
-            raise RuntimeError("child writer failed")
-        write(fh, columns)
-
-    monkeypatch.setattr(dde, "write_columns", failing)
+    fail_in_children(monkeypatch)
     out = tmp_path / "out"
     t_end = repr((dde._MIN_PART_ROWS + 100) * 0.01 / 64)
     rc = main([*CONVERGENCE_ARGS, "--t-end", t_end, "--out", str(out)])
     assert rc == 2 and len(forks) == 1
     err = capfd.readouterr().err
     assert err == f"error: could not write {out / 'convergence.csv'}: 1 of 1 writers failed\n"
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3", "--t-end", "40",
+      "--sample-dt", "0.001"], "nhpl_trace.csv"),
+    ([*CONVERGENCE_ARGS, "--t-end", "6.0"], "convergence.csv"),
+])
+def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args, artifact):
+    # A fork refused for want of processes, no process started: after the
+    # run, for the 160,005-row simulator trace, or while the model
+    # integrates.  The file is named and not left behind, and a streamed
+    # run leaves no output directory.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: could not write {out / artifact}: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / artifact).exists()
+    assert out.exists() == (artifact == "nhpl_trace.csv")
 
 
 @pytest.mark.parametrize("out_exists", [False, True])
