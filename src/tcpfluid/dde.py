@@ -17,9 +17,9 @@ half an ulp of w_max.  ``integrate`` builds the right-hand side once per run
 with :func:`tcpfluid.core.rhs_about`, so what depends only on the reference
 point (the CUBIC K_ref among it) is computed once, and every evaluation goes
 through that one closure; each sample's window and derivative are stored
-when it is appended, so a sample is evaluated once.  A ``Trajectory`` holds
-only these integrated columns; its CSV forms the absolute w_max and s and
-the loss probability p from them as it is written.
+with it, so a sample is evaluated once.  The run's one ``Trajectory``,
+allocated before the first step, holds only these integrated columns; its
+CSV forms the absolute w_max and s and the loss probability p from them.
 
 Every CSV goes through one ``CSVParts`` per file, which writes each number
 by ``repr`` and a str cell of an object column (the event log's event type)
@@ -29,13 +29,13 @@ formats each run's value once.  The file is a sequence of parts in row
 order.  While ``integrate`` runs, its ``on_block`` hook ``CSVParts.take``
 hands each backlog of at least ``_MIN_PART_ROWS`` completed rows (whole
 chunks) to a forked child while fewer than CPUs - 1 of them run; the child
-sees the rows in the fork's copy-on-write snapshot of the integrator's
-columns.  ``CSVParts.write`` then cuts the rows left into one range per
-CPU, formats the first in the parent and forks a child for each other,
-waits for every child and appends every part in order, so the bytes are
-the same for any CPU count.  Parts are anonymous temporary files in the
-nearest existing directory of the output file, so nothing appears under the
-output directory before the run succeeds, and a file whose writing fails is
+reads the rows from the fork's copy-on-write snapshot of the trajectory.
+``CSVParts.write`` then cuts the rows left into one range per CPU, formats
+the first in the parent and forks a child for each other, waits for every
+child and appends every part in order, so the bytes are the same for any
+CPU count.  Parts are anonymous temporary files in the nearest existing
+directory of the output file, so nothing appears under the output
+directory before the run succeeds, and a file whose writing fails is
 removed.
 
 No event handling is attempted at the loss-probability kink; crossings of
@@ -48,21 +48,13 @@ import math
 import os
 import tempfile
 import threading
-from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .core import (
-    FlowState,
-    SystemParams,
-    WindowFunction,
-    check_start,
-    loss_probability,
-    loss_rate,
-    rhs_about,
-)
+from .core import (FlowState, SystemParams, WindowFunction, check_start, loss_probability,
+                   loss_rate, rhs_about)
 from .fixedpoint import FixedPoint
 
 
@@ -272,15 +264,15 @@ class CSVParts:
                     self._codes[pid] = os.waitstatus_to_exitcode(status)
         return len(self._pids) - len(self._codes)
 
-    def take(self, rows: int, view) -> None:
-        """The ``on_block`` hook: ``rows`` samples are done.  Every whole
-        write chunk among them not yet taken goes to one new child, if they
-        hold at least ``_MIN_PART_ROWS`` rows and fewer than CPUs - 1 (see
-        :func:`_cpus`) children are running.  The child forms their columns
-        from ``view()``, a trajectory over the integrator's columns."""
+    def take(self, rows: int, traj: Trajectory) -> None:
+        """The ``on_block`` hook: samples [0, ``rows``) of ``traj`` are
+        final.  Every whole write chunk among them not yet taken goes to one
+        new child, if they hold at least ``_MIN_PART_ROWS`` rows and fewer
+        than CPUs - 1 (see :func:`_cpus`) children are running.  The child
+        forms their columns from ``traj`` as the fork found it."""
         lo, hi = self.rows, rows - rows % _WRITE_CHUNK
         if hi - lo >= _MIN_PART_ROWS and self._running() < _cpus() - 1:
-            self._fork(lambda out: _write_rows(out, self._columns_of(view()), lo, hi))
+            self._fork(lambda out: _write_rows(out, self._columns_of(traj), lo, hi))
             self.rows = hi
 
     def write(self, header: str, rows: int, columns) -> None:
@@ -385,7 +377,7 @@ def integrate(
     step_h: float,
     *,
     fp: FixedPoint | None = None,
-    on_block=lambda rows, view: None,
+    on_block=lambda rows, traj: None,
 ) -> Trajectory:
     """Integrate the fluid model over [0, t_end] from the state ``start``.
 
@@ -399,11 +391,10 @@ def integrate(
     and :class:`IntegrationError` when w_max or the instantaneous window
     leaves the positive domain, the start's w_max rounded about ``fp`` too.
 
-    ``on_block`` is called as ``on_block(rows, view)`` after
-    every block of ``_WRITE_CHUNK`` steps and after the last: ``rows``
-    samples are stored, and ``view()`` is a trajectory over them.  Only a
-    forked child may call ``view``: while a view of the columns lives, the
-    integrator's next append raises ``BufferError``.
+    The trajectory returned is allocated before the first step, and
+    ``on_block(rows, traj)`` gets that same object after every block of
+    ``_WRITE_CHUNK`` steps and after the last: samples [0, ``rows``) are
+    final, the rest not yet computed.
     """
     check_start(*start)
     if not 0.0 < t_end < math.inf:
@@ -414,57 +405,50 @@ def integrate(
     rhs = rhs_about(ref, params, window_fn)
     deficit = window_fn.deficit_about(ref, params)
 
-    def delayed_rate(x1: float, x2: float, t: float) -> float:
+    def delayed_rate(x1: float, x2: float, i: int) -> float:
         w = w_ref + x1 - deficit(x1, x2)
         if not w > 0.0:
-            raise IntegrationError("delayed window left positive domain", t,
+            raise IntegrationError("delayed window left positive domain", i * h,
                                    FlowState(w_ref + x1, s_ref + x2))
         return loss_rate(w, params)
 
-    # Flat float64 columns, one entry per sample: the state, its
-    # derivative, and its own window, whose loss rate is the delayed rate
-    # of the sample k steps later.  numpy views them without a copy.
-    x1s, x2s, d1s, d2s, ws = (array("d") for _ in range(5))
+    # The run's one trajectory, allocated for all n + 1 samples: the state,
+    # its derivative and its own window (its loss rate is the delayed rate k
+    # steps later), used through memoryviews.  t is scaled in place: a freed
+    # temporary of its size moved later allocations and raised peak RSS 1.6 MB.
+    t = np.arange(n + 1, dtype=np.float64)
+    t *= h
+    traj = Trajectory(t, *(np.empty(n + 1) for _ in range(5)), ref=ref, step=h, params=params)
+    x1s, x2s, d1s, d2s, ws = map(memoryview, (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w))
 
-    def append(x1: float, x2: float, rate: float, t: float) -> None:
-        # Store a sample with its derivative (at delayed rate ``rate``) and
+    def store(i: int, x1: float, x2: float, rate: float) -> None:
+        # Store sample i with its derivative (at delayed rate ``rate``) and
         # its own window, from one deficit evaluation.
         d1, d2, gap = rhs(x1, x2, rate)
         w_max = w_ref + x1
         w = w_max - gap
         if not (w_max > 0.0 and w > 0.0):
-            raise IntegrationError("w_max or window left positive domain", t,
+            raise IntegrationError("w_max or window left positive domain", i * h,
                                    FlowState(w_max, s_ref + x2))
-        x1s.append(x1)
-        x2s.append(x2)
-        d1s.append(d1)
-        d2s.append(d2)
-        ws.append(w)
+        x1s[i], x2s[i], d1s[i], d2s[i], ws[i] = x1, x2, d1, d2, w
 
     x1, x2 = start.w_max - w_ref, start.s - s_ref
     if not w_ref + x1 > 0.0:  # the start is below half an ulp of w_ref
         raise IntegrationError(f"start w_max={start.w_max!r} is lost to rounding against the "
                                f"reference w_max={w_ref!r}", 0.0,
                                FlowState(w_ref + x1, s_ref + x2))
-    r_start = delayed_rate(x1, x2, 0.0)  # every delayed rate before t = 0
-    append(x1, x2, r_start, 0.0)
+    r_start = delayed_rate(x1, x2, 0)  # every delayed rate before t = 0
+    store(0, x1, x2, r_start)
     half = 0.5 * h
     sixth = h / 6.0
 
-    def trajectory() -> Trajectory:
-        return Trajectory(
-            t=np.arange(len(x1s), dtype=np.float64) * h, x1=np.frombuffer(x1s),
-            x2=np.frombuffer(x2s), dx1=np.frombuffer(d1s), dx2=np.frombuffer(d2s),
-            w=np.frombuffer(ws), ref=ref, step=h, params=params,
-        )
-
     # Blocks of steps between hook calls, so that no step checks for one.
     for first in range(0, n, _WRITE_CHUNK):
-        for i in range(first, min(first + _WRITE_CHUNK, n)):
-            t = i * h
+        last = min(first + _WRITE_CHUNK, n)
+        for i in range(first, last):
             j = i - k  # the sample one delay back
             r_mid = r_start if j < 0 else delayed_rate(
-                hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), t)
+                hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), i)
             r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
             k1a, k1b = d1s[i], d2s[i]
             k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
@@ -472,6 +456,6 @@ def integrate(
             k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
             x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
             x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-            append(x1, x2, r_end, (i + 1) * h)
-        on_block(len(x1s), trajectory)
-    return trajectory()
+            store(i + 1, x1, x2, r_end)
+        on_block(last + 1, traj)
+    return traj

@@ -13,14 +13,14 @@ import io
 import math
 import operator
 import os
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .core import FlowState, SystemParams, check_start
-from .dde import CSVParts, integrate, step_grid, steps_per_delay
+from .dde import CSVParts, integrate, step_grid, steps_per_delay, write_csv
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import window_function
@@ -299,8 +299,31 @@ def _stability_report(fp: FixedPoint, cert: Certificate, epsilon: float,
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # A one-column table of str cells: the CSV writer removes a file it fails to write.
+    write_csv(path, lines[0], [np.array(lines[1:], dtype=object)])
+
+
+def _write_artifacts(out_dir: str, writers) -> dict[str, str]:
+    """Write each (artifact name, file name, writer of the path) into ``out_dir``, made if
+    missing; the paths by name.  On a failure, what it wrote and made is removed."""
+    undo = []  # (remove, path) for each directory made and artifact written
+    folder = os.path.abspath(out_dir)
+    while not os.path.isdir(folder):
+        undo.insert(0, (os.rmdir, folder))
+        folder = os.path.dirname(folder)
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts: dict[str, str] = {}
+    try:
+        for name, filename, write in writers:
+            artifacts[name] = os.path.join(out_dir, filename)
+            write(artifacts[name])
+            undo.append((os.remove, artifacts[name]))
+    except BaseException:
+        for remove, path in reversed(undo):
+            with suppress(OSError):
+                remove(path)
+        raise
+    return artifacts
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
@@ -309,8 +332,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     First a ConfigError rejects what needs the fixed point: an offset start
     outside the domain, V(0) = 0 in convergence mode, and a simulation over
     the loss budget at equilibrium or in the start's first delay.  Every
-    check and computation runs before out_dir is made, so a run that is
-    rejected or fails leaves no directory behind.
+    check and computation runs before out_dir is made, and a failed write
+    removes what the run wrote, so a run that fails leaves no output.
     """
     params = config.system_params()
     fp = config.steady_state(params)
@@ -402,15 +425,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
         if config.mode == "convergence":
-            diag = stability_trace(traj, fp, params, cert)
+            diag = stability_trace(traj, fp, cert)
             writers.append(("convergence", "convergence.csv", partial(diag.write_csv, head=head)))
             report("bound_fraction", float(np.mean(diag.norm_x ** 4 <= diag.bound * (1.0 + 1e-12))))
             report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
 
         writers.append(("summary", "summary.txt", partial(_write_lines, lines=lines)))
-        os.makedirs(out_dir, exist_ok=True)
-        artifacts: dict[str, str] = {}
-        for name, filename, write in writers:
-            artifacts[name] = os.path.join(out_dir, filename)
-            write(artifacts[name])
+        artifacts = _write_artifacts(out_dir, writers)
     return ExperimentResult(config.mode, artifacts, metrics, summary="\n".join(lines))

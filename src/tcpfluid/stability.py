@@ -248,15 +248,11 @@ class DiagnosticTrace:
         write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns, head)
 
 
-def stability_trace(
-    traj: Trajectory,
-    fp: FixedPoint,
-    params: SystemParams,
-    cert: Certificate,
-) -> DiagnosticTrace:
-    """Assemble the diagnostics of one trajectory, as whole columns."""
+def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
+    """Assemble the diagnostics of one trajectory, as whole columns; the
+    Razumikhin window is the delay of the trajectory's own system."""
     t, norm_x, v, vdot, bound = diagnostic_columns(traj, fp, cert)(0, len(traj.t))
     return DiagnosticTrace(
         t=t, norm_x=norm_x, v=v, vdot=vdot, bound=bound,
-        razumikhin_ok=razumikhin_mask(v, round(params.tau / traj.step), RAZUMIKHIN_P),
+        razumikhin_ok=razumikhin_mask(v, round(traj.params.tau / traj.step), RAZUMIKHIN_P),
     )

@@ -168,7 +168,7 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     delta = basin_delta(0.01 * fp.w_hat, cert)
     init = FlowState(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, params, cert)
+    diag = stability_trace(traj, fp, cert)
     in_basin = diag.norm_x[0] < delta
     bounded = bool(np.all(diag.norm_x**4 <= diag.bound))
     slack = 1e-12 * float(diag.v.max())

@@ -240,7 +240,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     params, fp = canonical_params, canonical_fp
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     traj = integrate(params, CUBIC, start, 100 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, params, certificate(fp, params))
+    diag = stability_trace(traj, fp, certificate(fp, params))
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), CUBIC,
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
@@ -360,6 +360,33 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
     assert not (out / "fluid_trace.csv").exists()
 
 
+def test_on_block_gets_the_returned_trajectory_with_its_final_rows(canonical_params,
+                                                                   canonical_fp):
+    # About 3.5 blocks of steps: a hook call after each whole block and one
+    # after the half block, each with the very object integrate returns, and
+    # the rows it calls final already hold their final bits.
+    params, fp = canonical_params, canonical_fp
+    h = params.tau / 64
+    n = 3 * dde._WRITE_CHUNK + dde._WRITE_CHUNK // 2
+    calls = []
+
+    def columns(traj):
+        return traj.t, traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w
+
+    def record(rows, traj):
+        calls.append((rows, traj, [col[:rows].copy() for col in columns(traj)]))
+
+    traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-3), n * h, h, fp=fp,
+                     on_block=record)
+    assert len(traj.t) == n + 1
+    blocks = [b * dde._WRITE_CHUNK + 1 for b in (1, 2, 3)]
+    assert [rows for rows, _, _ in calls] == [*blocks, n + 1]
+    for rows, seen, copies in calls:
+        assert seen is traj
+        for copy, col in zip(copies, columns(traj)):
+            assert copy.tobytes() == col[:rows].tobytes()
+
+
 @functools.lru_cache
 def streamed_artifacts(params, fp, start, rows):
     """(columns_of, writer, oracle) for each CSV a trajectory of ``rows``
@@ -369,12 +396,12 @@ def streamed_artifacts(params, fp, start, rows):
     cert = certificate(fp, params)
     h = params.tau / 64
     traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
-    diag = stability_trace(traj, fp, params, cert)
+    diag = stability_trace(traj, fp, cert)
     return [
         (lambda t: t.columns, lambda t, path, head: t.write_csv(path, head=head),
          per_row_csv("t,w_max,s,w,p", (traj.t, *absolute_columns(traj)))),
         (lambda t: diagnostic_columns(t, fp, cert),
-         lambda t, path, head: stability_trace(t, fp, params, cert).write_csv(path, head=head),
+         lambda t, path, head: stability_trace(t, fp, cert).write_csv(path, head=head),
          per_row_csv("t,norm_x,V,Vdot,bound", (diag.t, diag.norm_x, diag.v, diag.vdot,
                                                diag.bound))),
     ]
@@ -430,7 +457,7 @@ def test_streamed_own_and_forked_parts_meet_in_order(tmp_path, monkeypatch, fork
     for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
         forks.clear()
         with dde.CSVParts(path, columns_of) as head:
-            head.take(m, lambda: traj)
+            head.take(m, traj)
             assert head.rows == m and len(forks) == 1
             write(traj, path, head)
         assert path.read_text() == oracle
@@ -524,6 +551,17 @@ def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, fork
     assert err == f"error: could not write {out / 'convergence.csv'}: 1 of 1 writers failed\n"
 
 
+def refuse_forks(monkeypatch):
+    """Two CPUs, and every fork refused for want of processes: no process
+    is started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
 @pytest.mark.parametrize("args, artifact", [
     (["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3", "--t-end", "40",
       "--sample-dt", "0.001"], "nhpl_trace.csv"),
@@ -532,21 +570,32 @@ def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, fork
 def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args, artifact):
     # A fork refused for want of processes, no process started: after the
     # run, for the 160,005-row simulator trace, or while the model
-    # integrates.  The file is named and not left behind, and a streamed
-    # run leaves no output directory.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def refused():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", refused)
+    # integrates.  The file is named, and no output directory is left,
+    # although the simulator run wrote its event log before the trace.
+    refuse_forks(monkeypatch)
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 2
     err = capfd.readouterr().err
     assert err.startswith(f"error: could not write {out / artifact}: ")
     assert len(err.splitlines()) == 1
-    assert not (out / artifact).exists()
-    assert out.exists() == (artifact == "nhpl_trace.csv")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", ["", "run/deeper"])
+def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capfd, run):
+    # The simulator run writes its event log, then fails to fork for its
+    # trace: the log and every directory made for --out go; the existing
+    # directory and the file it held before the run stay.
+    refuse_forks(monkeypatch)
+    existing = tmp_path / "out"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept\n")
+    out = existing / run
+    assert main(["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3",
+                 "--t-end", "40", "--sample-dt", "0.001", "--out", str(out)]) == 2
+    assert capfd.readouterr().err.startswith(f"error: could not write {out / 'nhpl_trace.csv'}")
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(existing) == ["notes.txt"]
+    assert (existing / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("out_exists", [False, True])
@@ -560,8 +609,8 @@ def test_streamed_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, 
     seen = []
     take = dde.CSVParts.take
 
-    def watched(self, rows, view):
-        take(self, rows, view)
+    def watched(self, rows, traj):
+        take(self, rows, traj)
         seen.append(sorted(os.listdir(tmp_path)) + (os.listdir(out) if out_exists else []))
 
     monkeypatch.setattr(dde.CSVParts, "take", watched)

@@ -182,7 +182,7 @@ def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
 
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, cert)
+    tr = stability_trace(traj, canonical_fp, cert)
     assert np.all(tr.norm_x**4 <= tr.bound)
     dv = np.diff(tr.v)
     assert np.all(dv <= 1e-12 * np.maximum(tr.v[0], tr.v[:-1]))
@@ -201,7 +201,7 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, 
     # fixed point, from its start state.
     params, fp = canonical_params, canonical_fp
     cert, start, traj = in_basin_trace(params, fp, reference=history != "none")
-    tr = stability_trace(traj, fp, params, cert)
+    tr = stability_trace(traj, fp, cert)
     xs = scalar_shifted_samples(traj, fp)
     norm, v = scalar_norms_and_v(xs, cert)
     vdot = scalar_vdot(xs, traj.step, fp, params, cert, start)
@@ -226,7 +226,7 @@ def test_razumikhin_mask_matches_slice_max_oracle(k):
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, canonical_params, cert)
+    tr = stability_trace(traj, canonical_fp, cert)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
     lines = path.read_text().splitlines()
