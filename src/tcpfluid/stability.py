@@ -14,27 +14,27 @@ decay of V yields an explicit polynomial convergence bound and a basin
 estimate.
 
 The per-sample diagnostics of a trajectory (|x|, V, the exact dV/dt, the
-Razumikhin history test and the decay bound) are computed as numpy arrays
+decay bound and the Razumikhin history test) are computed as numpy arrays
 from the integrator's own columns: x is the trajectory's state moved to the
 fixed point (a no-op when it was integrated about that fixed point), dV/dt =
 d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives the integrator stored at
 each sample, which used the true delayed history, and the history test
-takes a sliding maximum of V over the trailing delay.  numpy's vector
-``hypot`` and ``power`` may differ from ``math`` in the last ulp, so against
-a per-sample scalar route |x| and V agree to a few ulps and dV/dt to about
-1e-13 relative; the bound and the Razumikhin mask are bit-identical.  All
-but the history test are elementwise, so ``diagnostic_columns`` forms the
-CSV's columns for any range of samples, as forked writers do while the
-model integrates, and ``stability_trace`` forms them for all samples.
+takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
+``power`` may differ from ``math`` in the last ulp, so against a per-sample
+scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
+relative; the bound and the Razumikhin mask are bit-identical.  All but the
+history test are elementwise, so ``diagnostic_columns``, the one source of
+the CSV's rows, forms them for any range of samples, as forked writers do
+while the model integrates; ``stability_trace`` keeps two verdicts a sample.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SystemParams
 from .dde import CSVParts, Trajectory, write_rows
@@ -74,11 +74,12 @@ def expansion_coeffs(fp: FixedPoint, params: SystemParams) -> ExpansionCoeffs:
 
 
 # Margin choices of the Lyapunov argument: eps1 and the higher-order
-# allowance are these fractions of their strict upper bounds, and the
-# Razumikhin history comparison uses constant RAZUMIKHIN_P > 1.
+# allowance are these fractions of their strict upper bounds, the Razumikhin
+# comparison uses RAZUMIKHIN_P > 1, and |x|^4 <= bound has slack BOUND_RTOL.
 EPS1_FRAC = 0.5
 K_FRAC = 0.5
 RAZUMIKHIN_P = 1.01
+BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,16 @@ def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
 
     The comparison window is the trailing delay, the k + 1 samples ending at
     the current one; times before the start use the first sample, which is
-    the history the integrator holds on [-tau, 0].
+    the history the integrator holds on [-tau, 0].  Maxima over spans that
+    double, up to the largest power of two that fits the window, cover it
+    with two overlapping spans: O(n log k), and exact, since max is.
     """
-    padded = np.concatenate((np.full(k, v[0]), v))
-    return sliding_window_view(padded, k + 1).max(axis=1) <= p * v
+    a = np.concatenate((np.full(k, v[0]), v))
+    span = 1
+    while 2 * span <= k + 1:  # a[i] becomes the maximum of the next 2 * span values
+        a = np.maximum(a[:-span], a[span:])
+        span *= 2
+    return np.maximum(a[:len(v)], a[k + 1 - span:]) <= p * v
 
 
 def convergence_bound(t, v0: float, cert: Certificate):
@@ -228,19 +235,14 @@ def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
 
 @dataclass
 class DiagnosticTrace:
-    """Per-sample stability diagnostics of one trajectory."""
+    """Stability diagnostics of one trajectory: its grid ``t``, the
+    :func:`diagnostic_columns` table ``columns`` its CSV is written from, and
+    per sample ``bounded`` (|x|^4 within the decay bound) and ``razumikhin_ok``."""
 
     t: np.ndarray
-    norm_x: np.ndarray
-    v: np.ndarray
-    vdot: np.ndarray
-    bound: np.ndarray
+    columns: Callable[[int, int], tuple[np.ndarray, ...]]
+    bounded: np.ndarray
     razumikhin_ok: np.ndarray
-
-    def columns(self, lo: int, hi: int):
-        """The CSV columns t, |x|, V, dV/dt and bound of samples [lo, hi)."""
-        return (self.t[lo:hi], self.norm_x[lo:hi], self.v[lo:hi], self.vdot[lo:hi],
-                self.bound[lo:hi])
 
     def write_csv(self, path, head: CSVParts | None = None) -> None:
         """The CSV with header t,norm_x,V,Vdot,bound; rows [0, head.rows)
@@ -249,10 +251,11 @@ class DiagnosticTrace:
 
 
 def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
-    """Assemble the diagnostics of one trajectory, as whole columns; the
-    Razumikhin window is the delay of the trajectory's own system."""
-    t, norm_x, v, vdot, bound = diagnostic_columns(traj, fp, cert)(0, len(traj.t))
-    return DiagnosticTrace(
-        t=t, norm_x=norm_x, v=v, vdot=vdot, bound=bound,
-        razumikhin_ok=razumikhin_mask(v, round(traj.params.tau / traj.step), RAZUMIKHIN_P),
-    )
+    """The diagnostics of one trajectory, whose whole columns are formed once
+    for the verdicts; the Razumikhin window is the delay of its own system."""
+    columns = diagnostic_columns(traj, fp, cert)
+    _, norm_x, v, vdot, bound = columns(0, len(traj.t))
+    bounded = norm_x**4 <= bound * (1.0 + BOUND_RTOL)
+    del norm_x, vdot, bound  # released before the history test
+    k = round(traj.params.tau / traj.step)
+    return DiagnosticTrace(traj.t, columns, bounded, razumikhin_mask(v, k, RAZUMIKHIN_P))

@@ -7,6 +7,7 @@ measured numbers so a failing line is directly actionable.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -169,17 +170,18 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     init = FlowState(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
     diag = stability_trace(traj, fp, cert)
-    in_basin = diag.norm_x[0] < delta
-    bounded = bool(np.all(diag.norm_x**4 <= diag.bound))
-    slack = 1e-12 * float(diag.v.max())
-    nonincreasing = bool(np.all(np.diff(diag.v) <= slack))
+    _, norm_x, v, _, bound = diag.columns(0, len(diag.t))
+    in_basin = norm_x[0] < delta
+    bounded = bool(np.all(norm_x**4 <= bound))
+    slack = 1e-12 * float(v.max())
+    nonincreasing = bool(np.all(np.diff(v) <= slack))
     elapsed = time.perf_counter() - start
     check(
         5,
         in_basin and bounded and nonincreasing,
-        f"start norm {diag.norm_x[0]:.4e} < delta {delta:.4e}, "
-        f"bound worst ratio {float((diag.norm_x**4 / diag.bound).max()):.3f}, "
-        f"V(end)/V(0) {float(diag.v[-1] / diag.v[0]):.3f}, {elapsed:.2f} s",
+        f"start norm {norm_x[0]:.4e} < delta {delta:.4e}, "
+        f"bound worst ratio {float((norm_x**4 / bound).max()):.3f}, "
+        f"V(end)/V(0) {float(v[-1] / v[0]):.3f}, {elapsed:.2f} s",
     )
 
 
@@ -278,7 +280,7 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     b = run_experiment(config, tmp_path / "b")
     names = sorted(a.artifacts)
     same = all(
-        open(a.artifacts[name], "rb").read() == open(b.artifacts[name], "rb").read()
+        Path(a.artifacts[name]).read_bytes() == Path(b.artifacts[name]).read_bytes()
         for name in names
     )
     check(9, same and names == sorted(b.artifacts), f"identical artifacts: {names}")

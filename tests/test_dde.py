@@ -249,7 +249,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     columns = (traj.t, *absolute_columns(traj))
     assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns)
     diag.write_csv(path)
-    columns = (diag.t, diag.norm_x, diag.v, diag.vdot, diag.bound)
+    columns = diag.columns(0, len(diag.t))
     assert path.read_text() == per_row_csv("t,norm_x,V,Vdot,bound", columns)
     sim.write_trace_csv(path)
     columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
@@ -396,14 +396,12 @@ def streamed_artifacts(params, fp, start, rows):
     cert = certificate(fp, params)
     h = params.tau / 64
     traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
-    diag = stability_trace(traj, fp, cert)
     return [
         (lambda t: t.columns, lambda t, path, head: t.write_csv(path, head=head),
          per_row_csv("t,w_max,s,w,p", (traj.t, *absolute_columns(traj)))),
         (lambda t: diagnostic_columns(t, fp, cert),
          lambda t, path, head: stability_trace(t, fp, cert).write_csv(path, head=head),
-         per_row_csv("t,norm_x,V,Vdot,bound", (diag.t, diag.norm_x, diag.v, diag.vdot,
-                                               diag.bound))),
+         per_row_csv("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, fp, cert)(0, rows))),
     ]
 
 

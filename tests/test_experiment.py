@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import scalar_razumikhin_mask
 from tcpfluid import (
     ConfigError,
     ExperimentConfig,
@@ -219,6 +220,45 @@ def test_convergence_mode(tmp_path):
     assert 1.0 / (len(diag) - 1) <= share <= 1.0
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert f"razumikhin_fraction: {share!r}\n" in summary
+
+
+def test_convergence_fractions_match_the_csv(tmp_path):
+    # Criterion 6's divergent start, where the decay bound fails on part of
+    # the run: both shares the summary reports are recomputed from the CSV,
+    # the bound's from its columns and the Razumikhin share from its V
+    # column over the 16 steps of one delay.
+    out = tmp_path / "out"
+    assert main(["convergence", "--capacity-pkts", "125000", "--delay-tau", "0.1",
+                 "--init", "explicit", "--init-w-max", "12371.9952", "--init-s", "13.6794",
+                 "--t-end", "20", "--out", str(out)]) == 0
+    reported = dict(line.split(": ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    lines = (out / "convergence.csv").read_text().splitlines()
+    _, norm_x, v, _, bound = np.array([[float(c) for c in line.split(",")]
+                                       for line in lines[1:]]).T
+    assert len(v) == 3201
+    bounded = float(np.mean(norm_x**4 <= bound * (1.0 + 1e-12)))
+    razumikhin = float(np.mean(scalar_razumikhin_mask(v, 16, 1.01)))
+    assert 0.0 < bounded < 1.0
+    assert reported["bound_fraction"] == repr(bounded)
+    assert reported["razumikhin_fraction"] == repr(razumikhin)
+
+
+@pytest.mark.parametrize("mode", ["fluid", "convergence"])
+def test_fluid_modes_build_flow_0_alone(tmp_path, mode):
+    # The fluid-only modes integrate flow 0 and build no start per flow, so
+    # 2**70 flows write the trajectory one flow writes, and only the
+    # summary's flows line differs.
+    trace = {"fluid": "fluid_trace.csv", "convergence": "convergence.csv"}[mode]
+    for flows in (1, 2**70):
+        assert main([mode, "--capacity-pkts", "100", "--delay-tau", "0.1", "--init", "offset",
+                     "--init-offset-s", "0.01", "--flows", str(flows),
+                     "--out", str(tmp_path / str(flows))]) == 0
+    one, many = tmp_path / "1", tmp_path / str(2**70)
+    assert (one / trace).read_bytes() == (many / trace).read_bytes()
+    summary = (one / "summary.txt").read_text()
+    assert "\nflows: 1\n" in summary
+    assert (many / "summary.txt").read_text() == summary.replace("\nflows: 1\n",
+                                                                f"\nflows: {2**70}\n")
 
 
 @pytest.mark.parametrize("over", [

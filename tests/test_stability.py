@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from tcpfluid import (
     stability_trace,
     vdot_along,
 )
-from tcpfluid.stability import RAZUMIKHIN_P
+from tcpfluid.stability import BOUND_RTOL, RAZUMIKHIN_P
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
@@ -183,10 +184,12 @@ def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
     tr = stability_trace(traj, canonical_fp, cert)
-    assert np.all(tr.norm_x**4 <= tr.bound)
-    dv = np.diff(tr.v)
-    assert np.all(dv <= 1e-12 * np.maximum(tr.v[0], tr.v[:-1]))
-    assert tr.v[-1] < tr.v[0]
+    _, norm_x, v, _, bound = tr.columns(0, len(tr.t))
+    assert np.all(norm_x**4 <= bound)
+    assert tr.bounded.all()
+    dv = np.diff(v)
+    assert np.all(dv <= 1e-12 * np.maximum(v[0], v[:-1]))
+    assert v[-1] < v[0]
 
 
 @pytest.mark.parametrize("history", ["none", "constant"])
@@ -202,26 +205,44 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, 
     params, fp = canonical_params, canonical_fp
     cert, start, traj = in_basin_trace(params, fp, reference=history != "none")
     tr = stability_trace(traj, fp, cert)
+    t, tr_norm, tr_v, tr_vdot, tr_bound = tr.columns(0, len(tr.t))
     xs = scalar_shifted_samples(traj, fp)
     norm, v = scalar_norms_and_v(xs, cert)
     vdot = scalar_vdot(xs, traj.step, fp, params, cert, start)
     k = round(params.tau / traj.step)
-    assert np.all(np.abs(tr.norm_x - norm) <= 4 * np.spacing(norm))
-    assert np.all(np.abs(tr.v - v) <= 4 * np.spacing(v))
-    assert np.all(np.abs(tr.vdot - vdot) <= 1e-12 * np.abs(vdot))
-    assert np.array_equal(tr.bound, convergence_bound(traj.t, float(v[0]), cert))
+    assert np.array_equal(t, traj.t)
+    assert np.all(np.abs(tr_norm - norm) <= 4 * np.spacing(norm))
+    assert np.all(np.abs(tr_v - v) <= 4 * np.spacing(v))
+    assert np.all(np.abs(tr_vdot - vdot) <= 1e-12 * np.abs(vdot))
+    assert np.array_equal(tr_bound, convergence_bound(traj.t, float(v[0]), cert))
+    assert np.array_equal(tr.bounded, tr_norm**4 <= tr_bound * (1.0 + BOUND_RTOL))
     assert np.array_equal(tr.razumikhin_ok, scalar_razumikhin_mask(v, k, RAZUMIKHIN_P))
     assert not tr.razumikhin_ok.all()  # the mask is not trivially true
 
 
-@pytest.mark.parametrize("k", [1, 4, 64, 1000])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 63, 64, 65, 499, 500, 1000])
 def test_razumikhin_mask_matches_slice_max_oracle(k):
     # A V that rises and falls, so both the history maximum and the front
-    # padding decide samples; k = 1000 exceeds the 500 samples.
+    # padding decide samples; k + 1 a power of two or not, on both sides of
+    # one (the two spans the window is covered by meet or overlap), and
+    # k = 499, 500, 1000 reach or exceed the 500 samples.
     v = np.random.default_rng(k).uniform(0.5, 1.5, 500)
     mask = razumikhin_mask(v, k, 1.01)
     assert np.array_equal(mask, scalar_razumikhin_mask(v, k, 1.01))
     assert mask.any() and not mask.all()
+
+
+def test_razumikhin_mask_is_fast_for_a_long_window():
+    # k = n = 2e5: a window as long as the run, where every window reaches
+    # back to the start, so the running maximum is the oracle.  A per-window
+    # maximum costs O(n k) and took several seconds here.
+    n = k = 200_000
+    v = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    start = time.perf_counter()
+    mask = razumikhin_mask(v, k, 1.01)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(mask, np.maximum.accumulate(v) <= 1.01 * v)
+    assert elapsed < 1.0
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
@@ -233,7 +254,7 @@ def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     assert lines[0] == "t,norm_x,V,Vdot,bound"
     assert len(lines) == len(tr.t) + 1
     row = [float(v) for v in lines[1].split(",")]
-    assert row == [tr.t[0], tr.norm_x[0], tr.v[0], tr.vdot[0], tr.bound[0]]
+    assert row == [float(col[0]) for col in tr.columns(0, 1)]
 
 
 def test_convergence_bound_shape(canonical_params, canonical_fp):
