@@ -4,16 +4,18 @@ The package splits into a deterministic track (delay fluid model, fixed
 points, Lyapunov convergence certificates) and a stochastic track (an
 event-driven simulator whose losses follow a non-homogeneous Poisson
 process), built to cross-validate each other.
+
+``__all__`` is the user API: what a Python caller of the command line's
+modes needs.  Internals (the simulator's sampler and state, the RHS builder,
+the per-sample diagnostics) are imported from their own modules.
 """
 
 from .core import (
     FlowState,
     SystemParams,
     WindowFunction,
-    cbrt,
     loss_probability,
     loss_rate,
-    rhs_about,
 )
 from .dde import (
     IntegrationError,
@@ -38,13 +40,7 @@ from .nhpl import (
     Event,
     RngStream,
     SimResult,
-    SimState,
-    compute_T,
-    generate_poi_loss,
-    make_sim_state,
-    pick_losing_flow,
     run_simulation,
-    t_bdp,
 )
 from .protocols import (
     CUBIC,
@@ -59,12 +55,8 @@ from .stability import (
     basin_delta,
     certificate,
     convergence_bound,
-    expansion_coeffs,
     lyapunov_V,
-    razumikhin_mask,
-    shifted_samples,
     stability_trace,
-    vdot_along,
 )
 
 from types import ModuleType as _Module

@@ -44,7 +44,7 @@ MODES = {
 FLUID_MODES = ("fluid", "both", "convergence")  # integrate flow 0 of the config
 TRACE_MODES = ("nhpl", "both")  # run the simulator and render its trace
 
-# Cap on one run's fluid steps, its simulator trace rows and its losses.
+# Cap on one run's fluid steps, its simulator trace rows and its losses times flows.
 WORK_BUDGET = 10**7
 CONFIG_MAX_BYTES = 2**20  # fits explicit init lists for about 50,000 flows
 
@@ -336,10 +336,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one experiment mode and write its artifacts under out_dir.
 
     First a ConfigError rejects what needs the fixed point: an offset start
-    outside the domain, V(0) = 0 in convergence mode, and a simulation over
-    the loss budget at equilibrium or in the start's first delay.  Every
-    check and computation runs before out_dir is made, and a failed write
-    removes what the run wrote, so a run that fails leaves no output.
+    outside the domain, a V(0) that is 0 or not finite in convergence mode,
+    and a simulation whose expected losses times flows are over the budget
+    at equilibrium or in the start's first delay.  Every check and
+    computation runs before out_dir is made, and a failed write removes what
+    the run wrote, so a run that fails leaves no output.
     """
     params = config.system_params()
     fp = config.steady_state(params)
@@ -350,24 +351,33 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     if config.mode in ("stability", "convergence"):
         cert = certificate(fp, params)
     if config.mode == "convergence":
-        # The decay bound divides by V at t = 0, which vanishes on the fixed point.
-        v0 = lyapunov_V(start[0] - fp.w_hat, start[1] - fp.s_hat, cert)
-        if not v0 > 0.0:
-            raise ConfigError(f"convergence mode needs a start off the fixed point, "
-                              f"got V(0) = {v0!r}")
+        # The decay bound divides by V at t = 0, which vanishes on the fixed
+        # point and leaves no bound past the float range.
+        try:
+            v0 = lyapunov_V(start[0] - fp.w_hat, start[1] - fp.s_hat, cert)
+        except OverflowError:  # x2**4 on a Python float raises instead of giving inf
+            v0 = math.inf
+        if not 0.0 < v0 < math.inf:
+            raise ConfigError(f"convergence mode needs a start off the fixed point with a "
+                              f"finite V(0), got V(0) = {v0!r}")
     if config.mode in TRACE_MODES:
-        # At equilibrium each flow loses once per s_hat: the simulator's cost.
-        if not config.flows * horizon <= WORK_BUDGET * fp.s_hat:
+        # Each loss costs the simulator work in every flow (a candidate sums
+        # all flows' coefficients, a loss evaluates all flows' windows), so
+        # both budgets count expected losses x flows.  At equilibrium each
+        # flow loses once per s_hat.
+        if not config.flows * config.flows * horizon <= WORK_BUDGET * fp.s_hat:
             raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
-                              f"s_hat = {fp.s_hat!r} s each is over {WORK_BUDGET} losses")
+                              f"s_hat = {fp.s_hat!r} s each: expected losses x flows is "
+                              f"over {WORK_BUDGET}")
         # No indication lands before tau, so no window falls on [0, tau]: the
         # start's excess over N C tau, scaled by the share of tau the run
         # covers, bounds the expected losses from below.
         starts = config.initial_conditions(fp)
         excess = sum(fn.window(FlowState(*st), params) for st in starts) - params.flows * params.bdp
-        if not excess * min(horizon, params.tau) <= WORK_BUDGET * params.tau:
+        if not excess * min(horizon, params.tau) * config.flows <= WORK_BUDGET * params.tau:
             raise ConfigError(f"the start's windows exceed the bandwidth-delay products by "
-                              f"{excess!r} packets: over {WORK_BUDGET} losses in the first delay")
+                              f"{excess!r} packets: losses in the first delay x "
+                              f"{config.flows} flows is over {WORK_BUDGET}")
     writers = []  # (artifact name, file name, writer taking the path)
     metrics: dict[str, float] = {}
     lines = [f"mode: {config.mode}", f"algorithm: {config.algorithm}",

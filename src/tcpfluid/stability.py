@@ -25,7 +25,8 @@ scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
 history test are elementwise, so ``diagnostic_columns``, the one source of
 the CSV's rows, forms them for any range of samples, as forked writers do
-while the model integrates; ``stability_trace`` keeps two verdicts a sample.
+while the model integrates; ``stability_trace`` keeps two verdicts a sample
+and forms only the |x|, V and bound they read.
 """
 
 from __future__ import annotations
@@ -251,11 +252,17 @@ class DiagnosticTrace:
 
 
 def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
-    """The diagnostics of one trajectory, whose whole columns are formed once
-    for the verdicts; the Razumikhin window is the delay of its own system."""
+    """The diagnostics of one trajectory.  The verdicts read only |x|, V and
+    the bound, formed for all samples by the calls :func:`diagnostic_columns`
+    makes, so with the same bits; the Razumikhin window is the delay of its
+    own system."""
     columns = diagnostic_columns(traj, fp, cert)
-    _, norm_x, v, vdot, bound = columns(0, len(traj.t))
-    bounded = norm_x**4 <= bound * (1.0 + BOUND_RTOL)
-    del norm_x, vdot, bound  # released before the history test
+    v0 = float(columns(0, 1)[2][0])  # V at t = 0, as the CSV's bound column takes it
+    x1, x2 = shifted_samples(traj, fp)
+    v = lyapunov_V(x1, x2, cert)
+    norm4 = np.hypot(x1, x2) ** 4
+    del x1, x2  # released before the bound and the history test
+    bounded = norm4 <= convergence_bound(traj.t, v0, cert) * (1.0 + BOUND_RTOL)
+    del norm4
     k = round(traj.params.tau / traj.step)
     return DiagnosticTrace(traj.t, columns, bounded, razumikhin_mask(v, k, RAZUMIKHIN_P))

@@ -24,17 +24,15 @@ from tcpfluid import (
     CUBIC,
     FlowState,
     SystemParams,
-    cbrt,
     cubic_fixed_point,
     integrate,
     loss_rate,
     lyapunov_V,
-    rhs_about,
-    t_bdp,
 )
+from tcpfluid.core import cbrt, rhs_about
 from tcpfluid.dde import steps_per_delay
 from tcpfluid.fixedpoint import FixedPoint, solve_increasing
-from tcpfluid.nhpl import excess_poly
+from tcpfluid.nhpl import excess_poly, t_bdp
 from tcpfluid.stability import ExpansionCoeffs
 
 

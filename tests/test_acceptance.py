@@ -23,17 +23,16 @@ from tcpfluid import (
     build_config,
     certificate,
     cubic_fixed_point,
-    expansion_coeffs,
     integrate,
     loss_rate,
-    pick_losing_flow,
     reno_steady_state,
-    rhs_about,
     run_experiment,
     run_simulation,
-    shifted_samples,
     stability_trace,
 )
+from tcpfluid.core import rhs_about
+from tcpfluid.nhpl import pick_losing_flow
+from tcpfluid.stability import expansion_coeffs, shifted_samples
 from oracles import (
     cubic_truncation_x1dot,
     inter_loss_times,

@@ -9,12 +9,11 @@ from tcpfluid import (
     RENO,
     FlowState,
     SystemParams,
-    cbrt,
     cubic_fixed_point,
     loss_probability,
     loss_rate,
-    rhs_about,
 )
+from tcpfluid.core import cbrt, rhs_about
 
 
 def test_cbrt_matches_real_cube_root():

@@ -24,13 +24,12 @@ from tcpfluid import (
     lyapunov_V,
     reno_steady_state,
     run_simulation,
-    shifted_samples,
     stability_trace,
 )
 from tcpfluid import dde, experiment, protocols
 from tcpfluid.cli import main
 from tcpfluid.dde import hermite_midpoint, write_csv
-from tcpfluid.stability import diagnostic_columns
+from tcpfluid.stability import diagnostic_columns, shifted_samples
 from oracles import absolute_integrate, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 

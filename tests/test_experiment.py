@@ -236,11 +236,27 @@ def test_convergence_fractions_match_the_csv(tmp_path):
     _, norm_x, v, _, bound = np.array([[float(c) for c in line.split(",")]
                                        for line in lines[1:]]).T
     assert len(v) == 3201
+    # The start is not in the basin: |x| grows over the final half, from row
+    # 1600 at t = 10 s, by the 18x README states.
+    assert norm_x[-1] > 18.0 * norm_x[1600]
     bounded = float(np.mean(norm_x**4 <= bound * (1.0 + 1e-12)))
     razumikhin = float(np.mean(scalar_razumikhin_mask(v, 16, 1.01)))
     assert 0.0 < bounded < 1.0
     assert reported["bound_fraction"] == repr(bounded)
     assert reported["razumikhin_fraction"] == repr(razumikhin)
+
+
+def test_readme_stability_run_then_in_basin_convergence_run(tmp_path, capsys):
+    # README's example: the certified basin radius of the canonical system,
+    # then a trajectory started at 0.8 of it, inside the decay bound at every
+    # sample.
+    system = ["--capacity-pkts", "12500", "--delay-tau", "0.01"]
+    assert main(["stability", *system, "--out", str(tmp_path / "stability")]) == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    delta = float(report["basin_delta(eps=0.01*w_hat)"])
+    assert main(["convergence", *system, "--init", "offset", "--init-offset-s",
+                 repr(0.8 * delta), "--out", str(tmp_path / "convergence")]) == 0
+    assert "bound_fraction: 1.0\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["fluid", "convergence"])
@@ -358,6 +374,11 @@ def _equilibrium_argv() -> list[str]:
         ["convergence", "--capacity-pkts", "100", "--init", "offset"],
         ["convergence", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "1e-30"],
         ["convergence", "--capacity-pkts", "100", "EQUILIBRIUM"],
+        # V(0) past the float range leaves no decay bound: x2**4 of 1e80.
+        ["convergence", "--capacity-pkts", "100", "--init", "offset", "--init-offset-s", "1e80",
+         "--t-end", "0.1"],
+        ["convergence", "--capacity-pkts", "100", "--init", "explicit", "--init-w-max", "100",
+         "--init-s", "1e80"],
         # 1e308 bit/s over 1e-300-byte packets is an infinite packet rate.
         ["nhpl", "--algorithm", "reno", "--capacity-bps", "1e308", "--packet-size-bytes", "1e-300"],
         # An offset start off the positive window domain.
@@ -536,6 +557,10 @@ def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
         # About 5e8 losses in the first delay, before any indication lands.
         ["nhpl", "--algorithm", "reno", "--init", "explicit", "--init-w-max", "1e9",
          "--init-s", "0", "--t-end", "1"],
+        # One trace sample of 10^7 rows and about 5.8e5 losses, but each loss
+        # costs work in all 10^7 flows.
+        ["nhpl", "--flows", "9999999", "--t-end", "0.1", "--sample-dt", "1",
+         "--post-transient", "1"],
     ],
 )
 def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):

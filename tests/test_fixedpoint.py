@@ -11,9 +11,9 @@ from tcpfluid import (
     cubic_fixed_point,
     loss_rate,
     reno_steady_state,
-    rhs_about,
 )
 from tcpfluid.cli import main
+from tcpfluid.core import rhs_about
 from oracles import bracket_sign_changes, cubic_w_of_p, reno_fixed_point, root_within_ulps
 
 # Frozen outputs, cross-checked against the plain-bisection oracle below

@@ -14,15 +14,11 @@ from tcpfluid import (
     RENO,
     RngStream,
     SystemParams,
-    compute_T,
-    generate_poi_loss,
     WindowFunction,
-    make_sim_state,
-    pick_losing_flow,
     run_simulation,
-    t_bdp,
 )
-from tcpfluid.nhpl import excess_poly
+from tcpfluid.nhpl import (compute_T, excess_poly, generate_poi_loss, make_sim_state,
+                           pick_losing_flow, t_bdp)
 from oracles import inter_loss_times, scalar_render_trace, two_pass_candidate
 
 

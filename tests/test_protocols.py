@@ -10,11 +10,10 @@ from tcpfluid import (
     RENO,
     FlowState,
     SystemParams,
-    cbrt,
     loss_rate,
-    rhs_about,
     window_function,
 )
+from tcpfluid.core import cbrt, rhs_about
 from oracles import cubic_deficit, from_shifted, shifted_cubic_window
 
 

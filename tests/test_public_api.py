@@ -1,4 +1,4 @@
-"""Every public name is used by the package or its scripts, not only by tests."""
+"""Every public name is used by the package itself, not only by tests."""
 
 import ast
 import importlib.util
@@ -38,7 +38,6 @@ class _References(ast.NodeVisitor):
 
 def referenced_names() -> set[str]:
     files = [p for p in (ROOT / "src" / "tcpfluid").glob("*.py") if p.name != "__init__.py"]
-    files += list((ROOT / "scripts").glob("*.py"))
     refs = _References()
     for path in files:
         refs.visit(ast.parse(path.read_text(), filename=str(path)))

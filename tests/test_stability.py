@@ -24,17 +24,14 @@ from tcpfluid import (
     basin_delta,
     certificate,
     convergence_bound,
-    expansion_coeffs,
     integrate,
     loss_rate,
     lyapunov_V,
-    razumikhin_mask,
-    rhs_about,
-    shifted_samples,
     stability_trace,
-    vdot_along,
 )
-from tcpfluid.stability import BOUND_RTOL, RAZUMIKHIN_P
+from tcpfluid.core import rhs_about
+from tcpfluid.stability import (BOUND_RTOL, RAZUMIKHIN_P, expansion_coeffs, razumikhin_mask,
+                                shifted_samples, vdot_along)
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
