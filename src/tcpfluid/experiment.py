@@ -13,14 +13,15 @@ import io
 import math
 import operator
 import os
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
+from .artifacts import CSVParts, write_artifacts, write_lines
 from .core import FlowState, SystemParams, check_start
-from .dde import CSVParts, integrate, step_grid, steps_per_delay, write_csv
+from .dde import integrate, step_grid, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import window_function
@@ -304,34 +305,6 @@ def _stability_report(fp: FixedPoint, cert: Certificate, epsilon: float,
     return lines
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    # A one-column table of str cells: the CSV writer removes a file it fails to write.
-    write_csv(path, lines[0], [np.array(lines[1:], dtype=object)])
-
-
-def _write_artifacts(out_dir: str, writers) -> dict[str, str]:
-    """Write each (artifact name, file name, writer of the path) into ``out_dir``, made if
-    missing; the paths by name.  On a failure, what it wrote and made is removed."""
-    undo = []  # (remove, path) for each directory made and artifact written
-    folder = os.path.abspath(out_dir)
-    while not os.path.isdir(folder):
-        undo.insert(0, (os.rmdir, folder))
-        folder = os.path.dirname(folder)
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts: dict[str, str] = {}
-    try:
-        for name, filename, write in writers:
-            artifacts[name] = os.path.join(out_dir, filename)
-            write(artifacts[name])
-            undo.append((os.remove, artifacts[name]))
-    except BaseException:
-        for remove, path in reversed(undo):
-            with suppress(OSError):
-                remove(path)
-        raise
-    return artifacts
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Run one experiment mode and write its artifacts under out_dir.
 
@@ -339,8 +312,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     outside the domain, a V(0) that is 0 or not finite in convergence mode,
     and a simulation whose expected losses times flows are over the budget
     at equilibrium or in the start's first delay.  Every check and
-    computation runs before out_dir is made, and a failed write removes what
-    the run wrote, so a run that fails leaves no output.
+    computation runs before out_dir is made, and a failed write leaves what
+    was there before the run (see :func:`tcpfluid.artifacts.write_artifacts`).
     """
     params = config.system_params()
     fp = config.steady_state(params)
@@ -438,7 +411,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             delta = basin_delta(epsilon, cert)
             report_lines = _stability_report(fp, cert, epsilon, delta)
             writers.append(("stability_report", "stability_report.txt",
-                            partial(_write_lines, lines=report_lines)))
+                            partial(write_lines, lines=report_lines)))
             report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
         if config.mode == "convergence":
@@ -447,6 +420,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             report("bound_fraction", float(np.mean(diag.bounded)))
             report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
 
-        writers.append(("summary", "summary.txt", partial(_write_lines, lines=lines)))
-        artifacts = _write_artifacts(out_dir, writers)
+        writers.append(("summary", "summary.txt", partial(write_lines, lines=lines)))
+        artifacts = write_artifacts(out_dir, writers)
     return ExperimentResult(config.mode, artifacts, metrics, summary="\n".join(lines))

@@ -30,7 +30,7 @@ With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
 total rate, so both limits agree with the mean-field model.
 
 A run's ``SimResult`` writes its event log, one column per ``Event`` field,
-and its trace through :func:`tcpfluid.dde.write_rows`, the package's one CSV
+and its trace through :mod:`tcpfluid.artifacts`, the package's one CSV
 writer.
 """
 
@@ -44,8 +44,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv, write_rows
 from .core import FlowState, SystemParams, WindowFunction, check_start
-from .dde import write_csv, write_rows
 from .fixedpoint import solve_increasing
 
 

@@ -25,8 +25,9 @@ scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
 history test are elementwise, so ``diagnostic_columns``, the one source of
 the CSV's rows, forms them for any range of samples, as forked writers do
-while the model integrates; ``stability_trace`` keeps two verdicts a sample
-and forms only the |x|, V and bound they read.
+while the model integrates; ``stability_trace`` reads the |x|, V and bound
+its two verdicts need from that table block by block, and keeps only V
+whole.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import CSVParts, write_rows
 from .core import SystemParams
-from .dde import CSVParts, Trajectory, write_rows
+from .dde import Trajectory
 from .fixedpoint import FixedPoint
 
 
@@ -81,6 +83,8 @@ EPS1_FRAC = 0.5
 K_FRAC = 0.5
 RAZUMIKHIN_P = 1.01
 BOUND_RTOL = 1e-12
+# Samples whose diagnostics ``stability_trace`` forms at a time.
+_TRACE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
 
 def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
     """The convergence CSV's table of ``traj`` (see
-    :func:`tcpfluid.dde.write_rows`): a function giving the columns t, |x|,
+    :func:`tcpfluid.artifacts.write_rows`): a function giving the columns t, |x|,
     V, dV/dt and the decay bound of samples [lo, hi).  Each is elementwise
     in the samples, the bound given V(0), so a range's columns are the same
     bits as that range of the whole trajectory's."""
@@ -247,22 +251,22 @@ class DiagnosticTrace:
 
     def write_csv(self, path, head: CSVParts | None = None) -> None:
         """The CSV with header t,norm_x,V,Vdot,bound; rows [0, head.rows)
-        are the parts of ``head`` (see :func:`tcpfluid.dde.write_rows`)."""
+        are the parts of ``head`` (see :func:`tcpfluid.artifacts.write_rows`)."""
         write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns, head)
 
 
 def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
-    """The diagnostics of one trajectory.  The verdicts read only |x|, V and
-    the bound, formed for all samples by the calls :func:`diagnostic_columns`
-    makes, so with the same bits; the Razumikhin window is the delay of its
-    own system."""
+    """The diagnostics of one trajectory.  The verdicts read |x|, V and the
+    bound of the :func:`diagnostic_columns` table, one block of samples at
+    a time, so with its bits; only V is kept for every sample, for the
+    Razumikhin window, the delay of its own system."""
     columns = diagnostic_columns(traj, fp, cert)
-    v0 = float(columns(0, 1)[2][0])  # V at t = 0, as the CSV's bound column takes it
-    x1, x2 = shifted_samples(traj, fp)
-    v = lyapunov_V(x1, x2, cert)
-    norm4 = np.hypot(x1, x2) ** 4
-    del x1, x2  # released before the bound and the history test
-    bounded = norm4 <= convergence_bound(traj.t, v0, cert) * (1.0 + BOUND_RTOL)
-    del norm4
+    n = len(traj.t)
+    v = np.empty(n)
+    bounded = np.empty(n, dtype=bool)
+    for lo in range(0, n, _TRACE_BLOCK):
+        hi = min(lo + _TRACE_BLOCK, n)
+        _, norm, v[lo:hi], _, bound = columns(lo, hi)
+        bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
     k = round(traj.params.tau / traj.step)
     return DiagnosticTrace(traj.t, columns, bounded, razumikhin_mask(v, k, RAZUMIKHIN_P))

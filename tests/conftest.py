@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tcpfluid import SystemParams, cubic_fixed_point
+from tcpfluid import SystemParams, artifacts, cubic_fixed_point
 
 
 @pytest.fixture(autouse=True)
@@ -12,6 +12,29 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made while the test runs, one entry each."""
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
+
+
+@pytest.fixture
+def failing_children(monkeypatch):
+    """Make every forked writer fail; this process still writes its rows."""
+    parent = os.getpid()
+    write = artifacts._write_rows
+
+    def failing(fh, columns, lo, hi):
+        if os.getpid() != parent:
+            raise RuntimeError("child writer failed")
+        write(fh, columns, lo, hi)
+
+    monkeypatch.setattr(artifacts, "_write_rows", failing)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,9 @@ the simulator's trace, the absolute-coordinate RK4 loop against the
 integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
 right-hand side, and the two-pass route to a candidate loss against the
-sampler's single pass.
+sampler's single pass.  ``per_row_csv`` writes a CSV one row at a time, and
+``awkward_columns`` gives it and the package's writer columns that take
+every path of that writer.
 """
 
 import math
@@ -177,6 +179,22 @@ def per_row_csv(header: str, columns) -> str:
         lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
                               for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def awkward_columns(n: int):
+    """Eight columns of n rows that exercise every path of the writer."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+                    dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
+    return (
+        np.resize(np.array(["loss", "indication"], dtype=object), n),  # the event type column
+        np.full(n, 1.0 / 3.0),                                  # constant
+        np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
+        np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side
+        np.resize([5e-324, -5e-324, 2.2250738585072014e-308 / 3.0], n),  # subnormals
+        np.resize(nans, n),
+        np.arange(n) / 7.0 + math.pi,                           # all distinct
+        np.resize(np.array([-1, 0, 1, 2]), n),                  # the integer flow column
+    )
 
 
 def scalar_render_trace(epochs, window_fn, params: SystemParams, t_end: float, sample_dt: float):

@@ -2,7 +2,6 @@ import errno
 import functools
 import math
 import os
-import re
 import tempfile
 import threading
 
@@ -26,11 +25,12 @@ from tcpfluid import (
     run_simulation,
     stability_trace,
 )
-from tcpfluid import dde, experiment, protocols
+from tcpfluid import artifacts, experiment, protocols
 from tcpfluid.cli import main
-from tcpfluid.dde import hermite_midpoint, write_csv
+from tcpfluid.artifacts import write_csv
+from tcpfluid.dde import hermite_midpoint
 from tcpfluid.stability import diagnostic_columns, shifted_samples
-from oracles import absolute_integrate, convergence_order_check, per_row_csv
+from oracles import absolute_integrate, awkward_columns, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
 
@@ -265,100 +265,6 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
 
 
-def awkward_columns(n: int):
-    """Eight columns of n rows that exercise every path of the writer."""
-    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
-                    dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
-    return (
-        np.resize(np.array(["loss", "indication"], dtype=object), n),  # the event type column
-        np.full(n, 1.0 / 3.0),                                  # constant
-        np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
-        np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side
-        np.resize([5e-324, -5e-324, 2.2250738585072014e-308 / 3.0], n),  # subnormals
-        np.resize(nans, n),
-        np.arange(n) / 7.0 + math.pi,                           # all distinct
-        np.resize(np.array([-1, 0, 1, 2]), n),                  # the integer flow column
-    )
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks made while the test runs, one entry each."""
-    made = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-    return made
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch, forks,
-                                                                cpus):
-    # Row counts one short of two parts, exactly two parts, and one row past
-    # three parts, whose last range ends one row into a chunk.  Patched CPU
-    # counts split the file on any host; the forks show the split taken.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    m = dde._MIN_PART_ROWS
-    sizes = (2 * m - 1, 2 * m, 3 * m + 1)
-    full = awkward_columns(max(sizes))
-    oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
-    path = tmp_path / "parts.csv"
-    for n in sizes:
-        forks.clear()
-        write_csv(path, "kind,a,b,c,d,e,f,flow", [col[:n] for col in full])
-        assert path.read_text() == "".join(oracle[: n + 1])
-        assert len(forks) == min(cpus, n // m) - 1
-
-
-def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    columns = [np.arange(2 * dde._MIN_PART_ROWS) / 7.0]
-    path = tmp_path / "one.csv"
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        write_csv(path, "t", columns)
-    finally:
-        done.set()
-        thread.join(timeout=10.0)
-    assert not thread.is_alive() and forks == []
-    assert path.read_text() == per_row_csv("t", columns)
-
-
-def fail_in_children(monkeypatch):
-    """Make every forked writer fail; this process still writes its rows."""
-    parent = os.getpid()
-    write = dde._write_rows
-
-    def failing(fh, columns, lo, hi):
-        if os.getpid() != parent:
-            raise RuntimeError("child writer failed")
-        write(fh, columns, lo, hi)
-
-    monkeypatch.setattr(dde, "_write_rows", failing)
-
-
-def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
-    # A writer that fails only in a forked child: although the parent's own
-    # range is written, the file, through the CLI too, is reported as not
-    # written and removed, so no truncated file looks complete.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    fail_in_children(monkeypatch)
-    path = tmp_path / "parts.csv"
-    n = 2 * dde._MIN_PART_ROWS
-    with pytest.raises(OSError, match=re.escape(str(path))):
-        write_csv(path, "t", [np.arange(n) / 7.0])
-    assert not path.exists()
-    out = tmp_path / "out"
-    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
-               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
-    assert rc == 2
-    err = capfd.readouterr().err
-    assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
-    assert len(err.splitlines()) == 1
-    assert not (out / "fluid_trace.csv").exists()
-
-
 def test_on_block_gets_the_returned_trajectory_with_its_final_rows(canonical_params,
                                                                    canonical_fp):
     # About 3.5 blocks of steps: a hook call after each whole block and one
@@ -366,7 +272,7 @@ def test_on_block_gets_the_returned_trajectory_with_its_final_rows(canonical_par
     # the rows it calls final already hold their final bits.
     params, fp = canonical_params, canonical_fp
     h = params.tau / 64
-    n = 3 * dde._WRITE_CHUNK + dde._WRITE_CHUNK // 2
+    n = 3 * artifacts._WRITE_CHUNK + artifacts._WRITE_CHUNK // 2
     calls = []
 
     def columns(traj):
@@ -378,7 +284,7 @@ def test_on_block_gets_the_returned_trajectory_with_its_final_rows(canonical_par
     traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-3), n * h, h, fp=fp,
                      on_block=record)
     assert len(traj.t) == n + 1
-    blocks = [b * dde._WRITE_CHUNK + 1 for b in (1, 2, 3)]
+    blocks = [b * artifacts._WRITE_CHUNK + 1 for b in (1, 2, 3)]
     assert [rows for rows, _, _ in calls] == [*blocks, n + 1]
     for rows, seen, copies in calls:
         assert seen is traj
@@ -409,7 +315,7 @@ def stream(tmp_path, params, fp, start, rows, columns_of, write):
     write the CSV; the file's text and the forks made while integrating."""
     h = params.tau / 64
     path = tmp_path / "streamed.csv"
-    with dde.CSVParts(path, columns_of) as head:
+    with artifacts.CSVParts(path, columns_of) as head:
         traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp, on_block=head.take)
         streamed = head.rows
         write(traj, path, head)
@@ -427,7 +333,7 @@ def test_streamed_csvs_match_per_row_repr(tmp_path, monkeypatch, forks, cpus, ca
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     params, fp = canonical_params, canonical_fp
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    m = dde._MIN_PART_ROWS
+    m = artifacts._MIN_PART_ROWS
     for rows in (m - 1, m, m + 1, 2 * m + 701):
         for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
             forks.clear()
@@ -436,7 +342,7 @@ def test_streamed_csvs_match_per_row_repr(tmp_path, monkeypatch, forks, cpus, ca
             if cpus == 1 or rows < m:
                 assert streamed == 0 and forks == []
             else:
-                assert streamed >= m and streamed % dde._WRITE_CHUNK == 0 and forks
+                assert streamed >= m and streamed % artifacts._WRITE_CHUNK == 0 and forks
 
 
 def test_streamed_own_and_forked_parts_meet_in_order(tmp_path, monkeypatch, forks,
@@ -446,19 +352,19 @@ def test_streamed_own_and_forked_parts_meet_in_order(tmp_path, monkeypatch, fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     params, fp = canonical_params, canonical_fp
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    m = dde._MIN_PART_ROWS
+    m = artifacts._MIN_PART_ROWS
     rows = m + 3 * m + 1
     h = params.tau / 64
     traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
     path = tmp_path / "streamed.csv"
     for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
         forks.clear()
-        with dde.CSVParts(path, columns_of) as head:
+        with artifacts.CSVParts(path, columns_of) as head:
             head.take(m, traj)
             assert head.rows == m and len(forks) == 1
             write(traj, path, head)
         assert path.read_text() == oracle
-        assert len(forks) == 1 + dde._part_count(rows - m) - 1 == 3
+        assert len(forks) == 1 + artifacts._part_count(rows - m) - 1 == 3
 
 
 def test_streaming_forks_nothing_beside_other_threads(tmp_path, monkeypatch, forks,
@@ -466,7 +372,7 @@ def test_streaming_forks_nothing_beside_other_threads(tmp_path, monkeypatch, for
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     params, fp = canonical_params, canonical_fp
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    rows = 2 * dde._MIN_PART_ROWS + 701
+    rows = 2 * artifacts._MIN_PART_ROWS + 701
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -524,7 +430,7 @@ def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeyp
     # waited for, every temporary file closed, and no output made.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(experiment, "window_function",
-                        lambda name: FailingCubic(5 * 3 * dde._MIN_PART_ROWS))
+                        lambda name: FailingCubic(5 * 3 * artifacts._MIN_PART_ROWS))
     out = tmp_path / "out"
     rc = main([*CONVERGENCE_ARGS, "--t-end", "10.0", "--out", str(out)])
     assert rc == 3
@@ -535,13 +441,13 @@ def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeyp
     assert os.listdir(tmp_path) == []
 
 
-def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, forks):
+def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, forks,
+                                              failing_children):
     # One streamed part, and a tail too short for a part of its own: the
     # only writer that fails is the one forked while the integrator ran.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    fail_in_children(monkeypatch)
     out = tmp_path / "out"
-    t_end = repr((dde._MIN_PART_ROWS + 100) * 0.01 / 64)
+    t_end = repr((artifacts._MIN_PART_ROWS + 100) * 0.01 / 64)
     rc = main([*CONVERGENCE_ARGS, "--t-end", t_end, "--out", str(out)])
     assert rc == 2 and len(forks) == 1
     err = capfd.readouterr().err
@@ -578,20 +484,28 @@ def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args
     assert not out.exists()
 
 
-@pytest.mark.parametrize("run", ["", "run/deeper"])
-def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capfd, run):
+@pytest.mark.parametrize("run, earlier", [("", False), ("run/deeper", False), ("", True)],
+                         ids=["", "run/deeper", "over-an-earlier-run"])
+def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capfd, run,
+                                                     earlier):
     # The simulator run writes its event log, then fails to fork for its
     # trace: the log and every directory made for --out go; the existing
-    # directory and the file it held before the run stay.
-    refuse_forks(monkeypatch)
+    # directory and the files it held before the run stay, an earlier run's
+    # event log, trace and summary among them when there was one.
     existing = tmp_path / "out"
     existing.mkdir()
     (existing / "notes.txt").write_text("kept\n")
     out = existing / run
-    assert main(["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3",
-                 "--t-end", "40", "--sample-dt", "0.001", "--out", str(out)]) == 2
+    args = ["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3",
+            "--t-end", "40", "--sample-dt", "0.001", "--out", str(out)]
+    if earlier:
+        assert main(args) == 0
+    before = {path.name: path.read_bytes() for path in existing.iterdir()}
+    refuse_forks(monkeypatch)
+    assert main([*args, "--seed", "2"]) == 2
     assert capfd.readouterr().err.startswith(f"error: could not write {out / 'nhpl_trace.csv'}")
-    assert os.listdir(tmp_path) == ["out"] and os.listdir(existing) == ["notes.txt"]
+    assert os.listdir(tmp_path) == ["out"]
+    assert {path.name: path.read_bytes() for path in existing.iterdir()} == before
     assert (existing / "notes.txt").read_text() == "kept\n"
 
 
@@ -604,13 +518,13 @@ def test_streamed_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, 
     if out_exists:
         out.mkdir()
     seen = []
-    take = dde.CSVParts.take
+    take = artifacts.CSVParts.take
 
     def watched(self, rows, traj):
         take(self, rows, traj)
         seen.append(sorted(os.listdir(tmp_path)) + (os.listdir(out) if out_exists else []))
 
-    monkeypatch.setattr(dde.CSVParts, "take", watched)
+    monkeypatch.setattr(artifacts.CSVParts, "take", watched)
     rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
                "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
     assert rc == 0 and forks and temp_files
