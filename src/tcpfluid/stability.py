@@ -25,9 +25,11 @@ scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
 history test are elementwise, so ``diagnostic_columns``, the one source of
 the CSV's rows, forms them for any range of samples, as forked writers do
-while the model integrates; ``stability_trace`` reads the |x|, V and bound
-its two verdicts need from that table block by block, and keeps only V
-whole.
+while the model integrates.  ``stability_trace`` forms its two verdicts in
+one pass over blocks of samples, from the |x|, V and bound that table is
+built on, without its dV/dt; the history test of a block reaches back into
+the last delay of V before it.  Its working memory is one block plus one
+delay of samples, and only the verdicts are kept whole.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ EPS1_FRAC = 0.5
 K_FRAC = 0.5
 RAZUMIKHIN_P = 1.01
 BOUND_RTOL = 1e-12
-# Samples whose diagnostics ``stability_trace`` forms at a time.
+# Samples whose verdicts ``stability_trace`` forms at a time, unless one
+# delay plus one sample is longer.
 _TRACE_BLOCK = 4096
 
 
@@ -221,19 +224,34 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
     return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
-def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
-    """The convergence CSV's table of ``traj`` (see
-    :func:`tcpfluid.artifacts.write_rows`): a function giving the columns t, |x|,
-    V, dV/dt and the decay bound of samples [lo, hi).  Each is elementwise
-    in the samples, the bound given V(0), so a range's columns are the same
-    bits as that range of the whole trajectory's."""
+def _verdict_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
+    """A function giving the columns t, |x|, V and the decay bound of samples
+    [lo, hi) of ``traj``: the table :func:`diagnostic_columns` without
+    dV/dt.  Each is elementwise in the samples, the bound given V(0), so a
+    range's columns are the same bits as that range of the whole
+    trajectory's."""
     v0 = float(lyapunov_V(*shifted_samples(traj.rows(0, 1), fp), cert)[0])
 
     def columns(lo: int, hi: int):
         part = traj.rows(lo, hi)
         x1, x2 = shifted_samples(part, fp)
         return (part.t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert),
-                vdot_along(x1, x2, part, cert), convergence_bound(part.t, v0, cert))
+                convergence_bound(part.t, v0, cert))
+
+    return columns
+
+
+def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
+    """The convergence CSV's table of ``traj`` (see
+    :func:`tcpfluid.artifacts.write_rows`): a function giving the columns t, |x|,
+    V, dV/dt and the decay bound of samples [lo, hi), the verdicts' columns
+    with dV/dt among them."""
+    verdict_columns = _verdict_columns(traj, fp, cert)
+
+    def columns(lo: int, hi: int):
+        t, norm, v, bound = verdict_columns(lo, hi)
+        part = traj.rows(lo, hi)
+        return t, norm, v, vdot_along(*shifted_samples(part, fp), part, cert), bound
 
     return columns
 
@@ -256,17 +274,28 @@ class DiagnosticTrace:
 
 
 def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
-    """The diagnostics of one trajectory.  The verdicts read |x|, V and the
-    bound of the :func:`diagnostic_columns` table, one block of samples at
-    a time, so with its bits; only V is kept for every sample, for the
-    Razumikhin window, the delay of its own system."""
-    columns = diagnostic_columns(traj, fp, cert)
+    """The diagnostics of one trajectory, its verdicts formed in one pass.
+
+    Blocks of max(_TRACE_BLOCK, k + 1) samples, k the steps per delay, read
+    |x|, V and the bound that :func:`diagnostic_columns` is built on, so
+    with its bits, and never its dV/dt.  A block's Razumikhin windows reach
+    back into the last k values of V before it; the first block has none,
+    and the mask pads it with V(0) as on the whole trajectory.  Max is
+    exact, so the verdicts are those of the whole columns, while the working
+    memory is one block plus one delay.  A block of at least k + 1 samples
+    keeps the pass O(n log k)."""
+    verdict_columns = _verdict_columns(traj, fp, cert)
     n = len(traj.t)
-    v = np.empty(n)
-    bounded = np.empty(n, dtype=bool)
-    for lo in range(0, n, _TRACE_BLOCK):
-        hi = min(lo + _TRACE_BLOCK, n)
-        _, norm, v[lo:hi], _, bound = columns(lo, hi)
-        bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
     k = round(traj.params.tau / traj.step)
-    return DiagnosticTrace(traj.t, columns, bounded, razumikhin_mask(v, k, RAZUMIKHIN_P))
+    block = max(_TRACE_BLOCK, k + 1)
+    bounded = np.empty(n, dtype=bool)
+    razumikhin_ok = np.empty(n, dtype=bool)
+    carry = np.empty(0)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        _, norm, v, bound = verdict_columns(lo, hi)
+        bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
+        mask = razumikhin_mask(np.concatenate((carry, v)), k, RAZUMIKHIN_P)
+        razumikhin_ok[lo:hi] = mask[len(carry):]
+        carry = v[-k:]
+    return DiagnosticTrace(traj.t, diagnostic_columns(traj, fp, cert), bounded, razumikhin_ok)

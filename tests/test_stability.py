@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tcpfluid import (
     FixedPoint,
     FlowState,
     SystemParams,
+    Trajectory,
     basin_delta,
     certificate,
     convergence_bound,
@@ -30,8 +32,8 @@ from tcpfluid import (
     stability_trace,
 )
 from tcpfluid.core import rhs_about
-from tcpfluid.stability import (BOUND_RTOL, RAZUMIKHIN_P, expansion_coeffs, razumikhin_mask,
-                                shifted_samples, vdot_along)
+from tcpfluid.stability import (_TRACE_BLOCK, BOUND_RTOL, RAZUMIKHIN_P, diagnostic_columns,
+                                expansion_coeffs, razumikhin_mask, shifted_samples, vdot_along)
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
@@ -240,6 +242,88 @@ def test_razumikhin_mask_is_fast_for_a_long_window():
     elapsed = time.perf_counter() - start
     assert np.array_equal(mask, np.maximum.accumulate(v) <= 1.01 * v)
     assert elapsed < 1.0
+
+
+def sampled_trajectory(params, fp, k, x1, x2):
+    """The samples (x1, x2) about ``fp`` at step tau/k as a trajectory,
+    without integrating one; the verdicts do not read the derivatives."""
+    n = len(x1)
+    step = params.tau / k
+    return Trajectory(np.arange(n) * step, x1, x2, np.zeros(n), np.zeros(n),
+                      np.full(n, fp.w_hat), FlowState(fp.w_hat, fp.s_hat), step, params)
+
+
+def swinging_trajectory(params, fp, k, n, seed=0):
+    """log10 |x| swings between -4 and 0 about every 200 samples, at random
+    angles after the first sample's 0, so V rises and falls and |x|^4
+    crosses the decay bound: over a few thousand samples both verdicts take
+    both values."""
+    rng = np.random.default_rng(seed)
+    phase = np.cumsum(rng.uniform(0.0, 2.0 * math.pi / 100.0, n))
+    radius = 10.0 ** (-2.0 - 2.0 * np.cos(phase - phase[0]))
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    angle[0] = 0.0
+    return sampled_trajectory(params, fp, k, radius * np.cos(angle), radius * np.sin(angle))
+
+
+def trace_block(k):
+    return max(_TRACE_BLOCK, k + 1)
+
+
+TRACE_KS = [4, 64, 4095, 4096, 10000]
+
+
+@pytest.mark.parametrize("k", TRACE_KS)
+@pytest.mark.parametrize("n_of", [lambda k: 2 * trace_block(k) - 1, lambda k: 2 * trace_block(k),
+                                  lambda k: 2 * trace_block(k) + 1, lambda k: k - 1],
+                         ids=["block-1", "block", "block+1", "under-one-delay"])
+def test_stability_trace_verdicts_match_whole_columns(canonical_params, canonical_fp, k, n_of):
+    # The verdicts are formed block by block, the Razumikhin windows of a
+    # block reaching back into the delay before it; they must be the whole
+    # columns' verdicts at every block edge, with one block shorter than a
+    # delay and the run itself shorter than a delay.
+    n = n_of(k)
+    traj = swinging_trajectory(canonical_params, canonical_fp, k, n, seed=k + n)
+    cert = certificate(canonical_fp, canonical_params)
+    tr = stability_trace(traj, canonical_fp, cert)
+    _, norm_x, v, _, bound = diagnostic_columns(traj, canonical_fp, cert)(0, n)
+    assert np.array_equal(tr.bounded, norm_x**4 <= bound * (1.0 + BOUND_RTOL))
+    assert np.array_equal(tr.razumikhin_ok, razumikhin_mask(v, k, RAZUMIKHIN_P))
+    if n > k:
+        assert tr.razumikhin_ok[k:].any() and not tr.razumikhin_ok.all()
+        assert tr.bounded.any() and not tr.bounded.all()
+
+
+@pytest.mark.parametrize("k", TRACE_KS)
+def test_stability_trace_razumikhin_window_is_one_delay_at_block_edges(canonical_params,
+                                                                      canonical_fp, k):
+    # V falls by a factor rho per sample, with rho^(k-1) < RAZUMIKHIN_P <
+    # rho^k: the history test fails exactly where the window holds the
+    # sample one full delay back, k samples on, in every block.  A window
+    # one sample short at a block edge passes there.
+    n = 2 * trace_block(k) + 1
+    rho = RAZUMIKHIN_P ** (1.0 / (k - 0.5))
+    x1 = 1e-2 * rho ** (-0.5 * np.arange(n))  # x2 = 0, so V = (d1/2) x1^2
+    traj = sampled_trajectory(canonical_params, canonical_fp, k, x1, np.zeros(n))
+    tr = stability_trace(traj, canonical_fp, certificate(canonical_fp, canonical_params))
+    assert np.array_equal(tr.razumikhin_ok, np.arange(n) < k)
+
+
+def test_stability_trace_working_memory_is_a_block_plus_a_delay(canonical_params, canonical_fp):
+    # The canonical run's length and step: beyond the two verdicts it
+    # returns, the pass holds one block's columns and temporaries and one
+    # delay of V, a few hundred kB here.  Holding V whole, or the Razumikhin
+    # mask's maxima at full length, costs about 8 MB.
+    n, k = 256_001, 64
+    traj = swinging_trajectory(canonical_params, canonical_fp, k, n)
+    cert = certificate(canonical_fp, canonical_params)
+    tracemalloc.start()
+    try:
+        tr = stability_trace(traj, canonical_fp, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - tr.bounded.nbytes - tr.razumikhin_ok.nbytes <= 1 << 20
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
