@@ -66,6 +66,10 @@ class ExperimentConfig:
     conditions come in three shapes: "fixed-point" starts every flow at the
     equilibrium, "offset" adds (init_offset_w, init_offset_s) to it, and
     "explicit" takes comma-separated per-flow lists init_w_max / init_s.
+
+    Construction parses each field with its ``KEY_PARSERS`` entry (None for
+    a field whose default is None means that default) and raises ConfigError
+    for all that the config alone decides, in ``dataclasses.replace`` too.
     """
 
     algorithm: str = "cubic"
@@ -87,6 +91,17 @@ class ExperimentConfig:
     mode: str = "fluid"
     sample_dt: float | None = None
     post_transient: float = 0.5
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # the key's default
+            try:
+                object.__setattr__(self, f.name, KEY_PARSERS[f.name](value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {f.name!r}: {exc}") from exc
+        _validate(self)
 
     def system_params(self) -> SystemParams:
         capacity = self.capacity_pkts
@@ -128,10 +143,14 @@ class ExperimentConfig:
 
 
 # Parsers take a value as a string or as a Python caller typed it.  Typed
-# numbers pass through and meet the finiteness check in build_config; ``str``
-# turns a mistyped enumeration into a string that _validate rejects.
+# numbers pass through to _parse_float's finiteness test (math.isfinite raises
+# OverflowError for an int past the float range); ``str`` turns a mistyped
+# enumeration into a string that _validate rejects.
 def _parse_float(v: object) -> float:
-    return float(v) if isinstance(v, str) else v
+    x = float(v) if isinstance(v, str) else v
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return x
 
 
 def _parse_int(v: object) -> int:
@@ -173,39 +192,15 @@ def read_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-
 def build_config(raw: dict[str, object]) -> ExperimentConfig:
-    """Parse raw key/value strings (or already-typed values) and validate.
+    """Config from raw key/value strings (or already-typed values).
 
-    Rejects with ConfigError all that the config alone decides; what needs
-    the fixed point, run_experiment checks before it computes anything.
+    ConfigError for an unknown key; constructing ExperimentConfig checks the rest.
     """
-    parsed: dict[str, object] = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in KEY_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-        if value is None and _DEFAULTS[key] is None:
-            continue  # the key's default
-        parse = KEY_PARSERS[key]
-        try:
-            parsed[key] = value = parse(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-        values = value if parse is _parse_float_list else (value,)
-        if parse in (_parse_float, _parse_float_list) and not all(map(_finite, values)):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    config = ExperimentConfig(**parsed)
-    _validate(config)
-    return config
-
-
-def _finite(x: object) -> bool:
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
-        return False
+    return ExperimentConfig(**raw)
 
 
 def _validate(config: ExperimentConfig) -> None:

@@ -26,11 +26,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """Equilibrium of the fluid model: window, epoch age, loss probability."""
+    """Equilibrium of the fluid model: window, epoch age, loss probability.
+
+    SolverError unless w_hat and s_hat are positive and finite and p_hat is
+    positive: every solver's result is checked here.
+    """
 
     w_hat: float
     s_hat: float
     p_hat: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.w_hat < math.inf and 0.0 < self.s_hat < math.inf and self.p_hat > 0.0):
+            raise SolverError(f"equilibrium out of range: {self}")
 
 
 # Backstop on solver iterations; Newton from the callers' guesses converges
@@ -78,7 +86,8 @@ def cubic_fixed_point(params: SystemParams) -> FixedPoint:
     """Equilibrium of the CUBIC fluid model.
 
     At the fixed point the pre-loss window equals the instantaneous window,
-    the epoch age is s = cbrt(w*b/c), and p = 1 - bdp/w is positive.
+    the epoch age is s = cbrt(w*b/c), and p = 1 - bdp/w.  SolverError if
+    tau^3*c/b leaves the float range; FixedPoint checks w, s and p.
     """
     try:
         rhs = params.tau**3 * params.c / params.b
@@ -91,13 +100,7 @@ def cubic_fixed_point(params: SystemParams) -> FixedPoint:
     bdp = params.bdp
     d_hi = rhs**0.25 if bdp == 0.0 else min(rhs**0.25, (rhs / bdp) ** (1.0 / 3.0))
     w = bdp + solve_increasing((-rhs, 0.0, 0.0, bdp, 1.0), 0.0, d_hi, d_hi)
-    s = cbrt(w * params.b / params.c)
-    p = 1.0 - bdp / w
-    if not p > 0.0:
-        raise SolverError(f"equilibrium loss probability is not positive at w={w}")
-    if s == math.inf:
-        raise SolverError(f"equilibrium epoch age cbrt(w*b/c) overflows at w={w}")
-    return FixedPoint(w_hat=w, s_hat=s, p_hat=p)
+    return FixedPoint(w_hat=w, s_hat=cbrt(w * params.b / params.c), p_hat=1.0 - bdp / w)
 
 
 def reno_steady_state(params: SystemParams) -> FixedPoint:
@@ -106,7 +109,8 @@ def reno_steady_state(params: SystemParams) -> FixedPoint:
     Stationarity of w_max forces w = w_max, hence s = tau w / 2, and the
     unit-throughput condition s w p / tau = 1 reduces to w (w - C tau) = 2.
     The positive quadratic root is cancellation-free, and p = 2 / w^2 is the
-    exact complement of C tau / w on the solution curve.
+    exact complement of C tau / w on the solution curve.  FixedPoint rejects
+    w = inf (bdp^2 overflows) and an s = tau w / 2 outside the float range.
     """
     bdp = params.bdp
     w = 0.5 * (bdp + math.sqrt(bdp * bdp + 8.0))

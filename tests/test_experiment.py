@@ -2,7 +2,7 @@ import contextlib
 import io
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -115,6 +115,26 @@ def test_build_config_parses_string_values():
 def test_build_config_rejects(raw):
     with pytest.raises(ConfigError):
         build_config(raw)
+
+
+@pytest.mark.parametrize("over", [
+    {"mode": "bogus"},
+    {"mode": "nhpl", "post_transient": 0.0},
+    {"mode": "fluid", "init": "explicit"},  # no lists
+    {"algorithm": "vegas"},
+])
+def test_direct_construction_is_checked(tmp_path, over):
+    # A config built without build_config gets the same checks, so
+    # run_experiment never sees one that build_config would reject.
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(capacity_pkts=100.0, delay_tau=0.1, **over),
+                       tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_replace_is_checked():
+    with pytest.raises(ConfigError, match="fluid steps"):
+        replace(make_config(), t_end=1e12)
 
 
 def test_post_transient_mean():
@@ -244,6 +264,16 @@ def test_convergence_fractions_match_the_csv(tmp_path):
     assert 0.0 < bounded < 1.0
     assert reported["bound_fraction"] == repr(bounded)
     assert reported["razumikhin_fraction"] == repr(razumikhin)
+
+
+def test_readme_reno_run_leaves_its_fixed_point(tmp_path, capsys):
+    # README's example: Reno started on its fixed point drifts into a limit
+    # cycle.
+    assert main(["fluid", "--algorithm", "reno", "--capacity-pkts", "100",
+                 "--delay-tau", "0.1", "--out", str(tmp_path / "out")]) == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["fluid_bdp_crossings"] == "22"
+    assert round(float(report["fluid_mean_w_rel_fp"]), 4) == -0.0807
 
 
 def test_readme_stability_run_then_in_basin_convergence_run(tmp_path, capsys):
@@ -535,6 +565,12 @@ def test_cli_rejects_unusable_values(tmp_path, capsys, flag, value):
         ["nhpl", "--capacity-pkts", "1e-300", "--delay-tau", "1e-300"],
         # s_hat = cbrt(w b / c) is 1.3e100, so s_hat**7 overflows.
         ["stability", "--capacity-pkts", "100", "--delay-tau", "0.1", "--c", "1e-300"],
+        # Reno's w_hat = (bdp + sqrt(bdp^2 + 8)) / 2 is inf once bdp^2 overflows.
+        ["fixed-point", "--algorithm", "reno", "--capacity-pkts", "1e160", "--delay-tau", "1"],
+        ["fluid", "--algorithm", "reno", "--capacity-pkts", "1e160", "--delay-tau", "1",
+         "--t-end", "4", "--post-transient", "1"],
+        ["nhpl", "--algorithm", "reno", "--capacity-pkts", "1e160", "--delay-tau", "1",
+         "--t-end", "1", "--post-transient", "1"],
     ],
 )
 def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
@@ -543,6 +579,7 @@ def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -620,11 +657,16 @@ VALUES = st.one_of(
     st.dictionaries(st.sampled_from(sorted(KEY_PARSERS)), VALUES, max_size=5),
 )
 def test_build_config_returns_or_raises_config_error(base, over):
-    try:
-        config = build_config({**base, **over})
-    except ConfigError:
-        return
-    assert isinstance(config, ExperimentConfig)
+    # build_config and direct construction both raise ConfigError, or both
+    # return the same config.
+    configs = []
+    for build in (build_config, lambda raw: ExperimentConfig(**raw)):
+        try:
+            configs.append(build({**base, **over}))
+        except ConfigError:
+            configs.append(None)
+    assert configs[0] == configs[1]
+    assert configs[0] is None or isinstance(configs[0], ExperimentConfig)
 
 
 JUNK = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e308", str(2**64), "1e999", "x", ""]
@@ -639,21 +681,29 @@ def flag_value(rnd, lo: float, hi: float) -> str:
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.sampled_from(["fixed-point", "stability"]), st.randoms(use_true_random=False))
-def test_cli_exit_codes_for_any_system_params(command, rnd):
+@given(st.sampled_from([("fixed-point", "cubic"), ("fixed-point", "reno"),
+                        ("stability", "cubic")]), st.randoms(use_true_random=False))
+def test_cli_exit_codes_for_any_system_params(run, rnd):
     # Only these two commands run here: their cost does not grow with the
-    # horizon.  Exponents reach a little past both ends of the float range;
-    # "--flag=value" keeps argparse from reading "-inf" as a flag.
+    # horizon (stability takes cubic alone).  Exponents reach a little past
+    # both ends of the float range; "--flag=value" keeps argparse from
+    # reading "-inf" as a flag.
+    command, algorithm = run
     flags = {
+        "--algorithm": algorithm,
         "--capacity-pkts": flag_value(rnd, -330.0, 310.0),
         "--delay-tau": flag_value(rnd, -330.0, 310.0),
         "--b": flag_value(rnd, -330.0, 0.0),
         "--c": flag_value(rnd, -330.0, 310.0),
     }
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+    stdout, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(err):
         rc = main([command, "--out", out] + [f"{f}={v}" for f, v in flags.items()])
     assert rc in (0, 2, 3)
     if rc != 0:
         assert len(err.getvalue().splitlines()) == 1
+    else:  # every equilibrium that runs lies inside the float range
+        report = dict(line.split(": ", 1) for line in stdout.getvalue().splitlines())
+        assert 0.0 < float(report["w_hat"]) < math.inf
+        assert 0.0 < float(report["s_hat"]) < math.inf
