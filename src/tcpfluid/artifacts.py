@@ -198,8 +198,8 @@ class CSVParts:
         per CPU (see :func:`_part_count`), each a part: the first formatted
         here, each other by a forked child.  Then the file is opened and
         every part appended in order, so the bytes are the same for any
-        number of parts.  Raises ``OSError`` naming ``path`` when a child
-        failed or could not be forked; a failure leaves no file.
+        number of parts.  Raises ``OSError`` naming ``path`` when a part
+        or the file could not be written; a failure leaves no file.
         """
         done = self.rows
         parts = _part_count(rows - done)
@@ -208,23 +208,25 @@ class CSVParts:
         own = self._new_part()  # placed before the parts forked next
         for lo, hi in zip(bounds[1:], bounds[2:]):
             self._fork(partial(_write_rows, columns=columns, lo=lo, hi=hi))
-        _write_text(own, partial(_write_rows, columns=columns, lo=done, hi=bounds[1]))
-        self._wait()
-        failed = sum(code != 0 for code in self._codes.values())
-        if failed:
-            raise OSError(f"could not write {self.path}: {failed} of {len(self._codes)} "
-                          f"writers failed")
-        with open(self.path, "w", newline="") as fh:
-            try:
-                fh.write(header + "\n")
-                fh.flush()  # the header goes before the parts sendfile appends
-                for tmp in self._tmps:
-                    offset = 0
-                    while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
-                        offset += sent
-            except BaseException:
-                os.remove(self.path)
-                raise
+        try:
+            _write_text(own, partial(_write_rows, columns=columns, lo=done, hi=bounds[1]))
+            self._wait()
+            failed = sum(code != 0 for code in self._codes.values())
+            if failed:
+                raise OSError(f"{failed} of {len(self._codes)} writers failed")
+            with open(self.path, "w", newline="") as fh:
+                try:
+                    fh.write(header + "\n")
+                    fh.flush()  # the header goes before the parts sendfile appends
+                    for tmp in self._tmps:
+                        offset = 0
+                        while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
+                            offset += sent
+                except BaseException:
+                    os.remove(self.path)
+                    raise
+        except OSError as exc:  # this process's part, a child's or the file itself
+            raise OSError(f"could not write {self.path}: {exc}") from exc
 
     def _wait(self) -> None:
         for pid in self._pids:

@@ -29,7 +29,7 @@ the bandwidth-delay product degrade the observed order locally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,12 +77,6 @@ class Trajectory:
     ref: FlowState
     step: float
     params: SystemParams
-
-    def rows(self, lo: int, hi: int) -> Trajectory:
-        """Samples [lo, hi) as a trajectory of their own: views of the
-        columns, with the same reference point, step and system."""
-        return replace(self, t=self.t[lo:hi], x1=self.x1[lo:hi], x2=self.x2[lo:hi],
-                       dx1=self.dx1[lo:hi], dx2=self.dx2[lo:hi], w=self.w[lo:hi])
 
     def columns(self, lo: int, hi: int):
         """The CSV columns t, w_max, s, w, p of samples [lo, hi)."""

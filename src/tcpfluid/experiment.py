@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import operator
 import os
 from contextlib import ExitStack
@@ -142,18 +143,21 @@ class ExperimentConfig:
         return [self.start(fp)] * self.flows
 
 
-# Parsers take a value as a string or as a Python caller typed it.  Typed
-# numbers pass through to _parse_float's finiteness test (math.isfinite raises
-# OverflowError for an int past the float range); ``str`` turns a mistyped
+# Parsers take a value as a string or as a Python caller typed it and give the
+# key's Python type, a bool being no number; ``str`` turns a mistyped
 # enumeration into a string that _validate rejects.
 def _parse_float(v: object) -> float:
-    x = float(v) if isinstance(v, str) else v
+    if isinstance(v, bool) or not isinstance(v, str | numbers.Real):
+        raise TypeError(f"must be a number, got {v!r}")
+    x = float(v)  # OverflowError for an int past the float range
     if not math.isfinite(x):
         raise ValueError(f"must be a finite number, got {v!r}")
     return x
 
 
 def _parse_int(v: object) -> int:
+    if isinstance(v, bool):
+        raise TypeError(f"must be an integer, got {v!r}")
     return int(v) if isinstance(v, str) else operator.index(v)
 
 
@@ -288,9 +292,8 @@ class ExperimentResult:
     summary: str
 
 
-def _stability_report(fp: FixedPoint, cert: Certificate, epsilon: float,
-                      delta: float) -> list[str]:
-    values = {**asdict(fp), **asdict(cert.coeffs), "d1": cert.d1, "d4": cert.d4,
+def _stability_report(cert: Certificate, epsilon: float, delta: float) -> list[str]:
+    values = {**asdict(cert.fp), **asdict(cert.coeffs), "d1": cert.d1, "d4": cert.d4,
               "eps0": cert.eps0, "eps1": cert.eps1, "k_margin": cert.k_margin,
               "razumikhin_p": RAZUMIKHIN_P}
     lines = [f"{key}: {value!r}" for key, value in values.items()]
@@ -365,8 +368,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         if config.mode in FLUID_MODES:
             # Forked writers format the trajectory's CSV while it is integrated.
             if config.mode == "convergence":
-                streamed, columns_of = "convergence.csv", partial(diagnostic_columns, fp=fp,
-                                                                  cert=cert)
+                streamed, columns_of = "convergence.csv", partial(diagnostic_columns, cert=cert)
             else:
                 streamed, columns_of = "fluid_trace.csv", operator.attrgetter("columns")
             head = stack.enter_context(CSVParts(os.path.join(out_dir, streamed), columns_of))
@@ -404,13 +406,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         if config.mode == "stability":
             epsilon = 0.01 * fp.w_hat
             delta = basin_delta(epsilon, cert)
-            report_lines = _stability_report(fp, cert, epsilon, delta)
+            report_lines = _stability_report(cert, epsilon, delta)
             writers.append(("stability_report", "stability_report.txt",
                             partial(write_lines, lines=report_lines)))
             report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
         if config.mode == "convergence":
-            diag = stability_trace(traj, fp, cert)
+            diag = stability_trace(traj, cert)
             writers.append(("convergence", "convergence.csv", partial(diag.write_csv, head=head)))
             report("bound_fraction", float(np.mean(diag.bounded)))
             report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))

@@ -14,11 +14,13 @@ decay of V yields an explicit polynomial convergence bound and a basin
 estimate.
 
 The per-sample diagnostics of a trajectory (|x|, V, the exact dV/dt, the
-decay bound and the Razumikhin history test) are computed as numpy arrays
-from the integrator's own columns: x is the trajectory's state moved to the
-fixed point (a no-op when it was integrated about that fixed point), dV/dt =
-d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives the integrator stored at
-each sample, which used the true delayed history, and the history test
+decay bound and the Razumikhin history test) are numpy arrays formed from
+the integrator's columns as they are: x is the deviation it integrated, so
+the trajectory must be integrated about the certificate's fixed point
+(moved there from another point, deviations would lose precision as the run
+converges, keeping only the absolute precision of the offset between the
+points).  dV/dt = d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives stored
+at each sample, which used the true delayed history, and the history test
 takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
 ``power`` may differ from ``math`` in the last ulp, so against a per-sample
 scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
@@ -42,7 +44,7 @@ import numpy as np
 
 from .artifacts import CSVParts, write_rows
 from .core import SystemParams
-from .dde import Trajectory
+from .dde import Trajectory, steps_per_delay
 from .fixedpoint import FixedPoint
 
 
@@ -94,6 +96,7 @@ _TRACE_BLOCK = 4096
 class Certificate:
     """The local stability certificate of one CUBIC fixed point.
 
+    fp          the fixed point it certifies; x is the deviation from it
     coeffs      cubic-truncation coefficients of dx1/dt
     d1, d4      weights of the x1^2 and x2^4 terms of V
     eps0        V <= eps0 * |x|^2 on the unit ball
@@ -103,6 +106,7 @@ class Certificate:
     k_margin    higher-order-term allowance, K_FRAC * lambda_min
     """
 
+    fp: FixedPoint
     coeffs: ExpansionCoeffs
     d1: float
     d4: float
@@ -153,6 +157,7 @@ def certificate(fp: FixedPoint, params: SystemParams) -> Certificate:
     if not minors_ok:
         raise CertificateError("quartic form is not positive definite")
     return Certificate(
+        fp=fp,
         coeffs=coeffs,
         d1=d1,
         d4=d4,
@@ -169,22 +174,14 @@ def lyapunov_V(x1, x2, cert: Certificate):
     return 0.5 * cert.d1 * x1 * x1 + 0.25 * cert.d4 * x2**4
 
 
-def shifted_samples(traj: Trajectory, fp: FixedPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Every sample in fixed-point-centred coordinates, as the columns
-    (x1, x2): the trajectory's x columns moved from its reference point to
-    ``fp``.  About ``fp`` itself the move adds 0.0 and changes no bit."""
-    ref = traj.ref
-    return traj.x1 + (ref.w_max - fp.w_hat), traj.x2 + (ref.s - fp.s_hat)
+def vdot_along(x1, x2, dx1, dx2, cert: Certificate) -> np.ndarray:
+    """dV/dt at the deviations (x1, x2) from ``cert.fp`` whose time
+    derivatives are (dx1, dx2): the integrator's stored columns."""
+    return cert.d1 * x1 * dx1 + cert.d4 * x2**3 * dx2
 
 
-def vdot_along(x1, x2, traj: Trajectory, cert: Certificate) -> np.ndarray:
-    """dV/dt at every sample (x1, x2), the shifted samples of ``traj``,
-    from the derivatives the integrator stored with each sample."""
-    return cert.d1 * x1 * traj.dx1 + cert.d4 * x2**3 * traj.dx2
-
-
-def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
-    """Per-sample truth of the history comparison max V(past) <= p * V(now).
+def razumikhin_mask(v: np.ndarray, k: int) -> np.ndarray:
+    """Per-sample truth of the history comparison max V(past) <= RAZUMIKHIN_P * V(now).
 
     The comparison window is the trailing delay, the k + 1 samples ending at
     the current one; times before the start use the first sample, which is
@@ -197,7 +194,7 @@ def razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
     while 2 * span <= k + 1:  # a[i] becomes the maximum of the next 2 * span values
         a = np.maximum(a[:-span], a[span:])
         span *= 2
-    return np.maximum(a[:len(v)], a[k + 1 - span:]) <= p * v
+    return np.maximum(a[:len(v)], a[k + 1 - span:]) <= RAZUMIKHIN_P * v
 
 
 def convergence_bound(t, v0: float, cert: Certificate):
@@ -224,34 +221,37 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
     return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
-def _verdict_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
+def _verdict_columns(traj: Trajectory, cert: Certificate):
     """A function giving the columns t, |x|, V and the decay bound of samples
     [lo, hi) of ``traj``: the table :func:`diagnostic_columns` without
     dV/dt.  Each is elementwise in the samples, the bound given V(0), so a
     range's columns are the same bits as that range of the whole
-    trajectory's."""
-    v0 = float(lyapunov_V(*shifted_samples(traj.rows(0, 1), fp), cert)[0])
+    trajectory's.  Raises ``ValueError`` unless ``traj`` was integrated
+    about ``cert.fp`` (see the module docstring)."""
+    if traj.ref != (cert.fp.w_hat, cert.fp.s_hat):
+        raise ValueError(f"the trajectory is integrated about {tuple(traj.ref)}, not about "
+                         f"the certificate's fixed point {(cert.fp.w_hat, cert.fp.s_hat)}")
+    v0 = float(lyapunov_V(traj.x1[:1], traj.x2[:1], cert)[0])
 
     def columns(lo: int, hi: int):
-        part = traj.rows(lo, hi)
-        x1, x2 = shifted_samples(part, fp)
-        return (part.t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert),
-                convergence_bound(part.t, v0, cert))
+        t, x1, x2 = traj.t[lo:hi], traj.x1[lo:hi], traj.x2[lo:hi]
+        return (t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert), convergence_bound(t, v0, cert))
 
     return columns
 
 
-def diagnostic_columns(traj: Trajectory, fp: FixedPoint, cert: Certificate):
-    """The convergence CSV's table of ``traj`` (see
-    :func:`tcpfluid.artifacts.write_rows`): a function giving the columns t, |x|,
-    V, dV/dt and the decay bound of samples [lo, hi), the verdicts' columns
-    with dV/dt among them."""
-    verdict_columns = _verdict_columns(traj, fp, cert)
+def diagnostic_columns(traj: Trajectory, cert: Certificate):
+    """The convergence CSV's table of ``traj``, integrated about ``cert.fp``
+    (see :func:`tcpfluid.artifacts.write_rows`): a function giving the
+    columns t, |x|, V, dV/dt and the decay bound of samples [lo, hi), the
+    verdicts' columns with dV/dt among them."""
+    verdict_columns = _verdict_columns(traj, cert)
 
     def columns(lo: int, hi: int):
         t, norm, v, bound = verdict_columns(lo, hi)
-        part = traj.rows(lo, hi)
-        return t, norm, v, vdot_along(*shifted_samples(part, fp), part, cert), bound
+        vdot = vdot_along(traj.x1[lo:hi], traj.x2[lo:hi], traj.dx1[lo:hi], traj.dx2[lo:hi],
+                          cert)
+        return t, norm, v, vdot, bound
 
     return columns
 
@@ -273,8 +273,9 @@ class DiagnosticTrace:
         write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns, head)
 
 
-def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> DiagnosticTrace:
-    """The diagnostics of one trajectory, its verdicts formed in one pass.
+def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
+    """The diagnostics of one trajectory integrated about ``cert.fp``, its
+    verdicts formed in one pass.
 
     Blocks of max(_TRACE_BLOCK, k + 1) samples, k the steps per delay, read
     |x|, V and the bound that :func:`diagnostic_columns` is built on, so
@@ -284,9 +285,9 @@ def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> Diag
     exact, so the verdicts are those of the whole columns, while the working
     memory is one block plus one delay.  A block of at least k + 1 samples
     keeps the pass O(n log k)."""
-    verdict_columns = _verdict_columns(traj, fp, cert)
+    verdict_columns = _verdict_columns(traj, cert)
     n = len(traj.t)
-    k = round(traj.params.tau / traj.step)
+    k = steps_per_delay(traj.params.tau, traj.step)
     block = max(_TRACE_BLOCK, k + 1)
     bounded = np.empty(n, dtype=bool)
     razumikhin_ok = np.empty(n, dtype=bool)
@@ -295,7 +296,7 @@ def stability_trace(traj: Trajectory, fp: FixedPoint, cert: Certificate) -> Diag
         hi = min(lo + block, n)
         _, norm, v, bound = verdict_columns(lo, hi)
         bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
-        mask = razumikhin_mask(np.concatenate((carry, v)), k, RAZUMIKHIN_P)
+        mask = razumikhin_mask(np.concatenate((carry, v)), k)
         razumikhin_ok[lo:hi] = mask[len(carry):]
         carry = v[-k:]
-    return DiagnosticTrace(traj.t, diagnostic_columns(traj, fp, cert), bounded, razumikhin_ok)
+    return DiagnosticTrace(traj.t, diagnostic_columns(traj, cert), bounded, razumikhin_ok)

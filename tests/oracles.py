@@ -107,11 +107,10 @@ def from_shifted(x: tuple[float, float], fp: FixedPoint) -> FlowState:
     return FlowState(x[0] + fp.w_hat, x[1] + fp.s_hat)
 
 
-def scalar_shifted_samples(traj, fp: FixedPoint) -> list[tuple[float, float]]:
-    """One (x1, x2) pair per trajectory sample: its x columns moved from the
-    trajectory's reference point to ``fp`` in scalar arithmetic."""
-    d1, d2 = traj.ref.w_max - fp.w_hat, traj.ref.s - fp.s_hat
-    return [(float(a) + d1, float(b) + d2) for a, b in zip(traj.x1, traj.x2)]
+def scalar_samples(traj) -> list[tuple[float, float]]:
+    """One (x1, x2) pair of Python floats per trajectory sample: its
+    deviation from the reference point it was integrated about."""
+    return list(zip(traj.x1.tolist(), traj.x2.tolist()))
 
 
 def scalar_norms_and_v(xs: list[tuple[float, float]], cert) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from tcpfluid import (
 )
 from tcpfluid.core import rhs_about
 from tcpfluid.nhpl import pick_losing_flow
-from tcpfluid.stability import expansion_coeffs, shifted_samples
+from tcpfluid.stability import expansion_coeffs
 from oracles import (
     cubic_truncation_x1dot,
     inter_loss_times,
@@ -168,7 +168,7 @@ def test_criterion_5_in_basin_trajectory_obeys_certificate():
     delta = basin_delta(0.01 * fp.w_hat, cert)
     init = FlowState(fp.w_hat, fp.s_hat + 0.8 * delta)
     traj = integrate(params, CUBIC, init, 100.0 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, cert)
+    diag = stability_trace(traj, cert)
     _, norm_x, v, _, bound = diag.columns(0, len(diag.t))
     in_basin = norm_x[0] < delta
     bounded = bool(np.all(norm_x**4 <= bound))
@@ -193,7 +193,7 @@ def test_criterion_6_long_delay_divergence_witness():
     init = FlowState(12371.9952, 13.6794)
     horizon = 200.0 * params.tau
     traj = integrate(params, CUBIC, init, horizon, params.tau / 256, fp=fp)
-    norms = np.hypot(*shifted_samples(traj, fp))
+    norms = np.hypot(traj.x1, traj.x2)
     mid = int(np.searchsorted(traj.t, 0.5 * horizon))
     grew = norms[-1] >= norms[mid]
     elapsed = time.perf_counter() - start

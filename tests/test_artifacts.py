@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import threading
@@ -65,6 +66,56 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd, failing_
     assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
     assert len(err.splitlines()) == 1
     assert not (out / "fluid_trace.csv").exists()
+
+
+def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkeypatch, capfd):
+    # The append into the output file fails: the CLI prints one line naming
+    # the file, with the prefix once, removes what it appended, and the
+    # earlier run's files keep their names and bytes.
+    out = tmp_path / "out"
+    argv = ["fluid", "--capacity-pkts", "100", "--delay-tau", "0.1", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capfd.readouterr()
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "sendfile", full)
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert err == f"error: could not write {out / 'fluid_trace.csv'}: [Errno 28] " \
+                  f"{os.strerror(errno.ENOSPC)}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
+    # The part this process formats fails: the error names the file once,
+    # and no file is written.
+    def full(fh, columns, lo, hi):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(artifacts, "_write_rows", full)
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError) as info:
+        write_csv(path, "t", [np.arange(10) / 7.0])
+    assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
+    assert os.listdir(tmp_path) == []
+
+
+def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
+    # The earlier file cannot be moved aside: the run fails before writing,
+    # the earlier file stays as it was, and the hidden name made for it is
+    # removed.
+    (tmp_path / "a.txt").write_text("old a")
+
+    def stuck(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", stuck)
+    with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
+        write_artifacts(str(tmp_path), [("a", "a.txt", write_text("new a"))])
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.txt": "old a"}
 
 
 def test_write_rows_names_the_path_once(tmp_path):

@@ -29,7 +29,7 @@ from tcpfluid import artifacts, experiment, protocols
 from tcpfluid.cli import main
 from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
-from tcpfluid.stability import diagnostic_columns, shifted_samples
+from tcpfluid.stability import diagnostic_columns
 from oracles import absolute_integrate, awkward_columns, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno
 
@@ -128,7 +128,7 @@ def test_long_in_basin_run_keeps_v_nonincreasing(canonical_params, canonical_fp)
     cert = certificate(fp, params)
     start = FlowState(fp.w_hat, fp.s_hat + 0.8 * basin_delta(0.01 * fp.w_hat, cert))
     traj = integrate(params, CUBIC, start, 2000 * params.tau, params.tau / 64, fp=fp)
-    v = lyapunov_V(*shifted_samples(traj, fp), cert)
+    v = lyapunov_V(traj.x1, traj.x2, cert)
     assert np.all(np.diff(v) <= 1e-12 * v.max())
     assert v[-1] < 0.02 * v[0]
 
@@ -239,7 +239,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     params, fp = canonical_params, canonical_fp
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     traj = integrate(params, CUBIC, start, 100 * params.tau, params.tau / 64, fp=fp)
-    diag = stability_trace(traj, fp, certificate(fp, params))
+    diag = stability_trace(traj, certificate(fp, params))
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), CUBIC,
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
     assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
@@ -304,9 +304,9 @@ def streamed_artifacts(params, fp, start, rows):
     return [
         (lambda t: t.columns, lambda t, path, head: t.write_csv(path, head=head),
          per_row_csv("t,w_max,s,w,p", (traj.t, *absolute_columns(traj)))),
-        (lambda t: diagnostic_columns(t, fp, cert),
-         lambda t, path, head: stability_trace(t, fp, cert).write_csv(path, head=head),
-         per_row_csv("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, fp, cert)(0, rows))),
+        (lambda t: diagnostic_columns(t, cert),
+         lambda t, path, head: stability_trace(t, cert).write_csv(path, head=head),
+         per_row_csv("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, cert)(0, rows))),
     ]
 
 

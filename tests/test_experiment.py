@@ -77,6 +77,24 @@ def test_build_config_parses_string_values():
     assert config.system_params().capacity == 100.0
 
 
+@pytest.mark.parametrize("typed", [
+    {"capacity_pkts": 100, "delay_tau": np.float64(0.1), "flows": np.int64(2)},
+    {"capacity_pkts": np.float64(100.0), "delay_tau": 0.1, "b": np.float32(0.25), "flows": 2},
+])
+def test_typed_values_write_the_cli_summary(tmp_path, capsys, typed):
+    # Typed numbers become the key's Python type, so they run and print as
+    # the same values given as strings: no np.float64(...) in the summary, no
+    # int capacity printed as 100, no single-precision fixed point.
+    config = build_config({"b": 0.25, **typed, "mode": "fluid", "t_end": 2.0})
+    assert all(type(getattr(config, key)) is (int if key == "flows" else float) for key in typed)
+    run_experiment(config, tmp_path / "typed")
+    assert main(["fluid", "--capacity-pkts", "100", "--delay-tau", "0.1", "--b", "0.25",
+                 "--flows", "2", "--t-end", "2", "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    for name in ("summary.txt", "fluid_trace.csv"):
+        assert (tmp_path / "typed" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -110,6 +128,11 @@ def test_build_config_parses_string_values():
         {**BASE, "b": None},  # None stands for a default only where that is None
         {**BASE, "algorithm": "reno", "mode": "stability"},  # the certificate is cubic's
         {**BASE, "mode": "convergence"},  # V vanishes at the fixed-point init
+        {**BASE, "flows": True},  # a bool is no number
+        {**BASE, "seed": False},
+        {**BASE, "capacity_pkts": True},
+        {**BASE, "init_offset_w": np.bool_(True)},
+        {**BASE, "init": "explicit", "init_w_max": (True,), "init_s": (0.0,)},
     ],
 )
 def test_build_config_rejects(raw):

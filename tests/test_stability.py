@@ -12,7 +12,7 @@ from oracles import (
     loglog_slope,
     scalar_norms_and_v,
     scalar_razumikhin_mask,
-    scalar_shifted_samples,
+    scalar_samples,
     scalar_vdot,
     shifted_cubic_window,
 )
@@ -33,7 +33,7 @@ from tcpfluid import (
 )
 from tcpfluid.core import rhs_about
 from tcpfluid.stability import (_TRACE_BLOCK, BOUND_RTOL, RAZUMIKHIN_P, diagnostic_columns,
-                                expansion_coeffs, razumikhin_mask, shifted_samples, vdot_along)
+                                expansion_coeffs, razumikhin_mask, vdot_along)
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
@@ -92,6 +92,7 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
 
 def test_lyapunov_params_weights_and_margins(canonical_params, canonical_fp):
     cert = certificate(canonical_fp, canonical_params)
+    assert cert.fp == canonical_fp
     assert cert.coeffs == expansion_coeffs(canonical_fp, canonical_params)
     assert cert.d1 == canonical_fp.s_hat / canonical_params.c
     assert cert.d4 == canonical_params.tau / canonical_fp.s_hat
@@ -166,13 +167,13 @@ def in_basin_trace(params, fp, reference=True):
 
 def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    x1, x2 = shifted_samples(traj, canonical_fp)
-    vdot = vdot_along(x1, x2, traj, cert)
-    assert np.all(np.abs(vdot - scalar_vdot(scalar_shifted_samples(traj, canonical_fp),
-                                            traj.step, canonical_fp, canonical_params, cert,
-                                            start)) <= 1e-12 * np.abs(vdot))
+    x1, x2 = traj.x1, traj.x2
+    vdot = vdot_along(x1, x2, traj.dx1, traj.dx2, cert)
+    assert np.all(np.abs(vdot - scalar_vdot(scalar_samples(traj), traj.step, canonical_fp,
+                                            canonical_params, cert, start))
+                  <= 1e-12 * np.abs(vdot))
     k = round(canonical_params.tau / traj.step)
-    mask = razumikhin_mask(lyapunov_V(x1, x2, cert), k, RAZUMIKHIN_P)
+    mask = razumikhin_mask(lyapunov_V(x1, x2, cert), k)
     assert mask[0]
     assert mask.any()
     norm4 = (x1**2 + x2**2) ** 2
@@ -182,7 +183,7 @@ def test_vdot_bound_under_razumikhin_gate(canonical_params, canonical_fp):
 
 def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, cert)
+    tr = stability_trace(traj, cert)
     _, norm_x, v, _, bound = tr.columns(0, len(tr.t))
     assert np.all(norm_x**4 <= bound)
     assert tr.bounded.all()
@@ -191,21 +192,18 @@ def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
     assert v[-1] < v[0]
 
 
-@pytest.mark.parametrize("history", ["none", "constant"])
-def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, history):
+def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp):
     # numpy's SIMD hypot and power may differ from math in the last ulp, so
     # |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the bound (from
     # V[0]) and the Razumikhin maxima take no transcendental step.  The
     # stored derivatives must match a fresh rhs_about call per sample whose
     # delayed window comes from the sample one delay back or, inside the
-    # first delay, from the start state.  "constant" integrates about the
-    # fixed point from the in-basin start; "none" integrates it about no
-    # fixed point, from its start state.
+    # first delay, from the start state.
     params, fp = canonical_params, canonical_fp
-    cert, start, traj = in_basin_trace(params, fp, reference=history != "none")
-    tr = stability_trace(traj, fp, cert)
+    cert, start, traj = in_basin_trace(params, fp)
+    tr = stability_trace(traj, cert)
     t, tr_norm, tr_v, tr_vdot, tr_bound = tr.columns(0, len(tr.t))
-    xs = scalar_shifted_samples(traj, fp)
+    xs = scalar_samples(traj)
     norm, v = scalar_norms_and_v(xs, cert)
     vdot = scalar_vdot(xs, traj.step, fp, params, cert, start)
     k = round(params.tau / traj.step)
@@ -219,6 +217,23 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp, 
     assert not tr.razumikhin_ok.all()  # the mask is not trivially true
 
 
+def test_diagnostics_reject_a_trajectory_not_integrated_about_the_fixed_point(canonical_params,
+                                                                             canonical_fp):
+    # Deviations from the start, or from a point a hair off the fixed point,
+    # moved to it would keep only the absolute precision of the offset, so
+    # every diagnostic refuses them rather than shift them.
+    cert, start, traj = in_basin_trace(canonical_params, canonical_fp, reference=False)
+    assert traj.ref == start
+    near = FixedPoint(canonical_fp.w_hat * (1.0 + 1e-15), canonical_fp.s_hat, canonical_fp.p_hat)
+    other = integrate(canonical_params, CUBIC, start, 10 * canonical_params.tau,
+                      canonical_params.tau / 64, fp=near)
+    for bad in (traj, other):
+        with pytest.raises(ValueError, match="certificate's fixed point"):
+            stability_trace(bad, cert)
+        with pytest.raises(ValueError, match="certificate's fixed point"):
+            diagnostic_columns(bad, cert)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 63, 64, 65, 499, 500, 1000])
 def test_razumikhin_mask_matches_slice_max_oracle(k):
     # A V that rises and falls, so both the history maximum and the front
@@ -226,7 +241,7 @@ def test_razumikhin_mask_matches_slice_max_oracle(k):
     # one (the two spans the window is covered by meet or overlap), and
     # k = 499, 500, 1000 reach or exceed the 500 samples.
     v = np.random.default_rng(k).uniform(0.5, 1.5, 500)
-    mask = razumikhin_mask(v, k, 1.01)
+    mask = razumikhin_mask(v, k)
     assert np.array_equal(mask, scalar_razumikhin_mask(v, k, 1.01))
     assert mask.any() and not mask.all()
 
@@ -238,7 +253,7 @@ def test_razumikhin_mask_is_fast_for_a_long_window():
     n = k = 200_000
     v = np.random.default_rng(0).uniform(0.5, 1.5, n)
     start = time.perf_counter()
-    mask = razumikhin_mask(v, k, 1.01)
+    mask = razumikhin_mask(v, k)
     elapsed = time.perf_counter() - start
     assert np.array_equal(mask, np.maximum.accumulate(v) <= 1.01 * v)
     assert elapsed < 1.0
@@ -285,10 +300,10 @@ def test_stability_trace_verdicts_match_whole_columns(canonical_params, canonica
     n = n_of(k)
     traj = swinging_trajectory(canonical_params, canonical_fp, k, n, seed=k + n)
     cert = certificate(canonical_fp, canonical_params)
-    tr = stability_trace(traj, canonical_fp, cert)
-    _, norm_x, v, _, bound = diagnostic_columns(traj, canonical_fp, cert)(0, n)
+    tr = stability_trace(traj, cert)
+    _, norm_x, v, _, bound = diagnostic_columns(traj, cert)(0, n)
     assert np.array_equal(tr.bounded, norm_x**4 <= bound * (1.0 + BOUND_RTOL))
-    assert np.array_equal(tr.razumikhin_ok, razumikhin_mask(v, k, RAZUMIKHIN_P))
+    assert np.array_equal(tr.razumikhin_ok, razumikhin_mask(v, k))
     if n > k:
         assert tr.razumikhin_ok[k:].any() and not tr.razumikhin_ok.all()
         assert tr.bounded.any() and not tr.bounded.all()
@@ -305,7 +320,7 @@ def test_stability_trace_razumikhin_window_is_one_delay_at_block_edges(canonical
     rho = RAZUMIKHIN_P ** (1.0 / (k - 0.5))
     x1 = 1e-2 * rho ** (-0.5 * np.arange(n))  # x2 = 0, so V = (d1/2) x1^2
     traj = sampled_trajectory(canonical_params, canonical_fp, k, x1, np.zeros(n))
-    tr = stability_trace(traj, canonical_fp, certificate(canonical_fp, canonical_params))
+    tr = stability_trace(traj, certificate(canonical_fp, canonical_params))
     assert np.array_equal(tr.razumikhin_ok, np.arange(n) < k)
 
 
@@ -319,7 +334,7 @@ def test_stability_trace_working_memory_is_a_block_plus_a_delay(canonical_params
     cert = certificate(canonical_fp, canonical_params)
     tracemalloc.start()
     try:
-        tr = stability_trace(traj, canonical_fp, cert)
+        tr = stability_trace(traj, cert)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -328,7 +343,7 @@ def test_stability_trace_working_memory_is_a_block_plus_a_delay(canonical_params
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     cert, start, traj = in_basin_trace(canonical_params, canonical_fp)
-    tr = stability_trace(traj, canonical_fp, cert)
+    tr = stability_trace(traj, cert)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
     lines = path.read_text().splitlines()
