@@ -7,7 +7,9 @@ process), built to cross-validate each other.
 
 ``__all__`` is the user API: what a Python caller of the command line's
 modes needs.  Internals (the simulator's sampler and state, the RHS builder,
-the per-sample diagnostics) are imported from their own modules.
+the per-sample diagnostics) are imported from their own modules, as is
+``protocols.FROZEN``, the constant window of the statistical tests, which
+no command-line mode runs.
 """
 
 from .core import (
@@ -44,7 +46,6 @@ from .nhpl import (
 )
 from .protocols import (
     CUBIC,
-    FROZEN,
     RENO,
     window_function,
 )

@@ -2,13 +2,14 @@
 
 Subcommands pick the experiment mode; every config key doubles as a flag
 that overrides the config file.  Exit codes: 0 success, 2 configuration
-error or a file that cannot be read or written, 3 numeric failure (fixed
-point, integration or certificate).
+error or a file that cannot be read or written (stdout among them), 3
+numeric failure (fixed point, integration or certificate).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .dde import IntegrationError
@@ -65,9 +66,15 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, IntegrationError, CertificateError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    print(result.summary)
-    for name, path in sorted(result.artifacts.items()):
-        print(f"wrote {name}: {path}")
+    wrote = (f"wrote {name}: {path}" for name, path in sorted(result.artifacts.items()))
+    try:
+        print(result.summary, *wrote, sep="\n", flush=True)
+    except OSError as exc:
+        # A closed stdout: the run's files stay, and the exit flush goes to devnull.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: could not write stdout: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

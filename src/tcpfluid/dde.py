@@ -13,10 +13,11 @@ The RK4 state is the deviation x = (w_max - w_ref, s - s_ref) from a
 reference point, the run's fixed point when the caller has one.  About the
 fixed point an increment of x keeps its relative precision however small it
 gets, where an increment added to w_max itself is lost once it falls below
-half an ulp of w_max.  ``integrate`` builds the right-hand side once per run
-with :func:`tcpfluid.core.rhs_about`, so what depends only on the reference
-point (the CUBIC K_ref among it) is computed once, and every evaluation goes
-through that one closure; each sample's window and derivative are stored
+half an ulp of w_max.  ``integrate`` builds the right-hand side
+(:func:`tcpfluid.core.rhs_about`) and the delayed window's deficit
+(``deficit_about``) once per run, so what depends only on the reference
+point (the CUBIC K_ref among it) is computed once for each of the two
+closures, never per step; each sample's window and derivative are stored
 with it, so a sample is evaluated once.  The run's one ``Trajectory``,
 allocated before the first step, holds only these integrated columns; its
 CSV, written through :mod:`tcpfluid.artifacts`, forms the absolute w_max

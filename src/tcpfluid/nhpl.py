@@ -14,9 +14,12 @@ is a quartic in closed form and is inverted by bracketed Newton iteration.
 A candidate loss time computed from the current epoch functions is only
 valid while no pending indication fires before it; otherwise the earliest
 indication is applied, the affected flow starts a new epoch, and the
-candidate is regenerated from the indication time onward.  Regeneration is exact, not approximate: the
-discarded draw certifies that no loss occurred before the indication, and
-the process restarts memorylessly from there with a fresh uniform.
+candidate is regenerated from the indication time onward.  Regeneration is
+exact, not approximate: the discarded draw certifies that no loss occurred
+before the indication, and the process restarts memorylessly from there
+with a fresh uniform.  The step that finds a loss records it in the state's
+event log and makes it the next candidate's anchor, so stepping a
+``SimState`` with ``generate_poi_loss`` alone is the whole event loop.
 
 The congestion point sees the flows in aggregate, so the capacity-clamp loss
 model applies to the total: p = max(1 - N C tau / sum_f W_f, 0), and flow f
@@ -39,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,62 +94,48 @@ class Event(NamedTuple):
 class SimState:
     """The simulator's current epoch per flow, its queue and its event log.
 
-    Flow f's current epoch started at llis[f] (its last indication) from the
-    pre-loss window w_loss[f].  pending holds (time, flow) indications,
+    Made from init[f] = (w_loss, s0), which puts flow f at epoch age s0 at
+    t=0; ``ValueError`` unless the window function exposes coefficients,
+    init holds one start per flow, each passes ``check_start`` and the
+    lookahead is positive.  Flow f's current epoch started at llis[f] (its
+    last indication) from the pre-loss window w_loss[f], and first[f] is its
+    (start, w_loss) at t=0.  pending holds (time, flow) indications,
     heap-ordered by time; every entry was scheduled exactly tau after the
     loss event that produced it.  t_loss_last is the most recent loss event
-    at the congestion point.  The event log is the only record of earlier
-    epochs: each indication starts one at its time from its window_before.
+    at the congestion point, 0 until the first.  first and the event log are
+    the only record of earlier epochs: each indication starts one at its
+    time from its window_before.
     """
 
     params: SystemParams
     window_fn: WindowFunction
-    w_loss: list[float]
-    llis: list[float]
+    init: InitVar[Sequence[tuple[float, float]]]
     rng: object  # anything with uniform() -> float in (0,1)
     lookahead: float
     pending: list[tuple[float, int]] = field(default_factory=list)
     t_loss_last: float = 0.0
     events: list[Event] = field(default_factory=list)
+    w_loss: list[float] = field(init=False)
+    llis: list[float] = field(init=False)
+    first: list[tuple[float, float]] = field(init=False)
+
+    def __post_init__(self, init: Sequence[tuple[float, float]]) -> None:
+        if not hasattr(self.window_fn, "coefficients"):
+            raise ValueError(f"{type(self.window_fn).__name__} does not expose window coefficients")
+        if len(init) != self.params.flows:
+            raise ValueError(f"init has {len(init)} flows, params.flows = {self.params.flows}")
+        if not self.lookahead > 0.0:
+            raise ValueError(f"lookahead must be positive, got {self.lookahead}")
+        for w0, s0 in init:
+            check_start(w0, s0)
+        self.w_loss = [float(w0) for w0, _ in init]
+        self.llis = [-float(s0) for _, s0 in init]
+        self.first = list(zip(self.llis, self.w_loss))
 
     def flow_window(self, f: int, t: float) -> float:
         """Window of flow f at absolute time t under its current epoch."""
         age = t - self.llis[f]
         return self.window_fn.window(FlowState(self.w_loss[f], age), self.params)
-
-
-def make_sim_state(
-    params: SystemParams,
-    fn: WindowFunction,
-    init: Sequence[tuple[float, float]],
-    rng: object,
-    lookahead: float,
-) -> SimState:
-    """Build the bootstrap state: flow f's epoch began at -s0_f with w_loss_f.
-
-    init[f] = (w_loss, s0) places flow f at epoch age s0 when the run starts,
-    so its window at t=0 is the one the pair (w_loss, s0) describes.  No loss
-    is in flight at bootstrap and the anchor for the first candidate is t=0.
-    """
-    if not hasattr(fn, "coefficients"):
-        raise ValueError(f"{type(fn).__name__} does not expose window coefficients")
-    if len(init) != params.flows:
-        raise ValueError(f"init has {len(init)} flows, params.flows = {params.flows}")
-    if not lookahead > 0.0:
-        raise ValueError(f"lookahead must be positive, got {lookahead}")
-    w_loss, llis = [], []
-    for w0, s0 in init:
-        check_start(w0, s0)
-        w_loss.append(float(w0))
-        llis.append(-float(s0))
-    return SimState(
-        params=params,
-        window_fn=fn,
-        w_loss=w_loss,
-        llis=llis,
-        rng=rng,
-        lookahead=lookahead,
-    )
 
 
 def _horner(p: Sequence[float], x: float) -> float:
@@ -265,30 +254,33 @@ def _apply_next_indication(state: SimState) -> float:
     return t_ind
 
 
-def generate_poi_loss(state: SimState) -> tuple[float | None, int | None, float | None]:
-    """Next loss event (time, flow, window), applying pending indications as
-    needed.
+def generate_poi_loss(state: SimState) -> float | None:
+    """Find the next loss event, record it and return its time, applying
+    pending indications as needed; None when no loss comes in the lookahead.
 
     A candidate is one excess cubic measured from its anchor, the most recent
     loss event.  It is regenerated whenever it lands at or after the next
     pending indication: the indication is applied first (one queue entry
     consumed per iteration, so the loop terminates) and the anchor moves to
     the indication time.  A candidate beyond the lookahead counts as "no loss
-    in horizon" and, once the queue is empty, ends the run.  On return every
-    remaining pending indication lies strictly after the returned loss time,
-    whose own indication is scheduled at loss time + tau for the flow drawn
-    with probability proportional to its window at the loss time; that
-    window is returned too.
+    in horizon" and, once the queue is empty, ends the run.  The loss goes to
+    the flow drawn with probability proportional to its window at the loss
+    time: its indication is scheduled at loss time + tau, the event log gets
+    the loss with that window, and the loss becomes the anchor t_loss_last.
+    On return every remaining pending indication lies strictly after the
+    loss time.
     """
     loss_time = compute_T(state, state.t_loss_last)
     while state.pending and (loss_time is None or loss_time >= state.pending[0][0]):
         loss_time = compute_T(state, _apply_next_indication(state))
     if loss_time is None:
-        return None, None, None
+        return None
     weights = [state.flow_window(f, loss_time) for f in range(len(state.w_loss))]
     flow = pick_losing_flow(weights, state.rng.uniform())
     heapq.heappush(state.pending, (loss_time + state.params.tau, flow))
-    return loss_time, flow, weights[flow]
+    state.events.append(Event("loss", loss_time, flow, weights[flow], weights[flow]))
+    state.t_loss_last = loss_time
+    return loss_time
 
 
 @dataclass
@@ -325,11 +317,11 @@ def sample_count(t_end: float, sample_dt: float) -> int:
 
 
 def _render_trace(
-    state: SimState, first: Sequence[tuple[float, float]], t_end: float, sample_dt: float
+    state: SimState, t_end: float, sample_dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every flow's window at t_i = i * sample_dt, one window call per epoch.
 
-    Flow f's epochs are first[f] = (start, w_loss) followed by its
+    Flow f's epochs are state.first[f] = (start, w_loss) followed by its
     indications (time, window_before) in the event log.  Sample i belongs to
     the last epoch that starts at or before t_i, so an epoch holds the
     samples from the first at or after its start up to the next epoch's
@@ -337,11 +329,11 @@ def _render_trace(
     aggregate row is summed flow by flow, in flow order, as a per-sample
     loop over the flows would.
     """
-    flows = len(first)
+    flows = len(state.first)
     n = sample_count(t_end, sample_dt)
     t = np.arange(n) * sample_dt
-    starts = [[start] for start, _ in first]
-    w_losses = [[w_loss] for _, w_loss in first]
+    starts = [[start] for start, _ in state.first]
+    w_losses = [[w_loss] for _, w_loss in state.first]
     for ev in state.events:
         if ev.event_type == "indication":
             starts[ev.flow].append(ev.time)
@@ -374,6 +366,9 @@ def run_simulation(
     reset size was w_loss.  The trace is sampled every sample_dt (default
     tau) with one row per flow plus an aggregate row (flow -1) holding the
     per-flow mean.  Identical params, init, and seed give identical results.
+    The state is stepped with ``generate_poi_loss``, which records each
+    loss, until it finds none or one past t_end; the result keeps the events
+    up to t_end.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -383,15 +378,10 @@ def run_simulation(
         raise ValueError(f"sample_dt must be positive, got {sample_dt}")
     # The search horizon reaches past t_end from any anchor before it.
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
-    state = make_sim_state(params, window_fn, init, RngStream(seed), lookahead)
-    first = list(zip(state.llis, state.w_loss))
-    while True:
-        loss_time, flow, w_at = generate_poi_loss(state)
-        if loss_time is None or loss_time > t_end:
-            break
-        state.events.append(Event("loss", loss_time, flow, w_at, w_at))
-        state.t_loss_last = loss_time
-    trace_t, trace_flow, trace_w = _render_trace(state, first, t_end, sample_dt)
+    state = SimState(params, window_fn, init, RngStream(seed), lookahead)
+    while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
+        pass
+    trace_t, trace_flow, trace_w = _render_trace(state, t_end, sample_dt)
     return SimResult(
         t_end=t_end,
         events=[ev for ev in state.events if ev.time <= t_end],

@@ -14,7 +14,6 @@ from scipy import stats
 
 from tcpfluid import (
     CUBIC,
-    FROZEN,
     RENO,
     FlowState,
     RngStream,
@@ -32,6 +31,7 @@ from tcpfluid import (
 )
 from tcpfluid.core import rhs_about
 from tcpfluid.nhpl import pick_losing_flow
+from tcpfluid.protocols import FROZEN
 from tcpfluid.stability import expansion_coeffs
 from oracles import (
     cubic_truncation_x1dot,

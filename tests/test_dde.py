@@ -10,7 +10,6 @@ import pytest
 
 from tcpfluid import (
     CUBIC,
-    FROZEN,
     RENO,
     FlowState,
     IntegrationError,
@@ -29,6 +28,7 @@ from tcpfluid import artifacts, experiment, protocols
 from tcpfluid.cli import main
 from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
+from tcpfluid.protocols import FROZEN
 from tcpfluid.stability import diagnostic_columns
 from oracles import absolute_integrate, awkward_columns, convergence_order_check, per_row_csv
 from scalar_reno import integrate_scalar_reno

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tcpfluid
 from oracles import scalar_razumikhin_mask
 from tcpfluid import (
     ConfigError,
@@ -468,6 +473,27 @@ def test_cli_fixed_point_success(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "w_hat:" in captured.out
     assert "wrote summary:" in captured.out
+    assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_cli_reports_a_closed_stdout_in_one_line(tmp_path):
+    # stdout is a pipe whose read end is already closed, as in `... | true`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(tcpfluid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcpfluid.cli", "fixed-point", "--capacity-pkts", "100",
+             "--delay-tau", "0.1", "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: could not write stdout:")
+    assert len(proc.stderr.splitlines()) == 1
+    # The run succeeded; only its report was lost, so its files stay.
     assert (tmp_path / "out" / "summary.txt").exists()
 
 

@@ -10,15 +10,16 @@ from scipy import optimize, stats
 import tcpfluid.nhpl as nhpl
 from tcpfluid import (
     CUBIC,
-    FROZEN,
     RENO,
+    Event,
     RngStream,
     SystemParams,
     WindowFunction,
     run_simulation,
 )
-from tcpfluid.nhpl import (compute_T, excess_poly, generate_poi_loss, make_sim_state,
+from tcpfluid.nhpl import (SimState, compute_T, excess_poly, generate_poi_loss,
                            pick_losing_flow, t_bdp)
+from tcpfluid.protocols import FROZEN
 from oracles import inter_loss_times, scalar_render_trace, two_pass_candidate
 
 
@@ -56,7 +57,7 @@ def frozen_state(w0=15.0, capacity=100.0, tau=0.1, rng=None, lookahead=50.0):
     # Constant window w0 against bdp = capacity * tau: a homogeneous Poisson
     # process with rate (w0 - bdp) / tau whenever w0 clears the bdp.
     params = SystemParams(capacity=capacity, tau=tau, b=0.2, c=0.4)
-    state = make_sim_state(
+    state = SimState(
         params, FROZEN, [(w0, 0.0)], rng or RngStream(0), lookahead
     )
     return params, state
@@ -124,7 +125,7 @@ def test_compute_t_constant_rate_reduction():
 
 def test_compute_t_n_identical_flows_triple_the_rate():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=3)
-    state = make_sim_state(
+    state = SimState(
         params, FROZEN, [(15.0, 0.0)] * 3, RngStream(0), 50.0
     )
     u = math.exp(-3.0)
@@ -138,7 +139,7 @@ def test_compute_t_reno_epoch_matches_quadrature_oracle():
     # One Reno flow mid-epoch; scipy quadrature plus a root finder give an
     # independent answer for the same inverse-transform problem.
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
-    state = make_sim_state(params, RENO, [(16.0, 0.25)], RngStream(0), 50.0)
+    state = SimState(params, RENO, [(16.0, 0.25)], RngStream(0), 50.0)
     u = 0.37
     t = candidate(state, 0.0, u)
 
@@ -168,7 +169,7 @@ def test_t_bdp_returns_now_when_already_crossed():
 def test_t_bdp_linear_crossing_is_exact():
     # Reno from (2, 0): W(t) = 1 + t / tau crosses bdp = 3 at exactly 2 tau.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
-    state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 50.0)
+    state = SimState(params, RENO, [(2.0, 0.0)], RngStream(0), 50.0)
     assert crossing(state, 0.0) == pytest.approx(2.0 * params.tau, rel=1e-9)
 
 
@@ -179,7 +180,7 @@ def test_t_bdp_never_crossing_is_inf():
 
 def test_t_bdp_staggered_flows_agrees_with_scan():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=3)
-    state = make_sim_state(
+    state = SimState(
         params,
         CUBIC,
         [(6.0, 0.0), (8.0, 0.1), (7.0, 0.3)],
@@ -231,7 +232,7 @@ def _integrated_rate(state, t_end):
 )
 def test_compute_t_inverts_the_integrated_rate(fn, init, u):
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
-    state = make_sim_state(params, fn, init, RngStream(0), 50.0)
+    state = SimState(params, fn, init, RngStream(0), 50.0)
     # Integration starts at t = 0, where flow f has epoch age s0_f.
     t = candidate(state, 0.0, u)
     if t is None:
@@ -245,7 +246,7 @@ def test_compute_t_starts_at_the_bdp_crossing():
     # Reno from (2, 0): W = 1 + t / tau crosses bdp = 3 at t = 0.2, then the
     # integral (t - 0.2)^2 / (2 tau^2) reaches -ln(u) = 2 at t = 0.4.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
-    state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.5)
+    state = SimState(params, RENO, [(2.0, 0.0)], RngStream(0), 0.5)
     assert candidate(state, 0.0, math.exp(-2.0)) == pytest.approx(0.4, rel=1e-12)
 
 
@@ -253,13 +254,13 @@ def test_compute_t_none_when_lookahead_ends_first():
     # Same Reno flow, but the integral over the lookahead is only
     # (0.3 - 0.2)^2 / (2 tau^2) = 0.5 < 2.
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
-    state = make_sim_state(params, RENO, [(2.0, 0.0)], RngStream(0), 0.3)
+    state = SimState(params, RENO, [(2.0, 0.0)], RngStream(0), 0.3)
     assert candidate(state, 0.0, math.exp(-2.0)) is None
 
 
 def test_t_bdp_cubic_flows_match_brentq():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=3)
-    state = make_sim_state(
+    state = SimState(
         params, CUBIC, [(6.0, 0.0), (8.0, 0.1), (7.0, 0.3)], RngStream(1), 100.0
     )
     threshold = 3 * params.bdp
@@ -285,7 +286,7 @@ def test_compute_t_matches_two_pass_route(fn, init, anchor, u):
     # Only rounding separates them: over 20,000 uniform draws of these
     # inputs the worst gap was 6 ulps and the None outcomes always agreed.
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=len(init))
-    state = make_sim_state(params, fn, init, RngStream(0), 50.0)
+    state = SimState(params, fn, init, RngStream(0), 50.0)
     reference = two_pass_candidate(state, anchor, u)
     t = candidate(state, anchor, u)
     assert (t is None) == (reference is None)
@@ -299,7 +300,7 @@ def test_compute_t_draws_nothing_without_a_crossing():
     # crosses at 0.2, after its lookahead of 0.1 ends.
     _, frozen = frozen_state(w0=5.0, rng=FakeRng([]))
     params = SystemParams(capacity=30.0, tau=0.1, b=0.2, c=0.4)
-    reno = make_sim_state(params, RENO, [(2.0, 0.0)], FakeRng([]), 0.1)
+    reno = SimState(params, RENO, [(2.0, 0.0)], FakeRng([]), 0.1)
     for state in (frozen, reno):
         assert compute_T(state, 0.0) is None
         assert state.rng.consumed == 0
@@ -325,14 +326,14 @@ def test_one_coefficient_sum_per_candidate(monkeypatch):
     assert calls["excess_poly"] == calls["compute_T"]
 
 
-def test_make_sim_state_rejects_window_without_coefficients():
+def test_sim_state_rejects_window_without_coefficients():
     class WindowOnly(WindowFunction):
         def window(self, state, params):
             return state.w_max
 
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     with pytest.raises(ValueError, match="coefficients"):
-        make_sim_state(params, WindowOnly(), [(15.0, 0.0)], RngStream(0), 50.0)
+        SimState(params, WindowOnly(), [(15.0, 0.0)], RngStream(0), 50.0)
 
 
 def test_pick_losing_flow_examples():
@@ -363,48 +364,46 @@ def test_pick_losing_flow_frequencies():
 
 def test_generator_single_candidate_with_empty_queue():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    loss_time, flow, window = generate_poi_loss(state)
+    loss_time = generate_poi_loss(state)
     assert loss_time == pytest.approx(0.1, rel=1e-9)
-    assert flow == 0
-    assert window == 15.0
     assert state.rng.consumed == 2
     assert state.pending == [(loss_time + 0.1, 0)]
-    assert state.events == []
+    assert state.events == [Event("loss", loss_time, 0, 15.0, 15.0)]
+    assert state.t_loss_last == loss_time
 
 
 def test_generator_keeps_candidate_before_pending_indication():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    t1, _, _ = generate_poi_loss(state)
-    state.t_loss_last = t1
+    t1 = generate_poi_loss(state)
     state.rng.values = [math.exp(-1.0), 0.9]
-    t2, flow, _ = generate_poi_loss(state)
+    t2 = generate_poi_loss(state)
     # -ln(u)/50 = 0.02 after the last loss, still ahead of the indication.
     assert t2 == pytest.approx(t1 + 0.02, rel=1e-9)
-    assert flow == 0
     assert state.rng.consumed == 4
-    assert state.events == []
+    assert state.events == [Event("loss", t1, 0, 15.0, 15.0), Event("loss", t2, 0, 15.0, 15.0)]
+    assert state.t_loss_last == t2
     assert len(state.pending) == 2
 
 
 def test_generator_applies_indications_and_regenerates():
     _, state = frozen_state(rng=FakeRng([math.exp(-5.0), 0.5]))
-    t1, _, _ = generate_poi_loss(state)
-    state.t_loss_last = t1
+    generate_poi_loss(state)
     state.rng.values = [math.exp(-1.0), 0.9]
-    t2, _, _ = generate_poi_loss(state)
-    state.t_loss_last = t2
+    generate_poi_loss(state)
     # First candidate 0.12 + 0.2 lands past both pending indications (0.2,
     # 0.22): each is applied and consumes one fresh draw, then the queue is
     # empty and the third candidate 0.22 + 0.08 = 0.3 survives.
     state.rng.values = [math.exp(-10.0), math.exp(-10.0), math.exp(-4.0), 0.3]
-    t3, flow, _ = generate_poi_loss(state)
+    t3 = generate_poi_loss(state)
     assert state.rng.consumed == 8
     assert t3 == pytest.approx(0.3, rel=1e-9)
-    assert flow == 0
-    kinds = [(ev.event_type, ev.time) for ev in state.events]
+    kinds = [(ev.event_type, ev.time, ev.flow) for ev in state.events]
     assert kinds == [
-        ("indication", pytest.approx(0.2, rel=1e-9)),
-        ("indication", pytest.approx(0.22, rel=1e-9)),
+        ("loss", pytest.approx(0.1, rel=1e-9), 0),
+        ("loss", pytest.approx(0.12, rel=1e-9), 0),
+        ("indication", pytest.approx(0.2, rel=1e-9), 0),
+        ("indication", pytest.approx(0.22, rel=1e-9), 0),
+        ("loss", t3, 0),
     ]
     # Frozen window: the reset keeps the pre-loss size, only the clock moves.
     assert state.w_loss == [15.0]
@@ -414,9 +413,8 @@ def test_generator_applies_indications_and_regenerates():
 
 def test_reno_indication_halves_the_window():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
-    state = make_sim_state(params, RENO, [(16.0, 0.25)], FakeRng([0.37, 0.5]), 50.0)
-    t1, _, _ = generate_poi_loss(state)
-    state.t_loss_last = t1
+    state = SimState(params, RENO, [(16.0, 0.25)], FakeRng([0.37, 0.5]), 50.0)
+    t1 = generate_poi_loss(state)
     # Next candidate far enough out that the pending indication fires first;
     # regeneration and the flow pick then consume two more draws.
     state.rng.values = [1e-9, 0.5, 0.5]
@@ -428,6 +426,24 @@ def test_reno_indication_halves_the_window():
     assert ind.window_after == pytest.approx(0.5 * w_before, rel=1e-12)
     assert state.w_loss == [pytest.approx(w_before, rel=1e-12)]
     assert state.llis == [ind.time]
+
+
+@pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
+def test_stepping_the_state_gives_the_run_event_log(fn):
+    # generate_poi_loss alone keeps the state: stepped until it finds no
+    # loss or one past t_end, its log is run_simulation's up to t_end.
+    params = SystemParams(capacity=100.0, tau=0.05, b=0.2, c=0.4, flows=3)
+    init, seed, t_end = [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], 11, 20.0
+    state = SimState(params, fn, init, RngStream(seed), max(1e4 * params.tau, 2.0 * t_end))
+    assert state.first == [(-1.0, 20.0), (-0.5, 14.0), (-0.0, 9.0)]
+    loss_time = 0.0
+    while loss_time is not None and loss_time <= t_end:
+        loss_time = generate_poi_loss(state)
+    # The loss past t_end is in the state's log too, as the last event.
+    assert loss_time > t_end and state.events[-1].time == loss_time
+    sim = run_simulation(params, fn, init, seed, t_end)
+    assert sum(ev.event_type == "loss" for ev in sim.events) > 10
+    assert [ev for ev in state.events if ev.time <= t_end] == sim.events
 
 
 def test_run_simulation_sub_bdp_never_loses():
@@ -556,20 +572,20 @@ def test_frozen_rate_gaps_are_exponential():
     assert ks.pvalue > 0.01
 
 
-def test_make_sim_state_validation():
+def test_sim_state_validation():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, 0.0)], RngStream(0), 50.0)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, 0.0), (0.0, 0.0)], RngStream(0), 50.0)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, -1.0), (1.0, 0.0)], RngStream(0), 50.0)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, math.nan), (1.0, 0.0)], RngStream(0), 50.0)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, 0.0), (math.inf, 0.0)], RngStream(0), 50.0)
-    with pytest.raises(ValueError):
-        make_sim_state(params, FROZEN, [(15.0, 0.0), (1.0, 0.0)], RngStream(0), 0.0)
+    with pytest.raises(ValueError, match="init has 1 flows"):
+        SimState(params, FROZEN, [(15.0, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError, match="initial w_max"):
+        SimState(params, FROZEN, [(15.0, 0.0), (0.0, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError, match="initial s"):
+        SimState(params, FROZEN, [(15.0, -1.0), (1.0, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError, match="initial s"):
+        SimState(params, FROZEN, [(15.0, math.nan), (1.0, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError, match="initial w_max"):
+        SimState(params, FROZEN, [(15.0, 0.0), (math.inf, 0.0)], RngStream(0), 50.0)
+    with pytest.raises(ValueError, match="lookahead"):
+        SimState(params, FROZEN, [(15.0, 0.0), (1.0, 0.0)], RngStream(0), 0.0)
 
 
 def test_run_simulation_rejects_non_finite_start():

@@ -6,13 +6,13 @@ from hypothesis import example, given, strategies as st
 
 from tcpfluid import (
     CUBIC,
-    FROZEN,
     RENO,
     FlowState,
     SystemParams,
     loss_rate,
     window_function,
 )
+from tcpfluid.protocols import FROZEN
 from tcpfluid.core import cbrt, rhs_about
 from oracles import cubic_deficit, from_shifted, shifted_cubic_window
 

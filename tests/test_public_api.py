@@ -49,6 +49,30 @@ def test_every_public_name_is_used_outside_tests():
     assert unused == [], f"public names only tests use: {unused}"
 
 
+def public_definitions() -> dict[str, str]:
+    """Public module-level functions, classes and constants -> their module."""
+    defined = {}
+    for path in (ROOT / "src" / "tcpfluid").glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((name, path.stem) for name in names if name[0] != "_")
+    return defined
+
+
+def test_every_public_definition_is_used_outside_tests():
+    # A builder, helper or constant that only tests reach belongs in the tests.
+    defined, used = public_definitions(), referenced_names()
+    assert {"run_simulation", "SimState", "WORK_BUDGET", "FROZEN"} <= defined.keys()
+    unused = sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+    assert unused == [], f"public definitions only tests use: {unused}"
+
+
 def load_bench_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
