@@ -25,11 +25,29 @@ and s and the loss probability p from them.
 
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
+
+Two loops take the steps, with one result.  For ``RenoWindow`` and
+``CubicWindow`` themselves (not subclasses, which may override ``window``
+or ``deficit_about``), ``integrate`` runs its block loop as compiled C,
+``_rk4.c``, called through ctypes once per block: it transcribes the
+Python loop, its history lookups and both windows' deficits, operation for
+operation, calls libm's ``log1p``, ``expm1`` and ``pow`` as ``math`` and
+float power do, and is built with no fast-math and no fused multiply-add,
+so every stored bit and every ``IntegrationError`` is the Python loop's.
+Every other window function runs the Python loop, which stays the
+specification, as does every run on a host where the C cannot be built:
+there the same numbers come more slowly, with nothing printed.  The first
+run that needs the library builds it (:mod:`tcpfluid._rk4`), with the
+compiler Python was built with, into this package's ``__pycache__``, under
+a name taken from the source and the compile command; later processes
+load it from there.  Nothing of this happens on import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +56,12 @@ from .artifacts import _WRITE_CHUNK, CSVParts, write_rows
 from .core import (FlowState, SystemParams, WindowFunction, check_start, loss_probability,
                    loss_rate, rhs_about)
 from .fixedpoint import FixedPoint
+from .protocols import CubicWindow, RenoWindow
+
+# What IntegrationError says when a stage's delayed window, or a stored
+# sample's w_max or window, leaves the positive domain.
+_DELAYED_EXIT = "delayed window left positive domain"
+_STORED_EXIT = "w_max or window left positive domain"
 
 
 class IntegrationError(RuntimeError):
@@ -153,8 +177,7 @@ def integrate(
     def delayed_rate(x1: float, x2: float, i: int) -> float:
         w = w_ref + x1 - deficit(x1, x2)
         if not w > 0.0:
-            raise IntegrationError("delayed window left positive domain", i * h,
-                                   FlowState(w_ref + x1, s_ref + x2))
+            raise IntegrationError(_DELAYED_EXIT, i * h, FlowState(w_ref + x1, s_ref + x2))
         return loss_rate(w, params)
 
     # The run's one trajectory, allocated for all n + 1 samples: the state,
@@ -173,8 +196,7 @@ def integrate(
         w_max = w_ref + x1
         w = w_max - gap
         if not (w_max > 0.0 and w > 0.0):
-            raise IntegrationError("w_max or window left positive domain", i * h,
-                                   FlowState(w_max, s_ref + x2))
+            raise IntegrationError(_STORED_EXIT, i * h, FlowState(w_max, s_ref + x2))
         x1s[i], x2s[i], d1s[i], d2s[i], ws[i] = x1, x2, d1, d2, w
 
     x1, x2 = start.w_max - w_ref, start.s - s_ref
@@ -184,23 +206,39 @@ def integrate(
                                FlowState(w_ref + x1, s_ref + x2))
     r_start = delayed_rate(x1, x2, 0)  # every delayed rate before t = 0
     store(0, x1, x2, r_start)
+    # The compiled loop for Reno and CUBIC themselves; a subclass may
+    # override what it transcribes.
+    kernel = _kernel() if type(window_fn) in (RenoWindow, CubicWindow) else None
+    steps = None if kernel is None else kernel(traj, type(window_fn) is CubicWindow, k, r_start)
     half = 0.5 * h
     sixth = h / 6.0
 
     # Blocks of steps between hook calls, so that no step checks for one.
     for first in range(0, n, _WRITE_CHUNK):
         last = min(first + _WRITE_CHUNK, n)
-        for i in range(first, last):
-            j = i - k  # the sample one delay back
-            r_mid = r_start if j < 0 else delayed_rate(
-                hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), i)
-            r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
-            k1a, k1b = d1s[i], d2s[i]
-            k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
-            k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
-            k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
-            x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-            x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-            store(i + 1, x1, x2, r_end)
+        if steps is not None:
+            steps(first, last)
+        else:
+            for i in range(first, last):
+                j = i - k  # the sample one delay back
+                r_mid = r_start if j < 0 else delayed_rate(
+                    hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), i)
+                r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
+                k1a, k1b = d1s[i], d2s[i]
+                k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
+                k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
+                k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
+                x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+                x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+                store(i + 1, x1, x2, r_end)
         on_block(last + 1, traj)
     return traj
+
+
+@functools.cache
+def _kernel():
+    """The compiled block loop (see :func:`tcpfluid._rk4.load`), built into
+    this package's ``__pycache__`` on first use; None where it cannot be."""
+    from . import _rk4  # on first use: importing dde leaves the loader unread
+
+    return _rk4.load(os.path.join(os.path.dirname(__file__), "__pycache__"))

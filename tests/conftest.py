@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tcpfluid import SystemParams, artifacts, cubic_fixed_point
+from tcpfluid import SystemParams, artifacts, cubic_fixed_point, dde
 
 
 @pytest.fixture(autouse=True)
@@ -12,6 +12,13 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Every ``integrate`` call runs the Python block loop, as on a host
+    where the compiled loop cannot be built."""
+    monkeypatch.setattr(dde, "_kernel", lambda: None)
 
 
 @pytest.fixture

@@ -110,6 +110,11 @@ def test_observed_order_is_four_on_smooth_path(unit_params, unit_fp):
     assert 3.5 <= order <= 4.6
 
 
+def test_observed_order_is_four_on_smooth_path_in_the_python_loop(python_loop, unit_params,
+                                                                   unit_fp):
+    test_observed_order_is_four_on_smooth_path(unit_params, unit_fp)
+
+
 def test_observed_order_is_inf_on_exact_solution(unit_params):
     # Sub-bdp frozen flow: w_max is constant and s grows at exactly rate 1,
     # which RK4 reproduces without error on the dyadic steps tau / k.
@@ -533,9 +538,11 @@ def test_streamed_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, 
     assert sorted(os.listdir(out)) == ["fluid_trace.csv", "summary.txt"]
 
 
-def test_integrate_prepares_the_rhs_once(monkeypatch, canonical_params, canonical_fp):
+def test_integrate_prepares_the_rhs_once(monkeypatch, python_loop, canonical_params,
+                                        canonical_fp):
     # K_ref is a cube root of the reference alone: a CUBIC run about the
-    # fixed point takes it when the RHS is built, never per step.
+    # fixed point takes it when the RHS is built, never per step of the
+    # Python loop.
     params, fp = canonical_params, canonical_fp
     calls = []
     cbrt = protocols.cbrt

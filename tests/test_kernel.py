@@ -1,0 +1,264 @@
+"""The compiled block loop of ``dde.integrate`` against the Python loop.
+
+Reno and CUBIC runs take the loop in ``_rk4.c`` where it can be built; it
+must store every bit and raise every error the Python loop does.  Every
+other window function, and every host without the library, runs the Python
+loop.
+"""
+
+import errno
+import os
+import subprocess
+import sys
+import sysconfig
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tcpfluid import (CUBIC, RENO, FlowState, IntegrationError, SystemParams, cubic_fixed_point,
+                      integrate, reno_steady_state)
+from tcpfluid import _rk4, dde
+from tcpfluid.fixedpoint import SolverError
+from tcpfluid.protocols import FROZEN, CubicWindow, RenoWindow
+
+CACHE = os.path.join(os.path.dirname(dde.__file__), "__pycache__")
+
+
+def outcome(*args, **kwargs):
+    """What ``integrate`` gives, as bits: its five integrated columns, or
+    its error's text with its time and state."""
+    try:
+        traj = integrate(*args, **kwargs)
+    except IntegrationError as err:
+        return str(err), np.array([err.time, *err.state]).view(np.int64).tolist()
+    return [col.view(np.int64).tobytes() for col in (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)]
+
+
+def both_loops(*args, **kwargs):
+    """(compiled, Python): ``outcome`` of the two loops on one run."""
+    if dde._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    compiled = outcome(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde, "_kernel", lambda: None)
+        return compiled, outcome(*args, **kwargs)
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """The number of RHS evaluations the Python side of ``integrate`` makes:
+    one for sample 0 on the compiled path, 1 + 4 per step on the Python
+    path."""
+    calls = []
+    rhs_about = dde.rhs_about
+
+    def counting(*args):
+        rhs = rhs_about(*args)
+        return lambda *x: calls.append(1) or rhs(*x)
+
+    monkeypatch.setattr(dde, "rhs_about", counting)
+    return calls
+
+
+def fixed_point(params, window_fn):
+    solve = cubic_fixed_point if window_fn is CUBIC else reno_steady_state
+    return solve(params)
+
+
+OFFSETS = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.3, -0.3]
+
+
+@settings(max_examples=120, deadline=None)
+@given(capacity=st.floats(0.0, 6.0).map(lambda e: 10.0**e),
+       tau=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       b=st.floats(0.05, 0.95), c=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+       window_fn=st.sampled_from([RENO, CUBIC]), k=st.sampled_from([4, 16, 64]),
+       about_fp=st.booleans(), dw=st.sampled_from([*OFFSETS, 10.0]),
+       ds=st.sampled_from([*OFFSETS, 1e4]), steps=st.integers(1, 2 * 1024 + 70))
+def test_kernel_matches_the_python_loop(capacity, tau, b, c, window_fn, k, about_fp, dw, ds,
+                                        steps):
+    # Starts on the fixed point and at offsets of both signs in w_max and
+    # s, far ones among them (which leave the domain), over up to two
+    # block seams.
+    params = SystemParams(capacity, tau, b, c)
+    try:
+        fp = fixed_point(params, window_fn)
+    except SolverError:
+        fp, start = None, FlowState(2.0 * params.bdp + 1.0, tau)
+    else:
+        start = FlowState(fp.w_hat * (1.0 + dw), fp.s_hat * (1.0 + ds))
+    h = tau / k
+    compiled, python = both_loops(params, window_fn, start, steps * h, h,
+                                  fp=fp if about_fp else None)
+    assert compiled == python
+
+
+@pytest.mark.parametrize("params, window_fn, start, t_end, k", [
+    # convergence-canonical's system, from CI's convergence start
+    (SystemParams(12500.0, 0.01, 0.2, 0.4), CUBIC, (0.0, 1e-3), 8.0, 64),
+    # criterion 8's 20-flow system
+    (SystemParams(125000.0, 0.001, 0.2, 0.4, flows=20), CUBIC, (0.0, 1e-3), 3.0, 16),
+    # the Reno limit cycle from w_hat + 1
+    (SystemParams(100.0, 0.1, 0.2, 0.4), RENO, (1.0, 0.0), 40.0, 16),
+    # criterion 6's long-delay start, given as an absolute state
+    (SystemParams(125000.0, 0.1, 0.2, 0.4), CUBIC, FlowState(12371.9952, 13.6794), 20.0, 16),
+    # an absurd epoch age: the first stored window leaves the domain
+    (SystemParams(12500.0, 0.01, 0.2, 0.4), CUBIC, FlowState(1.0, 1e6), 0.1, 16),
+    # c = 1e300 leaves the domain with w_max = nan, as `fluid --c 1e300` does
+    (SystemParams(12500.0, 0.01, 0.2, 1e300), CUBIC, (0.0, 1e-3), 1.0, 16),
+    # Reno from an absurd epoch age, at the coarsest step
+    (SystemParams(100.0, 0.1, 0.2, 0.4), RENO, FlowState(10.0, 1e4), 1.0, 4),
+], ids=["canonical", "criterion-8", "reno-limit-cycle", "criterion-6", "absurd-age",
+        "c-1e300", "reno-absurd-age"])
+def test_kernel_matches_the_python_loop_on_named_runs(params, window_fn, start, t_end, k):
+    fp = fixed_point(params, window_fn)
+    if not isinstance(start, FlowState):  # an offset from the fixed point
+        start = FlowState(fp.w_hat + start[0], fp.s_hat + start[1])
+    for about in (fp, None):
+        compiled, python = both_loops(params, window_fn, start, t_end, params.tau / k, fp=about)
+        assert compiled == python
+
+
+def test_domain_exits_name_nan_states_alike():
+    # The c = 1e300 run's error carries nan, from both loops alike.
+    params = SystemParams(12500.0, 0.01, 0.2, 1e300)
+    fp = cubic_fixed_point(params)
+    compiled, python = both_loops(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-3), 1.0,
+                                  params.tau / 16, fp=fp)
+    assert compiled == python
+    assert compiled[0].startswith("w_max or window left positive domain at t=")
+    assert compiled[0].endswith("w_max=nan, s=nan")
+
+
+@pytest.mark.parametrize("window_fn", [RENO, CUBIC])
+def test_reno_and_cubic_run_the_kernel(rhs_calls, canonical_params, window_fn):
+    if dde._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    params = canonical_params
+    fp = fixed_point(params, window_fn)
+    traj = integrate(params, window_fn, FlowState(fp.w_hat, fp.s_hat), 0.5, params.tau / 16)
+    assert len(traj.t) == 801 and len(rhs_calls) == 1
+
+
+def test_kernel_refuses_columns_and_steps_it_cannot_write(canonical_params, canonical_fp):
+    kernel = dde._kernel()
+    if kernel is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    params, fp = canonical_params, canonical_fp
+    traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat), 0.1, params.tau / 16, fp=fp)
+    steps = kernel(traj, True, 16, 0.0)
+    for first, last in [(-1, 4), (5, 4), (0, len(traj.t))]:
+        with pytest.raises(ValueError, match="out of 161 samples"):
+            steps(first, last)
+    for column in (traj.w[::-1], traj.w.astype(np.float32), traj.w[1:]):
+        traj.w = column
+        with pytest.raises(ValueError, match="contiguous float64 columns of one length"):
+            kernel(traj, True, 16, 0.0)
+
+
+class OwnDeficit(CubicWindow):
+    """CUBIC with a deficit of its own: twice CUBIC's."""
+
+    def deficit_about(self, ref, params):
+        deficit = super().deficit_about(ref, params)
+        return lambda x1, x2: 2.0 * deficit(x1, x2)
+
+
+class OwnWindow(RenoWindow):
+    """Reno with a window of its own, one packet larger."""
+
+    def window(self, state, params):
+        return super().window(state, params) + 1.0
+
+
+@pytest.mark.parametrize("window_fn", [OwnDeficit(), OwnWindow(), FROZEN],
+                         ids=["cubic-subclass", "reno-subclass", "frozen"])
+def test_other_window_functions_run_the_python_loop(rhs_calls, canonical_params, window_fn):
+    # A subclass of a compiled window, which may override what the kernel
+    # transcribes, and the frozen window evaluate their own deficit in the
+    # Python loop: the subclasses' runs are not their parents'.
+    params = canonical_params
+    parent = CUBIC if isinstance(window_fn, CubicWindow) else RENO
+    fp = fixed_point(params, parent)
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    traj = integrate(params, window_fn, start, 0.5, params.tau / 16)
+    assert len(rhs_calls) == 1 + 4 * 800
+    if window_fn is not FROZEN:
+        assert not np.array_equal(traj.w, integrate(params, parent, start, 0.5, params.tau / 16).w)
+
+
+def run_through(loader, monkeypatch, capfd, params, fp):
+    """Integrate a CUBIC and a Reno run through the kernel ``loader``
+    gives; assert the Python loop's bits and nothing printed."""
+    monkeypatch.setattr(dde, "_kernel", loader)
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    got = [outcome(params, fn, start, 0.5, params.tau / 16, fp=fp) for fn in (CUBIC, RENO)]
+    monkeypatch.setattr(dde, "_kernel", lambda: None)
+    assert got == [outcome(params, fn, start, 0.5, params.tau / 16, fp=fp) for fn in (CUBIC, RENO)]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_missing_compiler_runs_the_python_loop_quietly(monkeypatch, capfd, canonical_params,
+                                                         canonical_fp):
+    # The compile command is part of the library's name, so a library
+    # built by another compiler is not taken for this one's.
+    os.makedirs(CACHE, exist_ok=True)
+    before = sorted(os.listdir(CACHE))
+    config = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "tcpfluid-no-such-cc -O0" if name == "CC" else config(name))
+    assert _rk4.load(CACHE) is None
+    run_through(lambda: _rk4.load(CACHE), monkeypatch, capfd, canonical_params,
+                canonical_fp)
+    assert sorted(os.listdir(CACHE)) == before
+
+
+def test_an_unwritable_cache_runs_the_python_loop_quietly(tmp_path, monkeypatch, capfd,
+                                                          canonical_params, canonical_fp):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o555)
+    if os.geteuid() == 0:
+        # Mode bits do not bind root: refuse what they refuse others.
+        open_ = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if os.path.dirname(path) == str(cache) and flags & os.O_CREAT:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open_(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+    try:
+        assert _rk4.load(str(cache)) is None
+        run_through(lambda: _rk4.load(str(cache)), monkeypatch, capfd, canonical_params,
+                    canonical_fp)
+        assert os.listdir(cache) == []
+    finally:
+        cache.chmod(0o755)
+
+
+def test_a_cached_library_loads_without_a_compile(monkeypatch):
+    if dde._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled a library already in the cache")
+
+    monkeypatch.setattr(subprocess, "run", no_compile)
+    assert _rk4.load(CACHE) is not None
+
+
+def test_import_and_the_simulator_build_nothing():
+    # Neither importing the package nor a simulator run reaches the
+    # kernel, and loading it does not import hashlib, which loads OpenSSL
+    # (numpy.random, which the simulator imports, does).
+    code = ("import sys; from tcpfluid import dde, SystemParams, CUBIC, run_simulation; "
+            "print('hashlib' in sys.modules, 'tcpfluid._rk4' in sys.modules); "
+            "from tcpfluid import _rk4; _rk4.load(sys.argv[1]); print('hashlib' in sys.modules); "
+            "run_simulation(SystemParams(100.0, 0.1, 0.2, 0.4), CUBIC, [(12.0, 0.0)], 1, 5.0); "
+            "print(dde._kernel.cache_info().misses)")
+    src = os.path.dirname(os.path.dirname(dde.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, CACHE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\nFalse\n0\n", "")
