@@ -1,4 +1,4 @@
-/* The block loop of tcpfluid.dde.integrate for the Reno and CUBIC windows.
+/* The step loop of tcpfluid.dde.integrate for the Reno and CUBIC windows.
 
    A transcription of the Python loop in dde.py: the same floating-point
    operations in the same order, so every stored bit is the same.  It must
@@ -70,12 +70,12 @@ static double hermite_midpoint(const double *y, const double *dy, long j, double
     return 0.5 * (y[j] + y[j + 1]) + 0.125 * h * (dy[j] - dy[j + 1]);
 }
 
-/* Steps [first, last) of integrate's loop: sample i + 1 from sample i, for
-   samples [0, first] already stored.  On a domain exit, stores nothing more
-   and returns its code, with the sample index of its time in *at and the
-   absolute state (w_max, s) in state[0], state[1]. */
+/* The n steps of integrate's loop: sample i + 1 from sample i, for sample 0
+   already stored.  On a domain exit, stores nothing more and returns its
+   code, with the sample index of its time in *at and the absolute state
+   (w_max, s) in state[0], state[1]. */
 int rk4_steps(const struct rk4_params *p, double *x1s, double *x2s, double *d1s, double *d2s,
-              double *ws, long first, long last, long *at, double *state)
+              double *ws, long n, long *at, double *state)
 {
     struct model m = {p, 0.0, 0.0, 0.0};
     if (p->cubic) {
@@ -84,8 +84,8 @@ int rk4_steps(const struct rk4_params *p, double *x1s, double *x2s, double *d1s,
         m.neg_c = -p->c;
     }
     double h = p->h, half = 0.5 * h, sixth = h / 6.0;
-    double x1 = x1s[first], x2 = x2s[first];
-    for (long i = first; i < last; i++) {
+    double x1 = x1s[0], x2 = x2s[0];
+    for (long i = 0; i < n; i++) {
         long j = i - p->k;  /* the sample one delay back */
         double r_mid = p->r_start;
         if (j >= 0) {

@@ -1,4 +1,4 @@
-"""Build, cache and bind ``_rk4.c``, the compiled block loop of
+"""Build, cache and bind ``_rk4.c``, the compiled step loop of
 :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows.
 
 ``dde`` imports this module on the first run that needs the loop, never on
@@ -42,10 +42,11 @@ def load(cache: str):
     cannot be built or loaded.
 
     The library's name is a CRC of the source and the compile command, so
-    an edited source gets a library of its own.  What is returned makes,
-    from a trajectory with sample 0 stored, its CUBIC (else Reno) flag, k
-    and the start's delayed rate, ``steps(first, last)``: steps [first,
-    last) of ``integrate``'s loop, raising what that loop raises.
+    an edited source gets a library of its own.  What is returned,
+    ``kernel(traj, cubic, k, r_start)``, takes every step of
+    ``integrate``'s loop on a trajectory with sample 0 stored, given its
+    CUBIC (else Reno) flag, k and the start's delayed rate, and raises what
+    that loop raises.
     """
     source = os.path.join(os.path.dirname(__file__), "_rk4.c")
     try:
@@ -60,29 +61,20 @@ def load(cache: str):
         return None
     rk4_steps.restype = ctypes.c_int
     rk4_steps.argtypes = [ctypes.POINTER(_Params), *[ctypes.c_void_p] * 5, ctypes.c_long,
-                          ctypes.c_long, ctypes.POINTER(ctypes.c_long),
-                          ctypes.POINTER(ctypes.c_double)]
+                          ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double)]
 
-    def kernel(traj: Trajectory, cubic: bool, k: int, r_start: float):
+    def kernel(traj: Trajectory, cubic: bool, k: int, r_start: float) -> None:
         p, h, rows = traj.params, traj.step, len(traj.t)
-        params = _Params(k, cubic, h, p.tau, p.bdp, p.b, p.c, *traj.ref, r_start)
         columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
         if not all(col.dtype == np.float64 and col.flags.c_contiguous and len(col) == rows
                    for col in columns):
             raise ValueError("the kernel takes contiguous float64 columns of one length")
-        pointers = [col.ctypes.data for col in columns]
         at, state = ctypes.c_long(), (ctypes.c_double * 2)()
-
-        def steps(first: int, last: int) -> None:
-            # The C reads samples [0, last] and writes (first, last] of the
-            # columns, which this closure keeps alive.
-            if not 0 <= first <= last < len(columns[0]):
-                raise ValueError(f"steps [{first}, {last}) out of {rows} samples")
-            code = rk4_steps(params, *pointers, first, last, at, state)
-            if code:
-                raise IntegrationError(_EXITS[code], at.value * h, FlowState(*state))
-
-        return steps
+        # The C writes samples [1, rows) of the columns from sample 0.
+        code = rk4_steps(_Params(k, cubic, h, p.tau, p.bdp, p.b, p.c, *traj.ref, r_start),
+                         *(col.ctypes.data for col in columns), rows - 1, at, state)
+        if code:
+            raise IntegrationError(_EXITS[code], at.value * h, FlowState(*state))
 
     return kernel
 

@@ -1,19 +1,14 @@
 """How a run's files reach its output directory, and what a failed run leaves.
 
-Every CSV goes through one ``CSVParts`` per file, which writes each number
-by ``repr``, one chunk of rows at a time, and formats each run of a
-repeated float value within a chunk once.  The file is a sequence of parts
-in row order.  While the model integrates, its ``on_block`` hook
-``CSVParts.take`` hands each backlog of at least ``_MIN_PART_ROWS``
-completed rows to a forked child while fewer than CPUs - 1 of them run; the
-child reads the rows from the fork's copy-on-write snapshot of the
-trajectory.  ``CSVParts.write`` then cuts the rows left into one range per
-CPU, formats the first in the parent and forks a child for each other,
-waits for every child, and only then opens the file and appends every part
-in order, so the bytes are the same for any CPU count.  Parts are anonymous
-temporary files in the nearest existing directory of the output file, so
-nothing appears under the output directory before ``write_artifacts``, the
-one writer of a run's files, places them there.
+Every CSV goes through ``write_rows``, which writes each number by
+``repr``, one chunk of rows at a time, and formats each run of a repeated
+float value within a chunk once.  It cuts the rows into one range per CPU,
+formats the first in the parent and forks a child for each other, waits for
+every child, and only then opens the file and appends every part in order,
+so the bytes are the same for any CPU count.  Parts are anonymous temporary
+files in the nearest existing directory of the output file, so nothing
+appears under the output directory before ``write_artifacts``, the one
+writer of a run's files, places them there.
 """
 
 from __future__ import annotations
@@ -119,134 +114,66 @@ def _run_child(tmp, write) -> None:
         os._exit(status)
 
 
-class CSVParts:
-    """The writer of the CSV file ``path``, and the one place a writer is
-    forked, waited for and its output placed.
-
-    The file is a sequence of parts in row order: the ranges ``take`` hands
-    to forked children while the integrator runs (when built with
-    ``columns_of``, a function from a :class:`tcpfluid.dde.Trajectory` to
-    its CSV table), then those ``write`` cuts from the rows left.  Each part
-    is an anonymous temporary file in the nearest existing directory of
-    ``path`` (the room the file needs anyway; the directory of ``path`` need
-    not exist yet).  Leaving a ``with`` block waits for every child and
-    closes every temporary file, whatever happened.
-    """
-
-    def __init__(self, path, columns_of=None):
-        self.path = path
-        self.rows = 0
-        self._columns_of = columns_of
-        self._dir = _existing_dir(os.path.dirname(path))[0]
-        self._tmps = []
-        self._pids = []
-        self._codes = {}  # pid -> exit code, once reaped
-
-    def __enter__(self) -> CSVParts:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self._wait()
-        finally:
-            for tmp in self._tmps:
-                tmp.close()
-
-    def _new_part(self):
-        tmp = tempfile.TemporaryFile(dir=self._dir)
-        self._tmps.append(tmp)
-        return tmp
-
-    def _fork(self, write) -> None:
-        """Start a child that calls ``write(out)`` on a text file over the
-        next part, then exits."""
-        tmp = self._new_part()
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            raise OSError(f"could not write {self.path}: {exc}") from exc
-        if pid == 0:
-            _run_child(tmp, write)
-        self._pids.append(pid)
-
-    def _running(self) -> int:
-        """Children still formatting; those that have finished are reaped."""
-        for pid in self._pids:
-            if pid not in self._codes:
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    self._codes[pid] = os.waitstatus_to_exitcode(status)
-        return len(self._pids) - len(self._codes)
-
-    def take(self, rows: int, traj) -> None:
-        """The ``on_block`` hook: samples [0, ``rows``) of ``traj`` are
-        final.  Every whole write chunk among them not yet taken goes to one
-        new child, if they hold at least ``_MIN_PART_ROWS`` rows and fewer
-        than CPUs - 1 (see :func:`_cpus`) children are running.  The child
-        forms their columns from ``traj`` as the fork found it."""
-        lo, hi = self.rows, rows - rows % _WRITE_CHUNK
-        if hi - lo >= _MIN_PART_ROWS and self._running() < _cpus() - 1:
-            self._fork(lambda out: _write_rows(out, self._columns_of(traj), lo, hi))
-            self.rows = hi
-
-    def write(self, header: str, rows: int, columns) -> None:
-        """Write the file: ``header``, then ``rows`` rows of the table
-        ``columns`` (see :func:`write_rows`), of which ``take`` has handed
-        out [0, ``self.rows``).
-
-        The rest are cut into contiguous ranges of whole write chunks, one
-        per CPU (see :func:`_part_count`), each a part: the first formatted
-        here, each other by a forked child.  Then the file is opened and
-        every part appended in order, so the bytes are the same for any
-        number of parts.  Raises ``OSError`` naming ``path`` when a part
-        or the file could not be written; a failure leaves no file.
-        """
-        done = self.rows
-        parts = _part_count(rows - done)
-        chunks = -(-(rows - done) // _WRITE_CHUNK)
-        bounds = [done + chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
-        own = self._new_part()  # placed before the parts forked next
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            self._fork(partial(_write_rows, columns=columns, lo=lo, hi=hi))
-        try:
-            _write_text(own, partial(_write_rows, columns=columns, lo=done, hi=bounds[1]))
-            self._wait()
-            failed = sum(code != 0 for code in self._codes.values())
-            if failed:
-                raise OSError(f"{failed} of {len(self._codes)} writers failed")
-            with open(self.path, "w", newline="") as fh:
-                try:
-                    fh.write(header + "\n")
-                    fh.flush()  # the header goes before the parts sendfile appends
-                    for tmp in self._tmps:
-                        offset = 0
-                        while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
-                            offset += sent
-                except BaseException:
-                    os.remove(self.path)
-                    raise
-        except OSError as exc:  # this process's part, a child's or the file itself
-            raise OSError(f"could not write {self.path}: {exc}") from exc
-
-    def _wait(self) -> None:
-        for pid in self._pids:
-            if pid not in self._codes:
-                self._codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _wait(pids: list[int]) -> int:
+    """Wait for every child in ``pids``, each removed once reaped; the
+    number that exited nonzero."""
+    failed = 0
+    while pids:
+        failed += os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]) != 0
+        del pids[0]
+    return failed
 
 
-def write_rows(path, header: str, rows: int, columns, head: CSVParts | None = None) -> None:
-    """``header`` and ``rows`` rows as the CSV file ``path``, through
-    ``head`` when given, the file's :class:`CSVParts` whose ``take`` has
-    formatted its first rows while the integrator ran; a ``head`` built for
-    another path raises ``ValueError``.
+def write_rows(path, header: str, rows: int, columns) -> None:
+    """``header`` and ``rows`` rows as the CSV file ``path``.
 
     ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi); they are
-    formed one write chunk at a time, so only a chunk of them is held.
+    formed one write chunk at a time, so only a chunk of them is held.  The
+    rows are cut into contiguous ranges of whole write chunks, one per CPU
+    (see :func:`_part_count`), each a part: the first formatted here, each
+    other by a forked child.  Each part is an anonymous temporary file in
+    the nearest existing directory of ``path`` (the room the file needs
+    anyway; the directory of ``path`` need not exist yet).  Then the file
+    is opened and every part appended in order, so the bytes are the same
+    for any number of parts.  Raises ``OSError`` naming ``path`` when a
+    part or the file could not be written; a failure leaves no file.
+    Every child is waited for and every temporary file closed, whatever
+    happened.
     """
-    if head is not None and os.path.abspath(head.path) != os.path.abspath(path):
-        raise ValueError(f"the rows taken for {head.path} cannot be written to {path}")
-    with head or CSVParts(path) as parts:
-        parts.write(header, rows, columns)
+    parts = _part_count(rows)
+    chunks = -(-rows // _WRITE_CHUNK)
+    bounds = [chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
+    folder = _existing_dir(os.path.dirname(path))[0]
+    tmps, pids = [], []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            tmps.append(tempfile.TemporaryFile(dir=folder))
+            if len(tmps) > 1:  # every part after this process's own is a child's
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(tmps[-1], partial(_write_rows, columns=columns, lo=lo, hi=hi))
+                pids.append(pid)
+        _write_text(tmps[0], partial(_write_rows, columns=columns, lo=0, hi=bounds[1]))
+        failed = _wait(pids)
+        if failed:
+            raise OSError(f"{failed} of {parts - 1} writers failed")
+        with open(path, "w", newline="") as fh:
+            try:
+                fh.write(header + "\n")
+                fh.flush()  # the header goes before the parts sendfile appends
+                for tmp in tmps:
+                    offset = 0
+                    while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
+                        offset += sent
+            except BaseException:
+                os.remove(path)
+                raise
+    except OSError as exc:  # this process's part, a child's or the file itself
+        raise OSError(f"could not write {path}: {exc}") from exc
+    finally:  # a child's part is its own descriptor of the nameless file
+        for tmp in tmps:
+            tmp.close()
+        _wait(pids)
 
 
 def write_csv(path, header: str, columns) -> None:

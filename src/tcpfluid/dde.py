@@ -28,8 +28,8 @@ the bandwidth-delay product degrade the observed order locally.
 
 Two loops take the steps, with one result.  For ``RenoWindow`` and
 ``CubicWindow`` themselves (not subclasses, which may override ``window``
-or ``deficit_about``), ``integrate`` runs its block loop as compiled C,
-``_rk4.c``, called through ctypes once per block: it transcribes the
+or ``deficit_about``), ``integrate`` runs its step loop as compiled C,
+``_rk4.c``, called through ctypes once per run for all its steps: it transcribes the
 Python loop, its history lookups and both windows' deficits, operation for
 operation, calls libm's ``log1p``, ``expm1`` and ``pow`` as ``math`` and
 float power do, and is built with no fast-math and no fused multiply-add,
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import _WRITE_CHUNK, CSVParts, write_rows
+from .artifacts import write_rows
 from .core import (FlowState, SystemParams, WindowFunction, check_start, loss_probability,
                    loss_rate, rhs_about)
 from .fixedpoint import FixedPoint
@@ -109,10 +109,10 @@ class Trajectory:
         return (self.t[lo:hi], self.ref.w_max + self.x1[lo:hi], self.ref.s + self.x2[lo:hi], w,
                 loss_probability(w, self.params))
 
-    def write_csv(self, path, head: CSVParts | None = None) -> None:
-        """Round-trip decimal CSV with header t,w_max,s,w,p; rows [0,
-        head.rows) are the parts of ``head`` (see :func:`write_rows`)."""
-        write_rows(path, "t,w_max,s,w,p", len(self.t), self.columns, head)
+    def write_csv(self, path) -> None:
+        """Round-trip decimal CSV with header t,w_max,s,w,p (see
+        :func:`write_rows`)."""
+        write_rows(path, "t,w_max,s,w,p", len(self.t), self.columns)
 
 
 def steps_per_delay(tau: float, step: float) -> int:
@@ -146,7 +146,6 @@ def integrate(
     step_h: float,
     *,
     fp: FixedPoint | None = None,
-    on_block=lambda rows, traj: None,
 ) -> Trajectory:
     """Integrate the fluid model over [0, t_end] from the state ``start``.
 
@@ -159,11 +158,6 @@ def integrate(
     for a start outside the domain (see :func:`tcpfluid.core.check_start`)
     and :class:`IntegrationError` when w_max or the instantaneous window
     leaves the positive domain, the start's w_max rounded about ``fp`` too.
-
-    The trajectory returned is allocated before the first step, and
-    ``on_block(rows, traj)`` gets that same object after every block of
-    ``_WRITE_CHUNK`` steps and after the last: samples [0, ``rows``) are
-    final, the rest not yet computed.
     """
     check_start(*start)
     if not 0.0 < t_end < math.inf:
@@ -209,35 +203,29 @@ def integrate(
     # The compiled loop for Reno and CUBIC themselves; a subclass may
     # override what it transcribes.
     kernel = _kernel() if type(window_fn) in (RenoWindow, CubicWindow) else None
-    steps = None if kernel is None else kernel(traj, type(window_fn) is CubicWindow, k, r_start)
+    if kernel is not None:
+        kernel(traj, type(window_fn) is CubicWindow, k, r_start)
+        return traj
     half = 0.5 * h
     sixth = h / 6.0
-
-    # Blocks of steps between hook calls, so that no step checks for one.
-    for first in range(0, n, _WRITE_CHUNK):
-        last = min(first + _WRITE_CHUNK, n)
-        if steps is not None:
-            steps(first, last)
-        else:
-            for i in range(first, last):
-                j = i - k  # the sample one delay back
-                r_mid = r_start if j < 0 else delayed_rate(
-                    hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), i)
-                r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
-                k1a, k1b = d1s[i], d2s[i]
-                k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
-                k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
-                k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
-                x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-                x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-                store(i + 1, x1, x2, r_end)
-        on_block(last + 1, traj)
+    for i in range(n):
+        j = i - k  # the sample one delay back
+        r_mid = r_start if j < 0 else delayed_rate(
+            hermite_midpoint(x1s, d1s, j, h), hermite_midpoint(x2s, d2s, j, h), i)
+        r_end = loss_rate(ws[j + 1], params) if j >= -1 else r_start
+        k1a, k1b = d1s[i], d2s[i]
+        k2a, k2b, _ = rhs(x1 + half * k1a, x2 + half * k1b, r_mid)
+        k3a, k3b, _ = rhs(x1 + half * k2a, x2 + half * k2b, r_mid)
+        k4a, k4b, _ = rhs(x1 + h * k3a, x2 + h * k3b, r_end)
+        x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+        store(i + 1, x1, x2, r_end)
     return traj
 
 
 @functools.cache
 def _kernel():
-    """The compiled block loop (see :func:`tcpfluid._rk4.load`), built into
+    """The compiled step loop (see :func:`tcpfluid._rk4.load`), built into
     this package's ``__pycache__`` on first use; None where it cannot be."""
     from . import _rk4  # on first use: importing dde leaves the loader unread
 

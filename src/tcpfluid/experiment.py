@@ -13,21 +13,19 @@ import io
 import math
 import numbers
 import operator
-import os
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
-from .artifacts import CSVParts, write_artifacts, write_lines
+from .artifacts import write_artifacts, write_lines
 from .core import FlowState, SystemParams, check_start
 from .dde import integrate, step_grid, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
 from .nhpl import RngStream, run_simulation, sample_count
 from .protocols import window_function
-from .stability import (RAZUMIKHIN_P, Certificate, basin_delta, certificate,
-                        diagnostic_columns, lyapunov_V, stability_trace)
+from .stability import (RAZUMIKHIN_P, Certificate, basin_delta, certificate, lyapunov_V,
+                        stability_trace)
 
 
 class ConfigError(ValueError):
@@ -364,59 +362,51 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     report("p_hat", fp.p_hat)
     report("consistency_residual", fp.s_hat * fp.w_hat * fp.p_hat / params.tau - 1.0)
 
-    with ExitStack() as stack:  # every forked writer is waited for on the way out
-        if config.mode in FLUID_MODES:
-            # Forked writers format the trajectory's CSV while it is integrated.
-            if config.mode == "convergence":
-                streamed, columns_of = "convergence.csv", partial(diagnostic_columns, cert=cert)
-            else:
-                streamed, columns_of = "fluid_trace.csv", operator.attrgetter("columns")
-            head = stack.enter_context(CSVParts(os.path.join(out_dir, streamed), columns_of))
-            traj = integrate(params, fn, FlowState(*start), horizon, config.step_h(), fp=fp,
-                             on_block=head.take)
-            report("fluid_steps", len(traj.t) - 1)
-            # Samples on the other side of the bdp from the one before: where
-            # the loss rate switches on or off.
-            above = traj.w > params.bdp
-            report("fluid_bdp_crossings", int(np.count_nonzero(above[1:] != above[:-1])))
+    if config.mode in FLUID_MODES:
+        traj = integrate(params, fn, FlowState(*start), horizon, config.step_h(), fp=fp)
+        report("fluid_steps", len(traj.t) - 1)
+        # Samples on the other side of the bdp from the one before: where
+        # the loss rate switches on or off.
+        above = traj.w > params.bdp
+        report("fluid_bdp_crossings", int(np.count_nonzero(above[1:] != above[:-1])))
 
-        if config.mode in ("fluid", "both"):
-            writers.append(("fluid_trace", "fluid_trace.csv", partial(traj.write_csv, head=head)))
-            mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
-            report("fluid_mean_w", mean)
-            report("fluid_mean_w_rel_fp", mean / fp.w_hat - 1.0)
+    if config.mode in ("fluid", "both"):
+        writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))
+        mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
+        report("fluid_mean_w", mean)
+        report("fluid_mean_w_rel_fp", mean / fp.w_hat - 1.0)
 
-        if config.mode in TRACE_MODES:
-            sim = run_simulation(params, fn, starts, config.seed, horizon,
-                                 sample_dt=config.sample_dt)
-            writers.append(("nhpl_events", "nhpl_events.csv", sim.write_events_csv))
-            writers.append(("nhpl_trace", "nhpl_trace.csv", sim.write_trace_csv))
-            tm, wm = sim.mean_trace()
-            mean = post_transient_mean(tm, wm, horizon, config.post_transient)
-            report("nhpl_mean_w", mean)
-            report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
-            report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
+    if config.mode in TRACE_MODES:
+        sim = run_simulation(params, fn, starts, config.seed, horizon,
+                             sample_dt=config.sample_dt)
+        writers.append(("nhpl_events", "nhpl_events.csv", sim.write_events_csv))
+        writers.append(("nhpl_trace", "nhpl_trace.csv", sim.write_trace_csv))
+        tm, wm = sim.mean_trace()
+        mean = post_transient_mean(tm, wm, horizon, config.post_transient)
+        report("nhpl_mean_w", mean)
+        report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
+        report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
 
-        if config.mode == "both":
-            report("nhpl_vs_fluid", metrics["nhpl_mean_w"] / metrics["fluid_mean_w"] - 1.0)
+    if config.mode == "both":
+        report("nhpl_vs_fluid", metrics["nhpl_mean_w"] / metrics["fluid_mean_w"] - 1.0)
 
-        if config.mode in ("stability", "convergence"):
-            report("lambda_min", cert.lambda_min)
+    if config.mode in ("stability", "convergence"):
+        report("lambda_min", cert.lambda_min)
 
-        if config.mode == "stability":
-            epsilon = 0.01 * fp.w_hat
-            delta = basin_delta(epsilon, cert)
-            report_lines = _stability_report(cert, epsilon, delta)
-            writers.append(("stability_report", "stability_report.txt",
-                            partial(write_lines, lines=report_lines)))
-            report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
+    if config.mode == "stability":
+        epsilon = 0.01 * fp.w_hat
+        delta = basin_delta(epsilon, cert)
+        report_lines = _stability_report(cert, epsilon, delta)
+        writers.append(("stability_report", "stability_report.txt",
+                        partial(write_lines, lines=report_lines)))
+        report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
-        if config.mode == "convergence":
-            diag = stability_trace(traj, cert)
-            writers.append(("convergence", "convergence.csv", partial(diag.write_csv, head=head)))
-            report("bound_fraction", float(np.mean(diag.bounded)))
-            report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
+    if config.mode == "convergence":
+        diag = stability_trace(traj, cert)
+        writers.append(("convergence", "convergence.csv", diag.write_csv))
+        report("bound_fraction", float(np.mean(diag.bounded)))
+        report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
 
-        writers.append(("summary", "summary.txt", partial(write_lines, lines=lines)))
-        artifacts = write_artifacts(out_dir, writers)
+    writers.append(("summary", "summary.txt", partial(write_lines, lines=lines)))
+    artifacts = write_artifacts(out_dir, writers)
     return ExperimentResult(config.mode, artifacts, metrics, summary="\n".join(lines))

@@ -26,8 +26,8 @@ takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
 scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
 history test are elementwise, so ``diagnostic_columns``, the one source of
-the CSV's rows, forms them for any range of samples, as forked writers do
-while the model integrates.  ``stability_trace`` forms its two verdicts in
+the CSV's rows, forms them for any range of samples, as each part of the
+CSV writer does.  ``stability_trace`` forms its two verdicts in
 one pass over blocks of samples, from the |x|, V and bound that table is
 built on, without its dV/dt; the history test of a block reaches back into
 the last delay of V before it.  Its working memory is one block plus one
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import CSVParts, write_rows
+from .artifacts import write_rows
 from .core import SystemParams
 from .dde import Trajectory, steps_per_delay
 from .fixedpoint import FixedPoint
@@ -267,10 +267,10 @@ class DiagnosticTrace:
     bounded: np.ndarray
     razumikhin_ok: np.ndarray
 
-    def write_csv(self, path, head: CSVParts | None = None) -> None:
-        """The CSV with header t,norm_x,V,Vdot,bound; rows [0, head.rows)
-        are the parts of ``head`` (see :func:`tcpfluid.artifacts.write_rows`)."""
-        write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns, head)
+    def write_csv(self, path) -> None:
+        """The CSV with header t,norm_x,V,Vdot,bound (see
+        :func:`tcpfluid.artifacts.write_rows`)."""
+        write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns)
 
 
 def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:

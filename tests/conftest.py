@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import pytest
 
@@ -16,7 +17,7 @@ def no_child_left():
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """Every ``integrate`` call runs the Python block loop, as on a host
+    """Every ``integrate`` call runs the Python step loop, as on a host
     where the compiled loop cannot be built."""
     monkeypatch.setattr(dde, "_kernel", lambda: None)
 
@@ -27,6 +28,16 @@ def forks(monkeypatch):
     made = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
+
+
+@pytest.fixture
+def temp_files(monkeypatch):
+    """The temporary files the CSV writers open while the test runs."""
+    made = []
+    make = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
     return made
 
 

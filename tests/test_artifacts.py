@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tcpfluid import artifacts
-from tcpfluid.artifacts import CSVParts, write_artifacts, write_csv, write_rows
+from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
 from oracles import awkward_columns, per_row_csv
 
@@ -118,17 +118,31 @@ def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.txt": "old a"}
 
 
-def test_write_rows_names_the_path_once(tmp_path):
-    # The rows a head holds belong to its own path: naming another file is
-    # an error, and neither file is written.
-    columns = [np.arange(10) / 7.0]
-    with CSVParts(tmp_path / "a.csv") as head:
-        with pytest.raises(ValueError, match="a.csv"):
-            write_rows(tmp_path / "b.csv", "t", 10, lambda lo, hi: [columns[0][lo:hi]], head)
-    assert os.listdir(tmp_path) == []
-    with CSVParts(str(tmp_path / "a.csv")) as head:
-        write_rows(tmp_path / "a.csv", "t", 10, lambda lo, hi: [columns[0][lo:hi]], head)
-    assert (tmp_path / "a.csv").read_text() == per_row_csv("t", columns)
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_write_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out_exists):
+    # While this process formats its own part of the forked trace, and then
+    # the summary, nothing named appears under --out but the files written,
+    # nor beside it when the run had to make it: the parts are files
+    # without a name, and every one is closed.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "out"
+    if out_exists:
+        out.mkdir()
+    parent, seen = os.getpid(), []
+    write = artifacts._write_rows
+
+    def watched(fh, columns, lo, hi):
+        if os.getpid() == parent:
+            seen.append((os.listdir(tmp_path), os.listdir(out)))
+        write(fh, columns, lo, hi)
+
+    monkeypatch.setattr(artifacts, "_write_rows", watched)
+    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
+               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
+    assert rc == 0 and forks and temp_files
+    assert seen == [(["out"], []), (["out"], ["fluid_trace.csv"])]
+    assert all(isinstance(tmp.name, int) and tmp.closed for tmp in temp_files)
+    assert sorted(os.listdir(out)) == ["fluid_trace.csv", "summary.txt"]
 
 
 def write_text(text):

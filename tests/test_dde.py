@@ -2,8 +2,6 @@ import errno
 import functools
 import math
 import os
-import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -270,125 +268,43 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
 
 
-def test_on_block_gets_the_returned_trajectory_with_its_final_rows(canonical_params,
-                                                                   canonical_fp):
-    # About 3.5 blocks of steps: a hook call after each whole block and one
-    # after the half block, each with the very object integrate returns, and
-    # the rows it calls final already hold their final bits.
-    params, fp = canonical_params, canonical_fp
-    h = params.tau / 64
-    n = 3 * artifacts._WRITE_CHUNK + artifacts._WRITE_CHUNK // 2
-    calls = []
-
-    def columns(traj):
-        return traj.t, traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w
-
-    def record(rows, traj):
-        calls.append((rows, traj, [col[:rows].copy() for col in columns(traj)]))
-
-    traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-3), n * h, h, fp=fp,
-                     on_block=record)
-    assert len(traj.t) == n + 1
-    blocks = [b * artifacts._WRITE_CHUNK + 1 for b in (1, 2, 3)]
-    assert [rows for rows, _, _ in calls] == [*blocks, n + 1]
-    for rows, seen, copies in calls:
-        assert seen is traj
-        for copy, col in zip(copies, columns(traj)):
-            assert copy.tobytes() == col[:rows].tobytes()
-
-
 @functools.lru_cache
-def streamed_artifacts(params, fp, start, rows):
-    """(columns_of, writer, oracle) for each CSV a trajectory of ``rows``
-    samples streams: the trajectory's own and the diagnostics'.  Each oracle
-    is written row by row from the whole columns of a run made without a
-    hook."""
+def seam_oracles(params, fp, start, rows):
+    """The trajectory and diagnostics CSVs of a run of ``rows`` samples,
+    written row by row from the whole columns, as lists of lines."""
     cert = certificate(fp, params)
     h = params.tau / 64
-    traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
-    return [
-        (lambda t: t.columns, lambda t, path, head: t.write_csv(path, head=head),
-         per_row_csv("t,w_max,s,w,p", (traj.t, *absolute_columns(traj)))),
-        (lambda t: diagnostic_columns(t, cert),
-         lambda t, path, head: stability_trace(t, cert).write_csv(path, head=head),
-         per_row_csv("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, cert)(0, rows))),
-    ]
-
-
-def stream(tmp_path, params, fp, start, rows, columns_of, write):
-    """Integrate ``rows`` samples while forked writers format them, then
-    write the CSV; the file's text and the forks made while integrating."""
-    h = params.tau / 64
-    path = tmp_path / "streamed.csv"
-    with artifacts.CSVParts(path, columns_of) as head:
-        traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp, on_block=head.take)
-        streamed = head.rows
-        write(traj, path, head)
-    assert len(traj.t) == rows
-    return path.read_text(), streamed
+    traj = integrate(params, CUBIC, start, (rows - 1.5) * h, h, fp=fp)  # rows samples
+    return [per_row_csv(header, columns).splitlines(keepends=True) for header, columns in [
+        ("t,w_max,s,w,p", (traj.t, *absolute_columns(traj))),
+        ("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, cert)(0, rows))]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_streamed_csvs_match_per_row_repr(tmp_path, monkeypatch, forks, cpus, canonical_params,
-                                          canonical_fp):
-    # Rows one short of a streamed part, exactly one, one past it, and a run
-    # whose parts and tail meet at block seams that are not part seams.
-    # Streamed parts form their diagnostics range by range, the oracle over
-    # the whole trajectory, so the seams must not move a bit.
+def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypatch, forks, cpus,
+                                                              canonical_params, canonical_fp):
+    # Rows one short of two parts, exactly two, and one row past three.
+    # Each part forms its diagnostics for its own range, the oracle over the
+    # whole trajectory, so the part seams must not move a bit.  Parts of
+    # four write chunks, each many delays long, keep the runs short.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(artifacts, "_MIN_PART_ROWS", 4 * artifacts._WRITE_CHUNK)
     params, fp = canonical_params, canonical_fp
+    cert = certificate(fp, params)
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     m = artifacts._MIN_PART_ROWS
-    for rows in (m - 1, m, m + 1, 2 * m + 701):
-        for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
-            forks.clear()
-            text, streamed = stream(tmp_path, params, fp, start, rows, columns_of, write)
-            assert text == oracle
-            if cpus == 1 or rows < m:
-                assert streamed == 0 and forks == []
-            else:
-                assert streamed >= m and streamed % artifacts._WRITE_CHUNK == 0 and forks
-
-
-def test_streamed_own_and_forked_parts_meet_in_order(tmp_path, monkeypatch, forks,
-                                                      canonical_params, canonical_fp):
-    # One part taken by hand, then a tail long enough for three ranges: the
-    # taken part, the parent's own range and two forked ranges, in order.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    params, fp = canonical_params, canonical_fp
-    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    m = artifacts._MIN_PART_ROWS
-    rows = m + 3 * m + 1
+    sizes = (2 * m - 1, 2 * m, 3 * m + 1)
+    oracles = seam_oracles(params, fp, start, max(sizes))
     h = params.tau / 64
-    traj = integrate(params, CUBIC, start, (rows - 1) * h, h, fp=fp)
-    path = tmp_path / "streamed.csv"
-    for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
-        forks.clear()
-        with artifacts.CSVParts(path, columns_of) as head:
-            head.take(m, traj)
-            assert head.rows == m and len(forks) == 1
-            write(traj, path, head)
-        assert path.read_text() == oracle
-        assert len(forks) == 1 + artifacts._part_count(rows - m) - 1 == 3
-
-
-def test_streaming_forks_nothing_beside_other_threads(tmp_path, monkeypatch, forks,
-                                                      canonical_params, canonical_fp):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    params, fp = canonical_params, canonical_fp
-    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    rows = 2 * artifacts._MIN_PART_ROWS + 701
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        for columns_of, write, oracle in streamed_artifacts(params, fp, start, rows):
-            text, streamed = stream(tmp_path, params, fp, start, rows, columns_of, write)
-            assert text == oracle and streamed == 0
-    finally:
-        done.set()
-        thread.join(timeout=10.0)
-    assert not thread.is_alive() and forks == []
+    path = tmp_path / "trace.csv"
+    for n in sizes:
+        traj = integrate(params, CUBIC, start, (n - 1.5) * h, h, fp=fp)
+        assert len(traj.t) == n
+        for write, oracle in zip((traj.write_csv, stability_trace(traj, cert).write_csv), oracles):
+            forks.clear()
+            write(path)
+            assert path.read_text() == "".join(oracle[: n + 1])
+            assert len(forks) == min(cpus, n // m) - 1
 
 
 class FailingCubic(WindowFunction):
@@ -414,49 +330,26 @@ class FailingCubic(WindowFunction):
         return failing
 
 
-@pytest.fixture
-def temp_files(monkeypatch):
-    """The temporary files the CSV writers open while the test runs."""
-    made = []
-    make = tempfile.TemporaryFile
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
-    return made
-
-
 CONVERGENCE_ARGS = ["convergence", "--capacity-pkts", "12500", "--delay-tau", "0.01",
                     "--init", "offset", "--init-offset-s", "1e-3", "--step", str(0.01 / 64)]
 
 
 def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeypatch, capfd,
                                                                 forks, temp_files):
-    # The window fails after about three streamed parts' worth of steps (a
-    # step evaluates the deficit five times): every streamed writer has been
-    # waited for, every temporary file closed, and no output made.
+    # The window fails mid-run (a step evaluates the deficit five times).
+    # The run ends before any file is written, so nothing is forked, no
+    # temporary file is opened and no output is made, although two CPUs
+    # would let the writers fork.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(experiment, "window_function",
-                        lambda name: FailingCubic(5 * 3 * artifacts._MIN_PART_ROWS))
+                        lambda name: FailingCubic(5 * 1000))
     out = tmp_path / "out"
     rc = main([*CONVERGENCE_ARGS, "--t-end", "10.0", "--out", str(out)])
     assert rc == 3
     err = capfd.readouterr().err
     assert err.startswith("numeric failure: w_max or window left") and len(err.splitlines()) == 1
-    assert forks and len(temp_files) == len(forks)
-    assert all(tmp.closed for tmp in temp_files)
+    assert forks == [] and temp_files == []
     assert os.listdir(tmp_path) == []
-
-
-def test_cli_reports_a_failed_streamed_writer(tmp_path, monkeypatch, capfd, forks,
-                                              failing_children):
-    # One streamed part, and a tail too short for a part of its own: the
-    # only writer that fails is the one forked while the integrator ran.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    out = tmp_path / "out"
-    t_end = repr((artifacts._MIN_PART_ROWS + 100) * 0.01 / 64)
-    rc = main([*CONVERGENCE_ARGS, "--t-end", t_end, "--out", str(out)])
-    assert rc == 2 and len(forks) == 1
-    err = capfd.readouterr().err
-    assert err == f"error: could not write {out / 'convergence.csv'}: 1 of 1 writers failed\n"
 
 
 def refuse_forks(monkeypatch):
@@ -476,10 +369,10 @@ def refuse_forks(monkeypatch):
     ([*CONVERGENCE_ARGS, "--t-end", "6.0"], "convergence.csv"),
 ])
 def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args, artifact):
-    # A fork refused for want of processes, no process started: after the
-    # run, for the 160,005-row simulator trace, or while the model
-    # integrates.  The file is named, and no output directory is left,
-    # although the simulator run wrote its event log before the trace.
+    # A fork refused for want of processes, no process started, for the
+    # 160,005-row simulator trace or the 38,401-row convergence table.  The
+    # file is named, and no output directory is left, although the
+    # simulator run wrote its event log before the trace.
     refuse_forks(monkeypatch)
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 2
@@ -512,30 +405,6 @@ def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capf
     assert os.listdir(tmp_path) == ["out"]
     assert {path.name: path.read_bytes() for path in existing.iterdir()} == before
     assert (existing / "notes.txt").read_text() == "kept\n"
-
-
-@pytest.mark.parametrize("out_exists", [False, True])
-def test_streamed_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out_exists):
-    # While the integrator runs, nothing appears under --out, nor beside it
-    # when --out does not exist yet: the parts are files without a name.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    out = tmp_path / "out"
-    if out_exists:
-        out.mkdir()
-    seen = []
-    take = artifacts.CSVParts.take
-
-    def watched(self, rows, traj):
-        take(self, rows, traj)
-        seen.append(sorted(os.listdir(tmp_path)) + (os.listdir(out) if out_exists else []))
-
-    monkeypatch.setattr(artifacts.CSVParts, "take", watched)
-    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
-               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
-    assert rc == 0 and forks and temp_files
-    assert seen and all(names == (["out"] if out_exists else []) for names in seen)
-    assert all(isinstance(tmp.name, int) and tmp.closed for tmp in temp_files)
-    assert sorted(os.listdir(out)) == ["fluid_trace.csv", "summary.txt"]
 
 
 def test_integrate_prepares_the_rhs_once(monkeypatch, python_loop, canonical_params,

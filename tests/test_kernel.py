@@ -1,4 +1,4 @@
-"""The compiled block loop of ``dde.integrate`` against the Python loop.
+"""The compiled step loop of ``dde.integrate`` against the Python loop.
 
 Reno and CUBIC runs take the loop in ``_rk4.c`` where it can be built; it
 must store every bit and raise every error the Python loop does.  Every
@@ -79,8 +79,8 @@ OFFSETS = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.3, -0.3]
 def test_kernel_matches_the_python_loop(capacity, tau, b, c, window_fn, k, about_fp, dw, ds,
                                         steps):
     # Starts on the fixed point and at offsets of both signs in w_max and
-    # s, far ones among them (which leave the domain), over up to two
-    # block seams.
+    # s, far ones among them (which leave the domain), over up to 2118
+    # steps.
     params = SystemParams(capacity, tau, b, c)
     try:
         fp = fixed_point(params, window_fn)
@@ -146,11 +146,8 @@ def test_kernel_refuses_columns_and_steps_it_cannot_write(canonical_params, cano
     if kernel is None:
         pytest.skip("no C compiler to build the kernel with; CI requires it")
     params, fp = canonical_params, canonical_fp
+    # A column shorter than t would take steps past its end.
     traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat), 0.1, params.tau / 16, fp=fp)
-    steps = kernel(traj, True, 16, 0.0)
-    for first, last in [(-1, 4), (5, 4), (0, len(traj.t))]:
-        with pytest.raises(ValueError, match="out of 161 samples"):
-            steps(first, last)
     for column in (traj.w[::-1], traj.w.astype(np.float32), traj.w[1:]):
         traj.w = column
         with pytest.raises(ValueError, match="contiguous float64 columns of one length"):
