@@ -6,9 +6,8 @@ float value within a chunk once.  It cuts the rows into one range per CPU,
 formats the first in the parent and forks a child for each other, waits for
 every child, and only then opens the file and appends every part in order,
 so the bytes are the same for any CPU count.  Parts are anonymous temporary
-files in the nearest existing directory of the output file, so nothing
-appears under the output directory before ``write_artifacts``, the one
-writer of a run's files, places them there.
+files in the output file's own directory, so nothing named appears there
+but the files ``write_artifacts``, the one writer of a run's files, places.
 """
 
 from __future__ import annotations
@@ -54,61 +53,40 @@ def _chunk_cells(chunk: np.ndarray):
     return map(repr, chunk.tolist())
 
 
-def _write_rows(fh, columns, lo: int, hi: int) -> None:
-    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`),
-    formed and written one write chunk at a time, every number by ``repr``
-    and every str of an object column as it is.
+def _write_rows(tmp, columns, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`) as
+    text over the file ``tmp``, formed and written one write chunk at a
+    time, every number by ``repr`` and every str of an object column as it
+    is.
 
     ``.tolist()`` hands repr Python floats and ints, so a float round-trips
     its exact binary value and an integer column prints as integers.
     """
-    for a in range(lo, hi, _WRITE_CHUNK):
-        cells = [_chunk_cells(col) for col in columns(a, min(a + _WRITE_CHUNK, hi))]
-        fh.write("\n".join(map(",".join, zip(*cells))))
-        fh.write("\n")  # not appended to the chunk, which would copy it
-
-
-def _cpus() -> int:
-    """CPUs a file's writers may use: those this process may run on; one
-    where the platform cannot fork, or where the process runs other threads,
-    one of which may hold a lock a forked child needs."""
-    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sendfile")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
+    with open(tmp.fileno(), "w", newline="", closefd=False) as fh:
+        for a in range(lo, hi, _WRITE_CHUNK):
+            cells = [_chunk_cells(col) for col in columns(a, min(a + _WRITE_CHUNK, hi))]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")  # not appended to the chunk, which would copy it
 
 
 def _part_count(rows: int) -> int:
-    """Processes to format ``rows`` rows: one per CPU (see :func:`_cpus`),
-    at most one per ``_MIN_PART_ROWS`` rows."""
-    return max(1, min(_cpus(), rows // _MIN_PART_ROWS))
+    """Processes to format ``rows`` rows: one per CPU this process may run
+    on, at most one per ``_MIN_PART_ROWS`` rows; one where the platform
+    cannot fork, or where the process runs other threads, one of which may
+    hold a lock a forked child needs."""
+    if threading.active_count() > 1 or not all(
+            hasattr(os, name) for name in ("fork", "sched_getaffinity", "sendfile")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_PART_ROWS))
 
 
-def _existing_dir(folder) -> tuple[str, list[str]]:
-    """The nearest directory at or above ``folder`` that exists, and the
-    directories below it down to ``folder``, outermost first, that do not."""
-    missing = []
-    folder = os.path.abspath(folder)
-    while not os.path.isdir(folder):
-        missing.insert(0, folder)
-        folder = os.path.dirname(folder)
-    return folder, missing
-
-
-def _write_text(tmp, write) -> None:
-    """Call ``write(out)`` with a text file ``out`` over the file ``tmp``."""
-    with open(tmp.fileno(), "w", newline="", closefd=False) as out:
-        write(out)
-
-
-def _run_child(tmp, write) -> None:
-    """In a forked child: ``write`` a text file over ``tmp``, then exit.
+def _run_child(tmp, columns, lo: int, hi: int) -> None:
+    """In a forked child: write rows [lo, hi) over ``tmp``, then exit.
     The parent's buffers are never flushed, since ``os._exit`` skips every
     finaliser; any failure shows as a nonzero exit status."""
     status = 1
     try:
-        _write_text(tmp, write)
+        _write_rows(tmp, columns, lo, hi)
         status = 0
     finally:
         os._exit(status)
@@ -132,18 +110,18 @@ def write_rows(path, header: str, rows: int, columns) -> None:
     rows are cut into contiguous ranges of whole write chunks, one per CPU
     (see :func:`_part_count`), each a part: the first formatted here, each
     other by a forked child.  Each part is an anonymous temporary file in
-    the nearest existing directory of ``path`` (the room the file needs
-    anyway; the directory of ``path`` need not exist yet).  Then the file
-    is opened and every part appended in order, so the bytes are the same
-    for any number of parts.  Raises ``OSError`` naming ``path`` when a
-    part or the file could not be written; a failure leaves no file.
+    the directory of ``path``, the room the file needs anyway, so a missing
+    directory fails before any row is formatted.  Then the file is opened
+    and every part appended in order, so the bytes are the same for any
+    number of parts.  Raises ``OSError`` naming ``path`` when a part or the
+    file could not be written; a failure leaves no file.
     Every child is waited for and every temporary file closed, whatever
     happened.
     """
     parts = _part_count(rows)
     chunks = -(-rows // _WRITE_CHUNK)
     bounds = [chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
-    folder = _existing_dir(os.path.dirname(path))[0]
+    folder = os.path.dirname(path) or os.curdir
     tmps, pids = [], []
     try:
         for lo, hi in zip(bounds, bounds[1:]):
@@ -151,9 +129,9 @@ def write_rows(path, header: str, rows: int, columns) -> None:
             if len(tmps) > 1:  # every part after this process's own is a child's
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(tmps[-1], partial(_write_rows, columns=columns, lo=lo, hi=hi))
+                    _run_child(tmps[-1], columns, lo, hi)
                 pids.append(pid)
-        _write_text(tmps[0], partial(_write_rows, columns=columns, lo=0, hi=bounds[1]))
+        _write_rows(tmps[0], columns, 0, bounds[1])
         failed = _wait(pids)
         if failed:
             raise OSError(f"{failed} of {parts - 1} writers failed")
@@ -213,7 +191,11 @@ def write_artifacts(out_dir: str, writers) -> dict[str, str]:
     aside goes back; on success the files moved aside are dropped.  So a
     failed run leaves what was there before it.
     """
-    undo = [(os.rmdir, folder) for folder in _existing_dir(out_dir)[1]]
+    undo = []
+    folder = os.path.abspath(out_dir)
+    while not os.path.isdir(folder):  # each directory makedirs makes, outermost first
+        undo.insert(0, (os.rmdir, folder))
+        folder = os.path.dirname(folder)
     os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, str] = {}
     asides = []

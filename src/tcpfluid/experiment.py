@@ -22,7 +22,7 @@ from .artifacts import write_artifacts, write_lines
 from .core import FlowState, SystemParams, check_start
 from .dde import integrate, step_grid, steps_per_delay
 from .fixedpoint import FixedPoint, cubic_fixed_point, reno_steady_state
-from .nhpl import RngStream, run_simulation, sample_count
+from .nhpl import RngStream, losses_before_indication, run_simulation, sample_count
 from .protocols import window_function
 from .stability import (RAZUMIKHIN_P, Certificate, basin_delta, certificate, lyapunov_V,
                         stability_trace)
@@ -307,7 +307,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     First a ConfigError rejects what needs the fixed point: an offset start
     outside the domain, a V(0) that is 0 or not finite in convergence mode,
     and a simulation whose expected losses times flows are over the budget
-    at equilibrium or in the start's first delay.  Every check and
+    at equilibrium or before its first indication.  Every check and
     computation runs before out_dir is made, and a failed write leaves what
     was there before the run (see :func:`tcpfluid.artifacts.write_artifacts`).
     """
@@ -338,15 +338,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
                               f"s_hat = {fp.s_hat!r} s each: expected losses x flows is "
                               f"over {WORK_BUDGET}")
-        # No indication lands before tau, so no window falls on [0, tau]: the
-        # start's excess over N C tau, scaled by the share of tau the run
-        # covers, bounds the expected losses from below.
+        # Until the first indication every window only grows, so the losses
+        # before it are work the equilibrium count does not see.
         starts = config.initial_conditions(fp)
-        excess = sum(fn.window(FlowState(*st), params) for st in starts) - params.flows * params.bdp
-        if not excess * min(horizon, params.tau) * config.flows <= WORK_BUDGET * params.tau:
-            raise ConfigError(f"the start's windows exceed the bandwidth-delay products by "
-                              f"{excess!r} packets: losses in the first delay x "
-                              f"{config.flows} flows is over {WORK_BUDGET}")
+        losses = losses_before_indication(params, fn, starts, horizon)
+        if not losses * config.flows <= WORK_BUDGET:
+            raise ConfigError(f"the start's windows give {losses!r} expected losses before "
+                              f"the first indication: x {config.flows} flows is over "
+                              f"{WORK_BUDGET}")
     writers = []  # (artifact name, file name, writer taking the path)
     metrics: dict[str, float] = {}
     lines = [f"mode: {config.mode}", f"algorithm: {config.algorithm}",

@@ -174,6 +174,25 @@ def t_bdp(excess: tuple[float, float, float, float], horizon: float) -> float | 
     return solve_increasing((*excess, 0.0), 0.0, horizon, min(guess, horizon))
 
 
+def _integral_from_crossing(excess, horizon: float):
+    """(x0, q1, q2, q3, q4): the first offset x0 in [0, horizon] where the
+    cubic excess reaches 0 (see :func:`t_bdp`), and the coefficients of the
+    integral of the excess from x0, a quartic in the offset from x0 with no
+    constant term; None when the excess stays negative.  Flat, since every
+    candidate loss unpacks it."""
+    start = t_bdp(excess, horizon)
+    if start is None:
+        return None
+    e0, e1, e2, e3 = excess
+    if start > 0.0:
+        # Taylor shift of E to its root: the new constant term is ~0.
+        x = start
+        e0 = max(_horner(excess, x), 0.0)
+        e1 = e1 + x * (2.0 * e2 + 3.0 * e3 * x)
+        e2 = e2 + 3.0 * e3 * x
+    return start, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3
+
+
 def compute_T(state: SimState, t0: float) -> float | None:
     """Absolute time of the next candidate loss after t0, or None within the
     lookahead.
@@ -188,23 +207,17 @@ def compute_T(state: SimState, t0: float) -> float | None:
     convex, so Newton approaches the root from above.  None means the
     integral over the lookahead falls short of -ln(u).
     """
-    e0, e1, e2, e3 = excess = excess_poly(state, t0)
-    start = t_bdp(excess, state.lookahead)
-    if start is None:
+    crossing = _integral_from_crossing(excess_poly(state, t0), state.lookahead)
+    if crossing is None:
         return None
+    start, q1, q2, q3, q4 = crossing
     horizon = state.lookahead - start
-    if start > 0.0:
-        # Taylor shift of E to its root: the new constant term is ~0.
-        x = start
-        e0 = max(_horner(excess, x), 0.0)
-        e1 = e1 + x * (2.0 * e2 + 3.0 * e3 * x)
-        e2 = e2 + 3.0 * e3 * x
     u = state.rng.uniform()
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
     # tau * integral of E from the start minus tau * (-ln u), as a quartic.
     target = -math.log(u) * state.params.tau
-    quartic = (-target, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3)
+    quartic = (-target, q1, q2, q3, q4)
     if _horner(quartic, horizon) < 0.0:
         return None
     # Each positive term alone would reach the target no later than the true
@@ -214,6 +227,24 @@ def compute_T(state: SimState, t0: float) -> float | None:
         if coeff > 0.0:
             guess = min(guess, (target / coeff) ** (1.0 / k))
     return t0 + start + solve_increasing(quartic, 0.0, horizon, guess)
+
+
+def losses_before_indication(params: SystemParams, window_fn: WindowFunction,
+                             init: Sequence[tuple[float, float]], t_end: float) -> float:
+    """Expected losses of a run from ``init`` (see :class:`SimState`) up to
+    t_end before any indication can land, drawing no random number.
+
+    The first loss comes no earlier than the start epochs' bdp crossing and
+    its indication a delay later, so until then every flow holds its start
+    epoch: the count is the integral of their excess over [t_cross,
+    min(t_end, t_cross + tau)], over tau, the quartic ``compute_T`` inverts.
+    """
+    state = SimState(params, window_fn, init, None, t_end)
+    crossing = _integral_from_crossing(excess_poly(state, 0.0), t_end)
+    if crossing is None:
+        return 0.0
+    start, q1, q2, q3, q4 = crossing
+    return _horner((0.0, q1, q2, q3, q4), min(t_end - start, params.tau)) / params.tau
 
 
 def pick_losing_flow(windows_at_loss: Sequence[float], u: float) -> int:

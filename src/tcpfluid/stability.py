@@ -25,13 +25,12 @@ takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
 ``power`` may differ from ``math`` in the last ulp, so against a per-sample
 scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
-history test are elementwise, so ``diagnostic_columns``, the one source of
-the CSV's rows, forms them for any range of samples, as each part of the
-CSV writer does.  ``stability_trace`` forms its two verdicts in
-one pass over blocks of samples, from the |x|, V and bound that table is
-built on, without its dV/dt; the history test of a block reaches back into
-the last delay of V before it.  Its working memory is one block plus one
-delay of samples, and only the verdicts are kept whole.
+history test are elementwise, so they are formed for any range of samples,
+as each part of the CSV writer asks.  ``stability_trace`` forms its two
+verdicts in one pass over blocks of samples, from the |x|, V and bound of
+the CSV's table, without its dV/dt; the history test of a block reaches
+back into the last delay of V before it.  Its working memory is one block
+plus one delay of samples, and only the verdicts are kept whole.
 """
 
 from __future__ import annotations
@@ -223,11 +222,11 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
 
 def _verdict_columns(traj: Trajectory, cert: Certificate):
     """A function giving the columns t, |x|, V and the decay bound of samples
-    [lo, hi) of ``traj``: the table :func:`diagnostic_columns` without
-    dV/dt.  Each is elementwise in the samples, the bound given V(0), so a
-    range's columns are the same bits as that range of the whole
-    trajectory's.  Raises ``ValueError`` unless ``traj`` was integrated
-    about ``cert.fp`` (see the module docstring)."""
+    [lo, hi) of ``traj``: the convergence CSV's table without dV/dt.  Each
+    is elementwise in the samples, the bound given V(0), so a range's
+    columns are the same bits as that range of the whole trajectory's.
+    Raises ``ValueError`` unless ``traj`` was integrated about ``cert.fp``
+    (see the module docstring)."""
     if traj.ref != (cert.fp.w_hat, cert.fp.s_hat):
         raise ValueError(f"the trajectory is integrated about {tuple(traj.ref)}, not about "
                          f"the certificate's fixed point {(cert.fp.w_hat, cert.fp.s_hat)}")
@@ -240,27 +239,13 @@ def _verdict_columns(traj: Trajectory, cert: Certificate):
     return columns
 
 
-def diagnostic_columns(traj: Trajectory, cert: Certificate):
-    """The convergence CSV's table of ``traj``, integrated about ``cert.fp``
-    (see :func:`tcpfluid.artifacts.write_rows`): a function giving the
-    columns t, |x|, V, dV/dt and the decay bound of samples [lo, hi), the
-    verdicts' columns with dV/dt among them."""
-    verdict_columns = _verdict_columns(traj, cert)
-
-    def columns(lo: int, hi: int):
-        t, norm, v, bound = verdict_columns(lo, hi)
-        vdot = vdot_along(traj.x1[lo:hi], traj.x2[lo:hi], traj.dx1[lo:hi], traj.dx2[lo:hi],
-                          cert)
-        return t, norm, v, vdot, bound
-
-    return columns
-
-
 @dataclass
 class DiagnosticTrace:
-    """Stability diagnostics of one trajectory: its grid ``t``, the
-    :func:`diagnostic_columns` table ``columns`` its CSV is written from, and
-    per sample ``bounded`` (|x|^4 within the decay bound) and ``razumikhin_ok``."""
+    """Stability diagnostics of one trajectory: its grid ``t``, the table
+    ``columns`` its CSV is written from (a function giving the columns t,
+    |x|, V, dV/dt and the decay bound of samples [lo, hi); see
+    :func:`tcpfluid.artifacts.write_rows`), and per sample ``bounded``
+    (|x|^4 within the decay bound) and ``razumikhin_ok``."""
 
     t: np.ndarray
     columns: Callable[[int, int], tuple[np.ndarray, ...]]
@@ -278,13 +263,12 @@ def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
     verdicts formed in one pass.
 
     Blocks of max(_TRACE_BLOCK, k + 1) samples, k the steps per delay, read
-    |x|, V and the bound that :func:`diagnostic_columns` is built on, so
-    with its bits, and never its dV/dt.  A block's Razumikhin windows reach
-    back into the last k values of V before it; the first block has none,
-    and the mask pads it with V(0) as on the whole trajectory.  Max is
-    exact, so the verdicts are those of the whole columns, while the working
-    memory is one block plus one delay.  A block of at least k + 1 samples
-    keeps the pass O(n log k)."""
+    |x|, V and the bound of the CSV's table, so with its bits, and never its
+    dV/dt.  A block's Razumikhin windows reach back into the last k values
+    of V before it; the first block has none, and the mask pads it with V(0)
+    as on the whole trajectory.  Max is exact, so the verdicts are those of
+    the whole columns, while the working memory is one block plus one
+    delay.  A block of at least k + 1 samples keeps the pass O(n log k)."""
     verdict_columns = _verdict_columns(traj, cert)
     n = len(traj.t)
     k = steps_per_delay(traj.params.tau, traj.step)
@@ -299,4 +283,11 @@ def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
         mask = razumikhin_mask(np.concatenate((carry, v)), k)
         razumikhin_ok[lo:hi] = mask[len(carry):]
         carry = v[-k:]
-    return DiagnosticTrace(traj.t, diagnostic_columns(traj, cert), bounded, razumikhin_ok)
+
+    def columns(lo: int, hi: int):
+        t, norm, v, bound = verdict_columns(lo, hi)
+        vdot = vdot_along(traj.x1[lo:hi], traj.x2[lo:hi], traj.dx1[lo:hi], traj.dx2[lo:hi],
+                          cert)
+        return t, norm, v, vdot, bound
+
+    return DiagnosticTrace(traj.t, columns, bounded, razumikhin_ok)

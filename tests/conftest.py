@@ -47,10 +47,10 @@ def failing_children(monkeypatch):
     parent = os.getpid()
     write = artifacts._write_rows
 
-    def failing(fh, columns, lo, hi):
+    def failing(tmp, columns, lo, hi):
         if os.getpid() != parent:
             raise RuntimeError("child writer failed")
-        write(fh, columns, lo, hi)
+        write(tmp, columns, lo, hi)
 
     monkeypatch.setattr(artifacts, "_write_rows", failing)
 

@@ -11,9 +11,10 @@ the simulator's trace, the absolute-coordinate RK4 loop against the
 integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
 right-hand side, and the two-pass route to a candidate loss against the
-sampler's single pass.  ``per_row_csv`` writes a CSV one row at a time, and
-``awkward_columns`` gives it and the package's writer columns that take
-every path of that writer.
+sampler's single pass.  ``per_row_csv`` writes a CSV one row at a time,
+``assert_same_text`` compares a written CSV with it, and ``awkward_columns``
+gives it and the package's writer columns that take every path of that
+writer.
 """
 
 import math
@@ -178,6 +179,18 @@ def per_row_csv(header: str, columns) -> str:
         lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
                               for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing with the two line counts and the first line
+    that differs, not with pytest's diff of the whole texts, which takes
+    minutes for a CSV of thousands of lines."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    raise AssertionError(f"{len(a)} lines, expected {len(b)}; "
+                         f"line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
 
 
 def awkward_columns(n: int):

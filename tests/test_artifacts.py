@@ -9,7 +9,7 @@ import pytest
 from tcpfluid import artifacts
 from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
-from oracles import awkward_columns, per_row_csv
+from oracles import assert_same_text, awkward_columns, per_row_csv
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -27,7 +27,7 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeyp
     for n in sizes:
         forks.clear()
         write_csv(path, "kind,a,b,c,d,e,f,flow", [col[:n] for col in full])
-        assert path.read_text() == "".join(oracle[: n + 1])
+        assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
         assert len(forks) == min(cpus, n // m) - 1
 
 
@@ -44,7 +44,7 @@ def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, for
         done.set()
         thread.join(timeout=10.0)
     assert not thread.is_alive() and forks == []
-    assert path.read_text() == per_row_csv("t", columns)
+    assert_same_text(path.read_text(), per_row_csv("t", columns))
 
 
 
@@ -92,7 +92,7 @@ def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkey
 def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
     # The part this process formats fails: the error names the file once,
     # and no file is written.
-    def full(fh, columns, lo, hi):
+    def full(tmp, columns, lo, hi):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(artifacts, "_write_rows", full)
@@ -101,6 +101,23 @@ def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
         write_csv(path, "t", [np.arange(10) / 7.0])
     assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
     assert os.listdir(tmp_path) == []
+
+
+def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monkeypatch, forks):
+    # Parts are made beside the file, so a missing directory fails at the
+    # first part: one error naming the file, nothing forked or formatted,
+    # and nothing left behind.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def formatted(*args, **kwargs):
+        raise AssertionError("a row was formatted")
+
+    monkeypatch.setattr(artifacts, "_write_rows", formatted)
+    path = tmp_path / "missing" / "t.csv"
+    with pytest.raises(OSError) as info:
+        write_csv(path, "t", [np.arange(2 * artifacts._MIN_PART_ROWS) / 7.0])
+    assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
+    assert forks == [] and os.listdir(tmp_path) == []
 
 
 def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
@@ -131,10 +148,10 @@ def test_write_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out
     parent, seen = os.getpid(), []
     write = artifacts._write_rows
 
-    def watched(fh, columns, lo, hi):
+    def watched(tmp, columns, lo, hi):
         if os.getpid() == parent:
             seen.append((os.listdir(tmp_path), os.listdir(out)))
-        write(fh, columns, lo, hi)
+        write(tmp, columns, lo, hi)
 
     monkeypatch.setattr(artifacts, "_write_rows", watched)
     rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",

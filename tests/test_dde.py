@@ -27,8 +27,8 @@ from tcpfluid.cli import main
 from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
 from tcpfluid.protocols import FROZEN
-from tcpfluid.stability import diagnostic_columns
-from oracles import absolute_integrate, awkward_columns, convergence_order_check, per_row_csv
+from oracles import (absolute_integrate, assert_same_text, awkward_columns, convergence_order_check,
+                     per_row_csv)
 from scalar_reno import integrate_scalar_reno
 
 
@@ -249,22 +249,23 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
     columns = (traj.t, *absolute_columns(traj))
-    assert path.read_text() == per_row_csv("t,w_max,s,w,p", columns)
+    assert_same_text(path.read_text(), per_row_csv("t,w_max,s,w,p", columns))
     diag.write_csv(path)
     columns = diag.columns(0, len(diag.t))
-    assert path.read_text() == per_row_csv("t,norm_x,V,Vdot,bound", columns)
+    assert_same_text(path.read_text(), per_row_csv("t,norm_x,V,Vdot,bound", columns))
     sim.write_trace_csv(path)
     columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
-    assert path.read_text() == per_row_csv("t,flow,w", columns)
+    assert_same_text(path.read_text(), per_row_csv("t,flow,w", columns))
     sim.write_events_csv(path)
     rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
             for ev in sim.events]
-    assert path.read_text() == "".join(["event_type,time,flow,window_before,window_after\n", *rows])
+    assert_same_text(path.read_text(),
+                     "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
     # Columns that repeat most of their values take the formatted-once
     # path, chunk by chunk; every other column is formatted value by value.
     columns = awkward_columns(3 * 4096 + 100)
     write_csv(path, "kind,a,b,c,d,e,f,flow", columns)
-    assert path.read_text() == per_row_csv("kind,a,b,c,d,e,f,flow", columns)
+    assert_same_text(path.read_text(), per_row_csv("kind,a,b,c,d,e,f,flow", columns))
     assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
 
 
@@ -277,7 +278,7 @@ def seam_oracles(params, fp, start, rows):
     traj = integrate(params, CUBIC, start, (rows - 1.5) * h, h, fp=fp)  # rows samples
     return [per_row_csv(header, columns).splitlines(keepends=True) for header, columns in [
         ("t,w_max,s,w,p", (traj.t, *absolute_columns(traj))),
-        ("t,norm_x,V,Vdot,bound", diagnostic_columns(traj, cert)(0, rows))]]
+        ("t,norm_x,V,Vdot,bound", stability_trace(traj, cert).columns(0, rows))]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -303,7 +304,7 @@ def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypa
         for write, oracle in zip((traj.write_csv, stability_trace(traj, cert).write_csv), oracles):
             forks.clear()
             write(path)
-            assert path.read_text() == "".join(oracle[: n + 1])
+            assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
             assert len(forks) == min(cpus, n // m) - 1
 
 

@@ -643,6 +643,9 @@ def test_cli_numeric_failure_out_of_float_range(tmp_path, capsys, argv):
         # About 5e8 losses in the first delay, before any indication lands.
         ["nhpl", "--algorithm", "reno", "--init", "explicit", "--init-w-max", "1e9",
          "--init-s", "0", "--t-end", "1"],
+        # From the CUBIC fixed point (bdp 1, w_hat 212.2) the windows grow as
+        # c t^3 through the first delay: about 0.1 tau^3 = 1e8 losses.
+        ["nhpl", "--capacity-pkts", "1e-3", "--delay-tau", "1000", "--t-end", "1000"],
         # One trace sample of 10^7 rows and about 5.8e5 losses, but each loss
         # costs work in all 10^7 flows.
         ["nhpl", "--flows", "9999999", "--t-end", "0.1", "--sample-dt", "1",

@@ -20,7 +20,7 @@ from tcpfluid import (
 from tcpfluid.nhpl import (SimState, compute_T, excess_poly, generate_poi_loss,
                            pick_losing_flow, t_bdp)
 from tcpfluid.protocols import FROZEN
-from oracles import inter_loss_times, scalar_render_trace, two_pass_candidate
+from oracles import assert_same_text, inter_loss_times, scalar_render_trace, two_pass_candidate
 
 
 class FakeRng:
@@ -304,6 +304,28 @@ def test_compute_t_draws_nothing_without_a_crossing():
     for state in (frozen, reno):
         assert compute_T(state, 0.0) is None
         assert state.rng.consumed == 0
+
+
+@pytest.mark.parametrize(
+    "init, t_end, expected",
+    [
+        # Windows 20.5 and 15 over a bdp of 2 x 10: the excess E0 + 2 t / tau
+        # starts at 15.5, and no indication lands before tau.
+        ([(40.0, 0.05), (30.0, 0.0)], 0.04, (15.5 * 0.04 + 0.04**2 / 0.1) / 0.1),
+        ([(40.0, 0.05), (30.0, 0.0)], 5.0, (15.5 * 0.1 + 0.1**2 / 0.1) / 0.1),
+        # Windows 5 and 5 cross the bdp at t = 0.5, and the count runs a
+        # delay from there, or to t_end.
+        ([(10.0, 0.0), (10.0, 0.0)], 5.0, 0.1**2 / 0.1 / 0.1),
+        ([(10.0, 0.0), (10.0, 0.0)], 0.55, 0.05**2 / 0.1 / 0.1),
+        ([(10.0, 0.0), (10.0, 0.0)], 0.4, 0.0),
+    ],
+)
+def test_losses_before_indication_match_reno_closed_form(init, t_end, expected):
+    # Reno's excess is linear, E(t) = E0 + N t / tau, so the count is
+    # (E0 T + N T^2 / (2 tau)) / tau over the T after the bdp crossing.
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2)
+    count = nhpl.losses_before_indication(params, RENO, init, t_end)
+    assert count == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_one_coefficient_sum_per_candidate(monkeypatch):
@@ -661,4 +683,5 @@ def test_event_log_is_written_a_chunk_at_a_time(tmp_path):
     assert peak < 8 * 5 * len(sim.events) / 2
     rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
             for ev in sim.events]
-    assert path.read_text() == "".join(["event_type,time,flow,window_before,window_after\n", *rows])
+    assert_same_text(path.read_text(),
+                     "".join(["event_type,time,flow,window_before,window_after\n", *rows]))

@@ -32,8 +32,8 @@ from tcpfluid import (
     stability_trace,
 )
 from tcpfluid.core import rhs_about
-from tcpfluid.stability import (_TRACE_BLOCK, BOUND_RTOL, RAZUMIKHIN_P, diagnostic_columns,
-                                expansion_coeffs, razumikhin_mask, vdot_along)
+from tcpfluid.stability import (_TRACE_BLOCK, BOUND_RTOL, RAZUMIKHIN_P, expansion_coeffs,
+                                razumikhin_mask, vdot_along)
 
 # Frozen from the canonical system (C=12500 pkt/s, tau=10 ms): the largest
 # initial radius the certificate guarantees for a 1% window excursion, and
@@ -230,8 +230,6 @@ def test_diagnostics_reject_a_trajectory_not_integrated_about_the_fixed_point(ca
     for bad in (traj, other):
         with pytest.raises(ValueError, match="certificate's fixed point"):
             stability_trace(bad, cert)
-        with pytest.raises(ValueError, match="certificate's fixed point"):
-            diagnostic_columns(bad, cert)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 63, 64, 65, 499, 500, 1000])
@@ -301,7 +299,7 @@ def test_stability_trace_verdicts_match_whole_columns(canonical_params, canonica
     traj = swinging_trajectory(canonical_params, canonical_fp, k, n, seed=k + n)
     cert = certificate(canonical_fp, canonical_params)
     tr = stability_trace(traj, cert)
-    _, norm_x, v, _, bound = diagnostic_columns(traj, cert)(0, n)
+    _, norm_x, v, _, bound = tr.columns(0, n)
     assert np.array_equal(tr.bounded, norm_x**4 <= bound * (1.0 + BOUND_RTOL))
     assert np.array_equal(tr.razumikhin_ok, razumikhin_mask(v, k))
     if n > k:
