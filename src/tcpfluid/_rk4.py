@@ -64,7 +64,7 @@ def load(cache: str):
                           ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double)]
 
     def kernel(traj: Trajectory, cubic: bool, k: int, r_start: float) -> None:
-        p, h, rows = traj.params, traj.step, len(traj.t)
+        p, h, rows = traj.params, traj.step, len(traj.x1)
         columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
         if not all(col.dtype == np.float64 and col.flags.c_contiguous and len(col) == rows
                    for col in columns):

@@ -182,8 +182,8 @@ def _set_aside(path) -> str | None:
 
 
 def write_artifacts(out_dir: str, writers) -> dict[str, str]:
-    """Write each (artifact name, file name, writer of the path) into
-    ``out_dir``, made if missing; the paths by name.
+    """Write each (file name, writer of the path) into ``out_dir``, made if
+    missing; the paths by artifact name, the file name's stem.
 
     A regular file already there under one of the run's names is moved
     aside just before its own file is written.  On a failure every file the
@@ -200,8 +200,8 @@ def write_artifacts(out_dir: str, writers) -> dict[str, str]:
     artifacts: dict[str, str] = {}
     asides = []
     try:
-        for name, filename, write in writers:
-            path = artifacts[name] = os.path.join(out_dir, filename)
+        for filename, write in writers:
+            path = artifacts[os.path.splitext(filename)[0]] = os.path.join(out_dir, filename)
             aside = _set_aside(path)
             if aside is None:
                 undo.append((os.remove, path))

@@ -20,8 +20,8 @@ point (the CUBIC K_ref among it) is computed once for each of the two
 closures, never per step; each sample's window and derivative are stored
 with it, so a sample is evaluated once.  The run's one ``Trajectory``,
 allocated before the first step, holds only these integrated columns; its
-CSV, written through :mod:`tcpfluid.artifacts`, forms the absolute w_max
-and s and the loss probability p from them.
+CSV, written through :mod:`tcpfluid.artifacts`, forms the times from the
+step and the absolute w_max, s and loss probability p from the columns.
 
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
@@ -86,14 +86,13 @@ def hermite_midpoint(y, dy, j: int, h: float) -> float:
 class Trajectory:
     """Uniformly sampled solution: what the integrator computes, once.
 
-    t is the grid of step ``step``; x1, x2 are the integrator's state, the
-    deviation from ``ref``, dx1, dx2 its derivatives and w its window at
-    each sample, for the system ``params``.  The absolute state is w_max =
-    ref.w_max + x1 and s = ref.s + x2, and the loss probability is
+    x1, x2 are the integrator's state, the deviation from ``ref``, dx1, dx2
+    its derivatives and w its window at each sample i, at time i * ``step``
+    (see :meth:`times`), for the system ``params``.  The absolute state is
+    w_max = ref.w_max + x1 and s = ref.s + x2, and the loss probability is
     loss_probability(w, params); ``write_csv`` forms them for its columns.
     """
 
-    t: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     dx1: np.ndarray
@@ -103,16 +102,25 @@ class Trajectory:
     step: float
     params: SystemParams
 
+    @property
+    def t(self) -> np.ndarray:
+        """The time of every sample."""
+        return self.times(0, len(self.x1))
+
+    def times(self, lo: int, hi: int) -> np.ndarray:
+        """The times float(i) * step of samples i in [lo, hi)."""
+        return np.arange(lo, hi) * self.step
+
     def columns(self, lo: int, hi: int):
         """The CSV columns t, w_max, s, w, p of samples [lo, hi)."""
         w = self.w[lo:hi]
-        return (self.t[lo:hi], self.ref.w_max + self.x1[lo:hi], self.ref.s + self.x2[lo:hi], w,
-                loss_probability(w, self.params))
+        return (self.times(lo, hi), self.ref.w_max + self.x1[lo:hi], self.ref.s + self.x2[lo:hi],
+                w, loss_probability(w, self.params))
 
     def write_csv(self, path) -> None:
         """Round-trip decimal CSV with header t,w_max,s,w,p (see
         :func:`write_rows`)."""
-        write_rows(path, "t,w_max,s,w,p", len(self.t), self.columns)
+        write_rows(path, "t,w_max,s,w,p", len(self.x1), self.columns)
 
 
 def steps_per_delay(tau: float, step: float) -> int:
@@ -176,11 +184,8 @@ def integrate(
 
     # The run's one trajectory, allocated for all n + 1 samples: the state,
     # its derivative and its own window (its loss rate is the delayed rate k
-    # steps later), used through memoryviews.  t is scaled in place: a freed
-    # temporary of its size moved later allocations and raised peak RSS 1.6 MB.
-    t = np.arange(n + 1, dtype=np.float64)
-    t *= h
-    traj = Trajectory(t, *(np.empty(n + 1) for _ in range(5)), ref=ref, step=h, params=params)
+    # steps later), used through memoryviews.
+    traj = Trajectory(*(np.empty(n + 1) for _ in range(5)), ref=ref, step=h, params=params)
     x1s, x2s, d1s, d2s, ws = map(memoryview, (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w))
 
     def store(i: int, x1: float, x2: float, rate: float) -> None:

@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from . import nhpl
 from .artifacts import write_artifacts, write_lines
 from .core import FlowState, SystemParams, check_start
 from .dde import integrate, step_grid, steps_per_delay
@@ -44,8 +45,6 @@ MODES = {
 FLUID_MODES = ("fluid", "both", "convergence")  # integrate flow 0 of the config
 TRACE_MODES = ("nhpl", "both")  # run the simulator and render its trace
 
-# Cap on one run's fluid steps, its simulator trace rows and its losses times flows.
-WORK_BUDGET = 10**7
 CONFIG_MAX_BYTES = 2**20  # fits explicit init lists for about 50,000 flows
 
 BITS_PER_BYTE = 8.0
@@ -251,8 +250,9 @@ def _validate(config: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     horizon, step = config.horizon(), config.step_h()
-    if config.mode in FLUID_MODES and horizon / step > WORK_BUDGET:
-        raise ConfigError(f"{horizon} s at step {step} is over {WORK_BUDGET} fluid steps")
+    budget = nhpl.WORK_BUDGET  # the one budget, which the simulator's loop reads too
+    if config.mode in FLUID_MODES and horizon / step > budget:
+        raise ConfigError(f"{horizon} s at step {step} is over {budget} fluid steps")
     if config.mode in ("fluid", "both"):
         # The fluid post-transient mean needs the last grid sample n h, which
         # may fall a hair short of the horizon, inside the final share.
@@ -263,10 +263,10 @@ def _validate(config: ExperimentConfig) -> None:
     if config.mode in TRACE_MODES:
         dt = config.sample_dt if config.sample_dt is not None else params.tau
         # horizon / dt can overflow to inf; any count past the budget is rejected.
-        samples = sample_count(horizon, dt) if horizon / dt <= WORK_BUDGET else WORK_BUDGET + 1
-        if samples * (config.flows + 1) > WORK_BUDGET:
+        samples = sample_count(horizon, dt) if horizon / dt <= budget else budget + 1
+        if samples * (config.flows + 1) > budget:
             raise ConfigError(f"{horizon} s every {dt} s for {config.flows} flows is "
-                              f"over {WORK_BUDGET} trace rows")
+                              f"over {budget} trace rows")
         # The simulator's post-transient mean needs a trace sample at
         # (samples - 1) * dt, the last one, inside the final share.
         if not (samples - 1) * dt >= (1.0 - config.post_transient) * horizon:
@@ -307,9 +307,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
     First a ConfigError rejects what needs the fixed point: an offset start
     outside the domain, a V(0) that is 0 or not finite in convergence mode,
     and a simulation whose expected losses times flows are over the budget
-    at equilibrium or before its first indication.  Every check and
-    computation runs before out_dir is made, and a failed write leaves what
-    was there before the run (see :func:`tcpfluid.artifacts.write_artifacts`).
+    at equilibrium or before its first indication.  A ConfigError also stops
+    a simulation whose losses times flows pass the budget as it runs.  Every
+    check and computation runs before out_dir is made, and a failed write
+    leaves what was there before the run (see
+    :func:`tcpfluid.artifacts.write_artifacts`).
     """
     params = config.system_params()
     fp = config.steady_state(params)
@@ -333,20 +335,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         # Each loss costs the simulator work in every flow (a candidate sums
         # all flows' coefficients, a loss evaluates all flows' windows), so
         # both budgets count expected losses x flows.  At equilibrium each
-        # flow loses once per s_hat.
-        if not config.flows * config.flows * horizon <= WORK_BUDGET * fp.s_hat:
+        # flow loses once per s_hat.  The simulator's loop counts the losses
+        # too, since an unstable run can lose far more often.
+        budget = nhpl.WORK_BUDGET
+        if not config.flows * config.flows * horizon <= budget * fp.s_hat:
             raise ConfigError(f"{config.flows} flows for {horizon} s at one loss per "
                               f"s_hat = {fp.s_hat!r} s each: expected losses x flows is "
-                              f"over {WORK_BUDGET}")
+                              f"over {budget}")
         # Until the first indication every window only grows, so the losses
         # before it are work the equilibrium count does not see.
         starts = config.initial_conditions(fp)
         losses = losses_before_indication(params, fn, starts, horizon)
-        if not losses * config.flows <= WORK_BUDGET:
+        if not losses * config.flows <= budget:
             raise ConfigError(f"the start's windows give {losses!r} expected losses before "
                               f"the first indication: x {config.flows} flows is over "
-                              f"{WORK_BUDGET}")
-    writers = []  # (artifact name, file name, writer taking the path)
+                              f"{budget}")
+    writers = []  # (file name, writer taking the path)
     metrics: dict[str, float] = {}
     lines = [f"mode: {config.mode}", f"algorithm: {config.algorithm}",
              f"capacity_pkts: {params.capacity!r}", f"delay_tau: {params.tau!r}",
@@ -363,23 +367,26 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
 
     if config.mode in FLUID_MODES:
         traj = integrate(params, fn, FlowState(*start), horizon, config.step_h(), fp=fp)
-        report("fluid_steps", len(traj.t) - 1)
+        report("fluid_steps", len(traj.x1) - 1)
         # Samples on the other side of the bdp from the one before: where
         # the loss rate switches on or off.
         above = traj.w > params.bdp
         report("fluid_bdp_crossings", int(np.count_nonzero(above[1:] != above[:-1])))
 
     if config.mode in ("fluid", "both"):
-        writers.append(("fluid_trace", "fluid_trace.csv", traj.write_csv))
+        writers.append(("fluid_trace.csv", traj.write_csv))
         mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
         report("fluid_mean_w", mean)
         report("fluid_mean_w_rel_fp", mean / fp.w_hat - 1.0)
 
     if config.mode in TRACE_MODES:
-        sim = run_simulation(params, fn, starts, config.seed, horizon,
-                             sample_dt=config.sample_dt)
-        writers.append(("nhpl_events", "nhpl_events.csv", sim.write_events_csv))
-        writers.append(("nhpl_trace", "nhpl_trace.csv", sim.write_trace_csv))
+        try:
+            sim = run_simulation(params, fn, starts, config.seed, horizon,
+                                 sample_dt=config.sample_dt)
+        except ValueError as exc:  # losses x flows over the budget as the run went
+            raise ConfigError(str(exc)) from None
+        writers.append(("nhpl_events.csv", sim.write_events_csv))
+        writers.append(("nhpl_trace.csv", sim.write_trace_csv))
         tm, wm = sim.mean_trace()
         mean = post_transient_mean(tm, wm, horizon, config.post_transient)
         report("nhpl_mean_w", mean)
@@ -396,16 +403,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         epsilon = 0.01 * fp.w_hat
         delta = basin_delta(epsilon, cert)
         report_lines = _stability_report(cert, epsilon, delta)
-        writers.append(("stability_report", "stability_report.txt",
-                        partial(write_lines, lines=report_lines)))
+        writers.append(("stability_report.txt", partial(write_lines, lines=report_lines)))
         report("basin_delta", delta, "basin_delta(eps=0.01*w_hat)")
 
     if config.mode == "convergence":
         diag = stability_trace(traj, cert)
-        writers.append(("convergence", "convergence.csv", diag.write_csv))
+        writers.append(("convergence.csv", diag.write_csv))
         report("bound_fraction", float(np.mean(diag.bounded)))
         report("razumikhin_fraction", float(np.mean(diag.razumikhin_ok)))
 
-    writers.append(("summary", "summary.txt", partial(write_lines, lines=lines)))
+    writers.append(("summary.txt", partial(write_lines, lines=lines)))
     artifacts = write_artifacts(out_dir, writers)
     return ExperimentResult(config.mode, artifacts, metrics, summary="\n".join(lines))

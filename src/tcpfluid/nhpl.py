@@ -51,6 +51,10 @@ from .artifacts import write_csv, write_rows
 from .core import FlowState, SystemParams, WindowFunction, check_start
 from .fixedpoint import solve_increasing
 
+# Cap on one run's fluid steps, its simulator trace rows and its losses
+# times flows, which ``run_simulation`` counts as it goes.
+WORK_BUDGET = 10**7
+
 
 class RngStream:
     """Deterministic uniform(0,1) stream: numpy PCG64 under a recorded seed.
@@ -112,9 +116,9 @@ class SimState:
     init: InitVar[Sequence[tuple[float, float]]]
     rng: object  # anything with uniform() -> float in (0,1)
     lookahead: float
-    pending: list[tuple[float, int]] = field(default_factory=list)
-    t_loss_last: float = 0.0
-    events: list[Event] = field(default_factory=list)
+    pending: list[tuple[float, int]] = field(default_factory=list, init=False)
+    t_loss_last: float = field(default=0.0, init=False)
+    events: list[Event] = field(default_factory=list, init=False)
     w_loss: list[float] = field(init=False)
     llis: list[float] = field(init=False)
     first: list[tuple[float, float]] = field(init=False)
@@ -399,7 +403,9 @@ def run_simulation(
     per-flow mean.  Identical params, init, and seed give identical results.
     The state is stepped with ``generate_poi_loss``, which records each
     loss, until it finds none or one past t_end; the result keeps the events
-    up to t_end.
+    up to t_end.  ``ValueError`` stops a run once its losses x flows pass
+    ``WORK_BUDGET``: a window that grows for a whole delay before its first
+    loss reaches it can keep the loss rate far above its equilibrium value.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -410,8 +416,12 @@ def run_simulation(
     # The search horizon reaches past t_end from any anchor before it.
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = SimState(params, window_fn, init, RngStream(seed), lookahead)
+    losses, most = 0, WORK_BUDGET // params.flows
     while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
-        pass
+        losses += 1
+        if losses > most:
+            raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
+                             f"{params.flows} flows is over {WORK_BUDGET}")
     trace_t, trace_flow, trace_w = _render_trace(state, t_end, sample_dt)
     return SimResult(
         t_end=t_end,

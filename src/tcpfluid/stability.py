@@ -25,18 +25,18 @@ takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
 ``power`` may differ from ``math`` in the last ulp, so against a per-sample
 scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
 relative; the bound and the Razumikhin mask are bit-identical.  All but the
-history test are elementwise, so they are formed for any range of samples,
-as each part of the CSV writer asks.  ``stability_trace`` forms its two
-verdicts in one pass over blocks of samples, from the |x|, V and bound of
-the CSV's table, without its dV/dt; the history test of a block reaches
-back into the last delay of V before it.  Its working memory is one block
-plus one delay of samples, and only the verdicts are kept whole.
+history test are elementwise, so ``DiagnosticTrace``, which holds the
+trajectory and the certificate, forms them for each range of samples the
+CSV writer asks for.  ``stability_trace`` forms its two verdicts in one pass
+over blocks of samples, from the |x|, V and bound of the CSV's table,
+without its dV/dt; the history test of a block reaches back into the last
+delay of V before it.  Its working memory is one block plus one delay of
+samples, and only the verdicts are kept whole.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,47 +220,47 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
     return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
-def _verdict_columns(traj: Trajectory, cert: Certificate):
-    """A function giving the columns t, |x|, V and the decay bound of samples
-    [lo, hi) of ``traj``: the convergence CSV's table without dV/dt.  Each
-    is elementwise in the samples, the bound given V(0), so a range's
-    columns are the same bits as that range of the whole trajectory's.
-    Raises ``ValueError`` unless ``traj`` was integrated about ``cert.fp``
-    (see the module docstring)."""
-    if traj.ref != (cert.fp.w_hat, cert.fp.s_hat):
-        raise ValueError(f"the trajectory is integrated about {tuple(traj.ref)}, not about "
-                         f"the certificate's fixed point {(cert.fp.w_hat, cert.fp.s_hat)}")
+def _verdict_columns(traj: Trajectory, cert: Certificate, lo: int, hi: int):
+    """The columns t, |x|, V and the decay bound of samples [lo, hi) of
+    ``traj``: the convergence CSV's table without dV/dt.  Each is
+    elementwise in the samples, the bound given V(0), so a range's columns
+    are the same bits as that range of the whole trajectory's."""
+    t, x1, x2 = traj.times(lo, hi), traj.x1[lo:hi], traj.x2[lo:hi]
     v0 = float(lyapunov_V(traj.x1[:1], traj.x2[:1], cert)[0])
-
-    def columns(lo: int, hi: int):
-        t, x1, x2 = traj.t[lo:hi], traj.x1[lo:hi], traj.x2[lo:hi]
-        return (t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert), convergence_bound(t, v0, cert))
-
-    return columns
+    return t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert), convergence_bound(t, v0, cert)
 
 
 @dataclass
 class DiagnosticTrace:
-    """Stability diagnostics of one trajectory: its grid ``t``, the table
-    ``columns`` its CSV is written from (a function giving the columns t,
-    |x|, V, dV/dt and the decay bound of samples [lo, hi); see
-    :func:`tcpfluid.artifacts.write_rows`), and per sample ``bounded``
-    (|x|^4 within the decay bound) and ``razumikhin_ok``."""
+    """Stability diagnostics of the trajectory ``traj``, integrated about the
+    fixed point of ``cert``: per sample ``bounded`` (|x|^4 within the decay
+    bound) and ``razumikhin_ok``, and the table of its CSV, :meth:`columns`."""
 
-    t: np.ndarray
-    columns: Callable[[int, int], tuple[np.ndarray, ...]]
+    traj: Trajectory
+    cert: Certificate
     bounded: np.ndarray
     razumikhin_ok: np.ndarray
+
+    @property
+    def t(self) -> np.ndarray:
+        """The time of every sample."""
+        return self.traj.t
+
+    def columns(self, lo: int, hi: int):
+        """The columns t, |x|, V, dV/dt and the decay bound of samples [lo, hi)."""
+        t, norm, v, bound = _verdict_columns(self.traj, self.cert, lo, hi)
+        x = (c[lo:hi] for c in (self.traj.x1, self.traj.x2, self.traj.dx1, self.traj.dx2))
+        return t, norm, v, vdot_along(*x, self.cert), bound
 
     def write_csv(self, path) -> None:
         """The CSV with header t,norm_x,V,Vdot,bound (see
         :func:`tcpfluid.artifacts.write_rows`)."""
-        write_rows(path, "t,norm_x,V,Vdot,bound", len(self.t), self.columns)
+        write_rows(path, "t,norm_x,V,Vdot,bound", len(self.traj.x1), self.columns)
 
 
 def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
-    """The diagnostics of one trajectory integrated about ``cert.fp``, its
-    verdicts formed in one pass.
+    """The diagnostics of one trajectory integrated about ``cert.fp``, else
+    ``ValueError`` (see the module docstring), its verdicts formed in one pass.
 
     Blocks of max(_TRACE_BLOCK, k + 1) samples, k the steps per delay, read
     |x|, V and the bound of the CSV's table, so with its bits, and never its
@@ -269,8 +269,10 @@ def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
     as on the whole trajectory.  Max is exact, so the verdicts are those of
     the whole columns, while the working memory is one block plus one
     delay.  A block of at least k + 1 samples keeps the pass O(n log k)."""
-    verdict_columns = _verdict_columns(traj, cert)
-    n = len(traj.t)
+    if traj.ref != (cert.fp.w_hat, cert.fp.s_hat):
+        raise ValueError(f"the trajectory is integrated about {tuple(traj.ref)}, not about "
+                         f"the certificate's fixed point {(cert.fp.w_hat, cert.fp.s_hat)}")
+    n = len(traj.x1)
     k = steps_per_delay(traj.params.tau, traj.step)
     block = max(_TRACE_BLOCK, k + 1)
     bounded = np.empty(n, dtype=bool)
@@ -278,16 +280,9 @@ def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
     carry = np.empty(0)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        _, norm, v, bound = verdict_columns(lo, hi)
+        _, norm, v, bound = _verdict_columns(traj, cert, lo, hi)
         bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
         mask = razumikhin_mask(np.concatenate((carry, v)), k)
         razumikhin_ok[lo:hi] = mask[len(carry):]
         carry = v[-k:]
-
-    def columns(lo: int, hi: int):
-        t, norm, v, bound = verdict_columns(lo, hi)
-        vdot = vdot_along(traj.x1[lo:hi], traj.x2[lo:hi], traj.dx1[lo:hi], traj.dx2[lo:hi],
-                          cert)
-        return t, norm, v, vdot, bound
-
-    return DiagnosticTrace(traj.t, columns, bounded, razumikhin_ok)
+    return DiagnosticTrace(traj, cert, bounded, razumikhin_ok)

@@ -10,14 +10,15 @@ per-sample scalar loops against the array-valued stability diagnostics and
 the simulator's trace, the absolute-coordinate RK4 loop against the
 integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
-right-hand side, and the two-pass route to a candidate loss against the
-sampler's single pass.  ``per_row_csv`` writes a CSV one row at a time,
+right-hand side, and exact rational arithmetic against the sampler's
+candidate loss.  ``per_row_csv`` writes a CSV one row at a time,
 ``assert_same_text`` compares a written CSV with it, and ``awkward_columns``
 gives it and the package's writer columns that take every path of that
 writer.
 """
 
 import math
+import struct
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -34,8 +35,8 @@ from tcpfluid import (
 )
 from tcpfluid.core import cbrt, rhs_about
 from tcpfluid.dde import steps_per_delay
-from tcpfluid.fixedpoint import FixedPoint, solve_increasing
-from tcpfluid.nhpl import excess_poly, t_bdp
+from tcpfluid.fixedpoint import FixedPoint
+from tcpfluid.nhpl import excess_poly
 from tcpfluid.stability import ExpansionCoeffs
 
 
@@ -353,44 +354,60 @@ def inter_loss_times(events, *, from_time: float = 0.0) -> np.ndarray:
     return np.diff(np.asarray([from_time] + times))
 
 
-def _horner(p, x: float) -> float:
-    acc = 0.0
+def _horner(p, x):
+    acc = 0
     for coeff in reversed(p):
         acc = coeff + x * acc
     return acc
 
 
-def two_pass_candidate(state, anchor: float, u: float) -> float | None:
-    """Candidate loss time by the two-pass route, the reference for compute_T.
+def _least_float_reaching(f, lo: float, hi: float) -> float:
+    """The least float x in [lo, hi], 0 <= lo <= hi, with f(x) >= 0 for a
+    nondecreasing f, by bisection over the floats' bit patterns, which
+    order nonnegative floats as their values; hi when there is none."""
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
 
-    It finds the bdp crossing of the excess cubic at the anchor, sums the
-    flows' coefficients again at that crossing (where rounding alone can
-    leave the excess negative and trigger a second crossing search), and
-    rebuilds the start time from flow 0's epoch age.  The lookahead is
-    measured from the crossing, not from the anchor.
+    def value(n: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", n))[0]
+
+    a, b = bits(lo), bits(hi)
+    while a < b:
+        m = (a + b) // 2
+        if f(value(m)) >= 0:
+            b = m
+        else:
+            a = m + 1
+    return value(a)
+
+
+def exact_candidate(state, anchor: float, u: float) -> float | None:
+    """The candidate loss time ``compute_T`` finds from ``anchor`` with the
+    draw u, in exact rational arithmetic on the excess cubic it sums there,
+    ``excess_poly(state, anchor)``: the float at or just past it, or None
+    where the lookahead holds none.
+
+    The cubic's float coefficients are taken as exact, so what is checked
+    is the sampler's own work on them: the shift to the bdp crossing and the
+    inversion of the quartic integral.  E never decreases, so the crossing
+    is the least float where E >= 0, and the candidate the least float past
+    it where the integral of E from the crossing reaches the target -ln(u)
+    tau, taken as the float ``compute_T`` forms.  The crossing's float lies
+    within one ulp past its exact root, where E is within one ulp's growth
+    of 0, so the integral it starts loses nothing a float holds.
     """
-    reach = t_bdp(excess_poly(state, anchor), state.lookahead)
-    if reach is None:
+    y0 = Fraction(anchor)
+    excess = [Fraction(e) for e in excess_poly(state, anchor)]
+    integral = [0, *(e / (k + 1) for k, e in enumerate(excess))]
+    lookahead = Fraction(state.lookahead)
+    if _horner(excess, lookahead) < 0:
         return None
-    t0 = anchor + reach
-    t_start = state.llis[0] + (t0 - state.llis[0])
-    e0, e1, e2, e3 = excess = excess_poly(state, t0)
-    horizon = state.lookahead
-    start = 0.0
-    if e0 < 0.0:
-        start = t_bdp(excess, horizon)
-        if start is None:
-            return None
-        e0 = max(_horner(excess, start), 0.0)
-        e1 = e1 + start * (2.0 * e2 + 3.0 * e3 * start)
-        e2 = e2 + 3.0 * e3 * start
-        horizon -= start
-    target = -math.log(u) * state.params.tau
-    quartic = (-target, e0, 0.5 * e1, e2 / 3.0, 0.25 * e3)
-    if _horner(quartic, horizon) < 0.0:
+    end = float(y0 + lookahead)
+    crossing = anchor if excess[0] >= 0 else _least_float_reaching(
+        lambda t: _horner(excess, Fraction(t) - y0), anchor, end)
+    base = (_horner(integral, Fraction(crossing) - y0)
+            + Fraction(-math.log(u) * state.params.tau))
+    if _horner(integral, lookahead) < base:
         return None
-    guess = horizon
-    for k, coeff in enumerate(quartic[1:], start=1):
-        if coeff > 0.0:
-            guess = min(guess, (target / coeff) ** (1.0 / k))
-    return t_start + start + solve_increasing(quartic, 0.0, horizon, guess)
+    return _least_float_reaching(lambda t: _horner(integral, Fraction(t) - y0) - base,
+                                 crossing, end)

@@ -131,7 +131,7 @@ def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", stuck)
     with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
-        write_artifacts(str(tmp_path), [("a", "a.txt", write_text("new a"))])
+        write_artifacts(str(tmp_path), [("a.txt", write_text("new a"))])
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.txt": "old a"}
 
 
@@ -184,13 +184,13 @@ def test_write_artifacts_replaces_earlier_files_only_on_success(tmp_path):
     (tmp_path / "b.txt").write_text("old b")
     (tmp_path / "notes.txt").write_text("kept")
     with pytest.raises(OSError, match=re.escape(str(tmp_path / "b.txt"))):
-        write_artifacts(str(tmp_path), [("a", "a.txt", write_text("new a")),
-                                        ("c", "c.txt", write_text("new c")),
-                                        ("b", "b.txt", fail)])
+        write_artifacts(str(tmp_path), [("a.txt", write_text("new a")),
+                                        ("c.txt", write_text("new c")),
+                                        ("b.txt", fail)])
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
         "a.txt": "old a", "b.txt": "old b", "notes.txt": "kept"}
-    paths = write_artifacts(str(tmp_path), [("a", "a.txt", write_text("new a")),
-                                            ("b", "b.txt", write_text("new b"))])
+    paths = write_artifacts(str(tmp_path), [("a.txt", write_text("new a")),
+                                            ("b.txt", write_text("new b"))])
     assert paths == {"a": str(tmp_path / "a.txt"), "b": str(tmp_path / "b.txt")}
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
         "a.txt": "new a", "b.txt": "new b", "notes.txt": "kept"}

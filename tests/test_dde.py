@@ -2,6 +2,7 @@ import errno
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,3 +427,42 @@ def test_integrate_prepares_the_rhs_once(monkeypatch, python_loop, canonical_par
         assert len(traj.t) == steps + 1
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_integrate_holds_only_the_five_integrated_columns(request, loop, canonical_params,
+                                                          canonical_fp):
+    # The state, its derivative and the window, one float column each; a
+    # sample's time is formed from the step when it is read.  A stored time
+    # column made the peak six columns.
+    if loop == "python":
+        request.getfixturevalue("python_loop")
+    params, fp = canonical_params, canonical_fp
+    h, n = params.tau / 64, 65536
+    start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
+    integrate(params, CUBIC, start, 1.0, h, fp=fp)  # builds and loads the compiled loop
+    tracemalloc.start()
+    try:
+        traj = integrate(params, CUBIC, start, (n - 0.5) * h, h, fp=fp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.x1) == n + 1
+    assert peak <= 5.1 * 8 * (n + 1)
+
+
+def test_sample_times_are_the_step_multiples(canonical_params, canonical_fp):
+    # Whole, and for ranges that cross the write chunks' seams, the times
+    # are float(i) * h bit for bit, in the trajectory and its diagnostics.
+    params, fp = canonical_params, canonical_fp
+    h, chunk = params.tau / 64, artifacts._WRITE_CHUNK
+    n = 3 * chunk + 5
+    traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat + 1e-3), (n - 0.5) * h, h,
+                     fp=fp)
+    diag = stability_trace(traj, certificate(fp, params))
+    grid = np.arange(n + 1, dtype=np.float64) * h
+    assert traj.t.tobytes() == diag.t.tobytes() == grid.tobytes()
+    for lo, hi in [(0, n + 1), (chunk - 1, chunk + 1), (chunk, 2 * chunk),
+                   (2 * chunk - 3, 3 * chunk + 2), (n, n + 1), (5, 5)]:
+        for table in (traj, diag):
+            assert table.columns(lo, hi)[0].tobytes() == grid[lo:hi].tobytes()

@@ -26,10 +26,10 @@ from tcpfluid.experiment import (
     CONFIG_MAX_BYTES,
     KEY_PARSERS,
     MODES,
-    WORK_BUDGET,
     bits_to_packets,
     post_transient_mean,
 )
+from tcpfluid.nhpl import WORK_BUDGET
 
 BASE = {"capacity_pkts": 100.0, "delay_tau": 0.1, "t_end": 2.0}
 
@@ -662,6 +662,33 @@ def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):
     assert err.startswith("config error:") and "over" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_simulator_stops_a_run_whose_losses_pass_the_budget(tmp_path, capsys, monkeypatch):
+    # CUBIC at 100 pkt/s with tau = 10 s: every window grows for a whole
+    # delay before its first loss reaches it (c tau^3 = 400 packets over a
+    # bdp of 1000), so 300 s take 15,896 losses where the checks made before
+    # the run expect 38 at equilibrium and 101 before the first indication.
+    # Under a budget of 1000 both pass, and the simulator's loop stops it.
+    monkeypatch.setattr(tcpfluid.nhpl, "WORK_BUDGET", 1000)
+    run = dict(mode="nhpl", capacity_pkts=100.0, delay_tau=10.0, t_end=300.0)
+    with pytest.raises(ConfigError, match="over 1000 fluid steps"):  # every check reads it
+        make_config(mode="fluid", t_end=1001 * BASE["delay_tau"] / 16)
+    rc = main(["nhpl", "--capacity-pkts", "100", "--delay-tau", "10", "--t-end", "300",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 1001 losses by t = ") and "over 1000" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    # A budget of exactly the run's losses x flows lets it finish.
+    monkeypatch.setattr(tcpfluid.nhpl, "WORK_BUDGET", 15896)
+    result = run_experiment(make_config(**run), tmp_path / "at")
+    assert result.metrics["nhpl_losses"] == 15896
+    monkeypatch.setattr(tcpfluid.nhpl, "WORK_BUDGET", 15895)
+    with pytest.raises(ConfigError, match="15896 losses by t = "):
+        run_experiment(make_config(**run), tmp_path / "over")
+    assert not (tmp_path / "over").exists()
 
 
 def test_cli_flags_override_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -262,8 +263,8 @@ def sampled_trajectory(params, fp, k, x1, x2):
     without integrating one; the verdicts do not read the derivatives."""
     n = len(x1)
     step = params.tau / k
-    return Trajectory(np.arange(n) * step, x1, x2, np.zeros(n), np.zeros(n),
-                      np.full(n, fp.w_hat), FlowState(fp.w_hat, fp.s_hat), step, params)
+    return Trajectory(x1, x2, np.zeros(n), np.zeros(n), np.full(n, fp.w_hat),
+                      FlowState(fp.w_hat, fp.s_hat), step, params)
 
 
 def swinging_trajectory(params, fp, k, n, seed=0):
@@ -337,6 +338,16 @@ def test_stability_trace_working_memory_is_a_block_plus_a_delay(canonical_params
     finally:
         tracemalloc.stop()
     assert peak - tr.bounded.nbytes - tr.razumikhin_ok.nbytes <= 1 << 20
+
+
+def test_diagnostic_trace_holds_records_not_functions(canonical_params, canonical_fp):
+    # The trace keeps the trajectory and the certificate, and forms its
+    # table from them; the trajectory keeps no time column.
+    cert, _, traj = in_basin_trace(canonical_params, canonical_fp)
+    tr = stability_trace(traj, cert)
+    assert not any(callable(getattr(tr, f.name)) for f in dataclasses.fields(tr))
+    assert tr.traj is traj and tr.cert is cert
+    assert "t" not in {f.name for f in dataclasses.fields(Trajectory)}
 
 
 def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
