@@ -1,13 +1,23 @@
 """How a run's files reach its output directory, and what a failed run leaves.
 
-Every CSV goes through ``write_rows``, which writes each number by
-``repr``, one chunk of rows at a time, and formats each run of a repeated
-float value within a chunk once.  It cuts the rows into one range per CPU,
-formats the first in the parent and forks a child for each other, waits for
-every child, and only then opens the file and appends every part in order,
-so the bytes are the same for any CPU count.  Parts are anonymous temporary
-files in the output file's own directory, so nothing named appears there
-but the files ``write_artifacts``, the one writer of a run's files, places.
+Every CSV goes through ``write_rows``, one chunk of rows at a time.  A
+table of float64 and int64 columns only (``convergence.csv``,
+``fluid_trace.csv``, ``nhpl_trace.csv``) is formatted by compiled C,
+``_repr.c``, which writes every float as ``repr`` and every integer as
+``str`` does, byte for byte; it is built into the library the compiled step
+loop lives in (:mod:`tcpfluid._rk4`), which ``write_rows`` loads before it
+forks, never on import.  ``repr`` stays its specification and its
+fallback: it writes every table with a str column (``nhpl_events.csv``
+and the text files of ``write_lines``), every chunk of another dtype or
+of a non-contiguous column, and every table on a host where the library
+cannot be built, with the same bytes; it formats each run of a repeated
+float value within a chunk once.  ``write_rows`` cuts the rows into one
+range per CPU, formats the first in the parent and forks a child for each
+other, waits for every child, and only then opens the file and appends
+every part in order, so the bytes are the same for any CPU count.  Parts
+are anonymous temporary files in the output file's own directory, so
+nothing named appears there but the files ``write_artifacts``, the one
+writer of a run's files, places.
 """
 
 from __future__ import annotations
@@ -21,20 +31,24 @@ from functools import partial
 import numpy as np
 
 # Rows formatted per write.  A chunk of five columns holds about 250 bytes
-# per row while it is joined; on a 2-core host 1024 rows wrote 256k rows as
-# fast as 4096 did, with a quarter of that memory.
+# per row while repr's cells are joined, 125 in the compiled formatter's
+# buffer; on a 2-core host 1024 rows wrote 256k rows by repr as fast as
+# 4096 did, with a quarter of that memory.
 _WRITE_CHUNK = 1024
 # Fewest rows a forked writer is given.  Measured on a 2-core host from a
-# 60 MB process writing five all-distinct float columns: a fork with its
-# temporary file, wait and copy costs about 10 ms and 8 ms of CPU, so two
-# parts of 4096 rows just break even, and two of 16384 rows take 0.6 of one
-# part's wall time for 1.03 of its CPU.
+# 60 MB process writing five all-distinct float columns by repr: a fork
+# with its temporary file, wait and copy costs about 10 ms and 8 ms of CPU,
+# so two parts of 4096 rows just break even, and two of 16384 rows take 0.6
+# of one part's wall time for 1.03 of its CPU.  With the compiled
+# formatter, two parts of 16384 rows of convergence.csv just break even
+# (15.5 ms against 15.7 ms in one process), and two of 65536 take 0.8 of
+# one part's wall time.
 _MIN_PART_ROWS = 16384
 
 
 def _chunk_cells(chunk: np.ndarray):
-    """The cells of one column chunk, in row order: an object chunk's str
-    cells as they are, and the ``repr`` of every number.
+    """The cells of one column chunk on the ``repr`` path, in row order: an
+    object chunk's str cells as they are, and the ``repr`` of every number.
 
     A float64 chunk with fewer runs of equal bit patterns than half its rows
     formats each run's value once and repeats the string.  Patterns, not
@@ -53,20 +67,50 @@ def _chunk_cells(chunk: np.ndarray):
     return map(repr, chunk.tolist())
 
 
-def _write_rows(tmp, columns, lo: int, hi: int) -> None:
+def formattable(columns) -> bool:
+    """Whether the compiled formatter takes the numpy ``columns``:
+    contiguous, native float64 or int64, all of one length."""
+    return all(col.dtype in (np.float64, np.int64) and col.flags.c_contiguous
+               and len(col) == len(columns[0]) for col in columns)
+
+
+def _formatter():
+    """The compiled formatter (see :func:`tcpfluid._rk4.load`); None where
+    the library cannot be built."""
+    from . import _rk4  # on first use: importing artifacts leaves the loader unread
+
+    lib = _rk4.library()
+    return None if lib is None else lib.format_rows
+
+
+def _write_rows(tmp, columns, lo: int, hi: int, format_rows) -> None:
     """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`) as
     text over the file ``tmp``, formed and written one write chunk at a
-    time, every number by ``repr`` and every str of an object column as it
-    is.
+    time.
 
-    ``.tolist()`` hands repr Python floats and ints, so a float round-trips
-    its exact binary value and an integer column prints as integers.
+    A chunk the compiled ``format_rows`` takes (see :func:`formattable`) is
+    formatted by it into one buffer, reused from chunk to chunk.  Every
+    other chunk, and every chunk when ``format_rows`` is None, is written
+    by ``repr``, the formatter's specification, and every str of an object
+    column as it is: ``.tolist()`` hands repr Python floats and ints, so a
+    float round-trips its exact binary value and an integer column prints
+    as integers.
     """
+    out = None
     with open(tmp.fileno(), "w", newline="", closefd=False) as fh:
         for a in range(lo, hi, _WRITE_CHUNK):
-            cells = [_chunk_cells(col) for col in columns(a, min(a + _WRITE_CHUNK, hi))]
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")  # not appended to the chunk, which would copy it
+            chunk = columns(a, min(a + _WRITE_CHUNK, hi))
+            if format_rows is None or not formattable(chunk):
+                cells = [_chunk_cells(col) for col in chunk]
+                fh.write("\n".join(map(",".join, zip(*cells))))
+                fh.write("\n")  # not appended to the chunk, which would copy it
+                continue
+            if out is None:
+                from ._rk4 import CELL_BYTES
+
+                out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
+            fh.flush()  # any text written before goes first
+            fh.buffer.write(out[:format_rows(chunk, out)])
 
 
 def _part_count(rows: int) -> int:
@@ -80,13 +124,13 @@ def _part_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_PART_ROWS))
 
 
-def _run_child(tmp, columns, lo: int, hi: int) -> None:
-    """In a forked child: write rows [lo, hi) over ``tmp``, then exit.
+def _run_child(*args) -> None:
+    """In a forked child: ``_write_rows(*args)``, then exit.
     The parent's buffers are never flushed, since ``os._exit`` skips every
     finaliser; any failure shows as a nonzero exit status."""
     status = 1
     try:
-        _write_rows(tmp, columns, lo, hi)
+        _write_rows(*args)
         status = 0
     finally:
         os._exit(status)
@@ -118,6 +162,9 @@ def write_rows(path, header: str, rows: int, columns) -> None:
     Every child is waited for and every temporary file closed, whatever
     happened.
     """
+    # The library is loaded here, before any fork, and only for a table
+    # whose first row the compiled formatter takes.
+    format_rows = _formatter() if rows and formattable(columns(0, 1)) else None
     parts = _part_count(rows)
     chunks = -(-rows // _WRITE_CHUNK)
     bounds = [chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
@@ -129,9 +176,9 @@ def write_rows(path, header: str, rows: int, columns) -> None:
             if len(tmps) > 1:  # every part after this process's own is a child's
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(tmps[-1], columns, lo, hi)
+                    _run_child(tmps[-1], columns, lo, hi, format_rows)
                 pids.append(pid)
-        _write_rows(tmps[0], columns, 0, bounds[1])
+        _write_rows(tmps[0], columns, 0, bounds[1], format_rows)
         failed = _wait(pids)
         if failed:
             raise OSError(f"{failed} of {parts - 1} writers failed")

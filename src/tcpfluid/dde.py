@@ -37,17 +37,18 @@ so every stored bit and every ``IntegrationError`` is the Python loop's.
 Every other window function runs the Python loop, which stays the
 specification, as does every run on a host where the C cannot be built:
 there the same numbers come more slowly, with nothing printed.  The first
-run that needs the library builds it (:mod:`tcpfluid._rk4`), with the
-compiler Python was built with, into this package's ``__pycache__``, under
-a name taken from the source and the compile command; later processes
-load it from there.  Nothing of this happens on import.
+run or CSV write that needs the library builds it (:mod:`tcpfluid._rk4`),
+with the compiler Python was built with, into this package's
+``__pycache__``, under a name taken from the sources and the compile
+command; later processes load it from there.  Nothing of this happens on
+import.  The same library holds the compiled CSV formatter, ``_repr.c``,
+which writes the trajectory's CSV with the bytes ``repr`` gives, ``repr``
+being its specification and its fallback (see :mod:`tcpfluid.artifacts`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +229,10 @@ def integrate(
     return traj
 
 
-@functools.cache
 def _kernel():
-    """The compiled step loop (see :func:`tcpfluid._rk4.load`), built into
-    this package's ``__pycache__`` on first use; None where it cannot be."""
+    """The compiled step loop (see :func:`tcpfluid._rk4.load`); None where
+    the library cannot be built."""
     from . import _rk4  # on first use: importing dde leaves the loader unread
 
-    return _rk4.load(os.path.join(os.path.dirname(__file__), "__pycache__"))
+    lib = _rk4.library()
+    return None if lib is None else lib.steps

@@ -23,6 +23,13 @@ def python_loop(monkeypatch):
 
 
 @pytest.fixture
+def python_format(monkeypatch):
+    """Every CSV is written by ``repr``, as on a host where the compiled
+    formatter cannot be built."""
+    monkeypatch.setattr(artifacts, "_formatter", lambda: None)
+
+
+@pytest.fixture
 def forks(monkeypatch):
     """The forks made while the test runs, one entry each."""
     made = []
@@ -47,10 +54,10 @@ def failing_children(monkeypatch):
     parent = os.getpid()
     write = artifacts._write_rows
 
-    def failing(tmp, columns, lo, hi):
+    def failing(*args):
         if os.getpid() != parent:
             raise RuntimeError("child writer failed")
-        write(tmp, columns, lo, hi)
+        write(*args)
 
     monkeypatch.setattr(artifacts, "_write_rows", failing)
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from tcpfluid import artifacts
+from tcpfluid import _rk4, artifacts
 from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
 from oracles import assert_same_text, awkward_columns, per_row_csv
@@ -23,12 +23,24 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeyp
     sizes = (2 * m - 1, 2 * m, 3 * m + 1)
     full = awkward_columns(max(sizes))
     oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
+    numeric = per_row_csv("a,b,c,d,e,f,flow", full[1:]).splitlines(keepends=True)
     path = tmp_path / "parts.csv"
     for n in sizes:
-        forks.clear()
-        write_csv(path, "kind,a,b,c,d,e,f,flow", [col[:n] for col in full])
-        assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
-        assert len(forks) == min(cpus, n // m) - 1
+        # With the str column by repr; without it by the compiled formatter,
+        # where it can be built.
+        for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
+                                      ("a,b,c,d,e,f,flow", full[1:], numeric)]:
+            forks.clear()
+            write_csv(path, header, [col[:n] for col in columns])
+            assert_same_text(path.read_text(), "".join(text[: n + 1]))
+            assert len(forks) == min(cpus, n // m) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(
+        tmp_path, monkeypatch, forks, python_format, cpus):
+    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch, forks,
+                                                                cpus)
 
 
 def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks):
@@ -45,6 +57,66 @@ def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, for
         thread.join(timeout=10.0)
     assert not thread.is_alive() and forks == []
     assert_same_text(path.read_text(), per_row_csv("t", columns))
+
+
+def test_write_csv_does_not_fork_beside_other_threads_by_repr(tmp_path, monkeypatch, forks,
+                                                               python_format):
+    test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks)
+
+
+def test_the_formatter_is_loaded_once_before_any_fork(tmp_path, monkeypatch, forks):
+    # The parent loads the library, once per file, and hands the formatter
+    # to its forked writers, so no child loads or builds it.  The loads are
+    # counted in a file, which the children would append to.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    loads = tmp_path / "loads"
+    formatter = artifacts._formatter
+
+    def counting():
+        with open(loads, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return formatter()
+
+    monkeypatch.setattr(artifacts, "_formatter", counting)
+    columns = awkward_columns(2 * artifacts._MIN_PART_ROWS)[1:]
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c,d,e,f,flow", columns)
+    assert len(forks) == 1 and loads.read_text() == f"{os.getpid()}\n"
+    assert_same_text(path.read_text(), per_row_csv("a,b,c,d,e,f,flow", columns))
+
+
+def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
+    # The event log and the text files have a str column: repr writes them,
+    # and the library is neither imported nor loaded for them.
+    def refused():
+        raise AssertionError("loaded the library for a table with a str column")
+
+    monkeypatch.setattr(artifacts, "_formatter", refused)
+    columns = awkward_columns(3000)
+    write_csv(tmp_path / "t.csv", "kind,a,b,c,d,e,f,flow", columns)
+    assert_same_text((tmp_path / "t.csv").read_text(),
+                     per_row_csv("kind,a,b,c,d,e,f,flow", columns))
+    artifacts.write_lines(tmp_path / "s.txt", ["header", "a: 1", "b: 2.5"])
+    assert (tmp_path / "s.txt").read_text() == "header\na: 1\nb: 2.5\n"
+
+
+def test_a_host_without_the_library_writes_the_same_bytes_quietly(tmp_path, monkeypatch, capfd):
+    # A loader that finds no library: the step loop and every table run in
+    # Python, and the run's files are the same, with nothing printed.
+    argv = ["convergence", "--capacity-pkts", "12500", "--delay-tau", "0.01", "--init", "offset",
+            "--init-offset-s", "1e-3", "--step", str(0.01 / 64), "--t-end", "2"]
+    printed = []
+    for name, loader in [("with", _rk4.library), ("without", lambda: None)]:
+        monkeypatch.setattr(_rk4, "library", loader)
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        out, err = capfd.readouterr()
+        printed.append((out.replace(str(tmp_path / name), "OUT"), err))
+    assert printed[0] == printed[1] and printed[1][1] == ""
+    files = sorted(os.listdir(tmp_path / "with"))
+    assert files == sorted(os.listdir(tmp_path / "without")) and "convergence.csv" in files
+    for name in files:
+        assert_same_text((tmp_path / "without" / name).read_text(),
+                         (tmp_path / "with" / name).read_text())
 
 
 
@@ -92,7 +164,7 @@ def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkey
 def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
     # The part this process formats fails: the error names the file once,
     # and no file is written.
-    def full(tmp, columns, lo, hi):
+    def full(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(artifacts, "_write_rows", full)
@@ -148,10 +220,10 @@ def test_write_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out
     parent, seen = os.getpid(), []
     write = artifacts._write_rows
 
-    def watched(tmp, columns, lo, hi):
+    def watched(*args):
         if os.getpid() == parent:
             seen.append((os.listdir(tmp_path), os.listdir(out)))
-        write(tmp, columns, lo, hi)
+        write(*args)
 
     monkeypatch.setattr(artifacts, "_write_rows", watched)
     rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",

@@ -262,12 +262,19 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
             for ev in sim.events]
     assert_same_text(path.read_text(),
                      "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
-    # Columns that repeat most of their values take the formatted-once
-    # path, chunk by chunk; every other column is formatted value by value.
+    # With a str column, repr writes the table, and columns that repeat
+    # most of their values take its formatted-once path, chunk by chunk;
+    # without it, the compiled formatter writes it where it can be built.
     columns = awkward_columns(3 * 4096 + 100)
-    write_csv(path, "kind,a,b,c,d,e,f,flow", columns)
-    assert_same_text(path.read_text(), per_row_csv("kind,a,b,c,d,e,f,flow", columns))
-    assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+    for header, table in [("kind,a,b,c,d,e,f,flow", columns), ("a,b,c,d,e,f,flow", columns[1:])]:
+        write_csv(path, header, table)
+        assert_same_text(path.read_text(), per_row_csv(header, table))
+        assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+
+
+def test_trace_writers_match_per_row_repr_by_repr(tmp_path, python_format, canonical_params,
+                                                  canonical_fp):
+    test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_fp)
 
 
 @functools.lru_cache
@@ -307,6 +314,13 @@ def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypa
             write(path)
             assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
             assert len(forks) == min(cpus, n // m) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_trajectory_csvs_match_per_row_repr_across_part_seams_by_repr(
+        tmp_path, monkeypatch, forks, python_format, cpus, canonical_params, canonical_fp):
+    test_trajectory_csvs_match_per_row_repr_across_part_seams(
+        tmp_path, monkeypatch, forks, cpus, canonical_params, canonical_fp)
 
 
 class FailingCubic(WindowFunction):

@@ -185,6 +185,11 @@ def test_other_window_functions_run_the_python_loop(rhs_calls, canonical_params,
         assert not np.array_equal(traj.w, integrate(params, parent, start, 0.5, params.tau / 16).w)
 
 
+def steps_of(lib):
+    """The step loop of the library ``lib``, None for no library."""
+    return None if lib is None else lib.steps
+
+
 def run_through(loader, monkeypatch, capfd, params, fp):
     """Integrate a CUBIC and a Reno run through the kernel ``loader``
     gives; assert the Python loop's bits and nothing printed."""
@@ -206,7 +211,7 @@ def test_a_missing_compiler_runs_the_python_loop_quietly(monkeypatch, capfd, can
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: "tcpfluid-no-such-cc -O0" if name == "CC" else config(name))
     assert _rk4.load(CACHE) is None
-    run_through(lambda: _rk4.load(CACHE), monkeypatch, capfd, canonical_params,
+    run_through(lambda: steps_of(_rk4.load(CACHE)), monkeypatch, capfd, canonical_params,
                 canonical_fp)
     assert sorted(os.listdir(CACHE)) == before
 
@@ -228,8 +233,8 @@ def test_an_unwritable_cache_runs_the_python_loop_quietly(tmp_path, monkeypatch,
         monkeypatch.setattr(os, "open", refusing)
     try:
         assert _rk4.load(str(cache)) is None
-        run_through(lambda: _rk4.load(str(cache)), monkeypatch, capfd, canonical_params,
-                    canonical_fp)
+        run_through(lambda: steps_of(_rk4.load(str(cache))), monkeypatch, capfd,
+                    canonical_params, canonical_fp)
         assert os.listdir(cache) == []
     finally:
         cache.chmod(0o755)
@@ -248,13 +253,13 @@ def test_a_cached_library_loads_without_a_compile(monkeypatch):
 
 def test_import_and_the_simulator_build_nothing():
     # Neither importing the package nor a simulator run reaches the
-    # kernel, and loading it does not import hashlib, which loads OpenSSL
+    # library, and loading it does not import hashlib, which loads OpenSSL
     # (numpy.random, which the simulator imports, does).
-    code = ("import sys; from tcpfluid import dde, SystemParams, CUBIC, run_simulation; "
+    code = ("import sys; from tcpfluid import SystemParams, CUBIC, run_simulation; "
             "print('hashlib' in sys.modules, 'tcpfluid._rk4' in sys.modules); "
             "from tcpfluid import _rk4; _rk4.load(sys.argv[1]); print('hashlib' in sys.modules); "
             "run_simulation(SystemParams(100.0, 0.1, 0.2, 0.4), CUBIC, [(12.0, 0.0)], 1, 5.0); "
-            "print(dde._kernel.cache_info().misses)")
+            "print(_rk4.library.cache_info().misses)")
     src = os.path.dirname(os.path.dirname(dde.__file__))
     proc = subprocess.run([sys.executable, "-c", code, CACHE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    assert_same_text,
     cubic_truncation_x1dot,
     linearized_x2dot,
     loglog_slope,
+    per_row_csv,
     scalar_norms_and_v,
     scalar_razumikhin_mask,
     scalar_samples,
@@ -360,6 +362,12 @@ def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     assert len(lines) == len(tr.t) + 1
     row = [float(v) for v in lines[1].split(",")]
     assert row == [float(col[0]) for col in tr.columns(0, 1)]
+    assert_same_text(path.read_text(),
+                     per_row_csv("t,norm_x,V,Vdot,bound", tr.columns(0, len(tr.t))))
+
+
+def test_diagnostic_trace_csv_by_repr(tmp_path, python_format, canonical_params, canonical_fp):
+    test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp)
 
 
 def test_convergence_bound_shape(canonical_params, canonical_fp):
