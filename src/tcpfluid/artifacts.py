@@ -1,30 +1,32 @@
 """How a run's files reach its output directory, and what a failed run leaves.
 
-Every CSV goes through ``write_rows``, one chunk of rows at a time.  A
-table of float64 and int64 columns only (``convergence.csv``,
-``fluid_trace.csv``, ``nhpl_trace.csv``) is formatted by compiled C,
-``_repr.c``, which writes every float as ``repr`` and every integer as
-``str`` does, byte for byte; it is built into the library the compiled step
-loop lives in (:mod:`tcpfluid._rk4`), which ``write_rows`` loads before it
-forks, never on import.  ``repr`` stays its specification and its
-fallback: it writes every table with a str column (``nhpl_events.csv``
-and the text files of ``write_lines``), every chunk of another dtype or
-of a non-contiguous column, and every table on a host where the library
-cannot be built, with the same bytes; it formats each run of a repeated
-float value within a chunk once.  ``write_rows`` cuts the rows into one
-range per CPU, formats the first in the parent and forks a child for each
-other, waits for every child, and only then opens the file and appends
-every part in order, so the bytes are the same for any CPU count.  Parts
-are anonymous temporary files in the output file's own directory, so
-nothing named appears there but the files ``write_artifacts``, the one
-writer of a run's files, places.
+Every CSV goes through ``write_rows``, which opens the file and writes it
+one chunk of rows at a time, in row order.  A table of float64 and int64
+columns only (``convergence.csv``, ``fluid_trace.csv``, ``nhpl_trace.csv``)
+is formatted by compiled C, ``_repr.c``, which writes every float as
+``repr`` and every integer as ``str`` does, byte for byte; it is built into
+the library the compiled step loop lives in (:mod:`tcpfluid._rk4`), which
+``write_rows`` loads on the first such table, never on import.  Its calls
+release the GIL, so ``write_rows`` hands them to worker threads, one per
+CPU the process may run on, while the calling thread forms each chunk's
+columns and writes the formatted chunks in order; the bytes are the same
+for any number of workers.  ``repr`` stays its specification and its
+fallback: it writes every table with a str column (``nhpl_events.csv`` and
+the text files of ``write_lines``), every chunk of another dtype or of a
+non-contiguous column, and every table on a host where the library cannot
+be built, with the same bytes, on the calling thread; it formats each run
+of a repeated float value within a chunk once.  The writer makes no
+temporary file, so nothing appears in the output directory but the files
+``write_artifacts``, the one writer of a run's files, places.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import tempfile
 import threading
+from collections import deque
 from contextlib import suppress
 from functools import partial
 
@@ -35,15 +37,6 @@ import numpy as np
 # buffer; on a 2-core host 1024 rows wrote 256k rows by repr as fast as
 # 4096 did, with a quarter of that memory.
 _WRITE_CHUNK = 1024
-# Fewest rows a forked writer is given.  Measured on a 2-core host from a
-# 60 MB process writing five all-distinct float columns by repr: a fork
-# with its temporary file, wait and copy costs about 10 ms and 8 ms of CPU,
-# so two parts of 4096 rows just break even, and two of 16384 rows take 0.6
-# of one part's wall time for 1.03 of its CPU.  With the compiled
-# formatter, two parts of 16384 rows of convergence.csv just break even
-# (15.5 ms against 15.7 ms in one process), and two of 65536 take 0.8 of
-# one part's wall time.
-_MIN_PART_ROWS = 16384
 
 
 def _chunk_cells(chunk: np.ndarray):
@@ -83,122 +76,115 @@ def _formatter():
     return None if lib is None else lib.format_rows
 
 
-def _write_rows(tmp, columns, lo: int, hi: int, format_rows) -> None:
-    """Rows [lo, hi) of the table ``columns`` (see :func:`write_rows`) as
-    text over the file ``tmp``, formed and written one write chunk at a
-    time.
+def _cpus() -> int:
+    """The CPUs this process may run on; one where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    A chunk the compiled ``format_rows`` takes (see :func:`formattable`) is
-    formatted by it into one buffer, reused from chunk to chunk.  Every
-    other chunk, and every chunk when ``format_rows`` is None, is written
-    by ``repr``, the formatter's specification, and every str of an object
-    column as it is: ``.tolist()`` hands repr Python floats and ints, so a
-    float round-trips its exact binary value and an integer column prints
-    as integers.
+
+def _format_chunks(format_rows, jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """A worker thread: format each (chunk, buffer) taken from ``jobs`` into
+    its buffer and put the byte count on ``done``, or what the call raised,
+    until it takes None."""
+    for chunk, out in iter(jobs.get, None):
+        try:
+            done.put(format_rows(chunk, out))
+        except BaseException as exc:  # raised again by the thread that writes the file
+            done.put(exc)
+
+
+def _write_chunks(fh, rows: int, columns, format_rows) -> None:
+    """Rows [0, rows) of the table ``columns`` (see :func:`write_rows`) onto
+    the open text file ``fh``, one write chunk at a time, in row order.
+
+    A chunk ``format_rows`` takes (see :func:`formattable`) is formatted by
+    worker i mod W for chunk i, W one per CPU and at most one per chunk: a
+    thread of its own when W > 1, else this thread.  At most W chunks are in
+    flight, and a worker's buffer is written out before it takes its next
+    chunk.  Every other chunk, and every chunk when ``format_rows`` is None,
+    is written by ``repr`` here once the chunks before it are: ``.tolist()``
+    hands repr Python floats and ints, so a float round-trips its exact
+    binary value and an integer column prints as integers.  Every thread
+    started is joined, whatever happened.
     """
-    out = None
-    with open(tmp.fileno(), "w", newline="", closefd=False) as fh:
-        for a in range(lo, hi, _WRITE_CHUNK):
-            chunk = columns(a, min(a + _WRITE_CHUNK, hi))
+    workers = min(_cpus(), -(-rows // _WRITE_CHUNK)) if format_rows else 1
+    outs = [None] * workers  # each worker's buffer, made for its first chunk
+    jobs, threads = [], []
+    done = [queue.SimpleQueue() for _ in range(workers)]
+    pending = deque()  # the workers whose chunk is not yet written, oldest first
+
+    def write_oldest() -> None:
+        k = pending.popleft()
+        written = done[k].get()
+        if isinstance(written, BaseException):
+            raise written
+        fh.flush()  # any text written before goes first
+        fh.buffer.write(outs[k][:written])
+
+    try:
+        for k in range(workers if workers > 1 else 0):
+            jobs.append(queue.SimpleQueue())
+            thread = threading.Thread(target=_format_chunks, args=(format_rows, jobs[k], done[k]))
+            try:
+                thread.start()
+            except RuntimeError as exc:  # no thread to be had
+                raise OSError(f"could not start a writer thread: {exc}") from exc
+            threads.append(thread)
+        for i, lo in enumerate(range(0, rows, _WRITE_CHUNK)):
+            chunk = columns(lo, min(lo + _WRITE_CHUNK, rows))
             if format_rows is None or not formattable(chunk):
+                while pending:
+                    write_oldest()
                 cells = [_chunk_cells(col) for col in chunk]
                 fh.write("\n".join(map(",".join, zip(*cells))))
                 fh.write("\n")  # not appended to the chunk, which would copy it
                 continue
-            if out is None:
+            if len(pending) == workers:
+                write_oldest()
+            k = i % workers
+            if outs[k] is None:
                 from ._rk4 import CELL_BYTES
 
-                out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
-            fh.flush()  # any text written before goes first
-            fh.buffer.write(out[:format_rows(chunk, out)])
-
-
-def _part_count(rows: int) -> int:
-    """Processes to format ``rows`` rows: one per CPU this process may run
-    on, at most one per ``_MIN_PART_ROWS`` rows; one where the platform
-    cannot fork, or where the process runs other threads, one of which may
-    hold a lock a forked child needs."""
-    if threading.active_count() > 1 or not all(
-            hasattr(os, name) for name in ("fork", "sched_getaffinity", "sendfile")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_PART_ROWS))
-
-
-def _run_child(*args) -> None:
-    """In a forked child: ``_write_rows(*args)``, then exit.
-    The parent's buffers are never flushed, since ``os._exit`` skips every
-    finaliser; any failure shows as a nonzero exit status."""
-    status = 1
-    try:
-        _write_rows(*args)
-        status = 0
+                outs[k] = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
+            if threads:
+                jobs[k].put((chunk, outs[k]))
+            else:
+                done[k].put(format_rows(chunk, outs[k]))
+            pending.append(k)
+        while pending:
+            write_oldest()
     finally:
-        os._exit(status)
-
-
-def _wait(pids: list[int]) -> int:
-    """Wait for every child in ``pids``, each removed once reaped; the
-    number that exited nonzero."""
-    failed = 0
-    while pids:
-        failed += os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]) != 0
-        del pids[0]
-    return failed
+        for worker_jobs in jobs:
+            worker_jobs.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def write_rows(path, header: str, rows: int, columns) -> None:
     """``header`` and ``rows`` rows as the CSV file ``path``.
 
     ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi); they are
-    formed one write chunk at a time, so only a chunk of them is held.  The
-    rows are cut into contiguous ranges of whole write chunks, one per CPU
-    (see :func:`_part_count`), each a part: the first formatted here, each
-    other by a forked child.  Each part is an anonymous temporary file in
-    the directory of ``path``, the room the file needs anyway, so a missing
-    directory fails before any row is formatted.  Then the file is opened
-    and every part appended in order, so the bytes are the same for any
-    number of parts.  Raises ``OSError`` naming ``path`` when a part or the
-    file could not be written; a failure leaves no file.
-    Every child is waited for and every temporary file closed, whatever
-    happened.
+    formed on the calling thread one write chunk at a time, so only the
+    chunks in flight are held.  The file is opened first, so a missing
+    directory fails before any row is formatted; then the header and every
+    chunk are written into it in row order (see :func:`_write_chunks`), so
+    the bytes are the same for any number of workers.  Raises ``OSError``
+    naming ``path`` when the file could not be written or a worker could not
+    be started or failed; a failure leaves no file.
     """
-    # The library is loaded here, before any fork, and only for a table
-    # whose first row the compiled formatter takes.
+    # The library is loaded only for a table whose first row the compiled
+    # formatter takes.
     format_rows = _formatter() if rows and formattable(columns(0, 1)) else None
-    parts = _part_count(rows)
-    chunks = -(-rows // _WRITE_CHUNK)
-    bounds = [chunks * i // parts * _WRITE_CHUNK for i in range(parts)] + [rows]
-    folder = os.path.dirname(path) or os.curdir
-    tmps, pids = [], []
     try:
-        for lo, hi in zip(bounds, bounds[1:]):
-            tmps.append(tempfile.TemporaryFile(dir=folder))
-            if len(tmps) > 1:  # every part after this process's own is a child's
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(tmps[-1], columns, lo, hi, format_rows)
-                pids.append(pid)
-        _write_rows(tmps[0], columns, 0, bounds[1], format_rows)
-        failed = _wait(pids)
-        if failed:
-            raise OSError(f"{failed} of {parts - 1} writers failed")
-        with open(path, "w", newline="") as fh:
-            try:
+        fh = open(path, "w", newline="")
+        try:
+            with fh:
                 fh.write(header + "\n")
-                fh.flush()  # the header goes before the parts sendfile appends
-                for tmp in tmps:
-                    offset = 0
-                    while sent := os.sendfile(fh.fileno(), tmp.fileno(), offset, 1 << 30):
-                        offset += sent
-            except BaseException:
-                os.remove(path)
-                raise
-    except OSError as exc:  # this process's part, a child's or the file itself
+                _write_chunks(fh, rows, columns, format_rows)
+        except BaseException:
+            os.remove(path)
+            raise
+    except OSError as exc:  # the file, a worker's call or a worker's start
         raise OSError(f"could not write {path}: {exc}") from exc
-    finally:  # a child's part is its own descriptor of the nameless file
-        for tmp in tmps:
-            tmp.close()
-        _wait(pids)
 
 
 def write_csv(path, header: str, columns) -> None:

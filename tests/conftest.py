@@ -1,5 +1,5 @@
 import os
-import tempfile
+import threading
 
 import pytest
 
@@ -8,11 +8,20 @@ from tcpfluid import SystemParams, artifacts, cubic_fixed_point, dde
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    # Every process a test starts, the CSV writer's forked children among
-    # them, must have been waited for when the test ends.
+    # Every process a test starts must have been waited for when the test
+    # ends.
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    # Every thread a test starts, the CSV writer's workers among them, must
+    # have ended when the test ends.
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 @pytest.fixture
@@ -30,36 +39,24 @@ def python_format(monkeypatch):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The forks made while the test runs, one entry each."""
-    made = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-    return made
+def two_workers(monkeypatch):
+    """Two CPUs, so a table the compiled formatter takes, two write chunks
+    long or more, is formatted by two worker threads; skipped where the
+    formatter cannot be built."""
+    if artifacts._formatter() is None:
+        pytest.skip("no C compiler to build the formatter with; CI requires it")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture
-def temp_files(monkeypatch):
-    """The temporary files the CSV writers open while the test runs."""
-    made = []
-    make = tempfile.TemporaryFile
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *args, **kwargs: made.append(make(*args, **kwargs)) or made[-1])
-    return made
-
-
-@pytest.fixture
-def failing_children(monkeypatch):
-    """Make every forked writer fail; this process still writes its rows."""
-    parent = os.getpid()
-    write = artifacts._write_rows
-
-    def failing(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child writer failed")
-        write(*args)
-
-    monkeypatch.setattr(artifacts, "_write_rows", failing)
+def started_threads(monkeypatch):
+    """The threads started while the test runs, the CSV writer's workers
+    among them."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
 
 
 @pytest.fixture(scope="session")

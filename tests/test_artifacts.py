@@ -1,6 +1,8 @@
 import errno
+import math
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -9,80 +11,79 @@ import pytest
 from tcpfluid import _rk4, artifacts
 from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
-from oracles import assert_same_text, awkward_columns, per_row_csv
+from oracles import assert_same_text, awkward_columns, per_row_csv, worker_threads
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch, forks,
-                                                                cpus):
-    # Row counts one short of two parts, exactly two parts, and one row past
-    # three parts, whose last range ends one row into a chunk.  Patched CPU
-    # counts split the file on any host; the forks show the split taken.
+def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch,
+                                                                started_threads, cpus):
+    # Row counts one short of two write chunks, exactly two, and one row
+    # past three, whose last chunk goes back to the first worker and its
+    # buffer.  Patched CPU counts give 1 to 3 workers on any host; the
+    # threads started show the workers taken, and the output is the only
+    # file written.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    m = artifacts._MIN_PART_ROWS
+    m = artifacts._WRITE_CHUNK
     sizes = (2 * m - 1, 2 * m, 3 * m + 1)
     full = awkward_columns(max(sizes))
     oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
     numeric = per_row_csv("a,b,c,d,e,f,flow", full[1:]).splitlines(keepends=True)
+    compiled = artifacts._formatter() is not None
     path = tmp_path / "parts.csv"
     for n in sizes:
-        # With the str column by repr; without it by the compiled formatter,
-        # where it can be built.
-        for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
-                                      ("a,b,c,d,e,f,flow", full[1:], numeric)]:
-            forks.clear()
+        # With the str column by repr, on this thread; without it by the
+        # compiled formatter, where it can be built.
+        for header, columns, text, threads in [
+                ("kind,a,b,c,d,e,f,flow", full, oracle, 0),
+                ("a,b,c,d,e,f,flow", full[1:], numeric, compiled * worker_threads(n, cpus))]:
+            started_threads.clear()
             write_csv(path, header, [col[:n] for col in columns])
             assert_same_text(path.read_text(), "".join(text[: n + 1]))
-            assert len(forks) == min(cpus, n // m) - 1
+            assert len(started_threads) == threads and os.listdir(tmp_path) == ["parts.csv"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(
-        tmp_path, monkeypatch, forks, python_format, cpus):
-    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch, forks,
-                                                                cpus)
+        tmp_path, monkeypatch, started_threads, python_format, cpus):
+    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch,
+                                                                started_threads, cpus)
 
 
-def test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    columns = [np.arange(2 * artifacts._MIN_PART_ROWS) / 7.0]
-    path = tmp_path / "one.csv"
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
+def test_more_workers_than_cores_keep_the_row_order(tmp_path, monkeypatch, two_workers,
+                                                    started_threads):
+    # Eight workers on any host, each taking five chunks, with the
+    # interpreter switching threads as often as it can: a chunk written out
+    # of order, or a buffer reused before it was written, changes the text.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    columns = awkward_columns(40 * artifacts._WRITE_CHUNK)[1:]
+    path = tmp_path / "many.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        write_csv(path, "t", columns)
+        write_csv(path, "a,b,c,d,e,f,flow", columns)
     finally:
-        done.set()
-        thread.join(timeout=10.0)
-    assert not thread.is_alive() and forks == []
-    assert_same_text(path.read_text(), per_row_csv("t", columns))
-
-
-def test_write_csv_does_not_fork_beside_other_threads_by_repr(tmp_path, monkeypatch, forks,
-                                                               python_format):
-    test_write_csv_does_not_fork_beside_other_threads(tmp_path, monkeypatch, forks)
-
-
-def test_the_formatter_is_loaded_once_before_any_fork(tmp_path, monkeypatch, forks):
-    # The parent loads the library, once per file, and hands the formatter
-    # to its forked writers, so no child loads or builds it.  The loads are
-    # counted in a file, which the children would append to.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    loads = tmp_path / "loads"
-    formatter = artifacts._formatter
-
-    def counting():
-        with open(loads, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return formatter()
-
-    monkeypatch.setattr(artifacts, "_formatter", counting)
-    columns = awkward_columns(2 * artifacts._MIN_PART_ROWS)[1:]
-    path = tmp_path / "t.csv"
-    write_csv(path, "a,b,c,d,e,f,flow", columns)
-    assert len(forks) == 1 and loads.read_text() == f"{os.getpid()}\n"
+        sys.setswitchinterval(interval)
     assert_same_text(path.read_text(), per_row_csv("a,b,c,d,e,f,flow", columns))
+    assert len(started_threads) == 8
+
+
+def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path, two_workers,
+                                                                started_threads):
+    # Every third chunk is a strided view, which repr writes on this thread
+    # once the workers' chunks before it are written; the others go to the
+    # two workers.
+    m = artifacts._WRITE_CHUNK
+    rows = 8 * m + 5
+    values = np.arange(rows) / 7.0 + math.pi
+    doubled = np.repeat(values, 2)
+
+    def columns(lo, hi):
+        return [doubled[2 * lo:2 * hi:2] if lo // m % 3 == 2 else values[lo:hi]]
+
+    path = tmp_path / "mixed.csv"
+    artifacts.write_rows(path, "t", rows, columns)
+    assert_same_text(path.read_text(), per_row_csv("t", [values]))
+    assert len(started_threads) == 2
 
 
 def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
@@ -119,41 +120,83 @@ def test_a_host_without_the_library_writes_the_same_bytes_quietly(tmp_path, monk
                          (tmp_path / "with" / name).read_text())
 
 
+def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd, two_workers):
+    # A worker whose formatter call fails on its second chunk, while the
+    # other worker formats: the file, through the CLI too, is reported as
+    # not written and removed, so no truncated file looks complete, and
+    # both workers are joined.
+    format_rows, calls = artifacts._formatter(), []
 
-def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd, failing_children):
-    # A writer that fails only in a forked child: although the parent's own
-    # range is written, the file, through the CLI too, is reported as not
-    # written and removed, so no truncated file looks complete.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    def failing(chunk, out):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("formatter failed")
+        return format_rows(chunk, out)
+
+    monkeypatch.setattr(artifacts, "_formatter", lambda: failing)
     path = tmp_path / "parts.csv"
-    n = 2 * artifacts._MIN_PART_ROWS
-    with pytest.raises(OSError, match=re.escape(str(path))):
-        write_csv(path, "t", [np.arange(n) / 7.0])
-    assert not path.exists()
+    with pytest.raises(OSError, match=re.escape(f"could not write {path}: formatter failed")):
+        write_csv(path, "t", [np.arange(8 * artifacts._WRITE_CHUNK) / 7.0])
+    assert os.listdir(tmp_path) == []
+    calls.clear()
     out = tmp_path / "out"
     rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
                "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
     assert rc == 2
     err = capfd.readouterr().err
-    assert err.startswith("error: could not write") and str(out / "fluid_trace.csv") in err
-    assert len(err.splitlines()) == 1
-    assert not (out / "fluid_trace.csv").exists()
+    assert err == f"error: could not write {out / 'fluid_trace.csv'}: formatter failed\n"
+    assert not out.exists()
+
+
+def test_a_worker_that_cannot_start_fails_the_write(tmp_path, monkeypatch, two_workers):
+    # Three CPUs, and the second thread refused: one error naming the file,
+    # nothing left, and the worker that did start is joined.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    start, started = threading.Thread.start, []
+
+    def second_refused(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_refused)
+    path = tmp_path / "t.csv"
+    with pytest.raises(OSError) as info:
+        write_csv(path, "t", [np.arange(8 * artifacts._WRITE_CHUNK) / 7.0])
+    assert str(info.value) == f"could not write {path}: could not start a writer thread: " \
+                              "can't start new thread"
+    assert len(started) == 1 and not started[0].is_alive() and os.listdir(tmp_path) == []
+
+
+def full_disk(monkeypatch):
+    """Every file ``write_rows`` opens writes to ``/dev/full``, so its
+    writes fail with ENOSPC, as on a full disk; the file is made first."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+
+    def opened(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        fd = os.open("/dev/full", os.O_WRONLY)
+        os.dup2(fd, fh.fileno())
+        os.close(fd)
+        return fh
+
+    monkeypatch.setattr(artifacts, "open", opened, raising=False)
 
 
 def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkeypatch, capfd):
-    # The append into the output file fails: the CLI prints one line naming
-    # the file, with the prefix once, removes what it appended, and the
-    # earlier run's files keep their names and bytes.
+    # The writes into the output file fail, with two workers formatting:
+    # the CLI prints one line naming the file, with the prefix once,
+    # removes what it wrote, and the earlier run's files keep their names
+    # and bytes.
     out = tmp_path / "out"
     argv = ["fluid", "--capacity-pkts", "100", "--delay-tau", "0.1", "--out", str(out)]
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capfd.readouterr()
-
-    def full(*args):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(os, "sendfile", full)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    full_disk(monkeypatch)
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert err == f"error: could not write {out / 'fluid_trace.csv'}: [Errno 28] " \
@@ -162,34 +205,44 @@ def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkey
 
 
 def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
-    # The part this process formats fails: the error names the file once,
-    # and no file is written.
-    def full(*args):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    # Forming the columns of a later chunk fails on the calling thread,
+    # while two workers format the chunks before it: the error names the
+    # file once, no file is written, and the workers are joined.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rows = 8 * artifacts._WRITE_CHUNK
+    values = np.arange(rows) / 7.0
 
-    monkeypatch.setattr(artifacts, "_write_rows", full)
+    def columns(lo, hi):
+        if lo >= 3 * artifacts._WRITE_CHUNK:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return [values[lo:hi]]
+
     path = tmp_path / "t.csv"
     with pytest.raises(OSError) as info:
-        write_csv(path, "t", [np.arange(10) / 7.0])
+        artifacts.write_rows(path, "t", rows, columns)
     assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
     assert os.listdir(tmp_path) == []
 
 
-def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monkeypatch, forks):
-    # Parts are made beside the file, so a missing directory fails at the
-    # first part: one error naming the file, nothing forked or formatted,
-    # and nothing left behind.
+def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monkeypatch,
+                                                                 started_threads):
+    # The file is opened first, so a missing directory fails there: one
+    # error naming the file, no worker started, no row formatted, and
+    # nothing left behind.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def formatted(*args, **kwargs):
         raise AssertionError("a row was formatted")
 
-    monkeypatch.setattr(artifacts, "_write_rows", formatted)
+    monkeypatch.setattr(artifacts, "_formatter", lambda: formatted)
+    monkeypatch.setattr(artifacts, "_chunk_cells", formatted)
     path = tmp_path / "missing" / "t.csv"
-    with pytest.raises(OSError) as info:
-        write_csv(path, "t", [np.arange(2 * artifacts._MIN_PART_ROWS) / 7.0])
-    assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
-    assert forks == [] and os.listdir(tmp_path) == []
+    for columns in ([np.arange(8 * artifacts._WRITE_CHUNK) / 7.0],
+                    [np.array(["a", "b"], dtype=object)]):
+        with pytest.raises(OSError) as info:
+            write_csv(path, "t", columns)
+        assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
+    assert started_threads == [] and os.listdir(tmp_path) == []
 
 
 def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
@@ -205,33 +258,6 @@ def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
         write_artifacts(str(tmp_path), [("a.txt", write_text("new a"))])
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.txt": "old a"}
-
-
-@pytest.mark.parametrize("out_exists", [False, True])
-def test_write_parts_are_anonymous(tmp_path, monkeypatch, forks, temp_files, out_exists):
-    # While this process formats its own part of the forked trace, and then
-    # the summary, nothing named appears under --out but the files written,
-    # nor beside it when the run had to make it: the parts are files
-    # without a name, and every one is closed.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    out = tmp_path / "out"
-    if out_exists:
-        out.mkdir()
-    parent, seen = os.getpid(), []
-    write = artifacts._write_rows
-
-    def watched(*args):
-        if os.getpid() == parent:
-            seen.append((os.listdir(tmp_path), os.listdir(out)))
-        write(*args)
-
-    monkeypatch.setattr(artifacts, "_write_rows", watched)
-    rc = main(["fluid", "--capacity-pkts", "12500", "--delay-tau", "0.01",
-               "--step", str(0.01 / 64), "--t-end", "6.0", "--out", str(out)])
-    assert rc == 0 and forks and temp_files
-    assert seen == [(["out"], []), (["out"], ["fluid_trace.csv"])]
-    assert all(isinstance(tmp.name, int) and tmp.closed for tmp in temp_files)
-    assert sorted(os.listdir(out)) == ["fluid_trace.csv", "summary.txt"]
 
 
 def write_text(text):

@@ -1,7 +1,7 @@
-import errno
 import functools
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +29,7 @@ from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
 from tcpfluid.protocols import FROZEN
 from oracles import (absolute_integrate, assert_same_text, awkward_columns, convergence_order_check,
-                     per_row_csv)
+                     per_row_csv, worker_threads)
 from scalar_reno import integrate_scalar_reno
 
 
@@ -290,37 +290,39 @@ def seam_oracles(params, fp, start, rows):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypatch, forks, cpus,
+def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypatch,
+                                                              started_threads, cpus,
                                                               canonical_params, canonical_fp):
-    # Rows one short of two parts, exactly two, and one row past three.
-    # Each part forms its diagnostics for its own range, the oracle over the
-    # whole trajectory, so the part seams must not move a bit.  Parts of
-    # four write chunks, each many delays long, keep the runs short.
+    # Rows one short of two write chunks, exactly two, and one row past
+    # three, on 1 to 3 workers.  Each chunk's diagnostics are formed for its
+    # own range, the oracle over the whole trajectory, so the chunk seams
+    # must not move a bit.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(artifacts, "_MIN_PART_ROWS", 4 * artifacts._WRITE_CHUNK)
     params, fp = canonical_params, canonical_fp
     cert = certificate(fp, params)
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
-    m = artifacts._MIN_PART_ROWS
+    m = artifacts._WRITE_CHUNK
     sizes = (2 * m - 1, 2 * m, 3 * m + 1)
     oracles = seam_oracles(params, fp, start, max(sizes))
+    compiled = artifacts._formatter() is not None
     h = params.tau / 64
     path = tmp_path / "trace.csv"
     for n in sizes:
         traj = integrate(params, CUBIC, start, (n - 1.5) * h, h, fp=fp)
         assert len(traj.t) == n
         for write, oracle in zip((traj.write_csv, stability_trace(traj, cert).write_csv), oracles):
-            forks.clear()
+            started_threads.clear()
             write(path)
             assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
-            assert len(forks) == min(cpus, n // m) - 1
+            assert len(started_threads) == compiled * worker_threads(n, cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_trajectory_csvs_match_per_row_repr_across_part_seams_by_repr(
-        tmp_path, monkeypatch, forks, python_format, cpus, canonical_params, canonical_fp):
+        tmp_path, monkeypatch, started_threads, python_format, cpus, canonical_params,
+        canonical_fp):
     test_trajectory_csvs_match_per_row_repr_across_part_seams(
-        tmp_path, monkeypatch, forks, cpus, canonical_params, canonical_fp)
+        tmp_path, monkeypatch, started_threads, cpus, canonical_params, canonical_fp)
 
 
 class FailingCubic(WindowFunction):
@@ -351,11 +353,10 @@ CONVERGENCE_ARGS = ["convergence", "--capacity-pkts", "12500", "--delay-tau", "0
 
 
 def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeypatch, capfd,
-                                                                forks, temp_files):
+                                                                started_threads):
     # The window fails mid-run (a step evaluates the deficit five times).
-    # The run ends before any file is written, so nothing is forked, no
-    # temporary file is opened and no output is made, although two CPUs
-    # would let the writers fork.
+    # The run ends before any file is written, so no worker is started and
+    # no output is made, although two CPUs would give the writer two.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(experiment, "window_function",
                         lambda name: FailingCubic(5 * 1000))
@@ -364,19 +365,21 @@ def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeyp
     assert rc == 3
     err = capfd.readouterr().err
     assert err.startswith("numeric failure: w_max or window left") and len(err.splitlines()) == 1
-    assert forks == [] and temp_files == []
-    assert os.listdir(tmp_path) == []
+    assert started_threads == [] and os.listdir(tmp_path) == []
 
 
-def refuse_forks(monkeypatch):
-    """Two CPUs, and every fork refused for want of processes: no process
-    is started."""
+def refuse_threads(monkeypatch):
+    """Two CPUs, and every thread refused, as where the process may start
+    no more: no worker is started.  Skipped where the compiled formatter,
+    which the workers run, cannot be built."""
+    if artifacts._formatter() is None:
+        pytest.skip("no C compiler to build the formatter with; CI requires it")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def refused():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    def refused(thread):
+        raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(threading.Thread, "start", refused)
 
 
 @pytest.mark.parametrize("args, artifact", [
@@ -385,11 +388,11 @@ def refuse_forks(monkeypatch):
     ([*CONVERGENCE_ARGS, "--t-end", "6.0"], "convergence.csv"),
 ])
 def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args, artifact):
-    # A fork refused for want of processes, no process started, for the
-    # 160,005-row simulator trace or the 38,401-row convergence table.  The
-    # file is named, and no output directory is left, although the
-    # simulator run wrote its event log before the trace.
-    refuse_forks(monkeypatch)
+    # A worker thread refused for the 160,005-row simulator trace or the
+    # 38,401-row convergence table.  The file is named, and no output
+    # directory is left, although the simulator run wrote its event log
+    # before the trace.
+    refuse_threads(monkeypatch)
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 2
     err = capfd.readouterr().err
@@ -402,10 +405,11 @@ def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args
                          ids=["", "run/deeper", "over-an-earlier-run"])
 def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capfd, run,
                                                      earlier):
-    # The simulator run writes its event log, then fails to fork for its
-    # trace: the log and every directory made for --out go; the existing
-    # directory and the files it held before the run stay, an earlier run's
-    # event log, trace and summary among them when there was one.
+    # The simulator run writes its event log, then fails to start a worker
+    # for its trace: the log and every directory made for --out go; the
+    # existing directory and the files it held before the run stay, an
+    # earlier run's event log, trace and summary among them when there was
+    # one.
     existing = tmp_path / "out"
     existing.mkdir()
     (existing / "notes.txt").write_text("kept\n")
@@ -415,7 +419,7 @@ def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capf
     if earlier:
         assert main(args) == 0
     before = {path.name: path.read_bytes() for path in existing.iterdir()}
-    refuse_forks(monkeypatch)
+    refuse_threads(monkeypatch)
     assert main([*args, "--seed", "2"]) == 2
     assert capfd.readouterr().err.startswith(f"error: could not write {out / 'nhpl_trace.csv'}")
     assert os.listdir(tmp_path) == ["out"]

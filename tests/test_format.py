@@ -137,6 +137,28 @@ def test_format_rows_refuses_what_it_cannot_write():
             lib.format_rows(columns, out)
 
 
+def test_the_widest_cells_fit_cell_bytes():
+    # _repr.c's CELL_BYTES and _rk4's, which sizes every buffer the writer's
+    # workers format into, are one number.  The widest cells, the negative
+    # least normal float and the least int64, fit it, the float taking all
+    # of it with its separator, and no byte past the buffer is written.
+    with open(SOURCE) as fh:
+        defined = re.findall(r"^#define CELL_BYTES (\d+)$", fh.read(), re.M)
+    assert defined == [str(_rk4.CELL_BYTES)]
+    lib = _rk4.library()
+    if lib is None:
+        pytest.skip("no C compiler to build the formatter with; CI requires it")
+    rows, least, int_min = 1024, -2.2250738585072014e-308, np.iinfo(np.int64).min
+    columns = [np.full(rows, least), np.full(rows, int_min), np.full(rows, least)]
+    size = rows * len(columns) * _rk4.CELL_BYTES
+    guarded = np.full(size + 64, 0xA5, np.uint8)
+    written = lib.format_rows(columns, guarded[:size])
+    assert written <= size and (guarded[size:] == 0xA5).all()
+    cell = f"{least!r},"
+    assert len(cell) == _rk4.CELL_BYTES
+    assert guarded[:written].tobytes().decode() == f"{cell}{int_min},{least!r}\n" * rows
+
+
 def power_table():
     """G of ``_repr.c`` from Python's integers: for b in [-292, 324],
     10^b scaled by a power of two into [2^127, 2^128), floored, plus 1."""
