@@ -6,10 +6,7 @@ tables of float64 and int64 columns.
 ``dde`` and ``artifacts`` import this module on the first run or write that
 needs the library, never on import, and share its one loader,
 :func:`library`.  The C is a plain shared library (no ``Python.h``), built
-with the compiler Python was built with and called through ctypes, which
-releases the GIL for every call.  ``_repr.c`` keeps no mutable static
-state, so ``artifacts`` runs ``format_rows`` on several worker threads at
-once, each into a buffer of its own.
+with the compiler Python was built with and called through ctypes.
 """
 
 from __future__ import annotations

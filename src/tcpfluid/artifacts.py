@@ -1,21 +1,18 @@
 """How a run's files reach its output directory, and what a failed run leaves.
 
 Every CSV goes through ``write_rows``, which opens the file and writes it
-one chunk of rows at a time, in row order.  A table of float64 and int64
-columns only (``convergence.csv``, ``fluid_trace.csv``, ``nhpl_trace.csv``)
-is formatted by compiled C, ``_repr.c``, which writes every float as
-``repr`` and every integer as ``str`` does, byte for byte; it is built into
-the library the compiled step loop lives in (:mod:`tcpfluid._rk4`), which
-``write_rows`` loads on the first such table, never on import.  Its calls
-release the GIL, so ``write_rows`` hands them to worker threads, one per
-CPU the process may run on, while the calling thread forms each chunk's
-columns and writes the formatted chunks in order; the bytes are the same
-for any number of workers.  ``repr`` stays its specification and its
-fallback: it writes every table with a str column (``nhpl_events.csv`` and
-the text files of ``write_lines``), every chunk of another dtype or of a
-non-contiguous column, and every table on a host where the library cannot
-be built, with the same bytes, on the calling thread; it formats each run
-of a repeated float value within a chunk once.  The writer makes no
+one chunk of rows at a time, in row order, on the calling thread.  A table
+of float64 and int64 columns only (``convergence.csv``, ``fluid_trace.csv``,
+``nhpl_trace.csv``) is formatted by compiled C, ``_repr.c``, which writes
+every float as ``repr`` and every integer as ``str`` does, byte for byte,
+into one buffer reused for every chunk; it is built into the library the
+compiled step loop lives in (:mod:`tcpfluid._rk4`), which ``write_rows``
+loads on the first such table, never on import.  ``repr`` stays its
+specification and its fallback: it writes every table with a str column
+(``nhpl_events.csv`` and the text files of ``write_lines``), every chunk of
+another dtype or of a non-contiguous column, and every table on a host
+where the library cannot be built, with the same bytes; it formats each
+run of a repeated float value within a chunk once.  The writer makes no
 temporary file, so nothing appears in the output directory but the files
 ``write_artifacts``, the one writer of a run's files, places.
 """
@@ -23,10 +20,7 @@ temporary file, so nothing appears in the output directory but the files
 from __future__ import annotations
 
 import os
-import queue
 import tempfile
-import threading
-from collections import deque
 from contextlib import suppress
 from functools import partial
 
@@ -76,100 +70,44 @@ def _formatter():
     return None if lib is None else lib.format_rows
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; one where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _format_chunks(format_rows, jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    """A worker thread: format each (chunk, buffer) taken from ``jobs`` into
-    its buffer and put the byte count on ``done``, or what the call raised,
-    until it takes None."""
-    for chunk, out in iter(jobs.get, None):
-        try:
-            done.put(format_rows(chunk, out))
-        except BaseException as exc:  # raised again by the thread that writes the file
-            done.put(exc)
-
-
 def _write_chunks(fh, rows: int, columns, format_rows) -> None:
     """Rows [0, rows) of the table ``columns`` (see :func:`write_rows`) onto
     the open text file ``fh``, one write chunk at a time, in row order.
 
-    A chunk ``format_rows`` takes (see :func:`formattable`) is formatted by
-    worker i mod W for chunk i, W one per CPU and at most one per chunk: a
-    thread of its own when W > 1, else this thread.  At most W chunks are in
-    flight, and a worker's buffer is written out before it takes its next
-    chunk.  Every other chunk, and every chunk when ``format_rows`` is None,
-    is written by ``repr`` here once the chunks before it are: ``.tolist()``
-    hands repr Python floats and ints, so a float round-trips its exact
-    binary value and an integer column prints as integers.  Every thread
-    started is joined, whatever happened.
+    A chunk the compiled ``format_rows`` takes (see :func:`formattable`) is
+    formatted by it into one buffer, reused from chunk to chunk.  Every
+    other chunk, and every chunk when ``format_rows`` is None, is written
+    by ``repr``, the formatter's specification, and every str of an object
+    column as it is: ``.tolist()`` hands repr Python floats and ints, so a
+    float round-trips its exact binary value and an integer column prints
+    as integers.
     """
-    workers = min(_cpus(), -(-rows // _WRITE_CHUNK)) if format_rows else 1
-    outs = [None] * workers  # each worker's buffer, made for its first chunk
-    jobs, threads = [], []
-    done = [queue.SimpleQueue() for _ in range(workers)]
-    pending = deque()  # the workers whose chunk is not yet written, oldest first
+    out = None
+    for lo in range(0, rows, _WRITE_CHUNK):
+        chunk = columns(lo, min(lo + _WRITE_CHUNK, rows))
+        if format_rows is None or not formattable(chunk):
+            cells = [_chunk_cells(col) for col in chunk]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")  # not appended to the chunk, which would copy it
+            continue
+        if out is None:
+            from ._rk4 import CELL_BYTES
 
-    def write_oldest() -> None:
-        k = pending.popleft()
-        written = done[k].get()
-        if isinstance(written, BaseException):
-            raise written
+            out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
         fh.flush()  # any text written before goes first
-        fh.buffer.write(outs[k][:written])
-
-    try:
-        for k in range(workers if workers > 1 else 0):
-            jobs.append(queue.SimpleQueue())
-            thread = threading.Thread(target=_format_chunks, args=(format_rows, jobs[k], done[k]))
-            try:
-                thread.start()
-            except RuntimeError as exc:  # no thread to be had
-                raise OSError(f"could not start a writer thread: {exc}") from exc
-            threads.append(thread)
-        for i, lo in enumerate(range(0, rows, _WRITE_CHUNK)):
-            chunk = columns(lo, min(lo + _WRITE_CHUNK, rows))
-            if format_rows is None or not formattable(chunk):
-                while pending:
-                    write_oldest()
-                cells = [_chunk_cells(col) for col in chunk]
-                fh.write("\n".join(map(",".join, zip(*cells))))
-                fh.write("\n")  # not appended to the chunk, which would copy it
-                continue
-            if len(pending) == workers:
-                write_oldest()
-            k = i % workers
-            if outs[k] is None:
-                from ._rk4 import CELL_BYTES
-
-                outs[k] = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
-            if threads:
-                jobs[k].put((chunk, outs[k]))
-            else:
-                done[k].put(format_rows(chunk, outs[k]))
-            pending.append(k)
-        while pending:
-            write_oldest()
-    finally:
-        for worker_jobs in jobs:
-            worker_jobs.put(None)
-        for thread in threads:
-            thread.join()
+        fh.buffer.write(out[:format_rows(chunk, out)])
 
 
 def write_rows(path, header: str, rows: int, columns) -> None:
     """``header`` and ``rows`` rows as the CSV file ``path``.
 
     ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi); they are
-    formed on the calling thread one write chunk at a time, so only the
-    chunks in flight are held.  The file is opened first, so a missing
-    directory fails before any row is formatted; then the header and every
-    chunk are written into it in row order (see :func:`_write_chunks`), so
-    the bytes are the same for any number of workers.  Raises ``OSError``
-    naming ``path`` when the file could not be written or a worker could not
-    be started or failed; a failure leaves no file.
+    formed one write chunk at a time, so only one chunk is held.  The file
+    is opened first, so a missing directory fails before any row is
+    formatted; then the header and every chunk are written into it in row
+    order (see :func:`_write_chunks`).  Raises ``OSError`` naming ``path``
+    when the file could not be written or the formatter failed; a failure
+    leaves no file.
     """
     # The library is loaded only for a table whose first row the compiled
     # formatter takes.
@@ -183,7 +121,7 @@ def write_rows(path, header: str, rows: int, columns) -> None:
         except BaseException:
             os.remove(path)
             raise
-    except OSError as exc:  # the file, a worker's call or a worker's start
+    except OSError as exc:  # the file or the formatter's call
         raise OSError(f"could not write {path}: {exc}") from exc
 
 

@@ -17,8 +17,7 @@ def no_child_left():
 
 @pytest.fixture(autouse=True)
 def no_thread_left():
-    # Every thread a test starts, the CSV writer's workers among them, must
-    # have ended when the test ends.
+    # Every thread a test starts must have ended when the test ends.
     before = threading.active_count()
     yield
     assert threading.active_count() == before
@@ -39,24 +38,25 @@ def python_format(monkeypatch):
 
 
 @pytest.fixture
-def two_workers(monkeypatch):
-    """Two CPUs, so a table the compiled formatter takes, two write chunks
-    long or more, is formatted by two worker threads; skipped where the
-    formatter cannot be built."""
-    if artifacts._formatter() is None:
-        pytest.skip("no C compiler to build the formatter with; CI requires it")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def full_disk(monkeypatch):
+    """``full_disk(*names)``: every file of one of those names that the CSV
+    writer opens takes its writes to ``/dev/full``, so they fail with
+    ENOSPC, as on a full disk; the file itself is made first."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
 
+    def fill(*names):
+        def opened(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.basename(path) in names:
+                fd = os.open("/dev/full", os.O_WRONLY)
+                os.dup2(fd, fh.fileno())
+                os.close(fd)
+            return fh
 
-@pytest.fixture
-def started_threads(monkeypatch):
-    """The threads started while the test runs, the CSV writer's workers
-    among them."""
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: started.append(thread) or start(thread))
-    return started
+        monkeypatch.setattr(artifacts, "open", opened, raising=False)
+
+    return fill
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
 right-hand side, and exact rational arithmetic against the sampler's
 candidate loss.  ``per_row_csv`` writes a CSV one row at a time,
-``assert_same_text`` compares a written CSV with it, ``awkward_columns``
+``assert_same_text`` compares a written CSV with it, and ``awkward_columns``
 gives it and the package's writer columns that take every path of that
-writer, and ``worker_threads`` counts the threads that writer starts.
+writer.
 """
 
 import math
@@ -28,7 +28,6 @@ from tcpfluid import (
     CUBIC,
     FlowState,
     SystemParams,
-    artifacts,
     cubic_fixed_point,
     integrate,
     loss_rate,
@@ -193,14 +192,6 @@ def assert_same_text(got: str, want: str) -> None:
     i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     raise AssertionError(f"{len(a)} lines, expected {len(b)}; "
                          f"line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
-
-
-def worker_threads(rows: int, cpus: int) -> int:
-    """The threads ``write_rows`` starts for a table of ``rows`` rows that
-    the compiled formatter takes, on ``cpus`` CPUs: a worker per CPU, at
-    most one per write chunk, and none when that makes one worker."""
-    workers = min(cpus, -(-rows // artifacts._WRITE_CHUNK))
-    return workers if workers > 1 else 0
 
 
 def awkward_columns(n: int):

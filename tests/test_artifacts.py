@@ -2,8 +2,6 @@ import errno
 import math
 import os
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -11,67 +9,40 @@ import pytest
 from tcpfluid import _rk4, artifacts
 from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
-from oracles import assert_same_text, awkward_columns, per_row_csv, worker_threads
+from oracles import assert_same_text, awkward_columns, per_row_csv
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch,
-                                                                started_threads, cpus):
-    # Row counts one short of two write chunks, exactly two, and one row
-    # past three, whose last chunk goes back to the first worker and its
-    # buffer.  Patched CPU counts give 1 to 3 workers on any host; the
-    # threads started show the workers taken, and the output is the only
-    # file written.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks):
+    # Row counts one short of that many write chunks, exactly that many,
+    # and one row past, whose last chunk is one row long; the output is the
+    # only file written.
     m = artifacts._WRITE_CHUNK
-    sizes = (2 * m - 1, 2 * m, 3 * m + 1)
+    sizes = (chunks * m - 1, chunks * m, chunks * m + 1)
     full = awkward_columns(max(sizes))
     oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
     numeric = per_row_csv("a,b,c,d,e,f,flow", full[1:]).splitlines(keepends=True)
-    compiled = artifacts._formatter() is not None
     path = tmp_path / "parts.csv"
     for n in sizes:
-        # With the str column by repr, on this thread; without it by the
-        # compiled formatter, where it can be built.
-        for header, columns, text, threads in [
-                ("kind,a,b,c,d,e,f,flow", full, oracle, 0),
-                ("a,b,c,d,e,f,flow", full[1:], numeric, compiled * worker_threads(n, cpus))]:
-            started_threads.clear()
+        # With the str column by repr; without it by the compiled formatter,
+        # where it can be built.
+        for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
+                                      ("a,b,c,d,e,f,flow", full[1:], numeric)]:
             write_csv(path, header, [col[:n] for col in columns])
             assert_same_text(path.read_text(), "".join(text[: n + 1]))
-            assert len(started_threads) == threads and os.listdir(tmp_path) == ["parts.csv"]
+            assert os.listdir(tmp_path) == ["parts.csv"]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(
-        tmp_path, monkeypatch, started_threads, python_format, cpus):
-    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, monkeypatch,
-                                                                started_threads, cpus)
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(tmp_path, python_format,
+                                                                       chunks):
+    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
 
 
-def test_more_workers_than_cores_keep_the_row_order(tmp_path, monkeypatch, two_workers,
-                                                    started_threads):
-    # Eight workers on any host, each taking five chunks, with the
-    # interpreter switching threads as often as it can: a chunk written out
-    # of order, or a buffer reused before it was written, changes the text.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    columns = awkward_columns(40 * artifacts._WRITE_CHUNK)[1:]
-    path = tmp_path / "many.csv"
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        write_csv(path, "a,b,c,d,e,f,flow", columns)
-    finally:
-        sys.setswitchinterval(interval)
-    assert_same_text(path.read_text(), per_row_csv("a,b,c,d,e,f,flow", columns))
-    assert len(started_threads) == 8
-
-
-def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path, two_workers,
-                                                                started_threads):
-    # Every third chunk is a strided view, which repr writes on this thread
-    # once the workers' chunks before it are written; the others go to the
-    # two workers.
+def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path):
+    # Every third chunk is a strided view, which the compiled formatter
+    # refuses: repr writes it in its place, after the formatted chunks
+    # before it.
     m = artifacts._WRITE_CHUNK
     rows = 8 * m + 5
     values = np.arange(rows) / 7.0 + math.pi
@@ -83,7 +54,6 @@ def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path, two_wor
     path = tmp_path / "mixed.csv"
     artifacts.write_rows(path, "t", rows, columns)
     assert_same_text(path.read_text(), per_row_csv("t", [values]))
-    assert len(started_threads) == 2
 
 
 def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
@@ -120,18 +90,20 @@ def test_a_host_without_the_library_writes_the_same_bytes_quietly(tmp_path, monk
                          (tmp_path / "with" / name).read_text())
 
 
-def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd, two_workers):
-    # A worker whose formatter call fails on its second chunk, while the
-    # other worker formats: the file, through the CLI too, is reported as
-    # not written and removed, so no truncated file looks complete, and
-    # both workers are joined.
-    format_rows, calls = artifacts._formatter(), []
+def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
+    # A formatter whose call fails on the third chunk, after two chunks are
+    # written: the file, through the CLI too, is reported as not written
+    # and removed, so no truncated file looks complete.  The formatter is a
+    # Python stand-in, so every host runs this.
+    calls = []
 
     def failing(chunk, out):
         calls.append(1)
         if len(calls) == 3:
             raise OSError("formatter failed")
-        return format_rows(chunk, out)
+        text = per_row_csv("", chunk)[1:].encode()
+        out[:len(text)] = np.frombuffer(text, np.uint8)
+        return len(text)
 
     monkeypatch.setattr(artifacts, "_formatter", lambda: failing)
     path = tmp_path / "parts.csv"
@@ -148,55 +120,16 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd, two_work
     assert not out.exists()
 
 
-def test_a_worker_that_cannot_start_fails_the_write(tmp_path, monkeypatch, two_workers):
-    # Three CPUs, and the second thread refused: one error naming the file,
-    # nothing left, and the worker that did start is joined.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    start, started = threading.Thread.start, []
-
-    def second_refused(thread):
-        if started:
-            raise RuntimeError("can't start new thread")
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", second_refused)
-    path = tmp_path / "t.csv"
-    with pytest.raises(OSError) as info:
-        write_csv(path, "t", [np.arange(8 * artifacts._WRITE_CHUNK) / 7.0])
-    assert str(info.value) == f"could not write {path}: could not start a writer thread: " \
-                              "can't start new thread"
-    assert len(started) == 1 and not started[0].is_alive() and os.listdir(tmp_path) == []
-
-
-def full_disk(monkeypatch):
-    """Every file ``write_rows`` opens writes to ``/dev/full``, so its
-    writes fail with ENOSPC, as on a full disk; the file is made first."""
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this platform")
-
-    def opened(path, *args, **kwargs):
-        fh = open(path, *args, **kwargs)
-        fd = os.open("/dev/full", os.O_WRONLY)
-        os.dup2(fd, fh.fileno())
-        os.close(fd)
-        return fh
-
-    monkeypatch.setattr(artifacts, "open", opened, raising=False)
-
-
-def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkeypatch, capfd):
-    # The writes into the output file fail, with two workers formatting:
-    # the CLI prints one line naming the file, with the prefix once,
-    # removes what it wrote, and the earlier run's files keep their names
-    # and bytes.
+def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, capfd, full_disk):
+    # The writes into the output file fail: the CLI prints one line naming
+    # the file, with the prefix once, removes what it wrote, and the
+    # earlier run's files keep their names and bytes.
     out = tmp_path / "out"
     argv = ["fluid", "--capacity-pkts", "100", "--delay-tau", "0.1", "--out", str(out)]
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capfd.readouterr()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    full_disk(monkeypatch)
+    full_disk("fluid_trace.csv", "summary.txt")
     assert main(argv) == 2
     err = capfd.readouterr().err
     assert err == f"error: could not write {out / 'fluid_trace.csv'}: [Errno 28] " \
@@ -204,11 +137,9 @@ def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, monkey
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
-    # Forming the columns of a later chunk fails on the calling thread,
-    # while two workers format the chunks before it: the error names the
-    # file once, no file is written, and the workers are joined.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_own_part_failure_names_the_file_once(tmp_path):
+    # Forming the columns of a later chunk fails, after the chunks before
+    # it are written: the error names the file once, and no file is left.
     rows = 8 * artifacts._WRITE_CHUNK
     values = np.arange(rows) / 7.0
 
@@ -224,12 +155,9 @@ def test_own_part_failure_names_the_file_once(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monkeypatch,
-                                                                 started_threads):
+def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monkeypatch):
     # The file is opened first, so a missing directory fails there: one
-    # error naming the file, no worker started, no row formatted, and
-    # nothing left behind.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # error naming the file, no row formatted, and nothing left behind.
 
     def formatted(*args, **kwargs):
         raise AssertionError("a row was formatted")
@@ -242,7 +170,7 @@ def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monke
         with pytest.raises(OSError) as info:
             write_csv(path, "t", columns)
         assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
-    assert started_threads == [] and os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):

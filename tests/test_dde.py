@@ -1,7 +1,6 @@
 import functools
 import math
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +28,7 @@ from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
 from tcpfluid.protocols import FROZEN
 from oracles import (absolute_integrate, assert_same_text, awkward_columns, convergence_order_check,
-                     per_row_csv, worker_threads)
+                     per_row_csv)
 from scalar_reno import integrate_scalar_reno
 
 
@@ -289,40 +288,34 @@ def seam_oracles(params, fp, start, rows):
         ("t,norm_x,V,Vdot,bound", stability_trace(traj, cert).columns(0, rows))]]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, monkeypatch,
-                                                              started_threads, cpus,
-                                                              canonical_params, canonical_fp):
-    # Rows one short of two write chunks, exactly two, and one row past
-    # three, on 1 to 3 workers.  Each chunk's diagnostics are formed for its
-    # own range, the oracle over the whole trajectory, so the chunk seams
-    # must not move a bit.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, chunks, canonical_params,
+                                                              canonical_fp):
+    # Rows one short of that many write chunks, exactly that many, and one
+    # row past.  Each chunk's diagnostics are formed for its own range, the
+    # oracle over the whole trajectory, so the chunk seams must not move a
+    # bit.
     params, fp = canonical_params, canonical_fp
     cert = certificate(fp, params)
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     m = artifacts._WRITE_CHUNK
-    sizes = (2 * m - 1, 2 * m, 3 * m + 1)
+    sizes = (chunks * m - 1, chunks * m, chunks * m + 1)
     oracles = seam_oracles(params, fp, start, max(sizes))
-    compiled = artifacts._formatter() is not None
     h = params.tau / 64
     path = tmp_path / "trace.csv"
     for n in sizes:
         traj = integrate(params, CUBIC, start, (n - 1.5) * h, h, fp=fp)
         assert len(traj.t) == n
         for write, oracle in zip((traj.write_csv, stability_trace(traj, cert).write_csv), oracles):
-            started_threads.clear()
             write(path)
             assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
-            assert len(started_threads) == compiled * worker_threads(n, cpus)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("chunks", [1, 2, 3])
 def test_trajectory_csvs_match_per_row_repr_across_part_seams_by_repr(
-        tmp_path, monkeypatch, started_threads, python_format, cpus, canonical_params,
-        canonical_fp):
+        tmp_path, python_format, chunks, canonical_params, canonical_fp):
     test_trajectory_csvs_match_per_row_repr_across_part_seams(
-        tmp_path, monkeypatch, started_threads, cpus, canonical_params, canonical_fp)
+        tmp_path, chunks, canonical_params, canonical_fp)
 
 
 class FailingCubic(WindowFunction):
@@ -352,12 +345,9 @@ CONVERGENCE_ARGS = ["convergence", "--capacity-pkts", "12500", "--delay-tau", "0
                     "--init", "offset", "--init-offset-s", "1e-3", "--step", str(0.01 / 64)]
 
 
-def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeypatch, capfd,
-                                                                started_threads):
+def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeypatch, capfd):
     # The window fails mid-run (a step evaluates the deficit five times).
-    # The run ends before any file is written, so no worker is started and
-    # no output is made, although two CPUs would give the writer two.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # The run ends before any file is written, so no output is made.
     monkeypatch.setattr(experiment, "window_function",
                         lambda name: FailingCubic(5 * 1000))
     out = tmp_path / "out"
@@ -365,21 +355,7 @@ def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeyp
     assert rc == 3
     err = capfd.readouterr().err
     assert err.startswith("numeric failure: w_max or window left") and len(err.splitlines()) == 1
-    assert started_threads == [] and os.listdir(tmp_path) == []
-
-
-def refuse_threads(monkeypatch):
-    """Two CPUs, and every thread refused, as where the process may start
-    no more: no worker is started.  Skipped where the compiled formatter,
-    which the workers run, cannot be built."""
-    if artifacts._formatter() is None:
-        pytest.skip("no C compiler to build the formatter with; CI requires it")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    def refused(thread):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refused)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("args, artifact", [
@@ -387,12 +363,12 @@ def refuse_threads(monkeypatch):
       "--sample-dt", "0.001"], "nhpl_trace.csv"),
     ([*CONVERGENCE_ARGS, "--t-end", "6.0"], "convergence.csv"),
 ])
-def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args, artifact):
-    # A worker thread refused for the 160,005-row simulator trace or the
-    # 38,401-row convergence table.  The file is named, and no output
-    # directory is left, although the simulator run wrote its event log
-    # before the trace.
-    refuse_threads(monkeypatch)
+def test_cli_names_the_file_a_fork_failed_for(tmp_path, capfd, full_disk, args, artifact):
+    # The writes into the 160,005-row simulator trace or the 38,401-row
+    # convergence table fail, as on a full disk.  The file is named, and no
+    # output directory is left, although the simulator run wrote its event
+    # log before the trace.
+    full_disk(artifact)
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 2
     err = capfd.readouterr().err
@@ -403,13 +379,12 @@ def test_cli_names_the_file_a_fork_failed_for(tmp_path, monkeypatch, capfd, args
 
 @pytest.mark.parametrize("run, earlier", [("", False), ("run/deeper", False), ("", True)],
                          ids=["", "run/deeper", "over-an-earlier-run"])
-def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capfd, run,
-                                                     earlier):
-    # The simulator run writes its event log, then fails to start a worker
-    # for its trace: the log and every directory made for --out go; the
-    # existing directory and the files it held before the run stay, an
-    # earlier run's event log, trace and summary among them when there was
-    # one.
+def test_failed_write_removes_only_what_the_run_made(tmp_path, capfd, full_disk, run, earlier):
+    # The simulator run writes its event log, then fails to write its trace
+    # for want of disk space: the log and every directory made for --out
+    # go; the existing directory and the files it held before the run stay,
+    # an earlier run's event log, trace and summary among them when there
+    # was one.
     existing = tmp_path / "out"
     existing.mkdir()
     (existing / "notes.txt").write_text("kept\n")
@@ -419,7 +394,7 @@ def test_failed_write_removes_only_what_the_run_made(tmp_path, monkeypatch, capf
     if earlier:
         assert main(args) == 0
     before = {path.name: path.read_bytes() for path in existing.iterdir()}
-    refuse_threads(monkeypatch)
+    full_disk("nhpl_trace.csv")
     assert main([*args, "--seed", "2"]) == 2
     assert capfd.readouterr().err.startswith(f"error: could not write {out / 'nhpl_trace.csv'}")
     assert os.listdir(tmp_path) == ["out"]

@@ -138,8 +138,8 @@ def test_format_rows_refuses_what_it_cannot_write():
 
 
 def test_the_widest_cells_fit_cell_bytes():
-    # _repr.c's CELL_BYTES and _rk4's, which sizes every buffer the writer's
-    # workers format into, are one number.  The widest cells, the negative
+    # _repr.c's CELL_BYTES and _rk4's, which sizes the buffer the writer
+    # formats into, are one number.  The widest cells, the negative
     # least normal float and the least int64, fit it, the float taking all
     # of it with its separator, and no byte past the buffer is written.
     with open(SOURCE) as fh:
