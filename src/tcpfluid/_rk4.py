@@ -1,10 +1,12 @@
 """Build, cache and bind the package's compiled library: ``_rk4.c``, the
-step loop of :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows,
-and ``_repr.c``, the formatter of :func:`tcpfluid.artifacts.write_rows` for
-tables of float64 and int64 columns.
+step loop of :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows;
+``_repr.c``, the formatter of :func:`tcpfluid.artifacts.write_rows` for
+tables of float64 and int64 columns; and ``_sim.c``, the event loop of
+:func:`tcpfluid.nhpl.run_simulation` for the Reno, CUBIC and frozen windows.
+Each transcribes Python code that stays its specification and its fallback.
 
-``dde`` and ``artifacts`` import this module on the first run or write that
-needs the library, never on import, and share its one loader,
+``dde``, ``artifacts`` and ``nhpl`` import this module on the first run or
+write that needs the library, never on import, and share its one loader,
 :func:`library`.  The C is a plain shared library (no ``Python.h``), built
 with the compiler Python was built with and called through ctypes.
 """
@@ -19,15 +21,18 @@ import sysconfig
 import zlib
 from collections import namedtuple
 from contextlib import suppress
+from functools import partial
 
 import numpy as np
 
 from .artifacts import formattable
 from .core import FlowState
 from .dde import _DELAYED_EXIT, _STORED_EXIT, IntegrationError, Trajectory
+from .nhpl import Event, SimState, pick_losing_flow
+from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # The sources of the one library, in this package's directory.
-_SOURCES = ("_rk4.c", "_repr.c")
+_SOURCES = ("_rk4.c", "_repr.c", "_sim.c")
 # No fast-math and no fused multiply-add, so that the compiled loop rounds
 # as the Python loop does.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -45,15 +50,42 @@ class _Params(ctypes.Structure):
                   ("h", "tau", "bdp", "b", "c", "w_ref", "s_ref", "r_start"))]
 
 
-# The compiled library's two entry points (see :func:`load`).
-Library = namedtuple("Library", "steps format_rows")
+class _Sim(ctypes.Structure):
+    """``struct sim`` of ``_sim.c``."""
+
+    _fields_ = [("window", ctypes.c_long), ("flows", ctypes.c_long),
+                *((field, ctypes.c_double) for field in
+                  ("tau", "bdp", "b", "c", "lookahead", "t_end")),
+                ("most", ctypes.c_long), ("next_double", ctypes.c_void_p), ("rng", ctypes.c_void_p),
+                *((field, ctypes.c_void_p) for field in
+                  ("w_loss", "llis", "weights", "pending_t", "pending_f")),
+                ("pending", ctypes.c_long), ("t_loss_last", ctypes.c_double),
+                *((field, ctypes.c_long) for field in ("losses", "candidates", "rows", "used")),
+                *((field, ctypes.c_void_p) for field in
+                  ("kind", "time", "flow", "before", "after")),
+                ("loss_time", ctypes.c_double), ("found", ctypes.c_long), ("u", ctypes.c_double)]
+
+
+# _sim.c's codes: of the window functions it transcribes, of its event
+# kinds, and of its returns other than the run's end.
+_WINDOWS = {RenoWindow: 0, CubicWindow: 1, FrozenWindow: 2}
+_KINDS = ("loss", "indication")
+_BLOCK_FULL, _OVER_BUDGET, _NO_FLOW_CAN_LOSE = 1, 2, 3
+# Rows of the event block _sim.c writes into, unless one step may need more.
+# On criterion 7's run 1024 rows peaked 0.2 MB lower than 4096 and were no
+# slower.
+_EVENT_ROWS = 1024
+
+# The compiled library's three entry points (see :func:`load`).
+Library = namedtuple("Library", "steps format_rows simulate")
 
 
 def load(cache: str) -> Library | None:
-    """Load ``_rk4.c`` and ``_repr.c`` built as one shared library in the
-    directory ``cache``, building it first (see :func:`_build`) when no
-    library there has its name; None, with nothing printed and no file left
-    behind, when it cannot be built or loaded.
+    """Load ``_rk4.c``, ``_repr.c`` and ``_sim.c`` built as one shared
+    library in the directory ``cache``, building it first (see
+    :func:`_build`) when no library there has its name; None, with nothing
+    printed and no file left behind, when it cannot be built or loaded or
+    lacks one of its three symbols.
 
     The library's name is a CRC of the sources and the compile command, so
     an edited source gets a library of its own.  Its ``steps(traj, cubic,
@@ -64,7 +96,17 @@ def load(cache: str) -> Library | None:
     contiguous, native float64 and int64 ``columns`` as CSV text into the
     uint8 array ``out``, which holds ``CELL_BYTES`` per cell, and returns
     the number of bytes written: every float as ``repr`` and every integer
-    as ``str`` writes it.
+    as ``str`` writes it.  Its ``simulate(state, t_end, most)`` steps the
+    ``SimState`` of a Reno, CUBIC or frozen run, whose rng is an
+    ``RngStream``, as ``run_simulation``'s loop does, drawing from that
+    stream's own PCG64 as ``RngStream.uniform`` does, until a step finds no
+    loss or one past ``t_end``, or the losses by ``t_end`` pass ``most``;
+    it leaves the state, its event log and its candidate count as that loop
+    leaves them, returns (losses by ``t_end``, the last step's loss time or
+    None) and raises what the loop's ``pick_losing_flow`` raises.  The C
+    writes events into a block of ``_EVENT_ROWS`` rows, returning to Python
+    between two steps whenever the next one might not fit, and each block
+    is appended to the log as ``Event``s.
     """
     folder = os.path.dirname(__file__)
     sources = [os.path.join(folder, name) for name in _SOURCES]
@@ -78,7 +120,7 @@ def load(cache: str) -> Library | None:
         if not (os.path.exists(library) or _build([*compiler, *sources, "-lm", "-o"], library)):
             return None
         lib = ctypes.CDLL(library)
-        rk4_steps, c_format_rows = lib.rk4_steps, lib.format_rows
+        rk4_steps, c_format_rows, sim_run = lib.rk4_steps, lib.format_rows, lib.sim_run
     # ValueError: a CC that shlex cannot split; AttributeError: a missing symbol.
     except (OSError, ValueError, AttributeError):
         return None
@@ -88,6 +130,8 @@ def load(cache: str) -> Library | None:
     c_format_rows.restype = ctypes.c_long
     c_format_rows.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
                               ctypes.c_void_p]
+    sim_run.restype = ctypes.c_int
+    sim_run.argtypes = [ctypes.POINTER(_Sim)]
 
     def steps(traj: Trajectory, cubic: bool, k: int, r_start: float) -> None:
         p, h, rows = traj.params, traj.step, len(traj.x1)
@@ -112,7 +156,57 @@ def load(cache: str) -> Library | None:
         pointers = (ctypes.c_void_p * len(columns))(*(col.ctypes.data for col in columns))
         return c_format_rows(rows, len(columns), pointers, kinds, out.ctypes.data)
 
-    return Library(steps, format_rows)
+    def simulate(state: SimState, t_end: float, most: int) -> tuple[int, float | None]:
+        p, flows = state.params, len(state.w_loss)
+        bits = state.rng._gen.bit_generator.ctypes  # RngStream's PCG64
+        w_loss, llis, weights = np.array(state.w_loss), np.array(state.llis), np.empty(flows)
+        queue = [np.array([t for t, _ in state.pending]), np.array([f for _, f in state.pending],
+                                                                     dtype=np.int64)]
+        sim = _Sim(_WINDOWS[type(state.window_fn)], flows, p.tau, p.bdp, p.b, p.c,
+                   state.lookahead, t_end, most,
+                   ctypes.cast(bits.next_double, ctypes.c_void_p).value, bits.state_address,
+                   w_loss.ctypes.data, llis.ctypes.data, weights.ctypes.data,
+                   pending=len(state.pending), t_loss_last=state.t_loss_last,
+                   candidates=state.candidates)
+        block, code = [], _BLOCK_FULL
+        while code == _BLOCK_FULL:
+            if not block or sim.rows < sim.pending + 1:
+                # One step writes an event per pending indication, and its loss.
+                sim.rows = max(_EVENT_ROWS, sim.pending + 1)
+                block = [np.empty(sim.rows, np.uint8), np.empty(sim.rows),
+                         np.empty(sim.rows, np.int64), np.empty(sim.rows), np.empty(sim.rows)]
+                sim.kind, sim.time, sim.flow, sim.before, sim.after = (
+                    col.ctypes.data for col in block)
+            if len(queue[0]) < sim.pending + sim.rows:
+                queue = [np.resize(col, 2 * (sim.pending + sim.rows)) for col in queue]
+                sim.pending_t, sim.pending_f = (col.ctypes.data for col in queue)
+            code = sim_run(sim)
+            used = sim.used
+            windows = _floats(np.concatenate((block[3][:used], block[4][:used])))
+            # tuple.__new__ makes each Event as Event._make does, without its
+            # length check.
+            state.events.extend(map(partial(tuple.__new__, Event), zip(
+                map(_KINDS.__getitem__, block[0][:used].tolist()), block[1][:used].tolist(),
+                block[2][:used].tolist(), windows[:used], windows[used:])))
+            sim.used = 0
+        pending = sim.pending
+        state.w_loss, state.llis = w_loss.tolist(), llis.tolist()
+        state.pending = list(zip(queue[0][:pending].tolist(), queue[1][:pending].tolist()))
+        state.t_loss_last, state.candidates = sim.t_loss_last, sim.candidates
+        if code == _NO_FLOW_CAN_LOSE:
+            pick_losing_flow(weights.tolist(), sim.u)  # raises its ValueError
+            raise AssertionError("_sim.c refused a loss that pick_losing_flow takes")
+        return sim.losses, sim.loss_time if code == _OVER_BUDGET or sim.found else None
+
+    return Library(steps, format_rows, simulate)
+
+
+def _floats(column: np.ndarray) -> list[float]:
+    """The float64 ``column`` as a list with one float object per distinct
+    bit pattern, as the Python loop shares one object among the windows of
+    a loss, and among all of a frozen window's."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    return list(map(bits.view(np.float64).tolist().__getitem__, index.tolist()))
 
 
 @functools.cache

@@ -1,0 +1,375 @@
+/* The event loop of tcpfluid.nhpl.run_simulation for the Reno, CUBIC and
+   frozen windows.
+
+   A transcription of the Python loop in nhpl.py (generate_poi_loss and what
+   it calls, and run_simulation's loss count): the same floating-point
+   operations in the same order, so every event and every state bit is the
+   same.  It must be built without fast-math and with -ffp-contract=off, so
+   that no operation is reordered or fused; log and pow are the libm
+   functions that math.log and float power call.  Its uniforms come from the
+   run's own numpy PCG64, through the next_double function that numpy's
+   bit_generator.ctypes exposes, which is what Generator.random() calls, so
+   the draws and their order are the Python loop's.  Plain C with no
+   Python.h: tcpfluid/_rk4.py builds it into one library with _rk4.c and
+   _repr.c and binds it through ctypes. */
+
+#include <math.h>
+#include <stdint.h>
+
+/* The window functions of protocols.py. */
+enum { RENO = 0, CUBIC = 1, FROZEN = 2 };
+/* Event kinds: Event.event_type "loss" and "indication". */
+enum { LOSS = 0, INDICATION = 1 };
+/* Return codes of sim_run. */
+enum { ENDED = 0, BLOCK_FULL = 1, OVER_BUDGET = 2, NO_FLOW_CAN_LOSE = 3 };
+
+/* fixedpoint._MAX_ITER and fixedpoint._EPS */
+#define MAX_ITER 100
+#define EPS 0x1p-52
+
+/* A run's parameters, its SimState and its event block; _rk4.py's _Sim. */
+struct sim {
+    long window;                    /* RENO, CUBIC or FROZEN */
+    long flows;
+    double tau, bdp, b, c;          /* SystemParams */
+    double lookahead, t_end;
+    long most;                      /* losses allowed by t_end: WORK_BUDGET // flows */
+    double (*next_double)(void *);  /* the run's PCG64 */
+    void *rng;
+    double *w_loss, *llis;          /* SimState.w_loss and llis */
+    double *weights;                /* the flows' windows at the latest loss time */
+    double *pending_t;              /* SimState.pending as heapq keeps it, with */
+    int64_t *pending_f;             /* room for one more entry per free row */
+    long pending;
+    double t_loss_last;
+    long losses;                    /* run_simulation's count, of losses by t_end */
+    long candidates;                /* SimState.candidates */
+    long rows, used;                /* the event block's rows, and those written */
+    unsigned char *kind;
+    double *time;
+    int64_t *flow;
+    double *before, *after;
+    double loss_time;               /* on ENDED with found, and OVER_BUDGET */
+    long found;                     /* on ENDED: whether the last step found a loss */
+    double u;                       /* on NO_FLOW_CAN_LOSE: the draw for the pick */
+};
+
+/* core.cbrt */
+static double cbrt_total(double x)
+{
+    return copysign(pow(fabs(x), 1.0 / 3.0), x);
+}
+
+/* WindowFunction.window at (w_max, s). */
+static double window(const struct sim *m, double w_max, double s)
+{
+    if (m->window == RENO)
+        return 0.5 * w_max + s / m->tau;
+    if (m->window == CUBIC) {
+        double d = s - cbrt_total(w_max * m->b / m->c);
+        return m->c * d * d * d + w_max;
+    }
+    return w_max;
+}
+
+/* WindowFunction.coefficients at (w_max, s), into a[0..3]. */
+static void coefficients(const struct sim *m, double w_max, double s, double *a)
+{
+    if (m->window == RENO) {
+        a[0] = 0.5 * w_max + s / m->tau, a[1] = 1.0 / m->tau, a[2] = 0.0, a[3] = 0.0;
+    } else if (m->window == CUBIC) {
+        double c = m->c, d = s - cbrt_total(w_max * m->b / c);
+        a[0] = c * d * d * d + w_max, a[1] = 3.0 * c * d * d, a[2] = 3.0 * c * d, a[3] = c;
+    } else {
+        a[0] = w_max, a[1] = 0.0, a[2] = 0.0, a[3] = 0.0;
+    }
+}
+
+/* nhpl._horner on the n coefficients p. */
+static double horner(const double *p, int n, double x)
+{
+    double acc = 0.0;
+    for (int i = n - 1; i >= 0; i--)
+        acc = p[i] + x * acc;
+    return acc;
+}
+
+/* fixedpoint.solve_increasing */
+static double solve_increasing(const double *p, double lo, double hi, double x)
+{
+    double p0 = p[0], p1 = p[1], p2 = p[2], p3 = p[3], p4 = p[4];
+    double d1 = 2.0 * p2, d2 = 3.0 * p3, d3 = 4.0 * p4;
+    for (int i = 0; i < MAX_ITER; i++) {
+        double g = p0 + x * (p1 + x * (p2 + x * (p3 + x * p4)));
+        double dg = p1 + x * (d1 + x * (d2 + x * d3));
+        double nxt;
+        if (g >= 0.0)
+            hi = x;
+        else
+            lo = x;
+        if (dg > 0.0) {
+            double step = g / dg;
+            nxt = x - step;
+            if (fabs(step) <= EPS * fabs(x))
+                return nxt;
+        } else {
+            nxt = hi;
+        }
+        if (!(lo < nxt && nxt < hi)) {
+            nxt = 0.5 * (lo + hi);
+            if (!(lo < nxt && nxt < hi))
+                return hi;
+        }
+        x = nxt;
+    }
+    return hi;
+}
+
+/* Python's min(a, b) and max(a, b): a unless b is below (above) it. */
+static double min_of(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static double max_of(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+/* nhpl.excess_poly, into e[0..3]. */
+static void excess_poly(const struct sim *m, double t0, double *e)
+{
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0, c[4];
+    for (long f = 0; f < m->flows; f++) {
+        coefficients(m, m->w_loss[f], t0 - m->llis[f], c);
+        a0 += c[0];
+        a1 += c[1];
+        a2 += c[2];
+        a3 += c[3];
+    }
+    e[0] = a0 - (double)m->flows * m->bdp, e[1] = a1, e[2] = a2, e[3] = a3;
+}
+
+/* nhpl.t_bdp: 0 for None, else 1 with the offset in *x. */
+static int t_bdp(const double *e, double horizon, double *x)
+{
+    if (e[0] >= 0.0) {
+        *x = 0.0;
+        return 1;
+    }
+    if (horner(e, 4, horizon) < 0.0)
+        return 0;
+    double guess = e[1] > 0.0 ? -e[0] / e[1] : 0.5 * horizon;
+    double p[5] = {e[0], e[1], e[2], e[3], 0.0};
+    *x = solve_increasing(p, 0.0, horizon, min_of(guess, horizon));
+    return 1;
+}
+
+/* nhpl._integral_from_crossing: 0 for None, else 1 with (x0, q1, q2, q3,
+   q4) in q[0..4]. */
+static int integral_from_crossing(const double *e, double horizon, double *q)
+{
+    double start;
+    if (!t_bdp(e, horizon, &start))
+        return 0;
+    double e0 = e[0], e1 = e[1], e2 = e[2], e3 = e[3];
+    if (start > 0.0) {
+        double x = start;
+        e0 = max_of(horner(e, 4, x), 0.0);
+        e1 = e1 + x * (2.0 * e2 + 3.0 * e3 * x);
+        e2 = e2 + 3.0 * e3 * x;
+    }
+    q[0] = start, q[1] = e0, q[2] = 0.5 * e1, q[3] = e2 / 3.0, q[4] = 0.25 * e3;
+    return 1;
+}
+
+/* nhpl.RngStream.uniform */
+static double uniform(const struct sim *m)
+{
+    double u = m->next_double(m->rng);
+    while (u <= 0.0)
+        u = m->next_double(m->rng);
+    return u;
+}
+
+/* nhpl.compute_T: 0 for None, else 1 with the candidate in *t.  compute_T's
+   check that u lies inside (0, 1) always passes on uniform's draws. */
+static int compute_T(const struct sim *m, double t0, double *t)
+{
+    double e[4], crossing[5];
+    excess_poly(m, t0, e);
+    if (!integral_from_crossing(e, m->lookahead, crossing))
+        return 0;
+    double start = crossing[0], horizon = m->lookahead - start;
+    double u = uniform(m);
+    double target = -log(u) * m->tau;
+    double quartic[5] = {-target, crossing[1], crossing[2], crossing[3], crossing[4]};
+    if (horner(quartic, 5, horizon) < 0.0)
+        return 0;
+    double guess = horizon;
+    for (int k = 1; k <= 4; k++)
+        if (quartic[k] > 0.0)
+            guess = min_of(guess, pow(target / quartic[k], 1.0 / k));
+    *t = t0 + start + solve_increasing(quartic, 0.0, horizon, guess);
+    return 1;
+}
+
+/* nhpl.pick_losing_flow: 0 where it raises ValueError, else 1 with the flow
+   in *flow.  Its check on u always passes on uniform's draws. */
+static int pick_losing_flow(const double *w, long n, double u, long *flow)
+{
+    double total = 0.0;
+    for (long f = 0; f < n; f++) {
+        if (w[f] < 0.0)
+            return 0;
+        total += w[f];
+    }
+    if (!(total > 0.0))
+        return 0;
+    double threshold = u * total, running = 0.0;
+    long last = 0;
+    for (long f = 0; f < n; f++)
+        if (w[f] > 0.0) {
+            running += w[f];
+            last = f;
+            if (running > threshold) {
+                *flow = f;
+                return 1;
+            }
+        }
+    *flow = last;
+    return 1;
+}
+
+/* heapq's order on the queue's (time, flow) tuples: (ta, fa) < (tb, fb). */
+static int earlier(double ta, int64_t fa, double tb, int64_t fb)
+{
+    return ta == tb ? fa < fb : ta < tb;
+}
+
+/* heapq._siftdown: move the entry at pos up towards start. */
+static void sift_down(struct sim *m, long start, long pos)
+{
+    double t = m->pending_t[pos];
+    int64_t f = m->pending_f[pos];
+    while (pos > start) {
+        long parent = (pos - 1) >> 1;
+        if (!earlier(t, f, m->pending_t[parent], m->pending_f[parent]))
+            break;
+        m->pending_t[pos] = m->pending_t[parent], m->pending_f[pos] = m->pending_f[parent];
+        pos = parent;
+    }
+    m->pending_t[pos] = t, m->pending_f[pos] = f;
+}
+
+/* heapq._siftup: move the smaller child up from pos to a leaf, then the
+   entry that was at pos back up from there. */
+static void sift_up(struct sim *m, long pos)
+{
+    long end = m->pending, start = pos, child = 2 * pos + 1;
+    double t = m->pending_t[pos];
+    int64_t f = m->pending_f[pos];
+    while (child < end) {
+        long right = child + 1;
+        if (right < end && !earlier(m->pending_t[child], m->pending_f[child],
+                                    m->pending_t[right], m->pending_f[right]))
+            child = right;
+        m->pending_t[pos] = m->pending_t[child], m->pending_f[pos] = m->pending_f[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    m->pending_t[pos] = t, m->pending_f[pos] = f;
+    sift_down(m, start, pos);
+}
+
+/* heapq.heappush */
+static void push(struct sim *m, double t, long f)
+{
+    m->pending_t[m->pending] = t, m->pending_f[m->pending] = f;
+    sift_down(m, 0, m->pending++);
+}
+
+/* heapq.heappop, of a queue that is not empty. */
+static void pop(struct sim *m, double *t, long *f)
+{
+    long last = --m->pending;
+    *t = m->pending_t[0], *f = (long)m->pending_f[0];
+    if (last > 0) {
+        m->pending_t[0] = m->pending_t[last], m->pending_f[0] = m->pending_f[last];
+        sift_up(m, 0);
+    }
+}
+
+/* Append an event to the block. */
+static void record(struct sim *m, int kind, double t, long f, double w_before, double w_after)
+{
+    long i = m->used++;
+    m->kind[i] = (unsigned char)kind;
+    m->time[i] = t, m->flow[i] = f, m->before[i] = w_before, m->after[i] = w_after;
+}
+
+/* nhpl._apply_next_indication */
+static double apply_next_indication(struct sim *m)
+{
+    double t_ind;
+    long f;
+    pop(m, &t_ind, &f);
+    double w_before = window(m, m->w_loss[f], t_ind - m->llis[f]);
+    double w_after = window(m, w_before, 0.0);
+    m->w_loss[f] = w_before;
+    m->llis[f] = t_ind;
+    record(m, INDICATION, t_ind, f, w_before, w_after);
+    return t_ind;
+}
+
+/* nhpl.generate_poi_loss, counting its candidates: 1 with the loss time in
+   *t, 0 for None, -1 where pick_losing_flow raises. */
+static int generate_poi_loss(struct sim *m, double *t)
+{
+    m->candidates++;
+    int found = compute_T(m, m->t_loss_last, t);
+    while (m->pending && (!found || *t >= m->pending_t[0])) {
+        double t_ind = apply_next_indication(m);
+        m->candidates++;
+        found = compute_T(m, t_ind, t);
+    }
+    if (!found)
+        return 0;
+    for (long f = 0; f < m->flows; f++)
+        m->weights[f] = window(m, m->w_loss[f], *t - m->llis[f]);
+    m->u = uniform(m);
+    long flow;
+    if (!pick_losing_flow(m->weights, m->flows, m->u, &flow))
+        return -1;
+    push(m, *t + m->tau, flow);
+    record(m, LOSS, *t, flow, m->weights[flow], m->weights[flow]);
+    m->t_loss_last = *t;
+    return 1;
+}
+
+/* run_simulation's loop: step until a step finds no loss or one past
+   t_end (ENDED), the losses by t_end pass `most` (OVER_BUDGET, with the
+   loss's time), or pick_losing_flow raises (NO_FLOW_CAN_LOSE, with the
+   windows in weights and the draw in u).  Before each step, returns
+   BLOCK_FULL if the block has fewer free rows than the step may write: one
+   per pending indication, and the loss.  The queue must have room for one
+   more entry per free row. */
+int sim_run(struct sim *m)
+{
+    for (;;) {
+        if (m->rows - m->used < m->pending + 1)
+            return BLOCK_FULL;
+        double t;
+        int found = generate_poi_loss(m, &t);
+        if (found < 0)
+            return NO_FLOW_CAN_LOSE;
+        m->found = found;
+        if (!found)
+            return ENDED;
+        m->loss_time = t;
+        if (!(t <= m->t_end))
+            return ENDED;
+        if (++m->losses > m->most)
+            return OVER_BUDGET;
+    }
+}

@@ -43,7 +43,8 @@ with the compiler Python was built with, into this package's
 command; later processes load it from there.  Nothing of this happens on
 import.  The same library holds the compiled CSV formatter, ``_repr.c``,
 which writes the trajectory's CSV with the bytes ``repr`` gives, ``repr``
-being its specification and its fallback (see :mod:`tcpfluid.artifacts`).
+being its specification and its fallback (see :mod:`tcpfluid.artifacts`),
+and the simulator's event loop, ``_sim.c`` (see :mod:`tcpfluid.nhpl`).
 """
 
 from __future__ import annotations

@@ -392,6 +392,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         report("nhpl_mean_w", mean)
         report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
         report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
+        report("nhpl_candidates", sim.candidates)
 
     if config.mode == "both":
         report("nhpl_vs_fluid", metrics["nhpl_mean_w"] / metrics["fluid_mean_w"] - 1.0)

@@ -32,9 +32,20 @@ With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
 0) of the fluid equations, and for N identical flows each carries 1/N of the
 total rate, so both limits agree with the mean-field model.
 
+Two loops step a run, with one result.  For ``RenoWindow``,
+``CubicWindow`` and ``FrozenWindow`` themselves (not subclasses, which may
+override what it transcribes), ``run_simulation`` runs the event loop as
+compiled C, ``_sim.c`` (see :mod:`tcpfluid._rk4`): it transcribes
+``generate_poi_loss`` and what it calls, the queue's heap order and the
+loss count against ``WORK_BUDGET``, operation for operation, and draws its
+uniforms from the run's own numpy PCG64 through numpy's C interface, so
+every event, every state bit, every draw and every ``ValueError`` is the
+Python loop's.  The Python loop stays the specification, and runs every
+other window function and every run on a host where the C cannot be built.
+
 A run's ``SimResult`` writes its event log, one column per ``Event`` field,
 and its trace through :mod:`tcpfluid.artifacts`, the package's one CSV
-writer.
+writer; it carries the number of candidates the run computed.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ import numpy as np
 from .artifacts import write_csv, write_rows
 from .core import FlowState, SystemParams, WindowFunction, check_start
 from .fixedpoint import solve_increasing
+from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # Cap on one run's fluid steps, its simulator trace rows and its losses
 # times flows, which ``run_simulation`` counts as it goes.
@@ -108,7 +120,8 @@ class SimState:
     loss event that produced it.  t_loss_last is the most recent loss event
     at the congestion point, 0 until the first.  first and the event log are
     the only record of earlier epochs: each indication starts one at its
-    time from its window_before.
+    time from its window_before.  candidates counts the candidate loss times
+    ``generate_poi_loss`` has computed.
     """
 
     params: SystemParams
@@ -118,6 +131,7 @@ class SimState:
     lookahead: float
     pending: list[tuple[float, int]] = field(default_factory=list, init=False)
     t_loss_last: float = field(default=0.0, init=False)
+    candidates: int = field(default=0, init=False)
     events: list[Event] = field(default_factory=list, init=False)
     w_loss: list[float] = field(init=False)
     llis: list[float] = field(init=False)
@@ -305,8 +319,10 @@ def generate_poi_loss(state: SimState) -> float | None:
     On return every remaining pending indication lies strictly after the
     loss time.
     """
+    state.candidates += 1
     loss_time = compute_T(state, state.t_loss_last)
     while state.pending and (loss_time is None or loss_time >= state.pending[0][0]):
+        state.candidates += 1
         loss_time = compute_T(state, _apply_next_indication(state))
     if loss_time is None:
         return None
@@ -325,6 +341,7 @@ class SimResult:
     trace_t: np.ndarray
     trace_flow: np.ndarray
     trace_w: np.ndarray
+    candidates: int  # candidate loss times computed, past t_end too
 
     def write_events_csv(self, path) -> None:
         """The event log as a CSV with one column per ``Event`` field; the
@@ -417,11 +434,19 @@ def run_simulation(
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = SimState(params, window_fn, init, RngStream(seed), lookahead)
     losses, most = 0, WORK_BUDGET // params.flows
-    while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
-        losses += 1
-        if losses > most:
-            raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
-                             f"{params.flows} flows is over {WORK_BUDGET}")
+    # The compiled loop for the three windows themselves; a subclass may
+    # override what it transcribes.
+    kernel = _kernel() if type(window_fn) in (RenoWindow, CubicWindow, FrozenWindow) else None
+    if kernel is not None:
+        losses, loss_time = kernel(state, t_end, most)
+    else:
+        while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
+            losses += 1
+            if losses > most:
+                break
+    if losses > most:
+        raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
+                         f"{params.flows} flows is over {WORK_BUDGET}")
     trace_t, trace_flow, trace_w = _render_trace(state, t_end, sample_dt)
     return SimResult(
         t_end=t_end,
@@ -429,4 +454,14 @@ def run_simulation(
         trace_t=trace_t,
         trace_flow=trace_flow,
         trace_w=trace_w,
+        candidates=state.candidates,
     )
+
+
+def _kernel():
+    """The compiled event loop (see :func:`tcpfluid._rk4.load`); None where
+    the library cannot be built."""
+    from . import _rk4  # on first use: importing nhpl leaves the loader unread
+
+    lib = _rk4.library()
+    return None if lib is None else lib.simulate

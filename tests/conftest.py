@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from tcpfluid import SystemParams, artifacts, cubic_fixed_point, dde
+from tcpfluid import SystemParams, artifacts, cubic_fixed_point, dde, nhpl
 
 
 @pytest.fixture(autouse=True)
@@ -28,6 +28,13 @@ def python_loop(monkeypatch):
     """Every ``integrate`` call runs the Python step loop, as on a host
     where the compiled loop cannot be built."""
     monkeypatch.setattr(dde, "_kernel", lambda: None)
+
+
+@pytest.fixture
+def python_sim(monkeypatch):
+    """Every ``run_simulation`` call runs the Python event loop, as on a
+    host where the compiled loop cannot be built."""
+    monkeypatch.setattr(nhpl, "_kernel", lambda: None)
 
 
 @pytest.fixture

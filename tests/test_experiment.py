@@ -207,6 +207,9 @@ def test_nhpl_mode_artifacts(tmp_path):
     assert events[0] == "event_type,time,flow,window_before,window_after"
     assert result.metrics["nhpl_losses"] >= 1.0
     assert result.metrics["nhpl_mean_w"] > 0.0
+    # One candidate per event up to t_end at least: each step computes one,
+    # and one more per indication it applies; the last step's is not logged.
+    assert result.metrics["nhpl_candidates"] >= len(events)
 
 
 def test_both_mode_reports_the_gap(tmp_path):
@@ -665,6 +668,15 @@ def test_cli_rejects_runs_over_the_work_budget(tmp_path, capsys, argv):
 
 
 def test_simulator_stops_a_run_whose_losses_pass_the_budget(tmp_path, capsys, monkeypatch):
+    stops_a_run_over_the_budget(tmp_path, capsys, monkeypatch)
+
+
+def test_simulator_stops_a_run_whose_losses_pass_the_budget_in_the_python_loop(
+        tmp_path, capsys, monkeypatch, python_sim):
+    stops_a_run_over_the_budget(tmp_path, capsys, monkeypatch)
+
+
+def stops_a_run_over_the_budget(tmp_path, capsys, monkeypatch):
     # CUBIC at 100 pkt/s with tau = 10 s: every window grows for a whole
     # delay before its first loss reaches it (c tau^3 = 400 packets over a
     # bdp of 1000), so 300 s take 15,896 losses where the checks made before

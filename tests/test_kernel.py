@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcpfluid import (CUBIC, RENO, FlowState, IntegrationError, SystemParams, cubic_fixed_point,
-                      integrate, reno_steady_state)
-from tcpfluid import _rk4, dde
+from tcpfluid import (CUBIC, RENO, FlowState, IntegrationError, RngStream, SystemParams,
+                      cubic_fixed_point, integrate, reno_steady_state, run_simulation)
+from tcpfluid import _rk4, dde, nhpl
 from tcpfluid.fixedpoint import SolverError
-from tcpfluid.protocols import FROZEN, CubicWindow, RenoWindow
+from tcpfluid.nhpl import SimState
+from tcpfluid.protocols import FROZEN, CubicWindow, FrozenWindow, RenoWindow
+from oracles import assert_same_text
 
 CACHE = os.path.join(os.path.dirname(dde.__file__), "__pycache__")
 
@@ -251,10 +253,21 @@ def test_a_cached_library_loads_without_a_compile(monkeypatch):
     assert _rk4.load(CACHE) is not None
 
 
-def test_import_and_the_simulator_build_nothing():
-    # Neither importing the package nor a simulator run reaches the
-    # library, and loading it does not import hashlib, which loads OpenSSL
-    # (numpy.random, which the simulator imports, does).
+def test_a_library_without_the_event_loop_is_not_loaded(tmp_path, monkeypatch):
+    # Built from the step loop and formatter alone, the library lacks
+    # sim_run: load refuses it whole, so no caller meets a missing entry.
+    if dde._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    monkeypatch.setattr(_rk4, "_SOURCES", ("_rk4.c", "_repr.c"))
+    assert _rk4.load(str(tmp_path)) is None
+    assert [name for name in os.listdir(tmp_path) if name.endswith(".so")] != []
+
+
+def test_import_builds_nothing():
+    # Importing the package does not reach the library, loading it does not
+    # import hashlib, which loads OpenSSL (numpy.random, which the simulator
+    # imports, does), and a simulator run loads it through the one cached
+    # loader.
     code = ("import sys; from tcpfluid import SystemParams, CUBIC, run_simulation; "
             "print('hashlib' in sys.modules, 'tcpfluid._rk4' in sys.modules); "
             "from tcpfluid import _rk4; _rk4.load(sys.argv[1]); print('hashlib' in sys.modules); "
@@ -263,4 +276,152 @@ def test_import_and_the_simulator_build_nothing():
     src = os.path.dirname(os.path.dirname(dde.__file__))
     proc = subprocess.run([sys.executable, "-c", code, CACHE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\nFalse\n0\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\nFalse\n1\n", "")
+
+
+# The compiled event loop of ``nhpl.run_simulation`` against the Python loop.
+
+def simulated(*args, **kwargs):
+    """What ``run_simulation`` gives, as bits: its events, trace and
+    candidate count with the final ``SimState`` it stepped (its queue
+    sorted, and its stream's state, which shows every draw), or its error's
+    text."""
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nhpl, "SimState", lambda *a: states.append(SimState(*a)) or states[-1])
+        try:
+            sim = run_simulation(*args, **kwargs)
+        except ValueError as err:
+            return str(err)
+    (state,) = states
+    return {"events": repr(sim.events), "candidates": sim.candidates,
+            **{name: (col.dtype, col.tobytes())
+               for name, col in [("trace_t", sim.trace_t), ("trace_flow", sim.trace_flow),
+                                 ("trace_w", sim.trace_w)]},
+            "state": repr([state.w_loss, state.llis, state.first, state.t_loss_last,
+                           state.candidates, sorted(state.pending), state.events]),
+            "rng": state.rng._gen.bit_generator.state}
+
+
+def both_sims(*args, **kwargs):
+    """(compiled, Python): ``simulated`` by the two loops on one run."""
+    if nhpl._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    compiled = simulated(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nhpl, "_kernel", lambda: None)
+        return compiled, simulated(*args, **kwargs)
+
+
+def starts(params, window_fn, kind):
+    """Every flow's (w_max, s) at t = 0: all on the fixed point, staggered
+    about it, or all at half the bdp from a loss."""
+    fp = (reno_steady_state if window_fn is RENO else cubic_fixed_point)(params)
+    if kind == "fixed-point":
+        return [(fp.w_hat, fp.s_hat)] * params.flows
+    if kind == "staggered":
+        return [(fp.w_hat * (0.7 + 0.08 * f), fp.s_hat * (f % 3) / 3.0)
+                for f in range(params.flows)]
+    return [(0.5 * params.bdp, 0.0)] * params.flows
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_fn=st.sampled_from([RENO, CUBIC, FROZEN]), flows=st.integers(1, 9),
+       start=st.sampled_from(["fixed-point", "staggered", "sub-bdp"]),
+       bdp=st.floats(0.0, 2.0).map(lambda e: 10.0**e),
+       tau=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       seed=st.integers(0, 2**64 - 1), delays=st.integers(1, 400))
+def test_event_loop_matches_the_python_loop(window_fn, flows, start, bdp, tau, seed, delays):
+    params = SystemParams(bdp / tau, tau, 0.2, 0.4, flows)
+    init = starts(params, window_fn, start)
+    compiled, python = both_sims(params, window_fn, init, seed, delays * tau)
+    assert compiled == python
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("params, window_fn, init, t_end", [
+    (SystemParams(100.0, 0.1, 0.2, 0.4), FROZEN, [(15.0, 0.0)], 20.0),
+    (SystemParams(100.0, 0.05, 0.2, 0.4, 3), CUBIC, [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], 20.0),
+    (SystemParams(100.0, 0.1, 0.2, 0.4, 3), RENO, [(16.0, 0.25), (12.0, 0.0), (9.0, 0.7)], 20.0),
+], ids=["frozen", "cubic", "reno"])
+def test_event_loop_re_enters_at_every_block_seam(monkeypatch, rows, params, window_fn, init,
+                                                   t_end):
+    # A block of one to three rows returns to Python after almost every
+    # step, and grows when one step may write more rows than it has.
+    monkeypatch.setattr(_rk4, "_EVENT_ROWS", rows)
+    compiled, python = both_sims(params, window_fn, init, 5, t_end)
+    assert compiled == python
+
+
+def test_event_loop_stops_over_the_budget_as_the_python_loop_does(monkeypatch):
+    # Criterion 7's run has 10,812 losses by 220 s; a budget of 1000 stops
+    # it at its 1001st, and one of exactly its losses lets it finish.
+    params = SystemParams(100.0, 0.1, 0.2, 0.4)
+    monkeypatch.setattr(nhpl, "WORK_BUDGET", 1000)
+    compiled, python = both_sims(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
+    assert compiled == python
+    assert compiled.startswith("1001 losses by t = ") and compiled.endswith(" s of 220.0 s: x 1 "
+                                                                             "flows is over 1000")
+    monkeypatch.setattr(nhpl, "WORK_BUDGET", 10812)
+    compiled, python = both_sims(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
+    assert compiled == python and isinstance(compiled, dict)
+
+
+def test_event_loop_raises_what_pick_losing_flow_raises():
+    # A window made negative after the checks: the first loss picks among
+    # windows 40 and -1, which pick_losing_flow refuses.
+    if nhpl._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
+    errors = []
+    for step in (nhpl._kernel(), None):
+        state = SimState(params, FROZEN, [(40.0, 0.0), (1.0, 0.0)], RngStream(3), 100.0)
+        state.w_loss[1] = -1.0
+        with pytest.raises(ValueError) as err:
+            if step is not None:
+                step(state, 50.0, 10**6)
+            else:
+                nhpl.generate_poi_loss(state)
+        errors.append((str(err.value), state.candidates, state.rng._gen.bit_generator.state))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "flow 1: negative window -1.0"
+
+
+@pytest.mark.parametrize("rows", [_rk4._EVENT_ROWS, 7])
+def test_criterion_7_csvs_are_the_python_loops(tmp_path, rows, monkeypatch):
+    if nhpl._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    monkeypatch.setattr(_rk4, "_EVENT_ROWS", rows)
+    params = SystemParams(100.0, 0.1, 0.2, 0.4)
+    texts = []
+    for kernel in (nhpl._kernel, lambda: None):
+        monkeypatch.setattr(nhpl, "_kernel", kernel)
+        sim = run_simulation(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
+        sim.write_events_csv(tmp_path / "events.csv")
+        sim.write_trace_csv(tmp_path / "trace.csv")
+        texts.append([(tmp_path / name).read_text() for name in ("events.csv", "trace.csv")])
+    assert sum(1 for ev in sim.events if ev.event_type == "loss") == 10812
+    for compiled, python in zip(*texts):
+        assert_same_text(compiled, python)
+
+
+class OwnFrozen(FrozenWindow):
+    """The frozen window under a class of its own."""
+
+
+def test_other_window_functions_run_the_python_event_loop(monkeypatch):
+    # A subclass of a transcribed window, which may override what the C
+    # transcribes, steps generate_poi_loss in Python; the frozen window
+    # itself never does where the library loads.
+    if nhpl._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    steps = []
+    generate = nhpl.generate_poi_loss
+    monkeypatch.setattr(nhpl, "generate_poi_loss", lambda state: steps.append(1) or generate(state))
+    params = SystemParams(100.0, 0.1, 0.2, 0.4)
+    own = run_simulation(params, OwnFrozen(), [(15.0, 0.0)], 5, 20.0)
+    assert len(steps) == sum(1 for ev in own.events if ev.event_type == "loss") + 1
+    del steps[:]
+    frozen = run_simulation(params, FROZEN, [(15.0, 0.0)], 5, 20.0)
+    assert steps == [] and repr(frozen.events) == repr(own.events)
+    assert frozen.candidates == own.candidates

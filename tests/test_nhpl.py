@@ -332,7 +332,7 @@ def test_losses_before_indication_match_reno_closed_form(init, t_end, expected):
     assert count == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_one_coefficient_sum_per_candidate(monkeypatch):
+def test_one_coefficient_sum_per_candidate(monkeypatch, python_sim):
     calls = {"excess_poly": 0, "compute_T": 0}
 
     def counted(name):
@@ -347,9 +347,9 @@ def test_one_coefficient_sum_per_candidate(monkeypatch):
     for name in calls:
         monkeypatch.setattr(nhpl, name, counted(name))
     params = SystemParams(capacity=100.0, tau=0.05, b=0.2, c=0.4, flows=3)
-    run_simulation(params, CUBIC, [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], 11, 20.0)
+    sim = run_simulation(params, CUBIC, [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], 11, 20.0)
     assert calls["compute_T"] > 100
-    assert calls["excess_poly"] == calls["compute_T"]
+    assert calls["excess_poly"] == calls["compute_T"] == sim.candidates
 
 
 def test_sim_state_rejects_window_without_coefficients():
@@ -532,7 +532,9 @@ RENDER_INIT = [(16.0, 0.25), (12.0, 0.0), (9.0, 0.7), (14.0, 0.1), (11.0, 0.4),
 def simulate_recording_epochs(monkeypatch, fn, init, t_end, sample_dt):
     """run_simulation on seed 3, and each flow's epochs (start, w_loss) as
     the sampler's own state holds them after every indication it applies,
-    past t_end too; nothing is read from the event log."""
+    past t_end too; nothing is read from the event log.  The Python loop
+    must run (``python_sim``), since the compiled one applies indications
+    in C."""
     epochs = [[(-s0, w0)] for w0, s0 in init]
     apply = nhpl._apply_next_indication
 
@@ -562,7 +564,7 @@ def epochs_without_samples(epochs, t):
 
 @pytest.mark.parametrize("sample_dt", [0.01, 0.7])
 @pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
-def test_render_matches_per_sample_oracle(monkeypatch, fn, sample_dt):
+def test_render_matches_per_sample_oracle(monkeypatch, python_sim, fn, sample_dt):
     params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, 10.0, sample_dt)
     if sample_dt == 0.7:
         # Coarse sampling: 91 of Reno's 198 epochs, 16 of CUBIC's 72 and
@@ -572,7 +574,7 @@ def test_render_matches_per_sample_oracle(monkeypatch, fn, sample_dt):
 
 
 @pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
-def test_render_applies_indications_past_t_end(monkeypatch, fn):
+def test_render_applies_indications_past_t_end(monkeypatch, python_sim, fn):
     # The last sample floor(t_end / dt + 1e-9) * dt may lie just past t_end.
     # Put it on an indication time T with t_end one ulp before T, so the
     # last sample's epoch starts after t_end, outside the returned events.
