@@ -12,53 +12,15 @@ the per-sample diagnostics) are imported from their own modules, as is
 no command-line mode runs.
 """
 
-from .core import (
-    FlowState,
-    SystemParams,
-    WindowFunction,
-    loss_probability,
-    loss_rate,
-)
-from .dde import (
-    IntegrationError,
-    Trajectory,
-    integrate,
-)
-from .experiment import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    build_config,
-    read_config_file,
-    run_experiment,
-)
-from .fixedpoint import (
-    FixedPoint,
-    SolverError,
-    cubic_fixed_point,
-    reno_steady_state,
-)
-from .nhpl import (
-    Event,
-    RngStream,
-    SimResult,
-    run_simulation,
-)
-from .protocols import (
-    CUBIC,
-    RENO,
-    window_function,
-)
-from .stability import (
-    Certificate,
-    CertificateError,
-    DiagnosticTrace,
-    basin_delta,
-    certificate,
-    convergence_bound,
-    lyapunov_V,
-    stability_trace,
-)
+from .core import FlowState, SystemParams, WindowFunction, loss_probability, loss_rate
+from .dde import IntegrationError, Trajectory, integrate
+from .experiment import (ConfigError, ExperimentConfig, ExperimentResult, build_config,
+                         read_config_file, run_experiment)
+from .fixedpoint import FixedPoint, SolverError, cubic_fixed_point, reno_steady_state
+from .nhpl import Event, RngStream, SimResult, run_simulation
+from .protocols import CUBIC, RENO, window_function
+from .stability import (Certificate, CertificateError, DiagnosticTrace, basin_delta, certificate,
+                        convergence_bound, lyapunov_V, stability_trace)
 
 from types import ModuleType as _Module
 

@@ -21,14 +21,13 @@ import sysconfig
 import zlib
 from collections import namedtuple
 from contextlib import suppress
-from functools import partial
 
 import numpy as np
 
 from .artifacts import formattable
 from .core import FlowState
 from .dde import _DELAYED_EXIT, _STORED_EXIT, IntegrationError, Trajectory
-from .nhpl import Event, SimState, pick_losing_flow
+from .nhpl import SimState, pick_losing_flow
 from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # The sources of the one library, in this package's directory.
@@ -66,10 +65,10 @@ class _Sim(ctypes.Structure):
                 ("loss_time", ctypes.c_double), ("found", ctypes.c_long), ("u", ctypes.c_double)]
 
 
-# _sim.c's codes: of the window functions it transcribes, of its event
-# kinds, and of its returns other than the run's end.
+# _sim.c's codes: of the window functions it transcribes, and of its
+# returns other than the run's end.  Its event kinds are ``nhpl.KINDS``'
+# codes.
 _WINDOWS = {RenoWindow: 0, CubicWindow: 1, FrozenWindow: 2}
-_KINDS = ("loss", "indication")
 _BLOCK_FULL, _OVER_BUDGET, _NO_FLOW_CAN_LOSE = 1, 2, 3
 # Rows of the event block _sim.c writes into, unless one step may need more.
 # On criterion 7's run 1024 rows peaked 0.2 MB lower than 4096 and were no
@@ -83,30 +82,28 @@ Library = namedtuple("Library", "steps format_rows simulate")
 def load(cache: str) -> Library | None:
     """Load ``_rk4.c``, ``_repr.c`` and ``_sim.c`` built as one shared
     library in the directory ``cache``, building it first (see
-    :func:`_build`) when no library there has its name; None, with nothing
-    printed and no file left behind, when it cannot be built or loaded or
-    lacks one of its three symbols.
+    :func:`_build`) when no library there has its name, a CRC of the
+    sources and the compile command, so that an edited source gets a
+    library of its own; None, with nothing printed and no file left behind,
+    when it cannot be built or loaded or lacks one of its three symbols.
 
-    The library's name is a CRC of the sources and the compile command, so
-    an edited source gets a library of its own.  Its ``steps(traj, cubic,
-    k, r_start)`` takes every step of ``integrate``'s loop on a trajectory
-    with sample 0 stored, given its CUBIC (else Reno) flag, k and the
-    start's delayed rate, and raises what that loop raises.  Its
-    ``format_rows(columns, out)`` writes the rows of the equal-length,
-    contiguous, native float64 and int64 ``columns`` as CSV text into the
-    uint8 array ``out``, which holds ``CELL_BYTES`` per cell, and returns
-    the number of bytes written: every float as ``repr`` and every integer
-    as ``str`` writes it.  Its ``simulate(state, t_end, most)`` steps the
-    ``SimState`` of a Reno, CUBIC or frozen run, whose rng is an
+    Each entry point does what the Python code it transcribes does and
+    raises what that raises.  ``steps(traj, cubic, k, r_start)`` takes
+    every step of ``integrate``'s loop on a trajectory with sample 0
+    stored, given its CUBIC (else Reno) flag, k and the start's delayed
+    rate.  ``format_rows(columns, out)`` writes the rows of the
+    equal-length, contiguous, native float64 and int64 ``columns`` as CSV
+    text into the uint8 array ``out``, which holds ``CELL_BYTES`` per cell,
+    and returns the number of bytes written: every float as ``repr`` and
+    every integer as ``str`` writes it.  ``simulate(state, t_end, most)``
+    steps the ``SimState`` of a Reno, CUBIC or frozen run, whose rng is an
     ``RngStream``, as ``run_simulation``'s loop does, drawing from that
-    stream's own PCG64 as ``RngStream.uniform`` does, until a step finds no
-    loss or one past ``t_end``, or the losses by ``t_end`` pass ``most``;
-    it leaves the state, its event log and its candidate count as that loop
-    leaves them, returns (losses by ``t_end``, the last step's loss time or
-    None) and raises what the loop's ``pick_losing_flow`` raises.  The C
-    writes events into a block of ``_EVENT_ROWS`` rows, returning to Python
-    between two steps whenever the next one might not fit, and each block
-    is appended to the log as ``Event``s.
+    stream's own PCG64, until a step finds no loss or one past ``t_end``,
+    or the losses by ``t_end`` pass ``most``, and returns (losses by
+    ``t_end``, the last step's loss time or None).  The C writes events
+    into a block of ``_EVENT_ROWS`` rows, returning to Python between two
+    steps whenever the next one might not fit; each block's five columns
+    are appended to the state's ``EventLog`` byte for byte.
     """
     folder = os.path.dirname(__file__)
     sources = [os.path.join(folder, name) for name in _SOURCES]
@@ -173,21 +170,15 @@ def load(cache: str) -> Library | None:
             if not block or sim.rows < sim.pending + 1:
                 # One step writes an event per pending indication, and its loss.
                 sim.rows = max(_EVENT_ROWS, sim.pending + 1)
-                block = [np.empty(sim.rows, np.uint8), np.empty(sim.rows),
-                         np.empty(sim.rows, np.int64), np.empty(sim.rows), np.empty(sim.rows)]
+                block = [np.empty(sim.rows, col.typecode) for col in state.events.columns]
                 sim.kind, sim.time, sim.flow, sim.before, sim.after = (
                     col.ctypes.data for col in block)
             if len(queue[0]) < sim.pending + sim.rows:
                 queue = [np.resize(col, 2 * (sim.pending + sim.rows)) for col in queue]
                 sim.pending_t, sim.pending_f = (col.ctypes.data for col in queue)
             code = sim_run(sim)
-            used = sim.used
-            windows = _floats(np.concatenate((block[3][:used], block[4][:used])))
-            # tuple.__new__ makes each Event as Event._make does, without its
-            # length check.
-            state.events.extend(map(partial(tuple.__new__, Event), zip(
-                map(_KINDS.__getitem__, block[0][:used].tolist()), block[1][:used].tolist(),
-                block[2][:used].tolist(), windows[:used], windows[used:])))
+            for col, rows in zip(state.events.columns, block):
+                col.frombytes(rows[:sim.used].view(np.uint8))
             sim.used = 0
         pending = sim.pending
         state.w_loss, state.llis = w_loss.tolist(), llis.tolist()
@@ -199,14 +190,6 @@ def load(cache: str) -> Library | None:
         return sim.losses, sim.loss_time if code == _OVER_BUDGET or sim.found else None
 
     return Library(steps, format_rows, simulate)
-
-
-def _floats(column: np.ndarray) -> list[float]:
-    """The float64 ``column`` as a list with one float object per distinct
-    bit pattern, as the Python loop shares one object among the windows of
-    a loss, and among all of a frozen window's."""
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    return list(map(bits.view(np.float64).tolist().__getitem__, index.tolist()))
 
 
 @functools.cache

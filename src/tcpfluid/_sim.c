@@ -18,7 +18,7 @@
 
 /* The window functions of protocols.py. */
 enum { RENO = 0, CUBIC = 1, FROZEN = 2 };
-/* Event kinds: Event.event_type "loss" and "indication". */
+/* Event kinds: their codes in tcpfluid.nhpl.KINDS, "loss" and "indication". */
 enum { LOSS = 0, INDICATION = 1 };
 /* Return codes of sim_run. */
 enum { ENDED = 0, BLOCK_FULL = 1, OVER_BUDGET = 2, NO_FLOW_CAN_LOSE = 3 };

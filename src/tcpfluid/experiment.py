@@ -391,7 +391,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         mean = post_transient_mean(tm, wm, horizon, config.post_transient)
         report("nhpl_mean_w", mean)
         report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
-        report("nhpl_losses", sum(1 for ev in sim.events if ev.event_type == "loss"))
+        report("nhpl_losses", sim.events.count("loss"))
+        report("nhpl_indications", sim.events.count("indication"))
         report("nhpl_candidates", sim.candidates)
 
     if config.mode == "both":

@@ -8,18 +8,15 @@ described by the start time of its current epoch and the window size it had
 right before the loss that started it (the W_loss array).
 
 The inter-loss sampler inverts the cumulative rate integral against an
-Exp(1) target (inverse transform method).  Within an epoch every supported
-window is a polynomial of degree at most 3 in time, so the integrated rate
-is a quartic in closed form and is inverted by bracketed Newton iteration.
-A candidate loss time computed from the current epoch functions is only
-valid while no pending indication fires before it; otherwise the earliest
-indication is applied, the affected flow starts a new epoch, and the
-candidate is regenerated from the indication time onward.  Regeneration is
-exact, not approximate: the discarded draw certifies that no loss occurred
-before the indication, and the process restarts memorylessly from there
-with a fresh uniform.  The step that finds a loss records it in the state's
-event log and makes it the next candidate's anchor, so stepping a
-``SimState`` with ``generate_poi_loss`` alone is the whole event loop.
+Exp(1) target (inverse transform method), a quartic in closed form within
+an epoch (see :func:`compute_T`).  A candidate is only valid while no
+pending indication fires before it; otherwise the earliest indication is
+applied and the candidate regenerated from its time with a fresh uniform,
+which is exact: the discarded draw certifies that no loss occurred before
+the indication, and the process is memoryless.  The step that finds a loss
+records it in the state's event log and makes it the next candidate's
+anchor, so stepping a ``SimState`` with ``generate_poi_loss`` alone is the
+whole event loop.
 
 The congestion point sees the flows in aggregate, so the capacity-clamp loss
 model applies to the total: p = max(1 - N C tau / sum_f W_f, 0), and flow f
@@ -42,10 +39,12 @@ uniforms from the run's own numpy PCG64 through numpy's C interface, so
 every event, every state bit, every draw and every ``ValueError`` is the
 Python loop's.  The Python loop stays the specification, and runs every
 other window function and every run on a host where the C cannot be built.
+Both append to the state's ``EventLog``, typed columns with no Python
+object per event: the Python loop row by row, the C a block at a time.
 
-A run's ``SimResult`` writes its event log, one column per ``Event`` field,
-and its trace through :mod:`tcpfluid.artifacts`, the package's one CSV
-writer; it carries the number of candidates the run computed.
+A run's ``SimResult`` keeps that log up to t_end and its trace as a matrix
+of windows, and writes both through :mod:`tcpfluid.artifacts`, the
+package's one CSV writer, forming their columns one write chunk at a time.
 """
 
 from __future__ import annotations
@@ -53,12 +52,15 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
+from itertools import starmap
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv, write_rows
+from .artifacts import write_rows
 from .core import FlowState, SystemParams, WindowFunction, check_start
 from .fixedpoint import solve_increasing
 from .protocols import CubicWindow, FrozenWindow, RenoWindow
@@ -98,12 +100,45 @@ class RngStream:
         return float(u)
 
 
-class Event(NamedTuple):
+class Event(NamedTuple):  # one row of an EventLog
     event_type: str  # "loss" (congestion point) or "indication" (source)
     time: float
     flow: int
     window_before: float
     window_after: float
+
+
+# The event types, by the code an EventLog keeps.
+KINDS = ("loss", "indication")
+LOSS, INDICATION = range(len(KINDS))
+
+
+class EventLog:
+    """A run's events in time order as five typed columns, one per ``Event``
+    field, the type as its code in ``KINDS``: no Python object per event.
+    Iterated, its rows are ``Event``s."""
+
+    def __init__(self) -> None:
+        self.columns = (array("B"), array("d"), array("q"), array("d"), array("d"))
+
+    def append(self, *row) -> None:
+        for col, value in zip(self.columns, row):
+            col.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[1])
+
+    def __iter__(self):
+        kinds, *numbers = self.columns
+        return starmap(Event, zip(map(KINDS.__getitem__, kinds), *numbers))
+
+    def count(self, event_type: str) -> int:
+        return self.columns[0].count(KINDS.index(event_type))
+
+    def table(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Rows [lo, hi) as numpy columns, the event types by name."""
+        kinds, *numbers = (np.asarray(col)[lo:hi] for col in self.columns)
+        return [np.array(KINDS, dtype=object)[kinds], *numbers]
 
 
 @dataclass
@@ -118,10 +153,10 @@ class SimState:
     (start, w_loss) at t=0.  pending holds (time, flow) indications,
     heap-ordered by time; every entry was scheduled exactly tau after the
     loss event that produced it.  t_loss_last is the most recent loss event
-    at the congestion point, 0 until the first.  first and the event log are
-    the only record of earlier epochs: each indication starts one at its
-    time from its window_before.  candidates counts the candidate loss times
-    ``generate_poi_loss`` has computed.
+    at the congestion point, 0 until the first.  first and the indications
+    in the ``EventLog`` events are the only record of earlier epochs: each
+    starts one at its time from its window_before.  candidates counts the
+    candidate loss times ``generate_poi_loss`` has computed.
     """
 
     params: SystemParams
@@ -132,7 +167,7 @@ class SimState:
     pending: list[tuple[float, int]] = field(default_factory=list, init=False)
     t_loss_last: float = field(default=0.0, init=False)
     candidates: int = field(default=0, init=False)
-    events: list[Event] = field(default_factory=list, init=False)
+    events: EventLog = field(default_factory=EventLog, init=False)
     w_loss: list[float] = field(init=False)
     llis: list[float] = field(init=False)
     first: list[tuple[float, float]] = field(init=False)
@@ -299,7 +334,7 @@ def _apply_next_indication(state: SimState) -> float:
     w_after = state.window_fn.window(FlowState(w_before, 0.0), state.params)
     state.w_loss[f] = w_before
     state.llis[f] = t_ind
-    state.events.append(Event("indication", t_ind, f, w_before, w_after))
+    state.events.append(INDICATION, t_ind, f, w_before, w_after)
     return t_ind
 
 
@@ -329,37 +364,47 @@ def generate_poi_loss(state: SimState) -> float | None:
     weights = [state.flow_window(f, loss_time) for f in range(len(state.w_loss))]
     flow = pick_losing_flow(weights, state.rng.uniform())
     heapq.heappush(state.pending, (loss_time + state.params.tau, flow))
-    state.events.append(Event("loss", loss_time, flow, weights[flow], weights[flow]))
+    state.events.append(LOSS, loss_time, flow, weights[flow], weights[flow])
     state.t_loss_last = loss_time
     return loss_time
 
 
 @dataclass
 class SimResult:
+    """A run's events up to t_end; its trace, windows[i] being every flow's
+    window at t_i = i * sample_dt, then their mean; and the candidate loss
+    times it computed, past t_end too."""
+
     t_end: float
-    events: list[Event]
-    trace_t: np.ndarray
-    trace_flow: np.ndarray
-    trace_w: np.ndarray
-    candidates: int  # candidate loss times computed, past t_end too
+    events: EventLog
+    windows: np.ndarray  # (samples, flows + 1)
+    sample_dt: float
+    candidates: int
 
     def write_events_csv(self, path) -> None:
-        """The event log as a CSV with one column per ``Event`` field; the
-        event types are an object column of str, written as they are.  Only
-        the events of one write chunk are turned into columns at a time."""
-        def columns(lo: int, hi: int):
-            kinds, *numbers = zip(*self.events[lo:hi])
-            return [np.array(kinds, dtype=object), *map(np.array, numbers)]
+        """The event log as a CSV with one column per ``Event`` field, the
+        event types by name (see :meth:`EventLog.table`)."""
+        write_rows(path, ",".join(Event._fields), len(self.events), self.events.table)
 
-        write_rows(path, ",".join(Event._fields), len(self.events), columns)
+    def trace_columns(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The columns t, flow, w of trace rows [lo, hi): per sample, one
+        row per flow, then the mean's, whose flow is -1."""
+        width = self.windows.shape[1]
+        sample, col = np.divmod(np.arange(lo, hi), width)
+        return [sample * self.sample_dt, np.where(col < width - 1, col, -1),
+                self.windows.ravel()[lo:hi]]
+
+    @property
+    def trace_t(self) -> np.ndarray:
+        """The t of every trace row, formed on access."""
+        return self.trace_columns(0, self.windows.size)[0]
 
     def write_trace_csv(self, path) -> None:
-        write_csv(path, "t,flow,w", (self.trace_t, self.trace_flow, self.trace_w))
+        write_rows(path, "t,flow,w", self.windows.size, self.trace_columns)
 
     def mean_trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, w) of the aggregate rows (flow = -1, per-flow mean)."""
-        mask = self.trace_flow == -1
-        return self.trace_t[mask], self.trace_w[mask]
+        """(t, w) of every sample's mean over the flows."""
+        return np.arange(len(self.windows)) * self.sample_dt, self.windows[:, -1]
 
 
 def sample_count(t_end: float, sample_dt: float) -> int:
@@ -368,50 +413,44 @@ def sample_count(t_end: float, sample_dt: float) -> int:
     return math.floor(t_end / sample_dt + 1e-9) + 1
 
 
-def _render_trace(
-    state: SimState, t_end: float, sample_dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every flow's window at t_i = i * sample_dt, one window call per epoch.
+def _render_trace(state: SimState, t_end: float, sample_dt: float) -> np.ndarray:
+    """Every flow's window at t_i = i * sample_dt, and their mean, as the
+    rows of a (samples, flows + 1) matrix, one window call per epoch.
 
     Flow f's epochs are state.first[f] = (start, w_loss) followed by its
     indications (time, window_before) in the event log.  Sample i belongs to
     the last epoch that starts at or before t_i, so an epoch holds the
     samples from the first at or after its start up to the next epoch's
     first; the window is evaluated once on the ages of those samples.  The
-    aggregate row is summed flow by flow, in flow order, as a per-sample
-    loop over the flows would.
+    mean is summed flow by flow, in flow order, as a per-sample loop over
+    the flows would.
     """
     flows = len(state.first)
     n = sample_count(t_end, sample_dt)
     t = np.arange(n) * sample_dt
-    starts = [[start] for start, _ in state.first]
-    w_losses = [[w_loss] for _, w_loss in state.first]
-    for ev in state.events:
-        if ev.event_type == "indication":
-            starts[ev.flow].append(ev.time)
-            w_losses[ev.flow].append(ev.window_before)
+    kinds, times, flow_of, before, _ = (np.asarray(col) for col in state.events.columns)
+    indication = kinds == INDICATION
+    times, flow_of, before = times[indication], flow_of[indication], before[indication]
     rows = np.empty((n, flows + 1))
     total = np.zeros(n)
-    for f in range(flows):
-        bounds = np.append(np.searchsorted(t, starts[f]), n)
-        for j in np.flatnonzero(bounds[:-1] < bounds[1:]):
-            lo, hi = bounds[j], bounds[j + 1]
-            ages = t[lo:hi] - starts[f][j]
-            rows[lo:hi, f] = state.window_fn.window(FlowState(w_losses[f][j], ages), state.params)
+    for f, (start, w_loss) in enumerate(state.first):
+        mine = flow_of == f
+        starts = np.concatenate(([start], times[mine]))
+        bounds = np.append(np.searchsorted(t, starts), n)
+        held = np.flatnonzero(bounds[:-1] < bounds[1:])  # the epochs that hold samples
+        w_losses = np.concatenate(([w_loss], before[mine]))[held]
+        for lo, hi, start, w_loss in zip(bounds[held].tolist(), bounds[held + 1].tolist(),
+                                         starts[held].tolist(), w_losses.tolist()):
+            ages = t[lo:hi] - start
+            rows[lo:hi, f] = state.window_fn.window(FlowState(w_loss, ages), state.params)
         total += rows[:, f]
     rows[:, flows] = total / flows
-    return np.repeat(t, flows + 1), np.tile(np.append(np.arange(flows), -1), n), rows.ravel()
+    return rows
 
 
-def run_simulation(
-    params: SystemParams,
-    window_fn: WindowFunction,
-    init: Sequence[tuple[float, float]],
-    seed: int,
-    t_end: float,
-    *,
-    sample_dt: float | None = None,
-) -> SimResult:
+def run_simulation(params: SystemParams, window_fn: WindowFunction,
+                   init: Sequence[tuple[float, float]], seed: int, t_end: float, *,
+                   sample_dt: float | None = None) -> SimResult:
     """Run the loss process to t_end and sample every flow's window.
 
     init[f] = (w_loss, s0): flow f starts at epoch age s0 of an epoch whose
@@ -447,15 +486,12 @@ def run_simulation(
     if losses > most:
         raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
                          f"{params.flows} flows is over {WORK_BUDGET}")
-    trace_t, trace_flow, trace_w = _render_trace(state, t_end, sample_dt)
-    return SimResult(
-        t_end=t_end,
-        events=[ev for ev in state.events if ev.time <= t_end],
-        trace_t=trace_t,
-        trace_flow=trace_flow,
-        trace_w=trace_w,
-        candidates=state.candidates,
-    )
+    windows = _render_trace(state, t_end, sample_dt)
+    # The log is in time order, so the events by t_end are a prefix of it.
+    kept = bisect_right(state.events.columns[1], t_end)
+    for col in state.events.columns:
+        del col[kept:]
+    return SimResult(t_end, state.events, windows, sample_dt, state.candidates)
 
 
 def _kernel():

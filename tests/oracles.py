@@ -346,6 +346,12 @@ def loglog_slope(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def event_columns(log) -> list[tuple[str, bytes]]:
+    """The five columns of an ``EventLog`` as (type code, bytes), so that
+    two logs compare bit for bit, -0.0 and NaN payloads included."""
+    return [(col.typecode, col.tobytes()) for col in log.columns]
+
+
 def inter_loss_times(events, *, from_time: float = 0.0) -> np.ndarray:
     """Gaps between consecutive loss events, the first measured from from_time."""
     times = [ev.time for ev in events if ev.event_type == "loss"]

@@ -245,7 +245,8 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     diag = stability_trace(traj, certificate(fp, params))
     sim = run_simulation(SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4, flows=2), CUBIC,
                          [(12.0, 0.0), (9.0, 1.0)], 5, 50.0, sample_dt=0.01)
-    assert len(sim.trace_t) > 4096 and -1 in sim.trace_flow
+    trace = sim.trace_columns(0, sim.windows.size)
+    assert len(trace[0]) > 4096 and -1 in trace[1]
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
     columns = (traj.t, *absolute_columns(traj))
@@ -254,8 +255,7 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     columns = diag.columns(0, len(diag.t))
     assert_same_text(path.read_text(), per_row_csv("t,norm_x,V,Vdot,bound", columns))
     sim.write_trace_csv(path)
-    columns = (sim.trace_t, sim.trace_flow, sim.trace_w)
-    assert_same_text(path.read_text(), per_row_csv("t,flow,w", columns))
+    assert_same_text(path.read_text(), per_row_csv("t,flow,w", trace))
     sim.write_events_csv(path)
     rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
             for ev in sim.events]

@@ -205,7 +205,13 @@ def test_nhpl_mode_artifacts(tmp_path):
     assert set(result.artifacts) == {"nhpl_events", "nhpl_trace", "summary"}
     events = (tmp_path / "out" / "nhpl_events.csv").read_text().splitlines()
     assert events[0] == "event_type,time,flow,window_before,window_after"
-    assert result.metrics["nhpl_losses"] >= 1.0
+    kinds = [row.split(",")[0] for row in events[1:]]
+    assert result.metrics["nhpl_losses"] == kinds.count("loss") >= 1
+    assert result.metrics["nhpl_indications"] == kinds.count("indication") >= 1
+    assert result.metrics["nhpl_losses"] + result.metrics["nhpl_indications"] == len(events) - 1
+    summary = result.summary.splitlines()
+    assert summary.index(f"nhpl_indications: {kinds.count('indication')}") == (
+        summary.index(f"nhpl_losses: {kinds.count('loss')}") + 1)
     assert result.metrics["nhpl_mean_w"] > 0.0
     # One candidate per event up to t_end at least: each step computes one,
     # and one more per indication it applies; the last step's is not logged.

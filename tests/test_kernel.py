@@ -22,7 +22,7 @@ from tcpfluid import _rk4, dde, nhpl
 from tcpfluid.fixedpoint import SolverError
 from tcpfluid.nhpl import SimState
 from tcpfluid.protocols import FROZEN, CubicWindow, FrozenWindow, RenoWindow
-from oracles import assert_same_text
+from oracles import assert_same_text, event_columns
 
 CACHE = os.path.join(os.path.dirname(dde.__file__), "__pycache__")
 
@@ -282,10 +282,10 @@ def test_import_builds_nothing():
 # The compiled event loop of ``nhpl.run_simulation`` against the Python loop.
 
 def simulated(*args, **kwargs):
-    """What ``run_simulation`` gives, as bits: its events, trace and
-    candidate count with the final ``SimState`` it stepped (its queue
-    sorted, and its stream's state, which shows every draw), or its error's
-    text."""
+    """What ``run_simulation`` gives, as bits: its event log's five columns,
+    its window matrix and candidate count with the final ``SimState`` it
+    stepped (its queue sorted, and its stream's state, which shows every
+    draw), or its error's text.  The state's log is the result's."""
     states = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nhpl, "SimState", lambda *a: states.append(SimState(*a)) or states[-1])
@@ -294,12 +294,11 @@ def simulated(*args, **kwargs):
         except ValueError as err:
             return str(err)
     (state,) = states
-    return {"events": repr(sim.events), "candidates": sim.candidates,
-            **{name: (col.dtype, col.tobytes())
-               for name, col in [("trace_t", sim.trace_t), ("trace_flow", sim.trace_flow),
-                                 ("trace_w", sim.trace_w)]},
+    assert state.events is sim.events
+    return {"events": event_columns(sim.events), "candidates": sim.candidates,
+            "windows": (sim.windows.dtype, sim.windows.shape, sim.windows.tobytes()),
             "state": repr([state.w_loss, state.llis, state.first, state.t_loss_last,
-                           state.candidates, sorted(state.pending), state.events]),
+                           state.candidates, sorted(state.pending)]),
             "rng": state.rng._gen.bit_generator.state}
 
 
@@ -393,14 +392,16 @@ def test_criterion_7_csvs_are_the_python_loops(tmp_path, rows, monkeypatch):
         pytest.skip("no C compiler to build the kernel with; CI requires it")
     monkeypatch.setattr(_rk4, "_EVENT_ROWS", rows)
     params = SystemParams(100.0, 0.1, 0.2, 0.4)
-    texts = []
+    texts, logs = [], []
     for kernel in (nhpl._kernel, lambda: None):
         monkeypatch.setattr(nhpl, "_kernel", kernel)
         sim = run_simulation(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
         sim.write_events_csv(tmp_path / "events.csv")
         sim.write_trace_csv(tmp_path / "trace.csv")
         texts.append([(tmp_path / name).read_text() for name in ("events.csv", "trace.csv")])
-    assert sum(1 for ev in sim.events if ev.event_type == "loss") == 10812
+        logs.append(event_columns(sim.events))
+    assert sim.events.count("loss") == 10812
+    assert logs[0] == logs[1]
     for compiled, python in zip(*texts):
         assert_same_text(compiled, python)
 
@@ -420,8 +421,8 @@ def test_other_window_functions_run_the_python_event_loop(monkeypatch):
     monkeypatch.setattr(nhpl, "generate_poi_loss", lambda state: steps.append(1) or generate(state))
     params = SystemParams(100.0, 0.1, 0.2, 0.4)
     own = run_simulation(params, OwnFrozen(), [(15.0, 0.0)], 5, 20.0)
-    assert len(steps) == sum(1 for ev in own.events if ev.event_type == "loss") + 1
+    assert len(steps) == own.events.count("loss") + 1
     del steps[:]
     frozen = run_simulation(params, FROZEN, [(15.0, 0.0)], 5, 20.0)
-    assert steps == [] and repr(frozen.events) == repr(own.events)
+    assert steps == [] and event_columns(frozen.events) == event_columns(own.events)
     assert frozen.candidates == own.candidates
