@@ -1,11 +1,12 @@
-/* The cells of an all-numeric CSV table as Python writes them: each float64
-   as repr(float) and each int64 as str(int), byte for byte.
+/* The cells of a CSV table as Python writes them: each float64 as
+   repr(float), each int64 as str(int) and each fixed-width bytes cell as
+   its text, byte for byte.
 
    format_rows writes a chunk of rows, cells separated by ',' and each row
    ended by '\n', into one buffer.  tcpfluid/_rk4.py builds this file into
    one library with _rk4.c and binds it through ctypes; tcpfluid/artifacts.py
-   writes the buffer.  Python's repr, which artifacts.py still uses for every
-   other table, is the specification.
+   writes the buffer.  Python's repr, which artifacts.py still uses for the
+   tables of str cells, is the specification.
 
    The digits of a finite nonzero double v are those of David Gay's dtoa in
    mode 0, which repr uses: the shortest decimal that reads back as v, under
@@ -28,8 +29,9 @@
 #include <string.h>
 
 /* The most bytes a cell takes with its separator: -2.2250738585072014e-308
-   has 24, an int64 at most 20.  The caller's buffer holds CELL_BYTES for
-   every cell. */
+   has 24, an int64 at most 20, and a bytes cell at most its width, which
+   the caller keeps below CELL_BYTES.  The caller's buffer holds CELL_BYTES
+   for every cell. */
 #define CELL_BYTES 25
 
 /* G[b - G_MIN] for b in [G_MIN, 324] is floor(10^b * 2^(127 - floor(log2
@@ -822,16 +824,33 @@ static int format_double(double v, char *out)
     return len;
 }
 
-/* Rows [0, rows) of the cols columns, each float64 where kinds[j] is 'f'
-   and int64 where it is 'i', as CSV text at out, which holds CELL_BYTES
-   for each cell; the bytes written. */
-long format_rows(long rows, long cols, const void *const *columns, const char *kinds, char *out)
+/* The bytes of the width-byte cell up to its first NUL, or all of them,
+   at out; the bytes written.  A numpy bytes (S<width>) cell is its text
+   padded with NULs. */
+static int format_bytes(const char *cell, long width, char *out)
+{
+    const char *nul = memchr(cell, '\0', (size_t)width);
+    long n = nul ? nul - cell : width;
+    memcpy(out, cell, (size_t)n);
+    return (int)n;
+}
+
+/* Rows [0, rows) of the cols columns as CSV text at out, which holds
+   CELL_BYTES for each cell; the bytes written.  Column j is float64 where
+   kinds[j] is 'f', int64 where it is 'i' and bytes cells of widths[j]
+   bytes where it is 'S'. */
+long format_rows(long rows, long cols, const void *const *columns, const char *kinds,
+                 const long *widths, char *out)
 {
     char *p = out;
     for (long i = 0; i < rows; i++)
         for (long j = 0; j < cols; j++) {
-            p += kinds[j] == 'i' ? format_int(((const int64_t *)columns[j])[i], p)
-                                 : format_double(((const double *)columns[j])[i], p);
+            if (kinds[j] == 'f')
+                p += format_double(((const double *)columns[j])[i], p);
+            else if (kinds[j] == 'i')
+                p += format_int(((const int64_t *)columns[j])[i], p);
+            else
+                p += format_bytes((const char *)columns[j] + i * widths[j], widths[j], p);
             *p++ = j + 1 < cols ? ',' : '\n';
         }
     return (long)(p - out);

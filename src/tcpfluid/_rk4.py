@@ -1,8 +1,9 @@
 """Build, cache and bind the package's compiled library: ``_rk4.c``, the
 step loop of :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows;
 ``_repr.c``, the formatter of :func:`tcpfluid.artifacts.write_rows` for
-tables of float64 and int64 columns; and ``_sim.c``, the event loop of
-:func:`tcpfluid.nhpl.run_simulation` for the Reno, CUBIC and frozen windows.
+tables of float64, int64 and short bytes columns; and ``_sim.c``, the
+event loop of :func:`tcpfluid.nhpl.run_simulation` for the Reno, CUBIC and
+frozen windows.
 Each transcribes Python code that stays its specification and its fallback.
 
 ``dde``, ``artifacts`` and ``nhpl`` import this module on the first run or
@@ -24,7 +25,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from .artifacts import formattable
+from .artifacts import CELL_BYTES, formattable
 from .core import FlowState
 from .dde import _DELAYED_EXIT, _STORED_EXIT, IntegrationError, Trajectory
 from .nhpl import SimState, pick_losing_flow
@@ -35,8 +36,6 @@ _SOURCES = ("_rk4.c", "_repr.c", "_sim.c")
 # No fast-math and no fused multiply-add, so that the compiled loop rounds
 # as the Python loop does.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# The bytes _repr.c's format_rows may take per cell (its CELL_BYTES).
-CELL_BYTES = 25
 # The messages of _rk4.c's domain-exit return codes.
 _EXITS = {1: _DELAYED_EXIT, 2: _STORED_EXIT}
 
@@ -92,15 +91,17 @@ def load(cache: str) -> Library | None:
     every step of ``integrate``'s loop on a trajectory with sample 0
     stored, given its CUBIC (else Reno) flag, k and the start's delayed
     rate.  ``format_rows(columns, out)`` writes the rows of the
-    equal-length, contiguous, native float64 and int64 ``columns`` as CSV
+    ``columns`` that :func:`tcpfluid.artifacts.formattable` takes as CSV
     text into the uint8 array ``out``, which holds ``CELL_BYTES`` per cell,
     and returns the number of bytes written: every float as ``repr`` and
-    every integer as ``str`` writes it.  ``simulate(state, t_end, most)``
-    steps the ``SimState`` of a Reno, CUBIC or frozen run, whose rng is an
-    ``RngStream``, as ``run_simulation``'s loop does, drawing from that
-    stream's own PCG64, until a step finds no loss or one past ``t_end``,
-    or the losses by ``t_end`` pass ``most``, and returns (losses by
-    ``t_end``, the last step's loss time or None).  The C writes events
+    every integer as ``str`` writes it, and every bytes cell, such as the
+    event log's kind names, as its text up to its first NUL.
+    ``simulate(state, t_end, most)`` steps the ``SimState`` of a Reno,
+    CUBIC or frozen run, whose rng is an ``RngStream``, as
+    ``run_simulation``'s loop does, drawing from that stream's own PCG64,
+    until a step finds no loss or one past ``t_end``, or the losses by
+    ``t_end`` pass ``most``, and returns (losses by ``t_end``, the last
+    step's loss time or None).  The C writes events
     into a block of ``_EVENT_ROWS`` rows, returning to Python between two
     steps whenever the next one might not fit; each block's five columns
     are appended to the state's ``EventLog`` byte for byte.
@@ -126,7 +127,7 @@ def load(cache: str) -> Library | None:
                           ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double)]
     c_format_rows.restype = ctypes.c_long
     c_format_rows.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
-                              ctypes.c_void_p]
+                              ctypes.c_void_p, ctypes.c_void_p]
     sim_run.restype = ctypes.c_int
     sim_run.argtypes = [ctypes.POINTER(_Sim)]
 
@@ -147,11 +148,14 @@ def load(cache: str) -> Library | None:
         rows = len(columns[0])
         if not (formattable(columns) and out.dtype == np.uint8 and out.flags.c_contiguous
                 and len(out) >= rows * len(columns) * CELL_BYTES):
-            raise ValueError("the formatter takes contiguous float64 and int64 columns of one "
-                             "length, and a uint8 buffer of CELL_BYTES per cell")
-        kinds = b"".join(b"i" if col.dtype == np.int64 else b"f" for col in columns)
+            raise ValueError("the formatter takes contiguous float64, int64 and bytes columns "
+                             "of one length, the bytes narrower than CELL_BYTES, and a uint8 "
+                             "buffer of CELL_BYTES per cell")
+        # Each column's dtype kind, 'f', 'i' or 'S', and its itemsize.
+        kinds = "".join(col.dtype.kind for col in columns).encode()
+        widths = (ctypes.c_long * len(columns))(*(col.itemsize for col in columns))
         pointers = (ctypes.c_void_p * len(columns))(*(col.ctypes.data for col in columns))
-        return c_format_rows(rows, len(columns), pointers, kinds, out.ctypes.data)
+        return c_format_rows(rows, len(columns), pointers, kinds, widths, out.ctypes.data)
 
     def simulate(state: SimState, t_end: float, most: int) -> tuple[int, float | None]:
         p, flows = state.params, len(state.w_loss)

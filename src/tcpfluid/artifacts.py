@@ -2,17 +2,19 @@
 
 Every CSV goes through ``write_rows``, which opens the file and writes it
 one chunk of rows at a time, in row order, on the calling thread.  A table
-of float64 and int64 columns only (``convergence.csv``, ``fluid_trace.csv``,
-``nhpl_trace.csv``) is formatted by compiled C, ``_repr.c``, which writes
-every float as ``repr`` and every integer as ``str`` does, byte for byte,
-into one buffer reused for every chunk; it is built into the library the
-compiled step loop lives in (:mod:`tcpfluid._rk4`), which ``write_rows``
-loads on the first such table, never on import.  ``repr`` stays its
-specification and its fallback: it writes every table with a str column
-(``nhpl_events.csv`` and the text files of ``write_lines``), every chunk of
-another dtype or of a non-contiguous column, and every table on a host
-where the library cannot be built, with the same bytes; it formats each
-run of a repeated float value within a chunk once.  The writer makes no
+of float64, int64 and short bytes columns only (``convergence.csv``,
+``fluid_trace.csv``, ``nhpl_trace.csv`` and ``nhpl_events.csv``, whose
+event types are bytes) is formatted by compiled C, ``_repr.c``, which
+writes every float as ``repr`` and every integer as ``str`` does, and every
+bytes cell as its text, byte for byte, into one buffer reused for every
+chunk; it is built into the library the compiled step loop lives in
+(:mod:`tcpfluid._rk4`), which ``write_rows`` loads on the first such
+table, never on import.  ``repr`` stays its specification and its
+fallback: it writes every table with a str column (the text files of
+``write_lines``), every chunk of another dtype, of a wider bytes column or
+of a non-contiguous column, and every table on a host where the library
+cannot be built, with the same bytes; it formats each run of a repeated
+float value within a chunk once.  The writer makes no
 temporary file, so nothing appears in the output directory but the files
 ``write_artifacts``, the one writer of a run's files, places.
 """
@@ -26,6 +28,9 @@ from functools import partial
 
 import numpy as np
 
+# The bytes the compiled formatter may take per cell, its separator
+# included (``_repr.c``'s CELL_BYTES): a bytes column is at most one narrower.
+CELL_BYTES = 25
 # Rows formatted per write.  A chunk of five columns holds about 250 bytes
 # per row while repr's cells are joined, 125 in the compiled formatter's
 # buffer; on a 2-core host 1024 rows wrote 256k rows by repr as fast as
@@ -35,7 +40,9 @@ _WRITE_CHUNK = 1024
 
 def _chunk_cells(chunk: np.ndarray):
     """The cells of one column chunk on the ``repr`` path, in row order: an
-    object chunk's str cells as they are, and the ``repr`` of every number.
+    object chunk's str cells as they are, a bytes chunk's ASCII cells up to
+    their first NUL, as the compiled formatter writes them, and the
+    ``repr`` of every number.
 
     A float64 chunk with fewer runs of equal bit patterns than half its rows
     formats each run's value once and repeats the string.  Patterns, not
@@ -44,6 +51,8 @@ def _chunk_cells(chunk: np.ndarray):
     """
     if chunk.dtype == object:
         return chunk.tolist()
+    if chunk.dtype.kind == "S":
+        return [cell.partition(b"\0")[0].decode("ascii") for cell in chunk.tolist()]
     if chunk.dtype == np.float64:
         bits = chunk.view(np.int64)
         starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
@@ -56,9 +65,11 @@ def _chunk_cells(chunk: np.ndarray):
 
 def formattable(columns) -> bool:
     """Whether the compiled formatter takes the numpy ``columns``:
-    contiguous, native float64 or int64, all of one length."""
-    return all(col.dtype in (np.float64, np.int64) and col.flags.c_contiguous
-               and len(col) == len(columns[0]) for col in columns)
+    contiguous, native float64 or int64, or bytes (``S``) narrower than
+    ``CELL_BYTES``, all of one length."""
+    return all((col.dtype in (np.float64, np.int64)
+                or col.dtype.kind == "S" and col.itemsize < CELL_BYTES)
+               and col.flags.c_contiguous and len(col) == len(columns[0]) for col in columns)
 
 
 def _formatter():
@@ -91,8 +102,6 @@ def _write_chunks(fh, rows: int, columns, format_rows) -> None:
             fh.write("\n")  # not appended to the chunk, which would copy it
             continue
         if out is None:
-            from ._rk4 import CELL_BYTES
-
             out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
         fh.flush()  # any text written before goes first
         fh.buffer.write(out[:format_rows(chunk, out)])

@@ -136,9 +136,11 @@ class EventLog:
         return self.columns[0].count(KINDS.index(event_type))
 
     def table(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Rows [lo, hi) as numpy columns, the event types by name."""
+        """Rows [lo, hi) as numpy columns, the event types by name as ASCII
+        bytes, which the compiled CSV formatter writes: numpy's checked
+        index turns each code into its name, so no code reaches the C."""
         kinds, *numbers = (np.asarray(col)[lo:hi] for col in self.columns)
-        return [np.array(KINDS, dtype=object)[kinds], *numbers]
+        return [np.array(KINDS, dtype="S")[kinds], *numbers]
 
 
 @dataclass
@@ -383,7 +385,9 @@ class SimResult:
 
     def write_events_csv(self, path) -> None:
         """The event log as a CSV with one column per ``Event`` field, the
-        event types by name (see :meth:`EventLog.table`)."""
+        event types by name (see :meth:`EventLog.table`); the compiled
+        formatter writes every column, and ``repr`` where it cannot be
+        built."""
         write_rows(path, ",".join(Event._fields), len(self.events), self.events.table)
 
     def trace_columns(self, lo: int, hi: int) -> list[np.ndarray]:

@@ -172,9 +172,9 @@ def scalar_razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
 
 def per_row_csv(header: str, columns) -> str:
     """A trace CSV written one row at a time: integer columns by ``int``,
-    object columns of text as they are, every other value by
-    ``repr(float(v))``."""
-    cell = {"i": lambda v: str(int(v)), "O": str}
+    object columns of text as they are, bytes columns as their ASCII text,
+    every other value by ``repr(float(v))``."""
+    cell = {"i": lambda v: str(int(v)), "O": str, "S": lambda v: v.decode("ascii")}
     lines = [header]
     for i in range(len(columns[0])):
         lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
@@ -199,7 +199,7 @@ def awkward_columns(n: int):
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
                     dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
     return (
-        np.resize(np.array(["loss", "indication"], dtype=object), n),  # the event type column
+        np.resize(np.array(["loss", "indication"], dtype=object), n),  # a str column
         np.full(n, 1.0 / 3.0),                                  # constant
         np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
         np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side

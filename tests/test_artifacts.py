@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from tcpfluid import _rk4, artifacts
+from tcpfluid import SystemParams, _rk4, artifacts
 from tcpfluid.artifacts import write_artifacts, write_csv
 from tcpfluid.cli import main
+from tcpfluid.nhpl import run_simulation
+from tcpfluid.protocols import FROZEN
 from oracles import assert_same_text, awkward_columns, per_row_csv
 
 
@@ -23,10 +25,12 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
     oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
     numeric = per_row_csv("a,b,c,d,e,f,flow", full[1:]).splitlines(keepends=True)
     path = tmp_path / "parts.csv"
+    kinds = [full[0].astype("S"), *full[1:]]
     for n in sizes:
-        # With the str column by repr; without it by the compiled formatter,
-        # where it can be built.
+        # With the kinds as str by repr; as bytes, and without them, by the
+        # compiled formatter, where it can be built.
         for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
+                                      ("kind,a,b,c,d,e,f,flow", kinds, oracle),
                                       ("a,b,c,d,e,f,flow", full[1:], numeric)]:
             write_csv(path, header, [col[:n] for col in columns])
             assert_same_text(path.read_text(), "".join(text[: n + 1]))
@@ -57,8 +61,8 @@ def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path):
 
 
 def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
-    # The event log and the text files have a str column: repr writes them,
-    # and the library is neither imported nor loaded for them.
+    # A table with an object column of str cells, as the text files are:
+    # repr writes it, and the library is neither imported nor loaded for it.
     def refused():
         raise AssertionError("loaded the library for a table with a str column")
 
@@ -69,6 +73,34 @@ def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
                      per_row_csv("kind,a,b,c,d,e,f,flow", columns))
     artifacts.write_lines(tmp_path / "s.txt", ["header", "a: 1", "b: 2.5"])
     assert (tmp_path / "s.txt").read_text() == "header\na: 1\nb: 2.5\n"
+
+
+def test_the_event_log_is_formatted_by_the_library_chunk_by_chunk(tmp_path, monkeypatch):
+    # Its event types are bytes, so with the library present every chunk of
+    # nhpl_events.csv goes through the compiled formatter, and none by repr.
+    lib = _rk4.library()
+    if lib is None:
+        pytest.skip("no C compiler to build the formatter with; CI requires it")
+    calls = []
+
+    def counted(chunk, out):
+        calls.append(len(chunk[0]))
+        return lib.format_rows(chunk, out)
+
+    def no_repr(chunk):
+        raise AssertionError("a chunk of the event log was written by repr")
+
+    sim = run_simulation(SystemParams(100.0, 0.1, 0.2, 0.4), FROZEN, [(15.0, 0.0)], 3, 50.0)
+    rows, m = len(sim.events), artifacts._WRITE_CHUNK
+    assert rows > 2 * m and sim.events.count("indication") > 0
+    monkeypatch.setattr(artifacts, "_formatter", lambda: counted)
+    monkeypatch.setattr(artifacts, "_chunk_cells", no_repr)
+    sim.write_events_csv(tmp_path / "nhpl_events.csv")
+    assert calls == [min(m, rows - lo) for lo in range(0, rows, m)]
+    assert_same_text((tmp_path / "nhpl_events.csv").read_text(), "".join(
+        ["event_type,time,flow,window_before,window_after\n",
+         *(f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
+           for ev in sim.events)]))
 
 
 def test_a_host_without_the_library_writes_the_same_bytes_quietly(tmp_path, monkeypatch, capfd):

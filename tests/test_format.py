@@ -1,11 +1,12 @@
 """The compiled CSV formatter, ``_repr.c``, against Python's ``repr``.
 
-Every float64 cell must be ``repr(float)`` and every int64 cell
-``str(int)``, byte for byte: the shortest digits that read back, the
-closest of them, the even last digit on a tie, and repr's layout.  The
-inputs are the hard cases of shortest-digit conversion: every exponent,
+Every float64 cell must be ``repr(float)``, every int64 cell ``str(int)``
+and every bytes cell its text, byte for byte: the shortest digits that read
+back, the closest of them, the even last digit on a tie, and repr's layout.
+The inputs are the hard cases of shortest-digit conversion: every exponent,
 the subnormals, integers where doubles stop being dense, and the
-neighbours of every power of ten.
+neighbours of every power of ten; and bytes cells of every width the
+formatter takes.
 """
 
 import math
@@ -17,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcpfluid import _rk4
-from oracles import per_row_csv
+from tcpfluid import _rk4, artifacts
+from tcpfluid.nhpl import KINDS
+from oracles import assert_same_text, per_row_csv
 
 SOURCE = os.path.join(os.path.dirname(_rk4.__file__), "_repr.c")
 FINITE = 0x7FF0000000000000  # the bits of inf, one past the largest finite magnitude
@@ -29,7 +31,7 @@ def format_rows(columns):
     lib = _rk4.library()
     if lib is None:
         pytest.skip("no C compiler to build the formatter with; CI requires it")
-    out = np.empty(len(columns[0]) * len(columns) * _rk4.CELL_BYTES, np.uint8)
+    out = np.empty(len(columns[0]) * len(columns) * artifacts.CELL_BYTES, np.uint8)
     return out[:lib.format_rows(columns, out)].tobytes().decode()
 
 
@@ -117,12 +119,40 @@ def test_int64_cells_are_str():
     assert format_rows([ints]) == "".join(f"{v}\n" for v in ints.tolist())
 
 
+def test_bytes_cells_of_every_width_are_their_text():
+    # Widths 1 to 24, each with the empty label, a full-width one that no
+    # NUL ends, and labels of every length in between.
+    rng = np.random.default_rng(11)
+    for width in range(1, artifacts.CELL_BYTES):
+        texts = ["", "x" * width, *("".join(map(chr, rng.integers(32, 127, size)))
+                                    for size in rng.integers(0, width + 1, 200))]
+        col = np.array([text.encode() for text in texts], dtype=f"S{width}")
+        assert col.itemsize == width
+        assert format_rows([col]) == "".join(f"{text}\n" for text in texts)
+
+
+def test_a_bytes_cell_ends_at_its_first_nul():
+    # By the formatter and by repr's path alike.
+    col = np.array([b"ab\0c", b"\0abc", b"abcd"], dtype="S4")
+    assert format_rows([col]) == "ab\n\nabcd\n"
+    assert artifacts._chunk_cells(col) == ["ab", "", "abcd"]
+
+
 def test_rows_of_mixed_columns():
     # Cells joined by commas, rows ended by newlines, columns in order.
     n = 1000
-    columns = [np.arange(n) * 0.001, np.resize(np.array([-1, 0, 1], dtype=np.int64), n),
-               np.random.default_rng(7).standard_normal(n)]
+    columns = [np.resize(np.array(KINDS, dtype="S"), n), np.arange(n) * 0.001,
+               np.resize(np.array([-1, 0, 1], dtype=np.int64), n),
+               np.random.default_rng(7).standard_normal(n),
+               np.resize(np.array([b"", b"y" * 24, b"z"]), n)]
     assert format_rows(columns) == per_row_csv("h", columns).split("\n", 1)[1]
+
+
+def refused_columns():
+    """Bytes columns the formatter does not take: one a byte wider than
+    the widest cell it may write, and a strided view."""
+    return [np.array([b"x" * artifacts.CELL_BYTES, b"", b"y"] * 700),
+            np.array([b"loss", b"indication", b"!"] * 1400)[::2]]
 
 
 def test_format_rows_refuses_what_it_cannot_write():
@@ -130,32 +160,46 @@ def test_format_rows_refuses_what_it_cannot_write():
     if lib is None:
         pytest.skip("no C compiler to build the formatter with; CI requires it")
     col = np.arange(10.0)
-    out = np.empty(10 * _rk4.CELL_BYTES, np.uint8)
+    out = np.empty(10 * artifacts.CELL_BYTES, np.uint8)
     for columns in ([col[::2]], [col.astype(np.float32)], [col.astype(">f8")],
-                    [col.astype(object)], [col, col[:5]], [col, col]):
+                    [col.astype(object)], [col, col[:5]], [col, col],
+                    *([bytes_col[:10]] for bytes_col in refused_columns())):
         with pytest.raises(ValueError, match="the formatter takes"):
             lib.format_rows(columns, out)
 
 
+def test_columns_the_formatter_refuses_are_written_by_repr(tmp_path, monkeypatch):
+    # write_rows never hands them to the formatter, and writes their text.
+    def refused(chunk, out):
+        raise AssertionError("formatted a column the formatter refuses")
+
+    monkeypatch.setattr(artifacts, "_formatter", lambda: refused)
+    path = tmp_path / "t.csv"
+    for col in refused_columns():
+        assert col.itemsize == artifacts.CELL_BYTES or not col.flags.c_contiguous
+        artifacts.write_csv(path, "label", [col])
+        assert_same_text(path.read_text(), per_row_csv("label", [col]))
+
+
 def test_the_widest_cells_fit_cell_bytes():
-    # _repr.c's CELL_BYTES and _rk4's, which sizes the buffer the writer
-    # formats into, are one number.  The widest cells, the negative
+    # _repr.c's CELL_BYTES and artifacts', which sizes the buffer the
+    # writer formats into, are one number.  The widest cells, the negative
     # least normal float and the least int64, fit it, the float taking all
     # of it with its separator, and no byte past the buffer is written.
     with open(SOURCE) as fh:
         defined = re.findall(r"^#define CELL_BYTES (\d+)$", fh.read(), re.M)
-    assert defined == [str(_rk4.CELL_BYTES)]
+    assert defined == [str(artifacts.CELL_BYTES)]
     lib = _rk4.library()
     if lib is None:
         pytest.skip("no C compiler to build the formatter with; CI requires it")
     rows, least, int_min = 1024, -2.2250738585072014e-308, np.iinfo(np.int64).min
     columns = [np.full(rows, least), np.full(rows, int_min), np.full(rows, least)]
-    size = rows * len(columns) * _rk4.CELL_BYTES
+    size = rows * len(columns) * artifacts.CELL_BYTES
     guarded = np.full(size + 64, 0xA5, np.uint8)
     written = lib.format_rows(columns, guarded[:size])
     assert written <= size and (guarded[size:] == 0xA5).all()
     cell = f"{least!r},"
-    assert len(cell) == _rk4.CELL_BYTES
+    assert len(cell) == artifacts.CELL_BYTES
     assert guarded[:written].tobytes().decode() == f"{cell}{int_min},{least!r}\n" * rows
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from tcpfluid import (
     RngStream,
     SystemParams,
     WindowFunction,
+    artifacts,
     run_simulation,
 )
 from tcpfluid.nhpl import (SimState, compute_T, excess_poly, generate_poi_loss,
@@ -693,6 +695,35 @@ def test_event_log_is_written_a_chunk_at_a_time(tmp_path):
             for ev in sim.events]
     assert_same_text(path.read_text(),
                      "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
+
+
+def test_event_log_is_written_a_chunk_at_a_time_by_repr(tmp_path, python_format):
+    test_event_log_is_written_a_chunk_at_a_time(tmp_path)
+
+
+def test_events_csv_is_the_same_by_the_library_and_by_repr(tmp_path, monkeypatch):
+    # Logs of 0 rows, and of one row short of a write chunk, one chunk and
+    # one row past it, starting with a loss and with an indication, then
+    # criterion 7's whole log: written with the compiled formatter where
+    # it can be built, and by repr as the python_format fixture has it.
+    params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
+    sim = run_simulation(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
+    first_indication = sim.events.columns[0].index(nhpl.INDICATION)
+    logs = [sim]
+    for lo in (0, first_indication):
+        for rows in (0, 1, 1023, 1024, 1025):
+            log = nhpl.EventLog()
+            for col, whole in zip(log.columns, sim.events.columns):
+                col.extend(whole[lo:lo + rows])
+            logs.append(dataclasses.replace(sim, events=log))
+    assert {next(iter(log.events)).event_type for log in logs[1:] if log.events} == set(nhpl.KINDS)
+    for i, log in enumerate(logs):
+        log.write_events_csv(tmp_path / f"{i}.csv")
+    monkeypatch.setattr(artifacts, "_formatter", lambda: None)  # python_format's patch
+    for i, log in enumerate(logs):
+        log.write_events_csv(tmp_path / f"{i}.repr.csv")
+        assert_same_text((tmp_path / f"{i}.csv").read_text(),
+                         (tmp_path / f"{i}.repr.csv").read_text())
 
 
 def test_a_run_holds_its_events_in_columns():
