@@ -3,7 +3,7 @@ step loop of :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows;
 ``_repr.c``, the formatter of :func:`tcpfluid.artifacts.write_rows` for
 tables of float64, int64 and short bytes columns; and ``_sim.c``, the
 event loop of :func:`tcpfluid.nhpl.run_simulation` for the Reno, CUBIC and
-frozen windows.
+frozen windows and the render of its trace, four entry points in all.
 Each transcribes Python code that stays its specification and its fallback.
 
 ``dde``, ``artifacts`` and ``nhpl`` import this module on the first run or
@@ -28,7 +28,7 @@ import numpy as np
 from .artifacts import CELL_BYTES, formattable
 from .core import FlowState
 from .dde import _DELAYED_EXIT, _STORED_EXIT, IntegrationError, Trajectory
-from .nhpl import SimState, pick_losing_flow
+from .nhpl import SimState, pick_losing_flow, sample_count
 from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # The sources of the one library, in this package's directory.
@@ -74,8 +74,8 @@ _BLOCK_FULL, _OVER_BUDGET, _NO_FLOW_CAN_LOSE = 1, 2, 3
 # slower.
 _EVENT_ROWS = 1024
 
-# The compiled library's three entry points (see :func:`load`).
-Library = namedtuple("Library", "steps format_rows simulate")
+# The compiled library's four entry points (see :func:`load`).
+Library = namedtuple("Library", "steps format_rows simulate render")
 
 
 def load(cache: str) -> Library | None:
@@ -105,6 +105,9 @@ def load(cache: str) -> Library | None:
     into a block of ``_EVENT_ROWS`` rows, returning to Python between two
     steps whenever the next one might not fit; each block's five columns
     are appended to the state's ``EventLog`` byte for byte.
+    ``render(state, t_end, sample_dt)`` is ``nhpl._render_trace`` on the
+    ``SimState`` of a Reno, CUBIC or frozen run: the C reads the event
+    log's columns where they lie, copying none of them.
     """
     folder = os.path.dirname(__file__)
     sources = [os.path.join(folder, name) for name in _SOURCES]
@@ -115,10 +118,13 @@ def load(cache: str) -> Library | None:
             with open(source, "rb") as fh:
                 crc = zlib.crc32(fh.read(), crc)
         library = os.path.join(cache, f"_rk4-{crc:08x}.so")
-        if not (os.path.exists(library) or _build([*compiler, *sources, "-lm", "-o"], library)):
-            return None
+        if not os.path.exists(library):
+            if not _build([*compiler, *sources, "-lm", "-o"], library):
+                return None
+            _remove_others(library)
         lib = ctypes.CDLL(library)
-        rk4_steps, c_format_rows, sim_run = lib.rk4_steps, lib.format_rows, lib.sim_run
+        rk4_steps, c_format_rows = lib.rk4_steps, lib.format_rows
+        sim_run, sim_render = lib.sim_run, lib.sim_render
     # ValueError: a CC that shlex cannot split; AttributeError: a missing symbol.
     except (OSError, ValueError, AttributeError):
         return None
@@ -130,6 +136,9 @@ def load(cache: str) -> Library | None:
                               ctypes.c_void_p, ctypes.c_void_p]
     sim_run.restype = ctypes.c_int
     sim_run.argtypes = [ctypes.POINTER(_Sim)]
+    sim_render.restype = None
+    sim_render.argtypes = [ctypes.POINTER(_Sim), ctypes.c_long, ctypes.c_double,
+                           ctypes.c_void_p, ctypes.c_void_p]
 
     def steps(traj: Trajectory, cubic: bool, k: int, r_start: float) -> None:
         p, h, rows = traj.params, traj.step, len(traj.x1)
@@ -193,7 +202,19 @@ def load(cache: str) -> Library | None:
             raise AssertionError("_sim.c refused a loss that pick_losing_flow takes")
         return sim.losses, sim.loss_time if code == _OVER_BUDGET or sim.found else None
 
-    return Library(steps, format_rows, simulate)
+    def render(state: SimState, t_end: float, sample_dt: float) -> np.ndarray:
+        p, flows, samples = state.params, len(state.first), sample_count(t_end, sample_dt)
+        # The C moves each flow's epoch on from its first, in these copies.
+        llis, w_loss = (np.array(col, dtype=np.float64) for col in zip(*state.first))
+        cursor, rows = np.empty(flows, np.int64), np.empty((samples, flows + 1))
+        kind, time, flow, before, _ = (col.buffer_info()[0] for col in state.events.columns)
+        sim = _Sim(_WINDOWS[type(state.window_fn)], flows, p.tau, p.bdp, p.b, p.c,
+                   w_loss=w_loss.ctypes.data, llis=llis.ctypes.data, used=len(state.events),
+                   kind=kind, time=time, flow=flow, before=before)
+        sim_render(sim, samples, sample_dt, cursor.ctypes.data, rows.ctypes.data)
+        return rows
+
+    return Library(steps, format_rows, simulate, render)
 
 
 @functools.cache
@@ -201,6 +222,19 @@ def library() -> Library | None:
     """The library (see :func:`load`), built into this package's
     ``__pycache__`` on first use; None where it cannot be."""
     return load(os.path.join(os.path.dirname(__file__), "__pycache__"))
+
+
+def _remove_others(library: str) -> None:
+    """Remove every ``_rk4-*.so`` beside ``library`` but ``library``: each
+    edit of a source builds a library of its own, and the earlier ones are
+    never loaded again.  A file another process has loaded stays mapped in
+    it."""
+    cache, name = os.path.split(library)
+    with suppress(OSError):
+        for other in os.listdir(cache):
+            if other.startswith("_rk4-") and other.endswith(".so") and other != name:
+                with suppress(OSError):
+                    os.remove(os.path.join(cache, other))
 
 
 def _build(command: list[str], library: str) -> bool:

@@ -1,17 +1,18 @@
 /* The event loop of tcpfluid.nhpl.run_simulation for the Reno, CUBIC and
-   frozen windows.
+   frozen windows, and the render of its trace.
 
    A transcription of the Python loop in nhpl.py (generate_poi_loss and what
-   it calls, and run_simulation's loss count): the same floating-point
-   operations in the same order, so every event and every state bit is the
-   same.  It must be built without fast-math and with -ffp-contract=off, so
-   that no operation is reordered or fused; log and pow are the libm
-   functions that math.log and float power call.  Its uniforms come from the
-   run's own numpy PCG64, through the next_double function that numpy's
-   bit_generator.ctypes exposes, which is what Generator.random() calls, so
-   the draws and their order are the Python loop's.  Plain C with no
-   Python.h: tcpfluid/_rk4.py builds it into one library with _rk4.c and
-   _repr.c and binds it through ctypes. */
+   it calls, and run_simulation's loss count) and of nhpl._render_trace: the
+   same floating-point operations in the same order, so every event, every
+   state bit and every window of the trace is the same.  It must be built
+   without fast-math and with -ffp-contract=off, so that no operation is
+   reordered or fused; log and pow are the libm functions that math.log and
+   float power call.  Its uniforms come from the run's own numpy PCG64,
+   through the next_double function that numpy's bit_generator.ctypes
+   exposes, which is what Generator.random() calls, so the draws and their
+   order are the Python loop's.  Plain C with no Python.h: tcpfluid/_rk4.py
+   builds it into one library with _rk4.c and _repr.c and binds it through
+   ctypes. */
 
 #include <math.h>
 #include <stdint.h>
@@ -371,5 +372,65 @@ int sim_run(struct sim *m)
             return ENDED;
         if (++m->losses > m->most)
             return OVER_BUDGET;
+    }
+}
+
+/* The windows of flow f's current epoch, (llis[f], w_loss[f]), at the
+   samples t_i = i * dt, lo <= i < hi, into column f of the matrix rows of
+   flows + 1 columns: nhpl._render_trace's one window call on an epoch's
+   ages t_i - start, so CUBIC's K is worked out once per epoch. */
+static void fill(const struct sim *m, long f, long lo, long hi, double dt, double *rows)
+{
+    long width = m->flows + 1;
+    double w = m->w_loss[f], start = m->llis[f];
+    if (lo >= hi)
+        return;
+    if (m->window == RENO) {
+        double half = 0.5 * w;
+        for (long i = lo; i < hi; i++)
+            rows[i * width + f] = half + ((double)i * dt - start) / m->tau;
+    } else if (m->window == CUBIC) {
+        double c = m->c, k = cbrt_total(w * m->b / c);
+        for (long i = lo; i < hi; i++) {
+            double d = ((double)i * dt - start) - k;
+            rows[i * width + f] = c * d * d * d + w;
+        }
+    } else {
+        for (long i = lo; i < hi; i++)
+            rows[i * width + f] = w;
+    }
+}
+
+/* nhpl._render_trace: every flow's window at t_i = i * dt, i < samples,
+   then their mean, into the rows of the (samples, flows + 1) matrix rows.
+   Each flow's epoch at t = 0 is in llis and w_loss, which the render moves
+   on; the indications among the block's used rows start the later ones,
+   and no other row is read.  Sample i belongs to the last epoch that
+   starts at or before t_i: at an indication of flow f, the samples before
+   it that cursor[f], the first sample flow f has not written, has not
+   reached are the ending epoch's.  The mean is summed in flow order. */
+void sim_render(struct sim *m, long samples, double dt, int64_t *cursor, double *rows)
+{
+    long width = m->flows + 1;
+    for (long f = 0; f < m->flows; f++)
+        cursor[f] = 0;  /* the epoch at t = 0 starts at or before t_0 = 0 */
+    for (long e = 0; e < m->used; e++) {
+        if (m->kind[e] != INDICATION)
+            continue;
+        long f = (long)m->flow[e], hi = (long)cursor[f];
+        double t_ind = m->time[e];
+        while (hi < samples && (double)hi * dt < t_ind)
+            hi++;
+        fill(m, f, (long)cursor[f], hi, dt, rows);
+        cursor[f] = hi;
+        m->llis[f] = t_ind, m->w_loss[f] = m->before[e];
+    }
+    for (long f = 0; f < m->flows; f++)
+        fill(m, f, (long)cursor[f], samples, dt, rows);
+    for (long i = 0; i < samples; i++) {
+        double *row = rows + i * width, total = 0.0;
+        for (long f = 0; f < m->flows; f++)
+            total += row[f];
+        row[m->flows] = total / (double)m->flows;
     }
 }

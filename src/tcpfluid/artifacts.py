@@ -44,15 +44,21 @@ def _chunk_cells(chunk: np.ndarray):
     their first NUL, as the compiled formatter writes them, and the
     ``repr`` of every number.
 
-    A float64 chunk with fewer runs of equal bit patterns than half its rows
-    formats each run's value once and repeats the string.  Patterns, not
-    values, are compared, so 0.0 and -0.0, and NaNs of different payloads,
-    stay apart, as their reprs are read back.
+    A bytes chunk decodes each of its distinct cells once, in the order
+    they first appear, so the first cell that is not ASCII raises what a
+    decode row by row would.  A float64 chunk with fewer runs of equal bit
+    patterns than half its rows formats each run's value once and repeats
+    the string.  Patterns, not values, are compared, so 0.0 and -0.0, and
+    NaNs of different payloads, stay apart, as their reprs are read back.
     """
     if chunk.dtype == object:
         return chunk.tolist()
     if chunk.dtype.kind == "S":
-        return [cell.partition(b"\0")[0].decode("ascii") for cell in chunk.tolist()]
+        cells, first, inverse = np.unique(chunk, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        text = np.empty(len(cells), dtype=object)
+        text[order] = [cell.partition(b"\0")[0].decode("ascii") for cell in cells[order].tolist()]
+        return text[inverse].tolist()
     if chunk.dtype == np.float64:
         bits = chunk.view(np.int64)
         starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1

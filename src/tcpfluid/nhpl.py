@@ -42,8 +42,13 @@ other window function and every run on a host where the C cannot be built.
 Both append to the state's ``EventLog``, typed columns with no Python
 object per event: the Python loop row by row, the C a block at a time.
 
-A run's ``SimResult`` keeps that log up to t_end and its trace as a matrix
-of windows, and writes both through :mod:`tcpfluid.artifacts`, the
+A run's trace is a matrix of every flow's window at each sample time, and
+their mean, rendered from the starting epochs and the log's indications by
+the same rule: ``_sim.c`` renders it for the runs it steps, in one pass
+over the log's columns with one window value per sample, and
+``_render_trace``, one window call per epoch, stays its specification and
+renders every other run.  A run's ``SimResult`` keeps the log up to t_end
+and the trace, and writes both through :mod:`tcpfluid.artifacts`, the
 package's one CSV writer, forming their columns one write chunk at a time.
 """
 
@@ -425,9 +430,12 @@ def _render_trace(state: SimState, t_end: float, sample_dt: float) -> np.ndarray
     indications (time, window_before) in the event log.  Sample i belongs to
     the last epoch that starts at or before t_i, so an epoch holds the
     samples from the first at or after its start up to the next epoch's
-    first; the window is evaluated once on the ages of those samples.  The
-    mean is summed flow by flow, in flow order, as a per-sample loop over
-    the flows would.
+    first; the window is evaluated once on the ages of those samples.  Each
+    flow is rendered into a contiguous row of a (flows + 1, samples) array,
+    which is transposed once at the end.  The mean is summed flow by flow,
+    in flow order, as a per-sample loop over the flows would.  This is the
+    specification of ``_sim.c``'s render (see :func:`tcpfluid._rk4.load`),
+    which ``run_simulation`` takes where it takes the compiled loop.
     """
     flows = len(state.first)
     n = sample_count(t_end, sample_dt)
@@ -435,21 +443,23 @@ def _render_trace(state: SimState, t_end: float, sample_dt: float) -> np.ndarray
     kinds, times, flow_of, before, _ = (np.asarray(col) for col in state.events.columns)
     indication = kinds == INDICATION
     times, flow_of, before = times[indication], flow_of[indication], before[indication]
-    rows = np.empty((n, flows + 1))
-    total = np.zeros(n)
+    columns = np.empty((flows + 1, n))
+    total = columns[flows]
+    total[:] = 0.0
     for f, (start, w_loss) in enumerate(state.first):
         mine = flow_of == f
         starts = np.concatenate(([start], times[mine]))
         bounds = np.append(np.searchsorted(t, starts), n)
         held = np.flatnonzero(bounds[:-1] < bounds[1:])  # the epochs that hold samples
         w_losses = np.concatenate(([w_loss], before[mine]))[held]
+        column = columns[f]
         for lo, hi, start, w_loss in zip(bounds[held].tolist(), bounds[held + 1].tolist(),
                                          starts[held].tolist(), w_losses.tolist()):
             ages = t[lo:hi] - start
-            rows[lo:hi, f] = state.window_fn.window(FlowState(w_loss, ages), state.params)
-        total += rows[:, f]
-    rows[:, flows] = total / flows
-    return rows
+            column[lo:hi] = state.window_fn.window(FlowState(w_loss, ages), state.params)
+        total += column
+    total /= flows
+    return columns.T.copy()
 
 
 def run_simulation(params: SystemParams, window_fn: WindowFunction,
@@ -477,11 +487,11 @@ def run_simulation(params: SystemParams, window_fn: WindowFunction,
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = SimState(params, window_fn, init, RngStream(seed), lookahead)
     losses, most = 0, WORK_BUDGET // params.flows
-    # The compiled loop for the three windows themselves; a subclass may
-    # override what it transcribes.
-    kernel = _kernel() if type(window_fn) in (RenoWindow, CubicWindow, FrozenWindow) else None
-    if kernel is not None:
-        losses, loss_time = kernel(state, t_end, most)
+    # The compiled loop and render for the three windows themselves; a
+    # subclass may override what they transcribe.
+    lib = _kernel() if type(window_fn) in (RenoWindow, CubicWindow, FrozenWindow) else None
+    if lib is not None:
+        losses, loss_time = lib.simulate(state, t_end, most)
     else:
         while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
             losses += 1
@@ -490,7 +500,7 @@ def run_simulation(params: SystemParams, window_fn: WindowFunction,
     if losses > most:
         raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
                          f"{params.flows} flows is over {WORK_BUDGET}")
-    windows = _render_trace(state, t_end, sample_dt)
+    windows = (_render_trace if lib is None else lib.render)(state, t_end, sample_dt)
     # The log is in time order, so the events by t_end are a prefix of it.
     kept = bisect_right(state.events.columns[1], t_end)
     for col in state.events.columns:
@@ -499,9 +509,9 @@ def run_simulation(params: SystemParams, window_fn: WindowFunction,
 
 
 def _kernel():
-    """The compiled event loop (see :func:`tcpfluid._rk4.load`); None where
-    the library cannot be built."""
+    """The compiled library, whose event loop and render
+    ``run_simulation`` takes (see :func:`tcpfluid._rk4.load`); None where it
+    cannot be built."""
     from . import _rk4  # on first use: importing nhpl leaves the loader unread
 
-    lib = _rk4.library()
-    return None if lib is None else lib.simulate
+    return _rk4.library()

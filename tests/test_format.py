@@ -138,6 +138,23 @@ def test_a_bytes_cell_ends_at_its_first_nul():
     assert artifacts._chunk_cells(col) == ["ab", "", "abcd"]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.binary(max_size=6), max_size=40))
+def test_bytes_cells_decode_as_one_at_a_time(cells):
+    # repr's path decodes each distinct cell once: the same text as a
+    # decode cell by cell, and the same error for a cell that is not ASCII.
+    col = np.array(cells, dtype="S6")
+
+    def outcome(decode):
+        try:
+            return decode(col)
+        except UnicodeDecodeError as err:
+            return repr(err)
+
+    assert outcome(artifacts._chunk_cells) == outcome(
+        lambda col: [cell.partition(b"\0")[0].decode("ascii") for cell in col.tolist()])
+
+
 def test_rows_of_mixed_columns():
     # Cells joined by commas, rows ended by newlines, columns in order.
     n = 1000

@@ -1,16 +1,21 @@
-"""The compiled step loop of ``dde.integrate`` against the Python loop.
+"""The compiled step loop of ``dde.integrate`` against the Python loop,
+and the compiled event loop and render of ``nhpl.run_simulation`` against
+theirs.
 
 Reno and CUBIC runs take the loop in ``_rk4.c`` where it can be built; it
 must store every bit and raise every error the Python loop does.  Every
 other window function, and every host without the library, runs the Python
-loop.
+loop.  The same holds for the simulator's Reno, CUBIC and frozen runs and
+``_sim.c``.
 """
 
 import errno
+import math
 import os
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +258,37 @@ def test_a_cached_library_loads_without_a_compile(monkeypatch):
     assert _rk4.load(CACHE) is not None
 
 
+def library_files(cache):
+    return sorted(name for name in os.listdir(cache) if name.endswith(".so"))
+
+
+def test_a_build_removes_the_other_libraries_in_its_cache(tmp_path, monkeypatch):
+    # Each edit of a source builds a library of its own name; a build
+    # removes the earlier ones, and only those, while a process that has
+    # one loaded still runs it.  A cache hit removes nothing.
+    if dde._kernel() is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    old = _rk4.load(str(tmp_path))
+    (first,) = library_files(tmp_path)
+    for name in ("_rk4-00000000.so", "other.so", "_rk4-00000000.so.tmp"):
+        (tmp_path / name).write_bytes(b"")
+    monkeypatch.setattr(_rk4, "_FLAGS", (*_rk4._FLAGS, "-DTCPFLUID_ANOTHER_BUILD"))
+    new = _rk4.load(str(tmp_path))
+    (second,) = set(library_files(tmp_path)) - {"other.so"}
+    assert second != first and second.startswith("_rk4-")
+    assert "_rk4-00000000.so.tmp" in os.listdir(tmp_path)
+    params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
+    windows = []
+    for lib in (old, new):
+        state = SimState(params, RENO, [(16.0, 0.25), (12.0, 0.0)], RngStream(5), 100.0)
+        lib.simulate(state, 20.0, 10**6)
+        windows.append(lib.render(state, 20.0, 0.1).tobytes())
+    assert windows[0] == windows[1]
+    (tmp_path / "_rk4-00000000.so").write_bytes(b"")
+    assert _rk4.load(str(tmp_path)) is not None
+    assert "_rk4-00000000.so" in os.listdir(tmp_path)
+
+
 def test_a_library_without_the_event_loop_is_not_loaded(tmp_path, monkeypatch):
     # Built from the step loop and formatter alone, the library lacks
     # sim_run: load refuses it whole, so no caller meets a missing entry.
@@ -373,12 +409,12 @@ def test_event_loop_raises_what_pick_losing_flow_raises():
         pytest.skip("no C compiler to build the kernel with; CI requires it")
     params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
     errors = []
-    for step in (nhpl._kernel(), None):
+    for lib in (nhpl._kernel(), None):
         state = SimState(params, FROZEN, [(40.0, 0.0), (1.0, 0.0)], RngStream(3), 100.0)
         state.w_loss[1] = -1.0
         with pytest.raises(ValueError) as err:
-            if step is not None:
-                step(state, 50.0, 10**6)
+            if lib is not None:
+                lib.simulate(state, 50.0, 10**6)
             else:
                 nhpl.generate_poi_loss(state)
         errors.append((str(err.value), state.candidates, state.rng._gen.bit_generator.state))
@@ -426,3 +462,75 @@ def test_other_window_functions_run_the_python_event_loop(monkeypatch):
     frozen = run_simulation(params, FROZEN, [(15.0, 0.0)], 5, 20.0)
     assert steps == [] and event_columns(frozen.events) == event_columns(own.events)
     assert frozen.candidates == own.candidates
+
+
+# The compiled render of ``nhpl.run_simulation`` against ``_render_trace``.
+
+def render_library():
+    lib = nhpl._kernel()
+    if lib is None:
+        pytest.skip("no C compiler to build the kernel with; CI requires it")
+    return lib
+
+
+@st.composite
+def logged_states(draw):
+    """(state, t_end, sample_dt): a ``SimState`` of 1 to 20 flows and a log
+    of losses and indications in time order, drawn as they fall: on sample
+    times, between them, and past t_end, where the last sample may lie a
+    hair past t_end (see ``nhpl.sample_count``) on an indication.  Few
+    events leave epochs of many samples; events closer than a sample
+    interval leave epochs of none."""
+    window_fn = draw(st.sampled_from([RENO, CUBIC, FROZEN]))
+    flows = draw(st.integers(1, 20))
+    sample_dt = draw(st.sampled_from([0.01, 0.1, 0.7, 3.0]))
+    last = draw(st.integers(1, 400)) * sample_dt
+    # The last sample on t_end, or a hair past it.
+    t_end = draw(st.sampled_from([last, math.nextafter(last, 0.0)]))
+    init = draw(st.lists(st.tuples(st.floats(1.0, 200.0), st.floats(0.0, 5.0)),
+                         min_size=flows, max_size=flows))
+    state = SimState(SystemParams(100.0, 0.1, 0.2, 0.4, flows), window_fn, init, None, 1.0)
+    n = nhpl.sample_count(t_end, sample_dt)
+    on_sample = st.integers(0, n).map(lambda i: i * sample_dt)
+    between = st.floats(0.0, t_end + 2.0 * sample_dt)
+    events = draw(st.lists(st.tuples(st.sampled_from([nhpl.LOSS, nhpl.INDICATION]),
+                                     st.one_of(on_sample, between), st.integers(0, flows - 1),
+                                     st.floats(1.0, 200.0)), max_size=80))
+    if draw(st.booleans()):  # an indication on the last sample
+        events.append((nhpl.INDICATION, (n - 1) * sample_dt, draw(st.integers(0, flows - 1)),
+                       draw(st.floats(1.0, 200.0))))
+    for kind, t, f, w in sorted(events, key=lambda ev: ev[1]):
+        state.events.append(kind, t, f, w, w)
+    return state, t_end, sample_dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=logged_states())
+def test_compiled_render_matches_the_python_render(case):
+    state, t_end, sample_dt = case
+    compiled = render_library().render(state, t_end, sample_dt)
+    python = nhpl._render_trace(state, t_end, sample_dt)
+    assert (compiled.dtype, compiled.shape) == (python.dtype, python.shape)
+    assert compiled.flags.c_contiguous and compiled.tobytes() == python.tobytes()
+
+
+def test_compiled_render_holds_little_beyond_its_matrix():
+    # A frozen run of 1000 s has 50,031 losses and 10,001 samples.  The
+    # Python render peaks near 80 bytes per loss, copying the log's columns
+    # and masks over them; the compiled one reads them in place, so its
+    # peak is its matrix, 3.2 bytes per loss here, and a few small arrays.
+    lib = render_library()
+    params = SystemParams(100.0, 0.1, 0.2, 0.4)
+    state = SimState(params, FROZEN, [(15.0, 0.0)], RngStream(1), 2000.0)
+    lib.simulate(state, 1000.0, 10**7)
+    losses = state.events.count("loss")
+    lib.render(state, 1000.0, 0.1)  # imports and binds
+    tracemalloc.start()
+    try:
+        windows = lib.render(state, 1000.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert losses > 45000 and windows.shape == (10001, 2)
+    assert peak < windows.nbytes + 4096
+    assert peak < 4 * losses

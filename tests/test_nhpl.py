@@ -16,6 +16,7 @@ from tcpfluid import (
     RngStream,
     SystemParams,
     WindowFunction,
+    _rk4,
     artifacts,
     run_simulation,
 )
@@ -553,6 +554,14 @@ def simulate_recording_epochs(monkeypatch, fn, init, t_end, sample_dt):
     return params, sim, epochs
 
 
+def renders():
+    """The Python render, and the compiled one where the library builds:
+    each stands in for ``nhpl._render_trace`` in turn, which the Python
+    loop's runs (``python_sim``) take."""
+    lib = _rk4.library()
+    return [nhpl._render_trace, *([] if lib is None else [lib.render])]
+
+
 def assert_render_matches_oracle(sim, epochs, fn, params, sample_dt):
     t, flow, w = scalar_render_trace(epochs, fn, params, sim.t_end, sample_dt)
     sim_t, sim_flow, sim_w = sim.trace_columns(0, sim.windows.size)
@@ -569,12 +578,15 @@ def epochs_without_samples(epochs, t):
 @pytest.mark.parametrize("sample_dt", [0.01, 0.7])
 @pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
 def test_render_matches_per_sample_oracle(monkeypatch, python_sim, fn, sample_dt):
-    params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, 10.0, sample_dt)
-    if sample_dt == 0.7:
-        # Coarse sampling: 91 of Reno's 198 epochs, 16 of CUBIC's 72 and
-        # 1651 of FROZEN's 1786 hold no sample.
-        assert epochs_without_samples(epochs, np.unique(sim.trace_t)) >= 16
-    assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
+    for render in renders():
+        monkeypatch.setattr(nhpl, "_render_trace", render)
+        params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, 10.0,
+                                                        sample_dt)
+        if sample_dt == 0.7:
+            # Coarse sampling: 91 of Reno's 198 epochs, 16 of CUBIC's 72 and
+            # 1651 of FROZEN's 1786 hold no sample.
+            assert epochs_without_samples(epochs, np.unique(sim.trace_t)) >= 16
+        assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
 
 
 @pytest.mark.parametrize("fn", [RENO, CUBIC, FROZEN], ids=lambda fn: fn.name)
@@ -588,11 +600,14 @@ def test_render_applies_indications_past_t_end(monkeypatch, python_sim, fn):
     if 5 * sample_dt < t_ind:
         sample_dt = math.nextafter(sample_dt, math.inf)
     t_end = math.nextafter(t_ind, 0.0)
-    params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, t_end, sample_dt)
-    assert len(sim.trace_t) == 6 * 10 and sim.trace_t[-1] >= t_ind > t_end
-    assert all(ev.time <= t_end for ev in sim.events)
-    assert any(start == t_ind for flow in epochs for start, _ in flow)
-    assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
+    for render in renders():
+        monkeypatch.setattr(nhpl, "_render_trace", render)
+        params, sim, epochs = simulate_recording_epochs(monkeypatch, fn, RENDER_INIT, t_end,
+                                                        sample_dt)
+        assert len(sim.trace_t) == 6 * 10 and sim.trace_t[-1] >= t_ind > t_end
+        assert all(ev.time <= t_end for ev in sim.events)
+        assert any(start == t_ind for flow in epochs for start, _ in flow)
+        assert_render_matches_oracle(sim, epochs, fn, params, sample_dt)
 
 
 def test_frozen_rate_gaps_are_exponential():
