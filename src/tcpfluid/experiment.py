@@ -323,11 +323,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
         cert = certificate(fp, params)
     if config.mode == "convergence":
         # The decay bound divides by V at t = 0, which vanishes on the fixed
-        # point and leaves no bound past the float range.
-        try:
-            v0 = lyapunov_V(start[0] - fp.w_hat, start[1] - fp.s_hat, cert)
-        except OverflowError:  # x2**4 on a Python float raises instead of giving inf
-            v0 = math.inf
+        # point and leaves no bound past the float range, where its products
+        # give inf.
+        v0 = lyapunov_V(start[0] - fp.w_hat, start[1] - fp.s_hat, cert)
         if not 0.0 < v0 < math.inf:
             raise ConfigError(f"convergence mode needs a start off the fixed point with a "
                               f"finite V(0), got V(0) = {v0!r}")

@@ -21,13 +21,17 @@ the trajectory must be integrated about the certificate's fixed point
 converges, keeping only the absolute precision of the offset between the
 points).  dV/dt = d1 x1 dx1/dt + d4 x2^3 dx2/dt takes the derivatives stored
 at each sample, which used the true delayed history, and the history test
-takes a maximum of V over the trailing delay.  numpy's vector ``hypot`` and
-``power`` may differ from ``math`` in the last ulp, so against a per-sample
-scalar route |x| and V agree to a few ulps and dV/dt to about 1e-13
-relative; the bound and the Razumikhin mask are bit-identical.  All but the
-history test are elementwise, so ``DiagnosticTrace``, which holds the
-trajectory and the certificate, forms them for each range of samples the
-CSV writer asks for.  ``stability_trace`` forms its two verdicts in one pass
+takes a maximum of V over the trailing delay.  Every power of a sample is
+formed from IEEE products (x2^4 as (x2 x2)(x2 x2), x2^3 as x2 x2 x2, |x|^4
+as (|x| |x|)^2), never by ``**``: numpy's vector ``power`` is dispatched by
+CPU, slow, and may differ from ``math.pow`` in the last ulp.  So Python
+floats and arrays give V and dV/dt in the same bits on every host, V is
+within about 4u of its exact value at the stored floats (u = 2^-53), and
+dV/dt within about 5u (|d1 x1 dx1| + |d4 x2^3 dx2|).  Only |x| takes a
+transcendental step, numpy's ``hypot``.  All but the history test are
+elementwise, so ``DiagnosticTrace``, which holds the trajectory, the
+certificate and V(0), forms them for each range of samples the CSV writer
+asks for.  ``stability_trace`` forms its two verdicts in one pass
 over blocks of samples, from the |x|, V and bound of the CSV's table,
 without its dV/dt; the history test of a block reaches back into the last
 delay of V before it.  Its working memory is one block plus one delay of
@@ -170,13 +174,14 @@ def certificate(fp: FixedPoint, params: SystemParams) -> Certificate:
 
 def lyapunov_V(x1, x2, cert: Certificate):
     """V at the deviation (x1, x2), scalars or arrays of samples."""
-    return 0.5 * cert.d1 * x1 * x1 + 0.25 * cert.d4 * x2**4
+    x2sq = x2 * x2
+    return 0.5 * cert.d1 * x1 * x1 + 0.25 * cert.d4 * (x2sq * x2sq)
 
 
 def vdot_along(x1, x2, dx1, dx2, cert: Certificate) -> np.ndarray:
     """dV/dt at the deviations (x1, x2) from ``cert.fp`` whose time
     derivatives are (dx1, dx2): the integrator's stored columns."""
-    return cert.d1 * x1 * dx1 + cert.d4 * x2**3 * dx2
+    return cert.d1 * x1 * dx1 + cert.d4 * (x2 * x2 * x2) * dx2
 
 
 def razumikhin_mask(v: np.ndarray, k: int) -> np.ndarray:
@@ -220,24 +225,26 @@ def basin_delta(epsilon: float, cert: Certificate) -> float:
     return epsilon * epsilon * math.sqrt(cert.eps1 / cert.eps0)
 
 
-def _verdict_columns(traj: Trajectory, cert: Certificate, lo: int, hi: int):
+def _verdict_columns(traj: Trajectory, cert: Certificate, v0: float, lo: int, hi: int):
     """The columns t, |x|, V and the decay bound of samples [lo, hi) of
-    ``traj``: the convergence CSV's table without dV/dt.  Each is
-    elementwise in the samples, the bound given V(0), so a range's columns
-    are the same bits as that range of the whole trajectory's."""
+    ``traj``, whose V(0) is ``v0``: the convergence CSV's table without
+    dV/dt.  Each is elementwise in the samples, the bound given V(0), so a
+    range's columns are the same bits as that range of the whole
+    trajectory's."""
     t, x1, x2 = traj.times(lo, hi), traj.x1[lo:hi], traj.x2[lo:hi]
-    v0 = float(lyapunov_V(traj.x1[:1], traj.x2[:1], cert)[0])
     return t, np.hypot(x1, x2), lyapunov_V(x1, x2, cert), convergence_bound(t, v0, cert)
 
 
 @dataclass
 class DiagnosticTrace:
     """Stability diagnostics of the trajectory ``traj``, integrated about the
-    fixed point of ``cert``: per sample ``bounded`` (|x|^4 within the decay
-    bound) and ``razumikhin_ok``, and the table of its CSV, :meth:`columns`."""
+    fixed point of ``cert``, whose first sample has V = ``v0``: per sample
+    ``bounded`` (|x|^4 within the decay bound) and ``razumikhin_ok``, and
+    the table of its CSV, :meth:`columns`."""
 
     traj: Trajectory
     cert: Certificate
+    v0: float
     bounded: np.ndarray
     razumikhin_ok: np.ndarray
 
@@ -248,7 +255,7 @@ class DiagnosticTrace:
 
     def columns(self, lo: int, hi: int):
         """The columns t, |x|, V, dV/dt and the decay bound of samples [lo, hi)."""
-        t, norm, v, bound = _verdict_columns(self.traj, self.cert, lo, hi)
+        t, norm, v, bound = _verdict_columns(self.traj, self.cert, self.v0, lo, hi)
         x = (c[lo:hi] for c in (self.traj.x1, self.traj.x2, self.traj.dx1, self.traj.dx2))
         return t, norm, v, vdot_along(*x, self.cert), bound
 
@@ -277,12 +284,14 @@ def stability_trace(traj: Trajectory, cert: Certificate) -> DiagnosticTrace:
     block = max(_TRACE_BLOCK, k + 1)
     bounded = np.empty(n, dtype=bool)
     razumikhin_ok = np.empty(n, dtype=bool)
+    v0 = lyapunov_V(float(traj.x1[0]), float(traj.x2[0]), cert)
     carry = np.empty(0)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        _, norm, v, bound = _verdict_columns(traj, cert, lo, hi)
-        bounded[lo:hi] = norm**4 <= bound * (1.0 + BOUND_RTOL)
+        _, norm, v, bound = _verdict_columns(traj, cert, v0, lo, hi)
+        nsq = norm * norm
+        bounded[lo:hi] = nsq * nsq <= bound * (1.0 + BOUND_RTOL)
         mask = razumikhin_mask(np.concatenate((carry, v)), k)
         razumikhin_ok[lo:hi] = mask[len(carry):]
         carry = v[-k:]
-    return DiagnosticTrace(traj, cert, bounded, razumikhin_ok)
+    return DiagnosticTrace(traj, cert, v0, bounded, razumikhin_ok)

@@ -441,7 +441,8 @@ def _equilibrium_argv() -> list[str]:
         ["convergence", "--capacity-pkts", "100", "--init", "offset"],
         ["convergence", "--capacity-pkts", "100", "--init", "offset", "--init-offset-w", "1e-30"],
         ["convergence", "--capacity-pkts", "100", "EQUILIBRIUM"],
-        # V(0) past the float range leaves no decay bound: x2**4 of 1e80.
+        # V(0) past the float range leaves no decay bound: (x2 x2)^2 of 1e80
+        # is inf.
         ["convergence", "--capacity-pkts", "100", "--init", "offset", "--init-offset-s", "1e80",
          "--t-end", "0.1"],
         ["convergence", "--capacity-pkts", "100", "--init", "explicit", "--init-w-max", "100",

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,12 +197,13 @@ def test_stability_trace_bound_and_monotonicity(canonical_params, canonical_fp):
 
 
 def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp):
-    # numpy's SIMD hypot and power may differ from math in the last ulp, so
-    # |x| and V agree to 4 ulp and dV/dt to 1e-12 relative; the bound (from
-    # V[0]) and the Razumikhin maxima take no transcendental step.  The
-    # stored derivatives must match a fresh rhs_about call per sample whose
-    # delayed window comes from the sample one delay back or, inside the
-    # first delay, from the start state.
+    # numpy's hypot (libm's) may differ from math.hypot in the last ulp, so
+    # |x| agrees to 4 ulp.  V takes the same IEEE products on Python floats
+    # as on arrays, so it is the same bits, and so are the bound (from V[0])
+    # and the Razumikhin maxima.  dV/dt agrees to 1e-12 relative: the oracle
+    # cubes by pow.  The stored derivatives must match a fresh rhs_about
+    # call per sample whose delayed window comes from the sample one delay
+    # back or, inside the first delay, from the start state.
     params, fp = canonical_params, canonical_fp
     cert, start, traj = in_basin_trace(params, fp)
     tr = stability_trace(traj, cert)
@@ -212,12 +214,60 @@ def test_array_diagnostics_match_scalar_oracles(canonical_params, canonical_fp):
     k = round(params.tau / traj.step)
     assert np.array_equal(t, traj.t)
     assert np.all(np.abs(tr_norm - norm) <= 4 * np.spacing(norm))
-    assert np.all(np.abs(tr_v - v) <= 4 * np.spacing(v))
+    assert np.array_equal(tr_v, v)
     assert np.all(np.abs(tr_vdot - vdot) <= 1e-12 * np.abs(vdot))
     assert np.array_equal(tr_bound, convergence_bound(traj.t, float(v[0]), cert))
     assert np.array_equal(tr.bounded, tr_norm**4 <= tr_bound * (1.0 + BOUND_RTOL))
     assert np.array_equal(tr.razumikhin_ok, scalar_razumikhin_mask(v, k, RAZUMIKHIN_P))
     assert not tr.razumikhin_ok.all()  # the mask is not trivially true
+
+
+U = Fraction(1, 2**53)  # the unit roundoff of a double
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    return n * U / (1 - n * U)
+
+
+def assert_within_stated_bound(x1, x2, dx1, dx2, cert):
+    """V and dV/dt of the samples, arrays and Python floats, against exact
+    rational arithmetic on the same floats: V, a sum of nonnegative terms of
+    at most three roundings each, within gamma_4 of its exact value; dV/dt,
+    terms of two and four roundings and one sum, within gamma_5 of the sum
+    of its terms' magnitudes.  Both routes give the same bits."""
+    v, vdot = lyapunov_V(x1, x2, cert), vdot_along(x1, x2, dx1, dx2, cert)
+    d1, d4 = Fraction(cert.d1), Fraction(cert.d4)
+    for i, sample in enumerate(zip(x1.tolist(), x2.tolist(), dx1.tolist(), dx2.tolist())):
+        assert lyapunov_V(*sample[:2], cert) == v[i]
+        assert vdot_along(*sample, cert) == vdot[i]
+        e1, e2, f1, f2 = map(Fraction, sample)
+        exact_v = d1 * e1 * e1 / 2 + d4 * e2**4 / 4
+        term1, term2 = d1 * e1 * f1, d4 * e2**3 * f2
+        assert abs(Fraction(float(v[i])) - exact_v) <= gamma(4) * exact_v
+        assert abs(Fraction(float(vdot[i])) - (term1 + term2)) <= gamma(5) * (abs(term1)
+                                                                             + abs(term2))
+
+
+# Magnitudes from 1e-30 to 1e30, and 0: every product of V and dV/dt with
+# the systems' weights stays in the normal range, where the bound holds.
+_NORMAL_RANGE = st.one_of(st.just(0.0), st.floats(min_value=1e-30, max_value=1e30),
+                          st.floats(min_value=-1e30, max_value=-1e-30))
+
+
+@given(st.sampled_from([(SystemParams(12500.0, 0.01, 0.2, 0.4), FixedPoint(*_CANONICAL_FP)),
+                        (SystemParams(10.0, 1.0, 0.5, 0.5), FixedPoint(2.0, 1.0, 0.5))]),
+       st.lists(st.tuples(_NORMAL_RANGE, _NORMAL_RANGE, _NORMAL_RANGE, _NORMAL_RANGE),
+                min_size=1, max_size=9))
+def test_diagnostics_are_within_the_stated_bound_of_exact_arithmetic(system, samples):
+    cert = certificate(system[1], system[0])
+    assert_within_stated_bound(*np.array(samples).T, cert)
+
+
+def test_canonical_diagnostics_are_within_the_stated_bound_of_exact_arithmetic(canonical_params,
+                                                                              canonical_fp):
+    cert, _, traj = in_basin_trace(canonical_params, canonical_fp)
+    assert_within_stated_bound(traj.x1, traj.x2, traj.dx1, traj.dx2, cert)
 
 
 def test_diagnostics_reject_a_trajectory_not_integrated_about_the_fixed_point(canonical_params,
