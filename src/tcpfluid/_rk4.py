@@ -101,10 +101,14 @@ def load(cache: str) -> Library | None:
     ``run_simulation``'s loop does, drawing from that stream's own PCG64,
     until a step finds no loss or one past ``t_end``, or the losses by
     ``t_end`` pass ``most``, and returns (losses by ``t_end``, the last
-    step's loss time or None).  The C writes events
-    into a block of ``_EVENT_ROWS`` rows, returning to Python between two
-    steps whenever the next one might not fit; each block's five columns
-    are appended to the state's ``EventLog`` byte for byte.
+    step's loss time or None).  The C keeps the state's queue as an array
+    sorted by (time, flow), so it pops what ``heapq`` pops, in the same
+    order, though not from a heap's layout; the queue goes in sorted and
+    comes back sorted, which is a heap too.  The C writes events into a
+    block of ``_EVENT_ROWS`` rows, or twice the rows one step may write,
+    returning to Python between two steps whenever the next one might not
+    fit; each block's five columns are appended to the state's
+    ``EventLog`` byte for byte.
     ``render(state, t_end, sample_dt)`` is ``nhpl._render_trace`` on the
     ``SimState`` of a Reno, CUBIC or frozen run: the C reads the event
     log's columns where they lie, copying none of them.
@@ -170,8 +174,9 @@ def load(cache: str) -> Library | None:
         p, flows = state.params, len(state.w_loss)
         bits = state.rng._gen.bit_generator.ctypes  # RngStream's PCG64
         w_loss, llis, weights = np.array(state.w_loss), np.array(state.llis), np.empty(flows)
-        queue = [np.array([t for t, _ in state.pending]), np.array([f for _, f in state.pending],
-                                                                     dtype=np.int64)]
+        # The C keeps the queue sorted and hands it back sorted: a heap too.
+        pending = sorted(state.pending)
+        queue = [np.array([t for t, _ in pending]), np.array([f for _, f in pending], np.int64)]
         sim = _Sim(_WINDOWS[type(state.window_fn)], flows, p.tau, p.bdp, p.b, p.c,
                    state.lookahead, t_end, most,
                    ctypes.cast(bits.next_double, ctypes.c_void_p).value, bits.state_address,
@@ -180,9 +185,13 @@ def load(cache: str) -> Library | None:
                    candidates=state.candidates)
         block, code = [], _BLOCK_FULL
         while code == _BLOCK_FULL:
-            if not block or sim.rows < sim.pending + 1:
-                # One step writes an event per pending indication, and its loss.
-                sim.rows = max(_EVENT_ROWS, sim.pending + 1)
+            if not block or sim.rows < 2 * (sim.pending + 1):
+                # One step writes an event per pending indication, and its
+                # loss: it lowers the free rows less the queue's length by
+                # two.  With twice the rows a step may need, a call takes a
+                # step for every two entries the queue held, and moving the
+                # queue back to its arrays' start (sim_run) costs O(1) a step.
+                sim.rows = max(_EVENT_ROWS, 2 * (sim.pending + 1))
                 block = [np.empty(sim.rows, col.typecode) for col in state.events.columns]
                 sim.kind, sim.time, sim.flow, sim.before, sim.after = (
                     col.ctypes.data for col in block)

@@ -10,12 +10,16 @@
    float power call.  Its uniforms come from the run's own numpy PCG64,
    through the next_double function that numpy's bit_generator.ctypes
    exposes, which is what Generator.random() calls, so the draws and their
-   order are the Python loop's.  Plain C with no Python.h: tcpfluid/_rk4.py
-   builds it into one library with _rk4.c and _repr.c and binds it through
-   ctypes. */
+   order are the Python loop's.  Its queue of pending indications pops in
+   heapq's (time, flow) order, ties included, but is an array kept sorted,
+   not a heap: losses come in time order, and so do their indications, so
+   each push lands at the tail after one comparison.  Plain C with no
+   Python.h: tcpfluid/_rk4.py builds it into one library with _rk4.c and
+   _repr.c and binds it through ctypes. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The window functions of protocols.py. */
 enum { RENO = 0, CUBIC = 1, FROZEN = 2 };
@@ -39,8 +43,8 @@ struct sim {
     void *rng;
     double *w_loss, *llis;          /* SimState.w_loss and llis */
     double *weights;                /* the flows' windows at the latest loss time */
-    double *pending_t;              /* SimState.pending as heapq keeps it, with */
-    int64_t *pending_f;             /* room for one more entry per free row */
+    double *pending_t;              /* SimState.pending, sorted, with room */
+    int64_t *pending_f;             /* for one more entry per free row */
     long pending;
     double t_loss_last;
     long losses;                    /* run_simulation's count, of losses by t_end */
@@ -242,63 +246,29 @@ static int pick_losing_flow(const double *w, long n, double u, long *flow)
     return 1;
 }
 
-/* heapq's order on the queue's (time, flow) tuples: (ta, fa) < (tb, fb). */
+/* The queue's order, heapq's on its (time, flow) tuples: (ta, fa) < (tb, fb). */
 static int earlier(double ta, int64_t fa, double tb, int64_t fb)
 {
     return ta == tb ? fa < fb : ta < tb;
 }
 
-/* heapq._siftdown: move the entry at pos up towards start. */
-static void sift_down(struct sim *m, long start, long pos)
-{
-    double t = m->pending_t[pos];
-    int64_t f = m->pending_f[pos];
-    while (pos > start) {
-        long parent = (pos - 1) >> 1;
-        if (!earlier(t, f, m->pending_t[parent], m->pending_f[parent]))
-            break;
-        m->pending_t[pos] = m->pending_t[parent], m->pending_f[pos] = m->pending_f[parent];
-        pos = parent;
-    }
-    m->pending_t[pos] = t, m->pending_f[pos] = f;
-}
-
-/* heapq._siftup: move the smaller child up from pos to a leaf, then the
-   entry that was at pos back up from there. */
-static void sift_up(struct sim *m, long pos)
-{
-    long end = m->pending, start = pos, child = 2 * pos + 1;
-    double t = m->pending_t[pos];
-    int64_t f = m->pending_f[pos];
-    while (child < end) {
-        long right = child + 1;
-        if (right < end && !earlier(m->pending_t[child], m->pending_f[child],
-                                    m->pending_t[right], m->pending_f[right]))
-            child = right;
-        m->pending_t[pos] = m->pending_t[child], m->pending_f[pos] = m->pending_f[child];
-        pos = child;
-        child = 2 * pos + 1;
-    }
-    m->pending_t[pos] = t, m->pending_f[pos] = f;
-    sift_down(m, start, pos);
-}
-
-/* heapq.heappush */
+/* heapq.heappush, into the queue kept sorted by earlier: from the tail,
+   past every entry the new one is earlier than.  Losses come in time
+   order, so it passes only entries of its own time and a higher flow. */
 static void push(struct sim *m, double t, long f)
 {
-    m->pending_t[m->pending] = t, m->pending_f[m->pending] = f;
-    sift_down(m, 0, m->pending++);
+    long i = m->pending++;
+    for (; i > 0 && earlier(t, f, m->pending_t[i - 1], m->pending_f[i - 1]); i--)
+        m->pending_t[i] = m->pending_t[i - 1], m->pending_f[i] = m->pending_f[i - 1];
+    m->pending_t[i] = t, m->pending_f[i] = f;
 }
 
-/* heapq.heappop, of a queue that is not empty. */
+/* heapq.heappop, of a queue that is not empty: its head, past which the
+   queue's start moves (see sim_run). */
 static void pop(struct sim *m, double *t, long *f)
 {
-    long last = --m->pending;
-    *t = m->pending_t[0], *f = (long)m->pending_f[0];
-    if (last > 0) {
-        m->pending_t[0] = m->pending_t[last], m->pending_f[0] = m->pending_f[last];
-        sift_up(m, 0);
-    }
+    *t = *m->pending_t++, *f = (long)*m->pending_f++;
+    m->pending--;
 }
 
 /* Append an event to the block. */
@@ -353,9 +323,8 @@ static int generate_poi_loss(struct sim *m, double *t)
    loss's time), or pick_losing_flow raises (NO_FLOW_CAN_LOSE, with the
    windows in weights and the draw in u).  Before each step, returns
    BLOCK_FULL if the block has fewer free rows than the step may write: one
-   per pending indication, and the loss.  The queue must have room for one
-   more entry per free row. */
-int sim_run(struct sim *m)
+   per pending indication, and the loss. */
+static int run(struct sim *m)
 {
     for (;;) {
         if (m->rows - m->used < m->pending + 1)
@@ -373,6 +342,21 @@ int sim_run(struct sim *m)
         if (++m->losses > m->most)
             return OVER_BUDGET;
     }
+}
+
+/* run, then the queue moved back to the start of its arrays, which its
+   pops moved past.  The arrays must have room for the queue and one more
+   entry per free row: each push writes a loss row, each pop an indication
+   row. */
+int sim_run(struct sim *m)
+{
+    double *start_t = m->pending_t;
+    int64_t *start_f = m->pending_f;
+    int code = run(m);
+    memmove(start_t, m->pending_t, (size_t)m->pending * sizeof *start_t);
+    memmove(start_f, m->pending_f, (size_t)m->pending * sizeof *start_f);
+    m->pending_t = start_t, m->pending_f = start_f;
+    return code;
 }
 
 /* The windows of flow f's current epoch, (llis[f], w_loss[f]), at the

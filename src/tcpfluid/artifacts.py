@@ -10,11 +10,11 @@ bytes cell as its text, byte for byte, into one buffer reused for every
 chunk; it is built into the library the compiled step loop lives in
 (:mod:`tcpfluid._rk4`), which ``write_rows`` loads on the first such
 table, never on import.  ``repr`` stays its specification and its
-fallback: it writes every table with a str column (the text files of
-``write_lines``), every chunk of another dtype, of a wider bytes column or
-of a non-contiguous column, and every table on a host where the library
-cannot be built, with the same bytes; it formats each run of a repeated
-float value within a chunk once.  The writer makes no
+fallback: it writes every chunk of another dtype, of a wider bytes column
+or of a non-contiguous column, and every table on a host where the
+library cannot be built, with the same bytes; it formats each run of a
+repeated float value within a chunk once.  The text files of
+``write_lines`` are a header with no rows.  The writer makes no
 temporary file, so nothing appears in the output directory but the files
 ``write_artifacts``, the one writer of a run's files, places.
 """
@@ -39,10 +39,9 @@ _WRITE_CHUNK = 1024
 
 
 def _chunk_cells(chunk: np.ndarray):
-    """The cells of one column chunk on the ``repr`` path, in row order: an
-    object chunk's str cells as they are, a bytes chunk's ASCII cells up to
-    their first NUL, as the compiled formatter writes them, and the
-    ``repr`` of every number.
+    """The cells of one column chunk on the ``repr`` path, in row order: a
+    bytes chunk's ASCII cells up to their first NUL, as the compiled
+    formatter writes them, and the ``repr`` of every number.
 
     A bytes chunk decodes each of its distinct cells once, in the order
     they first appear, so the first cell that is not ASCII raises what a
@@ -51,8 +50,6 @@ def _chunk_cells(chunk: np.ndarray):
     the string.  Patterns, not values, are compared, so 0.0 and -0.0, and
     NaNs of different payloads, stay apart, as their reprs are read back.
     """
-    if chunk.dtype == object:
-        return chunk.tolist()
     if chunk.dtype.kind == "S":
         cells, first, inverse = np.unique(chunk, return_index=True, return_inverse=True)
         order = np.argsort(first)
@@ -94,10 +91,9 @@ def _write_chunks(fh, rows: int, columns, format_rows) -> None:
     A chunk the compiled ``format_rows`` takes (see :func:`formattable`) is
     formatted by it into one buffer, reused from chunk to chunk.  Every
     other chunk, and every chunk when ``format_rows`` is None, is written
-    by ``repr``, the formatter's specification, and every str of an object
-    column as it is: ``.tolist()`` hands repr Python floats and ints, so a
-    float round-trips its exact binary value and an integer column prints
-    as integers.
+    by ``repr``, the formatter's specification: ``.tolist()`` hands repr
+    Python floats and ints, so a float round-trips its exact binary value
+    and an integer column prints as integers.
     """
     out = None
     for lo in range(0, rows, _WRITE_CHUNK):
@@ -140,15 +136,10 @@ def write_rows(path, header: str, rows: int, columns) -> None:
         raise OSError(f"could not write {path}: {exc}") from exc
 
 
-def write_csv(path, header: str, columns) -> None:
-    """``header`` and the rows of the equal-length numpy ``columns`` as the
-    CSV file ``path`` (see :func:`write_rows`)."""
-    write_rows(path, header, len(columns[0]), lambda lo, hi: [col[lo:hi] for col in columns])
-
-
 def write_lines(path, lines: list[str]) -> None:
-    """``lines`` as the file ``path``, a one-column CSV of str cells."""
-    write_csv(path, lines[0], [np.array(lines[1:], dtype=object)])
+    """``lines`` as the text file ``path``: a CSV whose header is the
+    lines, with no rows (see :func:`write_rows`)."""
+    write_rows(path, "\n".join(lines), 0, None)
 
 
 def _set_aside(path) -> str | None:

@@ -33,14 +33,17 @@ Two loops step a run, with one result.  For ``RenoWindow``,
 ``CubicWindow`` and ``FrozenWindow`` themselves (not subclasses, which may
 override what it transcribes), ``run_simulation`` runs the event loop as
 compiled C, ``_sim.c`` (see :mod:`tcpfluid._rk4`): it transcribes
-``generate_poi_loss`` and what it calls, the queue's heap order and the
-loss count against ``WORK_BUDGET``, operation for operation, and draws its
-uniforms from the run's own numpy PCG64 through numpy's C interface, so
-every event, every state bit, every draw and every ``ValueError`` is the
-Python loop's.  The Python loop stays the specification, and runs every
-other window function and every run on a host where the C cannot be built.
-Both append to the state's ``EventLog``, typed columns with no Python
-object per event: the Python loop row by row, the C a block at a time.
+``generate_poi_loss`` and what it calls and the loss count against
+``WORK_BUDGET``, operation for operation, pops the queue in heapq's
+(time, flow) order, and draws its uniforms from the run's own numpy PCG64
+through numpy's C interface, so every event, every state bit, every draw
+and every ``ValueError`` is the Python loop's.  Its queue is an array kept
+sorted, not a heap: losses, and so their indications, come in time order,
+so each push lands at the tail.  The Python loop stays the specification,
+and runs every other window function and every run on a host where the C
+cannot be built.  Both append to the state's ``EventLog``, typed columns
+with no Python object per event: the Python loop row by row, the C a block
+at a time.
 
 A run's trace is a matrix of every flow's window at each sample time, and
 their mean, rendered from the starting epochs and the log's indications by
@@ -157,13 +160,15 @@ class SimState:
     init holds one start per flow, each passes ``check_start`` and the
     lookahead is positive.  Flow f's current epoch started at llis[f] (its
     last indication) from the pre-loss window w_loss[f], and first[f] is its
-    (start, w_loss) at t=0.  pending holds (time, flow) indications,
-    heap-ordered by time; every entry was scheduled exactly tau after the
-    loss event that produced it.  t_loss_last is the most recent loss event
-    at the congestion point, 0 until the first.  first and the indications
-    in the ``EventLog`` events are the only record of earlier epochs: each
-    starts one at its time from its window_before.  candidates counts the
-    candidate loss times ``generate_poi_loss`` has computed.
+    (start, w_loss) at t=0.  pending holds (time, flow) indications as a
+    ``heapq`` heap, popped in (time, flow) order (the compiled loop hands it
+    back sorted, which is a heap too); every entry was scheduled exactly
+    tau after the loss event that produced it.  t_loss_last is the most
+    recent loss event at the congestion point, 0 until the first.  first
+    and the indications in the ``EventLog`` events are the only record of
+    earlier epochs: each starts one at its time from its window_before.
+    candidates counts the candidate loss times ``generate_poi_loss`` has
+    computed.
     """
 
     params: SystemParams

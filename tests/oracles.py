@@ -12,9 +12,9 @@ integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
 right-hand side, and exact rational arithmetic against the sampler's
 candidate loss.  ``per_row_csv`` writes a CSV one row at a time,
-``assert_same_text`` compares a written CSV with it, and ``awkward_columns``
+``assert_same_text`` compares a written CSV with it, ``awkward_columns``
 gives it and the package's writer columns that take every path of that
-writer.
+writer, and ``write_csv`` hands whole columns to that writer.
 """
 
 import math
@@ -33,6 +33,7 @@ from tcpfluid import (
     loss_rate,
     lyapunov_V,
 )
+from tcpfluid.artifacts import write_rows
 from tcpfluid.core import cbrt, rhs_about
 from tcpfluid.dde import steps_per_delay
 from tcpfluid.fixedpoint import FixedPoint
@@ -172,9 +173,9 @@ def scalar_razumikhin_mask(v: np.ndarray, k: int, p: float) -> np.ndarray:
 
 def per_row_csv(header: str, columns) -> str:
     """A trace CSV written one row at a time: integer columns by ``int``,
-    object columns of text as they are, bytes columns as their ASCII text,
-    every other value by ``repr(float(v))``."""
-    cell = {"i": lambda v: str(int(v)), "O": str, "S": lambda v: v.decode("ascii")}
+    bytes columns as their ASCII text, every other value by
+    ``repr(float(v))``."""
+    cell = {"i": lambda v: str(int(v)), "S": lambda v: v.decode("ascii")}
     lines = [header]
     for i in range(len(columns[0])):
         lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
@@ -194,12 +195,18 @@ def assert_same_text(got: str, want: str) -> None:
                          f"line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
 
 
+def write_csv(path, header: str, columns) -> None:
+    """``header`` and the rows of the equal-length numpy ``columns`` as the
+    CSV file ``path``, through ``artifacts.write_rows``."""
+    write_rows(path, header, len(columns[0]), lambda lo, hi: [col[lo:hi] for col in columns])
+
+
 def awkward_columns(n: int):
     """Eight columns of n rows that exercise every path of the writer."""
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
                     dtype=np.int64).view(np.float64)  # two payloads, and a negative NaN
     return (
-        np.resize(np.array(["loss", "indication"], dtype=object), n),  # a str column
+        np.resize(np.array([b"loss", b"indication"]), n),       # the event log's kinds
         np.full(n, 1.0 / 3.0),                                  # constant
         np.repeat(np.arange(n // 1000 + 1) * 0.1, 1000)[:n],    # runs across chunk seams
         np.resize([0.0, -0.0, 0.0, 1.0], n),                    # signed zeros side by side

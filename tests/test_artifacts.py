@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from tcpfluid import SystemParams, _rk4, artifacts
-from tcpfluid.artifacts import write_artifacts, write_csv
+from tcpfluid.artifacts import write_artifacts
 from tcpfluid.cli import main
 from tcpfluid.nhpl import run_simulation
 from tcpfluid.protocols import FROZEN
-from oracles import assert_same_text, awkward_columns, per_row_csv
+from oracles import assert_same_text, awkward_columns, per_row_csv, write_csv
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
@@ -25,12 +25,10 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
     oracle = per_row_csv("kind,a,b,c,d,e,f,flow", full).splitlines(keepends=True)
     numeric = per_row_csv("a,b,c,d,e,f,flow", full[1:]).splitlines(keepends=True)
     path = tmp_path / "parts.csv"
-    kinds = [full[0].astype("S"), *full[1:]]
     for n in sizes:
-        # With the kinds as str by repr; as bytes, and without them, by the
-        # compiled formatter, where it can be built.
+        # With the kinds as bytes, and without them, by the compiled
+        # formatter, where it can be built.
         for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
-                                      ("kind,a,b,c,d,e,f,flow", kinds, oracle),
                                       ("a,b,c,d,e,f,flow", full[1:], numeric)]:
             write_csv(path, header, [col[:n] for col in columns])
             assert_same_text(path.read_text(), "".join(text[: n + 1]))
@@ -60,17 +58,15 @@ def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path):
     assert_same_text(path.read_text(), per_row_csv("t", [values]))
 
 
-def test_tables_with_a_str_column_never_load_the_library(tmp_path, monkeypatch):
-    # A table with an object column of str cells, as the text files are:
-    # repr writes it, and the library is neither imported nor loaded for it.
+def test_write_lines_never_loads_the_library(tmp_path, monkeypatch):
+    # The text files are a header with no rows: the library is neither
+    # imported nor loaded for them.
     def refused():
-        raise AssertionError("loaded the library for a table with a str column")
+        raise AssertionError("loaded the library for a text file")
 
     monkeypatch.setattr(artifacts, "_formatter", refused)
-    columns = awkward_columns(3000)
-    write_csv(tmp_path / "t.csv", "kind,a,b,c,d,e,f,flow", columns)
-    assert_same_text((tmp_path / "t.csv").read_text(),
-                     per_row_csv("kind,a,b,c,d,e,f,flow", columns))
+    artifacts.write_lines(tmp_path / "one.txt", ["header"])
+    assert (tmp_path / "one.txt").read_text() == "header\n"
     artifacts.write_lines(tmp_path / "s.txt", ["header", "a: 1", "b: 2.5"])
     assert (tmp_path / "s.txt").read_text() == "header\na: 1\nb: 2.5\n"
 
@@ -197,10 +193,10 @@ def test_write_csv_into_a_missing_directory_fails_before_any_row(tmp_path, monke
     monkeypatch.setattr(artifacts, "_formatter", lambda: formatted)
     monkeypatch.setattr(artifacts, "_chunk_cells", formatted)
     path = tmp_path / "missing" / "t.csv"
-    for columns in ([np.arange(8 * artifacts._WRITE_CHUNK) / 7.0],
-                    [np.array(["a", "b"], dtype=object)]):
+    for write in (lambda: write_csv(path, "t", [np.arange(8 * artifacts._WRITE_CHUNK) / 7.0]),
+                  lambda: artifacts.write_lines(path, ["t", "a", "b"])):
         with pytest.raises(OSError) as info:
-            write_csv(path, "t", columns)
+            write()
         assert str(info.value).count("could not write") == 1 and str(path) in str(info.value)
     assert os.listdir(tmp_path) == []
 

@@ -24,11 +24,10 @@ from tcpfluid import (
 )
 from tcpfluid import artifacts, experiment, protocols
 from tcpfluid.cli import main
-from tcpfluid.artifacts import write_csv
 from tcpfluid.dde import hermite_midpoint
 from tcpfluid.protocols import FROZEN
 from oracles import (absolute_integrate, assert_same_text, awkward_columns, convergence_order_check,
-                     per_row_csv)
+                     per_row_csv, write_csv)
 from scalar_reno import integrate_scalar_reno
 
 
@@ -261,9 +260,10 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
             for ev in sim.events]
     assert_same_text(path.read_text(),
                      "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
-    # With a str column, repr writes the table, and columns that repeat
-    # most of their values take its formatted-once path, chunk by chunk;
-    # without it, the compiled formatter writes it where it can be built.
+    # Columns that repeat most of their values, with the kinds as bytes and
+    # without them: the compiled formatter writes them where it can be
+    # built, and repr, by its formatted-once path, chunk by chunk, where it
+    # cannot.
     columns = awkward_columns(3 * 4096 + 100)
     for header, table in [("kind,a,b,c,d,e,f,flow", columns), ("a,b,c,d,e,f,flow", columns[1:])]:
         write_csv(path, header, table)

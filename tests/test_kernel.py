@@ -388,6 +388,20 @@ def test_event_loop_re_enters_at_every_block_seam(monkeypatch, rows, params, win
     assert compiled == python
 
 
+def test_event_loop_matches_the_python_loop_on_a_queue_deeper_than_a_block():
+    # A frozen window 3000 packets over the bdp loses about 3000 times a
+    # delay: the queue holds more indications than the block's default
+    # rows while the C pops them from its head.  With no library both runs
+    # are the Python loop's.
+    params = SystemParams(100.0, 0.1, 0.2, 0.4)
+    compiled = simulated(params, FROZEN, [(3010.0, 0.0)], 4, 0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nhpl, "_kernel", lambda: None)
+        assert simulated(params, FROZEN, [(3010.0, 0.0)], 4, 0.25) == compiled
+    kinds = compiled["events"][0][1]
+    assert kinds.index(nhpl.INDICATION) > _rk4._EVENT_ROWS  # the losses before the first pop
+
+
 def test_event_loop_stops_over_the_budget_as_the_python_loop_does(monkeypatch):
     # Criterion 7's run has 10,812 losses by 220 s; a budget of 1000 stops
     # it at its 1001st, and one of exactly its losses lets it finish.
@@ -420,6 +434,43 @@ def test_event_loop_raises_what_pick_losing_flow_raises():
         errors.append((str(err.value), state.candidates, state.rng._gen.bit_generator.state))
     assert errors[0] == errors[1]
     assert errors[0][0] == "flow 1: negative window -1.0"
+
+
+def test_event_loop_pops_tied_indications_in_flow_order():
+    # heapq pops (time, flow) tuples, so of two indications due at one time
+    # the lower flow's comes first.  A queue given an indication of flow 2
+    # at the first loss's time + tau ties that loss's own indication, which
+    # both loops then apply first.  A dry run on a state of its own finds
+    # that loss: the queue changes no draw before its first indication.
+    # With no library both runs are the Python loop's.
+    params = SystemParams(100.0, 0.1, 0.2, 0.4, 3)
+
+    def fresh():
+        return SimState(params, CUBIC, [(20.0, 1.0), (14.0, 0.5), (9.0, 0.0)], RngStream(5),
+                        100.0)
+
+    dry = fresh()
+    first = nhpl.generate_poi_loss(dry)
+    (loss,) = dry.events
+    assert loss.time == first and loss.flow < 2
+    tie = (first + params.tau, 2)
+    runs = []
+    for kernel in (nhpl._kernel(), None):
+        state = fresh()
+        state.pending.append(tie)
+        if kernel is not None:
+            outcome = kernel.simulate(state, 20.0, 10**6)
+        else:
+            losses = 0
+            while (t := nhpl.generate_poi_loss(state)) is not None and t <= 20.0:
+                losses += 1
+            outcome = losses, t
+        runs.append((outcome, event_columns(state.events), sorted(state.pending),
+                     state.rng._gen.bit_generator.state))
+        indications = [(ev.time, ev.flow) for ev in state.events
+                       if ev.event_type == "indication"]
+        assert indications[:2] == [(tie[0], loss.flow), tie]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("rows", [_rk4._EVENT_ROWS, 7])

@@ -18,6 +18,7 @@ from tcpfluid import (
     WindowFunction,
     _rk4,
     artifacts,
+    cubic_fixed_point,
     run_simulation,
 )
 from tcpfluid.nhpl import (SimState, compute_T, excess_poly, generate_poi_loss,
@@ -502,6 +503,40 @@ def test_run_simulation_event_log_is_ordered_and_delayed():
     for ev in losses:
         assert ev.window_before == ev.window_after
     assert all(ev.time <= 60.0 for ev in sim.events)
+
+
+def staggered_cubic_fixed_point(params):
+    """Every flow on the CUBIC fixed point's w_hat, at ages staggered about
+    its s_hat."""
+    fp = cubic_fixed_point(params)
+    return [(fp.w_hat, fp.s_hat * (0.9 + 0.01 * f)) for f in range(params.flows)]
+
+
+CUBIC_20 = SystemParams(100.0, 0.1, 0.2, 0.4, flows=20)
+
+
+@pytest.mark.parametrize("loop", ["library", "python"])
+@pytest.mark.parametrize("params, fn, init, seed, t_end", [
+    (SystemParams(100.0, 0.1, 0.2, 0.4), FROZEN, [(15.0, 0.0)], 2025, 220.0),
+    (CUBIC_20, CUBIC, staggered_cubic_fixed_point(CUBIC_20), 7, 100.0),
+], ids=["criterion-7", "cubic-20-flows"])
+def test_losses_come_in_time_order_and_so_do_their_indications(monkeypatch, loop, params, fn,
+                                                               init, seed, t_end):
+    # The compiled loop's queue is an array sorted by insertion from its
+    # tail, which takes one comparison a push because of this: each loss is
+    # found no earlier than its anchor, so loss times never decrease, and
+    # the indications, each a loss's (time + tau, flow), are applied in
+    # (time, flow) order, every one due by t_end.  With no library both
+    # loops are the Python loop.
+    if loop == "python":
+        monkeypatch.setattr(nhpl, "_kernel", lambda: None)
+    sim = run_simulation(params, fn, init, seed, t_end)
+    losses = [(ev.time, ev.flow) for ev in sim.events if ev.event_type == "loss"]
+    indications = [(ev.time, ev.flow) for ev in sim.events if ev.event_type == "indication"]
+    assert len(losses) > 1000
+    assert all(a[0] <= b[0] for a, b in zip(losses, losses[1:]))
+    due = sorted((t + params.tau, f) for t, f in losses if t + params.tau <= t_end)
+    assert indications == due
 
 
 def test_run_simulation_is_deterministic():
