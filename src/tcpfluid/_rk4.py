@@ -84,7 +84,8 @@ def load(cache: str) -> Library | None:
     :func:`_build`) when no library there has its name, a CRC of the
     sources and the compile command, so that an edited source gets a
     library of its own; None, with nothing printed and no file left behind,
-    when it cannot be built or loaded or lacks one of its three symbols.
+    when it cannot be built or loaded or lacks one of its four symbols,
+    ``rk4_steps``, ``format_rows``, ``sim_run`` and ``sim_render``.
 
     Each entry point does what the Python code it transcribes does and
     raises what that raises.  ``steps(traj, cubic, k, r_start)`` takes

@@ -65,18 +65,6 @@ static double cbrt_total(double x)
     return copysign(pow(fabs(x), 1.0 / 3.0), x);
 }
 
-/* WindowFunction.window at (w_max, s). */
-static double window(const struct sim *m, double w_max, double s)
-{
-    if (m->window == RENO)
-        return 0.5 * w_max + s / m->tau;
-    if (m->window == CUBIC) {
-        double d = s - cbrt_total(w_max * m->b / m->c);
-        return m->c * d * d * d + w_max;
-    }
-    return w_max;
-}
-
 /* WindowFunction.coefficients at (w_max, s), into a[0..3]. */
 static void coefficients(const struct sim *m, double w_max, double s, double *a)
 {
@@ -88,6 +76,15 @@ static void coefficients(const struct sim *m, double w_max, double s, double *a)
     } else {
         a[0] = w_max, a[1] = 0.0, a[2] = 0.0, a[3] = 0.0;
     }
+}
+
+/* WindowFunction.window at (w_max, s): the coefficients' constant term,
+   which the WindowFunction contract makes equal to it. */
+static double window(const struct sim *m, double w_max, double s)
+{
+    double a[4];
+    coefficients(m, w_max, s, a);
+    return a[0];
 }
 
 /* nhpl._horner on the n coefficients p. */

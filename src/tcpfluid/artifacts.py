@@ -1,8 +1,9 @@
 """How a run's files reach its output directory, and what a failed run leaves.
 
-Every CSV goes through ``write_rows``, which opens the file and writes it
-one chunk of rows at a time, in row order, on the calling thread.  A table
-of float64, int64 and short bytes columns only (``convergence.csv``,
+Every CSV goes through ``write_rows``, which opens the file in binary mode
+and writes it one chunk of rows at a time, in row order, on the calling
+thread, every chunk by the formatter the first one chooses.  A table of
+contiguous float64, int64 and short bytes columns (``convergence.csv``,
 ``fluid_trace.csv``, ``nhpl_trace.csv`` and ``nhpl_events.csv``, whose
 event types are bytes) is formatted by compiled C, ``_repr.c``, which
 writes every float as ``repr`` and every integer as ``str`` does, and every
@@ -10,7 +11,7 @@ bytes cell as its text, byte for byte, into one buffer reused for every
 chunk; it is built into the library the compiled step loop lives in
 (:mod:`tcpfluid._rk4`), which ``write_rows`` loads on the first such
 table, never on import.  ``repr`` stays its specification and its
-fallback: it writes every chunk of another dtype, of a wider bytes column
+fallback: it writes every table of another dtype, of a wider bytes column
 or of a non-contiguous column, and every table on a host where the
 library cannot be built, with the same bytes; it formats each run of a
 repeated float value within a chunk once.  The text files of
@@ -84,51 +85,40 @@ def _formatter():
     return None if lib is None else lib.format_rows
 
 
-def _write_chunks(fh, rows: int, columns, format_rows) -> None:
-    """Rows [0, rows) of the table ``columns`` (see :func:`write_rows`) onto
-    the open text file ``fh``, one write chunk at a time, in row order.
-
-    A chunk the compiled ``format_rows`` takes (see :func:`formattable`) is
-    formatted by it into one buffer, reused from chunk to chunk.  Every
-    other chunk, and every chunk when ``format_rows`` is None, is written
-    by ``repr``, the formatter's specification: ``.tolist()`` hands repr
-    Python floats and ints, so a float round-trips its exact binary value
-    and an integer column prints as integers.
-    """
-    out = None
-    for lo in range(0, rows, _WRITE_CHUNK):
-        chunk = columns(lo, min(lo + _WRITE_CHUNK, rows))
-        if format_rows is None or not formattable(chunk):
-            cells = [_chunk_cells(col) for col in chunk]
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")  # not appended to the chunk, which would copy it
-            continue
-        if out is None:
-            out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
-        fh.flush()  # any text written before goes first
-        fh.buffer.write(out[:format_rows(chunk, out)])
-
-
 def write_rows(path, header: str, rows: int, columns) -> None:
     """``header`` and ``rows`` rows as the CSV file ``path``.
 
     ``columns(lo, hi)`` gives the numpy columns of rows [lo, hi); they are
     formed one write chunk at a time, so only one chunk is held.  The file
     is opened first, so a missing directory fails before any row is
-    formatted; then the header and every chunk are written into it in row
-    order (see :func:`_write_chunks`).  Raises ``OSError`` naming ``path``
+    formatted; then the ASCII header and every chunk are written into it as
+    bytes, in row order, all by the writer the first chunk chooses.  A table
+    the compiled ``format_rows`` takes (see :func:`formattable`) is
+    formatted by it into one buffer, reused from chunk to chunk; a later
+    chunk it refuses raises its ``ValueError``.  Every other table, and
+    every table when ``format_rows`` cannot be built, is written by
+    ``repr``, the formatter's specification: ``.tolist()`` hands repr Python
+    floats and ints, so a float round-trips its exact binary value and an
+    integer column prints as integers.  Raises ``OSError`` naming ``path``
     when the file could not be written or the formatter failed; a failure
     leaves no file.
     """
-    # The library is loaded only for a table whose first row the compiled
-    # formatter takes.
-    format_rows = _formatter() if rows and formattable(columns(0, 1)) else None
     try:
-        fh = open(path, "w", newline="")
+        fh = open(path, "wb")
         try:
             with fh:
-                fh.write(header + "\n")
-                _write_chunks(fh, rows, columns, format_rows)
+                fh.write(header.encode() + b"\n")
+                for lo in range(0, rows, _WRITE_CHUNK):
+                    chunk = columns(lo, min(lo + _WRITE_CHUNK, rows))
+                    if lo == 0:  # the writer of every chunk
+                        format_rows = _formatter() if formattable(chunk) else None
+                        if format_rows is not None:
+                            out = np.empty(_WRITE_CHUNK * len(chunk) * CELL_BYTES, np.uint8)
+                    if format_rows is None:
+                        cells = [_chunk_cells(col) for col in chunk]
+                        fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+                    else:
+                        fh.write(out[:format_rows(chunk, out)])
         except BaseException:
             os.remove(path)
             raise

@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         print(result.summary, *wrote, sep="\n", flush=True)
     except OSError as exc:
         # A closed stdout: the run's files stay, and the exit flush goes to devnull.
-        with open(os.devnull, "w") as devnull:
+        with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: could not write stdout: {exc}", file=sys.stderr)
         return 2

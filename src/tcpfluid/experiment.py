@@ -13,6 +13,7 @@ import io
 import math
 import numbers
 import operator
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
@@ -274,12 +275,13 @@ def _validate(config: ExperimentConfig) -> None:
                               f"{config.post_transient} of {horizon} s")
 
 
-def post_transient_mean(t: np.ndarray, w: np.ndarray, t_end: float, fraction: float) -> float:
-    """Mean of w over the final `fraction` of the horizon."""
-    mask = np.asarray(t) >= (1.0 - fraction) * t_end
-    if not mask.any():
+def post_transient_mean(w: np.ndarray, step: float, t_end: float, fraction: float) -> float:
+    """Mean of the samples w[i], at t = i * step, over the final `fraction`
+    of the horizon."""
+    first = bisect_left(range(len(w)), (1.0 - fraction) * t_end, key=lambda i: i * step)
+    if first == len(w):
         raise ValueError("post-transient window contains no samples")
-    return float(np.mean(np.asarray(w)[mask]))
+    return float(np.mean(w[first:]))
 
 
 @dataclass
@@ -373,7 +375,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
 
     if config.mode in ("fluid", "both"):
         writers.append(("fluid_trace.csv", traj.write_csv))
-        mean = post_transient_mean(traj.t, traj.w, horizon, config.post_transient)
+        mean = post_transient_mean(traj.w, traj.step, horizon, config.post_transient)
         report("fluid_mean_w", mean)
         report("fluid_mean_w_rel_fp", mean / fp.w_hat - 1.0)
 
@@ -385,8 +387,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentResult:
             raise ConfigError(str(exc)) from None
         writers.append(("nhpl_events.csv", sim.write_events_csv))
         writers.append(("nhpl_trace.csv", sim.write_trace_csv))
-        tm, wm = sim.mean_trace()
-        mean = post_transient_mean(tm, wm, horizon, config.post_transient)
+        mean = post_transient_mean(sim.windows[:, -1], sim.sample_dt, horizon,
+                                   config.post_transient)
         report("nhpl_mean_w", mean)
         report("nhpl_mean_w_rel_fp", mean / fp.w_hat - 1.0)
         report("nhpl_losses", sim.events.count("loss"))

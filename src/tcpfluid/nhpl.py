@@ -416,10 +416,6 @@ class SimResult:
     def write_trace_csv(self, path) -> None:
         write_rows(path, "t,flow,w", self.windows.size, self.trace_columns)
 
-    def mean_trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, w) of every sample's mean over the flows."""
-        return np.arange(len(self.windows)) * self.sample_dt, self.windows[:, -1]
-
 
 def sample_count(t_end: float, sample_dt: float) -> int:
     """Trace samples t_i = i * sample_dt up to t_end; the 1e-9 keeps a sample

@@ -12,6 +12,7 @@ integrator, the per-call CUBIC deficit against the one prepared per
 reference point, the Taylor truncations of the model against its
 right-hand side, and exact rational arithmetic against the sampler's
 candidate loss.  ``per_row_csv`` writes a CSV one row at a time,
+``python_format_rows`` stands in for the compiled formatter with it,
 ``assert_same_text`` compares a written CSV with it, ``awkward_columns``
 gives it and the package's writer columns that take every path of that
 writer, and ``write_csv`` hands whole columns to that writer.
@@ -33,7 +34,7 @@ from tcpfluid import (
     loss_rate,
     lyapunov_V,
 )
-from tcpfluid.artifacts import write_rows
+from tcpfluid.artifacts import formattable, write_rows
 from tcpfluid.core import cbrt, rhs_about
 from tcpfluid.dde import steps_per_delay
 from tcpfluid.fixedpoint import FixedPoint
@@ -181,6 +182,18 @@ def per_row_csv(header: str, columns) -> str:
         lines.append(",".join(cell.get(col.dtype.kind, lambda v: repr(float(v)))(col[i])
                               for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def python_format_rows(columns, out: np.ndarray) -> int:
+    """A stand-in for the compiled ``format_rows`` that runs on every host:
+    the rows of ``columns`` by :func:`per_row_csv` into ``out``, and the
+    binding's ``ValueError`` for columns it refuses (see
+    ``artifacts.formattable``)."""
+    if not formattable(columns):
+        raise ValueError("the formatter takes contiguous float64, int64 and bytes columns")
+    text = per_row_csv("", columns)[1:].encode()
+    out[:len(text)] = np.frombuffer(text, np.uint8)
+    return len(text)
 
 
 def assert_same_text(got: str, want: str) -> None:

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from tcpfluid import SystemParams, _rk4, artifacts
+from tcpfluid import SystemParams, _rk4, artifacts, build_config, run_experiment
 from tcpfluid.artifacts import write_artifacts
 from tcpfluid.cli import main
 from tcpfluid.nhpl import run_simulation
 from tcpfluid.protocols import FROZEN
-from oracles import assert_same_text, awkward_columns, per_row_csv, write_csv
+from oracles import (assert_same_text, awkward_columns, per_row_csv, python_format_rows,
+                     write_csv)
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
@@ -41,21 +42,61 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(tmp_path,
     test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
 
 
-def test_a_chunk_the_formatter_refuses_is_written_in_its_place(tmp_path):
-    # Every third chunk is a strided view, which the compiled formatter
-    # refuses: repr writes it in its place, after the formatted chunks
-    # before it.
+def test_a_later_chunk_the_formatter_refuses_fails_the_table(tmp_path, monkeypatch):
+    # The writer is chosen from the first chunk: a later chunk that is a
+    # strided view, which the formatter refuses, fails the table with the
+    # formatter's ValueError, and no file is left.  The compiled formatter
+    # where it can be built, else its stand-in.
+    lib = _rk4.library()
+    formatter = python_format_rows if lib is None else lib.format_rows
     m = artifacts._WRITE_CHUNK
-    rows = 8 * m + 5
-    values = np.arange(rows) / 7.0 + math.pi
-    doubled = np.repeat(values, 2)
+    values = np.arange(8 * m) / 7.0 + math.pi
 
     def columns(lo, hi):
-        return [doubled[2 * lo:2 * hi:2] if lo // m % 3 == 2 else values[lo:hi]]
+        return [values[lo:hi] if lo < 3 * m else np.repeat(values[lo:hi], 2)[::2]]
 
-    path = tmp_path / "mixed.csv"
-    artifacts.write_rows(path, "t", rows, columns)
-    assert_same_text(path.read_text(), per_row_csv("t", [values]))
+    monkeypatch.setattr(artifacts, "_formatter", lambda: formatter)
+    with pytest.raises(ValueError, match="the formatter takes"):
+        artifacts.write_rows(tmp_path / "mixed.csv", "t", len(values), columns)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flows", [1, 2, 3])
+def test_every_chunk_of_the_package_tables_is_formattable(tmp_path, monkeypatch, flows):
+    # write_rows takes a table's writer from its first chunk, so every
+    # later chunk of the four tables the package writes must be one the
+    # compiled formatter takes too: Reno, CUBIC and frozen runs, in chunks
+    # of 3 rows.  The stand-in refuses any other chunk, and it writes every
+    # row of every table.
+    formatted = []
+
+    def counted(chunk, out):
+        formatted.append(len(chunk[0]))
+        return python_format_rows(chunk, out)
+
+    monkeypatch.setattr(artifacts, "_WRITE_CHUNK", 3)
+    monkeypatch.setattr(artifacts, "_formatter", lambda: counted)
+    written = []
+    for algorithm, mode, init in (("reno", "both", {}), ("cubic", "both", {}),
+                                  ("cubic", "convergence", {"init": "offset",
+                                                            "init_offset_s": 0.01})):
+        config = build_config({"capacity_pkts": 100.0, "delay_tau": 0.1, "t_end": 20.0,
+                               "algorithm": algorithm, "mode": mode, "flows": flows, **init})
+        result = run_experiment(config, tmp_path / f"{algorithm}-{mode}")
+        written += [path for name, path in result.artifacts.items() if name != "summary"]
+    sim = run_simulation(SystemParams(100.0, 0.1, 0.2, 0.4, flows=flows), FROZEN,
+                         [(15.0 + f, 0.1 * f) for f in range(flows)], 3, 20.0)
+    for name, write in (("nhpl_events.csv", sim.write_events_csv),
+                        ("nhpl_trace.csv", sim.write_trace_csv)):
+        written.append(tmp_path / f"frozen-{name}")
+        write(written[-1])
+    assert {os.path.basename(path).split("-")[-1] for path in written} == {
+        "convergence.csv", "fluid_trace.csv", "nhpl_events.csv", "nhpl_trace.csv"}
+    rows = []
+    for path in written:
+        with open(path, "rb") as fh:
+            rows.append(fh.read().count(b"\n") - 1)
+    assert min(rows) > 2 * 3 and sum(formatted) == sum(rows)
 
 
 def test_write_lines_never_loads_the_library(tmp_path, monkeypatch):
@@ -129,9 +170,7 @@ def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
         calls.append(1)
         if len(calls) == 3:
             raise OSError("formatter failed")
-        text = per_row_csv("", chunk)[1:].encode()
-        out[:len(text)] = np.frombuffer(text, np.uint8)
-        return len(text)
+        return python_format_rows(chunk, out)
 
     monkeypatch.setattr(artifacts, "_formatter", lambda: failing)
     path = tmp_path / "parts.csv"

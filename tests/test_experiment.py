@@ -166,12 +166,18 @@ def test_replace_is_checked():
 
 
 def test_post_transient_mean():
-    t = np.linspace(0.0, 10.0, 11)
-    w = np.arange(11.0)
-    assert post_transient_mean(t, w, 10.0, 0.5) == 7.5
-    assert post_transient_mean(t, w, 10.0, 1.0) == 5.0
-    with pytest.raises(ValueError):
-        post_transient_mean(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 10.0, 0.05)
+    w = np.arange(11.0)  # sampled at t = 0, 1, ..., 10
+    assert post_transient_mean(w, 1.0, 10.0, 0.5) == 7.5
+    assert post_transient_mean(w, 1.0, 10.0, 1.0) == 5.0
+    with pytest.raises(ValueError, match="contains no samples"):
+        post_transient_mean(np.array([1.0, 2.0]), 1.0, 10.0, 0.05)
+    # The share starts at the first sample whose time i * step reaches it,
+    # as a mask on the sample times finds it, on a strided column too.
+    t = np.arange(101) * 0.1
+    w = np.stack([t, t**2], axis=1)[:, -1]
+    for fraction in (0.05, 0.3, 0.7, 1.0):
+        assert post_transient_mean(w, 0.1, 10.0, fraction) == np.mean(
+            w[t >= (1.0 - fraction) * 10.0])
 
 
 def test_fluid_mode_artifacts(tmp_path):

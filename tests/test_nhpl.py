@@ -482,9 +482,8 @@ def test_run_simulation_sub_bdp_never_loses():
     params = SystemParams(capacity=100.0, tau=0.1, b=0.2, c=0.4)
     sim = run_simulation(params, FROZEN, [(5.0, 0.0)], 3, 20.0)
     assert len(sim.events) == 0
-    t, w = sim.mean_trace()
-    assert np.all(w == 5.0)
-    assert t[0] == 0.0 and t[-1] == pytest.approx(20.0)
+    assert np.all(sim.windows == 5.0)
+    assert (len(sim.windows) - 1) * sim.sample_dt == pytest.approx(20.0)
 
 
 def test_run_simulation_event_log_is_ordered_and_delayed():
