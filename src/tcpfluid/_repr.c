@@ -5,8 +5,8 @@
    format_rows writes a chunk of rows, cells separated by ',' and each row
    ended by '\n', into one buffer.  tcpfluid/_rk4.py builds this file into
    one library with _rk4.c and binds it through ctypes; tcpfluid/artifacts.py
-   writes the buffer.  Python's repr, which artifacts.py still uses for the
-   tables of str cells, is the specification.
+   writes the buffer.  Python's repr, which artifacts.py writes every table
+   with on a host where the library cannot be built, is the specification.
 
    The digits of a finite nonzero double v are those of David Gay's dtoa in
    mode 0, which repr uses: the shortest decimal that reads back as v, under

@@ -12,7 +12,7 @@
 
 struct rk4_params {
     long k;          /* steps per delay */
-    long cubic;      /* CUBIC's deficit when nonzero, else Reno's */
+    long window;     /* RENO or CUBIC */
     double h, tau, bdp, b, c;
     double w_ref, s_ref;
     double r_start;  /* the delayed rate of every stage before t = 0 */
@@ -20,6 +20,7 @@ struct rk4_params {
 
 /* Return codes; _rk4.py raises the IntegrationError of dde.py for each. */
 enum { STEPPED = 0, DELAYED_WINDOW_LEFT = 1, WINDOW_LEFT = 2 };
+enum { RENO = 0, CUBIC = 1 };  /* rk4_params.window, as _sim.c codes them */
 
 struct model {
     const struct rk4_params *p;
@@ -37,7 +38,7 @@ static double cbrt_total(double x)
 static double deficit(const struct model *m, double x1, double x2)
 {
     const struct rk4_params *p = m->p;
-    if (p->cubic) {
+    if (p->window == CUBIC) {
         double r = x1 / p->w_ref;
         double growth = r > -1.0 ? expm1(log1p(r) / 3.0) : cbrt_total(1.0 + r) - 1.0;
         double phi = x2 + m->phi_ref - m->k_ref * growth;
@@ -78,7 +79,7 @@ int rk4_steps(const struct rk4_params *p, double *x1s, double *x2s, double *d1s,
               double *ws, long n, long *at, double *state)
 {
     struct model m = {p, 0.0, 0.0, 0.0};
-    if (p->cubic) {
+    if (p->window == CUBIC) {
         m.k_ref = cbrt_total(p->w_ref * p->b / p->c);
         m.phi_ref = p->s_ref - m.k_ref;
         m.neg_c = -p->c;

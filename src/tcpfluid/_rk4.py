@@ -43,7 +43,7 @@ _EXITS = {1: _DELAYED_EXIT, 2: _STORED_EXIT}
 class _Params(ctypes.Structure):
     """``struct rk4_params`` of ``_rk4.c``."""
 
-    _fields_ = [("k", ctypes.c_long), ("cubic", ctypes.c_long),
+    _fields_ = [("k", ctypes.c_long), ("window", ctypes.c_long),
                 *((field, ctypes.c_double) for field in
                   ("h", "tau", "bdp", "b", "c", "w_ref", "s_ref", "r_start"))]
 
@@ -64,10 +64,12 @@ class _Sim(ctypes.Structure):
                 ("loss_time", ctypes.c_double), ("found", ctypes.c_long), ("u", ctypes.c_double)]
 
 
-# _sim.c's codes: of the window functions it transcribes, and of its
-# returns other than the run's end.  Its event kinds are ``nhpl.KINDS``'
-# codes.
+# The one map from a window function to compiled code, by exact type (a
+# subclass may override what the C transcribes): _sim.c's codes, of which
+# _rk4.c takes _STEPPED.  The bindings decline every other window function.
 _WINDOWS = {RenoWindow: 0, CubicWindow: 1, FrozenWindow: 2}
+_STEPPED = (0, 1)
+# _sim.c's returns other than the run's end; its event kinds are nhpl.KINDS'.
 _BLOCK_FULL, _OVER_BUDGET, _NO_FLOW_CAN_LOSE = 1, 2, 3
 # Rows of the event block _sim.c writes into, unless one step may need more.
 # On criterion 7's run 1024 rows peaked 0.2 MB lower than 4096 and were no
@@ -88,30 +90,31 @@ def load(cache: str) -> Library | None:
     ``rk4_steps``, ``format_rows``, ``sim_run`` and ``sim_render``.
 
     Each entry point does what the Python code it transcribes does and
-    raises what that raises.  ``steps(traj, cubic, k, r_start)`` takes
-    every step of ``integrate``'s loop on a trajectory with sample 0
-    stored, given its CUBIC (else Reno) flag, k and the start's delayed
-    rate.  ``format_rows(columns, out)`` writes the rows of the
-    ``columns`` that :func:`tcpfluid.artifacts.formattable` takes as CSV
-    text into the uint8 array ``out``, which holds ``CELL_BYTES`` per cell,
-    and returns the number of bytes written: every float as ``repr`` and
-    every integer as ``str`` writes it, and every bytes cell, such as the
-    event log's kind names, as its text up to its first NUL.
-    ``simulate(state, t_end, most)`` steps the ``SimState`` of a Reno,
-    CUBIC or frozen run, whose rng is an ``RngStream``, as
-    ``run_simulation``'s loop does, drawing from that stream's own PCG64,
-    until a step finds no loss or one past ``t_end``, or the losses by
-    ``t_end`` pass ``most``, and returns (losses by ``t_end``, the last
-    step's loss time or None).  The C keeps the state's queue as an array
-    sorted by (time, flow), so it pops what ``heapq`` pops, in the same
-    order, though not from a heap's layout; the queue goes in sorted and
-    comes back sorted, which is a heap too.  The C writes events into a
-    block of ``_EVENT_ROWS`` rows, or twice the rows one step may write,
-    returning to Python between two steps whenever the next one might not
-    fit; each block's five columns are appended to the state's
-    ``EventLog`` byte for byte.
+    raises what that raises; ``steps`` and ``simulate`` decline, touching
+    nothing, a window function their C does not transcribe (see
+    ``_WINDOWS``).  ``steps(traj, window_fn, k, r_start)`` takes every step
+    of ``integrate``'s loop on a trajectory with sample 0 stored, given its
+    window function, k and the start's delayed rate, and returns True, or
+    False where it declines.  ``format_rows(columns, out)`` writes the rows
+    of the ``columns`` that :func:`tcpfluid.artifacts.formattable` takes as
+    CSV text into the uint8 array ``out``, which holds ``CELL_BYTES`` per
+    cell, and returns the number of bytes written: every float as ``repr``
+    and every integer as ``str`` writes it, and every bytes cell, such as
+    the event log's kind names, as its text up to its first NUL.
+    ``simulate(state, t_end, most)`` steps a ``SimState`` whose rng is an
+    ``RngStream`` as ``run_simulation``'s loop does, drawing from that
+    stream's own PCG64, until a step finds no loss or one past ``t_end``, or
+    the losses by ``t_end`` pass ``most``, and returns (losses by ``t_end``,
+    the last step's loss time or None), or None where it declines.  The C
+    keeps the state's queue as an array sorted by (time, flow), so it pops
+    what ``heapq`` pops, in the same order, though not from a heap's layout;
+    the queue goes in sorted and comes back sorted, which is a heap too.
+    The C writes events into a block of ``_EVENT_ROWS`` rows, or twice the
+    rows one step may write, returning to Python between two steps whenever
+    the next one might not fit; each block's five columns are appended to
+    the state's ``EventLog`` byte for byte.
     ``render(state, t_end, sample_dt)`` is ``nhpl._render_trace`` on the
-    ``SimState`` of a Reno, CUBIC or frozen run: the C reads the event
+    ``SimState`` of a run ``simulate`` stepped: the C reads the event
     log's columns where they lie, copying none of them.
     """
     folder = os.path.dirname(__file__)
@@ -145,7 +148,9 @@ def load(cache: str) -> Library | None:
     sim_render.argtypes = [ctypes.POINTER(_Sim), ctypes.c_long, ctypes.c_double,
                            ctypes.c_void_p, ctypes.c_void_p]
 
-    def steps(traj: Trajectory, cubic: bool, k: int, r_start: float) -> None:
+    def steps(traj: Trajectory, window_fn, k: int, r_start: float) -> bool:
+        if (window := _WINDOWS.get(type(window_fn))) not in _STEPPED:
+            return False
         p, h, rows = traj.params, traj.step, len(traj.x1)
         columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
         if not all(col.dtype == np.float64 and col.flags.c_contiguous and len(col) == rows
@@ -153,10 +158,11 @@ def load(cache: str) -> Library | None:
             raise ValueError("the kernel takes contiguous float64 columns of one length")
         at, state = ctypes.c_long(), (ctypes.c_double * 2)()
         # The C writes samples [1, rows) of the columns from sample 0.
-        code = rk4_steps(_Params(k, cubic, h, p.tau, p.bdp, p.b, p.c, *traj.ref, r_start),
+        code = rk4_steps(_Params(k, window, h, p.tau, p.bdp, p.b, p.c, *traj.ref, r_start),
                          *(col.ctypes.data for col in columns), rows - 1, at, state)
         if code:
             raise IntegrationError(_EXITS[code], at.value * h, FlowState(*state))
+        return True
 
     def format_rows(columns, out: np.ndarray) -> int:
         rows = len(columns[0])
@@ -171,15 +177,16 @@ def load(cache: str) -> Library | None:
         pointers = (ctypes.c_void_p * len(columns))(*(col.ctypes.data for col in columns))
         return c_format_rows(rows, len(columns), pointers, kinds, widths, out.ctypes.data)
 
-    def simulate(state: SimState, t_end: float, most: int) -> tuple[int, float | None]:
+    def simulate(state: SimState, t_end: float, most: int) -> tuple[int, float | None] | None:
+        if (window := _WINDOWS.get(type(state.window_fn))) is None:
+            return None
         p, flows = state.params, len(state.w_loss)
         bits = state.rng._gen.bit_generator.ctypes  # RngStream's PCG64
         w_loss, llis, weights = np.array(state.w_loss), np.array(state.llis), np.empty(flows)
         # The C keeps the queue sorted and hands it back sorted: a heap too.
         pending = sorted(state.pending)
         queue = [np.array([t for t, _ in pending]), np.array([f for _, f in pending], np.int64)]
-        sim = _Sim(_WINDOWS[type(state.window_fn)], flows, p.tau, p.bdp, p.b, p.c,
-                   state.lookahead, t_end, most,
+        sim = _Sim(window, flows, p.tau, p.bdp, p.b, p.c, state.lookahead, t_end, most,
                    ctypes.cast(bits.next_double, ctypes.c_void_p).value, bits.state_address,
                    w_loss.ctypes.data, llis.ctypes.data, weights.ctypes.data,
                    pending=len(state.pending), t_loss_last=state.t_loss_last,

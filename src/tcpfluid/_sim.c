@@ -21,7 +21,7 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The window functions of protocols.py. */
+/* The window functions of protocols.py, by their codes in _rk4.py's _WINDOWS. */
 enum { RENO = 0, CUBIC = 1, FROZEN = 2 };
 /* Event kinds: their codes in tcpfluid.nhpl.KINDS, "loss" and "indication". */
 enum { LOSS = 0, INDICATION = 1 };
@@ -65,26 +65,36 @@ static double cbrt_total(double x)
     return copysign(pow(fabs(x), 1.0 / 3.0), x);
 }
 
-/* WindowFunction.coefficients at (w_max, s), into a[0..3]. */
-static void coefficients(const struct sim *m, double w_max, double s, double *a)
+/* The constant of an epoch whose pre-loss window is w_max: CUBIC's K. */
+static double epoch_constant(const struct sim *m, double w_max)
 {
-    if (m->window == RENO) {
-        a[0] = 0.5 * w_max + s / m->tau, a[1] = 1.0 / m->tau, a[2] = 0.0, a[3] = 0.0;
-    } else if (m->window == CUBIC) {
-        double c = m->c, d = s - cbrt_total(w_max * m->b / c);
-        a[0] = c * d * d * d + w_max, a[1] = 3.0 * c * d * d, a[2] = 3.0 * c * d, a[3] = c;
-    } else {
-        a[0] = w_max, a[1] = 0.0, a[2] = 0.0, a[3] = 0.0;
-    }
+    return m->window == CUBIC ? cbrt_total(w_max * m->b / m->c) : 0.0;
 }
 
-/* WindowFunction.window at (w_max, s): the coefficients' constant term,
-   which the WindowFunction contract makes equal to it. */
+/* WindowFunction.window at (w_max, s), given the epoch's constant k. */
+static double window_at(const struct sim *m, double w_max, double k, double s)
+{
+    double d = s - k;
+    return m->window == RENO ? 0.5 * w_max + s / m->tau
+           : m->window == CUBIC ? m->c * d * d * d + w_max : w_max;
+}
+
+/* WindowFunction.window at (w_max, s). */
 static double window(const struct sim *m, double w_max, double s)
 {
-    double a[4];
-    coefficients(m, w_max, s, a);
-    return a[0];
+    return window_at(m, w_max, epoch_constant(m, w_max), s);
+}
+
+/* WindowFunction.coefficients at (w_max, s), into a[0..3]: the constant
+   term is the window, as the WindowFunction contract makes it. */
+static void coefficients(const struct sim *m, double w_max, double s, double *a)
+{
+    double k = epoch_constant(m, w_max), c = m->c, d = s - k;
+    a[0] = window_at(m, w_max, k, s), a[1] = 0.0, a[2] = 0.0, a[3] = 0.0;
+    if (m->window == RENO)
+        a[1] = 1.0 / m->tau;
+    else if (m->window == CUBIC)
+        a[1] = 3.0 * c * d * d, a[2] = 3.0 * c * d, a[3] = c;
 }
 
 /* nhpl._horner on the n coefficients p. */
@@ -363,23 +373,9 @@ int sim_run(struct sim *m)
 static void fill(const struct sim *m, long f, long lo, long hi, double dt, double *rows)
 {
     long width = m->flows + 1;
-    double w = m->w_loss[f], start = m->llis[f];
-    if (lo >= hi)
-        return;
-    if (m->window == RENO) {
-        double half = 0.5 * w;
-        for (long i = lo; i < hi; i++)
-            rows[i * width + f] = half + ((double)i * dt - start) / m->tau;
-    } else if (m->window == CUBIC) {
-        double c = m->c, k = cbrt_total(w * m->b / c);
-        for (long i = lo; i < hi; i++) {
-            double d = ((double)i * dt - start) - k;
-            rows[i * width + f] = c * d * d * d + w;
-        }
-    } else {
-        for (long i = lo; i < hi; i++)
-            rows[i * width + f] = w;
-    }
+    double w = m->w_loss[f], start = m->llis[f], k = epoch_constant(m, w);
+    for (long i = lo; i < hi; i++)
+        rows[i * width + f] = window_at(m, w, k, (double)i * dt - start);
 }
 
 /* nhpl._render_trace: every flow's window at t_i = i * dt, i < samples,

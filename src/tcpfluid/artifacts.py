@@ -133,9 +133,9 @@ def write_lines(path, lines: list[str]) -> None:
 
 
 def _set_aside(path) -> str | None:
-    """Move a regular file at ``path`` to a new hidden name beside it and
-    return that name; None when there is no such file."""
-    if os.path.islink(path) or not os.path.isfile(path):
+    """Move what is at ``path``, a symlink itself, to a new hidden name
+    beside it and return that name; None for nothing or a real directory."""
+    if not os.path.lexists(path) or (os.path.isdir(path) and not os.path.islink(path)):
         return None
     folder, name = os.path.split(path)
     fd, aside = tempfile.mkstemp(prefix=f".{name}.", dir=folder)
@@ -152,11 +152,12 @@ def write_artifacts(out_dir: str, writers) -> dict[str, str]:
     """Write each (file name, writer of the path) into ``out_dir``, made if
     missing; the paths by artifact name, the file name's stem.
 
-    A regular file already there under one of the run's names is moved
-    aside just before its own file is written.  On a failure every file the
-    run wrote and every directory it made are removed and every file moved
-    aside goes back; on success the files moved aside are dropped.  So a
-    failed run leaves what was there before it.
+    Whatever is already there under one of the run's names, a symlink too,
+    but not a real directory, is moved aside just before its own file is
+    written.  On a failure every file the run wrote and every directory it
+    made are removed and everything moved aside goes back; on success what
+    was moved aside is dropped.  So a failed run leaves what was there
+    before it.
     """
     undo = []
     folder = os.path.abspath(out_dir)

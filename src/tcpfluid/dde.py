@@ -26,11 +26,11 @@ step and the absolute w_max, s and loss probability p from the columns.
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
 
-Two loops take the steps, with one result.  For ``RenoWindow`` and
-``CubicWindow`` themselves (not subclasses, which may override ``window``
-or ``deficit_about``), ``integrate`` runs its step loop as compiled C,
-``_rk4.c``, called through ctypes once per run for all its steps: it transcribes the
-Python loop, its history lookups and both windows' deficits, operation for
+Two loops take the steps, with one result.  For the Reno and CUBIC windows
+(``tcpfluid._rk4._WINDOWS`` says which window functions have compiled
+code), ``integrate`` runs its step loop as compiled C, ``_rk4.c``, called
+through ctypes once per run for all its steps: it transcribes the Python
+loop, its history lookups and both windows' deficits, operation for
 operation, calls libm's ``log1p``, ``expm1`` and ``pow`` as ``math`` and
 float power do, and is built with no fast-math and no fused multiply-add,
 so every stored bit and every ``IntegrationError`` is the Python loop's.
@@ -58,7 +58,6 @@ from .artifacts import write_rows
 from .core import (FlowState, SystemParams, WindowFunction, check_start, loss_probability,
                    loss_rate, rhs_about)
 from .fixedpoint import FixedPoint
-from .protocols import CubicWindow, RenoWindow
 
 # What IntegrationError says when a stage's delayed window, or a stored
 # sample's w_max or window, leaves the positive domain.
@@ -207,11 +206,8 @@ def integrate(
                                FlowState(w_ref + x1, s_ref + x2))
     r_start = delayed_rate(x1, x2, 0)  # every delayed rate before t = 0
     store(0, x1, x2, r_start)
-    # The compiled loop for Reno and CUBIC themselves; a subclass may
-    # override what it transcribes.
-    kernel = _kernel() if type(window_fn) in (RenoWindow, CubicWindow) else None
-    if kernel is not None:
-        kernel(traj, type(window_fn) is CubicWindow, k, r_start)
+    # The compiled loop, for the window functions it transcribes.
+    if (kernel := _kernel()) is not None and kernel(traj, window_fn, k, r_start):
         return traj
     half = 0.5 * h
     sixth = h / 6.0

@@ -29,10 +29,10 @@ With a single flow this reduces to the per-flow model p = max(1 - C tau / W,
 0) of the fluid equations, and for N identical flows each carries 1/N of the
 total rate, so both limits agree with the mean-field model.
 
-Two loops step a run, with one result.  For ``RenoWindow``,
-``CubicWindow`` and ``FrozenWindow`` themselves (not subclasses, which may
-override what it transcribes), ``run_simulation`` runs the event loop as
-compiled C, ``_sim.c`` (see :mod:`tcpfluid._rk4`): it transcribes
+Two loops step a run, with one result.  For the Reno, CUBIC and frozen
+windows (``tcpfluid._rk4._WINDOWS`` says which window functions have
+compiled code), ``run_simulation`` runs the event loop as compiled C,
+``_sim.c`` (see :mod:`tcpfluid._rk4`): it transcribes
 ``generate_poi_loss`` and what it calls and the loss count against
 ``WORK_BUDGET``, operation for operation, pops the queue in heapq's
 (time, flow) order, and draws its uniforms from the run's own numpy PCG64
@@ -71,7 +71,6 @@ import numpy as np
 from .artifacts import write_rows
 from .core import FlowState, SystemParams, WindowFunction, check_start
 from .fixedpoint import solve_increasing
-from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # Cap on one run's fluid steps, its simulator trace rows and its losses
 # times flows, which ``run_simulation`` counts as it goes.
@@ -488,11 +487,10 @@ def run_simulation(params: SystemParams, window_fn: WindowFunction,
     lookahead = max(1e4 * params.tau, 2.0 * t_end)
     state = SimState(params, window_fn, init, RngStream(seed), lookahead)
     losses, most = 0, WORK_BUDGET // params.flows
-    # The compiled loop and render for the three windows themselves; a
-    # subclass may override what they transcribe.
-    lib = _kernel() if type(window_fn) in (RenoWindow, CubicWindow, FrozenWindow) else None
-    if lib is not None:
-        losses, loss_time = lib.simulate(state, t_end, most)
+    # The compiled loop and render, for the window functions they transcribe.
+    stepped = None if (lib := _kernel()) is None else lib.simulate(state, t_end, most)
+    if stepped is not None:
+        losses, loss_time = stepped
     else:
         while (loss_time := generate_poi_loss(state)) is not None and loss_time <= t_end:
             losses += 1
@@ -501,7 +499,7 @@ def run_simulation(params: SystemParams, window_fn: WindowFunction,
     if losses > most:
         raise ValueError(f"{losses} losses by t = {loss_time!r} s of {t_end!r} s: x "
                          f"{params.flows} flows is over {WORK_BUDGET}")
-    windows = (_render_trace if lib is None else lib.render)(state, t_end, sample_dt)
+    windows = (_render_trace if stepped is None else lib.render)(state, t_end, sample_dt)
     # The log is in time order, so the events by t_end are a prefix of it.
     kept = bisect_right(state.events.columns[1], t_end)
     for col in state.events.columns:

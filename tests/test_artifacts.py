@@ -32,7 +32,7 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
         for header, columns, text in [("kind,a,b,c,d,e,f,flow", full, oracle),
                                       ("a,b,c,d,e,f,flow", full[1:], numeric)]:
             write_csv(path, header, [col[:n] for col in columns])
-            assert_same_text(path.read_text(), "".join(text[: n + 1]))
+            assert_same_text(path.read_text(encoding="utf-8"), "".join(text[: n + 1]))
             assert os.listdir(tmp_path) == ["parts.csv"]
 
 
@@ -107,9 +107,9 @@ def test_write_lines_never_loads_the_library(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifacts, "_formatter", refused)
     artifacts.write_lines(tmp_path / "one.txt", ["header"])
-    assert (tmp_path / "one.txt").read_text() == "header\n"
+    assert (tmp_path / "one.txt").read_text(encoding="utf-8") == "header\n"
     artifacts.write_lines(tmp_path / "s.txt", ["header", "a: 1", "b: 2.5"])
-    assert (tmp_path / "s.txt").read_text() == "header\na: 1\nb: 2.5\n"
+    assert (tmp_path / "s.txt").read_text(encoding="utf-8") == "header\na: 1\nb: 2.5\n"
 
 
 def test_the_event_log_is_formatted_by_the_library_chunk_by_chunk(tmp_path, monkeypatch):
@@ -134,7 +134,7 @@ def test_the_event_log_is_formatted_by_the_library_chunk_by_chunk(tmp_path, monk
     monkeypatch.setattr(artifacts, "_chunk_cells", no_repr)
     sim.write_events_csv(tmp_path / "nhpl_events.csv")
     assert calls == [min(m, rows - lo) for lo in range(0, rows, m)]
-    assert_same_text((tmp_path / "nhpl_events.csv").read_text(), "".join(
+    assert_same_text((tmp_path / "nhpl_events.csv").read_text(encoding="utf-8"), "".join(
         ["event_type,time,flow,window_before,window_after\n",
          *(f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
            for ev in sim.events)]))
@@ -155,11 +155,11 @@ def test_a_host_without_the_library_writes_the_same_bytes_quietly(tmp_path, monk
     files = sorted(os.listdir(tmp_path / "with"))
     assert files == sorted(os.listdir(tmp_path / "without")) and "convergence.csv" in files
     for name in files:
-        assert_same_text((tmp_path / "without" / name).read_text(),
-                         (tmp_path / "with" / name).read_text())
+        assert_same_text((tmp_path / "without" / name).read_text(encoding="utf-8"),
+                         (tmp_path / "with" / name).read_text(encoding="utf-8"))
 
 
-def test_write_csv_reports_a_failed_child(tmp_path, monkeypatch, capfd):
+def test_write_csv_reports_a_failed_formatter_call(tmp_path, monkeypatch, capfd):
     # A formatter whose call fails on the third chunk, after two chunks are
     # written: the file, through the CLI too, is reported as not written
     # and removed, so no truncated file looks complete.  The formatter is a
@@ -204,7 +204,7 @@ def test_full_disk_names_the_file_and_puts_back_the_earlier_run(tmp_path, capfd,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_own_part_failure_names_the_file_once(tmp_path):
+def test_a_failed_chunk_names_the_file_once(tmp_path):
     # Forming the columns of a later chunk fails, after the chunks before
     # it are written: the error names the file once, and no file is left.
     rows = 8 * artifacts._WRITE_CHUNK
@@ -244,7 +244,7 @@ def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
     # The earlier file cannot be moved aside: the run fails before writing,
     # the earlier file stays as it was, and the hidden name made for it is
     # removed.
-    (tmp_path / "a.txt").write_text("old a")
+    (tmp_path / "a.txt").write_text("old a", encoding="utf-8")
 
     def stuck(src, dst):
         raise OSError(errno.EACCES, os.strerror(errno.EACCES))
@@ -252,19 +252,20 @@ def test_set_aside_that_fails_leaves_no_hidden_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", stuck)
     with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
         write_artifacts(str(tmp_path), [("a.txt", write_text("new a"))])
-    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.txt": "old a"}
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == {
+        "a.txt": "old a"}
 
 
 def write_text(text):
     def write(path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
     return write
 
 
 def fail(path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("partial")
     raise OSError(f"could not write {path}")
 
@@ -273,17 +274,44 @@ def test_write_artifacts_replaces_earlier_files_only_on_success(tmp_path):
     # Earlier files under the run's names give way to the new ones when
     # every write succeeds, and keep their names and bytes when one fails;
     # no other file is left either way.
-    (tmp_path / "a.txt").write_text("old a")
-    (tmp_path / "b.txt").write_text("old b")
-    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "a.txt").write_text("old a", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("old b", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
     with pytest.raises(OSError, match=re.escape(str(tmp_path / "b.txt"))):
         write_artifacts(str(tmp_path), [("a.txt", write_text("new a")),
                                         ("c.txt", write_text("new c")),
                                         ("b.txt", fail)])
-    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == {
         "a.txt": "old a", "b.txt": "old b", "notes.txt": "kept"}
     paths = write_artifacts(str(tmp_path), [("a.txt", write_text("new a")),
                                             ("b.txt", write_text("new b"))])
     assert paths == {"a": str(tmp_path / "a.txt"), "b": str(tmp_path / "b.txt")}
-    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == {
         "a.txt": "new a", "b.txt": "new b", "notes.txt": "kept"}
+
+
+def test_a_symlink_under_a_run_name_is_replaced_not_written_through(tmp_path):
+    # A link to a file outside the output directory: a failed run puts the
+    # link back and leaves its target's bytes; a successful one leaves a
+    # regular file under the name and the target as it was.
+    out, target = tmp_path / "out", tmp_path / "target.txt"
+    out.mkdir()
+    target.write_bytes(b"kept")
+    (out / "a.txt").symlink_to(os.path.join("..", "target.txt"))
+    with pytest.raises(OSError, match=re.escape(str(out / "b.txt"))):
+        write_artifacts(str(out), [("a.txt", write_text("new a")), ("b.txt", fail)])
+    assert os.listdir(out) == ["a.txt"] and os.readlink(out / "a.txt") == "../target.txt"
+    assert target.read_bytes() == b"kept"
+    write_artifacts(str(out), [("a.txt", write_text("new a")), ("b.txt", write_text("new b"))])
+    assert not (out / "a.txt").is_symlink() and (out / "a.txt").read_bytes() == b"new a"
+    assert sorted(os.listdir(out)) == ["a.txt", "b.txt"] and target.read_bytes() == b"kept"
+
+
+def test_a_dangling_symlink_under_a_run_name_makes_nothing_at_its_target(tmp_path):
+    out, target = tmp_path / "out", tmp_path / "target.txt"
+    out.mkdir()
+    (out / "a.txt").symlink_to(target)
+    with pytest.raises(OSError, match=re.escape(str(out / "b.txt"))):
+        write_artifacts(str(out), [("a.txt", write_text("new a")), ("b.txt", fail)])
+    assert os.listdir(out) == ["a.txt"] and os.readlink(out / "a.txt") == str(target)
+    assert not os.path.lexists(target)

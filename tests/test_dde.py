@@ -226,7 +226,7 @@ def test_trajectory_csv_round_trips(tmp_path, canonical_params, canonical_fp):
                      canonical_params.tau / 8)
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,w_max,s,w,p"
     assert len(lines) == len(traj.t) + 1
     columns = (traj.t, *absolute_columns(traj))
@@ -249,16 +249,17 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     path = tmp_path / "trace.csv"
     traj.write_csv(path)
     columns = (traj.t, *absolute_columns(traj))
-    assert_same_text(path.read_text(), per_row_csv("t,w_max,s,w,p", columns))
+    assert_same_text(path.read_text(encoding="utf-8"), per_row_csv("t,w_max,s,w,p", columns))
     diag.write_csv(path)
     columns = diag.columns(0, len(diag.t))
-    assert_same_text(path.read_text(), per_row_csv("t,norm_x,V,Vdot,bound", columns))
+    assert_same_text(path.read_text(encoding="utf-8"),
+                     per_row_csv("t,norm_x,V,Vdot,bound", columns))
     sim.write_trace_csv(path)
-    assert_same_text(path.read_text(), per_row_csv("t,flow,w", trace))
+    assert_same_text(path.read_text(encoding="utf-8"), per_row_csv("t,flow,w", trace))
     sim.write_events_csv(path)
     rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
             for ev in sim.events]
-    assert_same_text(path.read_text(),
+    assert_same_text(path.read_text(encoding="utf-8"),
                      "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
     # Columns that repeat most of their values, with the kinds as bytes and
     # without them: the compiled formatter writes them where it can be
@@ -267,8 +268,9 @@ def test_trace_writers_match_per_row_repr(tmp_path, canonical_params, canonical_
     columns = awkward_columns(3 * 4096 + 100)
     for header, table in [("kind,a,b,c,d,e,f,flow", columns), ("a,b,c,d,e,f,flow", columns[1:])]:
         write_csv(path, header, table)
-        assert_same_text(path.read_text(), per_row_csv(header, table))
-        assert "-0.0," in path.read_text() and "5e-324" in path.read_text()
+        text = path.read_text(encoding="utf-8")
+        assert_same_text(text, per_row_csv(header, table))
+        assert "-0.0," in text and "5e-324" in text
 
 
 def test_trace_writers_match_per_row_repr_by_repr(tmp_path, python_format, canonical_params,
@@ -308,7 +310,7 @@ def test_trajectory_csvs_match_per_row_repr_across_part_seams(tmp_path, chunks, 
         assert len(traj.t) == n
         for write, oracle in zip((traj.write_csv, stability_trace(traj, cert).write_csv), oracles):
             write(path)
-            assert_same_text(path.read_text(), "".join(oracle[: n + 1]))
+            assert_same_text(path.read_text(encoding="utf-8"), "".join(oracle[: n + 1]))
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
@@ -387,7 +389,7 @@ def test_failed_write_removes_only_what_the_run_made(tmp_path, capfd, full_disk,
     # was one.
     existing = tmp_path / "out"
     existing.mkdir()
-    (existing / "notes.txt").write_text("kept\n")
+    (existing / "notes.txt").write_text("kept\n", encoding="utf-8")
     out = existing / run
     args = ["nhpl", "--capacity-pkts", "100", "--delay-tau", "0.1", "--flows", "3",
             "--t-end", "40", "--sample-dt", "0.001", "--out", str(out)]
@@ -399,7 +401,7 @@ def test_failed_write_removes_only_what_the_run_made(tmp_path, capfd, full_disk,
     assert capfd.readouterr().err.startswith(f"error: could not write {out / 'nhpl_trace.csv'}")
     assert os.listdir(tmp_path) == ["out"]
     assert {path.name: path.read_bytes() for path in existing.iterdir()} == before
-    assert (existing / "notes.txt").read_text() == "kept\n"
+    assert (existing / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_integrate_prepares_the_rhs_once(monkeypatch, python_loop, canonical_params,

@@ -55,11 +55,11 @@ def test_read_config_file(tmp_path):
         "delay_tau=0.1\n"
         "seed = 1\n"
         "seed = 2\n"
-    )
+    , encoding="utf-8")
     raw = read_config_file(path)
     assert raw == {"capacity_pkts": "100", "delay_tau": "0.1", "seed": "2"}
     bad = tmp_path / "bad.cfg"
-    bad.write_text("capacity_pkts 100\n")
+    bad.write_text("capacity_pkts 100\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         read_config_file(bad)
 
@@ -184,7 +184,7 @@ def test_fluid_mode_artifacts(tmp_path):
     config = make_config(mode="fluid", init="offset", init_offset_w=1.0)
     result = run_experiment(config, tmp_path / "out")
     assert set(result.artifacts) == {"fluid_trace", "summary"}
-    trace = (tmp_path / "out" / "fluid_trace.csv").read_text().splitlines()
+    trace = (tmp_path / "out" / "fluid_trace.csv").read_text(encoding="utf-8").splitlines()
     assert trace[0] == "t,w_max,s,w,p"
     assert len(trace) > 100
     assert "fluid_mean_w" in result.metrics
@@ -196,7 +196,7 @@ def test_fluid_counters(tmp_path):
     # A start below the bdp crosses it on the way up to the fixed point.
     config = make_config(mode="fluid", init="offset", init_offset_w=-10.0, t_end=20.0)
     result = run_experiment(config, tmp_path / "out")
-    rows = (tmp_path / "out" / "fluid_trace.csv").read_text().splitlines()[1:]
+    rows = (tmp_path / "out" / "fluid_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
     w = [float(row.split(",")[3]) for row in rows]
     bdp = config.capacity_pkts * config.delay_tau
     crossings = sum((a > bdp) != (b > bdp) for a, b in zip(w, w[1:]))
@@ -209,7 +209,7 @@ def test_nhpl_mode_artifacts(tmp_path):
     config = make_config(mode="nhpl", seed=3, t_end=5.0)
     result = run_experiment(config, tmp_path / "out")
     assert set(result.artifacts) == {"nhpl_events", "nhpl_trace", "summary"}
-    events = (tmp_path / "out" / "nhpl_events.csv").read_text().splitlines()
+    events = (tmp_path / "out" / "nhpl_events.csv").read_text(encoding="utf-8").splitlines()
     assert events[0] == "event_type,time,flow,window_before,window_after"
     kinds = [row.split(",")[0] for row in events[1:]]
     assert result.metrics["nhpl_losses"] == kinds.count("loss") >= 1
@@ -241,7 +241,8 @@ def test_fixed_point_mode(tmp_path):
     result = run_experiment(config, tmp_path / "out")
     assert set(result.artifacts) == {"summary"}
     assert abs(result.metrics["consistency_residual"]) < 1e-9
-    assert "consistency_residual:" in (tmp_path / "out" / "summary.txt").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+    assert "consistency_residual:" in summary
 
 
 def test_stability_mode(tmp_path):
@@ -249,7 +250,7 @@ def test_stability_mode(tmp_path):
     result = run_experiment(config, tmp_path / "out")
     assert result.metrics["lambda_min"] > 0.0
     assert result.metrics["basin_delta"] > 0.0
-    report = (tmp_path / "out" / "stability_report.txt").read_text()
+    report = (tmp_path / "out" / "stability_report.txt").read_text(encoding="utf-8")
     assert "lambda_min:" in report and "qtilde_row:" in report
 
 
@@ -257,7 +258,7 @@ def test_stability_report_layout(tmp_path):
     # Readers parse the report by key: the qtilde_row and lambda_min lines
     # above all, so its keys keep this order.
     result = run_experiment(make_config(mode="stability"), tmp_path / "out")
-    lines = (tmp_path / "out" / "stability_report.txt").read_text().splitlines()
+    lines = (tmp_path / "out" / "stability_report.txt").read_text(encoding="utf-8").splitlines()
     pairs = [line.split(": ", 1) for line in lines]
     assert [key for key, _ in pairs] == [
         "w_hat", "s_hat", "p_hat", "alpha", "beta", "gamma", "delta", "d1", "d4",
@@ -275,13 +276,13 @@ def test_convergence_mode(tmp_path):
         mode="convergence", init="offset", init_offset_s=0.01, t_end=1.0
     )
     result = run_experiment(config, tmp_path / "out")
-    diag = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
+    diag = (tmp_path / "out" / "convergence.csv").read_text(encoding="utf-8").splitlines()
     assert diag[0] == "t,norm_x,V,Vdot,bound"
     assert 0.0 <= result.metrics["bound_fraction"] <= 1.0
     # The first sample always passes the Razumikhin comparison with itself.
     share = result.metrics["razumikhin_fraction"]
     assert 1.0 / (len(diag) - 1) <= share <= 1.0
-    summary = (tmp_path / "out" / "summary.txt").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
     assert f"razumikhin_fraction: {share!r}\n" in summary
 
 
@@ -294,8 +295,9 @@ def test_convergence_fractions_match_the_csv(tmp_path):
     assert main(["convergence", "--capacity-pkts", "125000", "--delay-tau", "0.1",
                  "--init", "explicit", "--init-w-max", "12371.9952", "--init-s", "13.6794",
                  "--t-end", "20", "--out", str(out)]) == 0
-    reported = dict(line.split(": ", 1) for line in (out / "summary.txt").read_text().splitlines())
-    lines = (out / "convergence.csv").read_text().splitlines()
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    reported = dict(line.split(": ", 1) for line in summary.splitlines())
+    lines = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()
     _, norm_x, v, _, bound = np.array([[float(c) for c in line.split(",")]
                                        for line in lines[1:]]).T
     assert len(v) == 3201
@@ -344,9 +346,9 @@ def test_fluid_modes_build_flow_0_alone(tmp_path, mode):
                      "--out", str(tmp_path / str(flows))]) == 0
     one, many = tmp_path / "1", tmp_path / str(2**70)
     assert (one / trace).read_bytes() == (many / trace).read_bytes()
-    summary = (one / "summary.txt").read_text()
+    summary = (one / "summary.txt").read_text(encoding="utf-8")
     assert "\nflows: 1\n" in summary
-    assert (many / "summary.txt").read_text() == summary.replace("\nflows: 1\n",
+    assert (many / "summary.txt").read_text(encoding="utf-8") == summary.replace("\nflows: 1\n",
                                                                 f"\nflows: {2**70}\n")
 
 
@@ -360,7 +362,7 @@ def test_fluid_modes_build_flow_0_alone(tmp_path, mode):
 ], ids=lambda over: over["mode"])
 def test_summary_reports_every_metric(tmp_path, over):
     result = run_experiment(make_config(**over), tmp_path / "out")
-    summary = (tmp_path / "out" / "summary.txt").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
     assert summary == result.summary + "\n"
     lines = summary.splitlines()
     assert lines[0] == f"mode: {over['mode']}"
@@ -502,7 +504,7 @@ def test_cli_reports_a_closed_stdout_in_one_line(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "tcpfluid.cli", "fixed-point", "--capacity-pkts", "100",
              "--delay-tau", "0.1", "--out", str(tmp_path / "out")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, encoding="utf-8", timeout=60,
         )
     finally:
         os.close(write_end)
@@ -533,20 +535,21 @@ def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
 def test_cli_rejects_config_file_over_the_size_cap(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     text = "capacity_pkts=100\ndelay_tau=0.1\n"
-    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES + 1 - len(text)))
+    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES + 1 - len(text)), encoding="utf-8")
     rc = main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(cfg) in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
-    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES - len(text)))  # at the cap: accepted
+    # at the cap: accepted
+    cfg.write_text(text + "#" * (CONFIG_MAX_BYTES - len(text)), encoding="utf-8")
     assert main(["fixed-point", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nwarp_factor=9\n")
+    cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nwarp_factor=9\n", encoding="utf-8")
     rc = main(["fluid", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
@@ -718,7 +721,7 @@ def stops_a_run_over_the_budget(tmp_path, capsys, monkeypatch):
 
 def test_cli_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nt_end=1\n")
+    cfg.write_text("capacity_pkts=100\ndelay_tau=0.1\nt_end=1\n", encoding="utf-8")
     rc = main([
         "fixed-point",
         "--config", str(cfg),
@@ -726,7 +729,7 @@ def test_cli_flags_override_config_file(tmp_path):
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 0
-    summary = (tmp_path / "out" / "summary.txt").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
     assert "capacity_pkts: 200.0" in summary
 
 

@@ -107,7 +107,7 @@ def test_cli_solves_a_root_far_right_of_the_bdp(tmp_path):
     rc = main(["fixed-point", "--capacity-pkts", "1", "--delay-tau", "1", "--c", "1e49",
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    summary = (tmp_path / "out" / "summary.txt").read_text()
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
     w_hat = float(summary.split("w_hat: ", 1)[1].split("\n", 1)[0])
     assert root_within_ulps(w_hat, SystemParams(capacity=1.0, tau=1.0, b=0.2, c=1e49), 4)
 

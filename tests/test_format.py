@@ -195,7 +195,7 @@ def test_columns_the_formatter_refuses_are_written_by_repr(tmp_path, monkeypatch
     for col in refused_columns():
         assert col.itemsize == artifacts.CELL_BYTES or not col.flags.c_contiguous
         write_csv(path, "label", [col])
-        assert_same_text(path.read_text(), per_row_csv("label", [col]))
+        assert_same_text(path.read_text(encoding="utf-8"), per_row_csv("label", [col]))
 
 
 def test_the_widest_cells_fit_cell_bytes():
@@ -203,7 +203,7 @@ def test_the_widest_cells_fit_cell_bytes():
     # writer formats into, are one number.  The widest cells, the negative
     # least normal float and the least int64, fit it, the float taking all
     # of it with its separator, and no byte past the buffer is written.
-    with open(SOURCE) as fh:
+    with open(SOURCE, encoding="utf-8") as fh:
         defined = re.findall(r"^#define CELL_BYTES (\d+)$", fh.read(), re.M)
     assert defined == [str(artifacts.CELL_BYTES)]
     lib = _rk4.library()
@@ -237,7 +237,7 @@ def power_table():
 
 
 def test_the_power_table_is_exact():
-    with open(SOURCE) as fh:
+    with open(SOURCE, encoding="utf-8") as fh:
         text = fh.read()
     body = text[text.index("G[][2] = {"):text.index("};", text.index("G[][2] = {"))]
     pairs = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", body)
@@ -258,7 +258,7 @@ def floor_log(base: int, x: Fraction) -> int:
 def test_the_floor_logarithms_are_exact():
     # The three multiply-and-shift floors of _repr.c, read from its source,
     # against exact arithmetic over every exponent 1300 either side of 0.
-    with open(SOURCE) as fh:
+    with open(SOURCE, encoding="utf-8") as fh:
         text = fh.read()
     pattern = r"static int (floor_\w+)\(int e\) \{ return (\(e \* \d+(?: - \d+)?\) >> \d+); \}"
     forms = dict(re.findall(pattern, text))

@@ -158,7 +158,7 @@ def test_kernel_refuses_columns_and_steps_it_cannot_write(canonical_params, cano
     for column in (traj.w[::-1], traj.w.astype(np.float32), traj.w[1:]):
         traj.w = column
         with pytest.raises(ValueError, match="contiguous float64 columns of one length"):
-            kernel(traj, True, 16, 0.0)
+            kernel(traj, CUBIC, 16, 0.0)
 
 
 class OwnDeficit(CubicWindow):
@@ -190,6 +190,50 @@ def test_other_window_functions_run_the_python_loop(rhs_calls, canonical_params,
     assert len(rhs_calls) == 1 + 4 * 800
     if window_fn is not FROZEN:
         assert not np.array_equal(traj.w, integrate(params, parent, start, 0.5, params.tau / 16).w)
+
+
+class Uncallable:
+    """A loaded library whose every entry point fails the test when called."""
+
+    def __getattr__(self, name):
+        def entry(*args):
+            raise AssertionError(f"{name} was called")
+
+        return entry
+
+
+def test_the_bindings_decline_what_they_do_not_transcribe(tmp_path, monkeypatch,
+                                                          canonical_params, canonical_fp):
+    # The step loop takes Reno and CUBIC only, the event loop the three
+    # windows only, each by exact type.  Bound over a library that may not
+    # be called, so on every host, a declined call reaches no C, writes no
+    # sample and moves no state: the caller's Python loop starts from where
+    # the call found it.
+    params, fp = canonical_params, canonical_fp
+    traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat), 0.1, params.tau / 16, fp=fp)
+    monkeypatch.setattr(_rk4, "_build", lambda command, library: True)
+    monkeypatch.setattr(_rk4.ctypes, "CDLL", lambda path: Uncallable())
+    lib = _rk4.load(str(tmp_path))
+    columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
+    for column in columns:
+        column[1:] = np.nan
+    before = [col.tobytes() for col in columns]
+    for window_fn in (FROZEN, OwnWindow()):
+        assert lib.steps(traj, window_fn, 16, 0.0) is False
+        assert [col.tobytes() for col in columns] == before
+    params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
+    state = SimState(params, OwnFrozen(), [(15.0, 0.0), (12.0, 0.05)], RngStream(5), 100.0)
+    state.pending.append((0.5, 1))
+
+    def snapshot():
+        return (state.w_loss[:], state.llis[:], state.pending[:], state.t_loss_last,
+                state.candidates, event_columns(state.events), state.rng._gen.bit_generator.state)
+
+    before = snapshot()
+    assert lib.simulate(state, 20.0, 10**6) is None
+    assert snapshot() == before
+    with pytest.raises(AssertionError, match="rk4_steps was called"):
+        lib.steps(traj, CUBIC, 16, 0.0)
 
 
 def steps_of(lib):
@@ -310,8 +354,8 @@ def test_import_builds_nothing():
             "run_simulation(SystemParams(100.0, 0.1, 0.2, 0.4), CUBIC, [(12.0, 0.0)], 1, 5.0); "
             "print(_rk4.library.cache_info().misses)")
     src = os.path.dirname(os.path.dirname(dde.__file__))
-    proc = subprocess.run([sys.executable, "-c", code, CACHE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, CACHE], capture_output=True,
+                          encoding="utf-8", env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\nFalse\n1\n", "")
 
 
@@ -485,7 +529,8 @@ def test_criterion_7_csvs_are_the_python_loops(tmp_path, rows, monkeypatch):
         sim = run_simulation(params, FROZEN, [(15.0, 0.0)], 2025, 220.0)
         sim.write_events_csv(tmp_path / "events.csv")
         sim.write_trace_csv(tmp_path / "trace.csv")
-        texts.append([(tmp_path / name).read_text() for name in ("events.csv", "trace.csv")])
+        texts.append([(tmp_path / name).read_text(encoding="utf-8")
+                      for name in ("events.csv", "trace.csv")])
         logs.append(event_columns(sim.events))
     assert sim.events.count("loss") == 10812
     assert logs[0] == logs[1]

@@ -707,7 +707,7 @@ def test_event_csv_round_trips(tmp_path):
     trace_path = tmp_path / "trace.csv"
     sim.write_events_csv(events_path)
     sim.write_trace_csv(trace_path)
-    lines = events_path.read_text().splitlines()
+    lines = events_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "event_type,time,flow,window_before,window_after"
     assert len(lines) == len(sim.events) + 1
     kind, time, flow, before, after = lines[1].split(",")
@@ -716,14 +716,14 @@ def test_event_csv_round_trips(tmp_path):
     assert (float(time), float(before), float(after)) == (
         ev.time, ev.window_before, ev.window_after
     )
-    tlines = trace_path.read_text().splitlines()
+    tlines = trace_path.read_text(encoding="utf-8").splitlines()
     assert tlines[0] == "t,flow,w"
     assert len(tlines) == len(sim.trace_t) + 1
     # Below the bandwidth-delay product nothing is lost: the log is its header.
     quiet = run_simulation(params, FROZEN, [(5.0, 0.0)], 99, 20.0)
     quiet.write_events_csv(events_path)
     assert len(quiet.events) == 0
-    assert events_path.read_text() == lines[0] + "\n"
+    assert events_path.read_text(encoding="utf-8") == lines[0] + "\n"
 
 
 def test_event_log_is_written_a_chunk_at_a_time(tmp_path):
@@ -742,7 +742,7 @@ def test_event_log_is_written_a_chunk_at_a_time(tmp_path):
     assert peak < sum(len(col) * col.itemsize for col in sim.events.columns) / 2
     rows = [f"{ev.event_type},{ev.time!r},{ev.flow},{ev.window_before!r},{ev.window_after!r}\n"
             for ev in sim.events]
-    assert_same_text(path.read_text(),
+    assert_same_text(path.read_text(encoding="utf-8"),
                      "".join(["event_type,time,flow,window_before,window_after\n", *rows]))
 
 
@@ -771,8 +771,8 @@ def test_events_csv_is_the_same_by_the_library_and_by_repr(tmp_path, monkeypatch
     monkeypatch.setattr(artifacts, "_formatter", lambda: None)  # python_format's patch
     for i, log in enumerate(logs):
         log.write_events_csv(tmp_path / f"{i}.repr.csv")
-        assert_same_text((tmp_path / f"{i}.csv").read_text(),
-                         (tmp_path / f"{i}.repr.csv").read_text())
+        assert_same_text((tmp_path / f"{i}.csv").read_text(encoding="utf-8"),
+                         (tmp_path / f"{i}.repr.csv").read_text(encoding="utf-8"))
 
 
 def test_a_run_holds_its_events_in_columns():

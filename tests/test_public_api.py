@@ -40,7 +40,7 @@ def referenced_names() -> set[str]:
     files = [p for p in (ROOT / "src" / "tcpfluid").glob("*.py") if p.name != "__init__.py"]
     refs = _References()
     for path in files:
-        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+        refs.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     return refs.names
 
 
@@ -53,7 +53,7 @@ def public_definitions() -> dict[str, str]:
     """Public module-level functions, classes and constants -> their module."""
     defined = {}
     for path in (ROOT / "src" / "tcpfluid").glob("*.py"):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):

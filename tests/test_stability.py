@@ -94,7 +94,7 @@ def test_taylor_remainders_have_expected_orders(unit_params, unit_fp):
     assert loglog_slope(radii, err2) >= 1.9
 
 
-def test_lyapunov_params_weights_and_margins(canonical_params, canonical_fp):
+def test_certificate_weights_and_margins(canonical_params, canonical_fp):
     cert = certificate(canonical_fp, canonical_params)
     assert cert.fp == canonical_fp
     assert cert.coeffs == expansion_coeffs(canonical_fp, canonical_params)
@@ -407,12 +407,12 @@ def test_diagnostic_trace_csv(tmp_path, canonical_params, canonical_fp):
     tr = stability_trace(traj, cert)
     path = tmp_path / "diag.csv"
     tr.write_csv(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,norm_x,V,Vdot,bound"
     assert len(lines) == len(tr.t) + 1
     row = [float(v) for v in lines[1].split(",")]
     assert row == [float(col[0]) for col in tr.columns(0, 1)]
-    assert_same_text(path.read_text(),
+    assert_same_text(path.read_text(encoding="utf-8"),
                      per_row_csv("t,norm_x,V,Vdot,bound", tr.columns(0, len(tr.t))))
 
 
