@@ -85,9 +85,10 @@ def load(cache: str) -> Library | None:
     library in the directory ``cache``, building it first (see
     :func:`_build`) when no library there has its name, a CRC of the
     sources and the compile command, so that an edited source gets a
-    library of its own; None, with nothing printed and no file left behind,
-    when it cannot be built or loaded or lacks one of its four symbols,
-    ``rk4_steps``, ``format_rows``, ``sim_run`` and ``sim_render``.
+    library of its own; None, with nothing printed, when it cannot be built
+    or loaded or lacks one of its four symbols, ``rk4_steps``,
+    ``format_rows``, ``sim_run`` and ``sim_render``; a library built
+    without one stays in ``cache``.
 
     Each entry point does what the Python code it transcribes does and
     raises what that raises; ``steps`` and ``simulate`` decline, touching

@@ -365,7 +365,7 @@ def test_failed_integration_leaves_no_writer_file_or_directory(tmp_path, monkeyp
       "--sample-dt", "0.001"], "nhpl_trace.csv"),
     ([*CONVERGENCE_ARGS, "--t-end", "6.0"], "convergence.csv"),
 ])
-def test_cli_names_the_file_a_fork_failed_for(tmp_path, capfd, full_disk, args, artifact):
+def test_cli_names_the_file_a_full_disk_refused(tmp_path, capfd, full_disk, args, artifact):
     # The writes into the 160,005-row simulator trace or the 38,401-row
     # convergence table fail, as on a full disk.  The file is named, and no
     # output directory is left, although the simulator run wrote its event
