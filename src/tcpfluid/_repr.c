@@ -4,7 +4,7 @@
 
    format_rows writes a chunk of rows, cells separated by ',' and each row
    ended by '\n', into one buffer.  tcpfluid/_rk4.py builds this file into
-   one library with _rk4.c and binds it through ctypes; tcpfluid/artifacts.py
+   one library with _sim.c and binds it through ctypes; tcpfluid/artifacts.py
    writes the buffer.  Python's repr, which artifacts.py writes every table
    with on a host where the library cannot be built, is the specification.
 

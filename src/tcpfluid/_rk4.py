@@ -1,10 +1,11 @@
-"""Build, cache and bind the package's compiled library: ``_rk4.c``, the
-step loop of :func:`tcpfluid.dde.integrate` for the Reno and CUBIC windows;
-``_repr.c``, the formatter of :func:`tcpfluid.artifacts.write_rows` for
-tables of float64, int64 and short bytes columns; and ``_sim.c``, the
-event loop of :func:`tcpfluid.nhpl.run_simulation` for the Reno, CUBIC and
-frozen windows and the render of its trace, four entry points in all.
-Each transcribes Python code that stays its specification and its fallback.
+"""Build, cache and bind the package's compiled library: ``_repr.c``, the
+formatter of :func:`tcpfluid.artifacts.write_rows` for tables of float64,
+int64 and short bytes columns; and ``_sim.c``, the step loop of
+:func:`tcpfluid.dde.integrate` and the event loop of
+:func:`tcpfluid.nhpl.run_simulation` and the render of its trace, for the
+Reno, CUBIC and frozen windows, which it transcribes once for all three:
+four entry points in all.  Each transcribes Python code that stays its
+specification and its fallback.
 
 ``dde``, ``artifacts`` and ``nhpl`` import this module on the first run or
 write that needs the library, never on import, and share its one loader,
@@ -32,20 +33,19 @@ from .nhpl import SimState, pick_losing_flow, sample_count
 from .protocols import CubicWindow, FrozenWindow, RenoWindow
 
 # The sources of the one library, in this package's directory.
-_SOURCES = ("_rk4.c", "_repr.c", "_sim.c")
+_SOURCES = ("_repr.c", "_sim.c")
 # No fast-math and no fused multiply-add, so that the compiled loop rounds
 # as the Python loop does.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# The messages of _rk4.c's domain-exit return codes.
+# The messages of rk4_steps' domain-exit return codes.
 _EXITS = {1: _DELAYED_EXIT, 2: _STORED_EXIT}
 
 
 class _Params(ctypes.Structure):
-    """``struct rk4_params`` of ``_rk4.c``."""
+    """``struct rk4_params`` of ``_sim.c``."""
 
-    _fields_ = [("k", ctypes.c_long), ("window", ctypes.c_long),
-                *((field, ctypes.c_double) for field in
-                  ("h", "tau", "bdp", "b", "c", "w_ref", "s_ref", "r_start"))]
+    _fields_ = [("k", ctypes.c_long),
+                *((field, ctypes.c_double) for field in ("h", "w_ref", "s_ref", "r_start"))]
 
 
 class _Sim(ctypes.Structure):
@@ -65,10 +65,9 @@ class _Sim(ctypes.Structure):
 
 
 # The one map from a window function to compiled code, by exact type (a
-# subclass may override what the C transcribes): _sim.c's codes, of which
-# _rk4.c takes _STEPPED.  The bindings decline every other window function.
+# subclass may override what the C transcribes): _sim.c's codes, which every
+# entry point takes.  The bindings decline every other window function.
 _WINDOWS = {RenoWindow: 0, CubicWindow: 1, FrozenWindow: 2}
-_STEPPED = (0, 1)
 # _sim.c's returns other than the run's end; its event kinds are nhpl.KINDS'.
 _BLOCK_FULL, _OVER_BUDGET, _NO_FLOW_CAN_LOSE = 1, 2, 3
 # Rows of the event block _sim.c writes into, unless one step may need more.
@@ -81,14 +80,13 @@ Library = namedtuple("Library", "steps format_rows simulate render")
 
 
 def load(cache: str) -> Library | None:
-    """Load ``_rk4.c``, ``_repr.c`` and ``_sim.c`` built as one shared
-    library in the directory ``cache``, building it first (see
-    :func:`_build`) when no library there has its name, a CRC of the
-    sources and the compile command, so that an edited source gets a
-    library of its own; None, with nothing printed, when it cannot be built
-    or loaded or lacks one of its four symbols, ``rk4_steps``,
-    ``format_rows``, ``sim_run`` and ``sim_render``; a library built
-    without one stays in ``cache``.
+    """Load ``_SOURCES`` built as one shared library in the directory
+    ``cache``, building it first (see :func:`_build`) when no library there
+    has its name, a CRC of the compile command and a CRC of the command and
+    the sources, so that an edited source gets a library of its own; None,
+    with nothing printed, when it cannot be built or loaded or lacks one of
+    its four symbols, ``rk4_steps``, ``format_rows``, ``sim_run`` and
+    ``sim_render``; a library built without one stays in ``cache``.
 
     Each entry point does what the Python code it transcribes does and
     raises what that raises; ``steps`` and ``simulate`` decline, touching
@@ -122,11 +120,11 @@ def load(cache: str) -> Library | None:
     sources = [os.path.join(folder, name) for name in _SOURCES]
     try:
         compiler = [*shlex.split(sysconfig.get_config_var("CC") or ""), *_FLAGS]
-        crc = zlib.crc32(" ".join(compiler).encode())
+        crc = command = zlib.crc32(" ".join(compiler).encode())
         for source in sources:
             with open(source, "rb") as fh:
                 crc = zlib.crc32(fh.read(), crc)
-        library = os.path.join(cache, f"_rk4-{crc:08x}.so")
+        library = os.path.join(cache, f"_rk4-{command:08x}-{crc:08x}.so")
         if not os.path.exists(library):
             if not _build([*compiler, *sources, "-lm", "-o"], library):
                 return None
@@ -138,8 +136,9 @@ def load(cache: str) -> Library | None:
     except (OSError, ValueError, AttributeError):
         return None
     rk4_steps.restype = ctypes.c_int
-    rk4_steps.argtypes = [ctypes.POINTER(_Params), *[ctypes.c_void_p] * 5, ctypes.c_long,
-                          ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_double)]
+    rk4_steps.argtypes = [ctypes.POINTER(_Sim), ctypes.POINTER(_Params), *[ctypes.c_void_p] * 5,
+                          ctypes.c_long, ctypes.POINTER(ctypes.c_long),
+                          ctypes.POINTER(ctypes.c_double)]
     c_format_rows.restype = ctypes.c_long
     c_format_rows.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
                               ctypes.c_void_p, ctypes.c_void_p]
@@ -150,7 +149,7 @@ def load(cache: str) -> Library | None:
                            ctypes.c_void_p, ctypes.c_void_p]
 
     def steps(traj: Trajectory, window_fn, k: int, r_start: float) -> bool:
-        if (window := _WINDOWS.get(type(window_fn))) not in _STEPPED:
+        if (window := _WINDOWS.get(type(window_fn))) is None:
             return False
         p, h, rows = traj.params, traj.step, len(traj.x1)
         columns = (traj.x1, traj.x2, traj.dx1, traj.dx2, traj.w)
@@ -159,7 +158,8 @@ def load(cache: str) -> Library | None:
             raise ValueError("the kernel takes contiguous float64 columns of one length")
         at, state = ctypes.c_long(), (ctypes.c_double * 2)()
         # The C writes samples [1, rows) of the columns from sample 0.
-        code = rk4_steps(_Params(k, window, h, p.tau, p.bdp, p.b, p.c, *traj.ref, r_start),
+        code = rk4_steps(_Sim(window, p.flows, p.tau, p.bdp, p.b, p.c),
+                         _Params(k, h, *traj.ref, r_start),
                          *(col.ctypes.data for col in columns), rows - 1, at, state)
         if code:
             raise IntegrationError(_EXITS[code], at.value * h, FlowState(*state))
@@ -243,14 +243,17 @@ def library() -> Library | None:
 
 
 def _remove_others(library: str) -> None:
-    """Remove every ``_rk4-*.so`` beside ``library`` but ``library``: each
-    edit of a source builds a library of its own, and the earlier ones are
-    never loaded again.  A file another process has loaded stays mapped in
-    it."""
+    """Remove every library beside ``library`` built by its compile command,
+    ``_rk4-<command CRC>-*.so``, but ``library``: each edit of a source
+    builds a library of its own, and the earlier ones are never loaded
+    again.  A build with another command, such as other ``_FLAGS``, stays
+    for the processes that build with it.  A file another process has
+    loaded stays mapped in it."""
     cache, name = os.path.split(library)
+    command = name.rsplit("-", 1)[0] + "-"
     with suppress(OSError):
         for other in os.listdir(cache):
-            if other.startswith("_rk4-") and other.endswith(".so") and other != name:
+            if other.startswith(command) and other.endswith(".so") and other != name:
                 with suppress(OSError):
                     os.remove(os.path.join(cache, other))
 

@@ -1,20 +1,23 @@
-/* The event loop of tcpfluid.nhpl.run_simulation for the Reno, CUBIC and
-   frozen windows, and the render of its trace.
+/* The step loop of tcpfluid.dde.integrate, and the event loop of
+   tcpfluid.nhpl.run_simulation and the render of its trace, for the Reno,
+   CUBIC and frozen windows, which all three take from one transcription of
+   protocols.py's window functions.
 
-   A transcription of the Python loop in nhpl.py (generate_poi_loss and what
-   it calls, and run_simulation's loss count) and of nhpl._render_trace: the
-   same floating-point operations in the same order, so every event, every
-   state bit and every window of the trace is the same.  It must be built
-   without fast-math and with -ffp-contract=off, so that no operation is
-   reordered or fused; log and pow are the libm functions that math.log and
-   float power call.  Its uniforms come from the run's own numpy PCG64,
-   through the next_double function that numpy's bit_generator.ctypes
-   exposes, which is what Generator.random() calls, so the draws and their
-   order are the Python loop's.  Its queue of pending indications pops in
-   heapq's (time, flow) order, ties included, but is an array kept sorted,
-   not a heap: losses come in time order, and so do their indications, so
-   each push lands at the tail after one comparison.  Plain C with no
-   Python.h: tcpfluid/_rk4.py builds it into one library with _rk4.c and
+   A transcription of the Python loops in dde.py (integrate's steps) and
+   nhpl.py (generate_poi_loss and what it calls, and run_simulation's loss
+   count) and of nhpl._render_trace: the same floating-point operations in
+   the same order, so every stored sample, every event, every state bit and
+   every window of the trace is the same.  It must be built without
+   fast-math and with -ffp-contract=off, so that no operation is reordered
+   or fused; log, log1p, expm1 and pow are the libm functions that math.log,
+   math.log1p, math.expm1 and float power call.  Its uniforms come from the
+   run's own numpy PCG64, through the next_double function that numpy's
+   bit_generator.ctypes exposes, which is what Generator.random() calls, so
+   the draws and their order are the Python loop's.  Its queue of pending
+   indications pops in heapq's (time, flow) order, ties included, but is an
+   array kept sorted, not a heap: losses come in time order, and so do their
+   indications, so each push lands at the tail after one comparison.  Plain
+   C with no Python.h: tcpfluid/_rk4.py builds it into one library with
    _repr.c and binds it through ctypes. */
 
 #include <math.h>
@@ -32,7 +35,8 @@ enum { ENDED = 0, BLOCK_FULL = 1, OVER_BUDGET = 2, NO_FLOW_CAN_LOSE = 3 };
 #define MAX_ITER 100
 #define EPS 0x1p-52
 
-/* A run's parameters, its SimState and its event block; _rk4.py's _Sim. */
+/* A system, and the event loop's SimState and event block; _rk4.py's _Sim.
+   The step loop reads the system alone, window to c. */
 struct sim {
     long window;                    /* RENO, CUBIC or FROZEN */
     long flows;
@@ -410,4 +414,101 @@ void sim_render(struct sim *m, long samples, double dt, int64_t *cursor, double 
             total += row[f];
         row[m->flows] = total / (double)m->flows;
     }
+}
+
+/* The step loop's own parameters, beside the system's struct sim; _rk4.py's
+   _Params: k steps of h per delay, the reference point, and the delayed
+   rate of every stage before t = 0. */
+struct rk4_params {
+    long k;
+    double h, w_ref, s_ref, r_start;
+};
+
+/* Return codes of rk4_steps; _rk4.py raises the IntegrationError of dde.py for each. */
+enum { STEPPED = 0, DELAYED_WINDOW_LEFT = 1, WINDOW_LEFT = 2 };
+
+/* A run of the step loop, with CUBIC's K_ref and s_ref - K_ref. */
+struct fluid {
+    const struct sim *m;
+    const struct rk4_params *p;
+    double k_ref, phi_ref;
+};
+
+/* The deficit w_max - W at the deviation (x1, x2): CubicWindow.deficit_about's
+   closure, or WindowFunction.deficit_about's default over the window. */
+static double deficit(const struct fluid *f, double x1, double x2)
+{
+    const struct sim *m = f->m;
+    if (m->window != CUBIC) {
+        double w_max = f->p->w_ref + x1;
+        return w_max - window(m, w_max, f->p->s_ref + x2);
+    }
+    double r = x1 / f->p->w_ref;
+    double growth = r > -1.0 ? expm1(log1p(r) / 3.0) : cbrt_total(1.0 + r) - 1.0;
+    double phi = x2 + f->phi_ref - f->k_ref * growth;
+    return -m->c * phi * phi * phi;
+}
+
+/* core.loss_rate */
+static double loss_rate(const struct sim *m, double w)
+{
+    double excess = w - m->bdp;
+    return excess > 0.0 ? excess / m->tau : 0.0;
+}
+
+/* core.rhs_about's rhs: the derivative of (x1, x2), and the deficit. */
+static double rhs(const struct fluid *f, double x1, double x2, double rate, double *d1,
+                  double *d2)
+{
+    double gap = deficit(f, x1, x2);
+    *d1 = -gap * rate;
+    *d2 = 1.0 - (x2 + f->p->s_ref) * rate;
+    return gap;
+}
+
+/* dde.hermite_midpoint */
+static double hermite_midpoint(const double *y, const double *dy, long j, double h)
+{
+    return 0.5 * (y[j] + y[j + 1]) + 0.125 * h * (dy[j] - dy[j + 1]);
+}
+
+/* The n steps of integrate's loop on the system m: sample i + 1 from sample
+   i, for sample 0 already stored.  On a domain exit, stores nothing more
+   and returns its code, with the sample index of its time in *at and the
+   absolute state (w_max, s) in state[0], state[1]. */
+int rk4_steps(const struct sim *m, const struct rk4_params *p, double *x1s, double *x2s,
+              double *d1s, double *d2s, double *ws, long n, long *at, double *state)
+{
+    double k_ref = epoch_constant(m, p->w_ref);
+    struct fluid f = {m, p, k_ref, p->s_ref - k_ref};
+    double h = p->h, half = 0.5 * h, sixth = h / 6.0;
+    double x1 = x1s[0], x2 = x2s[0];
+    for (long i = 0; i < n; i++) {
+        long j = i - p->k;  /* the sample one delay back */
+        double r_mid = p->r_start;
+        if (j >= 0) {
+            double y1 = hermite_midpoint(x1s, d1s, j, h), y2 = hermite_midpoint(x2s, d2s, j, h);
+            double w = p->w_ref + y1 - deficit(&f, y1, y2);
+            if (!(w > 0.0)) {
+                *at = i, state[0] = p->w_ref + y1, state[1] = p->s_ref + y2;
+                return DELAYED_WINDOW_LEFT;
+            }
+            r_mid = loss_rate(m, w);
+        }
+        double r_end = j >= -1 ? loss_rate(m, ws[j + 1]) : p->r_start;
+        double k1a = d1s[i], k1b = d2s[i], k2a, k2b, k3a, k3b, k4a, k4b;
+        rhs(&f, x1 + half * k1a, x2 + half * k1b, r_mid, &k2a, &k2b);
+        rhs(&f, x1 + half * k2a, x2 + half * k2b, r_mid, &k3a, &k3b);
+        rhs(&f, x1 + h * k3a, x2 + h * k3b, r_end, &k4a, &k4b);
+        x1 += sixth * (k1a + 2.0 * (k2a + k3a) + k4a);
+        x2 += sixth * (k1b + 2.0 * (k2b + k3b) + k4b);
+        double d1, d2, gap = rhs(&f, x1, x2, r_end, &d1, &d2);
+        double w_max = p->w_ref + x1, w = w_max - gap;
+        if (!(w_max > 0.0 && w > 0.0)) {
+            *at = i + 1, state[0] = w_max, state[1] = p->s_ref + x2;
+            return WINDOW_LEFT;
+        }
+        x1s[i + 1] = x1, x2s[i + 1] = x2, d1s[i + 1] = d1, d2s[i + 1] = d2, ws[i + 1] = w;
+    }
+    return STEPPED;
 }

@@ -26,25 +26,27 @@ step and the absolute w_max, s and loss probability p from the columns.
 No event handling is attempted at the loss-probability kink; crossings of
 the bandwidth-delay product degrade the observed order locally.
 
-Two loops take the steps, with one result.  For the Reno and CUBIC windows
-(``tcpfluid._rk4._WINDOWS`` says which window functions have compiled
-code), ``integrate`` runs its step loop as compiled C, ``_rk4.c``, called
-through ctypes once per run for all its steps: it transcribes the Python
-loop, its history lookups and both windows' deficits, operation for
-operation, calls libm's ``log1p``, ``expm1`` and ``pow`` as ``math`` and
-float power do, and is built with no fast-math and no fused multiply-add,
-so every stored bit and every ``IntegrationError`` is the Python loop's.
-Every other window function runs the Python loop, which stays the
-specification, as does every run on a host where the C cannot be built:
-there the same numbers come more slowly, with nothing printed.  The first
-run or CSV write that needs the library builds it (:mod:`tcpfluid._rk4`),
+Two loops take the steps, with one result.  For the Reno, CUBIC and frozen
+windows (``tcpfluid._rk4._WINDOWS`` says which window functions have
+compiled code), ``integrate`` runs its step loop as compiled C, in
+``_sim.c``, called through ctypes once per run for all its steps: it
+transcribes the Python loop, its history lookups and the windows' deficits
+(CUBIC's closure, and the default closure over the window for the others),
+operation for operation, calls libm's ``log1p``, ``expm1`` and ``pow`` as
+``math`` and float power do, and is built with no fast-math and no fused
+multiply-add, so every stored bit and every ``IntegrationError`` is the
+Python loop's.  Every other window function runs the Python loop, which
+stays the specification, as does every run on a host where the C cannot be
+built: there the same numbers come more slowly, with nothing printed.  The
+first run or CSV write that needs the library builds it (:mod:`tcpfluid._rk4`),
 with the compiler Python was built with, into this package's
 ``__pycache__``, under a name taken from the sources and the compile
 command; later processes load it from there.  Nothing of this happens on
 import.  The same library holds the compiled CSV formatter, ``_repr.c``,
 which writes the trajectory's CSV with the bytes ``repr`` gives, ``repr``
 being its specification and its fallback (see :mod:`tcpfluid.artifacts`),
-and the simulator's event loop, ``_sim.c`` (see :mod:`tcpfluid.nhpl`).
+and the simulator's event loop, beside the step loop in ``_sim.c`` (see
+:mod:`tcpfluid.nhpl`).
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ total rate, so both limits agree with the mean-field model.
 
 Two loops step a run, with one result.  For the Reno, CUBIC and frozen
 windows (``tcpfluid._rk4._WINDOWS`` says which window functions have
-compiled code), ``run_simulation`` runs the event loop as compiled C,
-``_sim.c`` (see :mod:`tcpfluid._rk4`): it transcribes
+compiled code), ``run_simulation`` runs the event loop as compiled C, in
+``_sim.c``, which writes each window function once for it and for the
+fluid step loop (see :mod:`tcpfluid._rk4`): it transcribes
 ``generate_poi_loss`` and what it calls and the loss count against
 ``WORK_BUDGET``, operation for operation, pops the queue in heapq's
 (time, flow) order, and draws its uniforms from the run's own numpy PCG64

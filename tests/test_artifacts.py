@@ -16,7 +16,7 @@ from oracles import (assert_same_text, awkward_columns, per_row_csv, python_form
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks):
+def test_write_csv_matches_per_row_repr_in_any_number_of_chunks(tmp_path, chunks):
     # Row counts one short of that many write chunks, exactly that many,
     # and one row past, whose last chunk is one row long; the output is the
     # only file written.
@@ -37,9 +37,9 @@ def test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3])
-def test_write_csv_matches_per_row_repr_in_any_number_of_parts_by_repr(tmp_path, python_format,
-                                                                       chunks):
-    test_write_csv_matches_per_row_repr_in_any_number_of_parts(tmp_path, chunks)
+def test_write_csv_matches_per_row_repr_in_any_number_of_chunks_by_repr(tmp_path, python_format,
+                                                                        chunks):
+    test_write_csv_matches_per_row_repr_in_any_number_of_chunks(tmp_path, chunks)
 
 
 def test_a_later_chunk_the_formatter_refuses_fails_the_table(tmp_path, monkeypatch):

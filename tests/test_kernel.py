@@ -2,11 +2,10 @@
 and the compiled event loop and render of ``nhpl.run_simulation`` against
 theirs.
 
-Reno and CUBIC runs take the loop in ``_rk4.c`` where it can be built; it
-must store every bit and raise every error the Python loop does.  Every
-other window function, and every host without the library, runs the Python
-loop.  The same holds for the simulator's Reno, CUBIC and frozen runs and
-``_sim.c``.
+Reno, CUBIC and frozen runs take the loops in ``_sim.c`` where it can be
+built; they must store every bit and raise every error the Python loops do.
+Every other window function, and every host without the library, runs the
+Python loops.
 """
 
 import errno
@@ -80,7 +79,7 @@ OFFSETS = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.3, -0.3]
 @given(capacity=st.floats(0.0, 6.0).map(lambda e: 10.0**e),
        tau=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
        b=st.floats(0.05, 0.95), c=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
-       window_fn=st.sampled_from([RENO, CUBIC]), k=st.sampled_from([4, 16, 64]),
+       window_fn=st.sampled_from([RENO, CUBIC, FROZEN]), k=st.sampled_from([4, 16, 64]),
        about_fp=st.booleans(), dw=st.sampled_from([*OFFSETS, 10.0]),
        ds=st.sampled_from([*OFFSETS, 1e4]), steps=st.integers(1, 2 * 1024 + 70))
 def test_kernel_matches_the_python_loop(capacity, tau, b, c, window_fn, k, about_fp, dw, ds,
@@ -138,8 +137,8 @@ def test_domain_exits_name_nan_states_alike():
     assert compiled[0].endswith("w_max=nan, s=nan")
 
 
-@pytest.mark.parametrize("window_fn", [RENO, CUBIC])
-def test_reno_and_cubic_run_the_kernel(rhs_calls, canonical_params, window_fn):
+@pytest.mark.parametrize("window_fn", [RENO, CUBIC, FROZEN])
+def test_reno_cubic_and_frozen_run_the_kernel(rhs_calls, canonical_params, window_fn):
     if dde._kernel() is None:
         pytest.skip("no C compiler to build the kernel with; CI requires it")
     params = canonical_params
@@ -176,20 +175,19 @@ class OwnWindow(RenoWindow):
         return super().window(state, params) + 1.0
 
 
-@pytest.mark.parametrize("window_fn", [OwnDeficit(), OwnWindow(), FROZEN],
-                         ids=["cubic-subclass", "reno-subclass", "frozen"])
+@pytest.mark.parametrize("window_fn", [OwnDeficit(), OwnWindow()],
+                         ids=["cubic-subclass", "reno-subclass"])
 def test_other_window_functions_run_the_python_loop(rhs_calls, canonical_params, window_fn):
     # A subclass of a compiled window, which may override what the kernel
-    # transcribes, and the frozen window evaluate their own deficit in the
-    # Python loop: the subclasses' runs are not their parents'.
+    # transcribes, evaluates its own deficit in the Python loop: the
+    # subclasses' runs are not their parents'.
     params = canonical_params
     parent = CUBIC if isinstance(window_fn, CubicWindow) else RENO
     fp = fixed_point(params, parent)
     start = FlowState(fp.w_hat, fp.s_hat + 1e-3)
     traj = integrate(params, window_fn, start, 0.5, params.tau / 16)
     assert len(rhs_calls) == 1 + 4 * 800
-    if window_fn is not FROZEN:
-        assert not np.array_equal(traj.w, integrate(params, parent, start, 0.5, params.tau / 16).w)
+    assert not np.array_equal(traj.w, integrate(params, parent, start, 0.5, params.tau / 16).w)
 
 
 class Uncallable:
@@ -204,11 +202,10 @@ class Uncallable:
 
 def test_the_bindings_decline_what_they_do_not_transcribe(tmp_path, monkeypatch,
                                                           canonical_params, canonical_fp):
-    # The step loop takes Reno and CUBIC only, the event loop the three
-    # windows only, each by exact type.  Bound over a library that may not
-    # be called, so on every host, a declined call reaches no C, writes no
-    # sample and moves no state: the caller's Python loop starts from where
-    # the call found it.
+    # The step loop and the event loop take the three windows only, by exact
+    # type.  Bound over a library that may not be called, so on every host,
+    # a declined call reaches no C, writes no sample and moves no state: the
+    # caller's Python loop starts from where the call found it.
     params, fp = canonical_params, canonical_fp
     traj = integrate(params, CUBIC, FlowState(fp.w_hat, fp.s_hat), 0.1, params.tau / 16, fp=fp)
     monkeypatch.setattr(_rk4, "_build", lambda command, library: True)
@@ -218,9 +215,8 @@ def test_the_bindings_decline_what_they_do_not_transcribe(tmp_path, monkeypatch,
     for column in columns:
         column[1:] = np.nan
     before = [col.tobytes() for col in columns]
-    for window_fn in (FROZEN, OwnWindow()):
-        assert lib.steps(traj, window_fn, 16, 0.0) is False
-        assert [col.tobytes() for col in columns] == before
+    assert lib.steps(traj, OwnWindow(), 16, 0.0) is False
+    assert [col.tobytes() for col in columns] == before
     params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
     state = SimState(params, OwnFrozen(), [(15.0, 0.0), (12.0, 0.05)], RngStream(5), 100.0)
     state.pending.append((0.5, 1))
@@ -308,37 +304,55 @@ def library_files(cache):
 
 def test_a_build_removes_the_other_libraries_in_its_cache(tmp_path, monkeypatch):
     # Each edit of a source builds a library of its own name; a build
-    # removes the earlier ones, and only those, while a process that has
-    # one loaded still runs it.  A cache hit removes nothing.
+    # removes the earlier builds of its own compile command, and only those,
+    # while a process that has one loaded still runs it.  A build with other
+    # flags, such as a sanitized one, leaves them in place, and a cache hit
+    # removes nothing.
     if dde._kernel() is None:
         pytest.skip("no C compiler to build the kernel with; CI requires it")
+
+    def command(name):
+        return name.rsplit("-", 1)[0]
+
     old = _rk4.load(str(tmp_path))
     (first,) = library_files(tmp_path)
-    for name in ("_rk4-00000000.so", "other.so", "_rk4-00000000.so.tmp"):
+    stale = f"{command(first)}-00000000.so"
+    for name in (stale, "other.so", f"{stale}.tmp"):
         (tmp_path / name).write_bytes(b"")
-    monkeypatch.setattr(_rk4, "_FLAGS", (*_rk4._FLAGS, "-DTCPFLUID_ANOTHER_BUILD"))
+    flags = _rk4._FLAGS
+    monkeypatch.setattr(_rk4, "_FLAGS", (*flags, "-DTCPFLUID_ANOTHER_BUILD"))
+    flagged = _rk4.load(str(tmp_path))
+    (second,) = set(library_files(tmp_path)) - {first, stale, "other.so"}
+    assert second.startswith("_rk4-") and command(second) != command(first)
+    assert set(library_files(tmp_path)) == {first, stale, second, "other.so"}
+    monkeypatch.setattr(_rk4, "_FLAGS", flags)
+    edit = tmp_path / "edit.c"
+    edit.write_text("/* an edited source */\n", encoding="utf-8")
+    monkeypatch.setattr(_rk4, "_SOURCES", (*_rk4._SOURCES, str(edit)))
     new = _rk4.load(str(tmp_path))
-    (second,) = set(library_files(tmp_path)) - {"other.so"}
-    assert second != first and second.startswith("_rk4-")
-    assert "_rk4-00000000.so.tmp" in os.listdir(tmp_path)
+    (third,) = set(library_files(tmp_path)) - {first, stale, second, "other.so"}
+    assert command(third) == command(first)
+    assert set(library_files(tmp_path)) == {second, third, "other.so"}
+    assert f"{stale}.tmp" in os.listdir(tmp_path)
     params = SystemParams(100.0, 0.1, 0.2, 0.4, 2)
     windows = []
-    for lib in (old, new):
+    for lib in (old, flagged, new):
         state = SimState(params, RENO, [(16.0, 0.25), (12.0, 0.0)], RngStream(5), 100.0)
         lib.simulate(state, 20.0, 10**6)
         windows.append(lib.render(state, 20.0, 0.1).tobytes())
-    assert windows[0] == windows[1]
-    (tmp_path / "_rk4-00000000.so").write_bytes(b"")
+    assert windows[0] == windows[1] == windows[2]
+    (tmp_path / stale).write_bytes(b"")
     assert _rk4.load(str(tmp_path)) is not None
-    assert "_rk4-00000000.so" in os.listdir(tmp_path)
+    assert stale in os.listdir(tmp_path)
 
 
 def test_a_library_without_the_event_loop_is_not_loaded(tmp_path, monkeypatch):
-    # Built from the step loop and formatter alone, the library lacks
-    # sim_run: load refuses it whole, so no caller meets a missing entry.
+    # Built from the formatter alone, the library lacks rk4_steps, sim_run
+    # and sim_render: load refuses it whole, so no caller meets a missing
+    # entry.
     if dde._kernel() is None:
         pytest.skip("no C compiler to build the kernel with; CI requires it")
-    monkeypatch.setattr(_rk4, "_SOURCES", ("_rk4.c", "_repr.c"))
+    monkeypatch.setattr(_rk4, "_SOURCES", ("_repr.c",))
     assert _rk4.load(str(tmp_path)) is None
     assert [name for name in os.listdir(tmp_path) if name.endswith(".so")] != []
 
